@@ -16,8 +16,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +37,6 @@ class ShapVector:
 
     def total(self) -> float:
         return self.base_value + sum(self.phi.values())
-
-
-@dataclass(frozen=True)
-class PolaritySupports:
-    """Nonnegative split of phi: S_plus - S_minus = phi, disjoint supports."""
-
-    id: int
-    s_plus: dict[int, float] = field(default_factory=dict)
-    s_minus: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -243,62 +233,12 @@ def _pinned_rows(x: np.ndarray, background: np.ndarray,
     return rows
 
 
-def split_supports(shap: ShapVector) -> PolaritySupports:
-    """Sign split: S_plus = max(phi, 0), S_minus = max(-phi, 0)."""
-    s_plus = {j: v for j, v in shap.phi.items() if v > 0.0}
-    s_minus = {j: -v for j, v in shap.phi.items() if v < 0.0}
-    return PolaritySupports(id=shap.id, s_plus=s_plus, s_minus=s_minus)
-
-
-def write_supports(path: str | Path, supports: list[PolaritySupports],
-                   polarity: str, config_digest: str = "") -> None:
-    """Sparse triplet CSV of one polarity's support values."""
-    if polarity not in ("plus", "minus"):
-        raise ValueError(f"polarity must be plus or minus, got {polarity!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("id,column,value\n")
-        for sup in supports:
-            table = sup.s_plus if polarity == "plus" else sup.s_minus
-            for col in sorted(table):
-                fh.write(f"{sup.id},{col},{table[col]!r}\n")
-
-
-def read_supports(path: str | Path) -> tuple[dict[int, dict[int, float]], str]:
-    digest = ""
-    table: dict[int, dict[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# config_digest="):
-                digest = line.split("=", 1)[1]
-                continue
-            if not line or line.startswith("id,"):
-                continue
-            id_s, col_s, val_s = line.split(",")
-            table.setdefault(int(id_s), {})[int(col_s)] = float(val_s)
-    return table, digest
-
-
-def write_shap_meta(path: str | Path, base_values: dict[int, float],
-                    explained_output: str, global_seed: int,
-                    background: Background, config_digest: str = "") -> None:
-    obj = {
-        "config_digest": config_digest,
-        "explained_output": explained_output,
-        "global_seed": global_seed,
-        "background_ids": list(background.ids),
-        "background_digest": background.digest(),
-        "base_values": {str(k): base_values[k] for k in sorted(base_values)},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_shap_meta(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    obj["base_values"] = {int(k): v for k, v in obj["base_values"].items()}
-    return obj
+def polarity_supports(phi: np.ndarray, polarity: str) -> np.ndarray:
+    """One polarity of the sign split of attributions: S_plus = max(phi, 0),
+    S_minus = max(-phi, 0), so S_plus - S_minus = phi with disjoint
+    supports."""
+    if polarity == "plus":
+        return np.maximum(phi, 0.0)
+    if polarity == "minus":
+        return np.maximum(-phi, 0.0)
+    raise ValueError(f"polarity must be plus or minus, got {polarity!r}")

@@ -94,8 +94,6 @@ class FeatureSpace:
     word_vocab: dict[str, int]
     phrase_vocab: dict[str, int]
     idf: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
     structural_names: tuple[str, ...] = STRUCTURAL_FEATURE_NAMES
     config_digest: str = ""
 
@@ -129,29 +127,11 @@ class FeatureSpace:
             [FAMILY_WORD] * self.n_word + [FAMILY_PHRASE] * self.n_phrase
             + [FAMILY_STRUCTURAL] * N_STRUCTURAL)
 
-    def column_name(self, column: int) -> str:
-        fam = self.family(column)
-        if fam == FAMILY_WORD:
-            return self._word_names[column]
-        if fam == FAMILY_PHRASE:
-            return self._phrase_names[column - self.n_word]
-        return self.structural_names[column - self.structural_start]
-
-    def __post_init__(self):
-        self._word_names = list(self.word_vocab)
-        self._phrase_names = list(self.phrase_vocab)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
     id: int
     values: dict[int, float] = field(default_factory=dict)
-
-    def to_dense(self, n_columns: int) -> np.ndarray:
-        out = np.zeros(n_columns)
-        for col, val in self.values.items():
-            out[col] = val
-        return out
 
 
 def _phrases(tokens: tuple[str, ...]) -> list[str]:
@@ -169,10 +149,10 @@ def _top_by_df(df: dict[str, int], quota: int, what: str) -> dict[str, int]:
     return {term: i for i, (term, _) in enumerate(ranked[:quota])}
 
 
-def fit_space(tokenized: list[TokenizedMessage], messages: list[Message],
-              word_quota: int = 7000, phrase_quota: int = 3000,
+def fit_space(tokenized: list[TokenizedMessage], word_quota: int = 7000,
+              phrase_quota: int = 3000,
               config_digest: str = "") -> FeatureSpace:
-    """Fit vocabularies, idf, and column statistics on the training split.
+    """Fit vocabularies and idf on the training split.
 
     Word vocabulary is the top ``word_quota`` unigrams by document
     frequency (ties broken lexicographically); the phrase vocabulary pools
@@ -180,8 +160,6 @@ def fit_space(tokenized: list[TokenizedMessage], messages: list[Message],
     corpus yields fewer candidates than a quota the vocabulary shrinks with
     a warning and the actual size is recorded in the space.
     """
-    if len(tokenized) != len(messages):
-        raise ValueError("tokenized and raw messages must align")
     n_docs = len(tokenized)
     word_df: dict[str, int] = {}
     phrase_df: dict[str, int] = {}
@@ -201,16 +179,8 @@ def fit_space(tokenized: list[TokenizedMessage], messages: list[Message],
     for term, col in phrase_vocab.items():
         idf[n_word + col] = np.log((1.0 + n_docs) / (1.0 + phrase_df[term])) + 1.0
 
-    space = FeatureSpace(word_vocab=word_vocab, phrase_vocab=phrase_vocab,
-                         idf=idf, mean=np.zeros(idf.shape), std=np.ones(idf.shape),
-                         config_digest=config_digest)
-    train_matrix = np.vstack([
-        vectorize(tok, msg, space).to_dense(space.n_columns)
-        for tok, msg in zip(tokenized, messages)
-    ])
-    space.mean = train_matrix.mean(axis=0)
-    space.std = train_matrix.std(axis=0)
-    return space
+    return FeatureSpace(word_vocab=word_vocab, phrase_vocab=phrase_vocab,
+                        idf=idf, config_digest=config_digest)
 
 
 def vectorize(tokenized: TokenizedMessage, message: Message,
@@ -256,15 +226,6 @@ def _l2_normalize_block(values: dict[int, float], start: int, stop: int) -> None
             values[col] = float(values[col] / norm)
 
 
-def stack(vectors: list[FeatureVector], space: FeatureSpace) -> np.ndarray:
-    """Dense n-by-d matrix in the given vector order."""
-    X = np.zeros((len(vectors), space.n_columns))
-    for row, vec in enumerate(vectors):
-        for col, val in vec.values.items():
-            X[row, col] = val
-    return X
-
-
 def write_space(path: str | Path, space: FeatureSpace) -> None:
     obj = {
         "config_digest": space.config_digest,
@@ -272,8 +233,6 @@ def write_space(path: str | Path, space: FeatureSpace) -> None:
         "phrase_vocab": list(space.phrase_vocab),
         "structural_names": list(space.structural_names),
         "idf": space.idf.tolist(),
-        "mean": space.mean.tolist(),
-        "std": space.std.tolist(),
         "family": space.families().tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -288,37 +247,6 @@ def read_space(path: str | Path) -> FeatureSpace:
         word_vocab={t: i for i, t in enumerate(obj["word_vocab"])},
         phrase_vocab={t: i for i, t in enumerate(obj["phrase_vocab"])},
         idf=np.array(obj["idf"]),
-        mean=np.array(obj["mean"]),
-        std=np.array(obj["std"]),
         structural_names=tuple(obj["structural_names"]),
         config_digest=obj.get("config_digest", ""),
     )
-
-
-def write_vectors(path: str | Path, vectors: list[FeatureVector],
-                  config_digest: str = "") -> None:
-    """Sparse triplet CSV: id, column, value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("id,column,value\n")
-        for vec in vectors:
-            for col in sorted(vec.values):
-                fh.write(f"{vec.id},{col},{vec.values[col]!r}\n")
-
-
-def read_vectors(path: str | Path) -> tuple[list[FeatureVector], str]:
-    digest = ""
-    rows: dict[int, dict[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# config_digest="):
-                digest = line.split("=", 1)[1]
-                continue
-            if not line or line.startswith("id,"):
-                continue
-            id_s, col_s, val_s = line.split(",")
-            rows.setdefault(int(id_s), {})[int(col_s)] = float(val_s)
-    vectors = [FeatureVector(id=i, values=vals) for i, vals in sorted(rows.items())]
-    return vectors, digest

@@ -4,13 +4,19 @@ and upstream artifacts, so reruns are byte-identical.
 Artifact chain (all under the output directory, all stamped with the
 config digest; a digest mismatch refuses to combine):
 
-    prepare  -> dataset.jsonl, space.json, vectors.csv
+    prepare  -> dataset.jsonl, space.json, vectors.npz
     train    -> model.json
-    explain  -> shap_plus.csv, shap_minus.csv, shap_meta.json
+    explain  -> shap.npz
     profile  -> topics_plus.json, topics_minus.json, profiles.json
-    score    -> representations.csv, scores.csv
+    score    -> representations.npz, scores.npz
     evaluate -> detector_report.json
-    repair   -> repair_report.json (and refreshed scores.csv outcomes)
+    repair   -> repair_report.json, outcomes.npz
+    report   -> report.md
+
+Every .npz is written by _save and read by _load only.  Each holds an
+``ids`` array that must equal the dataset ids in order; the (n, d)
+matrices X (vectors.npz) and phi (shap.npz) are stored as CSR arrays
+``shape, indptr, indices, data``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,26 +58,25 @@ class Paths:
     @property
     def space(self): return self.out / "space.json"
     @property
-    def vectors(self): return self.out / "vectors.csv"
+    def vectors(self): return self.out / "vectors.npz"
     @property
     def model(self): return self.out / "model.json"
     @property
-    def shap_meta(self): return self.out / "shap_meta.json"
+    def shap(self): return self.out / "shap.npz"
     @property
     def profiles(self): return self.out / "profiles.json"
     @property
-    def representations(self): return self.out / "representations.csv"
+    def representations(self): return self.out / "representations.npz"
     @property
-    def scores(self): return self.out / "scores.csv"
+    def scores(self): return self.out / "scores.npz"
+    @property
+    def outcomes(self): return self.out / "outcomes.npz"
     @property
     def detector_report(self): return self.out / "detector_report.json"
     @property
     def repair_report(self): return self.out / "repair_report.json"
     @property
     def report(self): return self.out / "report.md"
-
-    def supports(self, polarity: str) -> Path:
-        return self.out / f"shap_{polarity}.csv"
 
     def topics(self, polarity: str) -> Path:
         return self.out / f"topics_{polarity}.json"
@@ -113,6 +120,76 @@ def _encode_threshold(value: float) -> float | str:
     return "inf" if math.isinf(value) else float(value)
 
 
+# ---------------------------------------------------------- array artifacts
+
+def _save(path: Path, digest: str, **arrays) -> None:
+    """Write arrays plus the config digest as one uncompressed .npz.
+
+    The file appears under its name only once complete, so a crash
+    leaves the previous artifact (or none), never a partial one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, digest=np.bytes_(digest.encode("ascii")), **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load(cfg: PipelineConfig, stage: str, path: Path, producer: str,
+          ids: list[int] | None = None) -> dict[str, np.ndarray]:
+    """Every array of an artifact written by _save, checked for presence,
+    readability, config digest and, given ``ids``, id coverage."""
+    _require(path, stage, producer)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise StageError(stage, f"cannot read {path.name} ({exc}); "
+                                f"rerun {producer}") from exc
+    digest = arrays.pop("digest", np.bytes_(b"")).tobytes()
+    _match(digest.decode("ascii", "replace"), cfg, stage, path.name)
+    if ids is not None and not np.array_equal(arrays.get("ids"), ids):
+        raise StageError(stage, f"{path.name} does not cover the "
+                                f"{len(ids)} messages of dataset.jsonl in "
+                                f"order; rerun {producer}")
+    return arrays
+
+
+def _to_csr(M: np.ndarray) -> dict[str, np.ndarray]:
+    """CSR arrays of a dense matrix; every entry other than +0.0 is kept,
+    so _from_csr restores the matrix bit for bit."""
+    rows, cols = np.nonzero((M != 0.0) | np.signbit(M))
+    indptr = np.zeros(M.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
+    return {"shape": np.array(M.shape, dtype=np.int64), "indptr": indptr,
+            "indices": cols.astype(np.int64), "data": M[rows, cols]}
+
+
+def _from_csr(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    n, d = (int(v) for v in arrays["shape"])
+    M = np.zeros((n, d))
+    rows = np.repeat(np.arange(n), np.diff(arrays["indptr"]))
+    M[rows, arrays["indices"]] = arrays["data"]
+    return M
+
+
+def _load_csr(cfg, stage, path, producer, ids, n_columns):
+    """(dense matrix, all arrays) of a CSR artifact with one row per id
+    and one column per feature of space.json."""
+    arrays = _load(cfg, stage, path, producer, ids)
+    shape = tuple(arrays["shape"].tolist()) if "shape" in arrays else ()
+    if shape != (len(ids), n_columns):
+        raise StageError(stage, f"{path.name} holds a {shape} matrix, "
+                                f"expected ({len(ids)}, {n_columns}); "
+                                f"rerun {producer}")
+    try:
+        return _from_csr(arrays), arrays
+    except (KeyError, ValueError, IndexError) as exc:
+        raise StageError(stage, f"{path.name} holds no valid CSR matrix "
+                                f"({exc}); rerun {producer}") from exc
+
+
 # ---------------------------------------------------------------- loading
 
 def _load_dataset(cfg, stage) -> list[corpus.Message]:
@@ -129,12 +206,13 @@ def _load_space(cfg, stage) -> features.FeatureSpace:
     _match(space.config_digest, cfg, stage, "space.json")
     return space
 
-def _load_matrix(cfg, stage, space) -> tuple[np.ndarray, list[int]]:
-    p = paths_for(cfg)
-    _require(p.vectors, stage, "prepare")
-    vectors, digest = features.read_vectors(p.vectors)
-    _match(digest, cfg, stage, "vectors.csv")
-    return features.stack(vectors, space), [v.id for v in vectors]
+def _load_vectors(cfg, stage, ids, space) -> np.ndarray:
+    return _load_csr(cfg, stage, paths_for(cfg).vectors, "prepare", ids,
+                     space.n_columns)[0]
+
+def _load_phi(cfg, stage, ids, space) -> np.ndarray:
+    return _load_csr(cfg, stage, paths_for(cfg).shap, "explain", ids,
+                     space.n_columns)[0]
 
 def _load_model(cfg, stage):
     p = paths_for(cfg)
@@ -142,13 +220,6 @@ def _load_model(cfg, stage):
     model = classifiers.read_model(p.model)
     _match(model.config_digest, cfg, stage, "model.json")
     return model
-
-def _load_supports(cfg, stage, polarity) -> dict[int, dict[int, float]]:
-    p = paths_for(cfg)
-    _require(p.supports(polarity), stage, "explain")
-    table, digest = attribution.read_supports(p.supports(polarity))
-    _match(digest, cfg, stage, f"shap_{polarity}.csv")
-    return table
 
 def _load_topics(cfg, stage, polarity) -> profiling.TopicModel:
     p = paths_for(cfg)
@@ -191,15 +262,18 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
                  for m in everyone}
 
     space = features.fit_space(
-        [tokenized[m.id] for m in train], train,
+        [tokenized[m.id] for m in train],
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota,
         config_digest=digest)
-    vectors = [features.vectorize(tokenized[m.id], m, space)
-               for m in everyone]
+    X = np.zeros((len(everyone), space.n_columns))
+    for row, m in enumerate(everyone):
+        values = features.vectorize(tokenized[m.id], m, space).values
+        X[row, list(values)] = list(values.values())
 
     corpus.write_dataset(p.dataset, everyone, digest)
     features.write_space(p.space, space)
-    features.write_vectors(p.vectors, vectors, digest)
+    _save(p.vectors, digest, ids=np.array([m.id for m in everyone]),
+          **_to_csr(X))
 
 
 # ------------------------------------------------------------------ train
@@ -214,8 +288,9 @@ def _split_ids(messages) -> tuple[list[corpus.Message], list[corpus.Message]]:
 def cmd_train(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
     messages = _load_dataset(cfg, "train")
+    ids = [m.id for m in messages]
     space = _load_space(cfg, "train")
-    X, ids = _load_matrix(cfg, "train", space)
+    X = _load_vectors(cfg, "train", ids, space)
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
 
     train, _ = _split_ids(messages)
@@ -243,34 +318,18 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 # ---------------------------------------------------------------- explain
 
-def _linear_supports(Phi: np.ndarray, ids: list[int], polarity: str):
-    """Yield one message's polarity supports at a time (Phi rows are
-    dense, so materializing every dict at once would dwarf the matrix)."""
-    for i, msg_id in enumerate(ids):
-        row = Phi[i]
-        if polarity == "plus":
-            cols = np.nonzero(row > 0.0)[0]
-            table = {int(c): float(row[c]) for c in cols}
-        else:
-            cols = np.nonzero(row < 0.0)[0]
-            table = {int(c): float(-row[c]) for c in cols}
-        yield attribution.PolaritySupports(id=msg_id, s_plus=table,
-                                           s_minus=table)
-
-
 @_stage("explain")
 def cmd_explain(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
     messages = _load_dataset(cfg, "explain")
+    ids = [m.id for m in messages]
     space = _load_space(cfg, "explain")
-    X, ids = _load_matrix(cfg, "explain", space)
+    X = _load_vectors(cfg, "explain", ids, space)
     model = _load_model(cfg, "explain")
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
-    digest = cfg.digest()
 
     train, _ = _split_ids(messages)
-    train_rows = [row_of[m.id] for m in train]
-    X_train = X[train_rows]
+    X_train = X[[row_of[m.id] for m in train]]
     y_train = np.array([m.label for m in train])
     train_ids = [m.id for m in train]
 
@@ -279,7 +338,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
     if linear:
         # Exact linear attributions against the training mean, dense by
-        # construction; computed as one broadcast and streamed out.
+        # construction; computed as one broadcast.
         background = attribution.make_background(
             X_train, y_train, train_ids, size=len(train_ids), seed=cfg.seed)
         mu = background.mean
@@ -290,34 +349,30 @@ def cmd_explain(cfg: PipelineConfig) -> None:
             X = model.transform(X)
             mu = model.transform(mu[None, :])[0]
         Phi = (X - mu[None, :]) * w[None, :]
-        base = float(w @ mu + b)
-        base_values = {msg_id: base for msg_id in ids}
-        for polarity in ("plus", "minus"):
-            attribution.write_supports(
-                p.supports(polarity), _linear_supports(Phi, ids, polarity),
-                polarity, digest)
-        attribution.write_shap_meta(p.shap_meta, base_values, "margin",
-                                    cfg.seed, background, digest)
-        return
+        base_values = np.full(len(ids), float(w @ mu + b))
+        explained = "margin"
+    else:
+        background = attribution.make_background(
+            X_train, y_train, train_ids, size=cfg.background_size,
+            seed=cfg.seed)
 
-    background = attribution.make_background(
-        X_train, y_train, train_ids, size=cfg.background_size, seed=cfg.seed)
+        def predict_fn(rows: np.ndarray) -> np.ndarray:
+            return classifiers.probability_function(model, rows)
 
-    def predict_fn(rows: np.ndarray) -> np.ndarray:
-        return classifiers.probability_function(model, rows)
+        Phi = np.zeros(X.shape)
+        base_values = np.empty(len(ids))
+        for i, msg_id in enumerate(ids):
+            shap = attribution.kernel_shap(
+                predict_fn, X[i], background,
+                n_coalitions=cfg.n_coalitions, seed=cfg.seed, msg_id=msg_id)
+            Phi[i, list(shap.phi)] = list(shap.phi.values())
+            base_values[i] = shap.base_value
+        explained = "probability"
 
-    supports, base_values = [], {}
-    for msg_id in ids:
-        shap = attribution.kernel_shap(
-            predict_fn, X[row_of[msg_id]], background,
-            n_coalitions=cfg.n_coalitions, seed=cfg.seed, msg_id=msg_id)
-        supports.append(attribution.split_supports(shap))
-        base_values[msg_id] = shap.base_value
-    for polarity in ("plus", "minus"):
-        attribution.write_supports(p.supports(polarity), supports, polarity,
-                                   digest)
-    attribution.write_shap_meta(p.shap_meta, base_values, "probability",
-                                cfg.seed, background, digest)
+    _save(p.shap, cfg.digest(), ids=np.array(ids), base_values=base_values,
+          explained_output=np.array(explained),
+          background_ids=np.array(background.ids, dtype=np.int64),
+          background_digest=np.array(background.digest()), **_to_csr(Phi))
 
 
 # ---------------------------------------------------------------- profile
@@ -344,8 +399,9 @@ POLARITY_OF_GROUP = {"TP": "plus", "TN": "minus"}
 def cmd_profile(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
     messages = _load_dataset(cfg, "profile")
+    ids = [m.id for m in messages]
     space = _load_space(cfg, "profile")
-    X, ids = _load_matrix(cfg, "profile", space)
+    X = _load_vectors(cfg, "profile", ids, space)
     model = _load_model(cfg, "profile")
     preds = _predictions(model, X, ids)
     groups = _reliable_groups(messages, preds)
@@ -353,28 +409,28 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     if not reliable_ids:
         raise StageError("profile", "no correctly classified training "
                                     "messages to profile")
+    Phi = _load_phi(cfg, "profile", ids, space)
+    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
+    reliable_phi = Phi[[row_of[i] for i in reliable_ids]]
+    row_index = {msg_id: k for k, msg_id in enumerate(reliable_ids)}
     digest = cfg.digest()
     families = space.families()
 
     profiles: dict[str, dict[str, list[float] | None]] = {}
-    for polarity in ("plus", "minus"):
-        supports = _load_supports(cfg, "profile", polarity)
-        rows = [supports.get(i, {}) for i in reliable_ids]
-        stats = profiling.feature_stats(rows, space.n_columns)
+    for group, polarity in POLARITY_OF_GROUP.items():
+        supports = attribution.polarity_supports(reliable_phi, polarity)
+        stats = profiling.feature_stats(supports)
         r = profiling.rank_score(stats, cfg.tau_p)
         columns = profiling.select_top(r, families, cfg.rho, cfg.k_top)
-        matrix = profiling.build_matrix(rows, columns)
-        W, H, trace = profiling.nmf(matrix, cfg.n_topics,
+        matrix = profiling.build_matrix(supports, columns)
+        _, H, trace = profiling.nmf(matrix, cfg.n_topics,
                                     max_iters=cfg.nmf_max_iters,
                                     tol=cfg.nmf_tol, seed=cfg.seed)
         assignment = profiling.assign_topics(H)
         profiling.write_topics(p.topics(polarity), profiling.TopicModel(
-            polarity=polarity, columns=columns, W=W, H=H,
-            assignment=assignment, objective=trace[-1], seed=cfg.seed,
-            config_digest=digest))
+            polarity=polarity, columns=columns, H=H, assignment=assignment,
+            objective=trace[-1], seed=cfg.seed, config_digest=digest))
 
-        group = "TP" if polarity == "plus" else "TN"
-        row_index = {msg_id: k for k, msg_id in enumerate(reliable_ids)}
         tcs = [profiling.topic_contributions(matrix[row_index[i]],
                                              assignment, cfg.n_topics)
                for i in groups[group]]
@@ -405,85 +461,43 @@ def _group_profile_representations(tcs, H, cfg) -> dict[str, list | None]:
 
 # ------------------------------------------------------------------ score
 
-SCORE_HEADER = ("id,split,gold,predicted,p_pos,correct,"
-                + ",".join(BASE_METHODS) + ","
-                + ",".join(XMAP_COLUMNS) + ",outcome")
-
-
-def _write_scores(path: Path, rows: list[dict], digest: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_digest={digest}\n")
-        fh.write(SCORE_HEADER + "\n")
-        for row in rows:
-            cells = [str(row["id"]), row["split"], str(row["gold"]),
-                     str(row["predicted"]), repr(row["p_pos"]),
-                     str(row["correct"])]
-            for method in BASE_METHODS:
-                cells.append(repr(row[method]))
-            for col in XMAP_COLUMNS:
-                v = row[col]
-                cells.append("NA" if v is None else repr(v))
-            cells.append(row["outcome"])
-            fh.write(",".join(cells) + "\n")
-
-
-def _read_scores(cfg, stage) -> list[dict]:
-    p = paths_for(cfg)
-    _require(p.scores, stage, "score")
-    rows, digest = [], ""
-    with open(p.scores, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# config_digest="):
-                digest = line.split("=", 1)[1]
-                continue
-            if not line or line.startswith("id,"):
-                continue
-            cells = line.split(",")
-            row = {"id": int(cells[0]), "split": cells[1],
-                   "gold": int(cells[2]), "predicted": int(cells[3]),
-                   "p_pos": float(cells[4]), "correct": int(cells[5])}
-            offset = 6
-            for j, method in enumerate(BASE_METHODS):
-                row[method] = float(cells[offset + j])
-            offset += len(BASE_METHODS)
-            for j, col in enumerate(XMAP_COLUMNS):
-                cell = cells[offset + j]
-                row[col] = None if cell == "NA" else float(cell)
-            row["outcome"] = cells[offset + len(XMAP_COLUMNS)]
-            rows.append(row)
-    _match(digest, cfg, stage, "scores.csv")
-    return rows
+def _read_scores(cfg, stage) -> dict[str, np.ndarray]:
+    """scores.npz columns, one entry per dataset message in id order; an
+    NA xmap score is NaN."""
+    # A missing score stage is reported before a missing dataset.
+    _require(paths_for(cfg).scores, stage, "score")
+    ids = [m.id for m in _load_dataset(cfg, stage)]
+    return _load(cfg, stage, paths_for(cfg).scores, "score", ids)
 
 
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
     messages = _load_dataset(cfg, "score")
+    ids = [m.id for m in messages]
     space = _load_space(cfg, "score")
-    X, ids = _load_matrix(cfg, "score", space)
+    X = _load_vectors(cfg, "score", ids, space)
     model = _load_model(cfg, "score")
     preds = _predictions(model, X, ids)
     profiles = _load_profiles(cfg, "score")
+    topics = {polarity: _load_topics(cfg, "score", polarity)
+              for polarity in ("plus", "minus")}
+    Phi = _load_phi(cfg, "score", ids, space)
     digest = cfg.digest()
-
-    polarity_ctx = {}
-    for polarity in ("plus", "minus"):
-        topics = _load_topics(cfg, "score", polarity)
-        supports = _load_supports(cfg, "score", polarity)
-        polarity_ctx[polarity] = (topics, supports)
 
     # Topic contributions for every message, on the polarity its own
     # prediction selects (positive -> spamward supports, negative ->
     # hamward); reliable-group context is derived from the same values.
+    polarity_of = {msg_id: "plus" if preds[msg_id].label == 1 else "minus"
+                   for msg_id in ids}
+    supports = {polarity: attribution.polarity_supports(
+                    Phi[:, topics[polarity].columns], polarity)
+                for polarity in topics}
     tc_of: dict[int, np.ndarray] = {}
-    for msg_id in ids:
-        polarity = "plus" if preds[msg_id].label == 1 else "minus"
-        topics, supports = polarity_ctx[polarity]
-        row = np.array([supports.get(msg_id, {}).get(int(c), 0.0)
-                        for c in topics.columns])
+    for i, msg_id in enumerate(ids):
+        polarity = polarity_of[msg_id]
         tc_of[msg_id] = profiling.topic_contributions(
-            row, topics.assignment, cfg.n_topics)
+            supports[polarity][i], topics[polarity].assignment, cfg.n_topics)
 
     groups = _reliable_groups(messages, preds)
     context = {}
@@ -493,43 +507,51 @@ def cmd_score(cfg: PipelineConfig) -> None:
         refs = [uncertainty.original(tc).vector for tc in member_tcs]
         context[polarity] = (s, refs)
 
-    table: dict[int, dict[str, uncertainty.Representation]] = {}
-    rows = []
-    for m in sorted(messages, key=lambda msg: msg.id):
+    n = len(ids)
+    vectors = np.full((n, len(REPRESENTATIONS), cfg.n_topics), np.nan)
+    degenerate = np.zeros((n, len(REPRESENTATIONS)), dtype=bool)
+    columns = {name: np.empty(n) for name in BASE_METHODS + XMAP_COLUMNS}
+    for i, m in enumerate(messages):
         pred = preds[m.id]
-        polarity = "plus" if pred.label == 1 else "minus"
-        topics, _ = polarity_ctx[polarity]
+        polarity = polarity_of[m.id]
         s, refs = context[polarity]
         reps = uncertainty.all_representations(
-            tc_of[m.id], s, topics.H, cfg.k_related, cfg.temperature,
-            refs, cfg.k_nn)
-        table[m.id] = reps
+            tc_of[m.id], s, topics[polarity].H, cfg.k_related,
+            cfg.temperature, refs, cfg.k_nn)
+        for k, rep in enumerate(reps[name] for name in REPRESENTATIONS):
+            if rep.vector is not None:
+                vectors[i, k] = rep.vector
+            degenerate[i, k] = rep.degenerate
         xmap = scoring.misclassification_score(
             {name: rep.vector for name, rep in reps.items()},
             profiles, pred.label)
-        row = {"id": m.id, "split": m.split, "gold": m.label,
-               "predicted": pred.label, "p_pos": float(pred.p_pos),
-               "correct": int(pred.label == m.label), "outcome": "accepted"}
         for method in BASE_METHODS:
-            row[method] = uncertainty.output_uq_score(
+            columns[method][i] = uncertainty.output_uq_score(
                 pred.p_pos, method, cfg.temperature)
         for rep_name, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
-            row[col] = xmap[rep_name]
-        rows.append(row)
+            value = xmap[rep_name]
+            columns[col][i] = np.nan if value is None else value
 
-    uncertainty.write_representations(p.representations, table, digest)
-    _write_scores(p.scores, rows, digest)
+    id_array = np.array(ids)
+    _save(p.representations, digest, ids=id_array,
+          names=np.array(REPRESENTATIONS), vectors=vectors,
+          degenerate=degenerate)
+    _save(p.scores, digest, ids=id_array,
+          split=np.array([m.split for m in messages]),
+          gold=np.array([m.label for m in messages]),
+          predicted=np.array([preds[i].label for i in ids]),
+          p_pos=np.array([float(preds[i].p_pos) for i in ids]),
+          correct=np.array([preds[m.id].label == m.label for m in messages]),
+          **columns)
 
 
 # --------------------------------------------------------------- evaluate
 
-def _detector_metrics(scores: list[float | None], flags: list[bool],
+def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
                       trr_fix: float) -> dict:
-    kept = [(s, f) for s, f in zip(scores, flags) if s is not None]
-    n_na = len(scores) - len(kept)
-    if kept:
-        arr = np.array([s for s, _ in kept])
-        fl = np.array([f for _, f in kept], dtype=bool)
+    kept = ~np.isnan(scores)
+    arr, fl = scores[kept], flags[kept]
+    if arr.size:
         area = scoring.auroc(arr, fl)
         frr = scoring.frr_at_trr(arr, fl, trr_fix)
         cutoff = scoring.trr_cutoff(arr, fl, trr_fix)
@@ -538,9 +560,9 @@ def _detector_metrics(scores: list[float | None], flags: list[bool],
     else:
         area, frr, cutoff, n_true, n_false = None, None, math.inf, 0, 0
     return {
-        "n_scored": len(kept),
-        "n_na": n_na,
-        "n_misclassified": int(sum(f for _, f in kept)),
+        "n_scored": int(arr.size),
+        "n_na": int(scores.size - arr.size),
+        "n_misclassified": int(fl.sum()),
         "auroc": area,
         "frr_at_trr": frr,
         "threshold": _encode_threshold(cutoff),
@@ -552,23 +574,23 @@ def _detector_metrics(scores: list[float | None], flags: list[bool],
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    rows = _read_scores(cfg, "evaluate")
-    test = [r for r in rows if r["split"] == "test"]
+    scores = _read_scores(cfg, "evaluate")
+    test = scores["split"] == "test"
     report = {"config_digest": cfg.digest(), "trr_fix": cfg.trr_fix,
               "subsets": {}}
     for subset, label in SUBSETS:
-        part = [r for r in test if r["predicted"] == label]
-        flags = [not r["correct"] for r in part]
+        part = test & (scores["predicted"] == label)
+        flags = ~scores["correct"][part]
         detectors = {}
         for method in BASE_METHODS:
             detectors[method] = dict(kind="output_uq", **_detector_metrics(
-                [r[method] for r in part], flags, cfg.trr_fix))
-        for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
+                scores[method][part], flags, cfg.trr_fix))
+        for col in XMAP_COLUMNS:
             detectors[col] = dict(kind="xmap", **_detector_metrics(
-                [r[col] for r in part], flags, cfg.trr_fix))
+                scores[col][part], flags, cfg.trr_fix))
         report["subsets"][subset] = {
-            "n": len(part),
-            "n_misclassified": int(sum(flags)),
+            "n": int(part.sum()),
+            "n_misclassified": int(flags.sum()),
             "detectors": detectors,
         }
     with open(p.detector_report, "w", encoding="utf-8") as fh:
@@ -587,17 +609,18 @@ def cmd_repair(cfg: PipelineConfig) -> None:
     if cfg.repair_representation not in REPRESENTATIONS:
         raise StageError("repair", f"unknown repair representation "
                                    f"{cfg.repair_representation!r}")
-    rows = _read_scores(cfg, "repair")
-    test = [r for r in rows if r["split"] == "test"]
-    train = [r for r in rows if r["split"] == "train"]
+    scores = _read_scores(cfg, "repair")
+    ids = scores["ids"].tolist()
+    test = scores["split"] == "test"
+    train = scores["split"] == "train"
+    misclassified = ~scores["correct"]
 
     rejections, subset_info = [], {}
     for subset, label in SUBSETS:
-        part = [r for r in test if r["predicted"] == label]
-        scores_arr = np.array([r[cfg.base_detector] for r in part])
-        flags = np.array([not r["correct"] for r in part], dtype=bool)
-        rej = scoring.reject_set(scores_arr, flags, [r["id"] for r in part],
-                                 cfg.trr_fix)
+        part = test & (scores["predicted"] == label)
+        rej = scoring.reject_set(scores[cfg.base_detector][part],
+                                 misclassified[part],
+                                 scores["ids"][part].tolist(), cfg.trr_fix)
         rejections.append(rej)
         subset_info[subset] = {
             "threshold": _encode_threshold(rej.threshold),
@@ -606,19 +629,20 @@ def cmd_repair(cfg: PipelineConfig) -> None:
             "n_false_rejections": len(rej.false_rejections),
         }
 
-    polarity_of = {r["id"]: ("plus" if r["predicted"] == 1 else "minus")
-                   for r in test}
+    polarity_of = {msg_id: ("plus" if label == 1 else "minus")
+                   for msg_id, label, is_test
+                   in zip(ids, scores["predicted"].tolist(), test) if is_test}
     per_rep = {}
     for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
+        xmap = scores[col]
         taus = {}
         for polarity, label in (("plus", 1), ("minus", 0)):
-            part = [r for r in train
-                    if r["predicted"] == label and r[col] is not None]
+            part = train & (scores["predicted"] == label) & ~np.isnan(xmap)
             taus[polarity] = scoring.calibrate_tau(
-                np.array([r[col] for r in part]),
-                np.array([not r["correct"] for r in part], dtype=bool),
-                cfg.trr_fix)
-        xmap_scores = {r["id"]: r[col] for r in test}
+                xmap[part], misclassified[part], cfg.trr_fix)
+        xmap_scores = {msg_id: (None if math.isnan(v) else v)
+                       for msg_id, v, is_test
+                       in zip(ids, xmap.tolist(), test) if is_test}
         rep_report = scoring.repair(rejections, xmap_scores, taus,
                                     polarity_of,
                                     base_detector=cfg.base_detector,
@@ -648,17 +672,13 @@ def cmd_repair(cfg: PipelineConfig) -> None:
         json.dump(report, fh, sort_keys=True)
         fh.write("\n")
 
-    # Refresh outcomes for the configured representation; recomputed from
-    # the score columns alone, so the rewrite is idempotent.
+    # Per-message outcome under the configured representation.
     rejected = set()
     for rej in rejections:
         rejected.update(rej.rejected_ids)
     re_accepted = set(per_rep[cfg.repair_representation]["re_accepted_ids"])
-    for row in rows:
-        if row["id"] in re_accepted:
-            row["outcome"] = "repaired"
-        elif row["id"] in rejected:
-            row["outcome"] = "rejected"
-        else:
-            row["outcome"] = "accepted"
-    _write_scores(p.scores, rows, cfg.digest())
+    outcome = ["repaired" if msg_id in re_accepted
+               else "rejected" if msg_id in rejected else "accepted"
+               for msg_id in ids]
+    _save(p.outcomes, cfg.digest(), ids=scores["ids"],
+          outcome=np.array(outcome))

@@ -33,7 +33,6 @@ class FeatureStats:
 class TopicModel:
     polarity: str
     columns: np.ndarray
-    W: np.ndarray
     H: np.ndarray
     assignment: np.ndarray
     objective: list[float]
@@ -45,20 +44,15 @@ class TopicModel:
         return self.H.shape[0]
 
 
-def feature_stats(supports: list[dict[int, float]],
-                  n_columns: int) -> FeatureStats:
-    """presence_j = share of messages with nonzero support; cond_mean_j =
-    mean support over exactly those messages (0 when never active)."""
-    n = len(supports)
+def feature_stats(supports: np.ndarray) -> FeatureStats:
+    """presence_j = share of messages (rows) with nonzero support;
+    cond_mean_j = mean support over exactly those messages (0 when never
+    active)."""
+    n, n_columns = supports.shape
     if n < 1:
         raise ValueError("feature_stats needs at least one message")
-    total = np.zeros(n_columns)
-    active = np.zeros(n_columns)
-    for table in supports:
-        for col, val in table.items():
-            if val != 0.0:
-                total[col] += val
-                active[col] += 1
+    active = np.count_nonzero(supports, axis=0)
+    total = supports.sum(axis=0)
     presence = active / n
     cond_mean = np.divide(total, active, out=np.zeros(n_columns),
                           where=active > 0)
@@ -101,17 +95,12 @@ def select_top(r: np.ndarray, families: np.ndarray, quotas: dict[str, float],
     return np.array(sorted(chosen), dtype=int)
 
 
-def build_matrix(supports: list[dict[int, float]],
-                 columns: np.ndarray) -> np.ndarray:
-    """Dense message-by-selected-column slice of the supports."""
-    lookup = {int(col): i for i, col in enumerate(columns)}
-    X = np.zeros((len(supports), len(columns)))
-    for row, table in enumerate(supports):
-        for col, val in table.items():
-            slot = lookup.get(col)
-            if slot is not None:
-                X[row, slot] = val
-    return X
+def build_matrix(supports: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Dense message-by-selected-column slice of the supports.
+
+    Row-major, because NMF's matrix products round differently on the
+    column-major array that fancy indexing returns."""
+    return np.ascontiguousarray(supports[:, columns])
 
 
 def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
@@ -210,7 +199,6 @@ def read_topics(path: str | Path) -> TopicModel:
     return TopicModel(
         polarity=obj["polarity"],
         columns=np.array(obj["columns"], dtype=int),
-        W=np.zeros((0, obj["n_topics"])),
         H=np.array(obj["H"]),
         assignment=np.array(obj["assignment"], dtype=int),
         objective=obj["objective"],

@@ -32,15 +32,15 @@ def _fmt(value, digits: int = 4) -> str:
     return f"{value:.{digits}f}"
 
 
-def _mean_std(values: list[float]) -> str:
-    if not values:
+def _mean_std(values) -> str:
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
         return "NA"
-    arr = np.array(values)
     return f"{arr.mean():.4f} +/- {arr.std():.4f}"
 
 
-def _divergence_table(rows: list[dict]) -> list[str]:
-    test = [r for r in rows if r["split"] == "test"]
+def _divergence_table(scores: dict[str, np.ndarray]) -> list[str]:
+    test = scores["split"] == "test"
     lines = ["| Representation | " + " | ".join(h for h, _, _ in GROUP_COLUMNS)
              + " |",
              "|---" * (1 + len(GROUP_COLUMNS)) + "|"]
@@ -48,10 +48,9 @@ def _divergence_table(rows: list[dict]) -> list[str]:
     for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
         cells = []
         for _, predicted, gold in GROUP_COLUMNS:
-            values = [r[col] for r in test
-                      if r["predicted"] == predicted and r["gold"] == gold
-                      and r[col] is not None]
-            cells.append(_mean_std(values))
+            group = (test & (scores["predicted"] == predicted)
+                     & (scores["gold"] == gold) & ~np.isnan(scores[col]))
+            cells.append(_mean_std(scores[col][group]))
         if all(c == "NA" for c in cells):
             omitted.append(rep)
             continue
@@ -101,7 +100,7 @@ def _repair_table(report: dict) -> list[str]:
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    rows = _read_scores(cfg, "report")
+    scores = _read_scores(cfg, "report")
     _require(p.detector_report, "report", "evaluate")
     _require(p.repair_report, "report", "repair")
     with open(p.detector_report, encoding="utf-8") as fh:
@@ -114,14 +113,15 @@ def cmd_report(cfg: PipelineConfig) -> None:
             raise StageError("report", f"{name} carries a different config "
                                        "digest; rerun upstream stages")
 
-    test = [r for r in rows if r["split"] == "test"]
-    n_mis = sum(1 for r in test if not r["correct"])
+    test = scores["split"] == "test"
+    n_test = int(test.sum())
+    n_mis = int((test & ~scores["correct"]).sum())
     lines = [
         "# Misclassification profile report",
         "",
         f"Config digest: `{cfg.digest()}`",
         "",
-        f"Test messages: {len(test)} ({n_mis} misclassified). Base "
+        f"Test messages: {n_test} ({n_mis} misclassified). Base "
         f"detector for rejection: {repair['base_detector']}; repair gate "
         f"calibrated per polarity on the training split.",
         "",
@@ -130,7 +130,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
         "Mean +/- std of the Jensen-Shannon divergence between each test "
         "message and the profile of the group its prediction claims.",
         "",
-        *_divergence_table(rows),
+        *_divergence_table(scores),
         "",
         "## Detector quality",
         "",

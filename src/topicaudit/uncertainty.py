@@ -254,56 +254,3 @@ def output_uq_score(p_pos: float, method: str,
     if method == "dissonance":
         return 0.5 * (1.0 - abs(2.0 * p - 1.0))
     raise ValueError(f"unknown uncertainty method {method!r}")
-
-
-def write_representations(path, table: dict[int, dict[str, Representation]],
-                          config_digest: str = "") -> None:
-    """CSV rows (id, representation, topic, value, flag); NA collapses to
-    one row with topic -1."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("id,representation,topic,value,flag\n")
-        for msg_id in sorted(table):
-            for name in sorted(table[msg_id]):
-                rep = table[msg_id][name]
-                if rep.vector is None:
-                    fh.write(f"{msg_id},{name},-1,0.0,na\n")
-                    continue
-                flag = "degenerate" if rep.degenerate else ""
-                for topic, value in enumerate(rep.vector):
-                    fh.write(f"{msg_id},{name},{topic},{float(value)!r},{flag}\n")
-
-
-def read_representations(path) -> tuple[dict[int, dict[str, Representation]], str]:
-    digest = ""
-    raw: dict[int, dict[str, dict]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# config_digest="):
-                digest = line.split("=", 1)[1]
-                continue
-            if not line or line.startswith("id,"):
-                continue
-            id_s, name, topic_s, value_s, flag = line.split(",")
-            entry = raw.setdefault(int(id_s), {}).setdefault(
-                name, {"values": {}, "flag": ""})
-            if flag == "na":
-                entry["flag"] = "na"
-                continue
-            entry["values"][int(topic_s)] = float(value_s)
-            if flag:
-                entry["flag"] = flag
-    table: dict[int, dict[str, Representation]] = {}
-    for msg_id, reps in raw.items():
-        table[msg_id] = {}
-        for name, entry in reps.items():
-            if entry["flag"] == "na":
-                table[msg_id][name] = Representation(name, None)
-                continue
-            vec = np.array([entry["values"][t]
-                            for t in sorted(entry["values"])])
-            table[msg_id][name] = Representation(
-                name, vec, degenerate=entry["flag"] == "degenerate")
-    return table, digest

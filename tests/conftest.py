@@ -36,6 +36,6 @@ def small_space(small_messages):
          for m in small_messages])
     tokenized = [tc_corpus.preprocess(m, stoplist, df, min_df=1)
                  for m in small_messages]
-    space = tc_features.fit_space(tokenized, small_messages,
-                                  word_quota=200, phrase_quota=100)
+    space = tc_features.fit_space(tokenized, word_quota=200,
+                                  phrase_quota=100)
     return space, tokenized

@@ -22,7 +22,7 @@ import pytest
 from topicaudit import (attribution, classifiers, cli, corpus, demo,
                         features, profiling, scoring)
 from topicaudit.config import load_config
-from topicaudit.pipeline import _read_scores
+from topicaudit.pipeline import _load_csr, _read_scores
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -127,23 +127,25 @@ def test_c02_local_accuracy(full_run, capsys):
     sample = [test_ids[i] for i in
               rng.choice(len(test_ids), size=100, replace=False)]
 
+    ids = [m.id for m in messages]
     space = features.read_space(full_run.out / "space.json")
-    vectors, _ = features.read_vectors(full_run.out / "vectors.csv")
-    X = features.stack(vectors, space)
-    row_of = {v.id: i for i, v in enumerate(vectors)}
+    X, _ = _load_csr(full_run.cfg, "acceptance", full_run.out / "vectors.npz",
+                     "prepare", ids, space.n_columns)
+    phi, shap = _load_csr(full_run.cfg, "acceptance",
+                          full_run.out / "shap.npz", "explain", ids,
+                          space.n_columns)
+    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
     model = classifiers.read_model(full_run.out / "model.json")
-    meta = attribution.read_shap_meta(full_run.out / "shap_meta.json")
-    plus, _ = attribution.read_supports(full_run.out / "shap_plus.csv")
-    minus, _ = attribution.read_supports(full_run.out / "shap_minus.csv")
-    assert meta["explained_output"] == "margin"
+    plus = attribution.polarity_supports(phi, "plus")
+    minus = attribution.polarity_supports(phi, "minus")
+    assert str(shap["explained_output"]) == "margin"
 
     margins = X @ model.weights + model.bias
     worst = 0.0
     for mid in sample:
-        recon = (meta["base_values"][mid]
-                 + sum(plus.get(mid, {}).values())
-                 - sum(minus.get(mid, {}).values()))
-        worst = max(worst, abs(recon - margins[row_of[mid]]))
+        i = row_of[mid]
+        recon = (shap["base_values"][i] + plus[i].sum() - minus[i].sum())
+        worst = max(worst, abs(recon - margins[i]))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 120.0
     _verdict(capsys, 2, "local accuracy", ok,
@@ -238,15 +240,15 @@ def test_c05_auroc_oracle(capsys):
 
 # ------------------------------------------------------------- criterion 6
 
-def _group_means(rows: list[dict]) -> dict[str, float]:
-    test = [r for r in rows if r["split"] == "test"]
+def _group_means(scores: dict[str, np.ndarray]) -> dict[str, float]:
+    xmap = scores["xmap_original"]
+    test = (scores["split"] == "test") & ~np.isnan(xmap)
     out = {}
     for name, predicted, gold in (("tp", 1, 1), ("fp", 1, 0),
                                   ("tn", 0, 0), ("fn", 0, 1)):
-        vals = [r["xmap_original"] for r in test
-                if r["predicted"] == predicted and r["gold"] == gold
-                and r["xmap_original"] is not None]
-        out[name] = float(np.mean(vals)) if vals else float("nan")
+        vals = xmap[test & (scores["predicted"] == predicted)
+                    & (scores["gold"] == gold)]
+        out[name] = float(np.mean(vals)) if vals.size else float("nan")
     return out
 
 
@@ -265,11 +267,11 @@ def test_c06_divergence_separation(full_run, capsys):
 # ------------------------------------------------------------- criterion 7
 
 def test_c07_detector_quality(full_run, capsys):
-    rows = _read_scores(full_run.cfg, "acceptance")
-    pos = [r for r in rows if r["split"] == "test" and r["predicted"] == 1
-           and r["xmap_original"] is not None]
-    scores = np.array([r["xmap_original"] for r in pos])
-    flags = np.array([r["gold"] != r["predicted"] for r in pos], dtype=bool)
+    table = _read_scores(full_run.cfg, "acceptance")
+    pos = ((table["split"] == "test") & (table["predicted"] == 1)
+           & ~np.isnan(table["xmap_original"]))
+    scores = table["xmap_original"][pos]
+    flags = table["gold"][pos] != table["predicted"][pos]
     point = scoring.auroc(scores, flags)
     assert point is not None
 

@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicaudit import attribution as attr
-from topicaudit.attribution import (Background, ShapVector, kernel_shap,
-                                    linear_shap, make_background,
-                                    split_supports)
+from topicaudit.attribution import (Background, kernel_shap, linear_shap,
+                                    make_background, polarity_supports)
 from topicaudit.classifiers import LinearModel
 
 
@@ -230,27 +228,33 @@ class TestKernelShapSampling:
 
 class TestSplitSupports:
     def test_sign_split_example(self):
-        sv = ShapVector(id=0, phi={0: 1.5, 1: -0.2}, base_value=0.0)
-        sup = split_supports(sv)
-        assert sup.s_plus == {0: 1.5}
-        assert sup.s_minus == {1: 0.2}
+        phi = np.array([[1.5, -0.2, 0.0]])
+        np.testing.assert_array_equal(polarity_supports(phi, "plus"),
+                                      [[1.5, 0.0, 0.0]])
+        np.testing.assert_array_equal(polarity_supports(phi, "minus"),
+                                      [[0.0, 0.2, 0.0]])
 
     def test_zero_vector(self):
-        sup = split_supports(ShapVector(id=0, phi={}, base_value=1.0))
-        assert sup.s_plus == {} and sup.s_minus == {}
+        phi = np.zeros((2, 4))
+        for polarity in ("plus", "minus"):
+            assert not polarity_supports(phi, polarity).any()
+
+    def test_polarity_validated(self):
+        with pytest.raises(ValueError, match="polarity"):
+            polarity_supports(np.zeros((1, 2)), "positive")
 
     @settings(max_examples=50, deadline=None)
-    @given(st.dictionaries(st.integers(0, 30),
-                           st.floats(-10, 10, allow_nan=False), max_size=10))
-    def test_reconstruction_and_complementarity(self, phi):
-        phi = {j: v for j, v in phi.items() if v != 0.0}
-        sup = split_supports(ShapVector(id=0, phi=phi, base_value=0.0))
-        assert not set(sup.s_plus) & set(sup.s_minus)
-        recon = {j: sup.s_plus.get(j, 0.0) - sup.s_minus.get(j, 0.0)
-                 for j in set(sup.s_plus) | set(sup.s_minus)}
-        assert recon == phi
-        assert all(v > 0 for v in sup.s_plus.values())
-        assert all(v > 0 for v in sup.s_minus.values())
+    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1,
+                    max_size=30))
+    def test_reconstruction_and_complementarity(self, values):
+        phi = np.array(values).reshape(1, -1)
+        plus = polarity_supports(phi, "plus")
+        minus = polarity_supports(phi, "minus")
+        assert not (plus.astype(bool) & minus.astype(bool)).any()
+        np.testing.assert_array_equal(plus - minus, phi)
+        assert np.all(plus >= 0) and np.all(minus >= 0)
+        assert np.array_equal(plus != 0, phi > 0)
+        assert np.array_equal(minus != 0, phi < 0)
 
 
 class TestBackground:
@@ -280,34 +284,3 @@ class TestBackground:
         assert a.digest() == b.digest()
         c = make_background(X, y, list(range(40)), size=10, seed=3)
         assert a.digest() != c.digest()
-
-
-class TestSupportIO:
-    def test_roundtrip(self, tmp_path):
-        sups = [
-            attr.PolaritySupports(id=0, s_plus={2: 0.5}, s_minus={7: 0.25}),
-            attr.PolaritySupports(id=3, s_plus={1: 1.25, 4: 0.125}),
-        ]
-        plus_path = tmp_path / "shap_plus.csv"
-        minus_path = tmp_path / "shap_minus.csv"
-        attr.write_supports(plus_path, sups, "plus", config_digest="cd")
-        attr.write_supports(minus_path, sups, "minus", config_digest="cd")
-        plus, digest = attr.read_supports(plus_path)
-        minus, _ = attr.read_supports(minus_path)
-        assert digest == "cd"
-        assert plus == {0: {2: 0.5}, 3: {1: 1.25, 4: 0.125}}
-        assert minus == {0: {7: 0.25}}
-
-    def test_polarity_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="polarity"):
-            attr.write_supports(tmp_path / "x.csv", [], "positive")
-
-    def test_meta_roundtrip(self, tmp_path):
-        bg = _bg(np.ones((2, 3)))
-        path = tmp_path / "shap_meta.json"
-        attr.write_shap_meta(path, {4: 0.5, 2: -1.0}, "margin", 42, bg,
-                             config_digest="cd")
-        meta = attr.read_shap_meta(path)
-        assert meta["explained_output"] == "margin"
-        assert meta["base_values"] == {2: -1.0, 4: 0.5}
-        assert meta["background_digest"] == bg.digest()

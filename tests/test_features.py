@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from topicaudit import corpus
 from topicaudit import features
+from topicaudit import pipeline
+from topicaudit.config import PipelineConfig
 from topicaudit.features import (N_STRUCTURAL, STRUCTURAL_FEATURE_NAMES,
                                  structural_features)
 
@@ -76,15 +78,15 @@ class TestFitSpace:
         tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
                      for m in small_messages]
         with pytest.warns(UserWarning, match="quota"):
-            space = features.fit_space(tokenized, small_messages,
-                                       word_quota=7000, phrase_quota=3000)
+            space = features.fit_space(tokenized, word_quota=7000,
+                                       phrase_quota=3000)
         assert space.n_word < 7000
 
     def test_df_ordering_with_lexicographic_ties(self):
         msgs = [corpus.Message(0, "b a", 0), corpus.Message(1, "b c", 0)]
         tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
                      for m in msgs]
-        space = features.fit_space(tokenized, msgs, word_quota=2, phrase_quota=1)
+        space = features.fit_space(tokenized, word_quota=2, phrase_quota=1)
         # b has df 2; a and c tie at df 1 and a wins lexicographically.
         assert list(space.word_vocab) == ["b", "a"]
 
@@ -92,7 +94,7 @@ class TestFitSpace:
         msgs = [corpus.Message(0, "a a", 0), corpus.Message(1, "a b", 0)]
         tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
                      for m in msgs]
-        space = features.fit_space(tokenized, msgs, word_quota=5, phrase_quota=5)
+        space = features.fit_space(tokenized, word_quota=5, phrase_quota=5)
         col_a = space.word_vocab["a"]
         col_b = space.word_vocab["b"]
         np.testing.assert_allclose(space.idf[col_a], np.log(3.0 / 3.0) + 1.0)
@@ -100,12 +102,6 @@ class TestFitSpace:
         # Structural columns carry idf 1 so the stored vector stays full-length.
         np.testing.assert_array_equal(space.idf[space.structural_start:],
                                       np.ones(N_STRUCTURAL))
-
-    def test_mean_and_std_recorded(self, small_space):
-        space, tokenized = small_space
-        assert space.mean.shape == (space.n_columns,)
-        assert space.std.shape == (space.n_columns,)
-        assert np.all(np.isfinite(space.mean))
 
 
 class TestVectorize:
@@ -134,9 +130,9 @@ class TestVectorize:
         msg = small_messages[0]
         tok = tokenized[0]
         vec = features.vectorize(tok, msg, space)
-        dense = vec.to_dense(space.n_columns)
-        np.testing.assert_array_equal(dense[space.structural_start:],
-                                      structural_features(msg.text))
+        block = [vec.values.get(col, 0.0)
+                 for col in range(space.structural_start, space.n_columns)]
+        np.testing.assert_array_equal(block, structural_features(msg.text))
 
     def test_oov_terms_ignored(self, small_space):
         space, _ = small_space
@@ -150,7 +146,7 @@ class TestVectorize:
                 corpus.Message(1, "spam ham ham", 0)]
         tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
                      for m in msgs]
-        space = features.fit_space(tokenized, msgs, word_quota=5, phrase_quota=5)
+        space = features.fit_space(tokenized, word_quota=5, phrase_quota=5)
         vec = features.vectorize(tokenized[0], msgs[0], space)
         c_spam = space.word_vocab["spam"]
         c_ham = space.word_vocab["ham"]
@@ -167,26 +163,30 @@ class TestSpaceIO:
         assert back.word_vocab == space.word_vocab
         assert back.phrase_vocab == space.phrase_vocab
         np.testing.assert_array_equal(back.idf, space.idf)
-        np.testing.assert_array_equal(back.mean, space.mean)
 
     def test_vectors_roundtrip(self, tmp_path, small_space, small_messages):
         space, tokenized = small_space
         vecs = [features.vectorize(t, m, space)
                 for t, m in zip(tokenized, small_messages)]
-        path = tmp_path / "vectors.csv"
-        features.write_vectors(path, vecs, config_digest="deadbeef")
-        back, digest = features.read_vectors(path)
-        assert digest == "deadbeef"
-        assert len(back) == len(vecs)
-        for a, b in zip(vecs, back):
-            assert a.id == b.id
-            assert set(a.values) == set(b.values)
-            for col in a.values:
-                np.testing.assert_allclose(a.values[col], b.values[col])
+        X = np.zeros((len(vecs), space.n_columns))
+        for row, vec in enumerate(vecs):
+            X[row, list(vec.values)] = list(vec.values.values())
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        ids = [v.id for v in vecs]
+        path = tmp_path / "vectors.npz"
+        pipeline._save(path, cfg.digest(), ids=np.array(ids),
+                       **pipeline._to_csr(X))
+        back, _ = pipeline._load_csr(cfg, "test", path, "prepare", ids,
+                                     space.n_columns)
+        for row, vec in enumerate(vecs):
+            assert set(np.flatnonzero(back[row])) == set(vec.values)
+            for col, val in vec.values.items():
+                assert back[row, col] == val
 
-    def test_vectors_skip_exact_zeros(self, tmp_path):
-        vecs = [features.FeatureVector(id=0, values={3: 0.5})]
-        path = tmp_path / "vectors.csv"
-        features.write_vectors(path, vecs)
-        body = path.read_text(encoding="utf-8")
-        assert body.count("\n") == 2
+    def test_vectors_skip_exact_zeros(self):
+        X = np.zeros((2, 5))
+        X[0, 3] = 0.5
+        csr = pipeline._to_csr(X)
+        assert csr["data"].tolist() == [0.5]
+        assert csr["indices"].tolist() == [3]
+        assert csr["indptr"].tolist() == [0, 1, 1]

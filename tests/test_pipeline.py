@@ -8,13 +8,20 @@ that artifacts are produced, guarded, and reproduced byte for byte.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from topicaudit import cli, demo, report
-from topicaudit.config import load_config
-from topicaudit.pipeline import StageError, paths_for
+from topicaudit.config import PipelineConfig, load_config
+from topicaudit.pipeline import (StageError, _from_csr, _load, _save, _to_csr,
+                                 paths_for)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -60,30 +67,59 @@ def mini_run(tmp_path_factory):
     return root, tsv, out, cfg_path
 
 
+def _copy_run(mini_run, tmp_path: Path) -> tuple[Path, Path]:
+    """A private copy of the mini run's outputs and a config aimed at it."""
+    _, tsv, out, _ = mini_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    return copy, _write_config(tmp_path, tsv, copy)
+
+
 class TestStageOutputs:
     def test_all_artifacts_exist(self, mini_run):
         _, _, out, cfg_path = mini_run
         paths = paths_for(load_config(cfg_path))
-        for attr in ("dataset", "space", "vectors", "model", "shap_meta",
-                     "profiles", "representations", "scores",
+        for attr in ("dataset", "space", "vectors", "model", "shap",
+                     "profiles", "representations", "scores", "outcomes",
                      "detector_report", "repair_report", "report"):
             assert getattr(paths, attr).exists(), attr
         for polarity in ("plus", "minus"):
-            assert paths.supports(polarity).exists()
             assert paths.topics(polarity).exists()
+        leftovers = [p.name for p in out.iterdir()
+                     if p.suffix in (".csv", ".tmp")]
+        assert not leftovers
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         _, _, out, cfg_path = mini_run
         digest = load_config(cfg_path).digest()
         for path in sorted(out.iterdir()):
-            blob = path.read_text(encoding="utf-8")
-            assert digest in blob, f"{path.name} lacks the config digest"
+            blob = path.read_bytes()
+            assert digest.encode() in blob, f"{path.name} lacks the config digest"
 
     def test_scores_outcomes_partition(self, mini_run):
-        _, _, out, _ = mini_run
-        lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
-        outcomes = {line.rsplit(",", 1)[1] for line in lines[2:]}
-        assert outcomes <= {"accepted", "rejected", "repaired"}
+        _, _, out, cfg_path = mini_run
+        cfg = load_config(cfg_path)
+        scores = _load(cfg, "test", out / "scores.npz", "score")
+        outcomes = _load(cfg, "test", out / "outcomes.npz", "repair",
+                         scores["ids"].tolist())
+        assert set(outcomes["outcome"].tolist()) <= {
+            "accepted", "rejected", "repaired"}
+        # Only test messages can be rejected or repaired.
+        train = scores["split"] == "train"
+        assert set(outcomes["outcome"][train].tolist()) <= {"accepted"}
+
+    def test_representations_cover_every_message(self, mini_run):
+        _, _, out, cfg_path = mini_run
+        cfg = load_config(cfg_path)
+        scores = _load(cfg, "test", out / "scores.npz", "score")
+        reps = _load(cfg, "test", out / "representations.npz", "score",
+                     scores["ids"].tolist())
+        n = len(scores["ids"])
+        assert reps["vectors"].shape == (n, 8, MINI["n_topics"])
+        assert reps["degenerate"].shape == (n, 8)
+        present = ~np.isnan(reps["vectors"]).any(axis=2)
+        sums = reps["vectors"][present].sum(axis=1)
+        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_report_sections_render(self, mini_run):
         _, _, out, _ = mini_run
@@ -110,9 +146,11 @@ class TestDeterminism:
 
     def test_repair_stage_is_idempotent(self, mini_run):
         _, _, out, cfg_path = mini_run
-        before = (out / "scores.csv").read_bytes()
+        before = {name: (out / name).read_bytes()
+                  for name in ("outcomes.npz", "scores.npz")}
         assert cli.main(["repair", "--config", str(cfg_path)]) == 0
-        assert (out / "scores.csv").read_bytes() == before
+        for name, blob in before.items():
+            assert (out / name).read_bytes() == blob, name
 
 
 class TestGuards:
@@ -142,6 +180,32 @@ class TestGuards:
         assert rc == 2
         assert "run score first" in capsys.readouterr().err
 
+    def test_truncated_shap_fails_score(self, mini_run, tmp_path, capsys):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        shap = copy / "shap.npz"
+        shap.write_bytes(shap.read_bytes()[:shap.stat().st_size // 2])
+        assert cli.main(["score", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[score]" in err and "shap.npz" in err
+
+    @pytest.mark.parametrize("damage", ["missing_message", "extra_column"])
+    def test_incomplete_shap_fails_score(self, mini_run, tmp_path, capsys,
+                                         damage):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "test", copy / "shap.npz", "explain")
+        phi = _from_csr(arrays)
+        if damage == "missing_message":
+            phi = phi[:-1]
+            arrays.update(ids=arrays["ids"][:-1],
+                          base_values=arrays["base_values"][:-1])
+        else:
+            phi = np.hstack([phi, np.ones((len(phi), 1))])
+        _save(copy / "shap.npz", cfg.digest(), **{**arrays, **_to_csr(phi)})
+        assert cli.main(["score", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[score]" in err and "shap.npz" in err
+
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, tmp_path / "absent.tsv",
                                  tmp_path / "out")
@@ -149,6 +213,57 @@ class TestGuards:
         rc = cli.main(["prepare", "--config", str(cfg_path)])
         assert rc == 2
         assert "[prepare]" in capsys.readouterr().err
+
+
+class TestArrayArtifacts:
+    CFG = PipelineConfig(out_dir="unused")
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=hnp.arrays(
+               np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                            min_side=0, max_side=6),
+               elements=st.one_of(
+                   st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308,
+                                    -1e308, np.nan]),
+                   st.floats(allow_nan=True, allow_infinity=True))),
+           labels=st.lists(st.text(max_size=8), max_size=5))
+    def test_roundtrip_is_bitwise(self, matrix, labels):
+        labels = np.array(labels, dtype=str)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.npz"
+            _save(path, self.CFG.digest(), matrix=matrix, labels=labels,
+                  **_to_csr(matrix))
+            back = _load(self.CFG, "test", path, "producer")
+        assert back["matrix"].dtype == np.float64
+        assert back["matrix"].tobytes() == matrix.tobytes()
+        assert _from_csr(back).tobytes() == matrix.tobytes()
+        assert back["labels"].dtype == labels.dtype
+        assert np.array_equal(back["labels"], labels)
+
+    def test_digest_mismatch_refused(self, tmp_path):
+        path = tmp_path / "a.npz"
+        _save(path, "0" * 64, x=np.ones(2))
+        with pytest.raises(StageError, match="digest"):
+            _load(self.CFG, "test", path, "producer")
+
+    def test_missing_file_names_the_producer(self, tmp_path):
+        with pytest.raises(StageError, match="run explain first"):
+            _load(self.CFG, "test", tmp_path / "shap.npz", "explain")
+
+    def test_object_array_refused(self, tmp_path):
+        path = tmp_path / "a.npz"
+        np.savez(path, digest=np.bytes_(self.CFG.digest().encode()),
+                 x=np.array([{"a": 1}, None], dtype=object))
+        with pytest.raises(StageError, match="a.npz"):
+            _load(self.CFG, "test", path, "producer")
+
+    def test_ids_must_match(self, tmp_path):
+        path = tmp_path / "a.npz"
+        _save(path, self.CFG.digest(), ids=np.array([1, 2, 3]))
+        assert _load(self.CFG, "test", path, "p", [1, 2, 3])["ids"].size == 3
+        for ids in ([1, 2], [1, 3, 2], [1, 2, 3, 4]):
+            with pytest.raises(StageError, match="a.npz"):
+                _load(self.CFG, "test", path, "p", ids)
 
 
 class TestCliContract:
@@ -188,12 +303,15 @@ class TestCliContract:
 
 class TestReportHelpers:
     def test_all_na_representation_row_is_omitted_with_footnote(self):
-        rows = [{"split": "test", "predicted": 1, "gold": 1,
-                 "xmap_original": 0.2, "xmap_vacuity": None,
-                 "xmap_dissonance": 0.1, "xmap_aleatory": 0.1,
-                 "xmap_doctor_alpha": 0.1, "xmap_doctor_beta": 0.1,
-                 "xmap_odin": 0.1, "xmap_rel_u": 0.1}]
-        lines = report._divergence_table(rows)
+        scores = {"split": np.array(["test"]), "predicted": np.array([1]),
+                  "gold": np.array([1]), "xmap_original": np.array([0.2]),
+                  "xmap_vacuity": np.array([np.nan]),
+                  "xmap_dissonance": np.array([0.1]),
+                  "xmap_aleatory": np.array([0.1]),
+                  "xmap_doctor_alpha": np.array([0.1]),
+                  "xmap_doctor_beta": np.array([0.1]),
+                  "xmap_odin": np.array([0.1]), "xmap_rel_u": np.array([0.1])}
+        lines = report._divergence_table(scores)
         assert not any(line.startswith("| vacuity ") for line in lines)
         assert any("vacuity" in line and "Omitted" in line for line in lines)
 

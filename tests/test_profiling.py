@@ -12,39 +12,54 @@ from topicaudit import profiling as prof
 
 class TestFeatureStats:
     def test_mixed_column(self):
-        supports = [{0: 0.2}, {}, {0: 0.4}]
-        stats = prof.feature_stats(supports, n_columns=2)
+        supports = np.array([[0.2, 0.0], [0.0, 0.0], [0.4, 0.0]])
+        stats = prof.feature_stats(supports)
         np.testing.assert_allclose(stats.presence[0], 2.0 / 3.0)
         np.testing.assert_allclose(stats.cond_mean[0], 0.3)
 
     def test_never_active_column(self):
-        stats = prof.feature_stats([{}, {}], n_columns=3)
+        stats = prof.feature_stats(np.zeros((2, 3)))
         np.testing.assert_array_equal(stats.presence, np.zeros(3))
         np.testing.assert_array_equal(stats.cond_mean, np.zeros(3))
 
     def test_constant_column(self):
-        stats = prof.feature_stats([{1: 0.7}, {1: 0.7}], n_columns=2)
+        stats = prof.feature_stats(np.array([[0.0, 0.7], [0.0, 0.7]]))
         assert stats.presence[1] == 1.0
         np.testing.assert_allclose(stats.cond_mean[1], 0.7)
 
     def test_explicit_zero_entries_do_not_count(self):
-        stats = prof.feature_stats([{0: 0.0}, {0: 0.5}], n_columns=1)
+        stats = prof.feature_stats(np.array([[0.0], [0.5]]))
         np.testing.assert_allclose(stats.presence[0], 0.5)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            prof.feature_stats([], n_columns=1)
+            prof.feature_stats(np.zeros((0, 1)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(6))))
     def test_invariant_to_message_order(self, perm):
-        supports = [{0: 0.1}, {0: 0.3, 1: 0.2}, {}, {1: 0.4}, {0: 0.2}, {}]
-        base = prof.feature_stats(supports, 2)
-        shuffled = prof.feature_stats([supports[i] for i in perm], 2)
+        supports = np.array([[0.1, 0.0], [0.3, 0.2], [0.0, 0.0],
+                             [0.0, 0.4], [0.2, 0.0], [0.0, 0.0]])
+        base = prof.feature_stats(supports)
+        shuffled = prof.feature_stats(supports[perm])
         np.testing.assert_array_equal(base.presence, shuffled.presence)
         # Summation order shifts the last ulp; anything beyond that is a bug.
         np.testing.assert_allclose(base.cond_mean, shuffled.cond_mean,
                                    rtol=1e-12)
+
+    def test_matches_per_message_accumulation(self):
+        # Column sums run over rows in order, exactly as adding each
+        # message's supports one after another.
+        rng = np.random.default_rng(4)
+        supports = np.maximum(rng.normal(size=(40, 25)), 0.0)
+        total = np.zeros(25)
+        for row in supports:
+            total += row
+        active = (supports != 0).sum(axis=0)
+        stats = prof.feature_stats(supports)
+        expected = np.divide(total, active, out=np.zeros(25),
+                             where=active > 0)
+        assert np.array_equal(stats.cond_mean, expected)
 
 
 class TestRankScore:
@@ -127,17 +142,25 @@ class TestSelectTop:
 
 class TestBuildMatrix:
     def test_identity_slice(self):
-        supports = [{0: 1.0, 1: 2.0}, {1: 3.0}]
+        supports = np.array([[1.0, 2.0], [0.0, 3.0]])
         X = prof.build_matrix(supports, np.array([0, 1]))
         np.testing.assert_array_equal(X, [[1.0, 2.0], [0.0, 3.0]])
 
     def test_zero_row_retained(self):
-        X = prof.build_matrix([{5: 1.0}, {}], np.array([5]))
+        supports = np.zeros((2, 6))
+        supports[0, 5] = 1.0
+        X = prof.build_matrix(supports, np.array([5]))
         np.testing.assert_array_equal(X, [[1.0], [0.0]])
 
     def test_unselected_columns_dropped(self):
-        X = prof.build_matrix([{0: 1.0, 9: 4.0}], np.array([9]))
+        supports = np.zeros((1, 10))
+        supports[0, [0, 9]] = [1.0, 4.0]
+        X = prof.build_matrix(supports, np.array([9]))
         np.testing.assert_array_equal(X, [[4.0]])
+
+    def test_row_major_layout(self):
+        X = prof.build_matrix(np.arange(12.0).reshape(3, 4), np.array([1, 3]))
+        assert X.flags["C_CONTIGUOUS"]
 
 
 class TestNMF:
@@ -265,7 +288,7 @@ class TestProfilingIO:
     def test_topics_roundtrip(self, tmp_path):
         model = prof.TopicModel(
             polarity="plus", columns=np.array([3, 8, 20]),
-            W=np.ones((2, 2)), H=np.array([[0.5, 0.1, 0.0], [0.2, 0.9, 1.0]]),
+            H=np.array([[0.5, 0.1, 0.0], [0.2, 0.9, 1.0]]),
             assignment=np.array([0, 1, 1]), objective=[2.0, 1.0, 0.5],
             seed=11, config_digest="cd")
         path = tmp_path / "topics_plus.json"

@@ -274,22 +274,3 @@ class TestOutputUQ:
             scores = [output_uq_score(p, method) for p in probs]
             values[method] = auroc(np.array(scores), flags)
         assert len({round(v, 12) for v in values.values()}) == 1
-
-
-class TestRepresentationIO:
-    def test_roundtrip_with_na_and_flags(self, tmp_path):
-        table = {
-            0: {"original": unc.Representation("original",
-                                               np.array([0.25, 0.75])),
-                "rel_u": unc.Representation("rel_u", None)},
-            2: {"original": unc.Representation("original",
-                                               np.array([0.5, 0.5]),
-                                               degenerate=True)},
-        }
-        path = tmp_path / "representations.csv"
-        unc.write_representations(path, table, config_digest="cd")
-        back, digest = unc.read_representations(path)
-        assert digest == "cd"
-        np.testing.assert_array_equal(back[0]["original"].vector, [0.25, 0.75])
-        assert back[0]["rel_u"].vector is None
-        assert back[2]["original"].degenerate
