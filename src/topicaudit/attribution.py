@@ -84,28 +84,28 @@ def make_background(X_train: np.ndarray, y_train: np.ndarray,
                       ids=tuple(int(ids[i]) for i in chosen))
 
 
-def linear_shap(model: LinearModel | NBModel, x: np.ndarray,
-                mu: np.ndarray, msg_id: int = -1) -> ShapVector:
-    """Exact attribution for a model linear in its explained output.
+def linear_shap(model: LinearModel | NBModel, X: np.ndarray,
+                mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact attributions for a model linear in its explained output.
 
-    For NB the explained output is the log-odds, linear in the model's
-    transformed feature space; x and mu are mapped through the scaler
-    before the closed form applies.
+    Returns (phi, base value): phi = w * (x - mu) for one vector x or for
+    each row of a matrix X, and base = w.mu + b, so base + sum(phi) is the
+    explained output.  For NB that output is the log-odds, linear in the
+    model's transformed feature space; X and mu are mapped through the
+    scaler before the closed form applies.
     """
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if isinstance(model, NBModel):
         w, b = nb_log_odds(model)
-        x = model.transform(x[None, :])[0]
-        mu = model.transform(mu[None, :])[0]
     else:
         w, b = model.weights, model.bias
-    if x.shape != w.shape or mu.shape != w.shape:
+    if X.shape[-1:] != w.shape or mu.shape != w.shape:
         raise ValueError(f"expected vectors of length {w.size}, got "
-                         f"{x.shape} and {mu.shape}")
-    contrib = w * (x - mu)
-    phi = {int(j): float(contrib[j]) for j in np.flatnonzero(contrib != 0.0)}
-    return ShapVector(id=msg_id, phi=phi, base_value=float(w @ mu + b))
+                         f"{X.shape} and {mu.shape}")
+    if isinstance(model, NBModel):
+        X, mu = model.transform(X), model.transform(mu)
+    return w * (X - mu), float(w @ mu + b)
 
 
 def _shapley_kernel_weights(m: int, sizes: np.ndarray) -> np.ndarray:

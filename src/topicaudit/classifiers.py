@@ -70,7 +70,10 @@ class NBModel:
     def __post_init__(self):
         if not np.all(np.isfinite(self.log_theta)):
             raise TrainingError("non-finite NB likelihood table")
-        np.testing.assert_allclose(np.exp(self.log_prior).sum(), 1.0, rtol=1e-9)
+        total = np.exp(self.log_prior).sum()
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"NB log_prior exponentiates to a total of "
+                             f"{total}, not 1")
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.array(X, dtype=float, copy=True)
@@ -83,15 +86,18 @@ class NBModel:
 
 @dataclass(frozen=True)
 class Prediction:
-    id: int
-    p_pos: float
-    label: int
-    margin: float
+    """Margins, positive-class probabilities and labels: arrays over
+    messages from predict_all, scalars from predict_proba."""
+
+    p_pos: np.ndarray | float
+    label: np.ndarray | int
+    margin: np.ndarray | float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_pos <= 1.0:
+        p = np.asarray(self.p_pos)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError(f"p_pos outside [0,1]: {self.p_pos}")
-        if self.label != int(self.p_pos >= 0.5):
+        if not np.array_equal(self.label, p >= 0.5):
             raise ValueError("label inconsistent with p_pos threshold")
 
 
@@ -311,13 +317,16 @@ def nb_log_odds(model: NBModel) -> tuple[np.ndarray, float]:
     return w, b
 
 
-def _nb_margin(model: NBModel, X: np.ndarray) -> np.ndarray:
-    w, b = nb_log_odds(model)
-    return model.transform(np.atleast_2d(X)) @ w + b
+def predict_all(model: LinearModel | NBModel, X: np.ndarray) -> Prediction:
+    """Margin, calibrated positive-class probability and label of every
+    row of X."""
+    margin = decision_function(model, X)
+    p_pos = _probability(model, margin)
+    return Prediction(p_pos=p_pos, label=(p_pos >= 0.5).astype(int),
+                      margin=margin)
 
 
-def predict_proba(model: LinearModel | NBModel, x: np.ndarray,
-                  msg_id: int = -1) -> Prediction:
+def predict_proba(model: LinearModel | NBModel, x: np.ndarray) -> Prediction:
     """Score one message: margin plus calibrated positive-class probability."""
     x = np.asarray(x, dtype=float)
     n_cols = (model.weights.size if isinstance(model, LinearModel)
@@ -325,22 +334,9 @@ def predict_proba(model: LinearModel | NBModel, x: np.ndarray,
     if x.shape != (n_cols,):
         raise ValueError(f"expected feature vector of length {n_cols}, "
                          f"got shape {x.shape}")
-    if isinstance(model, LinearModel):
-        margin = float(model.weights @ x + model.bias)
-        if model.kind == "logreg":
-            p = float(_sigmoid(margin))
-        else:
-            A, B = model.calibration
-            p = float(_sigmoid(A * margin + B))
-    else:
-        margin = float(_nb_margin(model, x)[0])
-        p = float(_sigmoid(margin))
-    return Prediction(id=msg_id, p_pos=p, label=int(p >= 0.5), margin=margin)
-
-
-def predict_all(model: LinearModel | NBModel, X: np.ndarray,
-                ids: list[int]) -> list[Prediction]:
-    return [predict_proba(model, X[i], msg_id=ids[i]) for i in range(len(ids))]
+    pred = predict_all(model, x[None, :])
+    return Prediction(p_pos=float(pred.p_pos[0]), label=int(pred.label[0]),
+                      margin=float(pred.margin[0]))
 
 
 def decision_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndarray:
@@ -348,16 +344,21 @@ def decision_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndarray
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if isinstance(model, LinearModel):
         return X @ model.weights + model.bias
-    return _nb_margin(model, X)
+    w, b = nb_log_odds(model)
+    return model.transform(X) @ w + b
+
+
+def _probability(model: LinearModel | NBModel,
+                 margin: np.ndarray) -> np.ndarray:
+    if isinstance(model, LinearModel) and model.kind == "svm":
+        A, B = model.calibration
+        margin = A * margin + B
+    return np.asarray(_sigmoid(margin))
 
 
 def probability_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndarray:
     """Batch p_pos; the function kernel attribution explains for svm/NB."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(model, LinearModel) and model.kind == "svm":
-        A, B = model.calibration
-        return np.asarray(_sigmoid(A * (X @ model.weights + model.bias) + B))
-    return np.asarray(_sigmoid(decision_function(model, X)))
+    return _probability(model, decision_function(model, X))
 
 
 def write_model(path: str | Path, model: LinearModel | NBModel) -> None:

@@ -228,12 +228,16 @@ def _load_topics(cfg, stage, polarity) -> profiling.TopicModel:
     _match(model.config_digest, cfg, stage, f"topics_{polarity}.json")
     return model
 
-def _load_profiles(cfg, stage) -> dict:
+def _load_profiles(cfg, stage) -> np.ndarray:
+    """(2, R, M) group profiles, TN at index 0 and TP at 1, NaN for NA."""
     p = paths_for(cfg)
     _require(p.profiles, stage, "profile")
     groups, digest = profiling.read_profiles(p.profiles)
     _match(digest, cfg, stage, "profiles.json")
-    return groups
+    na = np.full(cfg.n_topics, np.nan)
+    reps = [groups[group]["representations"] for group in ("TN", "TP")]
+    return np.array([[na if r.get(name) is None else r[name]
+                      for name in REPRESENTATIONS] for r in reps])
 
 
 # ---------------------------------------------------------------- prepare
@@ -338,18 +342,11 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
     if linear:
         # Exact linear attributions against the training mean, dense by
-        # construction; computed as one broadcast.
+        # construction.
         background = attribution.make_background(
             X_train, y_train, train_ids, size=len(train_ids), seed=cfg.seed)
-        mu = background.mean
-        if cfg.classifier == "logreg":
-            w, b = model.weights, model.bias
-        else:
-            w, b = classifiers.nb_log_odds(model)
-            X = model.transform(X)
-            mu = model.transform(mu[None, :])[0]
-        Phi = (X - mu[None, :]) * w[None, :]
-        base_values = np.full(len(ids), float(w @ mu + b))
+        Phi, base = attribution.linear_shap(model, X, background.mean)
+        base_values = np.full(len(ids), base)
         explained = "margin"
     else:
         background = attribution.make_background(
@@ -377,22 +374,25 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
 # ---------------------------------------------------------------- profile
 
-def _predictions(model, X, ids) -> dict[int, classifiers.Prediction]:
-    return {pred.id: pred for pred in classifiers.predict_all(model, X, ids)}
-
-
-def _reliable_groups(messages, preds) -> dict[str, list[int]]:
-    """Train-split correctly classified ids per group, sorted."""
-    train, _ = _split_ids(messages)
-    groups = {"TP": [], "TN": []}
-    for m in train:
-        pred = preds[m.id]
-        if pred.label == m.label:
-            groups["TP" if m.label == 1 else "TN"].append(m.id)
-    return {g: sorted(ids) for g, ids in groups.items()}
+def _reliable_groups(messages, preds) -> dict[str, np.ndarray]:
+    """Row masks of the correctly classified train-split messages, per
+    group."""
+    gold = np.array([m.label for m in messages])
+    train = np.array([m.split == "train" for m in messages])
+    reliable = train & (preds.label == gold)
+    return {"TP": reliable & (gold == 1), "TN": reliable & (gold == 0)}
 
 
 POLARITY_OF_GROUP = {"TP": "plus", "TN": "minus"}
+
+
+def _representations(tc, group_tc, H, cfg):
+    """representations() of the rows of tc against a reliable group whose
+    members have topic contributions group_tc."""
+    s = uncertainty.evidence_scale(group_tc) if len(group_tc) else 1.0
+    return uncertainty.representations(
+        tc, s, H, cfg.k_related, cfg.temperature,
+        uncertainty.original(group_tc)[0], cfg.k_nn)
 
 
 @_stage("profile")
@@ -403,16 +403,12 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     space = _load_space(cfg, "profile")
     X = _load_vectors(cfg, "profile", ids, space)
     model = _load_model(cfg, "profile")
-    preds = _predictions(model, X, ids)
-    groups = _reliable_groups(messages, preds)
-    reliable_ids = sorted(groups["TP"] + groups["TN"])
-    if not reliable_ids:
+    groups = _reliable_groups(messages, classifiers.predict_all(model, X))
+    reliable = groups["TP"] | groups["TN"]
+    if not reliable.any():
         raise StageError("profile", "no correctly classified training "
                                     "messages to profile")
-    Phi = _load_phi(cfg, "profile", ids, space)
-    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
-    reliable_phi = Phi[[row_of[i] for i in reliable_ids]]
-    row_index = {msg_id: k for k, msg_id in enumerate(reliable_ids)}
+    reliable_phi = _load_phi(cfg, "profile", ids, space)[reliable]
     digest = cfg.digest()
     families = space.families()
 
@@ -431,32 +427,25 @@ def cmd_profile(cfg: PipelineConfig) -> None:
             polarity=polarity, columns=columns, H=H, assignment=assignment,
             objective=trace[-1], seed=cfg.seed, config_digest=digest))
 
-        tcs = [profiling.topic_contributions(matrix[row_index[i]],
-                                             assignment, cfg.n_topics)
-               for i in groups[group]]
-        profiles[group] = _group_profile_representations(tcs, H, cfg)
+        tcs = profiling.topic_contributions(
+            matrix[groups[group][reliable]], assignment, cfg.n_topics)
+        profiles[group] = _reliable_profile(tcs, H, cfg)
 
     profiling.write_profiles(p.profiles, profiles, POLARITY_OF_GROUP, digest)
 
 
-def _group_profile_representations(tcs, H, cfg) -> dict[str, list | None]:
+def _reliable_profile(tcs, H, cfg) -> dict[str, list | None]:
     """All eight representation profiles of one reliable group.
 
     The profile is each representation's transform applied to the group's
     mean topic contribution; an empty or massless group has no reference
     distribution, so every representation goes NA."""
-    empty = {name: None for name in REPRESENTATIONS}
-    if not tcs:
-        return empty
-    mean_tc = np.mean(np.stack(tcs), axis=0)
+    mean_tc = tcs.mean(axis=0) if len(tcs) else np.zeros(tcs.shape[-1])
     if mean_tc.sum() <= 0.0:
-        return empty
-    s = uncertainty.evidence_scale(tcs)
-    references = [uncertainty.original(tc).vector for tc in tcs]
-    reps = uncertainty.all_representations(
-        mean_tc, s, H, cfg.k_related, cfg.temperature, references, cfg.k_nn)
-    return {name: (None if rep.vector is None else [float(v) for v in rep.vector])
-            for name, rep in reps.items()}
+        return {name: None for name in REPRESENTATIONS}
+    vectors, _ = _representations(mean_tc[None, :], tcs, H, cfg)
+    return {name: (None if np.isnan(vec).any() else vec.tolist())
+            for name, vec in zip(REPRESENTATIONS, vectors[0])}
 
 
 # ------------------------------------------------------------------ score
@@ -478,71 +467,46 @@ def cmd_score(cfg: PipelineConfig) -> None:
     space = _load_space(cfg, "score")
     X = _load_vectors(cfg, "score", ids, space)
     model = _load_model(cfg, "score")
-    preds = _predictions(model, X, ids)
+    preds = classifiers.predict_all(model, X)
     profiles = _load_profiles(cfg, "score")
     topics = {polarity: _load_topics(cfg, "score", polarity)
               for polarity in ("plus", "minus")}
     Phi = _load_phi(cfg, "score", ids, space)
-    digest = cfg.digest()
-
-    # Topic contributions for every message, on the polarity its own
-    # prediction selects (positive -> spamward supports, negative ->
-    # hamward); reliable-group context is derived from the same values.
-    polarity_of = {msg_id: "plus" if preds[msg_id].label == 1 else "minus"
-                   for msg_id in ids}
-    supports = {polarity: attribution.polarity_supports(
-                    Phi[:, topics[polarity].columns], polarity)
-                for polarity in topics}
-    tc_of: dict[int, np.ndarray] = {}
-    for i, msg_id in enumerate(ids):
-        polarity = polarity_of[msg_id]
-        tc_of[msg_id] = profiling.topic_contributions(
-            supports[polarity][i], topics[polarity].assignment, cfg.n_topics)
-
     groups = _reliable_groups(messages, preds)
-    context = {}
-    for group, polarity in POLARITY_OF_GROUP.items():
-        member_tcs = [tc_of[i] for i in groups[group]]
-        s = uncertainty.evidence_scale(member_tcs) if member_tcs else 1.0
-        refs = [uncertainty.original(tc).vector for tc in member_tcs]
-        context[polarity] = (s, refs)
 
+    # Each message is represented on the polarity its own prediction
+    # selects (positive -> spamward supports against the TP group,
+    # negative -> hamward against TN); the reliable group's context comes
+    # from the same topic contributions.
     n = len(ids)
-    vectors = np.full((n, len(REPRESENTATIONS), cfg.n_topics), np.nan)
-    degenerate = np.zeros((n, len(REPRESENTATIONS)), dtype=bool)
-    columns = {name: np.empty(n) for name in BASE_METHODS + XMAP_COLUMNS}
-    for i, m in enumerate(messages):
-        pred = preds[m.id]
-        polarity = polarity_of[m.id]
-        s, refs = context[polarity]
-        reps = uncertainty.all_representations(
-            tc_of[m.id], s, topics[polarity].H, cfg.k_related,
-            cfg.temperature, refs, cfg.k_nn)
-        for k, rep in enumerate(reps[name] for name in REPRESENTATIONS):
-            if rep.vector is not None:
-                vectors[i, k] = rep.vector
-            degenerate[i, k] = rep.degenerate
-        xmap = scoring.misclassification_score(
-            {name: rep.vector for name, rep in reps.items()},
-            profiles, pred.label)
-        for method in BASE_METHODS:
-            columns[method][i] = uncertainty.output_uq_score(
-                pred.p_pos, method, cfg.temperature)
-        for rep_name, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
-            value = xmap[rep_name]
-            columns[col][i] = np.nan if value is None else value
+    vectors = np.empty((n, len(REPRESENTATIONS), cfg.n_topics))
+    degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
+    for group, polarity in POLARITY_OF_GROUP.items():
+        rows = preds.label == (1 if group == "TP" else 0)
+        topic = topics[polarity]
+        supports = attribution.polarity_supports(Phi[rows][:, topic.columns],
+                                                 polarity)
+        tc = profiling.topic_contributions(supports, topic.assignment,
+                                           cfg.n_topics)
+        vectors[rows], degenerate[rows] = _representations(
+            tc, tc[groups[group][rows]], topic.H, cfg)
 
+    xmap = scoring.misclassification_score(vectors, profiles, preds.label)
+    columns = {method: uncertainty.output_uq_score(preds.p_pos, method,
+                                                   cfg.temperature)
+               for method in BASE_METHODS}
+    columns.update(zip(XMAP_COLUMNS, xmap.T))
+
+    digest = cfg.digest()
     id_array = np.array(ids)
     _save(p.representations, digest, ids=id_array,
           names=np.array(REPRESENTATIONS), vectors=vectors,
           degenerate=degenerate)
+    gold = np.array([m.label for m in messages])
     _save(p.scores, digest, ids=id_array,
-          split=np.array([m.split for m in messages]),
-          gold=np.array([m.label for m in messages]),
-          predicted=np.array([preds[i].label for i in ids]),
-          p_pos=np.array([float(preds[i].p_pos) for i in ids]),
-          correct=np.array([preds[m.id].label == m.label for m in messages]),
-          **columns)
+          split=np.array([m.split for m in messages]), gold=gold,
+          predicted=preds.label, p_pos=preds.p_pos,
+          correct=preds.label == gold, **columns)
 
 
 # --------------------------------------------------------------- evaluate

@@ -21,6 +21,10 @@ import numpy as np
 EPS = 1e-12
 
 
+class NMFError(RuntimeError):
+    """The multiplicative updates broke their monotonicity guarantee."""
+
+
 @dataclass(frozen=True)
 class FeatureStats:
     """Per-column activity summary of one polarity's supports."""
@@ -35,7 +39,7 @@ class TopicModel:
     columns: np.ndarray
     H: np.ndarray
     assignment: np.ndarray
-    objective: list[float]
+    objective: float
     seed: int = 0
     config_digest: str = ""
 
@@ -134,7 +138,7 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
         obj = objective()
         prev = trace[-1]
         if obj > prev + 1e-9 * max(1.0, prev):
-            raise AssertionError("NMF objective increased; update bug")
+            raise NMFError("NMF objective increased; update bug")
         trace.append(obj)
         if prev == 0.0 or (prev - obj) / max(prev, EPS) < tol:
             break
@@ -152,29 +156,17 @@ def assign_topics(H: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def topic_contributions(row: np.ndarray, assignment: np.ndarray,
+def topic_contributions(rows: np.ndarray, assignment: np.ndarray,
                         n_topics: int) -> np.ndarray:
-    """tc_m = sum of the row's support over columns assigned to topic m."""
-    if row.shape != assignment.shape:
+    """tc[..., m] = sum of each row's support over columns assigned to
+    topic m; one row (C,) gives (M,), a matrix (n, C) gives (n, M)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1:] != assignment.shape:
         raise ValueError("row and assignment must align")
-    tc = np.zeros(n_topics)
-    np.add.at(tc, assignment, row)
+    tc = np.zeros(rows.shape[:-1] + (n_topics,))
+    # Column by column in index order, so every row sums as it would alone.
+    np.add.at(tc.T, assignment, rows.T)
     return tc
-
-
-def group_profile(tcs: list[np.ndarray]) -> np.ndarray | None:
-    """Mean topic contribution, L1-normalized onto the simplex.
-
-    Returns None (rendered NA downstream) when the group is empty or its
-    mean carries no mass; there is then no reference distribution.
-    """
-    if not tcs:
-        return None
-    mean = np.mean(np.stack(tcs), axis=0)
-    total = mean.sum()
-    if total <= 0.0:
-        return None
-    return mean / total
 
 
 def write_topics(path: str | Path, model: TopicModel) -> None:

@@ -11,6 +11,7 @@ per-polarity threshold, with recovery and leakage accounting.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,46 +19,48 @@ import numpy as np
 LN2 = math.log(2.0)
 
 
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
+def js_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     """Jensen-Shannon divergence, natural log, bounded by ln 2.
 
-    Zero entries follow the 0*ln(0/x) = 0 convention; the mixture is zero
-    only where both inputs are, so no division blows up.
+    The distributions lie along the last axis and the leading axes
+    broadcast, so two vectors give a float and stacks of them give an
+    array of divergences.  Zero entries follow the 0*ln(0/x) = 0
+    convention.  Each term's ratio to the mixture (p+q)/2 is taken as
+    2a/(p+q): the same number, with a denominator that stays positive
+    wherever a > 0 even when halving would underflow to zero.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.shape[-1:] != q.shape[-1:]:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("distributions must be nonnegative")
-    m = 0.5 * (p + q)
+    total = p + q
 
-    def kl(a: np.ndarray) -> float:
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
+    def kl(a: np.ndarray) -> np.ndarray:
+        pos = a > 0
+        return np.where(pos, a * np.log(np.where(pos, 2.0 * a, 1.0)
+                                        / np.where(pos, total, 1.0)),
+                        0.0).sum(axis=-1)
 
-    return 0.5 * kl(p) + 0.5 * kl(q)
+    out = 0.5 * kl(p) + 0.5 * kl(q)
+    return float(out) if out.ndim == 0 else out
 
 
-def misclassification_score(
-        rep_vectors: dict[str, np.ndarray | None],
-        profiles: dict[str, dict[str, np.ndarray | None]],
-        predicted: int) -> dict[str, float | None]:
+def misclassification_score(vectors: np.ndarray, profiles: np.ndarray,
+                            predicted: np.ndarray) -> np.ndarray:
     """Per-representation JS distance to the predicted label's group.
 
-    Positive predictions compare against the TP profile, negative against
-    TN.  A missing profile or representation yields None (NA), excluding
-    the message from that representation's metrics.
+    vectors (n, R, M) holds each message's representations, profiles
+    (2, R, M) the TN profile at index 0 and the TP profile at index 1, so
+    positive predictions compare against TP and negative against TN.  A
+    NaN (NA) vector or profile yields NaN, excluding the message from
+    that representation's metrics.  Returns (n, R).
     """
-    group = "TP" if predicted == 1 else "TN"
-    group_reps = profiles[group]["representations"]
-    scores: dict[str, float | None] = {}
-    for name, vec in rep_vectors.items():
-        ref = group_reps.get(name)
-        if vec is None or ref is None:
-            scores[name] = None
-        else:
-            scores[name] = js_divergence(vec, ref)
+    refs = profiles[np.asarray(predicted, dtype=int)]
+    valid = ~(np.isnan(vectors).any(axis=-1) | np.isnan(refs).any(axis=-1))
+    scores = np.full(valid.shape, np.nan)
+    scores[valid] = js_divergence(vectors[valid], refs[valid])
     return scores
 
 
@@ -204,7 +207,6 @@ def calibrate_tau(train_xmap: np.ndarray, train_flags: np.ndarray,
     misclassifications the gate opens fully at the ln 2 bound."""
     train_flags = np.asarray(train_flags, dtype=bool)
     if train_flags.sum() == 0:
-        import warnings
         warnings.warn("no training misclassifications; repair gate "
                       "defaults to ln 2", UserWarning, stacklevel=2)
         return LN2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from topicaudit.attribution import (Background, kernel_shap, linear_shap,
                                     make_background, polarity_supports)
-from topicaudit.classifiers import LinearModel
+from topicaudit.classifiers import LinearModel, train_nb
 
 
 def brute_force_shapley(predict_fn, x, background_rows):
@@ -46,17 +46,18 @@ class TestLinearShap:
     def test_two_feature_example(self):
         model = LinearModel(kind="logreg", weights=np.array([2.0, -1.0]),
                             bias=0.0)
-        sv = linear_shap(model, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-        assert sv.phi == {0: 2.0, 1: -1.0}
-        assert sv.base_value == 0.0
+        phi, base = linear_shap(model, np.array([1.0, 1.0]),
+                                np.array([0.0, 0.0]))
+        assert phi.tolist() == [2.0, -1.0]
+        assert base == 0.0
 
     def test_no_deviation_no_attribution(self):
         model = LinearModel(kind="logreg", weights=np.array([2.0, -1.0]),
                             bias=0.5)
         mu = np.array([0.3, 0.7])
-        sv = linear_shap(model, mu.copy(), mu)
-        assert sv.phi == {}
-        np.testing.assert_allclose(sv.base_value, 2.0 * 0.3 - 0.7 + 0.5)
+        phi, base = linear_shap(model, mu.copy(), mu)
+        assert not phi.any()
+        np.testing.assert_allclose(base, 2.0 * 0.3 - 0.7 + 0.5)
 
     def test_local_accuracy_exact(self):
         rng = np.random.default_rng(0)
@@ -64,9 +65,22 @@ class TestLinearShap:
                             bias=0.25)
         x = rng.normal(size=20)
         mu = rng.normal(size=20)
-        sv = linear_shap(model, x, mu)
-        np.testing.assert_allclose(sv.total(), model.weights @ x + model.bias,
+        phi, base = linear_shap(model, x, mu)
+        np.testing.assert_allclose(base + phi.sum(),
+                                   model.weights @ x + model.bias,
                                    rtol=0, atol=1e-12)
+
+    def test_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(4)
+        X = rng.random((6, 5))
+        model = train_nb(X, np.array([0, 1] * 3), structural_start=3)
+        mu = X.mean(axis=0)
+        phi, base = linear_shap(model, X, mu)
+        assert phi.shape == X.shape
+        for i in range(len(X)):
+            row_phi, row_base = linear_shap(model, X[i], mu)
+            np.testing.assert_array_equal(phi[i], row_phi)
+            assert row_base == base
 
     def test_dimension_mismatch(self):
         model = LinearModel(kind="logreg", weights=np.ones(3), bias=0.0)

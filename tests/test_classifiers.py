@@ -181,7 +181,27 @@ class TestNB:
 class TestPrediction:
     def test_label_threshold_enforced(self):
         with pytest.raises(ValueError, match="label"):
-            Prediction(id=0, p_pos=0.7, label=0, margin=0.1)
+            Prediction(p_pos=0.7, label=0, margin=0.1)
+        with pytest.raises(ValueError, match="label"):
+            Prediction(p_pos=np.array([0.2, 0.7]), label=np.array([0, 0]),
+                       margin=np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm", "nb"])
+    def test_batch_matches_one_row_calls(self, kind):
+        rng = np.random.default_rng(2)
+        X = rng.random((30, 5))
+        y = (X[:, 0] > 0.5).astype(int)
+        model = {"logreg": lambda: train_logreg(X, y),
+                 "svm": lambda: train_svm(X, y, epochs=200),
+                 "nb": lambda: train_nb(X, y, structural_start=4)}[kind]()
+        batch = clf.predict_all(model, X)
+        for i, x in enumerate(X):
+            one = predict_proba(model, x)
+            assert batch.label[i] == one.label
+            np.testing.assert_allclose(batch.p_pos[i], one.p_pos,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.margin[i], one.margin,
+                                       rtol=0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = LinearModel(kind="logreg", weights=np.ones(3), bias=0.0)

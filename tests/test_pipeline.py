@@ -206,6 +206,23 @@ class TestGuards:
         err = capsys.readouterr().err
         assert "[score]" in err and "shap.npz" in err
 
+    def test_unnormalized_nb_prior_fails_score(self, mini_run, tmp_path,
+                                               capsys):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        trained = json.loads((copy / "model.json").read_text(encoding="utf-8"))
+        d = len(trained["weights"])
+        prior = float(np.log(0.7))
+        (copy / "model.json").write_text(json.dumps({
+            "kind": "nb", "log_prior": [prior, prior],
+            "log_theta": [[0.0] * d, [0.0] * d], "alpha": 1.0,
+            "structural_start": d, "struct_min": [], "struct_max": [],
+            "seed": 0, "config_digest": trained["config_digest"]}),
+            encoding="utf-8")
+        assert cli.main(["score", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[score] ") and "log_prior" in err
+        assert err.count("\n") == 1
+
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, tmp_path / "absent.tsv",
                                  tmp_path / "out")

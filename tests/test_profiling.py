@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicaudit import profiling as prof
+from topicaudit.config import PipelineConfig
+from topicaudit.pipeline import _reliable_profile
+from topicaudit.uncertainty import REPRESENTATIONS
 
 
 class TestFeatureStats:
@@ -203,6 +206,12 @@ class TestNMF:
         np.testing.assert_array_equal(W1, W2)
         np.testing.assert_array_equal(H1, H2)
 
+    def test_broken_update_raises_nmf_error(self, monkeypatch):
+        # A huge denominator shrinks H toward zero, so the fit worsens.
+        monkeypatch.setattr(prof, "EPS", 1e6)
+        with pytest.raises(prof.NMFError, match="objective increased"):
+            prof.nmf(np.ones((5, 4)), n_topics=2, seed=0)
+
     def test_zero_rows_produce_zero_weights(self):
         rng = np.random.default_rng(7)
         X = rng.random((6, 4))
@@ -256,32 +265,45 @@ class TestTopicContributions:
         np.testing.assert_allclose(tc.sum(), row.sum(), rtol=1e-12)
 
 
+def _group_profile(tcs, n_topics):
+    """Every representation profile of a group with topic contributions
+    tcs (rows), as the profile stage computes it."""
+    H = np.random.default_rng(0).random((n_topics, 2 * n_topics)) + 0.01
+    return _reliable_profile(
+        np.array(tcs, dtype=float).reshape(-1, n_topics), H,
+        PipelineConfig(k_related=1, k_nn=5))
+
+
 class TestGroupProfile:
     def test_singleton(self):
-        p = prof.group_profile([np.array([2.0, 2.0])])
-        np.testing.assert_allclose(p, [0.5, 0.5])
+        p = _group_profile([[2.0, 2.0]], 2)
+        np.testing.assert_allclose(p["original"], [0.5, 0.5])
 
     def test_two_message_mean(self):
-        p = prof.group_profile([np.array([1.0, 1.0]), np.array([3.0, 1.0])])
-        np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0])
+        p = _group_profile([[1.0, 1.0], [3.0, 1.0]], 2)
+        np.testing.assert_allclose(p["original"], [2.0 / 3.0, 1.0 / 3.0])
 
     def test_empty_group_is_na(self):
-        assert prof.group_profile([]) is None
+        p = _group_profile([], 3)
+        assert set(p) == set(REPRESENTATIONS)
+        assert all(vec is None for vec in p.values())
 
     def test_zero_mass_is_na(self):
-        assert prof.group_profile([np.zeros(3), np.zeros(3)]) is None
+        p = _group_profile([np.zeros(3), np.zeros(3)], 3)
+        assert all(vec is None for vec in p.values())
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.floats(0, 100), min_size=4, max_size=4),
                     min_size=1, max_size=6))
     def test_simplex_membership(self, raw):
-        tcs = [np.array(v) for v in raw]
-        p = prof.group_profile(tcs)
-        if p is None:
-            assert np.mean(np.stack(tcs), axis=0).sum() <= 0
+        p = _group_profile(raw, 4)
+        if np.mean(raw, axis=0).sum() <= 0:
+            assert all(vec is None for vec in p.values())
         else:
-            assert np.all(p >= 0)
-            np.testing.assert_allclose(p.sum(), 1.0, atol=1e-9)
+            assert p["original"] is not None
+            for vec in p.values():
+                assert np.all(np.array(vec) >= 0)
+                np.testing.assert_allclose(np.sum(vec), 1.0, atol=1e-9)
 
 
 class TestProfilingIO:
@@ -289,7 +311,7 @@ class TestProfilingIO:
         model = prof.TopicModel(
             polarity="plus", columns=np.array([3, 8, 20]),
             H=np.array([[0.5, 0.1, 0.0], [0.2, 0.9, 1.0]]),
-            assignment=np.array([0, 1, 1]), objective=[2.0, 1.0, 0.5],
+            assignment=np.array([0, 1, 1]), objective=0.5,
             seed=11, config_digest="cd")
         path = tmp_path / "topics_plus.json"
         prof.write_topics(path, model)

@@ -61,6 +61,22 @@ class TestJSDivergence:
         assert 0.0 <= d <= LN2 + 1e-12
         np.testing.assert_allclose(d, js_divergence(q, p), rtol=1e-12)
 
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(3)
+        p = rng.dirichlet(np.ones(4), size=5)
+        q = rng.dirichlet(np.ones(4), size=(3, 1))
+        q[0, 0, 1] = 0.0
+        got = js_divergence(p[None, :, :], q)
+        assert got.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                assert got[i, j] == js_divergence(p[j], q[i, 0])
+
+    def test_smallest_subnormal_mass_stays_finite(self):
+        # Halving p + q would underflow to 0 at the first entry.
+        p = np.array([5e-324, 1.0])
+        assert 0.0 <= js_divergence(p, np.array([0.0, 1.0])) < 1e-300
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(0)
         p = rng.dirichlet(np.ones(5))
@@ -69,36 +85,32 @@ class TestJSDivergence:
 
 
 class TestMisclassificationScore:
-    PROFILES = {
-        "TP": {"polarity": "plus",
-               "representations": {"original": np.array([0.75, 0.25]),
-                                   "rel_u": None}},
-        "TN": {"polarity": "minus",
-               "representations": {"original": np.array([0.5, 0.5]),
-                                   "rel_u": np.array([0.5, 0.5])}},
-    }
+    # Two representations (original, rel_u); TN profile at index 0, TP at 1.
+    NA = [np.nan, np.nan]
+    PROFILES = np.array([[[0.5, 0.5], [0.5, 0.5]],
+                         [[0.75, 0.25], NA]])
 
     def test_profile_match_scores_zero(self):
-        reps = {"original": np.array([0.75, 0.25])}
-        out = misclassification_score(reps, self.PROFILES, predicted=1)
-        assert out["original"] == 0.0
+        vectors = np.array([[[0.75, 0.25], self.NA]])
+        out = misclassification_score(vectors, self.PROFILES, [1])
+        assert out.shape == (1, 2)
+        assert out[0, 0] == 0.0
 
     def test_group_selected_by_prediction(self):
-        reps = {"original": np.array([0.5, 0.5])}
-        pos = misclassification_score(reps, self.PROFILES, predicted=1)
-        neg = misclassification_score(reps, self.PROFILES, predicted=0)
-        assert pos["original"] > 0.0
-        assert neg["original"] == 0.0
+        vectors = np.array([[[0.5, 0.5], self.NA]] * 2)
+        pos, neg = misclassification_score(vectors, self.PROFILES, [1, 0])
+        assert pos[0] > 0.0
+        assert neg[0] == 0.0
 
     def test_na_profile_gives_na_score(self):
-        reps = {"rel_u": np.array([0.5, 0.5])}
-        out = misclassification_score(reps, self.PROFILES, predicted=1)
-        assert out["rel_u"] is None
+        vectors = np.array([[[0.5, 0.5], [0.5, 0.5]]])
+        out = misclassification_score(vectors, self.PROFILES, [1])
+        assert np.isnan(out[0, 1])
 
     def test_na_representation_gives_na_score(self):
-        reps = {"rel_u": None}
-        out = misclassification_score(reps, self.PROFILES, predicted=0)
-        assert out["rel_u"] is None
+        vectors = np.array([[[0.5, 0.5], self.NA]])
+        out = misclassification_score(vectors, self.PROFILES, [0])
+        assert np.isnan(out[0, 1])
 
 
 class TestAuroc:

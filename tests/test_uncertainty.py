@@ -27,34 +27,34 @@ def random_simplex(m, seed):
 
 class TestOriginal:
     def test_normalizes(self):
-        rep = original(np.array([4.0, 2.0]))
-        np.testing.assert_allclose(rep.vector, [2.0 / 3.0, 1.0 / 3.0])
-        assert not rep.degenerate
+        vec, degenerate = original(np.array([4.0, 2.0]))
+        np.testing.assert_allclose(vec, [2.0 / 3.0, 1.0 / 3.0])
+        assert not degenerate
 
     def test_zero_mass_is_uniform_flagged(self):
-        rep = original(np.zeros(4))
-        np.testing.assert_allclose(rep.vector, np.full(4, 0.25))
-        assert rep.degenerate
+        vec, degenerate = original(np.zeros(4))
+        np.testing.assert_allclose(vec, np.full(4, 0.25))
+        assert degenerate
 
     def test_idempotent_on_simplex(self):
         p = np.array([0.3, 0.7])
-        np.testing.assert_allclose(original(p).vector, p, rtol=1e-15)
+        np.testing.assert_allclose(original(p)[0], p, rtol=1e-15)
 
 
 class TestVacuity:
     def test_equal_evidence(self):
-        rep = vacuity_vector(np.array([1.0, 1.0]), s=1.0)
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
+        vec, _ = vacuity_vector(np.array([1.0, 1.0]), s=1.0)
+        np.testing.assert_allclose(vec, [0.5, 0.5])
 
     def test_zero_evidence_uniform_unflagged(self):
-        rep = vacuity_vector(np.zeros(3), s=1.0)
-        np.testing.assert_allclose(rep.vector, np.full(3, 1.0 / 3.0))
-        assert not rep.degenerate
+        vec, degenerate = vacuity_vector(np.zeros(3), s=1.0)
+        np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0))
+        assert not degenerate
 
     def test_strong_topic_gets_least_vacuity(self):
-        rep = vacuity_vector(np.array([100.0, 1.0, 1.0]), s=1.0)
-        assert rep.vector[0] < rep.vector[1]
-        np.testing.assert_allclose(rep.vector[1], rep.vector[2])
+        vec, _ = vacuity_vector(np.array([100.0, 1.0, 1.0]), s=1.0)
+        assert vec[0] < vec[1]
+        np.testing.assert_allclose(vec[1], vec[2])
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="scale"):
@@ -63,43 +63,43 @@ class TestVacuity:
 
 class TestDissonance:
     def test_single_belief_has_no_conflict(self):
-        rep = dissonance_vector(np.array([5.0, 0.0, 0.0]), s=1.0)
-        np.testing.assert_allclose(rep.vector, np.full(3, 1.0 / 3.0))
-        assert rep.degenerate
+        vec, degenerate = dissonance_vector(np.array([5.0, 0.0, 0.0]), s=1.0)
+        np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0))
+        assert degenerate
 
     def test_two_equal_beliefs(self):
-        rep = dissonance_vector(np.array([1.0, 1.0]), s=1.0)
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
-        assert not rep.degenerate
+        vec, degenerate = dissonance_vector(np.array([1.0, 1.0]), s=1.0)
+        np.testing.assert_allclose(vec, [0.5, 0.5])
+        assert not degenerate
 
     def test_hand_computed_three_topics(self):
         # r=[1,1,0]: beliefs [0.2,0.2,0]; the zero belief balances nothing,
         # the equal pair balances fully: d = [0.2, 0.2, 0].
-        rep = dissonance_vector(np.array([1.0, 1.0, 0.0]), s=1.0)
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5, 0.0], atol=1e-15)
+        vec, _ = dissonance_vector(np.array([1.0, 1.0, 0.0]), s=1.0)
+        np.testing.assert_allclose(vec, [0.5, 0.5, 0.0], atol=1e-15)
 
 
 class TestAleatory:
     H = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
 
     def test_neighborhood_entropy(self):
-        rep = aleatory_vector(np.array([0.5, 0.5, 0.0]), self.H, k=1)
+        vec, _ = aleatory_vector(np.array([0.5, 0.5, 0.0]), self.H, k=1)
         # a = [ln2, ln2, 0] -> normalized [0.5, 0.5, 0].
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(vec, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_concentrated_mass_zero_entropy(self):
         H = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
-        rep = aleatory_vector(np.array([0.0, 0.0, 1.0]), H, k=1)
+        vec, degenerate = aleatory_vector(np.array([0.0, 0.0, 1.0]), H, k=1)
         # Every neighborhood holds its mass in one topic: entropy 0 all over.
-        assert rep.degenerate
-        np.testing.assert_allclose(rep.vector, np.full(3, 1.0 / 3.0))
+        assert degenerate
+        np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0))
 
     def test_uniform_with_full_neighborhood(self):
         m = 4
         rng = np.random.default_rng(0)
         H = rng.random((m, 6))
-        rep = aleatory_vector(np.full(m, 0.25), H, k=m - 1)
-        np.testing.assert_allclose(rep.vector, np.full(m, 0.25))
+        vec, _ = aleatory_vector(np.full(m, 0.25), H, k=m - 1)
+        np.testing.assert_allclose(vec, np.full(m, 0.25))
 
     def test_k_bound(self):
         with pytest.raises(ValueError, match="below the topic count"):
@@ -114,51 +114,51 @@ class TestAleatory:
 
 class TestDoctor:
     def test_half_is_maximal_alpha(self):
-        rep = doctor_alpha_vector(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
+        vec, _ = doctor_alpha_vector(np.array([0.5, 0.5]))
+        np.testing.assert_allclose(vec, [0.5, 0.5])
 
     def test_certain_topics_flagged_uniform(self):
-        rep_a = doctor_alpha_vector(np.array([1.0, 0.0]))
-        rep_b = doctor_beta_vector(np.array([1.0, 0.0]))
-        assert rep_a.degenerate and rep_b.degenerate
+        _, degenerate_a = doctor_alpha_vector(np.array([1.0, 0.0]))
+        _, degenerate_b = doctor_beta_vector(np.array([1.0, 0.0]))
+        assert degenerate_a and degenerate_b
 
     def test_symmetric_pair(self):
-        rep = doctor_alpha_vector(np.array([0.9, 0.1]))
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
-        rep = doctor_beta_vector(np.array([0.9, 0.1]))
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
+        vec, _ = doctor_alpha_vector(np.array([0.9, 0.1]))
+        np.testing.assert_allclose(vec, [0.5, 0.5])
+        vec, _ = doctor_beta_vector(np.array([0.9, 0.1]))
+        np.testing.assert_allclose(vec, [0.5, 0.5])
 
     @settings(max_examples=40, deadline=None)
     @given(simplex_entries)
     def test_binary_symmetry(self, args):
         m, seed = args
         p = random_simplex(m, seed)
-        a1 = doctor_alpha_vector(p)
-        a2 = doctor_alpha_vector(1.0 - p)
-        np.testing.assert_allclose(a1.vector, a2.vector, rtol=1e-9)
-        b1 = doctor_beta_vector(p)
-        b2 = doctor_beta_vector(1.0 - p)
-        np.testing.assert_allclose(b1.vector, b2.vector, rtol=1e-9)
+        a1, _ = doctor_alpha_vector(p)
+        a2, _ = doctor_alpha_vector(1.0 - p)
+        np.testing.assert_allclose(a1, a2, rtol=1e-9)
+        b1, _ = doctor_beta_vector(p)
+        b2, _ = doctor_beta_vector(1.0 - p)
+        np.testing.assert_allclose(b1, b2, rtol=1e-9)
 
 
 class TestOdin:
     def test_temperature_one_is_identity_on_q(self):
         p = np.array([0.6, 0.3, 0.1])
-        rep = odin_vector(p, temperature=1.0)
+        vec, _ = odin_vector(p, temperature=1.0)
         expected = 1.0 - np.maximum(p, 1.0 - p)
-        np.testing.assert_allclose(rep.vector, expected / expected.sum(),
+        np.testing.assert_allclose(vec, expected / expected.sum(),
                                    rtol=1e-12)
 
     def test_high_temperature_flattens(self):
         p = np.array([0.8, 0.15, 0.05])
-        rep = odin_vector(p, temperature=1e9)
-        np.testing.assert_allclose(rep.vector, np.full(3, 1.0 / 3.0),
+        vec, _ = odin_vector(p, temperature=1e9)
+        np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0),
                                    atol=1e-6)
 
     def test_binary_hand_computation(self):
         # sqrt weights: q = [2/3, 1/3], o = [1/3, 1/3] -> [0.5, 0.5].
-        rep = odin_vector(np.array([0.8, 0.2]), temperature=2.0)
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5], rtol=1e-12)
+        vec, _ = odin_vector(np.array([0.8, 0.2]), temperature=2.0)
+        np.testing.assert_allclose(vec, [0.5, 0.5], rtol=1e-12)
 
     def test_temperature_validated(self):
         with pytest.raises(ValueError, match="temperature"):
@@ -167,34 +167,35 @@ class TestOdin:
 
 class TestRelU:
     def test_empty_reference_is_na(self):
-        rep = rel_u_vector(np.array([0.5, 0.5]), [], k_nn=5)
-        assert rep.vector is None
+        vec, degenerate = rel_u_vector(np.array([0.5, 0.5]), [], k_nn=5)
+        assert np.isnan(vec).all() and not degenerate
 
     def test_self_reference_degenerate(self):
         p = np.array([0.25, 0.75])
-        rep = rel_u_vector(p, [p.copy(), np.array([0.9, 0.1])], k_nn=1)
-        assert rep.degenerate
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
+        vec, degenerate = rel_u_vector(p, [p.copy(), np.array([0.9, 0.1])],
+                                       k_nn=1)
+        assert degenerate
+        np.testing.assert_allclose(vec, [0.5, 0.5])
 
     def test_single_reference_gap(self):
-        rep = rel_u_vector(np.array([1.0, 0.0]), [np.array([0.5, 0.5])],
-                           k_nn=1)
-        np.testing.assert_allclose(rep.vector, [0.5, 0.5])
+        vec, _ = rel_u_vector(np.array([1.0, 0.0]), [np.array([0.5, 0.5])],
+                              k_nn=1)
+        np.testing.assert_allclose(vec, [0.5, 0.5])
 
     def test_k_clamped_to_reference_size(self):
         p = np.array([0.3, 0.7])
         refs = [np.array([0.4, 0.6]), np.array([0.2, 0.8])]
-        rep = rel_u_vector(p, refs, k_nn=10)
+        vec, _ = rel_u_vector(p, refs, k_nn=10)
         gaps = np.mean([np.abs(p - r) for r in refs], axis=0)
-        np.testing.assert_allclose(rep.vector, gaps / gaps.sum())
+        np.testing.assert_allclose(vec, gaps / gaps.sum())
 
     def test_nearest_neighbors_selected_by_js(self):
         p = np.array([0.5, 0.5])
         near = np.array([0.55, 0.45])
         far = np.array([0.95, 0.05])
-        rep = rel_u_vector(p, [far, near], k_nn=1)
+        vec, _ = rel_u_vector(p, [far, near], k_nn=1)
         gaps = np.abs(p - near)
-        np.testing.assert_allclose(rep.vector, gaps / gaps.sum())
+        np.testing.assert_allclose(vec, gaps / gaps.sum())
 
 
 class TestEvidenceScale:
@@ -209,7 +210,7 @@ class TestEvidenceScale:
 
     def test_empty_falls_back(self):
         with pytest.warns(UserWarning, match="scale"):
-            assert evidence_scale([]) == 1.0
+            assert evidence_scale(np.zeros((0, 2))) == 1.0
 
 
 class TestSimplexInvariant:
@@ -221,13 +222,47 @@ class TestSimplexInvariant:
         tc = rng.random(m) * 3.0
         H = rng.random((m, 2 * m)) + 0.01
         refs = [rng.dirichlet(np.ones(m)) for _ in range(4)]
-        reps = unc.all_representations(tc, s=1.5, H=H, k=1, temperature=2.0,
-                                       references=refs, k_nn=2)
-        assert set(reps) == set(unc.REPRESENTATIONS)
-        for rep in reps.values():
-            assert rep.vector is not None
-            np.testing.assert_allclose(rep.vector.sum(), 1.0, atol=1e-9)
-            assert np.all(rep.vector >= 0)
+        vectors, degenerate = unc.representations(
+            tc, s=1.5, H=H, k=1, temperature=2.0, references=refs, k_nn=2)
+        assert vectors.shape == (len(unc.REPRESENTATIONS), m)
+        assert degenerate.shape == (len(unc.REPRESENTATIONS),)
+        np.testing.assert_allclose(vectors.sum(axis=-1), 1.0, atol=1e-9)
+        assert np.all(vectors >= 0)
+
+    def test_invalid_vector_rejected(self):
+        H = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="original: invalid"):
+            unc.representations(np.array([[-0.5, 2.0]]), s=1.0, H=H, k=1,
+                                temperature=2.0, references=[], k_nn=5)
+
+
+class TestBatchEquivalence:
+    """representations() on n rows equals n one-row calls, bit for bit,
+    with n crossing rel_u's row-block boundary."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 11),
+           extra=st.integers(1, 2 * unc.ROW_BLOCK))
+    def test_rows_match_one_row_calls(self, seed, m, extra):
+        rng = np.random.default_rng(seed)
+        n = unc.ROW_BLOCK + extra
+        tc = rng.random((n, m)) * 3.0
+        tc[::5, 0] = 0.0
+        tc[::7] = 0.0
+        H = rng.random((m, 2 * m))
+        refs = rng.dirichlet(np.ones(m), size=12)
+        refs[5] = refs[2]
+        for references in (refs, refs[:0]):
+            vectors, degenerate = unc.representations(
+                tc, 1.5, H, 1, 2.0, references, 4)
+            assert vectors.shape == (n, len(unc.REPRESENTATIONS), m)
+            assert degenerate[::7, 0].all()
+            assert np.isnan(vectors[:, -1]).all() == (len(references) == 0)
+            for i in range(n):
+                one, one_flags = unc.representations(
+                    tc[i:i + 1], 1.5, H, 1, 2.0, references, 4)
+                np.testing.assert_array_equal(vectors[i], one[0])
+                np.testing.assert_array_equal(degenerate[i], one_flags[0])
 
 
 class TestOutputUQ:
