@@ -8,19 +8,31 @@ attributions always reproduces the explained output.  Attributions are
 restricted to the active set, the columns where the message actually
 deviates from the background mean; pinned columns provably carry zero
 attribution under the independence assumption.
+
+Given the model itself, the explainer scores coalitions in margin
+space: both models' margins are sums of per-column terms, so every
+coalition's margin against every background row is one small matrix
+product, and only the link function is applied per value.  Any other
+callable is evaluated on the synthetic rows themselves.  The regression
+is solved through its normal equations, with a ridge added only when
+the system is numerically singular.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import LinearModel, NBModel, nb_log_odds
+from .classifiers import (LinearModel, NBModel, _probability,
+                          decision_function, nb_log_odds,
+                          probability_function)
 
 ACTIVE_TOL = 1e-12
 ENUMERATION_LIMIT = 12
@@ -109,40 +121,39 @@ def linear_shap(model: LinearModel | NBModel, X: np.ndarray,
 
 
 def _shapley_kernel_weights(m: int, sizes: np.ndarray) -> np.ndarray:
-    out = np.empty(len(sizes))
-    for i, s in enumerate(sizes):
-        out[i] = (m - 1) / (math.comb(m, int(s)) * s * (m - s))
-    return out
+    by_size = np.array([(m - 1) / (math.comb(m, s) * s * (m - s))
+                        for s in range(1, m)])
+    return by_size[sizes - 1]
 
 
 def _enumerate_coalitions(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All proper nonempty subsets of m features with exact kernel weights."""
-    count = 2 ** m - 2
-    masks = np.zeros((count, m), dtype=bool)
-    for row, code in enumerate(range(1, 2 ** m - 1)):
-        for j in range(m):
-            masks[row, j] = bool(code >> j & 1)
-    sizes = masks.sum(axis=1)
-    return masks, _shapley_kernel_weights(m, sizes)
+    """All proper nonempty subsets of m features with exact kernel weights;
+    row r is the subset whose bit pattern is the integer r + 1."""
+    codes = np.arange(1, 2 ** m - 1)
+    masks = ((codes[:, None] >> np.arange(m)) & 1).astype(bool)
+    return masks, _shapley_kernel_weights(m, masks.sum(axis=1))
 
 
 def _sample_coalitions(m: int, n_coalitions: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel-distributed paired sampling; equal weights by importance."""
+    """Kernel-distributed paired sampling; equal weights by importance.
+
+    Each even row draws a size from the kernel's size distribution by
+    inverting its CDF (the draw Generator.choice(sizes, p=...) makes,
+    without re-validating p every time), then that many members; each
+    odd row is the complement of the row before it.
+    """
     sizes = np.arange(1, m)
     size_p = 1.0 / (sizes * (m - sizes))
     size_p /= size_p.sum()
+    cdf = size_p.cumsum()
+    cdf /= cdf[-1]
     masks = np.zeros((n_coalitions, m), dtype=bool)
-    row = 0
-    while row < n_coalitions:
-        s = int(rng.choice(sizes, p=size_p))
-        members = rng.choice(m, size=s, replace=False)
-        masks[row, members] = True
-        row += 1
-        if row < n_coalitions:
-            masks[row] = ~masks[row - 1]
-            row += 1
-    return masks, np.ones(len(masks))
+    for row in range(0, n_coalitions, 2):
+        s = sizes[cdf.searchsorted(rng.random(), side="right")]
+        masks[row, rng.choice(m, size=s, replace=False)] = True
+    masks[1::2] = ~masks[0:n_coalitions - 1:2]
+    return masks, np.ones(n_coalitions)
 
 
 def _coalition_values(predict_fn, x: np.ndarray, background: np.ndarray,
@@ -154,8 +165,7 @@ def _coalition_values(predict_fn, x: np.ndarray, background: np.ndarray,
     f(x) and pinned columns cannot influence the regression.
     """
     n_bg = background.shape[0]
-    base_rows = np.repeat(x[None, :], n_bg, axis=0)
-    base_rows[:, active] = background[:, active]
+    base_rows = _pinned_rows(x, background, active)
     values = np.empty(len(masks))
     for start in range(0, len(masks), batch):
         chunk = masks[start:start + batch]
@@ -169,11 +179,37 @@ def _coalition_values(predict_fn, x: np.ndarray, background: np.ndarray,
     return values
 
 
-def kernel_shap(predict_fn, x: np.ndarray, background: Background,
+def _margin_coalition_values(model: LinearModel | NBModel, x: np.ndarray,
+                             background: np.ndarray, active: np.ndarray,
+                             masks: np.ndarray) -> np.ndarray:
+    """_coalition_values of probability_function(model, .), from margins.
+
+    Both models' margins are sums of per-column terms w_j * t_j(z_j) plus
+    a bias (t is NBModel.transform, which maps each column on its own,
+    and the identity for LinearModel), so pinning the coalition S to x
+    moves a background row's margin by the sum over S of
+    w_j * (t(x)_j - t(row)_j): one (n_coal, m) @ (m, n_bg) product
+    instead of n_coal * n_bg synthetic rows of full width.
+    """
+    if isinstance(model, NBModel):
+        w, _ = nb_log_odds(model)
+        tx, tbg = model.transform(x), model.transform(background)
+    else:
+        w, tx, tbg = model.weights, x, background
+    shift = w[active] * (tx[active] - tbg[:, active])
+    base_margin = decision_function(model, _pinned_rows(x, background, active))
+    margins = base_margin[None, :] + masks.astype(float) @ shift.T
+    return _probability(model, margins).mean(axis=1)
+
+
+def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
+                background: Background,
                 n_coalitions: int | None = None, seed: int = 0,
                 msg_id: int = -1) -> ShapVector:
     """Constrained weighted least squares over feature coalitions.
 
+    ``model`` is a LinearModel or NBModel, whose probability_function is
+    explained, or any callable mapping an (n, d) array to n outputs.
     Full enumeration when the active set has at most 12 columns, paired
     kernel-distributed sampling above that (default 2*|active| + 2048
     coalitions).  The sum constraint is eliminated exactly, so local
@@ -181,6 +217,9 @@ def kernel_shap(predict_fn, x: np.ndarray, background: Background,
     fixed (seed, msg_id) pair.
     """
     x = np.asarray(x, dtype=float)
+    margin_model = isinstance(model, (LinearModel, NBModel))
+    predict_fn = (functools.partial(probability_function, model)
+                  if margin_model else model)
     mu = background.mean
     active = np.flatnonzero(np.abs(x - mu) > ACTIVE_TOL)
     m = len(active)
@@ -204,7 +243,12 @@ def kernel_shap(predict_fn, x: np.ndarray, background: Background,
             n_coalitions = 2 * m + 2048
         masks, weights = _sample_coalitions(m, n_coalitions, rng)
 
-    values = _coalition_values(predict_fn, x, background.rows, active, masks)
+    if margin_model:
+        values = _margin_coalition_values(model, x, background.rows, active,
+                                          masks)
+    else:
+        values = _coalition_values(predict_fn, x, background.rows, active,
+                                   masks)
     z = masks.astype(float)
     # Eliminate the constraint sum(phi) = delta: solve for the first m-1
     # coordinates against columns z_j - z_last, recover the last by identity.
@@ -213,13 +257,14 @@ def kernel_shap(predict_fn, x: np.ndarray, background: Background,
     sw = np.sqrt(weights)
     a = design * sw[:, None]
     b = target * sw
-    phi_head, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < m - 1:
+    gram = a.T @ a
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] <= (m - 1) * np.finfo(float).eps * eig[-1]:
         warnings.warn(f"message {msg_id}: singular attribution system; "
                       f"ridge-stabilizing with {RIDGE}", UserWarning,
                       stacklevel=2)
-        gram = a.T @ a + RIDGE * np.eye(m - 1)
-        phi_head = np.linalg.solve(gram, a.T @ b)
+        gram = gram + RIDGE * np.eye(m - 1)
+    phi_head = np.linalg.solve(gram, a.T @ b)
     phi_vals = np.append(phi_head, delta - phi_head.sum())
     phi = {int(col): float(val) for col, val in zip(active, phi_vals)
            if val != 0.0}

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
+
 GRAD_TOL = 1e-5
 
 
@@ -375,7 +377,7 @@ def write_model(path: str | Path, model: LinearModel | NBModel) -> None:
                "struct_min": model.struct_min.tolist(),
                "struct_max": model.struct_max.tolist(),
                "seed": model.seed, "config_digest": model.config_digest}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 

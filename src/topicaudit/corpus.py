@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
+
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 LABEL_POSITIVE = 1
@@ -216,7 +218,7 @@ def subsample_majority(train: list[Message], seed: int) -> list[Message]:
 def write_dataset(path: str | Path, messages: list[Message],
                   config_digest: str = "") -> None:
     """Persist messages as dataset.jsonl, one object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         if config_digest:
             fh.write(json.dumps({"config_digest": config_digest},
                                 sort_keys=True) + "\n")

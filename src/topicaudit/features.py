@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import Message, TokenizedMessage
 
 FAMILY_WORD = "word"
@@ -235,7 +236,7 @@ def write_space(path: str | Path, space: FeatureSpace) -> None:
         "idf": space.idf.tolist(),
         "family": space.families().tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 

@@ -13,10 +13,11 @@ config digest; a digest mismatch refuses to combine):
     repair   -> repair_report.json, outcomes.npz
     report   -> report.md
 
-Every .npz is written by _save and read by _load only.  Each holds an
-``ids`` array that must equal the dataset ids in order; the (n, d)
-matrices X (vectors.npz) and phi (shap.npz) are stored as CSR arrays
-``shape, indptr, indices, data``.
+Every artifact is written through atomic.atomic_open, so a failed
+write leaves the previous file in place.  Every .npz is written by _save
+and read by _load only.  Each holds an ``ids`` array that must equal the
+dataset ids in order; the (n, d) matrices X (vectors.npz) and phi
+(shap.npz) are stored as CSR arrays ``shape, indptr, indices, data``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +33,7 @@ import numpy as np
 
 from . import attribution, classifiers, corpus, features, profiling, scoring
 from . import uncertainty
+from .atomic import atomic_open
 from .config import PipelineConfig
 
 BASE_METHODS = uncertainty.OUTPUT_UQ_METHODS
@@ -123,17 +124,10 @@ def _encode_threshold(value: float) -> float | str:
 # ---------------------------------------------------------- array artifacts
 
 def _save(path: Path, digest: str, **arrays) -> None:
-    """Write arrays plus the config digest as one uncompressed .npz.
-
-    The file appears under its name only once complete, so a crash
-    leaves the previous artifact (or none), never a partial one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, digest=np.bytes_(digest.encode("ascii")), **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write arrays plus the config digest as one uncompressed .npz,
+    atomically."""
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, digest=np.bytes_(digest.encode("ascii")), **arrays)
 
 
 def _load(cfg: PipelineConfig, stage: str, path: Path, producer: str,
@@ -353,14 +347,11 @@ def cmd_explain(cfg: PipelineConfig) -> None:
             X_train, y_train, train_ids, size=cfg.background_size,
             seed=cfg.seed)
 
-        def predict_fn(rows: np.ndarray) -> np.ndarray:
-            return classifiers.probability_function(model, rows)
-
         Phi = np.zeros(X.shape)
         base_values = np.empty(len(ids))
         for i, msg_id in enumerate(ids):
             shap = attribution.kernel_shap(
-                predict_fn, X[i], background,
+                model, X[i], background,
                 n_coalitions=cfg.n_coalitions, seed=cfg.seed, msg_id=msg_id)
             Phi[i, list(shap.phi)] = list(shap.phi.values())
             base_values[i] = shap.base_value
@@ -557,7 +548,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
             "n_misclassified": int(flags.sum()),
             "detectors": detectors,
         }
-    with open(p.detector_report, "w", encoding="utf-8") as fh:
+    with atomic_open(p.detector_report) as fh:
         json.dump(report, fh, sort_keys=True)
         fh.write("\n")
 
@@ -632,7 +623,7 @@ def cmd_repair(cfg: PipelineConfig) -> None:
         "subsets": subset_info,
         "representations": per_rep,
     }
-    with open(p.repair_report, "w", encoding="utf-8") as fh:
+    with atomic_open(p.repair_report) as fh:
         json.dump(report, fh, sort_keys=True)
         fh.write("\n")
 

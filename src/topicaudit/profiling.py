@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
+
 EPS = 1e-12
 
 
@@ -180,7 +182,7 @@ def write_topics(path: str | Path, model: TopicModel) -> None:
         "seed": model.seed,
         "objective": model.objective,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 
@@ -213,7 +215,7 @@ def write_profiles(path: str | Path,
                 for name, vec in sorted(profiles[group].items())
             },
         }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 

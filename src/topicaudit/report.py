@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
                        StageError, _read_scores, _require, _stage, paths_for)
@@ -145,5 +146,5 @@ def cmd_report(cfg: PipelineConfig) -> None:
         *_repair_table(repair),
         "",
     ]
-    with open(p.report, "w", encoding="utf-8") as fh:
+    with atomic_open(p.report) as fh:
         fh.write("\n".join(lines))

@@ -56,12 +56,16 @@ def _check_scale(s: float) -> None:
 
 def evidence_scale(tcs: np.ndarray) -> float:
     """Median total contribution of the calibration group (rows of tcs);
-    the unit that turns topic contributions into dimensionless evidence."""
+    the unit that turns topic contributions into dimensionless evidence.
+
+    A median below the smallest normal float falls back to 1.0 like a
+    non-positive one: dividing contributions by a subnormal overflows."""
     totals = np.asarray(tcs, dtype=float).sum(axis=-1)
     s = float(np.median(totals)) if totals.size else 0.0
-    if s <= 0.0:
-        warnings.warn("evidence scale is not positive; falling back to 1.0",
-                      UserWarning, stacklevel=2)
+    if s < np.finfo(float).tiny:
+        warnings.warn(f"evidence scale {s:g} is not a positive normal "
+                      "number; falling back to 1.0", UserWarning,
+                      stacklevel=2)
         return 1.0
     return s
 

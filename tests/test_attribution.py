@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicaudit.attribution import (Background, kernel_shap, linear_shap,
-                                    make_background, polarity_supports)
-from topicaudit.classifiers import LinearModel, train_nb
+from topicaudit.attribution import (Background, _enumerate_coalitions,
+                                    _sample_coalitions, kernel_shap,
+                                    linear_shap, make_background,
+                                    polarity_supports)
+from topicaudit.classifiers import (LinearModel, probability_function,
+                                    train_nb)
 
 
 def brute_force_shapley(predict_fn, x, background_rows):
@@ -238,6 +242,133 @@ class TestKernelShapSampling:
         with pytest.warns(UserWarning, match="ridge"):
             sv = kernel_shap(f, x, bg, n_coalitions=6, seed=3, msg_id=11)
         np.testing.assert_allclose(sv.total(), f(x[None, :])[0], atol=1e-9)
+
+
+def _loop_enumeration(m):
+    """The coalition enumeration as first written, one bit at a time."""
+    count = 2 ** m - 2
+    masks = np.zeros((count, m), dtype=bool)
+    for row, code in enumerate(range(1, 2 ** m - 1)):
+        for j in range(m):
+            masks[row, j] = bool(code >> j & 1)
+    sizes = masks.sum(axis=1)
+    weights = np.empty(len(sizes))
+    for i, s in enumerate(sizes):
+        weights[i] = (m - 1) / (math.comb(m, int(s)) * s * (m - s))
+    return masks, weights
+
+
+def _choice_sampler(m, n_coalitions, rng):
+    """The paired sampler as first written, drawing sizes through
+    Generator.choice(sizes, p=...)."""
+    sizes = np.arange(1, m)
+    size_p = 1.0 / (sizes * (m - sizes))
+    size_p /= size_p.sum()
+    masks = np.zeros((n_coalitions, m), dtype=bool)
+    row = 0
+    while row < n_coalitions:
+        s = int(rng.choice(sizes, p=size_p))
+        members = rng.choice(m, size=s, replace=False)
+        masks[row, members] = True
+        row += 1
+        if row < n_coalitions:
+            masks[row] = ~masks[row - 1]
+            row += 1
+    return masks
+
+
+class TestCoalitions:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_enumeration_matches_loops(self, m):
+        masks, weights = _enumerate_coalitions(m)
+        ref_masks, ref_weights = _loop_enumeration(m)
+        np.testing.assert_array_equal(masks, ref_masks)
+        assert weights.tobytes() == ref_weights.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 13, 57, 300])
+    @pytest.mark.parametrize("n_coalitions", [1, 6, 7, 64, 513])
+    def test_sampler_matches_choice_with_p(self, m, n_coalitions):
+        rng, ref_rng = (np.random.default_rng([m, n_coalitions])
+                        for _ in range(2))
+        masks, weights = _sample_coalitions(m, n_coalitions, rng)
+        np.testing.assert_array_equal(
+            masks, _choice_sampler(m, n_coalitions, ref_rng))
+        np.testing.assert_array_equal(weights, np.ones(n_coalitions))
+        # Both consumed the same stretch of the generator's stream.
+        assert rng.random() == ref_rng.random()
+
+
+def _nb_model(d, structural_start, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.random((12, d))
+    X[:, structural_start:] *= 40.0
+    return train_nb(X, np.array([0, 1] * 6),
+                    structural_start=structural_start), X
+
+
+def _svm_model(d, seed):
+    rng = np.random.default_rng(seed)
+    return LinearModel(kind="svm", weights=rng.normal(size=d),
+                       bias=0.3, calibration=(1.7, -0.2)), rng.random((12, d))
+
+
+class TestKernelShapModels:
+    """A LinearModel or NBModel is explained from coalition margins; the
+    attributions equal those of its probability_function as a callable."""
+
+    @staticmethod
+    def _both_paths(model, x, bg, **kw):
+        by_model = kernel_shap(model, x, bg, **kw)
+        by_callable = kernel_shap(
+            lambda rows: probability_function(model, rows), x, bg, **kw)
+        assert set(by_model.phi) == set(by_callable.phi)
+        assert by_model.base_value == by_callable.base_value
+        for j, v in by_callable.phi.items():
+            assert abs(by_model.phi[j] - v) <= 1e-12
+        return by_model
+
+    @pytest.mark.parametrize("n_active", [2, 7, 12])
+    @pytest.mark.parametrize("kind", ["svm", "nb"])
+    def test_enumerated(self, kind, n_active):
+        d = 30
+        model, X = _nb_model(d, 24, 1) if kind == "nb" else _svm_model(d, 1)
+        bg = _bg(X[:8])
+        x = bg.mean.copy()
+        cols = np.random.default_rng(2).choice(d, n_active, replace=False)
+        x[cols] += 0.5
+        sv = self._both_paths(model, x, bg, msg_id=3)
+        assert set(sv.phi) <= set(cols.tolist())
+
+    @pytest.mark.parametrize("n_coalitions", [None, 201])
+    @pytest.mark.parametrize("kind", ["svm", "nb"])
+    def test_sampled(self, kind, n_coalitions):
+        d = 40
+        model, X = _nb_model(d, 30, 4) if kind == "nb" else _svm_model(d, 4)
+        bg = _bg(X[:10])
+        x = np.random.default_rng(5).random(d)
+        self._both_paths(model, x, bg, n_coalitions=n_coalitions, seed=7,
+                         msg_id=12)
+
+    def test_nb_structural_values_clipped(self):
+        model, X = _nb_model(20, 14, 6)
+        bg = _bg(X[:9])
+        x = np.random.default_rng(7).random(20)
+        # Structural values above the training maximum and below the
+        # minimum clip to the same transformed value as the bounds.
+        x[14:17] = model.struct_max[:3] + 25.0
+        x[17:] = model.struct_min[3:] - 25.0
+        sv = self._both_paths(model, x, bg, seed=1, msg_id=0)
+        np.testing.assert_allclose(
+            sv.total(), probability_function(model, x[None, :])[0],
+            rtol=0, atol=1e-12)
+
+    def test_well_conditioned_system_does_not_ridge(self):
+        model, X = _svm_model(30, 8)
+        bg = _bg(X[:10])
+        x = np.random.default_rng(9).random(30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel_shap(model, x, bg, seed=2, msg_id=5)
 
 
 class TestSplitSupports:

@@ -7,6 +7,7 @@ that artifacts are produced, guarded, and reproduced byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shutil
 import tempfile
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from topicaudit import cli, demo, report
+from topicaudit import (atomic, attribution, classifiers, cli, corpus, demo,
+                        features, report)
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.pipeline import (StageError, _from_csr, _load, _save, _to_csr,
                                  paths_for)
@@ -232,6 +234,46 @@ class TestGuards:
         assert "[prepare]" in capsys.readouterr().err
 
 
+class TestKernelExplain:
+    @pytest.mark.parametrize("classifier", ["svm", "nb"])
+    def test_matches_probability_callable(self, classifier, tmp_path):
+        # explain hands kernel_shap the model itself; the attributions
+        # are those of its probability_function as an opaque callable.
+        out = tmp_path / "run"
+        out.mkdir()
+        tsv = tmp_path / "small.tsv"
+        demo.write_tsv(tsv, demo.generate(n_messages=80, seed=3))
+        cfg_path = _write_config(tmp_path, tsv, out, classifier=classifier,
+                                 svm_epochs=100, background_size=5,
+                                 n_coalitions=400,
+                                 word_quota=60, phrase_quota=40)
+        for stage in ("prepare", "train", "explain"):
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        messages, _ = corpus.read_dataset(out / "dataset.jsonl")
+        ids = [m.id for m in messages]
+        space = features.read_space(out / "space.json")
+        X = _from_csr(_load(cfg, "test", out / "vectors.npz", "prepare", ids))
+        shap = _load(cfg, "test", out / "shap.npz", "explain", ids)
+        phi = _from_csr(shap)
+        assert phi.shape == (len(ids), space.n_columns)
+        assert shap["explained_output"] == "probability"
+        model = classifiers.read_model(out / "model.json")
+        rows = [ids.index(i) for i in shap["background_ids"]]
+        background = attribution.Background(
+            rows=X[rows], ids=tuple(shap["background_ids"].tolist()))
+        for i in range(0, len(ids), 20):
+            ref = attribution.kernel_shap(
+                lambda Z: classifiers.probability_function(model, Z), X[i],
+                background, n_coalitions=cfg.n_coalitions, seed=cfg.seed,
+                msg_id=ids[i])
+            assert shap["base_values"][i] == ref.base_value
+            dense = np.zeros(space.n_columns)
+            dense[list(ref.phi)] = list(ref.phi.values())
+            np.testing.assert_array_equal(phi[i] != 0, dense != 0)
+            np.testing.assert_allclose(phi[i], dense, rtol=0, atol=1e-12)
+
+
 class TestArrayArtifacts:
     CFG = PipelineConfig(out_dir="unused")
 
@@ -281,6 +323,54 @@ class TestArrayArtifacts:
         for ids in ([1, 2], [1, 3, 2], [1, 2, 3, 4]):
             with pytest.raises(StageError, match="a.npz"):
                 _load(self.CFG, "test", path, "p", ids)
+
+
+class TestAtomicWrites:
+    PRODUCER = {
+        "dataset.jsonl": "prepare", "space.json": "prepare",
+        "vectors.npz": "prepare", "model.json": "train",
+        "shap.npz": "explain", "topics_plus.json": "profile",
+        "topics_minus.json": "profile", "profiles.json": "profile",
+        "representations.npz": "score", "scores.npz": "score",
+        "detector_report.json": "evaluate",
+        "repair_report.json": "repair", "outcomes.npz": "repair",
+        "report.md": "report",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRODUCER))
+    def test_failed_write_keeps_previous_file(self, name, mini_run,
+                                              tmp_path, monkeypatch, capsys):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert set(self.PRODUCER) <= set(before)
+        real_open = open
+
+        class HalfWriter:
+            """Writes half of its first chunk, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+        @contextlib.contextmanager
+        def failing_open(path, *args, **kwargs):
+            target = Path(path).name == name + ".tmp"
+            with real_open(path, *args, **kwargs) as fh:
+                yield HalfWriter(fh) if target else fh
+
+        monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+        assert cli.main([self.PRODUCER[name], "--config", str(cfg_path)]) == 2
+        assert "No space left" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert after.keys() == before.keys()
+        for artifact, blob in before.items():
+            assert after[artifact] == blob, artifact
 
 
 class TestCliContract:

@@ -292,6 +292,18 @@ class TestGroupProfile:
         p = _group_profile([np.zeros(3), np.zeros(3)], 3)
         assert all(vec is None for vec in p.values())
 
+    def test_subnormal_evidence_scale_falls_back(self):
+        # The median total 1e-320 is subnormal; dividing the mean
+        # contribution by it would overflow (a RuntimeWarning, which the
+        # suite turns into an error).
+        tcs = [[1e-320, 0.0, 0.0], [0.0, 1e-320, 0.0], [40.0, 30.0, 30.0]]
+        with pytest.warns(UserWarning, match="evidence scale"):
+            p = _group_profile(tcs, 3)
+        # Evidence in units of the fallback scale 1.0.
+        weak = 1.0 / (1.0 + np.mean(tcs, axis=0))
+        np.testing.assert_allclose(p["vacuity"], weak / weak.sum(),
+                                   rtol=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.floats(0, 100), min_size=4, max_size=4),
                     min_size=1, max_size=6))
