@@ -5,20 +5,16 @@ descent with backtracking line search.  The SVM minimizes the hinge
 objective by deterministic averaged subgradient descent, then calibrates
 probabilities with sigmoid scaling fitted on 5-fold out-of-fold margins.
 NB is multinomial with additive smoothing, treating TF-IDF weights as
-fractional counts.  Everything is deterministic for a fixed seed, and all
-models expose (margin, p_pos) through one predict entry point.
+fractional counts.  No trainer draws a random number, and all models
+expose (margin, p_pos) through one predict entry point.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .atomic import atomic_open
 
 GRAD_TOL = 1e-5
 
@@ -39,8 +35,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     calibration: tuple[float, float] | None = None
-    seed: int = 0
-    config_digest: str = ""
 
     def __post_init__(self):
         if self.kind not in ("logreg", "svm"):
@@ -66,8 +60,6 @@ class NBModel:
     structural_start: int
     struct_min: np.ndarray
     struct_max: np.ndarray
-    seed: int = 0
-    config_digest: str = ""
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.log_theta)):
@@ -134,8 +126,7 @@ def _logistic_loss_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
 
 
 def train_logreg(X: np.ndarray, y: np.ndarray, l2_strength: float = 1.0,
-                 epochs: int = 500, seed: int = 0,
-                 config_digest: str = "") -> LinearModel:
+                 epochs: int = 500) -> LinearModel:
     """Full-batch gradient descent with backtracking line search.
 
     Stops when the gradient infinity-norm falls below 1e-5 or the epoch
@@ -169,8 +160,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2_strength: float = 1.0,
             break
         wb, loss, grad = cand, cand_loss, cand_grad
     return LinearModel(kind="logreg", weights=wb[:-1] / scale,
-                       bias=float(wb[-1]), seed=seed,
-                       config_digest=config_digest)
+                       bias=float(wb[-1]))
 
 
 def _hinge_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray,
@@ -235,8 +225,7 @@ def _fit_sigmoid(margins: np.ndarray, y_pm: np.ndarray) -> tuple[float, float]:
 
 
 def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
-              epochs: int = 2000, seed: int = 0,
-              config_digest: str = "") -> LinearModel:
+              epochs: int = 2000) -> LinearModel:
     """Hinge-loss linear SVM plus sigmoid probability calibration.
 
     Calibration margins come from 5 out-of-fold refits so the sigmoid never
@@ -270,13 +259,11 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
     if calibration is None:
         calibration = _fit_sigmoid(oof_margins, y_pm)
     return LinearModel(kind="svm", weights=w / scale, bias=float(b),
-                       calibration=calibration, seed=seed,
-                       config_digest=config_digest)
+                       calibration=calibration)
 
 
 def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
-             structural_start: int | None = None, seed: int = 0,
-             config_digest: str = "") -> NBModel:
+             structural_start: int | None = None) -> NBModel:
     """Multinomial NB over TF-IDF mass with additive smoothing.
 
     TF-IDF values act as fractional counts.  The structural block would
@@ -294,8 +281,7 @@ def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
     model = NBModel(log_prior=np.log(np.array([0.5, 0.5])),
                     log_theta=np.zeros((2, X.shape[1])), alpha=alpha,
                     structural_start=structural_start,
-                    struct_min=lo, struct_max=hi,
-                    seed=seed, config_digest=config_digest)
+                    struct_min=lo, struct_max=hi)
     Xt = model.transform(X)
     n = len(y)
     log_prior = np.empty(2)
@@ -362,37 +348,3 @@ def probability_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndar
     """Batch p_pos; the function kernel attribution explains for svm/NB."""
     return _probability(model, decision_function(model, X))
 
-
-def write_model(path: str | Path, model: LinearModel | NBModel) -> None:
-    if isinstance(model, LinearModel):
-        obj = {"kind": model.kind, "weights": model.weights.tolist(),
-               "bias": model.bias,
-               "calibration": list(model.calibration) if model.calibration else None,
-               "seed": model.seed, "config_digest": model.config_digest}
-    else:
-        obj = {"kind": "nb", "log_prior": model.log_prior.tolist(),
-               "log_theta": [row.tolist() for row in model.log_theta],
-               "alpha": model.alpha,
-               "structural_start": model.structural_start,
-               "struct_min": model.struct_min.tolist(),
-               "struct_max": model.struct_max.tolist(),
-               "seed": model.seed, "config_digest": model.config_digest}
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_model(path: str | Path) -> LinearModel | NBModel:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj["kind"] in ("logreg", "svm"):
-        cal = tuple(obj["calibration"]) if obj["calibration"] else None
-        return LinearModel(kind=obj["kind"], weights=np.array(obj["weights"]),
-                           bias=obj["bias"], calibration=cal,
-                           seed=obj["seed"], config_digest=obj["config_digest"])
-    return NBModel(log_prior=np.array(obj["log_prior"]),
-                   log_theta=np.array(obj["log_theta"]), alpha=obj["alpha"],
-                   structural_start=obj["structural_start"],
-                   struct_min=np.array(obj["struct_min"]),
-                   struct_max=np.array(obj["struct_max"]),
-                   seed=obj["seed"], config_digest=obj["config_digest"])

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .uncertainty import OUTPUT_UQ_METHODS, REPRESENTATIONS
+
 
 class ConfigError(ValueError):
     """Unusable configuration (unknown key, invalid value, bad JSON)."""
@@ -80,6 +82,11 @@ class PipelineConfig:
             raise ConfigError("n_topics must be at least 1")
         if self.k_related >= self.n_topics:
             raise ConfigError("k_related must be below n_topics")
+        if self.base_detector not in OUTPUT_UQ_METHODS:
+            raise ConfigError(f"unknown base_detector {self.base_detector!r}")
+        if self.repair_representation not in REPRESENTATIONS:
+            raise ConfigError(f"unknown repair_representation "
+                              f"{self.repair_representation!r}")
 
     def digest(self) -> str:
         payload = dataclasses.asdict(self)

@@ -9,16 +9,13 @@ view so the two text views are commensurable.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
 from .corpus import Message, TokenizedMessage
 
 FAMILY_WORD = "word"
@@ -95,8 +92,6 @@ class FeatureSpace:
     word_vocab: dict[str, int]
     phrase_vocab: dict[str, int]
     idf: np.ndarray
-    structural_names: tuple[str, ...] = STRUCTURAL_FEATURE_NAMES
-    config_digest: str = ""
 
     @property
     def n_word(self) -> int:
@@ -113,15 +108,6 @@ class FeatureSpace:
     @property
     def structural_start(self) -> int:
         return self.n_word + self.n_phrase
-
-    def family(self, column: int) -> str:
-        if column < self.n_word:
-            return FAMILY_WORD
-        if column < self.n_word + self.n_phrase:
-            return FAMILY_PHRASE
-        if column < self.n_columns:
-            return FAMILY_STRUCTURAL
-        raise IndexError(f"column {column} outside space of {self.n_columns}")
 
     def families(self) -> np.ndarray:
         return np.array(
@@ -151,8 +137,7 @@ def _top_by_df(df: dict[str, int], quota: int, what: str) -> dict[str, int]:
 
 
 def fit_space(tokenized: list[TokenizedMessage], word_quota: int = 7000,
-              phrase_quota: int = 3000,
-              config_digest: str = "") -> FeatureSpace:
+              phrase_quota: int = 3000) -> FeatureSpace:
     """Fit vocabularies and idf on the training split.
 
     Word vocabulary is the top ``word_quota`` unigrams by document
@@ -181,7 +166,7 @@ def fit_space(tokenized: list[TokenizedMessage], word_quota: int = 7000,
         idf[n_word + col] = np.log((1.0 + n_docs) / (1.0 + phrase_df[term])) + 1.0
 
     return FeatureSpace(word_vocab=word_vocab, phrase_vocab=phrase_vocab,
-                        idf=idf, config_digest=config_digest)
+                        idf=idf)
 
 
 def vectorize(tokenized: TokenizedMessage, message: Message,
@@ -226,28 +211,3 @@ def _l2_normalize_block(values: dict[int, float], start: int, stop: int) -> None
         for col in block:
             values[col] = float(values[col] / norm)
 
-
-def write_space(path: str | Path, space: FeatureSpace) -> None:
-    obj = {
-        "config_digest": space.config_digest,
-        "word_vocab": list(space.word_vocab),
-        "phrase_vocab": list(space.phrase_vocab),
-        "structural_names": list(space.structural_names),
-        "idf": space.idf.tolist(),
-        "family": space.families().tolist(),
-    }
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_space(path: str | Path) -> FeatureSpace:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return FeatureSpace(
-        word_vocab={t: i for i, t in enumerate(obj["word_vocab"])},
-        phrase_vocab={t: i for i, t in enumerate(obj["phrase_vocab"])},
-        idf=np.array(obj["idf"]),
-        structural_names=tuple(obj["structural_names"]),
-        config_digest=obj.get("config_digest", ""),
-    )

@@ -4,10 +4,10 @@ and upstream artifacts, so reruns are byte-identical.
 Artifact chain (all under the output directory, all stamped with the
 config digest; a digest mismatch refuses to combine):
 
-    prepare  -> dataset.jsonl, space.json, vectors.npz
-    train    -> model.json
+    prepare  -> dataset.jsonl, space.npz, vectors.npz
+    train    -> model.npz
     explain  -> shap.npz
-    profile  -> topics_plus.json, topics_minus.json, profiles.json
+    profile  -> topics_plus.npz, topics_minus.npz, profiles.npz
     score    -> representations.npz, scores.npz
     evaluate -> detector_report.json
     repair   -> repair_report.json, outcomes.npz
@@ -15,9 +15,14 @@ config digest; a digest mismatch refuses to combine):
 
 Every artifact is written through atomic.atomic_open, so a failed
 write leaves the previous file in place.  Every .npz is written by _save
-and read by _load only.  Each holds an ``ids`` array that must equal the
-dataset ids in order; the (n, d) matrices X (vectors.npz) and phi
-(shap.npz) are stored as CSR arrays ``shape, indptr, indices, data``.
+and read by _load only, which checks the digest; _load_as also turns
+the arrays into the stage's object and names the file and its producer
+when a key is missing or malformed.  Only the text artifacts bypass
+_save: dataset.jsonl (the messages), the two JSON reports and
+report.md.  The per-message .npz files hold an ``ids`` array that must
+equal the dataset ids in order; the (n, d) matrices X (vectors.npz) and
+phi (shap.npz) are stored as CSR arrays ``shape, indptr, indices,
+data``.
 """
 
 from __future__ import annotations
@@ -57,15 +62,15 @@ class Paths:
     @property
     def dataset(self): return self.out / "dataset.jsonl"
     @property
-    def space(self): return self.out / "space.json"
+    def space(self): return self.out / "space.npz"
     @property
     def vectors(self): return self.out / "vectors.npz"
     @property
-    def model(self): return self.out / "model.json"
+    def model(self): return self.out / "model.npz"
     @property
     def shap(self): return self.out / "shap.npz"
     @property
-    def profiles(self): return self.out / "profiles.json"
+    def profiles(self): return self.out / "profiles.npz"
     @property
     def representations(self): return self.out / "representations.npz"
     @property
@@ -80,7 +85,7 @@ class Paths:
     def report(self): return self.out / "report.md"
 
     def topics(self, polarity: str) -> Path:
-        return self.out / f"topics_{polarity}.json"
+        return self.out / f"topics_{polarity}.npz"
 
 
 def paths_for(cfg: PipelineConfig) -> Paths:
@@ -168,20 +173,31 @@ def _from_csr(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return M
 
 
-def _load_csr(cfg, stage, path, producer, ids, n_columns):
-    """(dense matrix, all arrays) of a CSR artifact with one row per id
-    and one column per feature of space.json."""
+def _load_as(build, cfg, stage, path, producer, ids=None):
+    """build(fields) of an artifact written by _save, where fields are
+    its arrays with 0-d ones as Python scalars; a missing or malformed
+    key stops the stage naming the file and its producer."""
     arrays = _load(cfg, stage, path, producer, ids)
-    shape = tuple(arrays["shape"].tolist()) if "shape" in arrays else ()
-    if shape != (len(ids), n_columns):
-        raise StageError(stage, f"{path.name} holds a {shape} matrix, "
-                                f"expected ({len(ids)}, {n_columns}); "
-                                f"rerun {producer}")
+    fields = {key: a.item() if a.ndim == 0 else a
+              for key, a in arrays.items()}
     try:
-        return _from_csr(arrays), arrays
-    except (KeyError, ValueError, IndexError) as exc:
-        raise StageError(stage, f"{path.name} holds no valid CSR matrix "
-                                f"({exc}); rerun {producer}") from exc
+        return build(fields)
+    except (KeyError, TypeError, ValueError, IndexError,
+            AttributeError) as exc:
+        raise StageError(stage, f"{path.name} is malformed ({exc!r}); "
+                                f"rerun {producer}") from exc
+
+
+def _load_csr(cfg, stage, path, producer, ids, n_columns):
+    """(dense matrix, all fields) of a CSR artifact with one row per id
+    and one column per feature of space.npz."""
+    def build(fields):
+        shape = tuple(fields["shape"].tolist())
+        if shape != (len(ids), n_columns):
+            raise ValueError(f"a {shape} matrix, expected "
+                             f"({len(ids)}, {n_columns})")
+        return _from_csr(fields), fields
+    return _load_as(build, cfg, stage, path, producer, ids)
 
 
 # ---------------------------------------------------------------- loading
@@ -193,12 +209,23 @@ def _load_dataset(cfg, stage) -> list[corpus.Message]:
     _match(digest, cfg, stage, "dataset.jsonl")
     return messages
 
+def _labels(messages) -> tuple[np.ndarray, np.ndarray]:
+    """(gold labels, train-split mask) in dataset order, the row order
+    of every per-message array."""
+    return (np.array([m.label for m in messages]),
+            np.array([m.split == "train" for m in messages]))
+
+def _save_space(path, digest, space) -> None:
+    _save(path, digest, word_vocab=np.array(list(space.word_vocab), str),
+          phrase_vocab=np.array(list(space.phrase_vocab), str),
+          idf=space.idf)
+
 def _load_space(cfg, stage) -> features.FeatureSpace:
-    p = paths_for(cfg)
-    _require(p.space, stage, "prepare")
-    space = features.read_space(p.space)
-    _match(space.config_digest, cfg, stage, "space.json")
-    return space
+    def build(f):
+        vocabs = {name: {t: i for i, t in enumerate(f[name].tolist())}
+                  for name in ("word_vocab", "phrase_vocab")}
+        return features.FeatureSpace(idf=f["idf"], **vocabs)
+    return _load_as(build, cfg, stage, paths_for(cfg).space, "prepare")
 
 def _load_vectors(cfg, stage, ids, space) -> np.ndarray:
     return _load_csr(cfg, stage, paths_for(cfg).vectors, "prepare", ids,
@@ -208,30 +235,37 @@ def _load_phi(cfg, stage, ids, space) -> np.ndarray:
     return _load_csr(cfg, stage, paths_for(cfg).shap, "explain", ids,
                      space.n_columns)[0]
 
-def _load_model(cfg, stage):
-    p = paths_for(cfg)
-    _require(p.model, stage, "train")
-    model = classifiers.read_model(p.model)
-    _match(model.config_digest, cfg, stage, "model.json")
-    return model
+def _save_model(path, digest, model) -> None:
+    """kind plus every field the model sets; an NBModel has no kind
+    field, a logreg model no calibration."""
+    fields = {"kind": "nb", **vars(model)}
+    _save(path, digest,
+          **{key: value for key, value in fields.items() if value is not None})
+
+def _load_model(cfg, stage) -> classifiers.LinearModel | classifiers.NBModel:
+    def build(f):
+        kind = f.pop("kind")
+        if kind == "nb":
+            return classifiers.NBModel(**f)
+        if "calibration" in f:
+            f["calibration"] = tuple(f["calibration"].tolist())
+        return classifiers.LinearModel(kind=kind, **f)
+    return _load_as(build, cfg, stage, paths_for(cfg).model, "train")
 
 def _load_topics(cfg, stage, polarity) -> profiling.TopicModel:
-    p = paths_for(cfg)
-    _require(p.topics(polarity), stage, "profile")
-    model = profiling.read_topics(p.topics(polarity))
-    _match(model.config_digest, cfg, stage, f"topics_{polarity}.json")
-    return model
+    return _load_as(lambda f: profiling.TopicModel(**f), cfg, stage,
+                    paths_for(cfg).topics(polarity), "profile")
 
 def _load_profiles(cfg, stage) -> np.ndarray:
     """(2, R, M) group profiles, TN at index 0 and TP at 1, NaN for NA."""
-    p = paths_for(cfg)
-    _require(p.profiles, stage, "profile")
-    groups, digest = profiling.read_profiles(p.profiles)
-    _match(digest, cfg, stage, "profiles.json")
-    na = np.full(cfg.n_topics, np.nan)
-    reps = [groups[group]["representations"] for group in ("TN", "TP")]
-    return np.array([[na if r.get(name) is None else r[name]
-                      for name in REPRESENTATIONS] for r in reps])
+    def build(f):
+        expected = (2, len(REPRESENTATIONS), cfg.n_topics)
+        if (f["names"].tolist() != list(REPRESENTATIONS)
+                or f["vectors"].shape != expected):
+            raise ValueError(f"{f['vectors'].shape} profiles, expected "
+                             f"{expected} in REPRESENTATIONS order")
+        return f["vectors"]
+    return _load_as(build, cfg, stage, paths_for(cfg).profiles, "profile")
 
 
 # ---------------------------------------------------------------- prepare
@@ -261,26 +295,19 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
 
     space = features.fit_space(
         [tokenized[m.id] for m in train],
-        word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota,
-        config_digest=digest)
+        word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
     X = np.zeros((len(everyone), space.n_columns))
     for row, m in enumerate(everyone):
         values = features.vectorize(tokenized[m.id], m, space).values
         X[row, list(values)] = list(values.values())
 
     corpus.write_dataset(p.dataset, everyone, digest)
-    features.write_space(p.space, space)
+    _save_space(p.space, digest, space)
     _save(p.vectors, digest, ids=np.array([m.id for m in everyone]),
           **_to_csr(X))
 
 
 # ------------------------------------------------------------------ train
-
-def _split_ids(messages) -> tuple[list[corpus.Message], list[corpus.Message]]:
-    train = [m for m in messages if m.split == "train"]
-    test = [m for m in messages if m.split == "test"]
-    return train, test
-
 
 @_stage("train")
 def cmd_train(cfg: PipelineConfig) -> None:
@@ -289,29 +316,24 @@ def cmd_train(cfg: PipelineConfig) -> None:
     ids = [m.id for m in messages]
     space = _load_space(cfg, "train")
     X = _load_vectors(cfg, "train", ids, space)
-    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
-
-    train, _ = _split_ids(messages)
+    labels, train = _labels(messages)
     if cfg.subsample_train:
-        train = corpus.subsample_majority(train, cfg.seed)
-    X_train = X[[row_of[m.id] for m in train]]
-    y_train = np.array([m.label for m in train])
+        kept = corpus.subsample_majority(
+            [m for m in messages if m.split == "train"], cfg.seed)
+        train = np.isin(ids, [m.id for m in kept])
+    X_train, y_train = X[train], labels[train]
 
-    digest = cfg.digest()
     if cfg.classifier == "logreg":
         model = classifiers.train_logreg(
-            X_train, y_train, l2_strength=cfg.l2_strength,
-            epochs=cfg.epochs, seed=cfg.seed, config_digest=digest)
+            X_train, y_train, l2_strength=cfg.l2_strength, epochs=cfg.epochs)
     elif cfg.classifier == "svm":
         model = classifiers.train_svm(
-            X_train, y_train, C=cfg.svm_c, epochs=cfg.svm_epochs,
-            seed=cfg.seed, config_digest=digest)
+            X_train, y_train, C=cfg.svm_c, epochs=cfg.svm_epochs)
     else:
         model = classifiers.train_nb(
             X_train, y_train, alpha=cfg.nb_alpha,
-            structural_start=space.structural_start, seed=cfg.seed,
-            config_digest=digest)
-    classifiers.write_model(p.model, model)
+            structural_start=space.structural_start)
+    _save_model(p.model, cfg.digest(), model)
 
 
 # ---------------------------------------------------------------- explain
@@ -324,12 +346,9 @@ def cmd_explain(cfg: PipelineConfig) -> None:
     space = _load_space(cfg, "explain")
     X = _load_vectors(cfg, "explain", ids, space)
     model = _load_model(cfg, "explain")
-    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
-
-    train, _ = _split_ids(messages)
-    X_train = X[[row_of[m.id] for m in train]]
-    y_train = np.array([m.label for m in train])
-    train_ids = [m.id for m in train]
+    labels, train = _labels(messages)
+    X_train, y_train = X[train], labels[train]
+    train_ids = np.array(ids)[train].tolist()
 
     linear = cfg.classifier == "logreg" or (
         cfg.classifier == "nb" and cfg.nb_linear_attribution)
@@ -368,8 +387,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 def _reliable_groups(messages, preds) -> dict[str, np.ndarray]:
     """Row masks of the correctly classified train-split messages, per
     group."""
-    gold = np.array([m.label for m in messages])
-    train = np.array([m.split == "train" for m in messages])
+    gold, train = _labels(messages)
     reliable = train & (preds.label == gold)
     return {"TP": reliable & (gold == 1), "TN": reliable & (gold == 0)}
 
@@ -403,7 +421,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     digest = cfg.digest()
     families = space.families()
 
-    profiles: dict[str, dict[str, list[float] | None]] = {}
+    profiles = {}
     for group, polarity in POLARITY_OF_GROUP.items():
         supports = attribution.polarity_supports(reliable_phi, polarity)
         stats = profiling.feature_stats(supports)
@@ -414,29 +432,28 @@ def cmd_profile(cfg: PipelineConfig) -> None:
                                     max_iters=cfg.nmf_max_iters,
                                     tol=cfg.nmf_tol, seed=cfg.seed)
         assignment = profiling.assign_topics(H)
-        profiling.write_topics(p.topics(polarity), profiling.TopicModel(
-            polarity=polarity, columns=columns, H=H, assignment=assignment,
-            objective=trace[-1], seed=cfg.seed, config_digest=digest))
+        _save(p.topics(polarity), digest, columns=columns, H=H,
+              assignment=assignment, objective=trace[-1])
 
         tcs = profiling.topic_contributions(
             matrix[groups[group][reliable]], assignment, cfg.n_topics)
         profiles[group] = _reliable_profile(tcs, H, cfg)
 
-    profiling.write_profiles(p.profiles, profiles, POLARITY_OF_GROUP, digest)
+    _save(p.profiles, digest, names=np.array(REPRESENTATIONS),
+          vectors=np.stack([profiles["TN"], profiles["TP"]]))
 
 
-def _reliable_profile(tcs, H, cfg) -> dict[str, list | None]:
-    """All eight representation profiles of one reliable group.
+def _reliable_profile(tcs, H, cfg) -> np.ndarray:
+    """All eight representation profiles of one reliable group, (R, M)
+    in REPRESENTATIONS order with an all-NaN row for NA.
 
     The profile is each representation's transform applied to the group's
     mean topic contribution; an empty or massless group has no reference
     distribution, so every representation goes NA."""
     mean_tc = tcs.mean(axis=0) if len(tcs) else np.zeros(tcs.shape[-1])
     if mean_tc.sum() <= 0.0:
-        return {name: None for name in REPRESENTATIONS}
-    vectors, _ = _representations(mean_tc[None, :], tcs, H, cfg)
-    return {name: (None if np.isnan(vec).any() else vec.tolist())
-            for name, vec in zip(REPRESENTATIONS, vectors[0])}
+        return np.full((len(REPRESENTATIONS), tcs.shape[-1]), np.nan)
+    return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
 
 
 # ------------------------------------------------------------------ score
@@ -493,7 +510,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     _save(p.representations, digest, ids=id_array,
           names=np.array(REPRESENTATIONS), vectors=vectors,
           degenerate=degenerate)
-    gold = np.array([m.label for m in messages])
+    gold, _ = _labels(messages)
     _save(p.scores, digest, ids=id_array,
           split=np.array([m.split for m in messages]), gold=gold,
           predicted=preds.label, p_pos=preds.p_pos,
@@ -558,12 +575,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 @_stage("repair")
 def cmd_repair(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    if cfg.base_detector not in BASE_METHODS:
-        raise StageError("repair", f"unknown base detector "
-                                   f"{cfg.base_detector!r}")
-    if cfg.repair_representation not in REPRESENTATIONS:
-        raise StageError("repair", f"unknown repair representation "
-                                   f"{cfg.repair_representation!r}")
     scores = _read_scores(cfg, "repair")
     ids = scores["ids"].tolist()
     test = scores["split"] == "test"

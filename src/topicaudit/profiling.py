@@ -10,15 +10,11 @@ distributions.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .atomic import atomic_open
 
 EPS = 1e-12
 
@@ -37,17 +33,12 @@ class FeatureStats:
 
 @dataclass
 class TopicModel:
-    polarity: str
+    """One polarity's NMF topics over its selected support columns."""
+
     columns: np.ndarray
     H: np.ndarray
     assignment: np.ndarray
     objective: float
-    seed: int = 0
-    config_digest: str = ""
-
-    @property
-    def n_topics(self) -> int:
-        return self.H.shape[0]
 
 
 def feature_stats(supports: np.ndarray) -> FeatureStats:
@@ -170,66 +161,3 @@ def topic_contributions(rows: np.ndarray, assignment: np.ndarray,
     np.add.at(tc.T, assignment, rows.T)
     return tc
 
-
-def write_topics(path: str | Path, model: TopicModel) -> None:
-    obj = {
-        "config_digest": model.config_digest,
-        "polarity": model.polarity,
-        "columns": model.columns.tolist(),
-        "H": [row.tolist() for row in model.H],
-        "assignment": model.assignment.tolist(),
-        "n_topics": model.n_topics,
-        "seed": model.seed,
-        "objective": model.objective,
-    }
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_topics(path: str | Path) -> TopicModel:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return TopicModel(
-        polarity=obj["polarity"],
-        columns=np.array(obj["columns"], dtype=int),
-        H=np.array(obj["H"]),
-        assignment=np.array(obj["assignment"], dtype=int),
-        objective=obj["objective"],
-        seed=obj["seed"],
-        config_digest=obj["config_digest"],
-    )
-
-
-def write_profiles(path: str | Path,
-                   profiles: dict[str, dict[str, list[float] | None]],
-                   polarity_of: dict[str, str],
-                   config_digest: str = "") -> None:
-    """profiles: group -> representation -> M-vector or None (NA)."""
-    obj = {"config_digest": config_digest, "groups": {}}
-    for group in sorted(profiles):
-        obj["groups"][group] = {
-            "polarity": polarity_of[group],
-            "representations": {
-                name: (list(vec) if vec is not None else None)
-                for name, vec in sorted(profiles[group].items())
-            },
-        }
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_profiles(path: str | Path) -> tuple[dict, str]:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    groups = {}
-    for group, entry in obj["groups"].items():
-        groups[group] = {
-            "polarity": entry["polarity"],
-            "representations": {
-                name: (np.array(vec) if vec is not None else None)
-                for name, vec in entry["representations"].items()
-            },
-        }
-    return groups, obj.get("config_digest", "")

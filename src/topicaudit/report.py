@@ -14,7 +14,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
-                       StageError, _read_scores, _require, _stage, paths_for)
+                       _match, _read_scores, _require, _stage, paths_for)
 
 # (column header, predicted label, gold label)
 GROUP_COLUMNS = (
@@ -108,11 +108,9 @@ def cmd_report(cfg: PipelineConfig) -> None:
         detector = json.load(fh)
     with open(p.repair_report, encoding="utf-8") as fh:
         repair = json.load(fh)
-    for name, report in (("detector_report.json", detector),
-                         ("repair_report.json", repair)):
-        if report.get("config_digest") != cfg.digest():
-            raise StageError("report", f"{name} carries a different config "
-                                       "digest; rerun upstream stages")
+    _match(detector.get("config_digest", ""), cfg, "report",
+           "detector_report.json")
+    _match(repair.get("config_digest", ""), cfg, "report", "repair_report.json")
 
     test = scores["split"] == "test"
     n_test = int(test.sum())

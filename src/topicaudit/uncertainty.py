@@ -76,10 +76,12 @@ def original(tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vacuity_vector(tc: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-topic lack of evidence: weak topics get the large entries."""
+    """Per-topic lack of evidence: weak topics get the large entries.
+
+    1 / (1 + tc/s), formed as s / (s + tc) so that no ratio overflows
+    however small s is against tc."""
     _check_scale(s)
-    r = np.asarray(tc, dtype=float) / s
-    return _normalized(1.0 / (1.0 + r))
+    return _normalized(s / (s + np.asarray(tc, dtype=float)))
 
 
 def dissonance_vector(tc: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -92,8 +94,8 @@ def dissonance_vector(tc: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]
     _check_scale(s)
     tc = np.asarray(tc, dtype=float)
     m = tc.shape[-1]
-    r = tc / s
-    b = r / (m + r.sum(axis=-1, keepdims=True))
+    # (tc/s) / (m + sum tc/s), without the overflowing ratio tc/s.
+    b = tc / (m * s + tc.sum(axis=-1, keepdims=True))
     # others[i] lists every topic but i, in index order.
     others = np.arange(m - 1)[None, :]
     others = others + (others >= np.arange(m)[:, None])

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from topicaudit import (attribution, classifiers, cli, corpus, demo,
-                        features, profiling, scoring)
+                        profiling, scoring)
 from topicaudit.config import load_config
-from topicaudit.pipeline import _load_csr, _read_scores
+from topicaudit.pipeline import (_load_csr, _load_model, _load_space,
+                                 _read_scores)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -127,14 +128,14 @@ def test_c02_local_accuracy(full_run, capsys):
               rng.choice(len(test_ids), size=100, replace=False)]
 
     ids = [m.id for m in messages]
-    space = features.read_space(full_run.out / "space.json")
+    space = _load_space(full_run.cfg, "acceptance")
     X, _ = _load_csr(full_run.cfg, "acceptance", full_run.out / "vectors.npz",
                      "prepare", ids, space.n_columns)
     phi, shap = _load_csr(full_run.cfg, "acceptance",
                           full_run.out / "shap.npz", "explain", ids,
                           space.n_columns)
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
-    model = classifiers.read_model(full_run.out / "model.json")
+    model = _load_model(full_run.cfg, "acceptance")
     plus = attribution.polarity_supports(phi, "plus")
     minus = attribution.polarity_supports(phi, "minus")
     assert str(shap["explained_output"]) == "margin"

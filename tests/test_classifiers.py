@@ -12,6 +12,8 @@ from topicaudit import classifiers as clf
 from topicaudit.classifiers import (LinearModel, NBModel, Prediction,
                                     predict_proba, train_logreg, train_nb,
                                     train_svm)
+from topicaudit.config import PipelineConfig
+from topicaudit.pipeline import _load_model, _save_model, paths_for
 
 
 def _toy_separable():
@@ -37,8 +39,8 @@ class TestLogReg:
 
     def test_deterministic(self):
         X, y = _toy_separable()
-        a = train_logreg(X, y, seed=3)
-        b = train_logreg(X, y, seed=3)
+        a = train_logreg(X, y)
+        b = train_logreg(X, y)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -218,28 +220,57 @@ class TestPrediction:
 
 
 class TestModelIO:
+    """model.npz round trips bit for bit through _save_model and
+    _load_model."""
+
+    @staticmethod
+    def _roundtrip(tmp_path, model):
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        path = paths_for(cfg).model
+        _save_model(path, cfg.digest(), model)
+        with np.load(path) as npz:
+            keys = set(npz.files)
+        return _load_model(cfg, "test"), keys
+
+    @staticmethod
+    def _same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_linear_roundtrip(self, tmp_path):
-        model = LinearModel(kind="svm", weights=np.array([0.25, -1.5]),
-                            bias=0.125, calibration=(1.5, -0.25),
-                            seed=7, config_digest="d1")
-        path = tmp_path / "model.json"
-        clf.write_model(path, model)
-        back = clf.read_model(path)
-        assert isinstance(back, LinearModel)
-        np.testing.assert_array_equal(back.weights, model.weights)
+        model = LinearModel(kind="svm",
+                            weights=np.array([0.25, -1.5, -0.0, 5e-324]),
+                            bias=0.1 + 0.2, calibration=(1.5, -0.25))
+        back, keys = self._roundtrip(tmp_path, model)
+        assert isinstance(back, LinearModel) and back.kind == "svm"
+        assert keys == {"digest", "kind", "weights", "bias", "calibration"}
+        assert self._same_bits(back.weights, model.weights)
+        assert type(back.bias) is float and back.bias == model.bias
         assert back.calibration == model.calibration
-        assert back.config_digest == "d1"
+        assert all(type(v) is float for v in back.calibration)
+
+    def test_logreg_roundtrip_has_no_calibration(self, tmp_path):
+        X, y = _toy_separable()
+        model = train_logreg(X, y, l2_strength=0.01, epochs=50)
+        back, keys = self._roundtrip(tmp_path, model)
+        assert back.kind == "logreg" and back.calibration is None
+        assert "calibration" not in keys
+        assert self._same_bits(back.weights, model.weights)
+        assert back.bias == model.bias
 
     def test_nb_roundtrip(self, tmp_path):
         X = np.array([[1.0, 2.0, 5.0], [2.0, 1.0, 9.0]])
         y = np.array([0, 1])
-        model = train_nb(X, y, structural_start=2, config_digest="d2")
-        path = tmp_path / "model.json"
-        clf.write_model(path, model)
-        back = clf.read_model(path)
+        model = train_nb(X, y, alpha=0.5, structural_start=2)
+        back, keys = self._roundtrip(tmp_path, model)
         assert isinstance(back, NBModel)
-        np.testing.assert_array_equal(back.log_theta, model.log_theta)
-        np.testing.assert_array_equal(back.struct_max, model.struct_max)
+        assert keys == {"digest", "kind", "log_prior", "log_theta", "alpha",
+                        "structural_start", "struct_min", "struct_max"}
+        for name in ("log_prior", "log_theta", "struct_min", "struct_max"):
+            assert self._same_bits(getattr(back, name),
+                                   getattr(model, name)), name
+        assert type(back.alpha) is float and back.alpha == 0.5
+        assert type(back.structural_start) is int
+        assert back.structural_start == 2
         x = np.array([1.5, 1.5, 7.0])
-        np.testing.assert_allclose(predict_proba(back, x).p_pos,
-                                   predict_proba(model, x).p_pos, rtol=1e-15)
+        assert predict_proba(back, x) == predict_proba(model, x)

@@ -35,6 +35,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k_related"):
             PipelineConfig(n_topics=3, k_related=3)
 
+    def test_base_detector_choices(self):
+        PipelineConfig(base_detector="entropy")
+        with pytest.raises(ConfigError, match="base_detector"):
+            PipelineConfig(base_detector="xmap_original")
+
+    def test_repair_representation_choices(self):
+        PipelineConfig(repair_representation="rel_u")
+        with pytest.raises(ConfigError, match="repair_representation"):
+            PipelineConfig(repair_representation="entropy")
+
     def test_stoplist_choices(self):
         PipelineConfig(stoplist="none")
         with pytest.raises(ConfigError, match="stoplist"):

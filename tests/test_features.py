@@ -157,12 +157,15 @@ class TestVectorize:
 class TestSpaceIO:
     def test_space_roundtrip(self, tmp_path, small_space):
         space, _ = small_space
-        path = tmp_path / "space.json"
-        features.write_space(path, space)
-        back = features.read_space(path)
-        assert back.word_vocab == space.word_vocab
-        assert back.phrase_vocab == space.phrase_vocab
-        np.testing.assert_array_equal(back.idf, space.idf)
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        pipeline._save_space(pipeline.paths_for(cfg).space, cfg.digest(),
+                             space)
+        back = pipeline._load_space(cfg, "test")
+        assert list(back.word_vocab.items()) == list(space.word_vocab.items())
+        assert list(back.phrase_vocab.items()) == list(
+            space.phrase_vocab.items())
+        assert back.idf.dtype == space.idf.dtype
+        assert back.idf.tobytes() == space.idf.tobytes()
 
     def test_vectors_roundtrip(self, tmp_path, small_space, small_messages):
         space, tokenized = small_space

@@ -20,13 +20,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from topicaudit import (atomic, attribution, classifiers, cli, corpus, demo,
-                        features, report)
+                        report)
 from topicaudit.config import PipelineConfig, load_config
-from topicaudit.pipeline import (StageError, _from_csr, _load, _save, _to_csr,
-                                 paths_for)
+from topicaudit.pipeline import (StageError, _from_csr, _load, _load_model,
+                                 _load_space, _save, _to_csr, paths_for)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
+
+# Every artifact of a full run, with the stage that writes it.
+PRODUCER = {
+    "dataset.jsonl": "prepare", "space.npz": "prepare",
+    "vectors.npz": "prepare", "model.npz": "train",
+    "shap.npz": "explain", "topics_plus.npz": "profile",
+    "topics_minus.npz": "profile", "profiles.npz": "profile",
+    "representations.npz": "score", "scores.npz": "score",
+    "detector_report.json": "evaluate",
+    "repair_report.json": "repair", "outcomes.npz": "repair",
+    "report.md": "report",
+}
 
 MINI = {
     "seed": 11,
@@ -87,9 +99,7 @@ class TestStageOutputs:
             assert getattr(paths, attr).exists(), attr
         for polarity in ("plus", "minus"):
             assert paths.topics(polarity).exists()
-        leftovers = [p.name for p in out.iterdir()
-                     if p.suffix in (".csv", ".tmp")]
-        assert not leftovers
+        assert {p.name for p in out.iterdir()} == set(PRODUCER)
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         _, _, out, cfg_path = mini_run
@@ -164,6 +174,18 @@ class TestGuards:
         err = capsys.readouterr().err
         assert "digest" in err and "[score]" in err
 
+    def test_stale_report_json_refused_by_report(self, mini_run, tmp_path,
+                                                 capsys):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        path = copy / "repair_report.json"
+        stale = json.loads(path.read_text(encoding="utf-8"))
+        stale["config_digest"] = "0" * 64
+        path.write_text(json.dumps(stale), encoding="utf-8")
+        assert cli.main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[report]" in err and "repair_report.json" in err
+        assert "digest" in err
+
     def test_missing_upstream_artifact_names_the_producer(self, tmp_path):
         tsv = _write_corpus(tmp_path)
         out = tmp_path / "empty"
@@ -211,19 +233,30 @@ class TestGuards:
     def test_unnormalized_nb_prior_fails_score(self, mini_run, tmp_path,
                                                capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
-        trained = json.loads((copy / "model.json").read_text(encoding="utf-8"))
-        d = len(trained["weights"])
+        cfg = load_config(cfg_path)
+        d = len(_load_model(cfg, "test").weights)
         prior = float(np.log(0.7))
-        (copy / "model.json").write_text(json.dumps({
-            "kind": "nb", "log_prior": [prior, prior],
-            "log_theta": [[0.0] * d, [0.0] * d], "alpha": 1.0,
-            "structural_start": d, "struct_min": [], "struct_max": [],
-            "seed": 0, "config_digest": trained["config_digest"]}),
-            encoding="utf-8")
+        _save(copy / "model.npz", cfg.digest(), kind="nb",
+              log_prior=np.array([prior, prior]), log_theta=np.zeros((2, d)),
+              alpha=1.0, structural_start=d, struct_min=np.zeros(0),
+              struct_max=np.zeros(0))
         assert cli.main(["score", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("[score] ") and "log_prior" in err
         assert err.count("\n") == 1
+
+    def test_topics_missing_key_fails_score(self, mini_run, tmp_path,
+                                            capsys):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "test", copy / "topics_plus.npz", "profile")
+        del arrays["assignment"]
+        _save(copy / "topics_plus.npz", cfg.digest(), **arrays)
+        assert cli.main(["score", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[score] ") and err.count("\n") == 1
+        assert "topics_plus.npz" in err and "assignment" in err
+        assert "rerun profile" in err
 
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, tmp_path / "absent.tsv",
@@ -252,13 +285,13 @@ class TestKernelExplain:
         cfg = load_config(cfg_path)
         messages, _ = corpus.read_dataset(out / "dataset.jsonl")
         ids = [m.id for m in messages]
-        space = features.read_space(out / "space.json")
+        space = _load_space(cfg, "test")
         X = _from_csr(_load(cfg, "test", out / "vectors.npz", "prepare", ids))
         shap = _load(cfg, "test", out / "shap.npz", "explain", ids)
         phi = _from_csr(shap)
         assert phi.shape == (len(ids), space.n_columns)
         assert shap["explained_output"] == "probability"
-        model = classifiers.read_model(out / "model.json")
+        model = _load_model(cfg, "test")
         rows = [ids.index(i) for i in shap["background_ids"]]
         background = attribution.Background(
             rows=X[rows], ids=tuple(shap["background_ids"].tolist()))
@@ -326,23 +359,12 @@ class TestArrayArtifacts:
 
 
 class TestAtomicWrites:
-    PRODUCER = {
-        "dataset.jsonl": "prepare", "space.json": "prepare",
-        "vectors.npz": "prepare", "model.json": "train",
-        "shap.npz": "explain", "topics_plus.json": "profile",
-        "topics_minus.json": "profile", "profiles.json": "profile",
-        "representations.npz": "score", "scores.npz": "score",
-        "detector_report.json": "evaluate",
-        "repair_report.json": "repair", "outcomes.npz": "repair",
-        "report.md": "report",
-    }
-
     @pytest.mark.parametrize("name", sorted(PRODUCER))
     def test_failed_write_keeps_previous_file(self, name, mini_run,
                                               tmp_path, monkeypatch, capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert set(self.PRODUCER) <= set(before)
+        assert set(PRODUCER) <= set(before)
         real_open = open
 
         class HalfWriter:
@@ -365,7 +387,7 @@ class TestAtomicWrites:
                 yield HalfWriter(fh) if target else fh
 
         monkeypatch.setattr(atomic, "open", failing_open, raising=False)
-        assert cli.main([self.PRODUCER[name], "--config", str(cfg_path)]) == 2
+        assert cli.main([PRODUCER[name], "--config", str(cfg_path)]) == 2
         assert "No space left" in capsys.readouterr().err
         after = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert after.keys() == before.keys()
@@ -396,6 +418,17 @@ class TestCliContract:
         cfg.write_text('{"dataset_path": "d.tsv"}', encoding="utf-8")
         assert cli.main(["prepare", "--config", str(cfg)]) == 1
         assert "out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["base_detector",
+                                       "repair_representation"])
+    def test_bad_repair_setting_exits_one_before_prepare(self, tmp_path,
+                                                         capsys, field):
+        tsv = _write_corpus(tmp_path)
+        out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path, tsv, out, **{field: "orignal"})
+        assert cli.main(["prepare", "--config", str(cfg_path)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_flag_overrides_config(self, tmp_path):
         tsv = _write_corpus(tmp_path)

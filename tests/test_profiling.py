@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from topicaudit import profiling as prof
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import _reliable_profile
+from topicaudit.pipeline import (StageError, _load_profiles, _load_topics,
+                                 _reliable_profile, _save, paths_for)
 from topicaudit.uncertainty import REPRESENTATIONS
 
 
@@ -267,11 +268,17 @@ class TestTopicContributions:
 
 def _group_profile(tcs, n_topics):
     """Every representation profile of a group with topic contributions
-    tcs (rows), as the profile stage computes it."""
+    tcs (rows), as the profile stage computes it, by name; None for NA."""
     H = np.random.default_rng(0).random((n_topics, 2 * n_topics)) + 0.01
-    return _reliable_profile(
+    rows = _reliable_profile(
         np.array(tcs, dtype=float).reshape(-1, n_topics), H,
         PipelineConfig(k_related=1, k_nn=5))
+    assert rows.shape == (len(REPRESENTATIONS), n_topics)
+    # A representation is NA as a whole or not at all.
+    assert np.isnan(rows).all(axis=1).tolist() == np.isnan(rows).any(
+        axis=1).tolist()
+    return {name: (None if np.isnan(row).all() else row)
+            for name, row in zip(REPRESENTATIONS, rows)}
 
 
 class TestGroupProfile:
@@ -304,6 +311,22 @@ class TestGroupProfile:
         np.testing.assert_allclose(p["vacuity"], weak / weak.sum(),
                                    rtol=1e-12)
 
+    def test_tiny_normal_evidence_scale_does_not_overflow(self):
+        # The median total 3e-308 is a normal float, so the scale does not
+        # fall back; tc / s would still overflow for the 100 entry (a
+        # RuntimeWarning, which the suite turns into an error).
+        tcs = [[3e-308, 0.0, 0.0], [3e-308, 0.0, 0.0], [0.0, 0.0, 100.0]]
+        p = _group_profile(tcs, 3)
+        for name, vec in p.items():
+            assert vec is not None, name
+            assert np.all(np.isfinite(vec)) and np.all(vec >= 0), name
+            np.testing.assert_allclose(vec.sum(), 1.0, atol=1e-12)
+        # Evidence tc / s = [2/3, 0, 1.1e309]: the dominant topic has no
+        # vacuity left, the other two 1 / (1 + r).
+        weak = np.array([1.0 / (1.0 + 2.0 / 3.0), 1.0, 0.0])
+        np.testing.assert_allclose(p["vacuity"], weak / weak.sum(),
+                                   rtol=1e-12, atol=1e-300)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.floats(0, 100), min_size=4, max_size=4),
                     min_size=1, max_size=6))
@@ -319,32 +342,38 @@ class TestGroupProfile:
 
 
 class TestProfilingIO:
+    """topics_*.npz and profiles.npz round trip bit for bit through
+    _save and the profile stage's loaders."""
+
     def test_topics_roundtrip(self, tmp_path):
+        cfg = PipelineConfig(out_dir=str(tmp_path))
         model = prof.TopicModel(
-            polarity="plus", columns=np.array([3, 8, 20]),
-            H=np.array([[0.5, 0.1, 0.0], [0.2, 0.9, 1.0]]),
-            assignment=np.array([0, 1, 1]), objective=0.5,
-            seed=11, config_digest="cd")
-        path = tmp_path / "topics_plus.json"
-        prof.write_topics(path, model)
-        back = prof.read_topics(path)
-        assert back.polarity == "plus"
-        np.testing.assert_array_equal(back.columns, model.columns)
-        np.testing.assert_array_equal(back.H, model.H)
-        np.testing.assert_array_equal(back.assignment, model.assignment)
+            columns=np.array([3, 8, 20]),
+            H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
+            assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
+        _save(paths_for(cfg).topics("plus"), cfg.digest(), **vars(model))
+        back = _load_topics(cfg, "test", "plus")
+        for name in ("columns", "H", "assignment"):
+            assert getattr(back, name).dtype == getattr(model, name).dtype
+            assert getattr(back, name).tobytes() == getattr(model,
+                                                            name).tobytes()
+        assert type(back.objective) is float
         assert back.objective == model.objective
 
     def test_profiles_roundtrip_with_na(self, tmp_path):
-        profiles = {
-            "TP": {"original": [0.75, 0.25], "rel_u": None},
-            "TN": {"original": [0.5, 0.5], "rel_u": [0.25, 0.75]},
-        }
-        path = tmp_path / "profiles.json"
-        prof.write_profiles(path, profiles, {"TP": "plus", "TN": "minus"},
-                            config_digest="cd")
-        back, digest = prof.read_profiles(path)
-        assert digest == "cd"
-        assert back["TP"]["polarity"] == "plus"
-        assert back["TP"]["representations"]["rel_u"] is None
-        np.testing.assert_array_equal(back["TN"]["representations"]["rel_u"],
-                                      [0.25, 0.75])
+        cfg = PipelineConfig(out_dir=str(tmp_path), n_topics=2, k_related=1)
+        rng = np.random.default_rng(3)
+        vectors = rng.dirichlet([1.0, 1.0], size=(2, len(REPRESENTATIONS)))
+        vectors[1, REPRESENTATIONS.index("rel_u")] = np.nan
+        _save(paths_for(cfg).profiles, cfg.digest(),
+              names=np.array(REPRESENTATIONS), vectors=vectors)
+        back = _load_profiles(cfg, "test")
+        assert back.tobytes() == vectors.tobytes()
+
+    def test_profiles_of_other_representations_refused(self, tmp_path):
+        cfg = PipelineConfig(out_dir=str(tmp_path), n_topics=2, k_related=1)
+        _save(paths_for(cfg).profiles, cfg.digest(),
+              names=np.array(REPRESENTATIONS[::-1]),
+              vectors=np.full((2, len(REPRESENTATIONS), 2), 0.5))
+        with pytest.raises(StageError, match="profiles.npz.*rerun profile"):
+            _load_profiles(cfg, "test")
