@@ -23,6 +23,11 @@ report.md.  The per-message .npz files hold an ``ids`` array that must
 equal the dataset ids in order; the (n, d) matrices X (vectors.npz) and
 phi (shap.npz) are stored as CSR arrays ``shape, indptr, indices,
 data``.
+
+evaluate and repair work on the scores.npz columns as they are: each
+detector's rejections, and the recoveries and leakages of the repair
+gate, are boolean masks over the same rows, so outcomes.npz and the
+re-accepted ids are read straight off them.
 """
 
 from __future__ import annotations
@@ -519,33 +524,37 @@ def cmd_score(cfg: PipelineConfig) -> None:
 
 # --------------------------------------------------------------- evaluate
 
+def _write_report(path: Path, report: dict) -> None:
+    with atomic_open(path) as fh:
+        json.dump(report, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def _rejections(scores: np.ndarray, flags: np.ndarray,
+                trr_fix: float) -> tuple[np.ndarray, dict]:
+    """The rejected mask at the TRR cutoff and its report entries."""
+    cutoff, rejected = scoring.rejected_at_trr(scores, flags, trr_fix)
+    return rejected, {"threshold": _encode_threshold(cutoff),
+                      "n_true_rejections": int(np.sum(rejected & flags)),
+                      "n_false_rejections": int(np.sum(rejected & ~flags))}
+
+
 def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
                       trr_fix: float) -> dict:
     kept = ~np.isnan(scores)
     arr, fl = scores[kept], flags[kept]
-    if arr.size:
-        area = scoring.auroc(arr, fl)
-        frr = scoring.frr_at_trr(arr, fl, trr_fix)
-        cutoff = scoring.trr_cutoff(arr, fl, trr_fix)
-        n_true = int(np.sum((arr >= cutoff) & fl))
-        n_false = int(np.sum((arr >= cutoff) & ~fl))
-    else:
-        area, frr, cutoff, n_true, n_false = None, None, math.inf, 0, 0
     return {
         "n_scored": int(arr.size),
         "n_na": int(scores.size - arr.size),
         "n_misclassified": int(fl.sum()),
-        "auroc": area,
-        "frr_at_trr": frr,
-        "threshold": _encode_threshold(cutoff),
-        "n_true_rejections": n_true,
-        "n_false_rejections": n_false,
+        "auroc": scoring.auroc(arr, fl),
+        "frr_at_trr": scoring.frr_at_trr(arr, fl, trr_fix),
+        **_rejections(arr, fl, trr_fix)[1],
     }
 
 
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
     scores = _read_scores(cfg, "evaluate")
     test = scores["split"] == "test"
     report = {"config_digest": cfg.digest(), "trr_fix": cfg.trr_fix,
@@ -565,9 +574,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
             "n_misclassified": int(flags.sum()),
             "detectors": detectors,
         }
-    with atomic_open(p.detector_report) as fh:
-        json.dump(report, fh, sort_keys=True)
-        fh.write("\n")
+    _write_report(paths_for(cfg).detector_report, report)
 
 
 # ----------------------------------------------------------------- repair
@@ -576,75 +583,47 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 def cmd_repair(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
     scores = _read_scores(cfg, "repair")
-    ids = scores["ids"].tolist()
     test = scores["split"] == "test"
     train = scores["split"] == "train"
+    predicted = scores["predicted"]
     misclassified = ~scores["correct"]
 
-    rejections, subset_info = [], {}
+    # One mask over every row: the base detector's rejections in each
+    # test subset at that subset's own cutoff.
+    rejected = np.zeros_like(test)
+    subset_info = {}
     for subset, label in SUBSETS:
-        part = test & (scores["predicted"] == label)
-        rej = scoring.reject_set(scores[cfg.base_detector][part],
-                                 misclassified[part],
-                                 scores["ids"][part].tolist(), cfg.trr_fix)
-        rejections.append(rej)
-        subset_info[subset] = {
-            "threshold": _encode_threshold(rej.threshold),
-            "n_rejected": len(rej.rejected_ids),
-            "n_true_rejections": len(rej.true_rejections),
-            "n_false_rejections": len(rej.false_rejections),
-        }
+        part = test & (predicted == label)
+        rejected[part], counts = _rejections(
+            scores[cfg.base_detector][part], misclassified[part], cfg.trr_fix)
+        subset_info[subset] = dict(counts,
+                                   n_rejected=int(rejected[part].sum()))
 
-    polarity_of = {msg_id: ("plus" if label == 1 else "minus")
-                   for msg_id, label, is_test
-                   in zip(ids, scores["predicted"].tolist(), test) if is_test}
-    per_rep = {}
+    per_rep, re_accepted = {}, {}
     for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
         xmap = scores[col]
-        taus = {}
-        for polarity, label in (("plus", 1), ("minus", 0)):
-            part = train & (scores["predicted"] == label) & ~np.isnan(xmap)
-            taus[polarity] = scoring.calibrate_tau(
+        tau = {}
+        for label in (1, 0):
+            part = train & (predicted == label) & ~np.isnan(xmap)
+            tau[label] = scoring.calibrate_tau(
                 xmap[part], misclassified[part], cfg.trr_fix)
-        xmap_scores = {msg_id: (None if math.isnan(v) else v)
-                       for msg_id, v, is_test
-                       in zip(ids, xmap.tolist(), test) if is_test}
-        rep_report = scoring.repair(rejections, xmap_scores, taus,
-                                    polarity_of,
-                                    base_detector=cfg.base_detector,
-                                    representation=rep)
-        per_rep[rep] = {
-            "tau_plus": taus["plus"],
-            "tau_minus": taus["minus"],
-            "recov_r": rep_report.recov_r,
-            "leak_r": rep_report.leak_r,
-            "n_recovery": rep_report.n_recovery,
-            "n_leakage": rep_report.n_leakage,
-            "n_correct_fix": rep_report.n_correct_fix,
-            "n_false_rejections": rep_report.n_false_rejections,
-            "n_true_rejections": rep_report.n_true_rejections,
-            "re_accepted_ids": list(rep_report.re_accepted_ids),
-        }
+        recovered, leaked, per_rep[rep] = scoring.repair(
+            rejected, misclassified, xmap, predicted,
+            tau_plus=tau[1], tau_minus=tau[0])
+        re_accepted[rep] = recovered | leaked
+        per_rep[rep]["re_accepted_ids"] = (
+            scores["ids"][re_accepted[rep]].tolist())
 
-    report = {
+    _write_report(p.repair_report, {
         "config_digest": cfg.digest(),
         "base_detector": cfg.base_detector,
         "repair_representation": cfg.repair_representation,
         "trr_fix": cfg.trr_fix,
         "subsets": subset_info,
         "representations": per_rep,
-    }
-    with atomic_open(p.repair_report) as fh:
-        json.dump(report, fh, sort_keys=True)
-        fh.write("\n")
+    })
 
     # Per-message outcome under the configured representation.
-    rejected = set()
-    for rej in rejections:
-        rejected.update(rej.rejected_ids)
-    re_accepted = set(per_rep[cfg.repair_representation]["re_accepted_ids"])
-    outcome = ["repaired" if msg_id in re_accepted
-               else "rejected" if msg_id in rejected else "accepted"
-               for msg_id in ids]
-    _save(p.outcomes, cfg.digest(), ids=scores["ids"],
-          outcome=np.array(outcome))
+    outcome = np.where(re_accepted[cfg.repair_representation], "repaired",
+                       np.where(rejected, "rejected", "accepted"))
+    _save(p.outcomes, cfg.digest(), ids=scores["ids"], outcome=outcome)

@@ -3,16 +3,19 @@
 The misclassification score is the Jensen-Shannon divergence between a
 message's topic representation and the reliable-group profile matching
 its predicted label.  Detectors are evaluated by AUROC and by the false
-rejection rate at a fixed true rejection rate; the repair layer
-re-accepts base-detector rejections whose divergence stays under a
-per-polarity threshold, with recovery and leakage accounting.
+rejection rate at a fixed true rejection rate (TRR).
+
+Both rejection and repair are boolean masks over the score rows.  A
+detector rejects the rows scoring at or above its TRR cutoff; the repair
+layer re-accepts a rejected row iff its divergence is <= the threshold
+of its predicted polarity, which splits the re-accepted rows into
+recoveries (false rejections) and leakages (true rejections).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +79,12 @@ def auroc(scores: np.ndarray, is_misclassified: np.ndarray) -> float | None:
     n_neg = len(flags) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # A tie group over sorted positions start..start+count-1 (0-based)
+    # takes the midrank start + (count+1)/2, a half-integer, so exact.
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    starts = np.cumsum(counts) - counts
+    ranks = (starts + 0.5 * (counts + 1))[inverse]
     u = ranks[flags].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -109,95 +108,61 @@ def trr_cutoff(scores: np.ndarray, flags: np.ndarray,
     return float(mis[k - 1])
 
 
+def rejected_at_trr(scores: np.ndarray, flags: np.ndarray,
+                    trr_fix: float = 0.95) -> tuple[float, np.ndarray]:
+    """(cutoff, mask) of the rows rejected at the TRR-fix cutoff: reject
+    iff score >= cutoff, so a NaN score is never rejected."""
+    scores = np.asarray(scores, dtype=float)
+    cutoff = trr_cutoff(scores, flags, trr_fix)
+    return cutoff, scores >= cutoff
+
+
+def repair(rejected: np.ndarray, misclassified: np.ndarray,
+           xmap: np.ndarray, predicted: np.ndarray, tau_plus: float,
+           tau_minus: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Re-accept the rejected rows whose divergence is <= the tau of
+    their predicted polarity (tau_plus for label 1, tau_minus for 0); a
+    NaN (NA) score compares False and never repairs.
+
+    Returns the (recovered, leaked) masks, which split the re-accepted
+    rows into false rejections and true ones, and the accounting:
+    RecovR, the share of false rejections recovered, and LeakR, the
+    share of true rejections re-accepted (None for an empty pool), with
+    #Correct Fix = #Recovery - #Leakage.
+    """
+    rejected = np.asarray(rejected, dtype=bool)
+    misclassified = np.asarray(misclassified, dtype=bool)
+    tau = np.where(np.asarray(predicted) == 1, tau_plus, tau_minus)
+    back = rejected & (np.asarray(xmap, dtype=float) <= tau)
+    recovered, leaked = back & ~misclassified, back & misclassified
+    false_rej, true_rej = rejected & ~misclassified, rejected & misclassified
+    n_recovery, n_leakage = int(recovered.sum()), int(leaked.sum())
+    return recovered, leaked, {
+        "tau_plus": tau_plus,
+        "tau_minus": tau_minus,
+        "recov_r": share(recovered, false_rej),
+        "leak_r": share(leaked, true_rej),
+        "n_recovery": n_recovery,
+        "n_leakage": n_leakage,
+        "n_correct_fix": n_recovery - n_leakage,
+        "n_false_rejections": int(false_rej.sum()),
+        "n_true_rejections": int(true_rej.sum()),
+    }
+
+
+def share(hits: np.ndarray, pool: np.ndarray) -> float | None:
+    """Share of the pool rows that are hits; None for an empty pool."""
+    n = int(np.sum(pool))
+    return int(np.sum(hits & pool)) / n if n else None
+
+
 def frr_at_trr(scores: np.ndarray, flags: np.ndarray,
                trr_target: float = 0.95) -> float | None:
     """Share of correct samples rejected at the TRR-target cutoff."""
-    scores = np.asarray(scores, dtype=float)
     flags = np.asarray(flags, dtype=bool)
-    n_correct = int((~flags).sum())
-    if flags.sum() == 0 or n_correct == 0:
+    if flags.all() or not flags.any():
         return None
-    cutoff = trr_cutoff(scores, flags, trr_target)
-    return float((scores[~flags] >= cutoff).sum() / n_correct)
-
-
-@dataclass(frozen=True)
-class Rejection:
-    """One detector's rejection decision over a message subset."""
-
-    threshold: float
-    rejected_ids: tuple[int, ...]
-    true_rejections: tuple[int, ...]
-    false_rejections: tuple[int, ...]
-
-
-def reject_set(scores: np.ndarray, flags: np.ndarray, ids: list[int],
-               trr_fix: float = 0.95) -> Rejection:
-    """Apply the TRR-fix cutoff and partition the rejected messages."""
-    scores = np.asarray(scores, dtype=float)
-    flags = np.asarray(flags, dtype=bool)
-    cutoff = trr_cutoff(scores, flags, trr_fix)
-    rejected = [i for i in range(len(ids)) if scores[i] >= cutoff]
-    return Rejection(
-        threshold=cutoff,
-        rejected_ids=tuple(ids[i] for i in rejected),
-        true_rejections=tuple(ids[i] for i in rejected if flags[i]),
-        false_rejections=tuple(ids[i] for i in rejected if not flags[i]),
-    )
-
-
-@dataclass(frozen=True)
-class RepairReport:
-    base_detector: str
-    representation: str
-    recov_r: float | None
-    leak_r: float | None
-    n_recovery: int
-    n_leakage: int
-    n_false_rejections: int
-    n_true_rejections: int
-    re_accepted_ids: tuple[int, ...]
-
-    @property
-    def n_correct_fix(self) -> int:
-        return self.n_recovery - self.n_leakage
-
-
-def repair(rejections: list[Rejection], xmap_scores: dict[int, float | None],
-           tau_of_polarity: dict[str, float], polarity_of: dict[int, str],
-           base_detector: str = "", representation: str = "") -> RepairReport:
-    """Re-accept rejected messages whose divergence clears the gate.
-
-    A message returns iff its score is <= tau for its predicted polarity;
-    NA scores never repair (conservative).  RecovR is the share of false
-    rejections recovered, LeakR the share of true rejections mistakenly
-    re-accepted; either is None when its denominator is empty.
-    """
-    false_rej: list[int] = []
-    true_rej: list[int] = []
-    for rej in rejections:
-        false_rej.extend(rej.false_rejections)
-        true_rej.extend(rej.true_rejections)
-
-    def comes_back(msg_id: int) -> bool:
-        score = xmap_scores.get(msg_id)
-        if score is None:
-            return False
-        return score <= tau_of_polarity[polarity_of[msg_id]]
-
-    recovered = sorted(i for i in false_rej if comes_back(i))
-    leaked = sorted(i for i in true_rej if comes_back(i))
-    return RepairReport(
-        base_detector=base_detector,
-        representation=representation,
-        recov_r=len(recovered) / len(false_rej) if false_rej else None,
-        leak_r=len(leaked) / len(true_rej) if true_rej else None,
-        n_recovery=len(recovered),
-        n_leakage=len(leaked),
-        n_false_rejections=len(false_rej),
-        n_true_rejections=len(true_rej),
-        re_accepted_ids=tuple(sorted(recovered + leaked)),
-    )
+    return share(rejected_at_trr(scores, flags, trr_target)[1], ~flags)
 
 
 def calibrate_tau(train_xmap: np.ndarray, train_flags: np.ndarray,

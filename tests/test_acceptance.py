@@ -314,43 +314,42 @@ def test_c08_output_detector_equivalence(full_run, capsys):
 
 def test_c09_repair_accounting(capsys):
     rng = np.random.default_rng(5)
-    ids = list(range(24))
-    polarity_of = {i: ("plus" if i % 2 else "minus") for i in ids}
-    xmap = {i: float(rng.uniform(0.05, scoring.LN2 - 0.05)) for i in ids}
-    rejections = [
-        scoring.Rejection(threshold=0.4, rejected_ids=tuple(ids[:12]),
-                          true_rejections=tuple(ids[:5]),
-                          false_rejections=tuple(ids[5:12])),
-        scoring.Rejection(threshold=0.3, rejected_ids=tuple(ids[12:]),
-                          true_rejections=tuple(ids[12:20]),
-                          false_rejections=tuple(ids[20:])),
-    ]
-    false_all = ids[5:12] + ids[20:]
-    true_all = ids[:5] + ids[12:20]
+    ids = np.arange(24)
+    plus = ids % 2 == 1
+    xmap = rng.uniform(0.05, scoring.LN2 - 0.05, size=24)
+    # Two subsets reject everything: rows 0-4 and 12-19 are true
+    # rejections, rows 5-11 and 20-23 false ones.
+    rejected = np.ones(24, dtype=bool)
+    misclassified = (ids < 5) | ((ids >= 12) & (ids < 20))
+    false_all = [i for i in ids.tolist() if not misclassified[i]]
+    true_all = [i for i in ids.tolist() if misclassified[i]]
     taus = {"plus": 0.3, "minus": 0.5}
-    got = scoring.repair(rejections, xmap, taus, polarity_of)
+    predicted = plus.astype(int)
+    recovered, leaked, got = scoring.repair(
+        rejected, misclassified, xmap, predicted,
+        tau_plus=taus["plus"], tau_minus=taus["minus"])
 
     def comes_back(i: int) -> bool:
-        return xmap[i] <= taus[polarity_of[i]]
+        return xmap[i] <= taus["plus" if plus[i] else "minus"]
 
     exp_rec = [i for i in false_all if comes_back(i)]
     exp_leak = [i for i in true_all if comes_back(i)]
-    exact = (got.recov_r == len(exp_rec) / len(false_all)
-             and got.leak_r == len(exp_leak) / len(true_all)
-             and got.n_correct_fix == len(exp_rec) - len(exp_leak)
-             and got.re_accepted_ids == tuple(sorted(exp_rec + exp_leak)))
+    exact = (got["recov_r"] == len(exp_rec) / len(false_all)
+             and got["leak_r"] == len(exp_leak) / len(true_all)
+             and got["n_correct_fix"] == len(exp_rec) - len(exp_leak)
+             and ids[recovered | leaked].tolist()
+             == sorted(exp_rec + exp_leak))
 
-    closed = scoring.repair(rejections, xmap,
-                            {"plus": 0.0, "minus": 0.0}, polarity_of)
-    opened = scoring.repair(rejections, xmap,
-                            {"plus": scoring.LN2, "minus": scoring.LN2},
-                            polarity_of)
-    extremes = ((closed.recov_r, closed.leak_r) == (0.0, 0.0)
-                and (opened.recov_r, opened.leak_r) == (1.0, 1.0))
+    closed = scoring.repair(rejected, misclassified, xmap, predicted,
+                            0.0, 0.0)[2]
+    opened = scoring.repair(rejected, misclassified, xmap, predicted,
+                            scoring.LN2, scoring.LN2)[2]
+    extremes = ((closed["recov_r"], closed["leak_r"]) == (0.0, 0.0)
+                and (opened["recov_r"], opened["leak_r"]) == (1.0, 1.0))
 
     ok = exact and extremes
     _verdict(capsys, 9, "repair accounting", ok,
-             f"recov {got.n_recovery}, leak {got.n_leakage}, "
+             f"recov {got['n_recovery']}, leak {got['n_leakage']}, "
              f"extremes (0,0)/(1,1)")
     assert ok
 

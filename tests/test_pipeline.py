@@ -11,6 +11,7 @@ import contextlib
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from topicaudit import (atomic, attribution, classifiers, cli, corpus, demo,
-                        report)
+                        report, scoring)
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.pipeline import (StageError, _from_csr, _load, _load_model,
                                  _load_space, _save, _to_csr, paths_for)
@@ -119,6 +120,75 @@ class TestStageOutputs:
         # Only test messages can be rejected or repaired.
         train = scores["split"] == "train"
         assert set(outcomes["outcome"][train].tolist()) <= {"accepted"}
+
+    def test_repair_agrees_with_evaluate_and_outcomes(self, mini_run):
+        _, _, out, cfg_path = mini_run
+        cfg = load_config(cfg_path)
+        detector, repair = (
+            json.loads((out / name).read_text(encoding="utf-8"))
+            for name in ("detector_report.json", "repair_report.json"))
+        for subset, body in repair["subsets"].items():
+            base = detector["subsets"][subset]["detectors"][cfg.base_detector]
+            for key in ("threshold", "n_true_rejections",
+                        "n_false_rejections"):
+                assert body[key] == base[key], (subset, key)
+
+        scores = _load(cfg, "test", out / "scores.npz", "score")
+        outcome = _load(cfg, "test", out / "outcomes.npz", "repair",
+                        scores["ids"].tolist())["outcome"]
+        re_accepted = repair["representations"][
+            cfg.repair_representation]["re_accepted_ids"]
+        assert scores["ids"][outcome == "repaired"].tolist() == re_accepted
+        n_rejected = sum(body["n_rejected"]
+                         for body in repair["subsets"].values())
+        assert n_rejected > 0
+        assert np.isin(outcome, ["rejected", "repaired"]).sum() == n_rejected
+        test_ids = set(scores["ids"][scores["split"] == "test"].tolist())
+        for body in repair["representations"].values():
+            assert set(body["re_accepted_ids"]) <= test_ids
+
+        # The rejections are the rows not accepted: each subset's counts
+        # follow from them, and so does the configured representation's
+        # accounting, whose repaired rows split into recoveries (correct)
+        # and leakages.
+        rejected = outcome != "accepted"
+        back, correct = outcome == "repaired", scores["correct"]
+        predicted = scores["predicted"]
+        for subset, label in (("positive", 1), ("negative", 0)):
+            part = rejected & (predicted == label)
+            counts = repair["subsets"][subset]
+            assert counts["n_rejected"] == int(part.sum()), subset
+            assert counts["n_true_rejections"] == int(np.sum(part & ~correct))
+            assert counts["n_false_rejections"] == int(np.sum(part & correct))
+        n_rec = int(np.sum(back & correct))
+        n_leak = int(np.sum(back & ~correct))
+        n_false = int(np.sum(rejected & correct))
+        n_true = int(np.sum(rejected & ~correct))
+        body = repair["representations"][cfg.repair_representation]
+        assert (body["n_recovery"], body["n_leakage"]) == (n_rec, n_leak)
+        assert body["n_correct_fix"] == n_rec - n_leak
+        assert body["n_false_rejections"] == n_false
+        assert body["n_true_rejections"] == n_true
+        assert body["recov_r"] == (n_rec / n_false if n_false else None)
+        assert body["leak_r"] == (n_leak / n_true if n_true else None)
+
+        # Every representation's gates are calibrated on the training rows
+        # of their own polarity, and a rejection comes back iff its
+        # divergence is at most the gate of its predicted polarity.
+        train = scores["split"] == "train"
+        for rep, body in repair["representations"].items():
+            xmap = scores[f"xmap_{rep}"]
+            for key, label in (("tau_plus", 1), ("tau_minus", 0)):
+                part = train & (predicted == label) & ~np.isnan(xmap)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    tau = scoring.calibrate_tau(xmap[part], ~correct[part],
+                                                cfg.trr_fix)
+                assert body[key] == tau, (rep, key)
+            gate = np.where(predicted == 1, body["tau_plus"],
+                            body["tau_minus"])
+            assert body["re_accepted_ids"] == (
+                scores["ids"][rejected & (xmap <= gate)].tolist()), rep
 
     def test_representations_cover_every_message(self, mini_run):
         _, _, out, cfg_path = mini_run

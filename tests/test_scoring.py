@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicaudit import scoring
-from topicaudit.scoring import (LN2, Rejection, auroc, calibrate_tau,
-                                frr_at_trr, js_divergence,
-                                misclassification_score, reject_set, repair,
-                                trr_cutoff)
+from topicaudit.scoring import (LN2, auroc, calibrate_tau, frr_at_trr,
+                                js_divergence, misclassification_score,
+                                rejected_at_trr, repair, trr_cutoff)
 
 
 def brute_force_auroc(scores, flags):
@@ -194,27 +193,27 @@ class TestFrrAtTrr:
 class TestRejectSet:
     def test_full_recall_threshold_is_min_misclassified(self):
         scores = np.array([0.9, 0.4, 0.7, 0.2])
-        flags = np.array([1, 1, 0, 0])
-        rej = reject_set(scores, flags, [10, 11, 12, 13], trr_fix=1.0)
-        assert rej.threshold == 0.4
-        assert rej.rejected_ids == (10, 11, 12)
-        assert rej.true_rejections == (10, 11)
-        assert rej.false_rejections == (12,)
+        flags = np.array([1, 1, 0, 0], dtype=bool)
+        cutoff, rejected = rejected_at_trr(scores, flags, trr_fix=1.0)
+        assert cutoff == 0.4
+        assert rejected.tolist() == [True, True, True, False]
+        assert (rejected & flags).tolist() == [True, True, False, False]
+        assert (rejected & ~flags).tolist() == [False, False, True, False]
 
     def test_no_misclassified_rejects_nothing(self):
-        rej = reject_set(np.array([0.9, 0.8]), np.array([0, 0]), [0, 1])
-        assert rej.threshold == math.inf
-        assert rej.rejected_ids == ()
+        cutoff, rejected = rejected_at_trr(np.array([0.9, 0.8]),
+                                           np.array([0, 0]))
+        assert cutoff == math.inf
+        assert rejected.shape == (2,) and not rejected.any()
 
     def test_monotone_transform_leaves_partition_unchanged(self):
         rng = np.random.default_rng(3)
         scores = rng.random(30)
         flags = rng.integers(0, 2, 30)
         flags[:2] = [1, 0]
-        ids = list(range(30))
-        a = reject_set(scores, flags, ids, 0.9)
-        b = reject_set(np.exp(3 * scores), flags, ids, 0.9)
-        assert a.rejected_ids == b.rejected_ids
+        _, a = rejected_at_trr(scores, flags, 0.9)
+        _, b = rejected_at_trr(np.exp(3 * scores), flags, 0.9)
+        assert np.array_equal(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
@@ -222,69 +221,85 @@ class TestRejectSet:
         rng = np.random.default_rng(seed)
         scores = rng.choice([0.2, 0.4, 0.6, 0.8], size=10)
         flags = rng.integers(0, 2, size=10).astype(bool)
-        ids = list(range(10))
-        rej = reject_set(scores, flags, ids, trr_fix=0.95)
-        expected_rejected = tuple(i for i in ids
-                                  if scores[i] >= rej.threshold)
-        assert rej.rejected_ids == expected_rejected
-        assert set(rej.true_rejections) | set(rej.false_rejections) \
-            == set(rej.rejected_ids)
-        assert not set(rej.true_rejections) & set(rej.false_rejections)
+        cutoff, rejected = rejected_at_trr(scores, flags, trr_fix=0.95)
+        assert rejected.tolist() == [scores[i] >= cutoff for i in range(10)]
+        true_rej, false_rej = rejected & flags, rejected & ~flags
+        assert np.array_equal(true_rej | false_rej, rejected)
+        assert not (true_rej & false_rej).any()
         if flags.any():
-            n_mis = flags.sum()
-            trr = sum(1 for i in rej.true_rejections) / n_mis
-            assert trr >= 0.95 - 1e-12
+            assert true_rej.sum() / flags.sum() >= 0.95 - 1e-12
 
 
 class TestRepair:
-    def _rejection(self):
-        return Rejection(threshold=0.5, rejected_ids=(0, 1, 2, 3),
-                         true_rejections=(0, 1), false_rejections=(2, 3))
+    # Four rejected rows: 0 and 1 are true rejections, 2 and 3 false.
+    REJECTED = np.ones(4, dtype=bool)
+    MISCLASSIFIED = np.array([True, True, False, False])
+    PREDICTED = np.ones(4, dtype=int)
 
     def test_closed_gate(self):
-        xmap = {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.4}
-        rep = repair([self._rejection()], xmap, {"plus": 0.0, "minus": 0.0},
-                     {i: "plus" for i in range(4)})
-        assert rep.recov_r == 0.0 and rep.leak_r == 0.0
-        assert rep.n_correct_fix == 0
+        _, _, rep = repair(self.REJECTED, self.MISCLASSIFIED,
+                           np.array([0.3, 0.2, 0.1, 0.4]), self.PREDICTED,
+                           0.0, 0.0)
+        assert rep["recov_r"] == 0.0 and rep["leak_r"] == 0.0
+        assert rep["n_correct_fix"] == 0
 
     def test_open_gate(self):
-        xmap = {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.4}
-        rep = repair([self._rejection()], xmap, {"plus": LN2, "minus": LN2},
-                     {i: "plus" for i in range(4)})
-        assert rep.recov_r == 1.0 and rep.leak_r == 1.0
-        assert rep.n_recovery == 2 and rep.n_leakage == 2
-        assert rep.n_correct_fix == 0
+        _, _, rep = repair(self.REJECTED, self.MISCLASSIFIED,
+                           np.array([0.3, 0.2, 0.1, 0.4]), self.PREDICTED,
+                           LN2, LN2)
+        assert rep["recov_r"] == 1.0 and rep["leak_r"] == 1.0
+        assert rep["n_recovery"] == 2 and rep["n_leakage"] == 2
+        assert rep["n_correct_fix"] == 0
 
     def test_selective_gate_and_identity(self):
-        xmap = {0: 0.6, 1: 0.2, 2: 0.1, 3: 0.4}
-        rep = repair([self._rejection()], xmap, {"plus": 0.45, "minus": 0.0},
-                     {i: "plus" for i in range(4)})
+        recovered, leaked, rep = repair(
+            self.REJECTED, self.MISCLASSIFIED, np.array([0.6, 0.2, 0.1, 0.4]),
+            self.PREDICTED, 0.45, 0.45)
         # Recovered: 2 (0.1) and 3 (0.4); leaked: 1 (0.2).
-        assert rep.n_recovery == 2 and rep.n_leakage == 1
-        assert rep.recov_r == 1.0 and rep.leak_r == 0.5
-        assert rep.n_correct_fix == 1
-        assert rep.re_accepted_ids == (1, 2, 3)
+        assert recovered.tolist() == [False, False, True, True]
+        assert leaked.tolist() == [False, True, False, False]
+        assert rep["n_recovery"] == 2 and rep["n_leakage"] == 1
+        assert rep["recov_r"] == 1.0 and rep["leak_r"] == 0.5
+        assert rep["n_correct_fix"] == rep["n_recovery"] - rep["n_leakage"]
+        assert rep["n_correct_fix"] == 1
+        assert rep["n_false_rejections"] == 2
+        assert rep["n_true_rejections"] == 2
+        ids = np.array([10, 11, 12, 13])
+        assert ids[recovered | leaked].tolist() == [11, 12, 13]
 
     def test_na_scores_never_repair(self):
-        xmap = {0: None, 1: 0.2, 2: None, 3: 0.1}
-        rep = repair([self._rejection()], xmap, {"plus": LN2, "minus": LN2},
-                     {i: "plus" for i in range(4)})
-        assert rep.n_recovery == 1 and rep.n_leakage == 1
+        recovered, leaked, rep = repair(
+            self.REJECTED, self.MISCLASSIFIED,
+            np.array([np.nan, 0.2, np.nan, 0.1]), self.PREDICTED, LN2, LN2)
+        assert rep["n_recovery"] == 1 and rep["n_leakage"] == 1
+        assert not (recovered | leaked)[[0, 2]].any()
 
     def test_polarity_specific_thresholds(self):
-        xmap = {0: 0.3, 1: 0.3, 2: 0.3, 3: 0.3}
-        polarity = {0: "plus", 1: "minus", 2: "plus", 3: "minus"}
-        rep = repair([self._rejection()], xmap, {"plus": 0.4, "minus": 0.1},
-                     polarity)
-        assert rep.n_leakage == 1 and rep.n_recovery == 1
+        # Rows 0 and 2 are predicted positive (tau_plus 0.4), 1 and 3
+        # negative (tau_minus 0.1); only the positive rows clear the gate
+        # at 0.3.
+        predicted = np.array([1, 0, 1, 0])
+        recovered, leaked, rep = repair(
+            self.REJECTED, self.MISCLASSIFIED, np.full(4, 0.3), predicted,
+            tau_plus=0.4, tau_minus=0.1)
+        assert rep["n_leakage"] == 1 and rep["n_recovery"] == 1
+        assert (recovered | leaked).tolist() == [True, False, True, False]
+        assert (rep["tau_plus"], rep["tau_minus"]) == (0.4, 0.1)
+        # The other way round only the negative rows come back.
+        recovered, leaked, _ = repair(
+            self.REJECTED, self.MISCLASSIFIED, np.full(4, 0.3), predicted,
+            tau_plus=0.1, tau_minus=0.4)
+        assert (recovered | leaked).tolist() == [False, True, False, True]
 
     def test_empty_denominators_are_na(self):
-        rej = Rejection(threshold=0.5, rejected_ids=(5,),
-                        true_rejections=(5,), false_rejections=())
-        rep = repair([rej], {5: 0.1}, {"plus": 0.2}, {5: "plus"})
-        assert rep.recov_r is None
-        assert rep.leak_r == 1.0
+        _, _, rep = repair(np.array([True]), np.array([True]),
+                           np.array([0.1]), np.array([1]), 0.2, 0.2)
+        assert rep["recov_r"] is None
+        assert rep["leak_r"] == 1.0
+        _, _, rep = repair(np.array([True]), np.array([False]),
+                           np.array([0.1]), np.array([0]), 0.2, 0.2)
+        assert rep["recov_r"] == 1.0
+        assert rep["leak_r"] is None
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
@@ -292,21 +307,29 @@ class TestRepair:
         rng = np.random.default_rng(seed)
         n = 12
         flags = rng.integers(0, 2, n).astype(bool)
-        xmap = {i: float(rng.random() * LN2) for i in range(n)}
-        polarity = {i: ("plus" if rng.random() < 0.5 else "minus")
-                    for i in range(n)}
-        tau = {"plus": 0.3, "minus": 0.5}
-        rej = Rejection(
-            threshold=0.0, rejected_ids=tuple(range(n)),
-            true_rejections=tuple(i for i in range(n) if flags[i]),
-            false_rejections=tuple(i for i in range(n) if not flags[i]))
-        rep = repair([rej], xmap, tau, polarity)
+        rejected = rng.random(n) < 0.75
+        xmap = rng.random(n) * LN2
+        predicted = rng.integers(0, 2, n)
+        tau = {1: 0.3, 0: 0.5}
+        recovered, leaked, rep = repair(rejected, flags, xmap, predicted,
+                                        tau_plus=tau[1], tau_minus=tau[0])
         expected_back = {i for i in range(n)
-                         if xmap[i] <= tau[polarity[i]]}
-        assert set(rep.re_accepted_ids) == expected_back
-        assert rep.n_recovery == sum(1 for i in expected_back if not flags[i])
-        assert rep.n_leakage == sum(1 for i in expected_back if flags[i])
-        assert rep.n_correct_fix == rep.n_recovery - rep.n_leakage
+                         if rejected[i] and xmap[i] <= tau[predicted[i]]}
+        assert set(np.flatnonzero(recovered | leaked)) == expected_back
+        assert not (recovered & leaked).any()
+        exp_rec = [i for i in expected_back if not flags[i]]
+        exp_leak = [i for i in expected_back if flags[i]]
+        false_rej = [i for i in range(n) if rejected[i] and not flags[i]]
+        true_rej = [i for i in range(n) if rejected[i] and flags[i]]
+        assert recovered.sum() == rep["n_recovery"] == len(exp_rec)
+        assert leaked.sum() == rep["n_leakage"] == len(exp_leak)
+        assert rep["n_correct_fix"] == len(exp_rec) - len(exp_leak)
+        assert rep["n_false_rejections"] == len(false_rej)
+        assert rep["n_true_rejections"] == len(true_rej)
+        assert rep["recov_r"] == (len(exp_rec) / len(false_rej)
+                                  if false_rej else None)
+        assert rep["leak_r"] == (len(exp_leak) / len(true_rej)
+                                 if true_rej else None)
 
 
 class TestCalibrateTau:
