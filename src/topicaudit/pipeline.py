@@ -21,8 +21,10 @@ when a key is missing or malformed.  Only the text artifacts bypass
 _save: dataset.jsonl (the messages), the two JSON reports and
 report.md.  The per-message .npz files hold an ``ids`` array that must
 equal the dataset ids in order; the (n, d) matrices X (vectors.npz) and
-phi (shap.npz) are stored as CSR arrays ``shape, indptr, indices,
-data``.
+a kernel run's phi (shap.npz) are stored as CSR arrays ``shape, indptr,
+indices, data``.  A linear run's phi = w * (t(X) - mu) is exact and
+elementwise, so its shap.npz holds only the background mean ``mu`` and
+_load_phi rebuilds phi from the model and X bit for bit.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -193,16 +195,13 @@ def _load_as(build, cfg, stage, path, producer, ids=None):
                                 f"rerun {producer}") from exc
 
 
-def _load_csr(cfg, stage, path, producer, ids, n_columns):
-    """(dense matrix, all fields) of a CSR artifact with one row per id
-    and one column per feature of space.npz."""
-    def build(fields):
-        shape = tuple(fields["shape"].tolist())
-        if shape != (len(ids), n_columns):
-            raise ValueError(f"a {shape} matrix, expected "
-                             f"({len(ids)}, {n_columns})")
-        return _from_csr(fields), fields
-    return _load_as(build, cfg, stage, path, producer, ids)
+def _csr_matrix(fields, n_rows, n_columns) -> np.ndarray:
+    """The dense matrix of CSR fields, which must be (n_rows, n_columns)."""
+    shape = tuple(fields["shape"].tolist())
+    if shape != (n_rows, n_columns):
+        raise ValueError(f"a {shape} matrix, expected "
+                         f"({n_rows}, {n_columns})")
+    return _from_csr(fields)
 
 
 # ---------------------------------------------------------------- loading
@@ -233,12 +232,20 @@ def _load_space(cfg, stage) -> features.FeatureSpace:
     return _load_as(build, cfg, stage, paths_for(cfg).space, "prepare")
 
 def _load_vectors(cfg, stage, ids, space) -> np.ndarray:
-    return _load_csr(cfg, stage, paths_for(cfg).vectors, "prepare", ids,
-                     space.n_columns)[0]
+    return _load_as(lambda f: _csr_matrix(f, len(ids), space.n_columns),
+                    cfg, stage, paths_for(cfg).vectors, "prepare", ids)
 
-def _load_phi(cfg, stage, ids, space) -> np.ndarray:
-    return _load_csr(cfg, stage, paths_for(cfg).shap, "explain", ids,
-                     space.n_columns)[0]
+def _load_phi(cfg, stage, ids, space, model, X) -> np.ndarray:
+    """The (n, d) attributions explain computed: stored as CSR for a
+    probability (kernel) run, rebuilt from the stored background mean
+    for a margin (linear) run."""
+    def build(f):
+        if f["explained_output"] == "probability":
+            return _csr_matrix(f, len(ids), space.n_columns)
+        if f["explained_output"] != "margin":
+            raise ValueError(f"explained_output {f['explained_output']!r}")
+        return attribution.linear_shap(model, X, f["mu"])[0]
+    return _load_as(build, cfg, stage, paths_for(cfg).shap, "explain", ids)
 
 def _save_model(path, digest, model) -> None:
     """kind plus every field the model sets; an NBModel has no kind
@@ -359,13 +366,15 @@ def cmd_explain(cfg: PipelineConfig) -> None:
         cfg.classifier == "nb" and cfg.nb_linear_attribution)
 
     if linear:
-        # Exact linear attributions against the training mean, dense by
-        # construction.
+        # Exact linear attributions against the training mean: phi is
+        # dense but elementwise in X, so only mu is stored and _load_phi
+        # rebuilds it.  The base value depends on mu alone.
         background = attribution.make_background(
             X_train, y_train, train_ids, size=len(train_ids), seed=cfg.seed)
-        Phi, base = attribution.linear_shap(model, X, background.mean)
+        mu = background.mean
+        base = attribution.linear_shap(model, mu, mu)[1]
         base_values = np.full(len(ids), base)
-        explained = "margin"
+        explained, stored = "margin", {"mu": mu}
     else:
         background = attribution.make_background(
             X_train, y_train, train_ids, size=cfg.background_size,
@@ -379,12 +388,12 @@ def cmd_explain(cfg: PipelineConfig) -> None:
                 n_coalitions=cfg.n_coalitions, seed=cfg.seed, msg_id=msg_id)
             Phi[i, list(shap.phi)] = list(shap.phi.values())
             base_values[i] = shap.base_value
-        explained = "probability"
+        explained, stored = "probability", _to_csr(Phi)
 
     _save(p.shap, cfg.digest(), ids=np.array(ids), base_values=base_values,
           explained_output=np.array(explained),
           background_ids=np.array(background.ids, dtype=np.int64),
-          background_digest=np.array(background.digest()), **_to_csr(Phi))
+          background_digest=np.array(background.digest()), **stored)
 
 
 # ---------------------------------------------------------------- profile
@@ -422,7 +431,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     if not reliable.any():
         raise StageError("profile", "no correctly classified training "
                                     "messages to profile")
-    reliable_phi = _load_phi(cfg, "profile", ids, space)[reliable]
+    reliable_phi = _load_phi(cfg, "profile", ids, space, model, X)[reliable]
     digest = cfg.digest()
     families = space.families()
 
@@ -484,7 +493,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     profiles = _load_profiles(cfg, "score")
     topics = {polarity: _load_topics(cfg, "score", polarity)
               for polarity in ("plus", "minus")}
-    Phi = _load_phi(cfg, "score", ids, space)
+    Phi = _load_phi(cfg, "score", ids, space, model, X)
     groups = _reliable_groups(messages, preds)
 
     # Each message is represented on the polarity its own prediction

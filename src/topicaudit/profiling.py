@@ -104,10 +104,11 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
         tol: float = 1e-5, seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Multiplicative-update NMF minimizing the Frobenius objective.
 
-    Stops when the relative objective decrease drops below tol or at the
-    iteration cap.  The objective trace is returned and verified
-    nonincreasing; the multiplicative updates guarantee that, so a rise
-    beyond float noise is a bug.
+    Stops when the relative objective decrease drops below tol or, with
+    a warning naming the last decrease, at the iteration cap.  The
+    objective trace is returned and verified nonincreasing; the
+    multiplicative updates guarantee that, so a rise beyond float noise
+    is a bug.
     """
     X = np.asarray(X, dtype=float)
     if np.any(X < 0):
@@ -133,8 +134,14 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
         if obj > prev + 1e-9 * max(1.0, prev):
             raise NMFError("NMF objective increased; update bug")
         trace.append(obj)
-        if prev == 0.0 or (prev - obj) / max(prev, EPS) < tol:
+        decrease = (prev - obj) / max(prev, EPS)
+        if prev == 0.0 or decrease < tol:
             break
+    else:
+        if max_iters > 0:
+            warnings.warn(f"NMF stopped at the {max_iters}-iteration cap "
+                          f"with relative decrease {decrease:.3g} still "
+                          f"above tol {tol:g}", UserWarning, stacklevel=2)
     return W, H, trace
 
 

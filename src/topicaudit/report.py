@@ -15,6 +15,7 @@ from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
                        _match, _read_scores, _require, _stage, paths_for)
+from .scoring import LN2
 
 # (column header, predicted label, gold label)
 GROUP_COLUMNS = (
@@ -95,6 +96,18 @@ def _repair_table(report: dict) -> list[str]:
     lines.append("")
     lines.append("#Correct Fix = #Recovery - #Leakage; every rejected "
                  "message is either re-accepted or stays rejected.")
+    open_gates = []
+    for subset, key in (("positive", "tau_plus"), ("negative", "tau_minus")):
+        reps = [rep for rep in REPRESENTATIONS
+                if report["representations"][rep][key] >= LN2]
+        if reps:
+            open_gates.append(f"{subset} ({', '.join(reps)})")
+    if open_gates:
+        lines.append("")
+        lines.append("Open repair gate (tau at the ln 2 bound, the default "
+                     "when training has no misclassifications of that "
+                     "polarity; every rejection of it is re-accepted): "
+                     + "; ".join(open_gates) + ".")
     return lines
 
 

@@ -22,8 +22,8 @@ import pytest
 from topicaudit import (attribution, classifiers, cli, corpus, demo,
                         profiling, scoring)
 from topicaudit.config import load_config
-from topicaudit.pipeline import (_load_csr, _load_model, _load_space,
-                                 _read_scores)
+from topicaudit.pipeline import (_load, _load_model, _load_phi, _load_space,
+                                 _load_vectors, _read_scores)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -129,13 +129,12 @@ def test_c02_local_accuracy(full_run, capsys):
 
     ids = [m.id for m in messages]
     space = _load_space(full_run.cfg, "acceptance")
-    X, _ = _load_csr(full_run.cfg, "acceptance", full_run.out / "vectors.npz",
-                     "prepare", ids, space.n_columns)
-    phi, shap = _load_csr(full_run.cfg, "acceptance",
-                          full_run.out / "shap.npz", "explain", ids,
-                          space.n_columns)
-    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
+    X = _load_vectors(full_run.cfg, "acceptance", ids, space)
     model = _load_model(full_run.cfg, "acceptance")
+    phi = _load_phi(full_run.cfg, "acceptance", ids, space, model, X)
+    shap = _load(full_run.cfg, "acceptance", full_run.out / "shap.npz",
+                 "explain", ids)
+    row_of = {msg_id: i for i, msg_id in enumerate(ids)}
     plus = attribution.polarity_supports(phi, "plus")
     minus = attribution.polarity_supports(phi, "minus")
     assert str(shap["explained_output"]) == "margin"

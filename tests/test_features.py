@@ -179,8 +179,7 @@ class TestSpaceIO:
         path = tmp_path / "vectors.npz"
         pipeline._save(path, cfg.digest(), ids=np.array(ids),
                        **pipeline._to_csr(X))
-        back, _ = pipeline._load_csr(cfg, "test", path, "prepare", ids,
-                                     space.n_columns)
+        back = pipeline._load_vectors(cfg, "test", ids, space)
         for row, vec in enumerate(vecs):
             assert set(np.flatnonzero(back[row])) == set(vec.values)
             for col, val in vec.values.items():

@@ -24,7 +24,8 @@ from topicaudit import (atomic, attribution, classifiers, cli, corpus, demo,
                         report, scoring)
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.pipeline import (StageError, _from_csr, _load, _load_model,
-                                 _load_space, _save, _to_csr, paths_for)
+                                 _load_phi, _load_space, _load_vectors, _save,
+                                 _to_csr, paths_for)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -82,12 +83,78 @@ def mini_run(tmp_path_factory):
     return root, tsv, out, cfg_path
 
 
-def _copy_run(mini_run, tmp_path: Path) -> tuple[Path, Path]:
-    """A private copy of the mini run's outputs and a config aimed at it."""
-    _, tsv, out, _ = mini_run
+# The settings of a small svm run, whose shap.npz holds kernel phi as
+# CSR.
+KERNEL = {"classifier": "svm", "svm_epochs": 100, "background_size": 5,
+          "n_coalitions": 400, "word_quota": 60, "phrase_quota": 40}
+
+
+def _small_run(root: Path, stages, **extra) -> tuple[Path, Path]:
+    """(out dir, config) of the given stages on an 80-message corpus."""
+    tsv = root / "small.tsv"
+    demo.write_tsv(tsv, demo.generate(n_messages=80, seed=3))
+    out = root / "run"
+    out.mkdir()
+    cfg_path = _write_config(root, tsv, out, **extra)
+    for stage in stages:
+        assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+    return out, cfg_path
+
+
+@pytest.fixture(scope="session")
+def kernel_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kernel")
+    out, cfg_path = _small_run(root, STAGES[:STAGES.index("profile") + 1],
+                               **KERNEL)
+    return root, root / "small.tsv", out, cfg_path
+
+
+def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
+    """A private copy of a run's outputs and the run's config aimed at
+    it."""
+    _, _, out, cfg_path = run
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
-    return copy, _write_config(tmp_path, tsv, copy)
+    settings = json.loads(cfg_path.read_text(encoding="utf-8"))
+    copy_cfg = tmp_path / "config.json"
+    copy_cfg.write_text(json.dumps({**settings, "out_dir": str(copy)}),
+                        encoding="utf-8")
+    return copy, copy_cfg
+
+
+def _damage_shap(copy: Path, cfg: PipelineConfig, damage: str) -> None:
+    """Rewrite shap.npz with one message fewer, one column more or a
+    storage key missing: mu for a linear run, indptr for a kernel run."""
+    path = copy / "shap.npz"
+    arrays = _load(cfg, "test", path, "explain")
+    if damage == "missing_message":
+        arrays.update(ids=arrays["ids"][:-1],
+                      base_values=arrays["base_values"][:-1])
+    if "mu" in arrays:
+        if damage == "extra_column":
+            arrays["mu"] = np.append(arrays["mu"], 1.0)
+        elif damage == "missing_key":
+            del arrays["mu"]
+    else:
+        phi = _from_csr(arrays)
+        if damage == "missing_message":
+            phi = phi[:-1]
+        elif damage == "extra_column":
+            phi = np.hstack([phi, np.ones((len(phi), 1))])
+        arrays.update(_to_csr(phi))
+        if damage == "missing_key":
+            del arrays["indptr"]
+    _save(path, cfg.digest(), **arrays)
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def _score_refuses_shap(cfg_path: Path, capsys) -> None:
+    assert cli.main(["score", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "[score]" in err and "shap.npz" in err
 
 
 class TestStageOutputs:
@@ -274,31 +341,39 @@ class TestGuards:
         assert rc == 2
         assert "run score first" in capsys.readouterr().err
 
+    # mini_run is logreg, so these damage the linear layout (mu); the
+    # kernel_shap variants damage the CSR layout of an svm run.
     def test_truncated_shap_fails_score(self, mini_run, tmp_path, capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
-        shap = copy / "shap.npz"
-        shap.write_bytes(shap.read_bytes()[:shap.stat().st_size // 2])
-        assert cli.main(["score", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "[score]" in err and "shap.npz" in err
+        _truncate(copy / "shap.npz")
+        _score_refuses_shap(cfg_path, capsys)
 
-    @pytest.mark.parametrize("damage", ["missing_message", "extra_column"])
+    @pytest.mark.parametrize("damage", ["missing_message", "extra_column",
+                                        "missing_key"])
     def test_incomplete_shap_fails_score(self, mini_run, tmp_path, capsys,
                                          damage):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
-        cfg = load_config(cfg_path)
-        arrays = _load(cfg, "test", copy / "shap.npz", "explain")
-        phi = _from_csr(arrays)
-        if damage == "missing_message":
-            phi = phi[:-1]
-            arrays.update(ids=arrays["ids"][:-1],
-                          base_values=arrays["base_values"][:-1])
-        else:
-            phi = np.hstack([phi, np.ones((len(phi), 1))])
-        _save(copy / "shap.npz", cfg.digest(), **{**arrays, **_to_csr(phi)})
-        assert cli.main(["score", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "[score]" in err and "shap.npz" in err
+        _damage_shap(copy, load_config(cfg_path), damage)
+        _score_refuses_shap(cfg_path, capsys)
+
+    def test_truncated_kernel_shap_fails_score(self, kernel_run, tmp_path,
+                                               capsys):
+        copy, cfg_path = _copy_run(kernel_run, tmp_path)
+        _truncate(copy / "shap.npz")
+        _score_refuses_shap(cfg_path, capsys)
+
+    @pytest.mark.parametrize("damage", ["missing_message", "extra_column",
+                                        "missing_key"])
+    def test_incomplete_kernel_shap_fails_score(self, kernel_run, tmp_path,
+                                                capsys, damage):
+        copy, cfg_path = _copy_run(kernel_run, tmp_path)
+        _damage_shap(copy, load_config(cfg_path), damage)
+        _score_refuses_shap(cfg_path, capsys)
+
+    def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
+        # The damage above is what fails score, not the small run itself.
+        _, cfg_path = _copy_run(kernel_run, tmp_path)
+        assert cli.main(["score", "--config", str(cfg_path)]) == 0
 
     def test_unnormalized_nb_prior_fails_score(self, mini_run, tmp_path,
                                                capsys):
@@ -337,21 +412,51 @@ class TestGuards:
         assert "[prepare]" in capsys.readouterr().err
 
 
+class TestLinearExplain:
+    @pytest.mark.parametrize("classifier", ["logreg", "nb"])
+    def test_stores_mu_and_phi_is_rebuilt_bitwise(self, classifier,
+                                                  tmp_path):
+        # A margin run stores the background mean instead of phi, and
+        # _load_phi rebuilds exactly the matrix the CSR layout stored:
+        # linear_shap against the mean of every training row.
+        out, cfg_path = _small_run(tmp_path, STAGES[:3],
+                                   classifier=classifier,
+                                   nb_linear_attribution=True,
+                                   word_quota=60, phrase_quota=40)
+        with np.load(out / "shap.npz") as npz:
+            assert set(npz.files) == {
+                "digest", "ids", "base_values", "explained_output",
+                "background_ids", "background_digest", "mu"}
+        cfg = load_config(cfg_path)
+        messages, _ = corpus.read_dataset(out / "dataset.jsonl")
+        ids = [m.id for m in messages]
+        train = np.array([m.split == "train" for m in messages])
+        labels = np.array([m.label for m in messages])
+        space = _load_space(cfg, "test")
+        X = _load_vectors(cfg, "test", ids, space)
+        model = _load_model(cfg, "test")
+        background = attribution.make_background(
+            X[train], labels[train], np.array(ids)[train].tolist(),
+            size=int(train.sum()), seed=cfg.seed)
+        expected, base = attribution.linear_shap(model, X, background.mean)
+        stored = _from_csr(_to_csr(expected))
+
+        shap = _load(cfg, "test", out / "shap.npz", "explain", ids)
+        assert shap["explained_output"] == "margin"
+        assert shap["mu"].tobytes() == background.mean.tobytes()
+        assert shap["base_values"].tolist() == [base] * len(ids)
+        phi = _load_phi(cfg, "test", ids, space, model, X)
+        # tobytes compares the sign of zero too.
+        assert phi.tobytes() == expected.tobytes() == stored.tobytes()
+
+
 class TestKernelExplain:
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
     def test_matches_probability_callable(self, classifier, tmp_path):
         # explain hands kernel_shap the model itself; the attributions
         # are those of its probability_function as an opaque callable.
-        out = tmp_path / "run"
-        out.mkdir()
-        tsv = tmp_path / "small.tsv"
-        demo.write_tsv(tsv, demo.generate(n_messages=80, seed=3))
-        cfg_path = _write_config(tmp_path, tsv, out, classifier=classifier,
-                                 svm_epochs=100, background_size=5,
-                                 n_coalitions=400,
-                                 word_quota=60, phrase_quota=40)
-        for stage in ("prepare", "train", "explain"):
-            assert cli.main([stage, "--config", str(cfg_path)]) == 0
+        out, cfg_path = _small_run(tmp_path, STAGES[:3],
+                                   **{**KERNEL, "classifier": classifier})
         cfg = load_config(cfg_path)
         messages, _ = corpus.read_dataset(out / "dataset.jsonl")
         ids = [m.id for m in messages]
@@ -532,3 +637,31 @@ class TestReportHelpers:
 
     def test_mean_std_empty_is_na(self):
         assert report._mean_std([]) == "NA"
+
+    def test_open_repair_gates_are_named(self, tmp_path):
+        # tau_plus sits at the ln 2 default for two representations and
+        # tau_minus for one; the JSON round trip keeps ln 2 exact.
+        reps = report.REPRESENTATIONS
+        entry = {"recov_r": 0.5, "leak_r": None, "n_recovery": 1,
+                 "n_leakage": 0, "n_correct_fix": 1}
+        taus = {rep: (0.2, 0.3) for rep in reps}
+        taus.update({reps[0]: (scoring.LN2, 0.3), reps[3]: (scoring.LN2,
+                                                            scoring.LN2)})
+        path = tmp_path / "repair_report.json"
+        path.write_text(json.dumps({"representations": {
+            rep: dict(entry, tau_plus=plus, tau_minus=minus)
+            for rep, (plus, minus) in taus.items()}}), encoding="utf-8")
+        lines = report._repair_table(json.loads(path.read_text("utf-8")))
+        gates = [line for line in lines if line.startswith("Open repair")]
+        assert gates == [
+            "Open repair gate (tau at the ln 2 bound, the default when "
+            "training has no misclassifications of that polarity; every "
+            f"rejection of it is re-accepted): positive ({reps[0]}, "
+            f"{reps[3]}); negative ({reps[3]})."]
+        assert len(lines) == len(reps) + 6
+
+        closed = {rep: dict(entry, tau_plus=0.2, tau_minus=0.3)
+                  for rep in reps}
+        lines = report._repair_table({"representations": closed})
+        assert not any("Open repair" in line for line in lines)
+        assert len(lines) == len(reps) + 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,31 @@ class TestNMF:
         X[2] = 0.0
         W, H, _ = prof.nmf(X, n_topics=2, max_iters=200, seed=1)
         np.testing.assert_allclose(W[2], np.zeros(2), atol=1e-12)
+
+    def test_iteration_cap_warns_and_keeps_the_fit(self):
+        X = np.random.default_rng(8).random((12, 7))
+        with pytest.warns(UserWarning) as caught:
+            W, H, trace = prof.nmf(X, n_topics=3, max_iters=5, tol=1e-5,
+                                   seed=2)
+        assert len(trace) == 6
+        last = (trace[-2] - trace[-1]) / trace[-2]
+        message = str(caught[0].message)
+        assert "5-iteration cap" in message and "tol 1e-05" in message
+        assert f"{last:.3g}" in message and last >= 1e-5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            W2, H2, trace2 = prof.nmf(X, n_topics=3, max_iters=5, tol=1e-5,
+                                      seed=2)
+        assert W.tobytes() == W2.tobytes() and H.tobytes() == H2.tobytes()
+        assert trace == trace2
+
+    def test_converged_fit_is_silent(self):
+        X = np.random.default_rng(8).random((12, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, trace = prof.nmf(X, n_topics=3, max_iters=500, tol=1e-2,
+                                   seed=2)
+        assert len(trace) < 501
 
 
 class TestAssignTopics:
