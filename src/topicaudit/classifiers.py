@@ -80,8 +80,7 @@ class NBModel:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Margins, positive-class probabilities and labels: arrays over
-    messages from predict_all, scalars from predict_proba."""
+    """Margins, positive-class probabilities and labels of messages."""
 
     p_pos: np.ndarray | float
     label: np.ndarray | int
@@ -312,19 +311,6 @@ def predict_all(model: LinearModel | NBModel, X: np.ndarray) -> Prediction:
     p_pos = _probability(model, margin)
     return Prediction(p_pos=p_pos, label=(p_pos >= 0.5).astype(int),
                       margin=margin)
-
-
-def predict_proba(model: LinearModel | NBModel, x: np.ndarray) -> Prediction:
-    """Score one message: margin plus calibrated positive-class probability."""
-    x = np.asarray(x, dtype=float)
-    n_cols = (model.weights.size if isinstance(model, LinearModel)
-              else model.log_theta.shape[1])
-    if x.shape != (n_cols,):
-        raise ValueError(f"expected feature vector of length {n_cols}, "
-                         f"got shape {x.shape}")
-    pred = predict_all(model, x[None, :])
-    return Prediction(p_pos=float(pred.p_pos[0]), label=int(pred.label[0]),
-                      margin=float(pred.margin[0]))
 
 
 def decision_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ COMMANDS = {
     "prepare": (pipeline.cmd_prepare, "split, tokenize and vectorize"),
     "train": (pipeline.cmd_train, "fit the classifier"),
     "explain": (pipeline.cmd_explain, "per-message attributions"),
-    "profile": (pipeline.cmd_profile, "topic models and group profiles"),
-    "score": (pipeline.cmd_score, "divergence and uncertainty scores"),
+    "profile": (pipeline.cmd_profile, "per-polarity topic models"),
+    "score": (pipeline.cmd_score, "group profiles, divergence and "
+                                  "uncertainty scores"),
     "evaluate": (pipeline.cmd_evaluate, "detector AUROC / FRR metrics"),
     "repair": (pipeline.cmd_repair, "reject and re-accept messages"),
     "report": (report.cmd_report, "markdown summary tables"),

@@ -80,6 +80,12 @@ class PipelineConfig:
             raise ConfigError("trr_fix must be in (0, 1]")
         if self.n_topics < 1:
             raise ConfigError("n_topics must be at least 1")
+        if self.background_size < 1:
+            raise ConfigError("background_size must be at least 1")
+        if self.n_coalitions is not None and self.n_coalitions < 1:
+            raise ConfigError("n_coalitions must be null or at least 1")
+        if self.k_nn < 1:
+            raise ConfigError("k_nn must be at least 1")
         if self.k_related >= self.n_topics:
             raise ConfigError("k_related must be below n_topics")
         if self.base_detector not in OUTPUT_UQ_METHODS:

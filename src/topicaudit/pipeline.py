@@ -7,8 +7,8 @@ config digest; a digest mismatch refuses to combine):
     prepare  -> dataset.jsonl, space.npz, vectors.npz
     train    -> model.npz
     explain  -> shap.npz
-    profile  -> topics_plus.npz, topics_minus.npz, profiles.npz
-    score    -> representations.npz, scores.npz
+    profile  -> topics_plus.npz, topics_minus.npz
+    score    -> profiles.npz, representations.npz, scores.npz
     evaluate -> detector_report.json
     repair   -> repair_report.json, outcomes.npz
     report   -> report.md
@@ -268,17 +268,6 @@ def _load_topics(cfg, stage, polarity) -> profiling.TopicModel:
     return _load_as(lambda f: profiling.TopicModel(**f), cfg, stage,
                     paths_for(cfg).topics(polarity), "profile")
 
-def _load_profiles(cfg, stage) -> np.ndarray:
-    """(2, R, M) group profiles, TN at index 0 and TP at 1, NaN for NA."""
-    def build(f):
-        expected = (2, len(REPRESENTATIONS), cfg.n_topics)
-        if (f["names"].tolist() != list(REPRESENTATIONS)
-                or f["vectors"].shape != expected):
-            raise ValueError(f"{f['vectors'].shape} profiles, expected "
-                             f"{expected} in REPRESENTATIONS order")
-        return f["vectors"]
-    return _load_as(build, cfg, stage, paths_for(cfg).profiles, "profile")
-
 
 # ---------------------------------------------------------------- prepare
 
@@ -398,24 +387,16 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
 # ---------------------------------------------------------------- profile
 
-def _reliable_groups(messages, preds) -> dict[str, np.ndarray]:
-    """Row masks of the correctly classified train-split messages, per
-    group."""
+# The polarity of each label's supports: hamward for 0, spamward for 1.
+POLARITIES = ("minus", "plus")
+
+
+def _reliable_groups(messages, preds) -> tuple[np.ndarray, np.ndarray]:
+    """Row masks of the correctly classified train-split messages, TN and
+    TP, indexed by label."""
     gold, train = _labels(messages)
     reliable = train & (preds.label == gold)
-    return {"TP": reliable & (gold == 1), "TN": reliable & (gold == 0)}
-
-
-POLARITY_OF_GROUP = {"TP": "plus", "TN": "minus"}
-
-
-def _representations(tc, group_tc, H, cfg):
-    """representations() of the rows of tc against a reliable group whose
-    members have topic contributions group_tc."""
-    s = uncertainty.evidence_scale(group_tc) if len(group_tc) else 1.0
-    return uncertainty.representations(
-        tc, s, H, cfg.k_related, cfg.temperature,
-        uncertainty.original(group_tc)[0], cfg.k_nn)
+    return reliable & (gold == 0), reliable & (gold == 1)
 
 
 @_stage("profile")
@@ -426,8 +407,8 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     space = _load_space(cfg, "profile")
     X = _load_vectors(cfg, "profile", ids, space)
     model = _load_model(cfg, "profile")
-    groups = _reliable_groups(messages, classifiers.predict_all(model, X))
-    reliable = groups["TP"] | groups["TN"]
+    tn, tp = _reliable_groups(messages, classifiers.predict_all(model, X))
+    reliable = tn | tp
     if not reliable.any():
         raise StageError("profile", "no correctly classified training "
                                     "messages to profile")
@@ -435,8 +416,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     digest = cfg.digest()
     families = space.families()
 
-    profiles = {}
-    for group, polarity in POLARITY_OF_GROUP.items():
+    for polarity in POLARITIES:
         supports = attribution.polarity_supports(reliable_phi, polarity)
         stats = profiling.feature_stats(supports)
         r = profiling.rank_score(stats, cfg.tau_p)
@@ -449,12 +429,16 @@ def cmd_profile(cfg: PipelineConfig) -> None:
         _save(p.topics(polarity), digest, columns=columns, H=H,
               assignment=assignment, objective=trace[-1])
 
-        tcs = profiling.topic_contributions(
-            matrix[groups[group][reliable]], assignment, cfg.n_topics)
-        profiles[group] = _reliable_profile(tcs, H, cfg)
 
-    _save(p.profiles, digest, names=np.array(REPRESENTATIONS),
-          vectors=np.stack([profiles["TN"], profiles["TP"]]))
+# ------------------------------------------------------------------ score
+
+def _representations(tc, group_tc, H, cfg):
+    """representations() of the rows of tc against a reliable group whose
+    members have topic contributions group_tc."""
+    s = uncertainty.evidence_scale(group_tc) if len(group_tc) else 1.0
+    return uncertainty.representations(
+        tc, s, H, cfg.k_related, cfg.temperature,
+        uncertainty.original(group_tc)[0], cfg.k_nn)
 
 
 def _reliable_profile(tcs, H, cfg) -> np.ndarray:
@@ -469,8 +453,6 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
         return np.full((len(REPRESENTATIONS), tcs.shape[-1]), np.nan)
     return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
 
-
-# ------------------------------------------------------------------ score
 
 def _read_scores(cfg, stage) -> dict[str, np.ndarray]:
     """scores.npz columns, one entry per dataset message in id order; an
@@ -490,28 +472,28 @@ def cmd_score(cfg: PipelineConfig) -> None:
     X = _load_vectors(cfg, "score", ids, space)
     model = _load_model(cfg, "score")
     preds = classifiers.predict_all(model, X)
-    profiles = _load_profiles(cfg, "score")
-    topics = {polarity: _load_topics(cfg, "score", polarity)
-              for polarity in ("plus", "minus")}
     Phi = _load_phi(cfg, "score", ids, space, model, X)
     groups = _reliable_groups(messages, preds)
 
     # Each message is represented on the polarity its own prediction
     # selects (positive -> spamward supports against the TP group,
-    # negative -> hamward against TN); the reliable group's context comes
-    # from the same topic contributions.
+    # negative -> hamward against TN); the reliable group's profile and
+    # context come from the same topic contributions.
     n = len(ids)
     vectors = np.empty((n, len(REPRESENTATIONS), cfg.n_topics))
     degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
-    for group, polarity in POLARITY_OF_GROUP.items():
-        rows = preds.label == (1 if group == "TP" else 0)
-        topic = topics[polarity]
+    profiles = np.empty((len(POLARITIES), len(REPRESENTATIONS), cfg.n_topics))
+    for label, polarity in enumerate(POLARITIES):
+        rows = preds.label == label
+        topic = _load_topics(cfg, "score", polarity)
         supports = attribution.polarity_supports(Phi[rows][:, topic.columns],
                                                  polarity)
         tc = profiling.topic_contributions(supports, topic.assignment,
                                            cfg.n_topics)
+        group_tc = tc[groups[label][rows]]
+        profiles[label] = _reliable_profile(group_tc, topic.H, cfg)
         vectors[rows], degenerate[rows] = _representations(
-            tc, tc[groups[group][rows]], topic.H, cfg)
+            tc, group_tc, topic.H, cfg)
 
     xmap = scoring.misclassification_score(vectors, profiles, preds.label)
     columns = {method: uncertainty.output_uq_score(preds.p_pos, method,
@@ -520,10 +502,11 @@ def cmd_score(cfg: PipelineConfig) -> None:
     columns.update(zip(XMAP_COLUMNS, xmap.T))
 
     digest = cfg.digest()
+    names = np.array(REPRESENTATIONS)
+    _save(p.profiles, digest, names=names, vectors=profiles)
     id_array = np.array(ids)
-    _save(p.representations, digest, ids=id_array,
-          names=np.array(REPRESENTATIONS), vectors=vectors,
-          degenerate=degenerate)
+    _save(p.representations, digest, ids=id_array, names=names,
+          vectors=vectors, degenerate=degenerate)
     gold, _ = _labels(messages)
     _save(p.scores, digest, ids=id_array,
           split=np.array([m.split for m in messages]), gold=gold,

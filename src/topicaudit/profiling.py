@@ -1,11 +1,10 @@
-"""Feature ranking, support matrices, NMF topics, and group profiles.
+"""Feature ranking, support matrices, NMF topics and topic contributions.
 
 Each polarity gets its own track: polarity supports are ranked by how
 often and how strongly features contribute, the top columns are selected
 under per-family quotas, the resulting nonnegative matrix is factorized
-with multiplicative-update NMF, and reliably classified messages are
-averaged into simplex profiles that later serve as reference
-distributions.
+with multiplicative-update NMF, and each selected column is assigned to
+one topic, so a message's supports sum into per-topic contributions.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from topicaudit import classifiers as clf
 from topicaudit.classifiers import (LinearModel, NBModel, Prediction,
-                                    predict_proba, train_logreg, train_nb,
+                                    predict_all, train_logreg, train_nb,
                                     train_svm)
 from topicaudit.config import PipelineConfig
 from topicaudit.pipeline import _load_model, _save_model, paths_for
@@ -26,7 +26,8 @@ class TestLogReg:
     def test_separable_reaches_full_accuracy(self):
         X, y = _toy_separable()
         model = train_logreg(X, y, l2_strength=0.01, epochs=500)
-        preds = [predict_proba(model, x).label for x in X]
+        preds = [predict_all(model, X[i:i + 1]).label[0]
+                 for i in range(len(X))]
         assert preds == list(y)
 
     def test_identical_features_recover_class_rate(self):
@@ -34,7 +35,7 @@ class TestLogReg:
         X = np.ones((10, 3))
         y = np.array([1] * 7 + [0] * 3)
         model = train_logreg(X, y, epochs=2000)
-        p = predict_proba(model, X[0]).p_pos
+        p = predict_all(model, X[:1]).p_pos[0]
         np.testing.assert_allclose(p, 0.7, atol=1e-3)
 
     def test_deterministic(self):
@@ -46,19 +47,20 @@ class TestLogReg:
 
     def test_margin_is_log_odds(self):
         model = LinearModel(kind="logreg", weights=np.array([1.0]), bias=0.0)
-        pred = predict_proba(model, np.array([np.log(3.0)]))
-        np.testing.assert_allclose(pred.p_pos, 0.75, rtol=1e-12)
+        pred = predict_all(model, np.array([[np.log(3.0)]]))
+        np.testing.assert_allclose(pred.p_pos[0], 0.75, rtol=1e-12)
 
     def test_zero_model_gives_half(self):
         model = LinearModel(kind="logreg", weights=np.zeros(4), bias=0.0)
-        assert predict_proba(model, np.zeros(4)).p_pos == 0.5
+        assert predict_all(model, np.zeros((1, 4))).p_pos[0] == 0.5
 
     def test_large_structural_scale_still_trains(self):
         rng = np.random.default_rng(0)
         X = np.hstack([rng.random((40, 3)), rng.integers(0, 500, (40, 1))])
         y = (X[:, 0] > 0.5).astype(int)
         model = train_logreg(X, y, epochs=800)
-        acc = np.mean([predict_proba(model, x).label for x in X] == y)
+        acc = np.mean([predict_all(model, X[i:i + 1]).label[0]
+                       for i in range(len(X))] == y)
         assert acc >= 0.9
 
     @settings(max_examples=20, deadline=None)
@@ -151,14 +153,12 @@ class TestNB:
         X = np.array([[3.0, 1.0], [1.0, 0.0], [1.0, 2.0], [0.0, 1.0]])
         y = np.array([1, 1, 0, 0])
         model = train_nb(X, y, alpha=1.0)
-        x = np.array([2.0, 0.0])
+        pred = predict_all(model, np.array([[2.0, 0.0]]))
         s1 = np.log(0.5) + 2 * np.log(5.0 / 7.0)
         s0 = np.log(0.5) + 2 * np.log(2.0 / 6.0)
         expect = np.exp(s1) / (np.exp(s1) + np.exp(s0))
-        np.testing.assert_allclose(predict_proba(model, x).p_pos, expect,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(predict_proba(model, x).margin, s1 - s0,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(pred.p_pos[0], expect, rtol=1e-12)
+        np.testing.assert_allclose(pred.margin[0], s1 - s0, rtol=1e-12)
 
     def test_structural_block_scaled_and_clipped(self):
         X = np.array([[1.0, 0.0, 10.0], [0.0, 1.0, 30.0]])
@@ -196,26 +196,26 @@ class TestPrediction:
         model = {"logreg": lambda: train_logreg(X, y),
                  "svm": lambda: train_svm(X, y, epochs=200),
                  "nb": lambda: train_nb(X, y, structural_start=4)}[kind]()
-        batch = clf.predict_all(model, X)
-        for i, x in enumerate(X):
-            one = predict_proba(model, x)
-            assert batch.label[i] == one.label
-            np.testing.assert_allclose(batch.p_pos[i], one.p_pos,
+        batch = predict_all(model, X)
+        for i in range(len(X)):
+            one = predict_all(model, X[i:i + 1])
+            assert batch.label[i] == one.label[0]
+            np.testing.assert_allclose(batch.p_pos[i], one.p_pos[0],
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batch.margin[i], one.margin,
+            np.testing.assert_allclose(batch.margin[i], one.margin[0],
                                        rtol=0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = LinearModel(kind="logreg", weights=np.ones(3), bias=0.0)
-        with pytest.raises(ValueError, match="length 3"):
-            predict_proba(model, np.ones(4))
+        with pytest.raises(ValueError, match="size 3 is different from 4"):
+            predict_all(model, np.ones((1, 4)))
 
     @settings(max_examples=30, deadline=None)
     @given(margin=st.floats(-20, 20))
     def test_probability_strictly_monotone(self, margin):
         model = LinearModel(kind="logreg", weights=np.array([1.0]), bias=0.0)
-        lo = predict_proba(model, np.array([margin])).p_pos
-        hi = predict_proba(model, np.array([margin + 0.1])).p_pos
+        lo = predict_all(model, np.array([[margin]])).p_pos[0]
+        hi = predict_all(model, np.array([[margin + 0.1]])).p_pos[0]
         assert hi > lo
 
 
@@ -272,5 +272,8 @@ class TestModelIO:
         assert type(back.alpha) is float and back.alpha == 0.5
         assert type(back.structural_start) is int
         assert back.structural_start == 2
-        x = np.array([1.5, 1.5, 7.0])
-        assert predict_proba(back, x) == predict_proba(model, x)
+        x = np.array([[1.5, 1.5, 7.0]])
+        ours, theirs = predict_all(back, x), predict_all(model, x)
+        for name in ("p_pos", "label", "margin"):
+            assert self._same_bits(getattr(ours, name),
+                                   getattr(theirs, name)), name

@@ -45,6 +45,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="repair_representation"):
             PipelineConfig(repair_representation="entropy")
 
+    def test_background_size_at_least_one(self):
+        PipelineConfig(background_size=1)
+        with pytest.raises(ConfigError, match="background_size"):
+            PipelineConfig(background_size=0)
+
+    def test_n_coalitions_null_or_at_least_one(self):
+        PipelineConfig(n_coalitions=None)
+        PipelineConfig(n_coalitions=1)
+        with pytest.raises(ConfigError, match="n_coalitions"):
+            PipelineConfig(n_coalitions=0)
+
+    def test_k_nn_at_least_one(self):
+        PipelineConfig(k_nn=1)
+        with pytest.raises(ConfigError, match="k_nn"):
+            PipelineConfig(k_nn=0)
+
     def test_stoplist_choices(self):
         PipelineConfig(stoplist="none")
         with pytest.raises(ConfigError, match="stoplist"):

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from topicaudit import (atomic, attribution, classifiers, cli, corpus, demo,
-                        report, scoring)
+                        profiling, report, scoring)
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.pipeline import (StageError, _from_csr, _load, _load_model,
-                                 _load_phi, _load_space, _load_vectors, _save,
+                                 _load_phi, _load_space, _load_topics,
+                                 _load_vectors, _reliable_profile, _save,
                                  _to_csr, paths_for)
+from topicaudit.uncertainty import REPRESENTATIONS
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -35,7 +37,7 @@ PRODUCER = {
     "dataset.jsonl": "prepare", "space.npz": "prepare",
     "vectors.npz": "prepare", "model.npz": "train",
     "shap.npz": "explain", "topics_plus.npz": "profile",
-    "topics_minus.npz": "profile", "profiles.npz": "profile",
+    "topics_minus.npz": "profile", "profiles.npz": "score",
     "representations.npz": "score", "scores.npz": "score",
     "detector_report.json": "evaluate",
     "repair_report.json": "repair", "outcomes.npz": "repair",
@@ -269,6 +271,36 @@ class TestStageOutputs:
         present = ~np.isnan(reps["vectors"]).any(axis=2)
         sums = reps["vectors"][present].sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+    def test_profiles_are_the_reliable_groups_representations(self,
+                                                               mini_run):
+        # Rebuilt from the upstream artifacts: the label-l profile is the
+        # representations of the mean topic contribution of the correctly
+        # classified training messages of gold label l, on the polarity
+        # that label selects.
+        _, _, out, cfg_path = mini_run
+        cfg = load_config(cfg_path)
+        scores = _load(cfg, "test", out / "scores.npz", "score")
+        ids = scores["ids"].tolist()
+        space = _load_space(cfg, "test")
+        X = _load_vectors(cfg, "test", ids, space)
+        phi = _load_phi(cfg, "test", ids, space, _load_model(cfg, "test"), X)
+        profiles = _load(cfg, "test", out / "profiles.npz", "score")
+        assert profiles["names"].tolist() == list(REPRESENTATIONS)
+        assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
+                                             cfg.n_topics)
+        reliable = (scores["split"] == "train") & scores["correct"]
+        for label, polarity in ((0, "minus"), (1, "plus")):
+            group = reliable & (scores["gold"] == label)
+            assert group.any(), polarity
+            topic = _load_topics(cfg, "test", polarity)
+            supports = attribution.polarity_supports(
+                phi[group][:, topic.columns], polarity)
+            group_tc = profiling.topic_contributions(
+                supports, topic.assignment, cfg.n_topics)
+            expected = _reliable_profile(group_tc, topic.H, cfg)
+            assert not np.isnan(expected).all(), polarity
+            assert profiles["vectors"][label].tobytes() == expected.tobytes()
 
     def test_report_sections_render(self, mini_run):
         _, _, out, _ = mini_run
@@ -594,13 +626,17 @@ class TestCliContract:
         assert cli.main(["prepare", "--config", str(cfg)]) == 1
         assert "out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["base_detector",
-                                       "repair_representation"])
+    BAD_SETTINGS = {"base_detector": "orignal",
+                    "repair_representation": "orignal",
+                    "background_size": 0, "n_coalitions": 0, "k_nn": 0}
+
+    @pytest.mark.parametrize("field", sorted(BAD_SETTINGS))
     def test_bad_repair_setting_exits_one_before_prepare(self, tmp_path,
                                                          capsys, field):
         tsv = _write_corpus(tmp_path)
         out = tmp_path / "out"
-        cfg_path = _write_config(tmp_path, tsv, out, **{field: "orignal"})
+        cfg_path = _write_config(tmp_path, tsv, out,
+                                 **{field: self.BAD_SETTINGS[field]})
         assert cli.main(["prepare", "--config", str(cfg_path)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from topicaudit import profiling as prof
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import (StageError, _load_profiles, _load_topics,
-                                 _reliable_profile, _save, paths_for)
+from topicaudit.pipeline import (_load_topics, _reliable_profile, _save,
+                                 paths_for)
 from topicaudit.uncertainty import REPRESENTATIONS
 
 
@@ -295,7 +295,7 @@ class TestTopicContributions:
 
 def _group_profile(tcs, n_topics):
     """Every representation profile of a group with topic contributions
-    tcs (rows), as the profile stage computes it, by name; None for NA."""
+    tcs (rows), as the score stage computes it, by name; None for NA."""
     H = np.random.default_rng(0).random((n_topics, 2 * n_topics)) + 0.01
     rows = _reliable_profile(
         np.array(tcs, dtype=float).reshape(-1, n_topics), H,
@@ -369,8 +369,8 @@ class TestGroupProfile:
 
 
 class TestProfilingIO:
-    """topics_*.npz and profiles.npz round trip bit for bit through
-    _save and the profile stage's loaders."""
+    """topics_*.npz round trips bit for bit through _save and
+    _load_topics."""
 
     def test_topics_roundtrip(self, tmp_path):
         cfg = PipelineConfig(out_dir=str(tmp_path))
@@ -386,21 +386,3 @@ class TestProfilingIO:
                                                             name).tobytes()
         assert type(back.objective) is float
         assert back.objective == model.objective
-
-    def test_profiles_roundtrip_with_na(self, tmp_path):
-        cfg = PipelineConfig(out_dir=str(tmp_path), n_topics=2, k_related=1)
-        rng = np.random.default_rng(3)
-        vectors = rng.dirichlet([1.0, 1.0], size=(2, len(REPRESENTATIONS)))
-        vectors[1, REPRESENTATIONS.index("rel_u")] = np.nan
-        _save(paths_for(cfg).profiles, cfg.digest(),
-              names=np.array(REPRESENTATIONS), vectors=vectors)
-        back = _load_profiles(cfg, "test")
-        assert back.tobytes() == vectors.tobytes()
-
-    def test_profiles_of_other_representations_refused(self, tmp_path):
-        cfg = PipelineConfig(out_dir=str(tmp_path), n_topics=2, k_related=1)
-        _save(paths_for(cfg).profiles, cfg.digest(),
-              names=np.array(REPRESENTATIONS[::-1]),
-              vectors=np.full((2, len(REPRESENTATIONS), 2), 0.5))
-        with pytest.raises(StageError, match="profiles.npz.*rerun profile"):
-            _load_profiles(cfg, "test")
