@@ -78,6 +78,11 @@ class PipelineConfig:
             raise ConfigError("split_ratio must be in (0, 1)")
         if not 0.0 < self.trr_fix <= 1.0:
             raise ConfigError("trr_fix must be in (0, 1]")
+        for name in ("word_quota", "phrase_quota", "k_related"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative")
+        if self.k_top < 1:
+            raise ConfigError("k_top must be at least 1")
         if self.n_topics < 1:
             raise ConfigError("n_topics must be at least 1")
         if self.background_size < 1:

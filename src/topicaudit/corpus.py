@@ -10,7 +10,6 @@ function of its inputs plus an explicit seed, so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from collections import Counter
@@ -19,8 +18,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-from .atomic import atomic_open
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -197,51 +194,18 @@ def split(messages: list[Message], ratio: float, seed: int) -> tuple[list[Messag
     return train, test
 
 
-def subsample_majority(train: list[Message], seed: int) -> list[Message]:
-    """Drop majority-class training messages until the labels balance.
+def subsample_majority(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Keep mask over training labels in id order that drops majority-class
+    messages until the labels balance.
 
     Stand-in for generative augmentation of the minority class: instead of
     synthesizing new minority messages, the majority is thinned to match.
     """
-    pos = [m for m in train if m.label == LABEL_POSITIVE]
-    neg = [m for m in train if m.label == LABEL_NEGATIVE]
-    major, minor = (pos, neg) if len(pos) > len(neg) else (neg, pos)
-    if len(major) == len(minor):
-        return sorted(train, key=lambda m: m.id)
-    rng = np.random.default_rng(seed)
-    major = sorted(major, key=lambda m: m.id)
-    keep_idx = set(rng.permutation(len(major))[:len(minor)].tolist())
-    kept = [m for i, m in enumerate(major) if i in keep_idx]
-    return sorted(kept + minor, key=lambda m: m.id)
-
-
-def write_dataset(path: str | Path, messages: list[Message],
-                  config_digest: str = "") -> None:
-    """Persist messages as dataset.jsonl, one object per line."""
-    with atomic_open(path) as fh:
-        if config_digest:
-            fh.write(json.dumps({"config_digest": config_digest},
-                                sort_keys=True) + "\n")
-        for msg in messages:
-            fh.write(json.dumps(
-                {"id": msg.id, "text": msg.text, "label": msg.label,
-                 "split": msg.split},
-                sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def read_dataset(path: str | Path) -> tuple[list[Message], str]:
-    """Load dataset.jsonl; returns (messages, config_digest)."""
-    messages = []
-    digest = ""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "config_digest" in obj and "id" not in obj:
-                digest = obj["config_digest"]
-                continue
-            messages.append(Message(id=obj["id"], text=obj["text"],
-                                    label=obj["label"], split=obj["split"]))
-    return messages, digest
+    pos = labels == LABEL_POSITIVE
+    major = pos if pos.sum() > (~pos).sum() else ~pos
+    keep = ~major
+    n_minor = int(keep.sum())
+    rows = np.flatnonzero(major)
+    order = np.random.default_rng(seed).permutation(len(rows))
+    keep[rows[order[:n_minor]]] = True
+    return keep

@@ -4,7 +4,7 @@ and upstream artifacts, so reruns are byte-identical.
 Artifact chain (all under the output directory, all stamped with the
 config digest; a digest mismatch refuses to combine):
 
-    prepare  -> dataset.jsonl, space.npz, vectors.npz
+    prepare  -> dataset.npz, space.npz, vectors.npz
     train    -> model.npz
     explain  -> shap.npz
     profile  -> topics_plus.npz, topics_minus.npz
@@ -17,14 +17,18 @@ Every artifact is written through atomic.atomic_open, so a failed
 write leaves the previous file in place.  Every .npz is written by _save
 and read by _load only, which checks the digest; _load_as also turns
 the arrays into the stage's object and names the file and its producer
-when a key is missing or malformed.  Only the text artifacts bypass
-_save: dataset.jsonl (the messages), the two JSON reports and
-report.md.  The per-message .npz files hold an ``ids`` array that must
-equal the dataset ids in order; the (n, d) matrices X (vectors.npz) and
-a kernel run's phi (shap.npz) are stored as CSR arrays ``shape, indptr,
-indices, data``.  A linear run's phi = w * (t(X) - mu) is exact and
-elementwise, so its shap.npz holds only the background mean ``mu`` and
-_load_phi rebuilds phi from the model and X bit for bit.
+when a key is missing or malformed.  Only the two JSON reports and
+report.md bypass _save.  dataset.npz holds each message's id, gold
+label and split, the columns every later stage keys on, plus the
+messages' UTF-8 text concatenated in ``text`` and delimited by
+``text_offsets`` (n + 1 entries, like a CSR indptr); no stage reads
+the text back.  The other per-message .npz files hold an ``ids`` array
+that must equal the dataset ids in order; the (n, d) matrices X
+(vectors.npz) and a kernel run's phi (shap.npz) are stored as CSR
+arrays ``shape, indptr, indices, data``.  A linear run's
+phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz holds
+only the background mean ``mu`` and _load_phi rebuilds phi from the
+model and X bit for bit.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -67,7 +71,7 @@ class Paths:
     out: Path
 
     @property
-    def dataset(self): return self.out / "dataset.jsonl"
+    def dataset(self): return self.out / "dataset.npz"
     @property
     def space(self): return self.out / "space.npz"
     @property
@@ -143,7 +147,7 @@ def _save(path: Path, digest: str, **arrays) -> None:
 
 
 def _load(cfg: PipelineConfig, stage: str, path: Path, producer: str,
-          ids: list[int] | None = None) -> dict[str, np.ndarray]:
+          ids: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Every array of an artifact written by _save, checked for presence,
     readability, config digest and, given ``ids``, id coverage."""
     _require(path, stage, producer)
@@ -157,7 +161,7 @@ def _load(cfg: PipelineConfig, stage: str, path: Path, producer: str,
     _match(digest.decode("ascii", "replace"), cfg, stage, path.name)
     if ids is not None and not np.array_equal(arrays.get("ids"), ids):
         raise StageError(stage, f"{path.name} does not cover the "
-                                f"{len(ids)} messages of dataset.jsonl in "
+                                f"{len(ids)} messages of dataset.npz in "
                                 f"order; rerun {producer}")
     return arrays
 
@@ -206,18 +210,15 @@ def _csr_matrix(fields, n_rows, n_columns) -> np.ndarray:
 
 # ---------------------------------------------------------------- loading
 
-def _load_dataset(cfg, stage) -> list[corpus.Message]:
-    p = paths_for(cfg)
-    _require(p.dataset, stage, "prepare")
-    messages, digest = corpus.read_dataset(p.dataset)
-    _match(digest, cfg, stage, "dataset.jsonl")
-    return messages
-
-def _labels(messages) -> tuple[np.ndarray, np.ndarray]:
-    """(gold labels, train-split mask) in dataset order, the row order
-    of every per-message array."""
-    return (np.array([m.label for m in messages]),
-            np.array([m.split == "train" for m in messages]))
+def _load_dataset(cfg, stage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, gold labels, splits) of the prepared messages in id order,
+    the row order of every per-message array."""
+    def build(f):
+        columns = f["ids"], f["gold"], f["split"]
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("ids, gold and split differ in length")
+        return columns
+    return _load_as(build, cfg, stage, paths_for(cfg).dataset, "prepare")
 
 def _save_space(path, digest, space) -> None:
     _save(path, digest, word_vocab=np.array(list(space.word_vocab), str),
@@ -302,10 +303,17 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         values = features.vectorize(tokenized[m.id], m, space).values
         X[row, list(values)] = list(values.values())
 
-    corpus.write_dataset(p.dataset, everyone, digest)
+    ids = np.array([m.id for m in everyone])
+    texts = [m.text.encode("utf-8") for m in everyone]
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum([len(t) for t in texts], out=offsets[1:])
+    _save(p.dataset, digest, ids=ids,
+          gold=np.array([m.label for m in everyone]),
+          split=np.array([m.split for m in everyone]),
+          text=np.frombuffer(b"".join(texts), dtype=np.uint8),
+          text_offsets=offsets)
     _save_space(p.space, digest, space)
-    _save(p.vectors, digest, ids=np.array([m.id for m in everyone]),
-          **_to_csr(X))
+    _save(p.vectors, digest, ids=ids, **_to_csr(X))
 
 
 # ------------------------------------------------------------------ train
@@ -313,16 +321,13 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
 @_stage("train")
 def cmd_train(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    messages = _load_dataset(cfg, "train")
-    ids = [m.id for m in messages]
+    ids, gold, split = _load_dataset(cfg, "train")
     space = _load_space(cfg, "train")
     X = _load_vectors(cfg, "train", ids, space)
-    labels, train = _labels(messages)
+    train = split == "train"
     if cfg.subsample_train:
-        kept = corpus.subsample_majority(
-            [m for m in messages if m.split == "train"], cfg.seed)
-        train = np.isin(ids, [m.id for m in kept])
-    X_train, y_train = X[train], labels[train]
+        train[train] = corpus.subsample_majority(gold[train], cfg.seed)
+    X_train, y_train = X[train], gold[train]
 
     if cfg.classifier == "logreg":
         model = classifiers.train_logreg(
@@ -342,14 +347,13 @@ def cmd_train(cfg: PipelineConfig) -> None:
 @_stage("explain")
 def cmd_explain(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    messages = _load_dataset(cfg, "explain")
-    ids = [m.id for m in messages]
+    ids, gold, split = _load_dataset(cfg, "explain")
     space = _load_space(cfg, "explain")
     X = _load_vectors(cfg, "explain", ids, space)
     model = _load_model(cfg, "explain")
-    labels, train = _labels(messages)
-    X_train, y_train = X[train], labels[train]
-    train_ids = np.array(ids)[train].tolist()
+    train = split == "train"
+    X_train, y_train = X[train], gold[train]
+    train_ids = ids[train].tolist()
 
     linear = cfg.classifier == "logreg" or (
         cfg.classifier == "nb" and cfg.nb_linear_attribution)
@@ -371,7 +375,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
         Phi = np.zeros(X.shape)
         base_values = np.empty(len(ids))
-        for i, msg_id in enumerate(ids):
+        for i, msg_id in enumerate(ids.tolist()):
             shap = attribution.kernel_shap(
                 model, X[i], background,
                 n_coalitions=cfg.n_coalitions, seed=cfg.seed, msg_id=msg_id)
@@ -379,7 +383,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
             base_values[i] = shap.base_value
         explained, stored = "probability", _to_csr(Phi)
 
-    _save(p.shap, cfg.digest(), ids=np.array(ids), base_values=base_values,
+    _save(p.shap, cfg.digest(), ids=ids, base_values=base_values,
           explained_output=np.array(explained),
           background_ids=np.array(background.ids, dtype=np.int64),
           background_digest=np.array(background.digest()), **stored)
@@ -391,23 +395,21 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 POLARITIES = ("minus", "plus")
 
 
-def _reliable_groups(messages, preds) -> tuple[np.ndarray, np.ndarray]:
+def _reliable_groups(gold, split, preds) -> tuple[np.ndarray, np.ndarray]:
     """Row masks of the correctly classified train-split messages, TN and
     TP, indexed by label."""
-    gold, train = _labels(messages)
-    reliable = train & (preds.label == gold)
+    reliable = (split == "train") & (preds.label == gold)
     return reliable & (gold == 0), reliable & (gold == 1)
 
 
 @_stage("profile")
 def cmd_profile(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    messages = _load_dataset(cfg, "profile")
-    ids = [m.id for m in messages]
+    ids, gold, split = _load_dataset(cfg, "profile")
     space = _load_space(cfg, "profile")
     X = _load_vectors(cfg, "profile", ids, space)
     model = _load_model(cfg, "profile")
-    tn, tp = _reliable_groups(messages, classifiers.predict_all(model, X))
+    tn, tp = _reliable_groups(gold, split, classifiers.predict_all(model, X))
     reliable = tn | tp
     if not reliable.any():
         raise StageError("profile", "no correctly classified training "
@@ -459,21 +461,20 @@ def _read_scores(cfg, stage) -> dict[str, np.ndarray]:
     NA xmap score is NaN."""
     # A missing score stage is reported before a missing dataset.
     _require(paths_for(cfg).scores, stage, "score")
-    ids = [m.id for m in _load_dataset(cfg, stage)]
+    ids = _load_dataset(cfg, stage)[0]
     return _load(cfg, stage, paths_for(cfg).scores, "score", ids)
 
 
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
     p = paths_for(cfg)
-    messages = _load_dataset(cfg, "score")
-    ids = [m.id for m in messages]
+    ids, gold, split = _load_dataset(cfg, "score")
     space = _load_space(cfg, "score")
     X = _load_vectors(cfg, "score", ids, space)
     model = _load_model(cfg, "score")
     preds = classifiers.predict_all(model, X)
     Phi = _load_phi(cfg, "score", ids, space, model, X)
-    groups = _reliable_groups(messages, preds)
+    groups = _reliable_groups(gold, split, preds)
 
     # Each message is represented on the polarity its own prediction
     # selects (positive -> spamward supports against the TP group,
@@ -504,12 +505,9 @@ def cmd_score(cfg: PipelineConfig) -> None:
     digest = cfg.digest()
     names = np.array(REPRESENTATIONS)
     _save(p.profiles, digest, names=names, vectors=profiles)
-    id_array = np.array(ids)
-    _save(p.representations, digest, ids=id_array, names=names,
+    _save(p.representations, digest, ids=ids, names=names,
           vectors=vectors, degenerate=degenerate)
-    gold, _ = _labels(messages)
-    _save(p.scores, digest, ids=id_array,
-          split=np.array([m.split for m in messages]), gold=gold,
+    _save(p.scores, digest, ids=ids, split=split, gold=gold,
           predicted=preds.label, p_pos=preds.p_pos,
           correct=preds.label == gold, **columns)
 

@@ -19,11 +19,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from topicaudit import (attribution, classifiers, cli, corpus, demo,
-                        profiling, scoring)
+from topicaudit import attribution, classifiers, cli, demo, profiling, scoring
 from topicaudit.config import load_config
-from topicaudit.pipeline import (_load, _load_model, _load_phi, _load_space,
-                                 _load_vectors, _read_scores)
+from topicaudit.pipeline import (_load, _load_dataset, _load_model,
+                                 _load_phi, _load_space, _load_vectors,
+                                 _read_scores)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -121,13 +121,13 @@ def test_c01_shapley_oracle(capsys):
 
 def test_c02_local_accuracy(full_run, capsys):
     start = time.monotonic()
-    messages, _ = corpus.read_dataset(full_run.out / "dataset.jsonl")
-    test_ids = [m.id for m in messages if m.split == "test"]
+    ids, _, split = _load_dataset(full_run.cfg, "acceptance")
+    test_ids = ids[split == "test"].tolist()
     rng = np.random.default_rng(0)
     sample = [test_ids[i] for i in
               rng.choice(len(test_ids), size=100, replace=False)]
 
-    ids = [m.id for m in messages]
+    ids = ids.tolist()
     space = _load_space(full_run.cfg, "acceptance")
     X = _load_vectors(full_run.cfg, "acceptance", ids, space)
     model = _load_model(full_run.cfg, "acceptance")

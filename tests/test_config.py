@@ -61,6 +61,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k_nn"):
             PipelineConfig(k_nn=0)
 
+    @pytest.mark.parametrize("name", ["word_quota", "phrase_quota",
+                                      "k_related"])
+    def test_sizes_not_negative(self, name):
+        PipelineConfig(**{name: 0})
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig(**{name: -1})
+
+    def test_k_top_at_least_one(self):
+        PipelineConfig(k_top=1)
+        with pytest.raises(ConfigError, match="k_top"):
+            PipelineConfig(k_top=0)
+        with pytest.raises(ConfigError, match="k_top"):
+            PipelineConfig(k_top=-3)
+
     def test_stoplist_choices(self):
         PipelineConfig(stoplist="none")
         with pytest.raises(ConfigError, match="stoplist"):

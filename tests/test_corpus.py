@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SMALL_TSV
 from topicaudit import corpus
+from topicaudit.config import PipelineConfig
+from topicaudit.pipeline import _load, _load_dataset, cmd_prepare, paths_for
 
 
 class TestLoadDataset:
@@ -145,32 +150,67 @@ class TestSplit:
 
 class TestSubsample:
     def test_balances_majority_down(self):
-        msgs = [corpus.Message(i, f"t {i}", 0, split="train") for i in range(20)]
-        msgs += [corpus.Message(20 + i, f"t {i}", 1, split="train")
-                 for i in range(5)]
-        out = corpus.subsample_majority(msgs, seed=5)
-        assert sum(m.label == 0 for m in out) == 5
-        assert sum(m.label == 1 for m in out) == 5
+        labels = np.array([0] * 20 + [1] * 5)
+        keep = corpus.subsample_majority(labels, seed=5)
+        assert sum(labels[keep] == 0) == 5
+        assert sum(labels[keep] == 1) == 5
 
     def test_balanced_input_unchanged(self):
-        msgs = [corpus.Message(i, "t", i % 2, split="train") for i in range(10)]
-        out = corpus.subsample_majority(msgs, seed=5)
-        assert sorted(m.id for m in out) == list(range(10))
+        labels = np.arange(10) % 2
+        keep = corpus.subsample_majority(labels, seed=5)
+        assert np.flatnonzero(keep).tolist() == list(range(10))
+
+    def test_kept_ids_are_pinned(self):
+        # The majority rows kept are drawn by one permutation over them in
+        # id order; these are the ids that draw keeps for each seed.
+        ids = 10 + 3 * np.arange(15)
+        labels = np.array([0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0])
+        keep = corpus.subsample_majority(labels, seed=5)
+        assert ids[keep].tolist() == [13, 16, 22, 25, 34, 40, 46, 52]
+        labels = np.array([1, 1, 0, 1, 1, 1, 0, 1, 0, 1])
+        keep = corpus.subsample_majority(labels, seed=2026)
+        assert np.flatnonzero(keep).tolist() == [0, 2, 4, 6, 7, 8]
+
+
+def _prepare(tmp_path, tsv_text: str):
+    """(config, dataset.npz arrays) after prepare on a TSV corpus."""
+    tsv = tmp_path / "corpus.tsv"
+    tsv.write_text(tsv_text, encoding="utf-8")
+    cfg = PipelineConfig(dataset_path=str(tsv), out_dir=str(tmp_path / "out"),
+                         word_quota=50, phrase_quota=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cmd_prepare(cfg)
+    return cfg, _load(cfg, "test", paths_for(cfg).dataset, "prepare")
+
+
+def _texts(arrays) -> list[str]:
+    text, offsets = arrays["text"], arrays["text_offsets"]
+    return [bytes(text[a:b]).decode("utf-8")
+            for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 class TestDatasetIO:
-    def test_roundtrip_with_digest(self, tmp_path, small_messages):
-        tagged = [corpus.Message(m.id, m.text, m.label, split="train")
-                  for m in small_messages]
-        path = tmp_path / "dataset.jsonl"
-        corpus.write_dataset(path, tagged, config_digest="abc123")
-        back, digest = corpus.read_dataset(path)
-        assert digest == "abc123"
-        assert back == tagged
+    def test_roundtrip_with_digest(self, tmp_path):
+        cfg, arrays = _prepare(tmp_path, SMALL_TSV)
+        messages = corpus.load_dataset(cfg.dataset_path)
+        train, test = corpus.split(messages, cfg.split_ratio, cfg.seed)
+        tagged = sorted(train + test, key=lambda m: m.id)
+        assert arrays["ids"].tolist() == [m.id for m in tagged]
+        assert arrays["gold"].tolist() == [m.label for m in tagged]
+        assert arrays["split"].tolist() == [m.split for m in tagged]
+        assert _texts(arrays) == [m.text for m in tagged]
+        with np.load(paths_for(cfg).dataset) as npz:
+            assert npz["digest"].tobytes() == cfg.digest().encode()
+        assert [c.tolist() for c in _load_dataset(cfg, "test")] == [
+            arrays[key].tolist() for key in ("ids", "gold", "split")]
 
     def test_unicode_preserved(self, tmp_path):
-        msgs = [corpus.Message(0, "win £500 naïve", 1, split="test")]
-        path = tmp_path / "dataset.jsonl"
-        corpus.write_dataset(path, msgs, config_digest="d")
-        back, _ = corpus.read_dataset(path)
-        assert back[0].text == "win £500 naïve"
+        _, arrays = _prepare(tmp_path, "spam\twin £500 naïve\n"
+                                       "spam\tfree prize call now\n\n"
+                                       "ham\tsee you at 5\n"
+                                       "ham\tcafé later?\n")
+        assert arrays["text"].dtype == np.uint8
+        assert arrays["ids"].tolist() == [0, 1, 2, 3]
+        assert _texts(arrays) == ["win £500 naïve", "free prize call now",
+                                  "see you at 5", "café later?"]

@@ -20,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from topicaudit import (atomic, attribution, classifiers, cli, corpus, demo,
+from topicaudit import (atomic, attribution, classifiers, cli, demo,
                         profiling, report, scoring)
 from topicaudit.config import PipelineConfig, load_config
-from topicaudit.pipeline import (StageError, _from_csr, _load, _load_model,
-                                 _load_phi, _load_space, _load_topics,
-                                 _load_vectors, _reliable_profile, _save,
-                                 _to_csr, paths_for)
+from topicaudit.pipeline import (StageError, _from_csr, _load,
+                                 _load_dataset, _load_model, _load_phi,
+                                 _load_space, _load_topics, _load_vectors,
+                                 _reliable_profile, _save, _to_csr,
+                                 paths_for)
 from topicaudit.uncertainty import REPRESENTATIONS
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
@@ -34,7 +35,7 @@ STAGES = ("prepare", "train", "explain", "profile", "score",
 
 # Every artifact of a full run, with the stage that writes it.
 PRODUCER = {
-    "dataset.jsonl": "prepare", "space.npz": "prepare",
+    "dataset.npz": "prepare", "space.npz": "prepare",
     "vectors.npz": "prepare", "model.npz": "train",
     "shap.npz": "explain", "topics_plus.npz": "profile",
     "topics_minus.npz": "profile", "profiles.npz": "score",
@@ -157,6 +158,13 @@ def _score_refuses_shap(cfg_path: Path, capsys) -> None:
     assert cli.main(["score", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "[score]" in err and "shap.npz" in err
+
+
+def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[train] ") and err.count("\n") == 1
+    assert "dataset.npz" in err and "rerun prepare" in err
 
 
 class TestStageOutputs:
@@ -435,6 +443,25 @@ class TestGuards:
         assert "topics_plus.npz" in err and "assignment" in err
         assert "rerun profile" in err
 
+    def test_truncated_dataset_fails_train(self, mini_run, tmp_path,
+                                           capsys):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        _truncate(copy / "dataset.npz")
+        _train_refuses_dataset(cfg_path, capsys)
+
+    @pytest.mark.parametrize("damage", ["missing_gold", "short_gold"])
+    def test_incomplete_dataset_fails_train(self, mini_run, tmp_path, capsys,
+                                            damage):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "test", copy / "dataset.npz", "prepare")
+        if damage == "missing_gold":
+            del arrays["gold"]
+        else:
+            arrays["gold"] = arrays["gold"][:-1]
+        _save(copy / "dataset.npz", cfg.digest(), **arrays)
+        _train_refuses_dataset(cfg_path, capsys)
+
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, tmp_path / "absent.tsv",
                                  tmp_path / "out")
@@ -460,15 +487,13 @@ class TestLinearExplain:
                 "digest", "ids", "base_values", "explained_output",
                 "background_ids", "background_digest", "mu"}
         cfg = load_config(cfg_path)
-        messages, _ = corpus.read_dataset(out / "dataset.jsonl")
-        ids = [m.id for m in messages]
-        train = np.array([m.split == "train" for m in messages])
-        labels = np.array([m.label for m in messages])
+        ids, labels, split = _load_dataset(cfg, "test")
+        train = split == "train"
         space = _load_space(cfg, "test")
         X = _load_vectors(cfg, "test", ids, space)
         model = _load_model(cfg, "test")
         background = attribution.make_background(
-            X[train], labels[train], np.array(ids)[train].tolist(),
+            X[train], labels[train], ids[train].tolist(),
             size=int(train.sum()), seed=cfg.seed)
         expected, base = attribution.linear_shap(model, X, background.mean)
         stored = _from_csr(_to_csr(expected))
@@ -490,8 +515,7 @@ class TestKernelExplain:
         out, cfg_path = _small_run(tmp_path, STAGES[:3],
                                    **{**KERNEL, "classifier": classifier})
         cfg = load_config(cfg_path)
-        messages, _ = corpus.read_dataset(out / "dataset.jsonl")
-        ids = [m.id for m in messages]
+        ids = _load_dataset(cfg, "test")[0].tolist()
         space = _load_space(cfg, "test")
         X = _from_csr(_load(cfg, "test", out / "vectors.npz", "prepare", ids))
         shap = _load(cfg, "test", out / "shap.npz", "explain", ids)
@@ -628,7 +652,9 @@ class TestCliContract:
 
     BAD_SETTINGS = {"base_detector": "orignal",
                     "repair_representation": "orignal",
-                    "background_size": 0, "n_coalitions": 0, "k_nn": 0}
+                    "background_size": 0, "n_coalitions": 0, "k_nn": 0,
+                    "word_quota": -5, "phrase_quota": -1, "k_related": -1,
+                    "k_top": 0}
 
     @pytest.mark.parametrize("field", sorted(BAD_SETTINGS))
     def test_bad_repair_setting_exits_one_before_prepare(self, tmp_path,
@@ -649,7 +675,7 @@ class TestCliContract:
         rc = cli.main(["prepare", "--config", str(cfg_path),
                        "--out", str(override)])
         assert rc == 0
-        assert (override / "dataset.jsonl").exists()
+        assert (override / "dataset.npz").exists()
 
 
 class TestReportHelpers:
