@@ -81,16 +81,16 @@ class PipelineConfig:
         for name in ("word_quota", "phrase_quota", "k_related"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
-        if self.k_top < 1:
-            raise ConfigError("k_top must be at least 1")
-        if self.n_topics < 1:
-            raise ConfigError("n_topics must be at least 1")
-        if self.background_size < 1:
-            raise ConfigError("background_size must be at least 1")
+        for name in ("epochs", "svm_epochs", "background_size", "k_top",
+                     "n_topics", "nmf_max_iters", "k_nn"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.n_coalitions is not None and self.n_coalitions < 1:
             raise ConfigError("n_coalitions must be null or at least 1")
-        if self.k_nn < 1:
-            raise ConfigError("k_nn must be at least 1")
+        if not 0.0 < self.tau_p <= 1.0:
+            raise ConfigError("tau_p must be in (0, 1]")
+        if not self.temperature > 0.0:
+            raise ConfigError("temperature must be positive")
         if self.k_related >= self.n_topics:
             raise ConfigError("k_related must be below n_topics")
         if self.base_detector not in OUTPUT_UQ_METHODS:

@@ -1,34 +1,24 @@
 """Stage orchestration: each command is a pure function of the config
 and upstream artifacts, so reruns are byte-identical.
 
-Artifact chain (all under the output directory, all stamped with the
-config digest; a digest mismatch refuses to combine):
-
-    prepare  -> dataset.npz, space.npz, vectors.npz
-    train    -> model.npz
-    explain  -> shap.npz
-    profile  -> topics_plus.npz, topics_minus.npz
-    score    -> profiles.npz, representations.npz, scores.npz
-    evaluate -> detector_report.json
-    repair   -> repair_report.json, outcomes.npz
-    report   -> report.md
-
-Every artifact is written through atomic.atomic_open, so a failed
-write leaves the previous file in place.  Every .npz is written by _save
-and read by _load only, which checks the digest; _load_as also turns
-the arrays into the stage's object and names the file and its producer
-when a key is missing or malformed.  Only the two JSON reports and
-report.md bypass _save.  dataset.npz holds each message's id, gold
-label and split, the columns every later stage keys on, plus the
-messages' UTF-8 text concatenated in ``text`` and delimited by
-``text_offsets`` (n + 1 entries, like a CSR indptr); no stage reads
-the text back.  The other per-message .npz files hold an ``ids`` array
-that must equal the dataset ids in order; the (n, d) matrices X
-(vectors.npz) and a kernel run's phi (shap.npz) are stored as CSR
-arrays ``shape, indptr, indices, data``.  A linear run's
-phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz holds
-only the background mean ``mu`` and _load_phi rebuilds phi from the
-model and X bit for bit.
+PRODUCER names every artifact under the output directory and the stage
+that writes it, and _path(cfg, name) is its file.  Every artifact is
+stamped with the config digest (a mismatch refuses to combine) and
+written through atomic.atomic_open, so a failed write leaves the
+previous file in place.  Every .npz is written by _save and read by
+_load only, the two JSON reports by _write_report and _read_report;
+a reader names the file and its producer when it is missing, damaged
+or stale, and _load_as also turns the arrays into the stage's object.
+dataset.npz holds each message's id, gold label and split, the columns
+every later stage keys on, plus the messages' UTF-8 text concatenated
+in ``text`` and delimited by ``text_offsets`` (n + 1 entries, like a
+CSR indptr); no stage reads the text back.  The other per-message .npz
+files hold an ``ids`` array that must equal the dataset ids in order;
+the (n, d) matrices X (vectors.npz) and a kernel run's phi (shap.npz)
+are stored as CSR arrays ``shape, indptr, indices, data``.  A linear
+run's phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz
+holds only the background mean ``mu`` and _load_phi rebuilds phi from
+the model and X bit for bit.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -42,7 +32,6 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,52 +46,25 @@ REPRESENTATIONS = uncertainty.REPRESENTATIONS
 XMAP_COLUMNS = tuple(f"xmap_{rep}" for rep in REPRESENTATIONS)
 SUBSETS = (("positive", 1), ("negative", 0))
 
+# Every artifact under the output directory, with the stage that writes it.
+PRODUCER = {
+    "dataset.npz": "prepare", "space.npz": "prepare",
+    "vectors.npz": "prepare", "model.npz": "train", "shap.npz": "explain",
+    "topics_plus.npz": "profile", "topics_minus.npz": "profile",
+    "profiles.npz": "score", "representations.npz": "score",
+    "scores.npz": "score", "detector_report.json": "evaluate",
+    "repair_report.json": "repair", "outcomes.npz": "repair",
+    "report.md": "report",
+}
+
 
 class StageError(RuntimeError):
-    """A pipeline stage could not run; the message names the stage."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+    """A pipeline stage could not run; the message starts with its name."""
 
 
-@dataclass(frozen=True)
-class Paths:
-    out: Path
-
-    @property
-    def dataset(self): return self.out / "dataset.npz"
-    @property
-    def space(self): return self.out / "space.npz"
-    @property
-    def vectors(self): return self.out / "vectors.npz"
-    @property
-    def model(self): return self.out / "model.npz"
-    @property
-    def shap(self): return self.out / "shap.npz"
-    @property
-    def profiles(self): return self.out / "profiles.npz"
-    @property
-    def representations(self): return self.out / "representations.npz"
-    @property
-    def scores(self): return self.out / "scores.npz"
-    @property
-    def outcomes(self): return self.out / "outcomes.npz"
-    @property
-    def detector_report(self): return self.out / "detector_report.json"
-    @property
-    def repair_report(self): return self.out / "repair_report.json"
-    @property
-    def report(self): return self.out / "report.md"
-
-    def topics(self, polarity: str) -> Path:
-        return self.out / f"topics_{polarity}.npz"
-
-
-def paths_for(cfg: PipelineConfig) -> Paths:
-    if not cfg.out_dir:
-        raise ValueError("config has no output directory")
-    return Paths(out=Path(cfg.out_dir))
+class ArtifactError(RuntimeError):
+    """An artifact is missing, unreadable, stale or malformed; the message
+    names the file and the stage to rerun."""
 
 
 def _stage(name: str):
@@ -112,24 +74,36 @@ def _stage(name: str):
         def wrapper(cfg: PipelineConfig):
             try:
                 return fn(cfg)
-            except StageError:
-                raise
             except Exception as exc:
-                raise StageError(name, str(exc)) from exc
+                raise StageError(f"[{name}] {exc}") from exc
         return wrapper
     return deco
 
 
-def _require(path: Path, stage: str, producer: str) -> None:
+def _path(cfg: PipelineConfig, name: str) -> Path:
+    if name not in PRODUCER:
+        raise KeyError(f"{name} is not a pipeline artifact")
+    if not cfg.out_dir:
+        raise ValueError("config has no output directory")
+    return Path(cfg.out_dir) / name
+
+
+def _require(cfg: PipelineConfig, name: str) -> Path:
+    path = _path(cfg, name)
     if not path.exists():
-        raise StageError(stage, f"missing {path.name}; run {producer} first")
+        raise ArtifactError(f"missing {name}; run {PRODUCER[name]} first")
+    return path
 
 
-def _match(found: str, cfg: PipelineConfig, stage: str, name: str) -> None:
+def _match(found: str, cfg: PipelineConfig, name: str) -> None:
     if found != cfg.digest():
-        raise StageError(stage, f"{name} carries config digest {found[:12]}, "
-                                f"expected {cfg.digest()[:12]}; rerun "
-                                "upstream stages with this config")
+        raise ArtifactError(f"{name} carries config digest {found[:12]}, "
+                            f"expected {cfg.digest()[:12]}; rerun "
+                            "upstream stages with this config")
+
+
+def _unreadable(name: str, exc: Exception) -> ArtifactError:
+    return ArtifactError(f"cannot read {name} ({exc}); rerun {PRODUCER[name]}")
 
 
 def _encode_threshold(value: float) -> float | str:
@@ -139,30 +113,29 @@ def _encode_threshold(value: float) -> float | str:
 
 # ---------------------------------------------------------- array artifacts
 
-def _save(path: Path, digest: str, **arrays) -> None:
+def _save(cfg: PipelineConfig, name: str, **arrays) -> None:
     """Write arrays plus the config digest as one uncompressed .npz,
     atomically."""
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, digest=np.bytes_(digest.encode("ascii")), **arrays)
+    with atomic_open(_path(cfg, name), "wb") as fh:
+        np.savez(fh, digest=np.bytes_(cfg.digest().encode("ascii")),
+                 **arrays)
 
 
-def _load(cfg: PipelineConfig, stage: str, path: Path, producer: str,
+def _load(cfg: PipelineConfig, name: str,
           ids: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Every array of an artifact written by _save, checked for presence,
     readability, config digest and, given ``ids``, id coverage."""
-    _require(path, stage, producer)
+    path = _require(cfg, name)
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise StageError(stage, f"cannot read {path.name} ({exc}); "
-                                f"rerun {producer}") from exc
+        raise _unreadable(name, exc) from exc
     digest = arrays.pop("digest", np.bytes_(b"")).tobytes()
-    _match(digest.decode("ascii", "replace"), cfg, stage, path.name)
+    _match(digest.decode("ascii", "replace"), cfg, name)
     if ids is not None and not np.array_equal(arrays.get("ids"), ids):
-        raise StageError(stage, f"{path.name} does not cover the "
-                                f"{len(ids)} messages of dataset.npz in "
-                                f"order; rerun {producer}")
+        raise ArtifactError(f"{name} does not cover the {len(ids)} messages "
+                            f"of dataset.npz in order; rerun {PRODUCER[name]}")
     return arrays
 
 
@@ -184,19 +157,19 @@ def _from_csr(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return M
 
 
-def _load_as(build, cfg, stage, path, producer, ids=None):
+def _load_as(build, cfg, name, ids=None):
     """build(fields) of an artifact written by _save, where fields are
     its arrays with 0-d ones as Python scalars; a missing or malformed
-    key stops the stage naming the file and its producer."""
-    arrays = _load(cfg, stage, path, producer, ids)
+    key names the file and its producer."""
+    arrays = _load(cfg, name, ids)
     fields = {key: a.item() if a.ndim == 0 else a
               for key, a in arrays.items()}
     try:
         return build(fields)
     except (KeyError, TypeError, ValueError, IndexError,
             AttributeError) as exc:
-        raise StageError(stage, f"{path.name} is malformed ({exc!r}); "
-                                f"rerun {producer}") from exc
+        raise ArtifactError(f"{name} is malformed ({exc!r}); "
+                            f"rerun {PRODUCER[name]}") from exc
 
 
 def _csr_matrix(fields, n_rows, n_columns) -> np.ndarray:
@@ -210,7 +183,7 @@ def _csr_matrix(fields, n_rows, n_columns) -> np.ndarray:
 
 # ---------------------------------------------------------------- loading
 
-def _load_dataset(cfg, stage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, gold labels, splits) of the prepared messages in id order,
     the row order of every per-message array."""
     def build(f):
@@ -218,25 +191,25 @@ def _load_dataset(cfg, stage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if len({len(c) for c in columns}) != 1:
             raise ValueError("ids, gold and split differ in length")
         return columns
-    return _load_as(build, cfg, stage, paths_for(cfg).dataset, "prepare")
+    return _load_as(build, cfg, "dataset.npz")
 
-def _save_space(path, digest, space) -> None:
-    _save(path, digest, word_vocab=np.array(list(space.word_vocab), str),
+def _save_space(cfg, space) -> None:
+    _save(cfg, "space.npz", word_vocab=np.array(list(space.word_vocab), str),
           phrase_vocab=np.array(list(space.phrase_vocab), str),
           idf=space.idf)
 
-def _load_space(cfg, stage) -> features.FeatureSpace:
+def _load_space(cfg) -> features.FeatureSpace:
     def build(f):
         vocabs = {name: {t: i for i, t in enumerate(f[name].tolist())}
                   for name in ("word_vocab", "phrase_vocab")}
         return features.FeatureSpace(idf=f["idf"], **vocabs)
-    return _load_as(build, cfg, stage, paths_for(cfg).space, "prepare")
+    return _load_as(build, cfg, "space.npz")
 
-def _load_vectors(cfg, stage, ids, space) -> np.ndarray:
+def _load_vectors(cfg, ids, space) -> np.ndarray:
     return _load_as(lambda f: _csr_matrix(f, len(ids), space.n_columns),
-                    cfg, stage, paths_for(cfg).vectors, "prepare", ids)
+                    cfg, "vectors.npz", ids)
 
-def _load_phi(cfg, stage, ids, space, model, X) -> np.ndarray:
+def _load_phi(cfg, ids, space, model, X) -> np.ndarray:
     """The (n, d) attributions explain computed: stored as CSR for a
     probability (kernel) run, rebuilt from the stored background mean
     for a margin (linear) run."""
@@ -246,16 +219,16 @@ def _load_phi(cfg, stage, ids, space, model, X) -> np.ndarray:
         if f["explained_output"] != "margin":
             raise ValueError(f"explained_output {f['explained_output']!r}")
         return attribution.linear_shap(model, X, f["mu"])[0]
-    return _load_as(build, cfg, stage, paths_for(cfg).shap, "explain", ids)
+    return _load_as(build, cfg, "shap.npz", ids)
 
-def _save_model(path, digest, model) -> None:
+def _save_model(cfg, model) -> None:
     """kind plus every field the model sets; an NBModel has no kind
     field, a logreg model no calibration."""
     fields = {"kind": "nb", **vars(model)}
-    _save(path, digest,
+    _save(cfg, "model.npz",
           **{key: value for key, value in fields.items() if value is not None})
 
-def _load_model(cfg, stage) -> classifiers.LinearModel | classifiers.NBModel:
+def _load_model(cfg) -> classifiers.LinearModel | classifiers.NBModel:
     def build(f):
         kind = f.pop("kind")
         if kind == "nb":
@@ -263,11 +236,11 @@ def _load_model(cfg, stage) -> classifiers.LinearModel | classifiers.NBModel:
         if "calibration" in f:
             f["calibration"] = tuple(f["calibration"].tolist())
         return classifiers.LinearModel(kind=kind, **f)
-    return _load_as(build, cfg, stage, paths_for(cfg).model, "train")
+    return _load_as(build, cfg, "model.npz")
 
-def _load_topics(cfg, stage, polarity) -> profiling.TopicModel:
-    return _load_as(lambda f: profiling.TopicModel(**f), cfg, stage,
-                    paths_for(cfg).topics(polarity), "profile")
+def _load_topics(cfg, polarity) -> profiling.TopicModel:
+    return _load_as(lambda f: profiling.TopicModel(**f), cfg,
+                    f"topics_{polarity}.npz")
 
 
 # ---------------------------------------------------------------- prepare
@@ -275,10 +248,8 @@ def _load_topics(cfg, stage, polarity) -> profiling.TopicModel:
 @_stage("prepare")
 def cmd_prepare(cfg: PipelineConfig) -> None:
     if not cfg.dataset_path:
-        raise StageError("prepare", "config has no dataset_path")
-    p = paths_for(cfg)
-    p.out.mkdir(parents=True, exist_ok=True)
-    digest = cfg.digest()
+        raise ValueError("config has no dataset_path")
+    _path(cfg, "dataset.npz").parent.mkdir(parents=True, exist_ok=True)
 
     messages = corpus.load_dataset(
         cfg.dataset_path, format=cfg.dataset_format,
@@ -307,23 +278,22 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
     texts = [m.text.encode("utf-8") for m in everyone]
     offsets = np.zeros(len(texts) + 1, dtype=np.int64)
     np.cumsum([len(t) for t in texts], out=offsets[1:])
-    _save(p.dataset, digest, ids=ids,
+    _save(cfg, "dataset.npz", ids=ids,
           gold=np.array([m.label for m in everyone]),
           split=np.array([m.split for m in everyone]),
           text=np.frombuffer(b"".join(texts), dtype=np.uint8),
           text_offsets=offsets)
-    _save_space(p.space, digest, space)
-    _save(p.vectors, digest, ids=ids, **_to_csr(X))
+    _save_space(cfg, space)
+    _save(cfg, "vectors.npz", ids=ids, **_to_csr(X))
 
 
 # ------------------------------------------------------------------ train
 
 @_stage("train")
 def cmd_train(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
-    ids, gold, split = _load_dataset(cfg, "train")
-    space = _load_space(cfg, "train")
-    X = _load_vectors(cfg, "train", ids, space)
+    ids, gold, split = _load_dataset(cfg)
+    space = _load_space(cfg)
+    X = _load_vectors(cfg, ids, space)
     train = split == "train"
     if cfg.subsample_train:
         train[train] = corpus.subsample_majority(gold[train], cfg.seed)
@@ -339,18 +309,17 @@ def cmd_train(cfg: PipelineConfig) -> None:
         model = classifiers.train_nb(
             X_train, y_train, alpha=cfg.nb_alpha,
             structural_start=space.structural_start)
-    _save_model(p.model, cfg.digest(), model)
+    _save_model(cfg, model)
 
 
 # ---------------------------------------------------------------- explain
 
 @_stage("explain")
 def cmd_explain(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
-    ids, gold, split = _load_dataset(cfg, "explain")
-    space = _load_space(cfg, "explain")
-    X = _load_vectors(cfg, "explain", ids, space)
-    model = _load_model(cfg, "explain")
+    ids, gold, split = _load_dataset(cfg)
+    space = _load_space(cfg)
+    X = _load_vectors(cfg, ids, space)
+    model = _load_model(cfg)
     train = split == "train"
     X_train, y_train = X[train], gold[train]
     train_ids = ids[train].tolist()
@@ -383,7 +352,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
             base_values[i] = shap.base_value
         explained, stored = "probability", _to_csr(Phi)
 
-    _save(p.shap, cfg.digest(), ids=ids, base_values=base_values,
+    _save(cfg, "shap.npz", ids=ids, base_values=base_values,
           explained_output=np.array(explained),
           background_ids=np.array(background.ids, dtype=np.int64),
           background_digest=np.array(background.digest()), **stored)
@@ -404,18 +373,16 @@ def _reliable_groups(gold, split, preds) -> tuple[np.ndarray, np.ndarray]:
 
 @_stage("profile")
 def cmd_profile(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
-    ids, gold, split = _load_dataset(cfg, "profile")
-    space = _load_space(cfg, "profile")
-    X = _load_vectors(cfg, "profile", ids, space)
-    model = _load_model(cfg, "profile")
+    ids, gold, split = _load_dataset(cfg)
+    space = _load_space(cfg)
+    X = _load_vectors(cfg, ids, space)
+    model = _load_model(cfg)
     tn, tp = _reliable_groups(gold, split, classifiers.predict_all(model, X))
     reliable = tn | tp
     if not reliable.any():
-        raise StageError("profile", "no correctly classified training "
-                                    "messages to profile")
-    reliable_phi = _load_phi(cfg, "profile", ids, space, model, X)[reliable]
-    digest = cfg.digest()
+        raise ValueError("no correctly classified training messages to "
+                         "profile")
+    reliable_phi = _load_phi(cfg, ids, space, model, X)[reliable]
     families = space.families()
 
     for polarity in POLARITIES:
@@ -428,7 +395,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
                                     max_iters=cfg.nmf_max_iters,
                                     tol=cfg.nmf_tol, seed=cfg.seed)
         assignment = profiling.assign_topics(H)
-        _save(p.topics(polarity), digest, columns=columns, H=H,
+        _save(cfg, f"topics_{polarity}.npz", columns=columns, H=H,
               assignment=assignment, objective=trace[-1])
 
 
@@ -456,24 +423,22 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
     return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
 
 
-def _read_scores(cfg, stage) -> dict[str, np.ndarray]:
+def _read_scores(cfg) -> dict[str, np.ndarray]:
     """scores.npz columns, one entry per dataset message in id order; an
     NA xmap score is NaN."""
     # A missing score stage is reported before a missing dataset.
-    _require(paths_for(cfg).scores, stage, "score")
-    ids = _load_dataset(cfg, stage)[0]
-    return _load(cfg, stage, paths_for(cfg).scores, "score", ids)
+    _require(cfg, "scores.npz")
+    return _load(cfg, "scores.npz", _load_dataset(cfg)[0])
 
 
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
-    ids, gold, split = _load_dataset(cfg, "score")
-    space = _load_space(cfg, "score")
-    X = _load_vectors(cfg, "score", ids, space)
-    model = _load_model(cfg, "score")
+    ids, gold, split = _load_dataset(cfg)
+    space = _load_space(cfg)
+    X = _load_vectors(cfg, ids, space)
+    model = _load_model(cfg)
     preds = classifiers.predict_all(model, X)
-    Phi = _load_phi(cfg, "score", ids, space, model, X)
+    Phi = _load_phi(cfg, ids, space, model, X)
     groups = _reliable_groups(gold, split, preds)
 
     # Each message is represented on the polarity its own prediction
@@ -486,7 +451,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     profiles = np.empty((len(POLARITIES), len(REPRESENTATIONS), cfg.n_topics))
     for label, polarity in enumerate(POLARITIES):
         rows = preds.label == label
-        topic = _load_topics(cfg, "score", polarity)
+        topic = _load_topics(cfg, polarity)
         supports = attribution.polarity_supports(Phi[rows][:, topic.columns],
                                                  polarity)
         tc = profiling.topic_contributions(supports, topic.assignment,
@@ -502,22 +467,36 @@ def cmd_score(cfg: PipelineConfig) -> None:
                for method in BASE_METHODS}
     columns.update(zip(XMAP_COLUMNS, xmap.T))
 
-    digest = cfg.digest()
     names = np.array(REPRESENTATIONS)
-    _save(p.profiles, digest, names=names, vectors=profiles)
-    _save(p.representations, digest, ids=ids, names=names,
+    _save(cfg, "profiles.npz", names=names, vectors=profiles)
+    _save(cfg, "representations.npz", ids=ids, names=names,
           vectors=vectors, degenerate=degenerate)
-    _save(p.scores, digest, ids=ids, split=split, gold=gold,
+    _save(cfg, "scores.npz", ids=ids, split=split, gold=gold,
           predicted=preds.label, p_pos=preds.p_pos,
           correct=preds.label == gold, **columns)
 
 
 # --------------------------------------------------------------- evaluate
 
-def _write_report(path: Path, report: dict) -> None:
-    with atomic_open(path) as fh:
+def _write_report(cfg: PipelineConfig, name: str, report: dict) -> None:
+    with atomic_open(_path(cfg, name)) as fh:
         json.dump(report, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _read_report(cfg: PipelineConfig, name: str) -> dict:
+    """A report written by _write_report, checked like _load checks an
+    .npz: present, a JSON object, and stamped with this config's digest."""
+    path = _require(cfg, name)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        if not isinstance(report, dict):
+            raise ValueError(f"a JSON {type(report).__name__}, not an object")
+    except (OSError, ValueError) as exc:
+        raise _unreadable(name, exc) from exc
+    _match(str(report.get("config_digest", "")), cfg, name)
+    return report
 
 
 def _rejections(scores: np.ndarray, flags: np.ndarray,
@@ -545,7 +524,7 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
 
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    scores = _read_scores(cfg, "evaluate")
+    scores = _read_scores(cfg)
     test = scores["split"] == "test"
     report = {"config_digest": cfg.digest(), "trr_fix": cfg.trr_fix,
               "subsets": {}}
@@ -564,15 +543,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
             "n_misclassified": int(flags.sum()),
             "detectors": detectors,
         }
-    _write_report(paths_for(cfg).detector_report, report)
+    _write_report(cfg, "detector_report.json", report)
 
 
 # ----------------------------------------------------------------- repair
 
 @_stage("repair")
 def cmd_repair(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
-    scores = _read_scores(cfg, "repair")
+    scores = _read_scores(cfg)
     test = scores["split"] == "test"
     train = scores["split"] == "train"
     predicted = scores["predicted"]
@@ -604,7 +582,7 @@ def cmd_repair(cfg: PipelineConfig) -> None:
         per_rep[rep]["re_accepted_ids"] = (
             scores["ids"][re_accepted[rep]].tolist())
 
-    _write_report(p.repair_report, {
+    _write_report(cfg, "repair_report.json", {
         "config_digest": cfg.digest(),
         "base_detector": cfg.base_detector,
         "repair_representation": cfg.repair_representation,
@@ -616,4 +594,4 @@ def cmd_repair(cfg: PipelineConfig) -> None:
     # Per-message outcome under the configured representation.
     outcome = np.where(re_accepted[cfg.repair_representation], "repaired",
                        np.where(rejected, "rejected", "accepted"))
-    _save(p.outcomes, cfg.digest(), ids=scores["ids"], outcome=outcome)
+    _save(cfg, "outcomes.npz", ids=scores["ids"], outcome=outcome)

@@ -7,14 +7,12 @@ versus leakage accounting.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
-                       _match, _read_scores, _require, _stage, paths_for)
+                       _path, _read_report, _read_scores, _stage)
 from .scoring import LN2
 
 # (column header, predicted label, gold label)
@@ -113,17 +111,9 @@ def _repair_table(report: dict) -> list[str]:
 
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
-    p = paths_for(cfg)
-    scores = _read_scores(cfg, "report")
-    _require(p.detector_report, "report", "evaluate")
-    _require(p.repair_report, "report", "repair")
-    with open(p.detector_report, encoding="utf-8") as fh:
-        detector = json.load(fh)
-    with open(p.repair_report, encoding="utf-8") as fh:
-        repair = json.load(fh)
-    _match(detector.get("config_digest", ""), cfg, "report",
-           "detector_report.json")
-    _match(repair.get("config_digest", ""), cfg, "report", "repair_report.json")
+    scores = _read_scores(cfg)
+    detector = _read_report(cfg, "detector_report.json")
+    repair = _read_report(cfg, "repair_report.json")
 
     test = scores["split"] == "test"
     n_test = int(test.sum())
@@ -157,5 +147,5 @@ def cmd_report(cfg: PipelineConfig) -> None:
         *_repair_table(repair),
         "",
     ]
-    with atomic_open(p.report) as fh:
+    with atomic_open(_path(cfg, "report.md")) as fh:
         fh.write("\n".join(lines))

@@ -121,19 +121,18 @@ def test_c01_shapley_oracle(capsys):
 
 def test_c02_local_accuracy(full_run, capsys):
     start = time.monotonic()
-    ids, _, split = _load_dataset(full_run.cfg, "acceptance")
+    ids, _, split = _load_dataset(full_run.cfg)
     test_ids = ids[split == "test"].tolist()
     rng = np.random.default_rng(0)
     sample = [test_ids[i] for i in
               rng.choice(len(test_ids), size=100, replace=False)]
 
     ids = ids.tolist()
-    space = _load_space(full_run.cfg, "acceptance")
-    X = _load_vectors(full_run.cfg, "acceptance", ids, space)
-    model = _load_model(full_run.cfg, "acceptance")
-    phi = _load_phi(full_run.cfg, "acceptance", ids, space, model, X)
-    shap = _load(full_run.cfg, "acceptance", full_run.out / "shap.npz",
-                 "explain", ids)
+    space = _load_space(full_run.cfg)
+    X = _load_vectors(full_run.cfg, ids, space)
+    model = _load_model(full_run.cfg)
+    phi = _load_phi(full_run.cfg, ids, space, model, X)
+    shap = _load(full_run.cfg, "shap.npz", ids)
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
     plus = attribution.polarity_supports(phi, "plus")
     minus = attribution.polarity_supports(phi, "minus")
@@ -252,7 +251,7 @@ def _group_means(scores: dict[str, np.ndarray]) -> dict[str, float]:
 
 
 def test_c06_divergence_separation(full_run, capsys):
-    means = _group_means(_read_scores(full_run.cfg, "acceptance"))
+    means = _group_means(_read_scores(full_run.cfg))
     fp_ratio = means["fp"] / means["tp"]
     fn_ratio = means["fn"] / means["tn"]
     ok = (fp_ratio >= 1.5 and fn_ratio >= 1.2
@@ -266,7 +265,7 @@ def test_c06_divergence_separation(full_run, capsys):
 # ------------------------------------------------------------- criterion 7
 
 def test_c07_detector_quality(full_run, capsys):
-    table = _read_scores(full_run.cfg, "acceptance")
+    table = _read_scores(full_run.cfg)
     pos = ((table["split"] == "test") & (table["predicted"] == 1)
            & ~np.isnan(table["xmap_original"]))
     scores = table["xmap_original"][pos]

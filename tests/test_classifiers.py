@@ -13,7 +13,7 @@ from topicaudit.classifiers import (LinearModel, NBModel, Prediction,
                                     predict_all, train_logreg, train_nb,
                                     train_svm)
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import _load_model, _save_model, paths_for
+from topicaudit.pipeline import _load_model, _save_model
 
 
 def _toy_separable():
@@ -226,11 +226,10 @@ class TestModelIO:
     @staticmethod
     def _roundtrip(tmp_path, model):
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        path = paths_for(cfg).model
-        _save_model(path, cfg.digest(), model)
-        with np.load(path) as npz:
+        _save_model(cfg, model)
+        with np.load(tmp_path / "model.npz") as npz:
             keys = set(npz.files)
-        return _load_model(cfg, "test"), keys
+        return _load_model(cfg), keys
 
     @staticmethod
     def _same_bits(a, b):

@@ -75,6 +75,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k_top"):
             PipelineConfig(k_top=-3)
 
+    @pytest.mark.parametrize("name", ["epochs", "svm_epochs",
+                                      "nmf_max_iters"])
+    def test_iteration_counts_at_least_one(self, name):
+        PipelineConfig(**{name: 1})
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match=f"^{name} must be at "):
+                PipelineConfig(**{name: bad})
+
+    def test_tau_p_range(self):
+        PipelineConfig(tau_p=1.0)
+        PipelineConfig(tau_p=1e-9)
+        for bad in (0.0, -0.05, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match="tau_p"):
+                PipelineConfig(tau_p=bad)
+
+    def test_temperature_positive(self):
+        PipelineConfig(temperature=1e-3)
+        for bad in (0.0, -2.0, float("nan")):
+            with pytest.raises(ConfigError, match="temperature"):
+                PipelineConfig(temperature=bad)
+
     def test_stoplist_choices(self):
         PipelineConfig(stoplist="none")
         with pytest.raises(ConfigError, match="stoplist"):

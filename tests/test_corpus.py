@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import SMALL_TSV
 from topicaudit import corpus
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import _load, _load_dataset, cmd_prepare, paths_for
+from topicaudit.pipeline import _load, _load_dataset, cmd_prepare
 
 
 class TestLoadDataset:
@@ -181,7 +181,7 @@ def _prepare(tmp_path, tsv_text: str):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         cmd_prepare(cfg)
-    return cfg, _load(cfg, "test", paths_for(cfg).dataset, "prepare")
+    return cfg, _load(cfg, "dataset.npz")
 
 
 def _texts(arrays) -> list[str]:
@@ -200,9 +200,9 @@ class TestDatasetIO:
         assert arrays["gold"].tolist() == [m.label for m in tagged]
         assert arrays["split"].tolist() == [m.split for m in tagged]
         assert _texts(arrays) == [m.text for m in tagged]
-        with np.load(paths_for(cfg).dataset) as npz:
+        with np.load(tmp_path / "out" / "dataset.npz") as npz:
             assert npz["digest"].tobytes() == cfg.digest().encode()
-        assert [c.tolist() for c in _load_dataset(cfg, "test")] == [
+        assert [c.tolist() for c in _load_dataset(cfg)] == [
             arrays[key].tolist() for key in ("ids", "gold", "split")]
 
     def test_unicode_preserved(self, tmp_path):

@@ -158,9 +158,8 @@ class TestSpaceIO:
     def test_space_roundtrip(self, tmp_path, small_space):
         space, _ = small_space
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        pipeline._save_space(pipeline.paths_for(cfg).space, cfg.digest(),
-                             space)
-        back = pipeline._load_space(cfg, "test")
+        pipeline._save_space(cfg, space)
+        back = pipeline._load_space(cfg)
         assert list(back.word_vocab.items()) == list(space.word_vocab.items())
         assert list(back.phrase_vocab.items()) == list(
             space.phrase_vocab.items())
@@ -176,10 +175,9 @@ class TestSpaceIO:
             X[row, list(vec.values)] = list(vec.values.values())
         cfg = PipelineConfig(out_dir=str(tmp_path))
         ids = [v.id for v in vecs]
-        path = tmp_path / "vectors.npz"
-        pipeline._save(path, cfg.digest(), ids=np.array(ids),
+        pipeline._save(cfg, "vectors.npz", ids=np.array(ids),
                        **pipeline._to_csr(X))
-        back = pipeline._load_vectors(cfg, "test", ids, space)
+        back = pipeline._load_vectors(cfg, ids, space)
         for row, vec in enumerate(vecs):
             assert set(np.flatnonzero(back[row])) == set(vec.values)
             for col, val in vec.values.items():

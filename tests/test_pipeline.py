@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from topicaudit import (atomic, attribution, classifiers, cli, demo,
-                        profiling, report, scoring)
+                        pipeline, profiling, report, scoring)
 from topicaudit.config import PipelineConfig, load_config
-from topicaudit.pipeline import (StageError, _from_csr, _load,
-                                 _load_dataset, _load_model, _load_phi,
-                                 _load_space, _load_topics, _load_vectors,
-                                 _reliable_profile, _save, _to_csr,
-                                 paths_for)
+from topicaudit.pipeline import (ArtifactError, StageError, _from_csr,
+                                 _load, _load_dataset, _load_model,
+                                 _load_phi, _load_space, _load_topics,
+                                 _load_vectors, _reliable_profile, _save,
+                                 _to_csr)
 from topicaudit.uncertainty import REPRESENTATIONS
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
@@ -125,11 +125,10 @@ def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
     return copy, copy_cfg
 
 
-def _damage_shap(copy: Path, cfg: PipelineConfig, damage: str) -> None:
+def _damage_shap(cfg: PipelineConfig, damage: str) -> None:
     """Rewrite shap.npz with one message fewer, one column more or a
     storage key missing: mu for a linear run, indptr for a kernel run."""
-    path = copy / "shap.npz"
-    arrays = _load(cfg, "test", path, "explain")
+    arrays = _load(cfg, "shap.npz")
     if damage == "missing_message":
         arrays.update(ids=arrays["ids"][:-1],
                       base_values=arrays["base_values"][:-1])
@@ -147,7 +146,7 @@ def _damage_shap(copy: Path, cfg: PipelineConfig, damage: str) -> None:
         arrays.update(_to_csr(phi))
         if damage == "missing_key":
             del arrays["indptr"]
-    _save(path, cfg.digest(), **arrays)
+    _save(cfg, "shap.npz", **arrays)
 
 
 def _truncate(path: Path) -> None:
@@ -169,14 +168,8 @@ def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
 
 class TestStageOutputs:
     def test_all_artifacts_exist(self, mini_run):
-        _, _, out, cfg_path = mini_run
-        paths = paths_for(load_config(cfg_path))
-        for attr in ("dataset", "space", "vectors", "model", "shap",
-                     "profiles", "representations", "scores", "outcomes",
-                     "detector_report", "repair_report", "report"):
-            assert getattr(paths, attr).exists(), attr
-        for polarity in ("plus", "minus"):
-            assert paths.topics(polarity).exists()
+        _, _, out, _ = mini_run
+        assert pipeline.PRODUCER == PRODUCER
         assert {p.name for p in out.iterdir()} == set(PRODUCER)
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
@@ -187,11 +180,10 @@ class TestStageOutputs:
             assert digest.encode() in blob, f"{path.name} lacks the config digest"
 
     def test_scores_outcomes_partition(self, mini_run):
-        _, _, out, cfg_path = mini_run
+        _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "test", out / "scores.npz", "score")
-        outcomes = _load(cfg, "test", out / "outcomes.npz", "repair",
-                         scores["ids"].tolist())
+        scores = _load(cfg, "scores.npz")
+        outcomes = _load(cfg, "outcomes.npz", scores["ids"].tolist())
         assert set(outcomes["outcome"].tolist()) <= {
             "accepted", "rejected", "repaired"}
         # Only test messages can be rejected or repaired.
@@ -210,9 +202,8 @@ class TestStageOutputs:
                         "n_false_rejections"):
                 assert body[key] == base[key], (subset, key)
 
-        scores = _load(cfg, "test", out / "scores.npz", "score")
-        outcome = _load(cfg, "test", out / "outcomes.npz", "repair",
-                        scores["ids"].tolist())["outcome"]
+        scores = _load(cfg, "scores.npz")
+        outcome = _load(cfg, "outcomes.npz", scores["ids"].tolist())["outcome"]
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
         assert scores["ids"][outcome == "repaired"].tolist() == re_accepted
@@ -268,11 +259,10 @@ class TestStageOutputs:
                 scores["ids"][rejected & (xmap <= gate)].tolist()), rep
 
     def test_representations_cover_every_message(self, mini_run):
-        _, _, out, cfg_path = mini_run
+        _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "test", out / "scores.npz", "score")
-        reps = _load(cfg, "test", out / "representations.npz", "score",
-                     scores["ids"].tolist())
+        scores = _load(cfg, "scores.npz")
+        reps = _load(cfg, "representations.npz", scores["ids"].tolist())
         n = len(scores["ids"])
         assert reps["vectors"].shape == (n, 8, MINI["n_topics"])
         assert reps["degenerate"].shape == (n, 8)
@@ -286,14 +276,14 @@ class TestStageOutputs:
         # representations of the mean topic contribution of the correctly
         # classified training messages of gold label l, on the polarity
         # that label selects.
-        _, _, out, cfg_path = mini_run
+        _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "test", out / "scores.npz", "score")
+        scores = _load(cfg, "scores.npz")
         ids = scores["ids"].tolist()
-        space = _load_space(cfg, "test")
-        X = _load_vectors(cfg, "test", ids, space)
-        phi = _load_phi(cfg, "test", ids, space, _load_model(cfg, "test"), X)
-        profiles = _load(cfg, "test", out / "profiles.npz", "score")
+        space = _load_space(cfg)
+        X = _load_vectors(cfg, ids, space)
+        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)
+        profiles = _load(cfg, "profiles.npz")
         assert profiles["names"].tolist() == list(REPRESENTATIONS)
         assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
                                              cfg.n_topics)
@@ -301,7 +291,7 @@ class TestStageOutputs:
         for label, polarity in ((0, "minus"), (1, "plus")):
             group = reliable & (scores["gold"] == label)
             assert group.any(), polarity
-            topic = _load_topics(cfg, "test", polarity)
+            topic = _load_topics(cfg, polarity)
             supports = attribution.polarity_supports(
                 phi[group][:, topic.columns], polarity)
             group_tc = profiling.topic_contributions(
@@ -351,17 +341,50 @@ class TestGuards:
         err = capsys.readouterr().err
         assert "digest" in err and "[score]" in err
 
+    @pytest.mark.parametrize("damage", ["stale", "truncated", "not_object"])
+    @pytest.mark.parametrize("name", ["detector_report.json",
+                                      "repair_report.json"])
     def test_stale_report_json_refused_by_report(self, mini_run, tmp_path,
-                                                 capsys):
+                                                 capsys, name, damage):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
-        path = copy / "repair_report.json"
-        stale = json.loads(path.read_text(encoding="utf-8"))
-        stale["config_digest"] = "0" * 64
-        path.write_text(json.dumps(stale), encoding="utf-8")
+        path = copy / name
+        if damage == "stale":
+            stale = json.loads(path.read_text(encoding="utf-8"))
+            stale["config_digest"] = "0" * 64
+            path.write_text(json.dumps(stale), encoding="utf-8")
+        elif damage == "truncated":
+            _truncate(path)
+        else:
+            path.write_text("[1]", encoding="utf-8")
         assert cli.main(["report", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "[report]" in err and "repair_report.json" in err
-        assert "digest" in err
+        assert "[report]" in err and name in err
+        assert err.count("\n") == 1
+        if damage == "stale":
+            assert "digest" in err
+        else:
+            assert err.startswith(f"[report] cannot read {name} (")
+            assert err.endswith(f"); rerun {PRODUCER[name]}\n")
+        assert (copy / "report.md").read_bytes() == (
+            mini_run[2] / "report.md").read_bytes()
+
+    # The first stage that reads each artifact a later stage needs.
+    FIRST_READER = {"dataset.npz": "train", "space.npz": "train",
+                    "vectors.npz": "train", "model.npz": "explain",
+                    "shap.npz": "profile", "topics_plus.npz": "score",
+                    "topics_minus.npz": "score", "scores.npz": "evaluate",
+                    "detector_report.json": "report",
+                    "repair_report.json": "report"}
+
+    @pytest.mark.parametrize("name", sorted(FIRST_READER))
+    def test_missing_artifact_names_its_producer(self, mini_run, tmp_path,
+                                                 capsys, name):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        (copy / name).unlink()
+        reader = self.FIRST_READER[name]
+        assert cli.main([reader, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"[{reader}] missing {name}; run {PRODUCER[name]} first\n")
 
     def test_missing_upstream_artifact_names_the_producer(self, tmp_path):
         tsv = _write_corpus(tmp_path)
@@ -392,8 +415,8 @@ class TestGuards:
                                         "missing_key"])
     def test_incomplete_shap_fails_score(self, mini_run, tmp_path, capsys,
                                          damage):
-        copy, cfg_path = _copy_run(mini_run, tmp_path)
-        _damage_shap(copy, load_config(cfg_path), damage)
+        _, cfg_path = _copy_run(mini_run, tmp_path)
+        _damage_shap(load_config(cfg_path), damage)
         _score_refuses_shap(cfg_path, capsys)
 
     def test_truncated_kernel_shap_fails_score(self, kernel_run, tmp_path,
@@ -406,8 +429,8 @@ class TestGuards:
                                         "missing_key"])
     def test_incomplete_kernel_shap_fails_score(self, kernel_run, tmp_path,
                                                 capsys, damage):
-        copy, cfg_path = _copy_run(kernel_run, tmp_path)
-        _damage_shap(copy, load_config(cfg_path), damage)
+        _, cfg_path = _copy_run(kernel_run, tmp_path)
+        _damage_shap(load_config(cfg_path), damage)
         _score_refuses_shap(cfg_path, capsys)
 
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
@@ -417,11 +440,11 @@ class TestGuards:
 
     def test_unnormalized_nb_prior_fails_score(self, mini_run, tmp_path,
                                                capsys):
-        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        d = len(_load_model(cfg, "test").weights)
+        d = len(_load_model(cfg).weights)
         prior = float(np.log(0.7))
-        _save(copy / "model.npz", cfg.digest(), kind="nb",
+        _save(cfg, "model.npz", kind="nb",
               log_prior=np.array([prior, prior]), log_theta=np.zeros((2, d)),
               alpha=1.0, structural_start=d, struct_min=np.zeros(0),
               struct_max=np.zeros(0))
@@ -432,11 +455,11 @@ class TestGuards:
 
     def test_topics_missing_key_fails_score(self, mini_run, tmp_path,
                                             capsys):
-        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        arrays = _load(cfg, "test", copy / "topics_plus.npz", "profile")
+        arrays = _load(cfg, "topics_plus.npz")
         del arrays["assignment"]
-        _save(copy / "topics_plus.npz", cfg.digest(), **arrays)
+        _save(cfg, "topics_plus.npz", **arrays)
         assert cli.main(["score", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("[score] ") and err.count("\n") == 1
@@ -452,14 +475,14 @@ class TestGuards:
     @pytest.mark.parametrize("damage", ["missing_gold", "short_gold"])
     def test_incomplete_dataset_fails_train(self, mini_run, tmp_path, capsys,
                                             damage):
-        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        arrays = _load(cfg, "test", copy / "dataset.npz", "prepare")
+        arrays = _load(cfg, "dataset.npz")
         if damage == "missing_gold":
             del arrays["gold"]
         else:
             arrays["gold"] = arrays["gold"][:-1]
-        _save(copy / "dataset.npz", cfg.digest(), **arrays)
+        _save(cfg, "dataset.npz", **arrays)
         _train_refuses_dataset(cfg_path, capsys)
 
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
@@ -487,22 +510,22 @@ class TestLinearExplain:
                 "digest", "ids", "base_values", "explained_output",
                 "background_ids", "background_digest", "mu"}
         cfg = load_config(cfg_path)
-        ids, labels, split = _load_dataset(cfg, "test")
+        ids, labels, split = _load_dataset(cfg)
         train = split == "train"
-        space = _load_space(cfg, "test")
-        X = _load_vectors(cfg, "test", ids, space)
-        model = _load_model(cfg, "test")
+        space = _load_space(cfg)
+        X = _load_vectors(cfg, ids, space)
+        model = _load_model(cfg)
         background = attribution.make_background(
             X[train], labels[train], ids[train].tolist(),
             size=int(train.sum()), seed=cfg.seed)
         expected, base = attribution.linear_shap(model, X, background.mean)
         stored = _from_csr(_to_csr(expected))
 
-        shap = _load(cfg, "test", out / "shap.npz", "explain", ids)
+        shap = _load(cfg, "shap.npz", ids)
         assert shap["explained_output"] == "margin"
         assert shap["mu"].tobytes() == background.mean.tobytes()
         assert shap["base_values"].tolist() == [base] * len(ids)
-        phi = _load_phi(cfg, "test", ids, space, model, X)
+        phi = _load_phi(cfg, ids, space, model, X)
         # tobytes compares the sign of zero too.
         assert phi.tobytes() == expected.tobytes() == stored.tobytes()
 
@@ -512,17 +535,17 @@ class TestKernelExplain:
     def test_matches_probability_callable(self, classifier, tmp_path):
         # explain hands kernel_shap the model itself; the attributions
         # are those of its probability_function as an opaque callable.
-        out, cfg_path = _small_run(tmp_path, STAGES[:3],
-                                   **{**KERNEL, "classifier": classifier})
+        _, cfg_path = _small_run(tmp_path, STAGES[:3],
+                                 **{**KERNEL, "classifier": classifier})
         cfg = load_config(cfg_path)
-        ids = _load_dataset(cfg, "test")[0].tolist()
-        space = _load_space(cfg, "test")
-        X = _from_csr(_load(cfg, "test", out / "vectors.npz", "prepare", ids))
-        shap = _load(cfg, "test", out / "shap.npz", "explain", ids)
+        ids = _load_dataset(cfg)[0].tolist()
+        space = _load_space(cfg)
+        X = _from_csr(_load(cfg, "vectors.npz", ids))
+        shap = _load(cfg, "shap.npz", ids)
         phi = _from_csr(shap)
         assert phi.shape == (len(ids), space.n_columns)
         assert shap["explained_output"] == "probability"
-        model = _load_model(cfg, "test")
+        model = _load_model(cfg)
         rows = [ids.index(i) for i in shap["background_ids"]]
         background = attribution.Background(
             rows=X[rows], ids=tuple(shap["background_ids"].tolist()))
@@ -539,7 +562,6 @@ class TestKernelExplain:
 
 
 class TestArrayArtifacts:
-    CFG = PipelineConfig(out_dir="unused")
 
     @settings(max_examples=60, deadline=None)
     @given(matrix=hnp.arrays(
@@ -553,10 +575,10 @@ class TestArrayArtifacts:
     def test_roundtrip_is_bitwise(self, matrix, labels):
         labels = np.array(labels, dtype=str)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "a.npz"
-            _save(path, self.CFG.digest(), matrix=matrix, labels=labels,
+            cfg = PipelineConfig(out_dir=tmp)
+            _save(cfg, "shap.npz", matrix=matrix, labels=labels,
                   **_to_csr(matrix))
-            back = _load(self.CFG, "test", path, "producer")
+            back = _load(cfg, "shap.npz")
         assert back["matrix"].dtype == np.float64
         assert back["matrix"].tobytes() == matrix.tobytes()
         assert _from_csr(back).tobytes() == matrix.tobytes()
@@ -564,29 +586,36 @@ class TestArrayArtifacts:
         assert np.array_equal(back["labels"], labels)
 
     def test_digest_mismatch_refused(self, tmp_path):
-        path = tmp_path / "a.npz"
-        _save(path, "0" * 64, x=np.ones(2))
-        with pytest.raises(StageError, match="digest"):
-            _load(self.CFG, "test", path, "producer")
+        other = PipelineConfig(out_dir=str(tmp_path), seed=1)
+        _save(other, "model.npz", x=np.ones(2))
+        with pytest.raises(ArtifactError, match="digest"):
+            _load(PipelineConfig(out_dir=str(tmp_path)), "model.npz")
 
     def test_missing_file_names_the_producer(self, tmp_path):
-        with pytest.raises(StageError, match="run explain first"):
-            _load(self.CFG, "test", tmp_path / "shap.npz", "explain")
+        with pytest.raises(ArtifactError, match="run explain first"):
+            _load(PipelineConfig(out_dir=str(tmp_path)), "shap.npz")
 
     def test_object_array_refused(self, tmp_path):
-        path = tmp_path / "a.npz"
-        np.savez(path, digest=np.bytes_(self.CFG.digest().encode()),
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        np.savez(tmp_path / "scores.npz",
+                 digest=np.bytes_(cfg.digest().encode()),
                  x=np.array([{"a": 1}, None], dtype=object))
-        with pytest.raises(StageError, match="a.npz"):
-            _load(self.CFG, "test", path, "producer")
+        with pytest.raises(ArtifactError, match="scores.npz"):
+            _load(cfg, "scores.npz")
 
     def test_ids_must_match(self, tmp_path):
-        path = tmp_path / "a.npz"
-        _save(path, self.CFG.digest(), ids=np.array([1, 2, 3]))
-        assert _load(self.CFG, "test", path, "p", [1, 2, 3])["ids"].size == 3
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        _save(cfg, "outcomes.npz", ids=np.array([1, 2, 3]))
+        assert _load(cfg, "outcomes.npz", [1, 2, 3])["ids"].size == 3
         for ids in ([1, 2], [1, 3, 2], [1, 2, 3, 4]):
-            with pytest.raises(StageError, match="a.npz"):
-                _load(self.CFG, "test", path, "p", ids)
+            with pytest.raises(ArtifactError, match="outcomes.npz"):
+                _load(cfg, "outcomes.npz", ids)
+
+    def test_only_artifact_names_resolve(self, tmp_path):
+        with pytest.raises(KeyError, match="a.npz"):
+            _save(PipelineConfig(out_dir=str(tmp_path)), "a.npz",
+                  x=np.ones(2))
+        assert not list(tmp_path.iterdir())
 
 
 class TestAtomicWrites:
@@ -654,7 +683,8 @@ class TestCliContract:
                     "repair_representation": "orignal",
                     "background_size": 0, "n_coalitions": 0, "k_nn": 0,
                     "word_quota": -5, "phrase_quota": -1, "k_related": -1,
-                    "k_top": 0}
+                    "k_top": 0, "epochs": 0, "svm_epochs": 0,
+                    "nmf_max_iters": -3, "tau_p": 0, "temperature": 0}
 
     @pytest.mark.parametrize("field", sorted(BAD_SETTINGS))
     def test_bad_repair_setting_exits_one_before_prepare(self, tmp_path,

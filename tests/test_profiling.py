@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from topicaudit import profiling as prof
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import (_load_topics, _reliable_profile, _save,
-                                 paths_for)
+from topicaudit.pipeline import _load_topics, _reliable_profile, _save
 from topicaudit.uncertainty import REPRESENTATIONS
 
 
@@ -378,8 +377,8 @@ class TestProfilingIO:
             columns=np.array([3, 8, 20]),
             H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
             assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
-        _save(paths_for(cfg).topics("plus"), cfg.digest(), **vars(model))
-        back = _load_topics(cfg, "test", "plus")
+        _save(cfg, "topics_plus.npz", **vars(model))
+        back = _load_topics(cfg, "plus")
         for name in ("columns", "H", "assignment"):
             assert getattr(back, name).dtype == getattr(model, name).dtype
             assert getattr(back, name).tobytes() == getattr(model,
