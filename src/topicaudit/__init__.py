@@ -11,3 +11,7 @@ output-probability uncertainty detectors.
 """
 
 __version__ = "0.1.0"
+
+# numpy's BLAS runs one thread when each of these is 1 as numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")

@@ -16,6 +16,12 @@ product, and only the link function is applied per value.  Any other
 callable is evaluated on the synthetic rows themselves.  The regression
 is solved through its normal equations, with a ridge added only when
 the system is numerically singular.
+
+kernel_explain runs kernel_shap over every message.  A message's
+attributions depend only on (seed, msg_id), so the messages are spread
+over a fork process pool, one worker per available core where the
+process may fork safely, and the result is the same bits for any number
+of workers.
 """
 
 from __future__ import annotations
@@ -24,12 +30,15 @@ import functools
 import hashlib
 import json
 import math
+import os
+import threading
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .classifiers import (LinearModel, NBModel, _probability,
                           decision_function, nb_log_odds,
                           probability_function)
@@ -269,6 +278,97 @@ def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
     phi = {int(col): float(val) for col, val in zip(active, phi_vals)
            if val != 0.0}
     return ShapVector(id=msg_id, phi=phi, base_value=base_value)
+
+
+def _default_workers() -> int:
+    """kernel_explain's pool size: one worker per core this process may
+    run on, or 1 where it should not fork.  A fork is safe only from a
+    single-threaded process: no other Python thread, and a numpy BLAS
+    without threads, which it has only when each of BLAS_THREAD_VARS was
+    1 as numpy loaded (the CLI's explain stage sets them).
+    os.sched_getaffinity exists only where fork does."""
+    if (not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1
+            or any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARS)):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _explain_rows(job, rows) -> tuple:
+    """kernel_shap of the given rows as (counts, indices, data, base
+    values) of their CSR rows, plus the warnings raised on the way as
+    (message, filename, lineno)."""
+    model, X, background, ids, n_coalitions, seed = job
+    counts, indices, data, bases = [], [], [], []
+    with warnings.catch_warnings(record=True) as caught:
+        for i in rows:
+            shap = kernel_shap(model, X[i], background,
+                               n_coalitions=n_coalitions, seed=seed,
+                               msg_id=ids[i])
+            counts.append(len(shap.phi))
+            indices.extend(shap.phi)
+            data.extend(shap.phi.values())
+            bases.append(shap.base_value)
+    return (np.array(counts, dtype=np.int64),
+            np.array(indices, dtype=np.int64), np.array(data, dtype=float),
+            np.array(bases, dtype=float),
+            [(w.message, w.filename, w.lineno) for w in caught])
+
+
+_job = None  # a pool worker's kernel_explain arguments, set at its start
+
+
+def _set_job(job) -> None:
+    global _job
+    _job = job
+
+
+def _explain_chunk(rows) -> tuple:
+    return _explain_rows(_job, rows)
+
+
+def kernel_explain(model: LinearModel | NBModel | Callable, X: np.ndarray,
+                   background: Background, ids,
+                   n_coalitions: int | None = None, seed: int = 0
+                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """kernel_shap of every row of X, row i as message ids[i].
+
+    Returns the CSR fields (shape, indptr, indices, data) of the (n, d)
+    attributions, each row's active columns in ascending order with its
+    nonzero values, and the n base values.  The rows run in a fork
+    process pool of _default_workers() processes, at most one per
+    message, or in this process when that is one.  A worker's warnings
+    are raised again here in message order, and its exception propagates.
+    """
+    ids = [int(i) for i in ids]
+    n = len(ids)
+    workers = min(_default_workers(), n)
+    job = (model, X, background, ids, n_coalitions, seed)
+    if workers > 1:
+        # Imported here: at the top they would add 7 ms to every stage's
+        # start.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker re-imports numpy and is sent
+        # X.  Eight chunks per worker even out messages of unequal cost;
+        # a worker that dies raises BrokenProcessPool here.
+        chunks = np.array_split(np.arange(n), min(n, 8 * workers))
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_job, initargs=(job,)) as pool:
+            parts = list(pool.map(_explain_chunk, chunks))
+    else:
+        parts = [_explain_rows(job, range(n))]
+    *columns, warned = zip(*parts)
+    for caught in warned:
+        for message, filename, lineno in caught:
+            warnings.warn_explicit(message, type(message), filename, lineno)
+    counts, indices, data, bases = map(np.concatenate, columns)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return {"shape": np.array((n, X.shape[1]), dtype=np.int64),
+            "indptr": indptr, "indices": indices, "data": data}, bases
 
 
 def _pinned_rows(x: np.ndarray, background: np.ndarray,

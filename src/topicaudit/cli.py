@@ -8,7 +8,20 @@ Exit codes: 0 success, 1 usage problem, 2 stage failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+from . import BLAS_THREAD_VARS
+
+# Kernel explain forks a worker per core, and only from a process whose
+# BLAS runs one thread (attribution._default_workers).  So the explain
+# process sets each BLAS variable the caller left unset to 1.  That has
+# to happen before numpy loads, so here, from argv, and not in main.
+# The other stages keep the BLAS's own threads: train multiplies the
+# dense message-by-feature matrix, and more threads speed that up.
+if sys.argv[1:2] == ["explain"]:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
 
 from . import pipeline, report
 from .config import ConfigError, load_config

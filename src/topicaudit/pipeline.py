@@ -18,7 +18,12 @@ the (n, d) matrices X (vectors.npz) and a kernel run's phi (shap.npz)
 are stored as CSR arrays ``shape, indptr, indices, data``.  A linear
 run's phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz
 holds only the background mean ``mu`` and _load_phi rebuilds phi from
-the model and X bit for bit.
+the model and X bit for bit.  A kernel run's phi comes from
+attribution.kernel_explain, one worker process per available core when
+numpy's BLAS runs one thread (the CLI's explain sets that), and is the
+same bytes for any worker count.
+scores.npz must hold SCORE_COLUMNS and each JSON report its REPORT_KEYS,
+or the reader names the file and its producer.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -45,6 +50,13 @@ BASE_METHODS = uncertainty.OUTPUT_UQ_METHODS
 REPRESENTATIONS = uncertainty.REPRESENTATIONS
 XMAP_COLUMNS = tuple(f"xmap_{rep}" for rep in REPRESENTATIONS)
 SUBSETS = (("positive", 1), ("negative", 0))
+# What evaluate, repair and report read: the scores.npz columns and the
+# top-level keys of each JSON report.
+SCORE_COLUMNS = ("split", "gold", "predicted", "correct", *BASE_METHODS,
+                 *XMAP_COLUMNS)
+REPORT_KEYS = {"detector_report.json": ("subsets", "trr_fix"),
+               "repair_report.json": ("base_detector", "representations",
+                                      "subsets")}
 
 # Every artifact under the output directory, with the stage that writes it.
 PRODUCER = {
@@ -104,6 +116,13 @@ def _match(found: str, cfg: PipelineConfig, name: str) -> None:
 
 def _unreadable(name: str, exc: Exception) -> ArtifactError:
     return ArtifactError(f"cannot read {name} ({exc}); rerun {PRODUCER[name]}")
+
+
+def _check_keys(found, name: str, keys) -> None:
+    missing = ", ".join(repr(key) for key in keys if key not in found)
+    if missing:
+        raise ArtifactError(f"{name} is malformed (missing {missing}); "
+                            f"rerun {PRODUCER[name]}")
 
 
 def _encode_threshold(value: float) -> float | str:
@@ -341,16 +360,10 @@ def cmd_explain(cfg: PipelineConfig) -> None:
         background = attribution.make_background(
             X_train, y_train, train_ids, size=cfg.background_size,
             seed=cfg.seed)
-
-        Phi = np.zeros(X.shape)
-        base_values = np.empty(len(ids))
-        for i, msg_id in enumerate(ids.tolist()):
-            shap = attribution.kernel_shap(
-                model, X[i], background,
-                n_coalitions=cfg.n_coalitions, seed=cfg.seed, msg_id=msg_id)
-            Phi[i, list(shap.phi)] = list(shap.phi.values())
-            base_values[i] = shap.base_value
-        explained, stored = "probability", _to_csr(Phi)
+        stored, base_values = attribution.kernel_explain(
+            model, X, background, ids, n_coalitions=cfg.n_coalitions,
+            seed=cfg.seed)
+        explained = "probability"
 
     _save(cfg, "shap.npz", ids=ids, base_values=base_values,
           explained_output=np.array(explained),
@@ -424,11 +437,13 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
 
 
 def _read_scores(cfg) -> dict[str, np.ndarray]:
-    """scores.npz columns, one entry per dataset message in id order; an
-    NA xmap score is NaN."""
+    """scores.npz columns, one entry per dataset message in id order and
+    every one of SCORE_COLUMNS present; an NA xmap score is NaN."""
     # A missing score stage is reported before a missing dataset.
     _require(cfg, "scores.npz")
-    return _load(cfg, "scores.npz", _load_dataset(cfg)[0])
+    scores = _load(cfg, "scores.npz", _load_dataset(cfg)[0])
+    _check_keys(scores, "scores.npz", SCORE_COLUMNS)
+    return scores
 
 
 @_stage("score")
@@ -486,7 +501,8 @@ def _write_report(cfg: PipelineConfig, name: str, report: dict) -> None:
 
 def _read_report(cfg: PipelineConfig, name: str) -> dict:
     """A report written by _write_report, checked like _load checks an
-    .npz: present, a JSON object, and stamped with this config's digest."""
+    .npz: present, a JSON object, stamped with this config's digest, and
+    holding its REPORT_KEYS."""
     path = _require(cfg, name)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -496,6 +512,7 @@ def _read_report(cfg: PipelineConfig, name: str) -> dict:
     except (OSError, ValueError) as exc:
         raise _unreadable(name, exc) from exc
     _match(str(report.get("config_digest", "")), cfg, name)
+    _check_keys(report, name, REPORT_KEYS[name])
     return report
 
 

@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
+from topicaudit import BLAS_THREAD_VARS
+
+# The BLAS defaults topicaudit.cli sets for explain, here for every test
+# before anything imports numpy: in-process explain stages then fork
+# their worker pool as the CLI's do, and no result depends on the number
+# of cores the BLAS would otherwise use.
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from topicaudit import corpus as tc_corpus

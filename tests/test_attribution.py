@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -11,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topicaudit import BLAS_THREAD_VARS, attribution
 from topicaudit.attribution import (Background, _enumerate_coalitions,
-                                    _sample_coalitions, kernel_shap,
-                                    linear_shap, make_background,
-                                    polarity_supports)
+                                    _sample_coalitions, kernel_explain,
+                                    kernel_shap, linear_shap,
+                                    make_background, polarity_supports)
 from topicaudit.classifiers import (LinearModel, probability_function,
                                     train_nb)
+from topicaudit.pipeline import _to_csr
 
 
 def brute_force_shapley(predict_fn, x, background_rows):
@@ -369,6 +373,92 @@ class TestKernelShapModels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             kernel_shap(model, x, bg, seed=2, msg_id=5)
+
+
+class TestKernelExplain:
+    """kernel_explain is kernel_shap row by row, stored as the CSR that
+    _to_csr makes of the dense matrix, in any number of processes."""
+
+    IDS = [10, 13, 16, 19, 22, 25, 28, 31, 34]
+
+    @staticmethod
+    def _rows(kind):
+        d = 30
+        model, X = _nb_model(d, 24, 3) if kind == "nb" else _svm_model(d, 3)
+        bg = _bg(X[:6])
+        rows = np.random.default_rng(4).random((9, d))
+        rows[2] = rows[6] = bg.mean  # no deviation: warned, no entries
+        rows[5, 5:] = bg.mean[5:]  # five active columns: enumerated
+        return model, rows, bg
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["svm", "nb"])
+    def test_equals_per_message_csr(self, kind, workers, monkeypatch):
+        model, X, bg = self._rows(kind)
+        dense, bases = np.zeros(X.shape), []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for i, msg_id in enumerate(self.IDS):
+                sv = kernel_shap(model, X[i], bg, seed=5, msg_id=msg_id)
+                dense[i, list(sv.phi)] = list(sv.phi.values())
+                bases.append(sv.base_value)
+        monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
+        with pytest.warns(UserWarning) as caught:
+            csr, base_values = kernel_explain(model, X, bg, self.IDS, seed=5)
+        expected = _to_csr(dense)
+        assert csr.keys() == expected.keys()
+        for key, array in expected.items():
+            assert csr[key].dtype == array.dtype, key
+            assert csr[key].tobytes() == array.tobytes(), key
+        assert base_values.tobytes() == np.array(bases).tobytes()
+        # The workers' warnings are raised again here, in message order.
+        assert [str(w.message).split(":")[0] for w in caught
+                if "no deviation" in str(w.message)] == [
+            f"message {self.IDS[2]}", f"message {self.IDS[6]}"]
+
+    def test_workers_default_to_available_cores(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert attribution._default_workers() == 3
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_one_worker_unless_blas_is_single_threaded(self, monkeypatch,
+                                                       var):
+        # A BLAS with its own threads makes the process unsafe to fork.
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setenv(var, "2")
+        assert attribution._default_workers() == 1
+        monkeypatch.delenv(var)
+        assert attribution._default_workers() == 1
+
+    def test_one_worker_while_another_thread_runs(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert attribution._default_workers() == 2
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        thread.start()
+        try:
+            assert attribution._default_workers() == 1
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert attribution._default_workers() == 2
+
+    def test_one_worker_without_sched_getaffinity(self, monkeypatch):
+        # Platforms without it (macOS, Windows) run explain in process.
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert attribution._default_workers() == 1
 
 
 class TestSplitSupports:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from topicaudit import (atomic, attribution, classifiers, cli, demo,
-                        pipeline, profiling, report, scoring)
+from topicaudit import (BLAS_THREAD_VARS, atomic, attribution, classifiers,
+                        cli, demo, pipeline, profiling, report, scoring)
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.pipeline import (ArtifactError, StageError, _from_csr,
                                  _load, _load_dataset, _load_model,
@@ -386,6 +389,39 @@ class TestGuards:
         assert capsys.readouterr().err == (
             f"[{reader}] missing {name}; run {PRODUCER[name]} first\n")
 
+    @pytest.mark.parametrize("reader", ["evaluate", "repair", "report"])
+    def test_scores_missing_column_names_the_file(self, mini_run, tmp_path,
+                                                  capsys, reader):
+        _, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "scores.npz")
+        del arrays["xmap_odin"]
+        _save(cfg, "scores.npz", **arrays)
+        assert cli.main([reader, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"[{reader}] scores.npz is malformed (missing 'xmap_odin'); "
+            "rerun score\n")
+
+    # The top-level keys report reads from each JSON report.
+    REPORT_KEYS = {"detector_report.json": ["subsets", "trr_fix"],
+                   "repair_report.json": ["base_detector", "representations",
+                                          "subsets"]}
+
+    @pytest.mark.parametrize("name", sorted(REPORT_KEYS))
+    def test_report_missing_keys_names_the_file(self, mini_run, tmp_path,
+                                                capsys, name):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        digest = load_config(cfg_path).digest()
+        (copy / name).write_text(json.dumps({"config_digest": digest}),
+                                 encoding="utf-8")
+        assert cli.main(["report", "--config", str(cfg_path)]) == 2
+        missing = ", ".join(repr(key) for key in self.REPORT_KEYS[name])
+        assert capsys.readouterr().err == (
+            f"[report] {name} is malformed (missing {missing}); "
+            f"rerun {PRODUCER[name]}\n")
+        assert (copy / "report.md").read_bytes() == (
+            mini_run[2] / "report.md").read_bytes()
+
     def test_missing_upstream_artifact_names_the_producer(self, tmp_path):
         tsv = _write_corpus(tmp_path)
         out = tmp_path / "empty"
@@ -561,6 +597,78 @@ class TestKernelExplain:
             np.testing.assert_allclose(phi[i], dense, rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("classifier", ["svm", "nb"])
+    def test_shap_is_the_same_bytes_for_any_worker_count(
+            self, classifier, tmp_path, monkeypatch):
+        out, cfg_path = _small_run(tmp_path, STAGES[:3],
+                                   **{**KERNEL, "classifier": classifier})
+        first = (out / "shap.npz").read_bytes()
+        real = attribution.kernel_shap
+        for workers in (1, 2, 3):
+            # Each call leaves the id of the process that made it.
+            pids = tmp_path / f"pids{workers}"
+            pids.mkdir()
+
+            def spy(*args, **kwargs):
+                (pids / str(os.getpid())).touch()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(attribution, "kernel_shap", spy)
+            monkeypatch.setattr(attribution, "_default_workers",
+                                lambda: workers)
+            assert cli.main(["explain", "--config", str(cfg_path)]) == 0
+            assert (out / "shap.npz").read_bytes() == first, workers
+            explained_in = {int(path.name) for path in pids.iterdir()}
+            if workers == 1:
+                assert explained_in == {os.getpid()}
+            else:
+                assert explained_in and os.getpid() not in explained_in
+
+    def test_worker_exception_stops_the_stage(self, kernel_run, tmp_path,
+                                              monkeypatch, capsys):
+        copy, cfg_path = _copy_run(kernel_run, tmp_path)
+        before = (copy / "shap.npz").read_bytes()
+        bad = int(_load_dataset(load_config(cfg_path))[0][7])
+        real = attribution.kernel_shap
+
+        def failing(*args, msg_id, **kwargs):
+            if msg_id == bad:
+                raise ValueError(f"cannot explain message {msg_id} in "
+                                 f"process {os.getpid()}")
+            return real(*args, msg_id=msg_id, **kwargs)
+
+        monkeypatch.setattr(attribution, "kernel_shap", failing)
+        monkeypatch.setattr(attribution, "_default_workers", lambda: 2)
+        assert cli.main(["explain", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[explain] cannot explain message {bad} in "
+                              "process ")
+        assert err.count("\n") == 1
+        assert int(err.split()[-1]) != os.getpid()
+        assert (copy / "shap.npz").read_bytes() == before
+
+    def test_dead_worker_stops_the_stage(self, kernel_run, tmp_path,
+                                         monkeypatch, capsys):
+        # A worker that dies without an exception (killed, or exiting)
+        # fails the stage instead of leaving it waiting.
+        copy, cfg_path = _copy_run(kernel_run, tmp_path)
+        before = (copy / "shap.npz").read_bytes()
+        bad = int(_load_dataset(load_config(cfg_path))[0][7])
+        real = attribution.kernel_shap
+
+        def dying(*args, msg_id, **kwargs):
+            if msg_id == bad:
+                os._exit(3)
+            return real(*args, msg_id=msg_id, **kwargs)
+
+        monkeypatch.setattr(attribution, "kernel_shap", dying)
+        monkeypatch.setattr(attribution, "_default_workers", lambda: 2)
+        assert cli.main(["explain", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[explain] ") and "terminated abruptly" in err
+        assert (copy / "shap.npz").read_bytes() == before
+
+
 class TestArrayArtifacts:
 
     @settings(max_examples=60, deadline=None)
@@ -696,6 +804,33 @@ class TestCliContract:
         assert cli.main(["prepare", "--config", str(cfg_path)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage, preset", [
+        ("explain", {}), ("explain", {"OPENBLAS_NUM_THREADS": "3"}),
+        ("train", {})])
+    def test_explain_defaults_to_one_blas_thread(self, stage, preset):
+        # Importing the CLI for explain sets each BLAS variable the caller
+        # left unset, which lets kernel explain fork a worker per core.
+        # The other stages leave them alone.
+        env = {key: value for key, value in os.environ.items()
+               if key not in BLAS_THREAD_VARS}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = (f"import os, sys; sys.argv[1:] = [{stage!r}]; "
+                "import topicaudit.cli; "
+                "from topicaudit import BLAS_THREAD_VARS, attribution; "
+                "print(*(os.environ.get(v, '-') for v in BLAS_THREAD_VARS), "
+                "attribution._default_workers())")
+        result = subprocess.run([sys.executable, "-c", code], env={
+            **env, **preset}, capture_output=True, text=True, check=True)
+        if stage == "explain":
+            expected = [preset.get(var, "1") for var in BLAS_THREAD_VARS]
+        else:
+            expected = ["-"] * len(BLAS_THREAD_VARS)
+        workers = (len(os.sched_getaffinity(0))
+                   if expected == ["1"] * len(BLAS_THREAD_VARS) else 1)
+        assert result.stdout.split() == [*expected, str(workers)]
 
     def test_out_flag_overrides_config(self, tmp_path):
         tsv = _write_corpus(tmp_path)
