@@ -42,6 +42,7 @@ from . import BLAS_THREAD_VARS
 from .classifiers import (LinearModel, NBModel, _probability,
                           decision_function, nb_log_odds,
                           probability_function)
+from .corpus import stratified_sample
 
 ACTIVE_TOL = 1e-12
 ENUMERATION_LIMIT = 12
@@ -80,27 +81,12 @@ class Background:
 
 def make_background(X_train: np.ndarray, y_train: np.ndarray,
                     ids: list[int], size: int = 50, seed: int = 0) -> Background:
-    """Stratified sample of training rows, class counts by largest remainder."""
+    """Stratified sample of ``size`` training rows (every row when size is
+    at least their number), class counts by largest remainder."""
     y_train = np.asarray(y_train)
-    n = len(y_train)
-    if size >= n:
-        order = np.argsort(ids)
-        return Background(rows=X_train[order].copy(),
-                          ids=tuple(int(ids[i]) for i in order))
-    labels = sorted(set(y_train.tolist()))
-    exact = {lab: size * int((y_train == lab).sum()) / n for lab in labels}
-    take = {lab: int(math.floor(exact[lab])) for lab in labels}
-    for lab in sorted(labels, key=lambda l: (-(exact[l] - take[l]), l)):
-        if sum(take.values()) == size:
-            break
-        take[lab] += 1
-    rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for lab in labels:
-        pool = sorted(np.flatnonzero(y_train == lab), key=lambda i: ids[i])
-        picked = rng.permutation(len(pool))[:take[lab]]
-        chosen.extend(pool[i] for i in picked)
-    chosen.sort(key=lambda i: ids[i])
+    exact = {lab: size * int((y_train == lab).sum()) / len(y_train)
+             for lab in sorted(set(y_train.tolist()))}
+    chosen = stratified_sample(y_train, np.asarray(ids), exact, size, seed)
     return Background(rows=X_train[chosen].copy(),
                       ids=tuple(int(ids[i]) for i in chosen))
 

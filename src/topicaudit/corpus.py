@@ -160,38 +160,46 @@ def split(messages: list[Message], ratio: float, seed: int) -> tuple[list[Messag
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
-    by_label: dict[int, list[Message]] = {}
-    for msg in messages:
-        by_label.setdefault(msg.label, []).append(msg)
-    for label, group in sorted(by_label.items()):
-        if len(group) < 2:
+    counts = Counter(msg.label for msg in messages)
+    for label, count in sorted(counts.items()):
+        if count < 2:
             raise DatasetError(
-                f"cannot stratify: class {label} has {len(group)} member(s)")
+                f"cannot stratify: class {label} has {count} member(s)")
 
-    n_train_total = math.ceil(ratio * len(messages))
-    labels = sorted(by_label)
-    quota = {lab: int(math.floor(ratio * len(by_label[lab]))) for lab in labels}
-    remainders = sorted(
-        labels,
-        key=lambda lab: (-(ratio * len(by_label[lab]) - quota[lab]), lab),
-    )
-    short = n_train_total - sum(quota.values())
-    for lab in remainders[:short]:
+    in_train = set(stratified_sample(
+        np.array([m.label for m in messages]),
+        np.array([m.id for m in messages]),
+        {lab: ratio * count for lab, count in counts.items()},
+        math.ceil(ratio * len(messages)), seed).tolist())
+    tagged = sorted((Message(id=m.id, text=m.text, label=m.label,
+                             split="train" if row in in_train else "test")
+                     for row, m in enumerate(messages)), key=lambda m: m.id)
+    return ([m for m in tagged if m.split == "train"],
+            [m for m in tagged if m.split == "test"])
+
+
+def stratified_sample(labels: np.ndarray, ids: np.ndarray,
+                      exact: dict[int, float], total: int,
+                      seed: int) -> np.ndarray:
+    """Rows of a stratified sample of ``total`` items, in id order.
+
+    Label lab gets floor(exact[lab]) items, and the labels with the
+    largest remainders one more each (ties to the lower label) until
+    there are ``total``.  Then, label by label in ascending order, one
+    permutation of the label's members in id order picks its quota.
+    """
+    quota = {lab: math.floor(x) for lab, x in exact.items()}
+    by_remainder = sorted(exact, key=lambda lab: (quota[lab] - exact[lab],
+                                                  lab))
+    for lab in by_remainder[:total - sum(quota.values())]:
         quota[lab] += 1
-
     rng = np.random.default_rng(seed)
-    train: list[Message] = []
-    test: list[Message] = []
-    for lab in labels:
-        group = sorted(by_label[lab], key=lambda m: m.id)
-        order = rng.permutation(len(group))
-        chosen = set(order[:quota[lab]].tolist())
-        for idx, msg in enumerate(group):
-            dest, tag = (train, "train") if idx in chosen else (test, "test")
-            dest.append(Message(id=msg.id, text=msg.text, label=msg.label, split=tag))
-    train.sort(key=lambda m: m.id)
-    test.sort(key=lambda m: m.id)
-    return train, test
+    chosen = []
+    for lab in sorted(exact):
+        pool = np.flatnonzero(labels == lab)
+        pool = pool[np.argsort(ids[pool], kind="stable")]
+        chosen.extend(pool[rng.permutation(len(pool))[:quota[lab]]].tolist())
+    return np.array(sorted(chosen, key=lambda row: ids[row]), dtype=np.int64)
 
 
 def subsample_majority(labels: np.ndarray, seed: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Stage orchestration: each command is a pure function of the config
 and upstream artifacts, so reruns are byte-identical.
 
-PRODUCER names every artifact under the output directory and the stage
-that writes it, and _path(cfg, name) is its file.  Every artifact is
-stamped with the config digest (a mismatch refuses to combine) and
-written through atomic.atomic_open, so a failed write leaves the
-previous file in place.  Every .npz is written by _save and read by
-_load only, the two JSON reports by _write_report and _read_report;
-a reader names the file and its producer when it is missing, damaged
-or stale, and _load_as also turns the arrays into the stage's object.
+ARTIFACTS names every artifact under the output directory, the stage
+that writes it and the keys every reader needs, and _path(cfg, name) is
+its file.  Every artifact is written by _save, as an uncompressed .npz
+or, for the two reports, a JSON object, stamped with the config digest
+(a mismatch refuses to combine) and atomically, so a failed write
+leaves the previous file in place.  _load reads both formats the same
+way and names the file and its producer when it is missing, damaged,
+stale or lacks a listed key; _load_as also turns the fields into the
+stage's object.
 dataset.npz holds each message's id, gold label and split, the columns
 every later stage keys on, plus the messages' UTF-8 text concatenated
 in ``text`` and delimited by ``text_offsets`` (n + 1 entries, like a
@@ -22,8 +23,6 @@ the model and X bit for bit.  A kernel run's phi comes from
 attribution.kernel_explain, one worker process per available core when
 numpy's BLAS runs one thread (the CLI's explain sets that), and is the
 same bytes for any worker count.
-scores.npz must hold SCORE_COLUMNS and each JSON report its REPORT_KEYS,
-or the reader names the file and its producer.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -50,23 +49,30 @@ BASE_METHODS = uncertainty.OUTPUT_UQ_METHODS
 REPRESENTATIONS = uncertainty.REPRESENTATIONS
 XMAP_COLUMNS = tuple(f"xmap_{rep}" for rep in REPRESENTATIONS)
 SUBSETS = (("positive", 1), ("negative", 0))
-# What evaluate, repair and report read: the scores.npz columns and the
-# top-level keys of each JSON report.
-SCORE_COLUMNS = ("split", "gold", "predicted", "correct", *BASE_METHODS,
-                 *XMAP_COLUMNS)
-REPORT_KEYS = {"detector_report.json": ("subsets", "trr_fix"),
-               "repair_report.json": ("base_detector", "representations",
-                                      "subsets")}
 
-# Every artifact under the output directory, with the stage that writes it.
-PRODUCER = {
-    "dataset.npz": "prepare", "space.npz": "prepare",
-    "vectors.npz": "prepare", "model.npz": "train", "shap.npz": "explain",
-    "topics_plus.npz": "profile", "topics_minus.npz": "profile",
-    "profiles.npz": "score", "representations.npz": "score",
-    "scores.npz": "score", "detector_report.json": "evaluate",
-    "repair_report.json": "repair", "outcomes.npz": "repair",
-    "report.md": "report",
+# Every artifact under the output directory: the stage that writes it,
+# and the arrays of an .npz or the top-level keys of a JSON report that
+# every reader needs.
+ARTIFACTS = {
+    "dataset.npz": ("prepare", ("ids", "gold", "split")),
+    "space.npz": ("prepare", ("word_vocab", "phrase_vocab", "idf")),
+    "vectors.npz": ("prepare", ("ids", "shape", "indptr", "indices",
+                                "data")),
+    "model.npz": ("train", ("kind",)),
+    "shap.npz": ("explain", ("ids", "explained_output")),
+    **{f"topics_{polarity}.npz": ("profile", ("columns", "H", "assignment",
+                                              "objective"))
+       for polarity in ("plus", "minus")},
+    "profiles.npz": ("score", ("names", "vectors")),
+    "representations.npz": ("score", ("ids", "names", "vectors",
+                                      "degenerate")),
+    "scores.npz": ("score", ("ids", "split", "gold", "predicted", "correct",
+                             *BASE_METHODS, *XMAP_COLUMNS)),
+    "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
+    "repair_report.json": ("repair", ("base_detector", "representations",
+                                      "subsets")),
+    "outcomes.npz": ("repair", ("ids", "outcome")),
+    "report.md": ("report", ()),
 }
 
 
@@ -93,7 +99,7 @@ def _stage(name: str):
 
 
 def _path(cfg: PipelineConfig, name: str) -> Path:
-    if name not in PRODUCER:
+    if name not in ARTIFACTS:
         raise KeyError(f"{name} is not a pipeline artifact")
     if not cfg.out_dir:
         raise ValueError("config has no output directory")
@@ -103,7 +109,7 @@ def _path(cfg: PipelineConfig, name: str) -> Path:
 def _require(cfg: PipelineConfig, name: str) -> Path:
     path = _path(cfg, name)
     if not path.exists():
-        raise ArtifactError(f"missing {name}; run {PRODUCER[name]} first")
+        raise ArtifactError(f"missing {name}; run {ARTIFACTS[name][0]} first")
     return path
 
 
@@ -114,15 +120,10 @@ def _match(found: str, cfg: PipelineConfig, name: str) -> None:
                             "upstream stages with this config")
 
 
-def _unreadable(name: str, exc: Exception) -> ArtifactError:
-    return ArtifactError(f"cannot read {name} ({exc}); rerun {PRODUCER[name]}")
-
-
-def _check_keys(found, name: str, keys) -> None:
-    missing = ", ".join(repr(key) for key in keys if key not in found)
-    if missing:
-        raise ArtifactError(f"{name} is malformed (missing {missing}); "
-                            f"rerun {PRODUCER[name]}")
+def _rerun(name: str, problem: str) -> ArtifactError:
+    """The error for a damaged artifact, naming the stage that rewrites
+    it."""
+    return ArtifactError(f"{problem}; rerun {ARTIFACTS[name][0]}")
 
 
 def _encode_threshold(value: float) -> float | str:
@@ -130,32 +131,57 @@ def _encode_threshold(value: float) -> float | str:
     return "inf" if math.isinf(value) else float(value)
 
 
-# ---------------------------------------------------------- array artifacts
+# -------------------------------------------------------------- artifacts
 
-def _save(cfg: PipelineConfig, name: str, **arrays) -> None:
-    """Write arrays plus the config digest as one uncompressed .npz,
-    atomically."""
-    with atomic_open(_path(cfg, name), "wb") as fh:
+def _save(cfg: PipelineConfig, name: str, **fields) -> None:
+    """Write fields plus the config digest atomically: a .json report as
+    one JSON object with sorted keys, anything else as one uncompressed
+    .npz."""
+    path = _path(cfg, name)
+    if path.suffix == ".json":
+        with atomic_open(path) as fh:
+            json.dump({**fields, "config_digest": cfg.digest()}, fh,
+                      sort_keys=True)
+            fh.write("\n")
+        return
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, digest=np.bytes_(cfg.digest().encode("ascii")),
-                 **arrays)
+                 **fields)
 
 
 def _load(cfg: PipelineConfig, name: str,
-          ids: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Every array of an artifact written by _save, checked for presence,
-    readability, config digest and, given ``ids``, id coverage."""
+          ids: np.ndarray | None = None) -> dict:
+    """The fields of an artifact written by _save, checked for presence,
+    readability, config digest, the keys ARTIFACTS lists and, given
+    ``ids``, id coverage.  An .npz gives its arrays, 0-d ones as Python
+    scalars; a JSON report gives its values."""
     path = _require(cfg, name)
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {key: npz[key] for key in npz.files}
+        with open(path, "rb") as fh:
+            if path.suffix == ".json":
+                fields = json.load(fh)
+                if not isinstance(fields, dict):
+                    raise ValueError(f"a JSON {type(fields).__name__}, "
+                                     "not an object")
+                found = fields.pop("config_digest", "")
+            else:
+                with np.load(fh, allow_pickle=False) as npz:
+                    fields = {key: npz[key] for key in npz.files}
+                found = fields.pop("digest", np.bytes_(b"")).tobytes()
+                found = found.decode("ascii", "replace")
+                fields = {key: a.item() if a.ndim == 0 else a
+                          for key, a in fields.items()}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise _unreadable(name, exc) from exc
-    digest = arrays.pop("digest", np.bytes_(b"")).tobytes()
-    _match(digest.decode("ascii", "replace"), cfg, name)
-    if ids is not None and not np.array_equal(arrays.get("ids"), ids):
-        raise ArtifactError(f"{name} does not cover the {len(ids)} messages "
-                            f"of dataset.npz in order; rerun {PRODUCER[name]}")
-    return arrays
+        raise _rerun(name, f"cannot read {name} ({exc})") from exc
+    _match(str(found), cfg, name)
+    missing = ", ".join(repr(key) for key in ARTIFACTS[name][1]
+                        if key not in fields)
+    if missing:
+        raise _rerun(name, f"{name} is malformed (missing {missing})")
+    if ids is not None and not np.array_equal(fields.get("ids"), ids):
+        raise _rerun(name, f"{name} does not cover the {len(ids)} "
+                           "messages of dataset.npz in order")
+    return fields
 
 
 def _to_csr(M: np.ndarray) -> dict[str, np.ndarray]:
@@ -177,18 +203,14 @@ def _from_csr(arrays: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _load_as(build, cfg, name, ids=None):
-    """build(fields) of an artifact written by _save, where fields are
-    its arrays with 0-d ones as Python scalars; a missing or malformed
-    key names the file and its producer."""
-    arrays = _load(cfg, name, ids)
-    fields = {key: a.item() if a.ndim == 0 else a
-              for key, a in arrays.items()}
+    """build(fields) of the artifact _load reads; a missing or malformed
+    key, nested ones included, names the file and its producer."""
+    fields = _load(cfg, name, ids)
     try:
         return build(fields)
     except (KeyError, TypeError, ValueError, IndexError,
             AttributeError) as exc:
-        raise ArtifactError(f"{name} is malformed ({exc!r}); "
-                            f"rerun {PRODUCER[name]}") from exc
+        raise _rerun(name, f"{name} is malformed ({exc!r})") from exc
 
 
 def _csr_matrix(fields, n_rows, n_columns) -> np.ndarray:
@@ -437,13 +459,11 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
 
 
 def _read_scores(cfg) -> dict[str, np.ndarray]:
-    """scores.npz columns, one entry per dataset message in id order and
-    every one of SCORE_COLUMNS present; an NA xmap score is NaN."""
+    """scores.npz columns, one entry per dataset message in id order; an
+    NA xmap score is NaN."""
     # A missing score stage is reported before a missing dataset.
     _require(cfg, "scores.npz")
-    scores = _load(cfg, "scores.npz", _load_dataset(cfg)[0])
-    _check_keys(scores, "scores.npz", SCORE_COLUMNS)
-    return scores
+    return _load(cfg, "scores.npz", _load_dataset(cfg)[0])
 
 
 @_stage("score")
@@ -493,29 +513,6 @@ def cmd_score(cfg: PipelineConfig) -> None:
 
 # --------------------------------------------------------------- evaluate
 
-def _write_report(cfg: PipelineConfig, name: str, report: dict) -> None:
-    with atomic_open(_path(cfg, name)) as fh:
-        json.dump(report, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_report(cfg: PipelineConfig, name: str) -> dict:
-    """A report written by _write_report, checked like _load checks an
-    .npz: present, a JSON object, stamped with this config's digest, and
-    holding its REPORT_KEYS."""
-    path = _require(cfg, name)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        if not isinstance(report, dict):
-            raise ValueError(f"a JSON {type(report).__name__}, not an object")
-    except (OSError, ValueError) as exc:
-        raise _unreadable(name, exc) from exc
-    _match(str(report.get("config_digest", "")), cfg, name)
-    _check_keys(report, name, REPORT_KEYS[name])
-    return report
-
-
 def _rejections(scores: np.ndarray, flags: np.ndarray,
                 trr_fix: float) -> tuple[np.ndarray, dict]:
     """The rejected mask at the TRR cutoff and its report entries."""
@@ -543,8 +540,7 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
 def cmd_evaluate(cfg: PipelineConfig) -> None:
     scores = _read_scores(cfg)
     test = scores["split"] == "test"
-    report = {"config_digest": cfg.digest(), "trr_fix": cfg.trr_fix,
-              "subsets": {}}
+    subsets = {}
     for subset, label in SUBSETS:
         part = test & (scores["predicted"] == label)
         flags = ~scores["correct"][part]
@@ -555,12 +551,12 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
         for col in XMAP_COLUMNS:
             detectors[col] = dict(kind="xmap", **_detector_metrics(
                 scores[col][part], flags, cfg.trr_fix))
-        report["subsets"][subset] = {
+        subsets[subset] = {
             "n": int(part.sum()),
             "n_misclassified": int(flags.sum()),
             "detectors": detectors,
         }
-    _write_report(cfg, "detector_report.json", report)
+    _save(cfg, "detector_report.json", trr_fix=cfg.trr_fix, subsets=subsets)
 
 
 # ----------------------------------------------------------------- repair
@@ -599,14 +595,9 @@ def cmd_repair(cfg: PipelineConfig) -> None:
         per_rep[rep]["re_accepted_ids"] = (
             scores["ids"][re_accepted[rep]].tolist())
 
-    _write_report(cfg, "repair_report.json", {
-        "config_digest": cfg.digest(),
-        "base_detector": cfg.base_detector,
-        "repair_representation": cfg.repair_representation,
-        "trr_fix": cfg.trr_fix,
-        "subsets": subset_info,
-        "representations": per_rep,
-    })
+    _save(cfg, "repair_report.json", base_detector=cfg.base_detector,
+          repair_representation=cfg.repair_representation,
+          trr_fix=cfg.trr_fix, subsets=subset_info, representations=per_rep)
 
     # Per-message outcome under the configured representation.
     outcome = np.where(re_accepted[cfg.repair_representation], "repaired",

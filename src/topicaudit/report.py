@@ -12,7 +12,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
-                       _path, _read_report, _read_scores, _stage)
+                       _load_as, _path, _read_scores, _stage)
 from .scoring import LN2
 
 # (column header, predicted label, gold label)
@@ -109,11 +109,23 @@ def _repair_table(report: dict) -> list[str]:
     return lines
 
 
+def _repair_section(report: dict) -> tuple[str, list[str]]:
+    """The base detector and the repair layer's lines."""
+    subsets = report["subsets"]
+    return report["base_detector"], [
+        f"Base rejections: {subsets['positive']['n_rejected']} positive / "
+        f"{subsets['negative']['n_rejected']} negative.",
+        "", *_repair_table(report)]
+
+
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
     scores = _read_scores(cfg)
-    detector = _read_report(cfg, "detector_report.json")
-    repair = _read_report(cfg, "repair_report.json")
+    # Each report goes through its table, so a missing key at any depth
+    # names the file and its producer.
+    detector = _load_as(_detector_table, cfg, "detector_report.json")
+    base_detector, repair = _load_as(_repair_section, cfg,
+                                     "repair_report.json")
 
     test = scores["split"] == "test"
     n_test = int(test.sum())
@@ -124,7 +136,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
         f"Config digest: `{cfg.digest()}`",
         "",
         f"Test messages: {n_test} ({n_mis} misclassified). Base "
-        f"detector for rejection: {repair['base_detector']}; repair gate "
+        f"detector for rejection: {base_detector}; repair gate "
         f"calibrated per polarity on the training split.",
         "",
         "## Divergence from the reliable-group profiles",
@@ -136,15 +148,11 @@ def cmd_report(cfg: PipelineConfig) -> None:
         "",
         "## Detector quality",
         "",
-        *_detector_table(detector),
+        *detector,
         "",
         "## Repair layer",
         "",
-        f"Base rejections: "
-        f"{repair['subsets']['positive']['n_rejected']} positive / "
-        f"{repair['subsets']['negative']['n_rejected']} negative.",
-        "",
-        *_repair_table(repair),
+        *repair,
         "",
     ]
     with atomic_open(_path(cfg, "report.md")) as fh:

@@ -8,6 +8,7 @@ that artifacts are produced, guarded, and reproduced byte for byte.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import shutil
@@ -172,8 +173,23 @@ def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
 class TestStageOutputs:
     def test_all_artifacts_exist(self, mini_run):
         _, _, out, _ = mini_run
-        assert pipeline.PRODUCER == PRODUCER
         assert {p.name for p in out.iterdir()} == set(PRODUCER)
+        assert set(pipeline.ARTIFACTS) == set(PRODUCER)
+
+    def test_every_artifact_holds_the_keys_its_table_lists(self, mini_run):
+        # Read without _load, which checks the same table.
+        _, _, out, _ = mini_run
+        for name, (producer, keys) in pipeline.ARTIFACTS.items():
+            assert producer == PRODUCER[name], name
+            path = out / name
+            if path.suffix == ".npz":
+                with np.load(path) as npz:
+                    found = set(npz.files)
+            elif path.suffix == ".json":
+                found = set(json.loads(path.read_text(encoding="utf-8")))
+            else:
+                found = set()
+            assert set(keys) <= found, name
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         _, _, out, cfg_path = mini_run
@@ -389,18 +405,30 @@ class TestGuards:
         assert capsys.readouterr().err == (
             f"[{reader}] missing {name}; run {PRODUCER[name]} first\n")
 
-    @pytest.mark.parametrize("reader", ["evaluate", "repair", "report"])
-    def test_scores_missing_column_names_the_file(self, mini_run, tmp_path,
-                                                  capsys, reader):
+    # A key of each .npz a later stage reads, and a stage that reads it.
+    MISSING_KEY = [("dataset.npz", "gold", "train"),
+                   ("space.npz", "idf", "train"),
+                   ("vectors.npz", "indptr", "train"),
+                   ("model.npz", "kind", "explain"),
+                   ("shap.npz", "explained_output", "profile"),
+                   ("topics_plus.npz", "assignment", "score"),
+                   ("topics_minus.npz", "H", "score"),
+                   ("scores.npz", "xmap_odin", "evaluate"),
+                   ("scores.npz", "xmap_odin", "repair"),
+                   ("scores.npz", "xmap_odin", "report")]
+
+    @pytest.mark.parametrize("name, key, reader", MISSING_KEY)
+    def test_missing_key_names_the_file(self, mini_run, tmp_path, capsys,
+                                        name, key, reader):
         _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        arrays = _load(cfg, "scores.npz")
-        del arrays["xmap_odin"]
-        _save(cfg, "scores.npz", **arrays)
+        arrays = _load(cfg, name)
+        del arrays[key]
+        _save(cfg, name, **arrays)
         assert cli.main([reader, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
-            f"[{reader}] scores.npz is malformed (missing 'xmap_odin'); "
-            "rerun score\n")
+            f"[{reader}] {name} is malformed (missing {key!r}); "
+            f"rerun {PRODUCER[name]}\n")
 
     # The top-level keys report reads from each JSON report.
     REPORT_KEYS = {"detector_report.json": ["subsets", "trr_fix"],
@@ -418,6 +446,31 @@ class TestGuards:
         missing = ", ".join(repr(key) for key in self.REPORT_KEYS[name])
         assert capsys.readouterr().err == (
             f"[report] {name} is malformed (missing {missing}); "
+            f"rerun {PRODUCER[name]}\n")
+        assert (copy / "report.md").read_bytes() == (
+            mini_run[2] / "report.md").read_bytes()
+
+    # A key report reads below the top level of each JSON report.
+    NESTED_KEY = {"detector_report.json": ("subsets", "negative",
+                                           "detectors", "rel_u"),
+                  "repair_report.json": ("representations", "original",
+                                         "n_recovery")}
+
+    @pytest.mark.parametrize("name", sorted(NESTED_KEY))
+    def test_report_missing_nested_key_names_the_file(self, mini_run,
+                                                      tmp_path, capsys, name):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        path = copy / name
+        body = json.loads(path.read_text(encoding="utf-8"))
+        *parents, key = self.NESTED_KEY[name]
+        entry = body
+        for parent in parents:
+            entry = entry[parent]
+        del entry[key]
+        path.write_text(json.dumps(body), encoding="utf-8")
+        assert cli.main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"[report] {name} is malformed (KeyError({key!r})); "
             f"rerun {PRODUCER[name]}\n")
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
@@ -489,18 +542,20 @@ class TestGuards:
         assert err.startswith("[score] ") and "log_prior" in err
         assert err.count("\n") == 1
 
-    def test_topics_missing_key_fails_score(self, mini_run, tmp_path,
-                                            capsys):
-        _, cfg_path = _copy_run(mini_run, tmp_path)
+    def test_truncated_archive_leaves_no_open_file(self, mini_run,
+                                                   tmp_path):
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        _truncate(copy / "shap.npz")
         cfg = load_config(cfg_path)
-        arrays = _load(cfg, "topics_plus.npz")
-        del arrays["assignment"]
-        _save(cfg, "topics_plus.npz", **arrays)
-        assert cli.main(["score", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("[score] ") and err.count("\n") == 1
-        assert "topics_plus.npz" in err and "assignment" in err
-        assert "rerun profile" in err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                _load(cfg, "shap.npz")
+            except ArtifactError:
+                pass
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_truncated_dataset_fails_train(self, mini_run, tmp_path,
                                            capsys):
@@ -685,6 +740,7 @@ class TestArrayArtifacts:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "shap.npz", matrix=matrix, labels=labels,
+                  ids=np.arange(len(matrix)), explained_output="probability",
                   **_to_csr(matrix))
             back = _load(cfg, "shap.npz")
         assert back["matrix"].dtype == np.float64
@@ -713,7 +769,8 @@ class TestArrayArtifacts:
 
     def test_ids_must_match(self, tmp_path):
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        _save(cfg, "outcomes.npz", ids=np.array([1, 2, 3]))
+        _save(cfg, "outcomes.npz", ids=np.array([1, 2, 3]),
+              outcome=np.array(["accepted"] * 3))
         assert _load(cfg, "outcomes.npz", [1, 2, 3])["ids"].size == 3
         for ids in ([1, 2], [1, 3, 2], [1, 2, 3, 4]):
             with pytest.raises(ArtifactError, match="outcomes.npz"):
