@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import DATASET_FORMATS
 from .uncertainty import OUTPUT_UQ_METHODS, REPRESENTATIONS
 
 
@@ -70,6 +71,17 @@ class PipelineConfig:
     repair_representation: str = "original"
 
     def __post_init__(self):
+        if self.dataset_format not in DATASET_FORMATS:
+            raise ConfigError(f"unknown dataset_format "
+                              f"{self.dataset_format!r}")
+        if self.label_map is not None and not (
+                isinstance(self.label_map, dict)
+                and all(type(v) is int and v in (0, 1)
+                        for v in self.label_map.values())
+                and len({k.lower() for k in self.label_map})
+                == len(self.label_map)):
+            raise ConfigError("label_map must map label tokens, distinct "
+                              "ignoring case, to 0 or 1")
         if self.classifier not in ("logreg", "svm", "nb"):
             raise ConfigError(f"unknown classifier {self.classifier!r}")
         if self.stoplist not in ("default", "none"):

@@ -1,10 +1,14 @@
 """Dataset ingestion, text normalization, and deterministic splits.
 
 Messages come in as UCI-style TSV (``label<TAB>text``) or generic CSV with
-named label/text columns, are canonicalized to binary labels (1 = spam or
-phishing, 0 = legitimate), tokenized, stopword/rare-token filtered, and
-split into stratified train/test halves.  Everything here is a pure
-function of its inputs plus an explicit seed, so reruns are byte-identical.
+named label/text columns and are canonicalized to binary labels (1 = spam
+or phishing, 0 = legitimate).  A message is its row: every function here
+takes and returns arrays or lists in file-row order, so a message's id is
+its row number.  Each text is tokenized once, stopword/rare-token
+filtered against the training split's document frequencies, and the
+corpus is split into stratified train/test halves.  Everything here is a
+pure function of its inputs plus an explicit seed, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import csv
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
 
@@ -25,48 +29,45 @@ LABEL_POSITIVE = 1
 LABEL_NEGATIVE = 0
 
 _TSV_LABEL_MAP = {"ham": LABEL_NEGATIVE, "spam": LABEL_POSITIVE}
+DATASET_FORMATS = ("sms_tsv", "generic_csv")
 
 
 class DatasetError(ValueError):
     """Malformed dataset content (bad row, unknown label token)."""
 
 
-@dataclass(frozen=True)
-class Message:
-    id: int
-    text: str
-    label: int
-    split: str = ""
-
-
-@dataclass(frozen=True)
-class TokenizedMessage:
-    id: int
-    tokens: tuple[str, ...]
-
-
 def load_dataset(path: str | Path, format: str = "sms_tsv",
                  label_column: str = "label", text_column: str = "text",
-                 label_map: dict[str, int] | None = None) -> list[Message]:
-    """Read a labeled message file into Message records.
+                 label_map: dict[str, int] | None = None
+                 ) -> tuple[list[str], np.ndarray]:
+    """Read a labeled message file: (texts, labels) in row order.
 
     ``sms_tsv`` rows are ``<label>\\t<text>`` with label in {ham, spam};
-    ``generic_csv`` has a header naming the label and text columns.  Ids are
-    assigned by row order and duplicate texts are retained.
+    ``generic_csv`` has a header naming the label and text columns, and
+    ``label_map`` keys match label tokens ignoring case.  Blank TSV lines
+    are skipped and duplicate texts are retained.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset not found: {path}")
     if format == "sms_tsv":
-        return _load_sms_tsv(path)
-    if format == "generic_csv":
-        return _load_generic_csv(path, label_column, text_column,
-                                 label_map or _TSV_LABEL_MAP)
-    raise ValueError(f"unknown dataset format: {format!r}")
+        rows, label_map = _sms_tsv_rows(path), _TSV_LABEL_MAP
+    elif format == "generic_csv":
+        rows = _generic_csv_rows(path, label_column, text_column)
+        label_map = {key.lower(): value for key, value
+                     in (label_map or _TSV_LABEL_MAP).items()}
+    else:
+        raise ValueError(f"unknown dataset format: {format!r}")
+    texts, labels = [], []
+    for row_no, token, text in rows:
+        labels.append(_map_label(token, label_map, row_no))
+        if not text:
+            raise DatasetError(f"row {row_no}: empty message text")
+        texts.append(text)
+    return texts, np.array(labels, dtype=np.int64)
 
 
-def _load_sms_tsv(path: Path) -> list[Message]:
-    messages = []
+def _sms_tsv_rows(path: Path):
     with open(path, encoding="utf-8") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -74,17 +75,10 @@ def _load_sms_tsv(path: Path) -> list[Message]:
                 continue
             if "\t" not in line:
                 raise DatasetError(f"row {row_no}: missing tab separator")
-            token, text = line.split("\t", 1)
-            label = _map_label(token, _TSV_LABEL_MAP, row_no)
-            if not text:
-                raise DatasetError(f"row {row_no}: empty message text")
-            messages.append(Message(id=len(messages), text=text, label=label))
-    return messages
+            yield row_no, *line.split("\t", 1)
 
 
-def _load_generic_csv(path: Path, label_column: str, text_column: str,
-                      label_map: dict[str, int]) -> list[Message]:
-    messages = []
+def _generic_csv_rows(path: Path, label_column: str, text_column: str):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or label_column not in reader.fieldnames \
@@ -96,11 +90,7 @@ def _load_generic_csv(path: Path, label_column: str, text_column: str,
             text = row.get(text_column)
             if token is None or text is None:
                 raise DatasetError(f"row {row_no}: missing label or text field")
-            label = _map_label(token.strip(), label_map, row_no)
-            if not text:
-                raise DatasetError(f"row {row_no}: empty message text")
-            messages.append(Message(id=len(messages), text=text, label=label))
-    return messages
+            yield row_no, token, text
 
 
 def _map_label(token: str, label_map: dict[str, int], row_no: int) -> int:
@@ -128,54 +118,46 @@ def default_stoplist() -> frozenset[str]:
     return frozenset(words)
 
 
-def document_frequencies(tokenized: list[TokenizedMessage]) -> Counter:
-    """Token -> number of documents containing it (computed once, on train)."""
+def document_frequencies(docs: Iterable[Iterable[str]]) -> Counter:
+    """Term -> number of documents containing it."""
     df: Counter = Counter()
-    for msg in tokenized:
-        df.update(set(msg.tokens))
+    for terms in docs:
+        df.update(set(terms))
     return df
 
 
-def preprocess(msg: Message, stoplist: frozenset[str] | set[str],
-               train_df: Counter, min_df: int = 2) -> TokenizedMessage:
-    """Tokenize one message, dropping stopwords and rare tokens.
+def preprocess(tokens: tuple[str, ...], stoplist: frozenset[str] | set[str],
+               train_df: Counter, min_df: int = 2) -> tuple[str, ...]:
+    """The tokens of one message minus stopwords and rare tokens.
 
     ``train_df`` must be the document-frequency table of the training split;
     a token survives only if its training df is at least ``min_df``.  An
-    empty token list is a valid result.
+    empty result is valid.
     """
-    kept = tuple(
-        tok for tok in tokenize(msg.text)
-        if tok not in stoplist and train_df.get(tok, 0) >= min_df
-    )
-    return TokenizedMessage(id=msg.id, tokens=kept)
+    return tuple(tok for tok in tokens
+                 if tok not in stoplist and train_df.get(tok, 0) >= min_df)
 
 
-def split(messages: list[Message], ratio: float, seed: int) -> tuple[list[Message], list[Message]]:
-    """Stratified deterministic train/test split.
+def split(labels: np.ndarray, ratio: float, seed: int) -> np.ndarray:
+    """Train mask of a stratified deterministic train/test split.
 
     Train gets ceil(ratio * n) messages overall, apportioned per class by
     largest remainder so the train positive fraction tracks the full corpus
-    within 1/|train|.  The result is independent of input order.
+    within 1/|train|.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
-    counts = Counter(msg.label for msg in messages)
+    counts = Counter(labels.tolist())
     for label, count in sorted(counts.items()):
         if count < 2:
             raise DatasetError(
                 f"cannot stratify: class {label} has {count} member(s)")
-
-    in_train = set(stratified_sample(
-        np.array([m.label for m in messages]),
-        np.array([m.id for m in messages]),
+    train = np.zeros(len(labels), dtype=bool)
+    train[stratified_sample(
+        labels, np.arange(len(labels)),
         {lab: ratio * count for lab, count in counts.items()},
-        math.ceil(ratio * len(messages)), seed).tolist())
-    tagged = sorted((Message(id=m.id, text=m.text, label=m.label,
-                             split="train" if row in in_train else "test")
-                     for row, m in enumerate(messages)), key=lambda m: m.id)
-    return ([m for m in tagged if m.split == "train"],
-            [m for m in tagged if m.split == "test"])
+        math.ceil(ratio * len(labels)), seed)] = True
+    return train
 
 
 def stratified_sample(labels: np.ndarray, ids: np.ndarray,

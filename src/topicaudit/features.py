@@ -4,7 +4,9 @@ The space concatenates three column families: unigram TF-IDF (the word
 view), bigram+trigram TF-IDF (the phrase view), and 17 handcrafted
 structural features computed on the raw text.  Vocabularies and idf are
 fitted on the training split only; each TF-IDF block is L2-normalized per
-view so the two text views are commensurable.
+view so the two text views are commensurable.  vectorize turns every
+message at once into the CSR arrays of the (messages x columns) matrix X,
+the form vectors.npz stores.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import re
 import string
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Message, TokenizedMessage
+from .corpus import document_frequencies
 
 FAMILY_WORD = "word"
 FAMILY_PHRASE = "phrase"
@@ -115,12 +118,6 @@ class FeatureSpace:
             + [FAMILY_STRUCTURAL] * N_STRUCTURAL)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    id: int
-    values: dict[int, float] = field(default_factory=dict)
-
-
 def _phrases(tokens: tuple[str, ...]) -> list[str]:
     grams = [" ".join(tokens[i:i + 2]) for i in range(len(tokens) - 1)]
     grams += [" ".join(tokens[i:i + 3]) for i in range(len(tokens) - 2)]
@@ -136,9 +133,9 @@ def _top_by_df(df: dict[str, int], quota: int, what: str) -> dict[str, int]:
     return {term: i for i, (term, _) in enumerate(ranked[:quota])}
 
 
-def fit_space(tokenized: list[TokenizedMessage], word_quota: int = 7000,
+def fit_space(tokens: list[tuple[str, ...]], word_quota: int = 7000,
               phrase_quota: int = 3000) -> FeatureSpace:
-    """Fit vocabularies and idf on the training split.
+    """Fit vocabularies and idf on the training messages' kept tokens.
 
     Word vocabulary is the top ``word_quota`` unigrams by document
     frequency (ties broken lexicographically); the phrase vocabulary pools
@@ -146,15 +143,9 @@ def fit_space(tokenized: list[TokenizedMessage], word_quota: int = 7000,
     corpus yields fewer candidates than a quota the vocabulary shrinks with
     a warning and the actual size is recorded in the space.
     """
-    n_docs = len(tokenized)
-    word_df: dict[str, int] = {}
-    phrase_df: dict[str, int] = {}
-    for tok in tokenized:
-        for term in set(tok.tokens):
-            word_df[term] = word_df.get(term, 0) + 1
-        for term in set(_phrases(tok.tokens)):
-            phrase_df[term] = phrase_df.get(term, 0) + 1
-
+    n_docs = len(tokens)
+    word_df = document_frequencies(tokens)
+    phrase_df = document_frequencies(_phrases(toks) for toks in tokens)
     word_vocab = _top_by_df(word_df, word_quota, "word")
     phrase_vocab = _top_by_df(phrase_df, phrase_quota, "phrase")
 
@@ -169,45 +160,41 @@ def fit_space(tokenized: list[TokenizedMessage], word_quota: int = 7000,
                         idf=idf)
 
 
-def vectorize(tokenized: TokenizedMessage, message: Message,
-              space: FeatureSpace) -> FeatureVector:
-    """Make the sparse multiview vector for one message.
+def vectorize(tokens: list[tuple[str, ...]], texts: list[str],
+              space: FeatureSpace) -> dict[str, np.ndarray]:
+    """CSR arrays ``shape, indptr, indices, data`` of the multiview X, one
+    row per message (its kept tokens and raw text), nonzero columns in
+    ascending order.
 
     TF-IDF weight is term count times idf; the word and phrase blocks are
-    L2-normalized separately; structural values are appended raw.
+    L2-normalized separately, the norm summing squares in the order each
+    term first occurs; structural values are appended raw.
     Out-of-vocabulary terms are ignored.
     """
-    if tokenized.id != message.id:
-        raise ValueError("tokenized/message id mismatch")
-    values: dict[int, float] = {}
-    _accumulate_tfidf(tokenized.tokens, space.word_vocab, 0, space, values)
-    _accumulate_tfidf(_phrases(tokenized.tokens), space.phrase_vocab,
-                      space.n_word, space, values)
-    _l2_normalize_block(values, 0, space.n_word)
-    _l2_normalize_block(values, space.n_word, space.structural_start)
-    struct = structural_features(message.text)
-    base = space.structural_start
-    for i, val in enumerate(struct):
-        if val != 0.0:
-            values[base + i] = float(val)
-    return FeatureVector(id=message.id, values=values)
+    indptr, indices, data = [0], [], []
+    for toks, text in zip(tokens, texts, strict=True):
+        row = _tfidf(toks, space.word_vocab, 0, space.idf)
+        row.update(_tfidf(_phrases(toks), space.phrase_vocab, space.n_word,
+                          space.idf))
+        for col, val in enumerate(structural_features(text),
+                                  start=space.structural_start):
+            if val != 0.0:
+                row[col] = float(val)
+        cols = sorted(row)
+        indices += cols
+        data += [row[col] for col in cols]
+        indptr.append(len(indices))
+    return {"shape": np.array([len(indptr) - 1, space.n_columns],
+                              dtype=np.int64),
+            "indptr": np.array(indptr, dtype=np.int64),
+            "indices": np.array(indices, dtype=np.int64),
+            "data": np.array(data, dtype=np.float64)}
 
 
-def _accumulate_tfidf(terms, vocab: dict[str, int], offset: int,
-                      space: FeatureSpace, values: dict[int, float]) -> None:
-    counts: dict[int, int] = {}
-    for term in terms:
-        col = vocab.get(term)
-        if col is not None:
-            counts[col + offset] = counts.get(col + offset, 0) + 1
-    for col, count in counts.items():
-        values[col] = float(count * space.idf[col])
-
-
-def _l2_normalize_block(values: dict[int, float], start: int, stop: int) -> None:
-    block = [col for col in values if start <= col < stop]
-    norm = np.sqrt(sum(values[col] ** 2 for col in block))
-    if norm > 0:
-        for col in block:
-            values[col] = float(values[col] / norm)
-
+def _tfidf(terms, vocab: dict[str, int], offset: int,
+           idf: np.ndarray) -> dict[int, float]:
+    """L2-normalized count * idf of the in-vocabulary terms, by column."""
+    counts = Counter(vocab[term] + offset for term in terms if term in vocab)
+    values = {col: float(count * idf[col]) for col, count in counts.items()}
+    norm = np.sqrt(sum(val ** 2 for val in values.values()))
+    return {col: float(val / norm) for col, val in values.items()}

@@ -10,14 +10,16 @@ leaves the previous file in place.  _load reads both formats the same
 way and names the file and its producer when it is missing, damaged,
 stale or lacks a listed key; _load_as also turns the fields into the
 stage's object.
-dataset.npz holds each message's id, gold label and split, the columns
-every later stage keys on, plus the messages' UTF-8 text concatenated
-in ``text`` and delimited by ``text_offsets`` (n + 1 entries, like a
-CSR indptr); no stage reads the text back.  The other per-message .npz
-files hold an ``ids`` array that must equal the dataset ids in order;
-the (n, d) matrices X (vectors.npz) and a kernel run's phi (shap.npz)
-are stored as CSR arrays ``shape, indptr, indices, data``.  A linear
-run's phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz
+prepare keeps the corpus as arrays in file-row order, so a message's
+id is its row: dataset.npz holds each message's id, gold label and
+split, the columns every later stage keys on, plus the messages' UTF-8
+text concatenated in ``text`` and delimited by ``text_offsets`` (n + 1
+entries, like a CSR indptr); no stage reads the text back.  The other
+per-message .npz files hold an ``ids`` array that must equal the
+dataset ids in order; the (n, d) matrices X (vectors.npz, as
+features.vectorize emits it) and a kernel run's phi (shap.npz) are
+stored as CSR arrays ``shape, indptr, indices, data``, each row's
+columns ascending.  A linear run's phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz
 holds only the background mean ``mu`` and _load_phi rebuilds phi from
 the model and X bit for bit.  A kernel run's phi comes from
 attribution.kernel_explain, one worker process per available core when
@@ -186,7 +188,8 @@ def _load(cfg: PipelineConfig, name: str,
 
 def _to_csr(M: np.ndarray) -> dict[str, np.ndarray]:
     """CSR arrays of a dense matrix; every entry other than +0.0 is kept,
-    so _from_csr restores the matrix bit for bit."""
+    so _from_csr restores the matrix bit for bit.  The reference layout
+    that features.vectorize and attribution.kernel_explain emit."""
     rows, cols = np.nonzero((M != 0.0) | np.signbit(M))
     indptr = np.zeros(M.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
@@ -292,40 +295,36 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         raise ValueError("config has no dataset_path")
     _path(cfg, "dataset.npz").parent.mkdir(parents=True, exist_ok=True)
 
-    messages = corpus.load_dataset(
+    texts, gold = corpus.load_dataset(
         cfg.dataset_path, format=cfg.dataset_format,
         label_column=cfg.label_column, text_column=cfg.text_column,
         label_map=cfg.label_map)
-    train, test = corpus.split(messages, cfg.split_ratio, cfg.seed)
-    everyone = sorted(train + test, key=lambda m: m.id)
+    train = corpus.split(gold, cfg.split_ratio, cfg.seed)
 
+    # Each text is tokenized once; the training messages' raw tokens give
+    # the document frequencies the kept tokens are filtered against.
+    tokens = [corpus.tokenize(text) for text in texts]
+    train_df = corpus.document_frequencies(
+        toks for toks, is_train in zip(tokens, train) if is_train)
     stop = (corpus.default_stoplist() if cfg.stoplist == "default"
             else frozenset())
-    train_df = corpus.document_frequencies(
-        [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
-         for m in train])
-    tokenized = {m.id: corpus.preprocess(m, stop, train_df, cfg.min_df)
-                 for m in everyone}
-
+    kept = [corpus.preprocess(toks, stop, train_df, cfg.min_df)
+            for toks in tokens]
     space = features.fit_space(
-        [tokenized[m.id] for m in train],
+        [toks for toks, is_train in zip(kept, train) if is_train],
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
-    X = np.zeros((len(everyone), space.n_columns))
-    for row, m in enumerate(everyone):
-        values = features.vectorize(tokenized[m.id], m, space).values
-        X[row, list(values)] = list(values.values())
 
-    ids = np.array([m.id for m in everyone])
-    texts = [m.text.encode("utf-8") for m in everyone]
-    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum([len(t) for t in texts], out=offsets[1:])
-    _save(cfg, "dataset.npz", ids=ids,
-          gold=np.array([m.label for m in everyone]),
-          split=np.array([m.split for m in everyone]),
-          text=np.frombuffer(b"".join(texts), dtype=np.uint8),
+    ids = np.arange(len(texts))
+    encoded = [text.encode("utf-8") for text in texts]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(t) for t in encoded], out=offsets[1:])
+    _save(cfg, "dataset.npz", ids=ids, gold=gold,
+          split=np.where(train, "train", "test"),
+          text=np.frombuffer(b"".join(encoded), dtype=np.uint8),
           text_offsets=offsets)
     _save_space(cfg, space)
-    _save(cfg, "vectors.npz", ids=ids, **_to_csr(X))
+    _save(cfg, "vectors.npz", ids=ids,
+          **features.vectorize(kept, texts, space))
 
 
 # ------------------------------------------------------------------ train
@@ -372,8 +371,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
         # Exact linear attributions against the training mean: phi is
         # dense but elementwise in X, so only mu is stored and _load_phi
         # rebuilds it.  The base value depends on mu alone.
-        background = attribution.make_background(
-            X_train, y_train, train_ids, size=len(train_ids), seed=cfg.seed)
+        background = attribution.Background(X_train, tuple(train_ids))
         mu = background.mean
         base = attribution.linear_shap(model, mu, mu)[1]
         base_values = np.full(len(ids), base)

@@ -33,7 +33,8 @@ ham\tLet me know when you are coming home tonight
 
 
 @pytest.fixture(scope="session")
-def small_messages(tmp_path_factory) -> list[tc_corpus.Message]:
+def small_messages(tmp_path_factory):
+    """(texts, labels) of SMALL_TSV."""
     path = tmp_path_factory.mktemp("corpus") / "small.tsv"
     path.write_text(SMALL_TSV, encoding="utf-8")
     return tc_corpus.load_dataset(path)
@@ -41,12 +42,11 @@ def small_messages(tmp_path_factory) -> list[tc_corpus.Message]:
 
 @pytest.fixture(scope="session")
 def small_space(small_messages):
+    """The space fitted on every SMALL_TSV message, and their kept tokens."""
+    tokens = [tc_corpus.tokenize(text) for text in small_messages[0]]
+    df = tc_corpus.document_frequencies(tokens)
     stoplist = tc_corpus.default_stoplist()
-    df = tc_corpus.document_frequencies(
-        [tc_corpus.TokenizedMessage(m.id, tc_corpus.tokenize(m.text))
-         for m in small_messages])
-    tokenized = [tc_corpus.preprocess(m, stoplist, df, min_df=1)
-                 for m in small_messages]
-    space = tc_features.fit_space(tokenized, word_quota=200,
-                                  phrase_quota=100)
-    return space, tokenized
+    kept = [tc_corpus.preprocess(toks, stoplist, df, min_df=1)
+            for toks in tokens]
+    space = tc_features.fit_space(kept, word_quota=200, phrase_quota=100)
+    return space, kept

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from topicaudit import cli
 from topicaudit.config import ConfigError, PipelineConfig, load_config
 
 
@@ -102,6 +103,20 @@ class TestValidation:
             PipelineConfig(stoplist="english")
 
 
+    def test_dataset_format_choices(self):
+        PipelineConfig(dataset_format="generic_csv")
+        with pytest.raises(ConfigError, match="dataset_format"):
+            PipelineConfig(dataset_format="xlsx")
+
+    @pytest.mark.parametrize("label_map", [{"spam": 2}, {"ham": -1},
+                                           {"spam": 1.0}, {"spam": True},
+                                           ["spam"], {"Spam": 1, "spam": 0}])
+    def test_unusable_label_map_rejected(self, label_map):
+        PipelineConfig(label_map={"SPAM": 1, "ham": 0})
+        with pytest.raises(ConfigError, match="label_map"):
+            PipelineConfig(label_map=label_map)
+
+
 class TestDigest:
     def test_stable_across_instances(self):
         assert PipelineConfig().digest() == PipelineConfig().digest()
@@ -157,6 +172,16 @@ class TestLoadConfig:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("raw", ['{"label_map": {"spam": 2}}',
+                                     '{"dataset_format": "xlsx"}'])
+    def test_unusable_corpus_settings_exit_1(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.json"
+        path.write_text(raw, encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_value_surfaces_as_config_error(self, tmp_path):
         path = tmp_path / "c.json"

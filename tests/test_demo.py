@@ -45,10 +45,9 @@ class TestWriteTsv:
         rows = demo.generate(n_messages=120)
         path = tmp_path / "demo.tsv"
         demo.write_tsv(path, rows)
-        msgs = corpus.load_dataset(path)
-        assert len(msgs) == 120
-        assert [m.text for m in msgs] == [t for _, t in rows]
-        assert [m.label for m in msgs] == [
+        texts, labels = corpus.load_dataset(path)
+        assert texts == [t for _, t in rows]
+        assert labels.tolist() == [
             1 if lab == "spam" else 0 for lab, _ in rows]
 
     def test_cli_entry_writes_file(self, tmp_path):

@@ -66,6 +66,29 @@ class TestStructuralFeatures:
         assert np.all(v >= 0)
 
 
+def _tokens(*texts: str) -> list[tuple[str, ...]]:
+    return [corpus.tokenize(text) for text in texts]
+
+
+def _reference_row(toks, text, space) -> dict[int, float]:
+    """One message's nonzero values, computed term by term: count * idf,
+    each text view divided by the root of its squares summed in
+    first-occurrence order, then the nonzero structural values."""
+    row = {}
+    for terms, vocab, offset in (
+            (toks, space.word_vocab, 0),
+            (features._phrases(toks), space.phrase_vocab, space.n_word)):
+        cols = [vocab[t] + offset for t in terms if t in vocab]
+        block = {col: float(cols.count(col) * space.idf[col])
+                 for col in dict.fromkeys(cols)}
+        norm = np.sqrt(sum(v ** 2 for v in block.values()))
+        row.update({col: float(v / norm) for col, v in block.items()})
+    struct = structural_features(text)
+    row.update({space.structural_start + i: float(v)
+                for i, v in enumerate(struct) if v != 0.0})
+    return row
+
+
 class TestFitSpace:
     def test_layout_and_families(self, small_space):
         space, _ = small_space
@@ -75,26 +98,20 @@ class TestFitSpace:
         assert list(fams[space.structural_start:]) == ["structural"] * N_STRUCTURAL
 
     def test_quota_shrinks_with_warning(self, small_messages):
-        tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
-                     for m in small_messages]
         with pytest.warns(UserWarning, match="quota"):
-            space = features.fit_space(tokenized, word_quota=7000,
-                                       phrase_quota=3000)
+            space = features.fit_space(_tokens(*small_messages[0]),
+                                       word_quota=7000, phrase_quota=3000)
         assert space.n_word < 7000
 
     def test_df_ordering_with_lexicographic_ties(self):
-        msgs = [corpus.Message(0, "b a", 0), corpus.Message(1, "b c", 0)]
-        tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
-                     for m in msgs]
-        space = features.fit_space(tokenized, word_quota=2, phrase_quota=1)
+        space = features.fit_space(_tokens("b a", "b c"), word_quota=2,
+                                   phrase_quota=1)
         # b has df 2; a and c tie at df 1 and a wins lexicographically.
         assert list(space.word_vocab) == ["b", "a"]
 
     def test_idf_formula(self):
-        msgs = [corpus.Message(0, "a a", 0), corpus.Message(1, "a b", 0)]
-        tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
-                     for m in msgs]
-        space = features.fit_space(tokenized, word_quota=5, phrase_quota=5)
+        space = features.fit_space(_tokens("a a", "a b"), word_quota=5,
+                                   phrase_quota=5)
         col_a = space.word_vocab["a"]
         col_b = space.word_vocab["b"]
         np.testing.assert_allclose(space.idf[col_a], np.log(3.0 / 3.0) + 1.0)
@@ -103,55 +120,92 @@ class TestFitSpace:
         np.testing.assert_array_equal(space.idf[space.structural_start:],
                                       np.ones(N_STRUCTURAL))
 
+    def test_phrase_df_counts_documents(self):
+        # "a b" occurs twice in the first message and once in the second.
+        space = features.fit_space(_tokens("a b a b", "a b c"),
+                                   word_quota=5, phrase_quota=10)
+        col = space.n_word + space.phrase_vocab["a b"]
+        assert space.idf[col] == np.log(3.0 / 3.0) + 1.0
+
 
 class TestVectorize:
-    def test_word_block_l2_normalized(self, small_space, small_messages):
-        space, tokenized = small_space
-        for tok, msg in zip(tokenized, small_messages):
-            vec = features.vectorize(tok, msg, space)
-            word_vals = [v for c, v in vec.values.items() if c < space.n_word]
-            if word_vals:
-                np.testing.assert_allclose(np.linalg.norm(word_vals), 1.0)
+    @pytest.fixture()
+    def small_X(self, small_space, small_messages):
+        space, kept = small_space
+        csr = features.vectorize(kept, small_messages[0], space)
+        return space, csr, pipeline._from_csr(csr)
 
-    def test_phrase_block_l2_normalized(self, small_space, small_messages):
-        space, tokenized = small_space
-        seen_any = False
-        for tok, msg in zip(tokenized, small_messages):
-            vec = features.vectorize(tok, msg, space)
-            vals = [v for c, v in vec.values.items()
-                    if space.n_word <= c < space.structural_start]
-            if vals:
-                seen_any = True
-                np.testing.assert_allclose(np.linalg.norm(vals), 1.0)
-        assert seen_any
+    def test_matches_the_per_message_reference(self, small_space,
+                                               small_messages):
+        space, kept = small_space
+        texts = list(small_messages[0]) + ["zzzunseen qqqnovel", "!!"]
+        kept = kept + [(), ()]
+        csr = features.vectorize(kept, texts, space)
+        for row, (toks, text) in enumerate(zip(kept, texts)):
+            start, stop = csr["indptr"][row:row + 2]
+            ref = _reference_row(toks, text, space)
+            assert csr["indices"][start:stop].tolist() == sorted(ref)
+            assert csr["data"][start:stop].tolist() == [
+                ref[col] for col in sorted(ref)]
 
-    def test_structural_block_raw(self, small_space, small_messages):
-        space, tokenized = small_space
-        msg = small_messages[0]
-        tok = tokenized[0]
-        vec = features.vectorize(tok, msg, space)
-        block = [vec.values.get(col, 0.0)
-                 for col in range(space.structural_start, space.n_columns)]
-        np.testing.assert_array_equal(block, structural_features(msg.text))
+    def test_layout_is_the_reference_csr(self, small_X):
+        # The rows _to_csr makes of the dense matrix, down to the dtypes.
+        space, csr, X = small_X
+        assert X.shape == (10, space.n_columns)
+        expected = pipeline._to_csr(X)
+        assert csr.keys() == expected.keys()
+        for key, array in expected.items():
+            assert csr[key].dtype == array.dtype, key
+            assert csr[key].tobytes() == array.tobytes(), key
+
+    def test_word_block_l2_normalized(self, small_X):
+        space, _, X = small_X
+        norms = np.linalg.norm(X[:, :space.n_word], axis=1)
+        assert np.all(norms > 0)
+        np.testing.assert_allclose(norms, 1.0)
+
+    def test_phrase_block_l2_normalized(self, small_X):
+        space, _, X = small_X
+        norms = np.linalg.norm(X[:, space.n_word:space.structural_start],
+                               axis=1)
+        assert np.any(norms > 0)
+        np.testing.assert_allclose(norms[norms > 0], 1.0)
+
+    def test_structural_block_raw(self, small_X, small_messages):
+        space, _, X = small_X
+        for row, text in enumerate(small_messages[0]):
+            np.testing.assert_array_equal(X[row, space.structural_start:],
+                                          structural_features(text))
 
     def test_oov_terms_ignored(self, small_space):
         space, _ = small_space
-        msg = corpus.Message(99, "zzzunseen qqqnovel", 0)
-        tok = corpus.TokenizedMessage(99, corpus.tokenize(msg.text))
-        vec = features.vectorize(tok, msg, space)
-        assert all(c >= space.structural_start for c in vec.values)
+        text = "zzzunseen qqqnovel"
+        csr = features.vectorize(_tokens(text), [text], space)
+        assert csr["indptr"].tolist() == [0, len(csr["indices"])]
+        assert all(c >= space.structural_start for c in csr["indices"])
 
     def test_tfidf_proportional_to_count(self):
-        msgs = [corpus.Message(0, "spam spam ham", 0),
-                corpus.Message(1, "spam ham ham", 0)]
-        tokenized = [corpus.TokenizedMessage(m.id, corpus.tokenize(m.text))
-                     for m in msgs]
-        space = features.fit_space(tokenized, word_quota=5, phrase_quota=5)
-        vec = features.vectorize(tokenized[0], msgs[0], space)
+        texts = ["spam spam ham", "spam ham ham"]
+        space = features.fit_space(_tokens(*texts), word_quota=5,
+                                   phrase_quota=5)
+        X = pipeline._from_csr(features.vectorize(_tokens(*texts), texts,
+                                                  space))
         c_spam = space.word_vocab["spam"]
         c_ham = space.word_vocab["ham"]
         # Same idf, counts 2 vs 1, so the normalized ratio is exactly 2.
-        np.testing.assert_allclose(vec.values[c_spam] / vec.values[c_ham], 2.0)
+        np.testing.assert_allclose(X[0, c_spam] / X[0, c_ham], 2.0)
+
+    def test_no_messages_no_rows(self, small_space):
+        space, _ = small_space
+        csr = features.vectorize([], [], space)
+        assert csr["shape"].tolist() == [0, space.n_columns]
+        assert csr["indptr"].tolist() == [0]
+        assert csr["indices"].size == csr["data"].size == 0
+
+    def test_tokens_and_texts_must_pair_up(self, small_space):
+        space, kept = small_space
+        with pytest.raises(ValueError):
+            features.vectorize(kept, ["one text"], space)
 
 
 class TestSpaceIO:
@@ -167,21 +221,17 @@ class TestSpaceIO:
         assert back.idf.tobytes() == space.idf.tobytes()
 
     def test_vectors_roundtrip(self, tmp_path, small_space, small_messages):
-        space, tokenized = small_space
-        vecs = [features.vectorize(t, m, space)
-                for t, m in zip(tokenized, small_messages)]
-        X = np.zeros((len(vecs), space.n_columns))
-        for row, vec in enumerate(vecs):
-            X[row, list(vec.values)] = list(vec.values.values())
+        space, kept = small_space
+        csr = features.vectorize(kept, small_messages[0], space)
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        ids = [v.id for v in vecs]
-        pipeline._save(cfg, "vectors.npz", ids=np.array(ids),
-                       **pipeline._to_csr(X))
+        ids = np.arange(len(kept))
+        pipeline._save(cfg, "vectors.npz", ids=ids, **csr)
         back = pipeline._load_vectors(cfg, ids, space)
-        for row, vec in enumerate(vecs):
-            assert set(np.flatnonzero(back[row])) == set(vec.values)
-            for col, val in vec.values.items():
-                assert back[row, col] == val
+        assert back.tobytes() == pipeline._from_csr(csr).tobytes()
+        for row in range(len(kept)):
+            start, stop = csr["indptr"][row:row + 2]
+            assert np.flatnonzero(back[row]).tolist() == (
+                csr["indices"][start:stop].tolist())
 
     def test_vectors_skip_exact_zeros(self):
         X = np.zeros((2, 5))

@@ -615,6 +615,8 @@ class TestLinearExplain:
         shap = _load(cfg, "shap.npz", ids)
         assert shap["explained_output"] == "margin"
         assert shap["mu"].tobytes() == background.mean.tobytes()
+        assert shap["background_ids"].tolist() == list(background.ids)
+        assert shap["background_digest"] == background.digest()
         assert shap["base_values"].tolist() == [base] * len(ids)
         phi = _load_phi(cfg, ids, space, model, X)
         # tobytes compares the sign of zero too.
