@@ -271,7 +271,7 @@ def _default_workers() -> int:
     run on, or 1 where it should not fork.  A fork is safe only from a
     single-threaded process: no other Python thread, and a numpy BLAS
     without threads, which it has only when each of BLAS_THREAD_VARS was
-    1 as numpy loaded (the CLI's explain stage sets them).
+    1 as numpy loaded (the CLI sets them for every stage but train).
     os.sched_getaffinity exists only where fork does."""
     if (not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1

@@ -13,13 +13,16 @@ import sys
 
 from . import BLAS_THREAD_VARS
 
-# Kernel explain forks a worker per core, and only from a process whose
-# BLAS runs one thread (attribution._default_workers).  So the explain
-# process sets each BLAS variable the caller left unset to 1.  That has
-# to happen before numpy loads, so here, from argv, and not in main.
-# The other stages keep the BLAS's own threads: train multiplies the
-# dense message-by-feature matrix, and more threads speed that up.
-if sys.argv[1:2] == ["explain"]:
+# Every stage but train runs numpy's BLAS on one thread: their products
+# are too small for more threads to help, and an idle BLAS thread only
+# spins.  One thread also lets kernel explain fork a worker per core
+# (attribution._default_workers) and keeps every artifact but train's
+# the same bytes on any core count.  Train keeps the BLAS's own threads:
+# it multiplies the dense message-by-feature matrix, and more threads
+# speed that up.  The variables act only as numpy loads, so they are set
+# here, from argv, and not in main; each one the caller set wins, and a
+# program that loaded numpy before importing this module is left alone.
+if sys.argv[1:2] != ["train"] and "numpy" not in sys.modules:
     for _var in BLAS_THREAD_VARS:
         os.environ.setdefault(_var, "1")
 

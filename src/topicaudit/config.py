@@ -82,6 +82,12 @@ class PipelineConfig:
                 == len(self.label_map)):
             raise ConfigError("label_map must map label tokens, distinct "
                               "ignoring case, to 0 or 1")
+        if self.dataset_format != "generic_csv":
+            # sms_tsv has no header and fixed ham/spam labels.
+            for name in ("label_column", "text_column", "label_map"):
+                if getattr(self, name) != getattr(PipelineConfig, name):
+                    raise ConfigError(f"{name} applies only to "
+                                      "dataset_format 'generic_csv'")
         if self.classifier not in ("logreg", "svm", "nb"):
             raise ConfigError(f"unknown classifier {self.classifier!r}")
         if self.stoplist not in ("default", "none"):

@@ -23,8 +23,8 @@ columns ascending.  A linear run's phi = w * (t(X) - mu) is exact and elementwis
 holds only the background mean ``mu`` and _load_phi rebuilds phi from
 the model and X bit for bit.  A kernel run's phi comes from
 attribution.kernel_explain, one worker process per available core when
-numpy's BLAS runs one thread (the CLI's explain sets that), and is the
-same bytes for any worker count.
+numpy's BLAS runs one thread (the CLI sets that for every stage but
+train), and is the same bytes for any worker count.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair

@@ -103,6 +103,16 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
         tol: float = 1e-5, seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Multiplicative-update NMF minimizing the Frobenius objective.
 
+    Lee & Seung (2001) updates.  The objective comes from the products
+    the updates already make, without forming X - WH:
+
+        ||X - WH||^2 = ||X||^2 - 2 <W'X, H> + <W'W, HH'>
+
+    W'X and W'W also feed the next H update, and HH' the W update.  The
+    identity cancels when the objective is small against ||X||^2: it
+    carries rounding noise of order 1e-15 ||X||^2, so near an exact fit
+    it can read slightly below zero or above the previous value.
+
     Stops when the relative objective decrease drops below tol or, with
     a warning naming the last decrease, at the iteration cap.  The
     objective trace is returned and verified nonincreasing; the
@@ -120,14 +130,20 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
     scale = np.sqrt(X.mean() / n_topics)
     W = (1.0 - rng.random((n, n_topics))) * scale
     H = (1.0 - rng.random((n_topics, d))) * scale
+    # Each inner product is a pairwise sum of the elementwise product,
+    # which rounds less than a BLAS dot.
+    norm_x = float(np.sum(X * X))
 
     def objective() -> float:
-        return float(np.linalg.norm(X - W @ H, "fro") ** 2)
+        return float(norm_x - 2.0 * np.sum(WtX * H) + np.sum(WtW * HHt))
 
+    WtX, WtW, HHt = W.T @ X, W.T @ W, H @ H.T
     trace = [objective()]
     for _ in range(max_iters):
-        H *= (W.T @ X) / (W.T @ W @ H + EPS)
-        W *= (X @ H.T) / (W @ (H @ H.T) + EPS)
+        H *= WtX / (WtW @ H + EPS)
+        HHt = H @ H.T
+        W *= (X @ H.T) / (W @ HHt + EPS)
+        WtX, WtW = W.T @ X, W.T @ W
         obj = objective()
         prev = trace[-1]
         if obj > prev + 1e-9 * max(1.0, prev):

@@ -6,10 +6,10 @@ import os
 
 from topicaudit import BLAS_THREAD_VARS
 
-# The BLAS defaults topicaudit.cli sets for explain, here for every test
-# before anything imports numpy: in-process explain stages then fork
-# their worker pool as the CLI's do, and no result depends on the number
-# of cores the BLAS would otherwise use.
+# The BLAS defaults topicaudit.cli sets for every stage but train, here
+# for every test before anything imports numpy: in-process explain
+# stages then fork their worker pool as the CLI's do, and no result
+# depends on the number of cores the BLAS would otherwise use.
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 

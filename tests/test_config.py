@@ -112,9 +112,20 @@ class TestValidation:
                                            {"spam": 1.0}, {"spam": True},
                                            ["spam"], {"Spam": 1, "spam": 0}])
     def test_unusable_label_map_rejected(self, label_map):
-        PipelineConfig(label_map={"SPAM": 1, "ham": 0})
+        PipelineConfig(dataset_format="generic_csv",
+                       label_map={"SPAM": 1, "ham": 0})
         with pytest.raises(ConfigError, match="label_map"):
-            PipelineConfig(label_map=label_map)
+            PipelineConfig(dataset_format="generic_csv", label_map=label_map)
+
+    @pytest.mark.parametrize("field, value", [
+        ("label_map", {"spam": 0, "ham": 1}), ("label_map", {}),
+        ("label_column", "verdict"), ("text_column", "body")])
+    def test_csv_fields_need_generic_csv(self, field, value):
+        # The sms_tsv reader has fixed ham/spam labels and no header, so
+        # it would ignore these settings.
+        PipelineConfig(dataset_format="generic_csv", **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} applies only"):
+            PipelineConfig(**{field: value})
 
 
 class TestDigest:
@@ -129,7 +140,9 @@ class TestDigest:
     @given(st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)
                             if f.name not in ("dataset_path", "out_dir")]))
     def test_any_other_field_changes_it(self, field):
-        base = PipelineConfig()
+        csv_only = ("label_column", "text_column", "label_map")
+        base = PipelineConfig(
+            dataset_format="generic_csv" if field in csv_only else "sms_tsv")
         bumped = {
             "seed": 43, "split_ratio": 0.6, "min_df": 3, "stoplist": "none",
             "word_quota": 100, "phrase_quota": 50, "classifier": "svm",
@@ -174,7 +187,10 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize("raw", ['{"label_map": {"spam": 2}}',
-                                     '{"dataset_format": "xlsx"}'])
+                                     '{"dataset_format": "xlsx"}',
+                                     '{"label_map": {"spam": 0, "ham": 1}}',
+                                     '{"label_column": "verdict"}',
+                                     '{"text_column": "body"}'])
     def test_unusable_corpus_settings_exit_1(self, tmp_path, capsys, raw):
         path = tmp_path / "c.json"
         path.write_text(raw, encoding="utf-8")

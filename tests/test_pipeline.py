@@ -319,6 +319,30 @@ class TestStageOutputs:
             assert not np.isnan(expected).all(), polarity
             assert profiles["vectors"][label].tobytes() == expected.tobytes()
 
+    def test_topics_match_the_direct_nmf_objective(self, mini_run):
+        # Each polarity's support matrix, rebuilt as profile builds it and
+        # factorized again beside the reference NMF that forms X - WH for
+        # its objective: the stored H is the reference's bit for bit.
+        from test_profiling import assert_matches_direct
+
+        _, _, _, cfg_path = mini_run
+        cfg = load_config(cfg_path)
+        scores = _load(cfg, "scores.npz")
+        ids = scores["ids"].tolist()
+        space = _load_space(cfg)
+        X = _load_vectors(cfg, ids, space)
+        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)
+        reliable = (scores["split"] == "train") & scores["correct"]
+        for polarity in pipeline.POLARITIES:
+            topic = _load_topics(cfg, polarity)
+            matrix = profiling.build_matrix(attribution.polarity_supports(
+                phi[reliable], polarity), topic.columns)
+            _, H, trace = assert_matches_direct(
+                matrix, cfg.n_topics, max_iters=cfg.nmf_max_iters,
+                tol=cfg.nmf_tol, seed=cfg.seed)
+            assert topic.H.tobytes() == H.tobytes(), polarity
+            assert topic.objective == trace[-1], polarity
+
     def test_report_sections_render(self, mini_run):
         _, _, out, _ = mini_run
         text = (out / "report.md").read_text(encoding="utf-8")
@@ -864,32 +888,56 @@ class TestCliContract:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("stage, preset", [
-        ("explain", {}), ("explain", {"OPENBLAS_NUM_THREADS": "3"}),
-        ("train", {})])
-    def test_explain_defaults_to_one_blas_thread(self, stage, preset):
-        # Importing the CLI for explain sets each BLAS variable the caller
-        # left unset, which lets kernel explain fork a worker per core.
-        # The other stages leave them alone.
+    @staticmethod
+    def _blas_after_cli_import(argv, preset, first=""):
+        """The three BLAS variables ('-' when unset) and the kernel
+        explain worker count after a fresh process with only the preset
+        variables and sys.argv[1:] = argv runs `first` and then imports
+        topicaudit.cli."""
         env = {key: value for key, value in os.environ.items()
                if key not in BLAS_THREAD_VARS}
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")]))
-        code = (f"import os, sys; sys.argv[1:] = [{stage!r}]; "
+        code = (f"import os, sys; sys.argv[1:] = {argv!r}; {first}"
                 "import topicaudit.cli; "
                 "from topicaudit import BLAS_THREAD_VARS, attribution; "
                 "print(*(os.environ.get(v, '-') for v in BLAS_THREAD_VARS), "
                 "attribution._default_workers())")
         result = subprocess.run([sys.executable, "-c", code], env={
             **env, **preset}, capture_output=True, text=True, check=True)
-        if stage == "explain":
-            expected = [preset.get(var, "1") for var in BLAS_THREAD_VARS]
-        else:
+        *blas, workers = result.stdout.split()
+        return blas, int(workers)
+
+    @pytest.mark.parametrize("stage, preset", [
+        *((stage, {}) for stage in STAGES),
+        ("explain", {"OPENBLAS_NUM_THREADS": "2"}),
+        ("profile", {"OPENBLAS_NUM_THREADS": "2"})],
+        ids=[*STAGES, "explain-caller-sets-2", "profile-caller-sets-2"])
+    def test_one_blas_thread_in_every_stage_but_train(self, stage, preset):
+        # Importing the CLI sets each BLAS variable the caller left unset
+        # to 1, except for train, which lets kernel explain fork a worker
+        # per core.
+        blas, workers = self._blas_after_cli_import([stage], preset)
+        if stage == "train":
             expected = ["-"] * len(BLAS_THREAD_VARS)
-        workers = (len(os.sched_getaffinity(0))
-                   if expected == ["1"] * len(BLAS_THREAD_VARS) else 1)
-        assert result.stdout.split() == [*expected, str(workers)]
+        else:
+            expected = [preset.get(var, "1") for var in BLAS_THREAD_VARS]
+        assert blas == expected
+        assert workers == (len(os.sched_getaffinity(0))
+                           if expected == ["1"] * len(BLAS_THREAD_VARS)
+                           else 1)
+
+    def test_no_subcommand_also_runs_one_blas_thread(self):
+        blas, _ = self._blas_after_cli_import([], {})
+        assert blas == ["1"] * len(BLAS_THREAD_VARS)
+
+    def test_blas_left_alone_once_numpy_is_loaded(self):
+        # Setting the variables after numpy loaded would not change its
+        # threads, only make kernel explain fork beside them.
+        blas, workers = self._blas_after_cli_import(
+            ["explain"], {}, first="import numpy; ")
+        assert (blas, workers) == (["-"] * len(BLAS_THREAD_VARS), 1)
 
     def test_out_flag_overrides_config(self, tmp_path):
         tsv = _write_corpus(tmp_path)

@@ -168,7 +168,66 @@ class TestBuildMatrix:
         assert X.flags["C_CONTIGUOUS"]
 
 
+def nmf_direct(X, n_topics, max_iters=500, tol=1e-5, seed=0):
+    """The reference NMF: profiling.nmf's updates and stopping rule, with
+    the objective formed directly as ||X - WH||^2."""
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(X.mean() / n_topics)
+    W = (1.0 - rng.random((X.shape[0], n_topics))) * scale
+    H = (1.0 - rng.random((n_topics, X.shape[1]))) * scale
+
+    def objective():
+        return float(np.linalg.norm(X - W @ H, "fro") ** 2)
+
+    trace = [objective()]
+    for _ in range(max_iters):
+        H *= (W.T @ X) / (W.T @ W @ H + prof.EPS)
+        W *= (X @ H.T) / (W @ (H @ H.T) + prof.EPS)
+        obj = objective()
+        prev = trace[-1]
+        trace.append(obj)
+        if prev == 0.0 or (prev - obj) / max(prev, prof.EPS) < tol:
+            break
+    return W, H, trace
+
+
+def assert_matches_direct(X, n_topics, **kwargs):
+    """profiling.nmf's result, checked to hold the reference's W and H bit
+    for bit and a trace of the same length, each objective within 1e-12
+    relative."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        W, H, trace = prof.nmf(X, n_topics, **kwargs)
+    W_ref, H_ref, trace_ref = nmf_direct(X, n_topics, **kwargs)
+    assert W.tobytes() == W_ref.tobytes() and H.tobytes() == H_ref.tobytes()
+    assert len(trace) == len(trace_ref)
+    np.testing.assert_allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
+    return W, H, trace
+
+
 class TestNMF:
+    @pytest.mark.parametrize("shape, n_topics, zero_rows", [
+        ((25, 9), 3, 0), ((9, 25), 4, 0), ((60, 40), 10, 7),
+        ((40, 60), 6, 12), ((5, 5), 2, 1), ((30, 2), 1, 3)])
+    def test_matches_the_direct_objective(self, shape, n_topics, zero_rows):
+        rng = np.random.default_rng(sum(shape) + n_topics)
+        X = rng.random(shape) * (rng.random(shape) < 0.4)
+        X[rng.choice(shape[0], zero_rows, replace=False)] = 0.0
+        for seed in range(3):
+            assert_matches_direct(X, n_topics, max_iters=300, tol=1e-6,
+                                  seed=seed)
+
+    def test_exact_rank_one_fit_without_tolerance(self):
+        # The objective identity cancels at an exact fit; its rounding
+        # noise must not read as an increase.
+        rng = np.random.default_rng(99)
+        X = np.outer(rng.random(20) + 0.5, rng.random(9) + 0.5)
+        W, H, trace = prof.nmf(X, n_topics=1, max_iters=5000, tol=0.0,
+                               seed=0)
+        assert np.linalg.norm(X - W @ H) / np.linalg.norm(X) <= 1e-6
+        assert abs(trace[-1]) <= 1e-12 * np.vdot(X, X)
+
     def test_rank_one_recovery(self):
         rng = np.random.default_rng(3)
         u = rng.random(30) + 0.1
