@@ -43,6 +43,7 @@ from .classifiers import (LinearModel, NBModel, _probability,
                           decision_function, nb_log_odds,
                           probability_function)
 from .corpus import stratified_sample
+from .features import CSR, dense_rows
 
 ACTIVE_TOL = 1e-12
 ENUMERATION_LIMIT = 12
@@ -73,33 +74,45 @@ class Background:
         return self.rows.mean(axis=0)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(json.dumps(list(self.ids)).encode())
-        h.update(self.rows.tobytes())
-        return h.hexdigest()
+        return rows_digest(self.ids, [self.rows])
 
 
-def make_background(X_train: np.ndarray, y_train: np.ndarray,
+def rows_digest(ids, blocks) -> str:
+    """sha256 of the ids as a JSON list and then of the bytes of each
+    block of rows in turn: Background(rows, ids).digest() when the blocks
+    stack into rows."""
+    h = hashlib.sha256()
+    h.update(json.dumps(list(ids)).encode())
+    for block in blocks:
+        h.update(block.tobytes())
+    return h.hexdigest()
+
+
+def make_background(X_train: np.ndarray | CSR, y_train: np.ndarray,
                     ids: list[int], size: int = 50, seed: int = 0) -> Background:
     """Stratified sample of ``size`` training rows (every row when size is
-    at least their number), class counts by largest remainder."""
+    at least their number), class counts by largest remainder; only the
+    chosen rows of X_train, dense or CSR, are made dense."""
     y_train = np.asarray(y_train)
     exact = {lab: size * int((y_train == lab).sum()) / len(y_train)
              for lab in sorted(set(y_train.tolist()))}
     chosen = stratified_sample(y_train, np.asarray(ids), exact, size, seed)
-    return Background(rows=X_train[chosen].copy(),
+    return Background(rows=dense_rows(X_train, chosen),
                       ids=tuple(int(ids[i]) for i in chosen))
 
 
 def linear_shap(model: LinearModel | NBModel, X: np.ndarray,
-                mu: np.ndarray) -> tuple[np.ndarray, float]:
+                mu: np.ndarray, columns=None) -> tuple[np.ndarray, float]:
     """Exact attributions for a model linear in its explained output.
 
     Returns (phi, base value): phi = w * (x - mu) for one vector x or for
     each row of a matrix X, and base = w.mu + b, so base + sum(phi) is the
     explained output.  For NB that output is the log-odds, linear in the
     model's transformed feature space; X and mu are mapped through the
-    scaler before the closed form applies.
+    scaler before the closed form applies.  Given ``columns`` (indices or
+    a slice), X holds only those columns and phi is the same columns of
+    the full phi, bit for bit, since every step is elementwise; the base
+    value is still the full one.
     """
     X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -107,12 +120,13 @@ def linear_shap(model: LinearModel | NBModel, X: np.ndarray,
         w, b = nb_log_odds(model)
     else:
         w, b = model.weights, model.bias
-    if X.shape[-1:] != w.shape or mu.shape != w.shape:
+    taken = slice(None) if columns is None else columns
+    if mu.shape != w.shape or X.shape[-1:] != w[taken].shape:
         raise ValueError(f"expected vectors of length {w.size}, got "
                          f"{X.shape} and {mu.shape}")
     if isinstance(model, NBModel):
-        X, mu = model.transform(X), model.transform(mu)
-    return w * (X - mu), float(w @ mu + b)
+        X, mu = model.transform(X, columns), model.transform(mu)
+    return w[taken] * (X - mu[taken]), float(w @ mu + b)
 
 
 def _shapley_kernel_weights(m: int, sizes: np.ndarray) -> np.ndarray:
@@ -288,7 +302,7 @@ def _explain_rows(job, rows) -> tuple:
     counts, indices, data, bases = [], [], [], []
     with warnings.catch_warnings(record=True) as caught:
         for i in rows:
-            shap = kernel_shap(model, X[i], background,
+            shap = kernel_shap(model, dense_rows(X, [i])[0], background,
                                n_coalitions=n_coalitions, seed=seed,
                                msg_id=ids[i])
             counts.append(len(shap.phi))
@@ -313,11 +327,13 @@ def _explain_chunk(rows) -> tuple:
     return _explain_rows(_job, rows)
 
 
-def kernel_explain(model: LinearModel | NBModel | Callable, X: np.ndarray,
+def kernel_explain(model: LinearModel | NBModel | Callable,
+                   X: np.ndarray | CSR,
                    background: Background, ids,
                    n_coalitions: int | None = None, seed: int = 0
                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """kernel_shap of every row of X, row i as message ids[i].
+    """kernel_shap of every row of X, row i as message ids[i]; a CSR X
+    is made dense one row at a time.
 
     Returns the CSR fields (shape, indptr, indices, data) of the (n, d)
     attributions, each row's active columns in ascending order with its

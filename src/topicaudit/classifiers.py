@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import features
+
 GRAD_TOL = 1e-5
 
 
@@ -69,12 +71,21 @@ class NBModel:
             raise ValueError(f"NB log_prior exponentiates to a total of "
                              f"{total}, not 1")
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
+    def transform(self, X: np.ndarray, columns=None) -> np.ndarray:
+        """X with its structural columns scaled; X may hold only the given
+        columns (indices or a slice), of which the structural ones are
+        scaled.  Each column is mapped on its own, so a column slice of
+        the result is the transform of the slice, bit for bit."""
         X = np.array(X, dtype=float, copy=True)
         lo, hi = self.struct_min, self.struct_max
         span = np.where(hi > lo, hi - lo, 1.0)
-        block = (X[..., self.structural_start:] - lo) / span
-        X[..., self.structural_start:] = np.clip(block, 0.0, 1.0)
+        at, own = slice(self.structural_start, None), slice(None)
+        if columns is not None:
+            columns = np.arange(self.log_theta.shape[1])[columns]
+            at = np.flatnonzero(columns >= self.structural_start)
+            own = columns[at] - self.structural_start
+        block = (X[..., at] - lo[own]) / span[own]
+        X[..., at] = np.clip(block, 0.0, 1.0)
         return X
 
 
@@ -304,10 +315,15 @@ def nb_log_odds(model: NBModel) -> tuple[np.ndarray, float]:
     return w, b
 
 
-def predict_all(model: LinearModel | NBModel, X: np.ndarray) -> Prediction:
+def predict_all(model: LinearModel | NBModel,
+                X: np.ndarray | features.CSR) -> Prediction:
     """Margin, calibrated positive-class probability and label of every
-    row of X."""
-    margin = decision_function(model, X)
+    row of X, a dense matrix or a CSR.  The margins come from dense
+    blocks of features.ROW_BLOCK rows (features.blocks), which give every
+    row the bits the whole matrix would."""
+    margin = np.empty(X.shape[0])
+    for rows in features.blocks(X.shape[0], features.ROW_BLOCK):
+        margin[rows] = decision_function(model, features.dense_rows(X, rows))
     p_pos = _probability(model, margin)
     return Prediction(p_pos=p_pos, label=(p_pos >= 0.5).astype(int),
                       margin=margin)

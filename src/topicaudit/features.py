@@ -6,7 +6,9 @@ structural features computed on the raw text.  Vocabularies and idf are
 fitted on the training split only; each TF-IDF block is L2-normalized per
 view so the two text views are commensurable.  vectorize turns every
 message at once into the CSR arrays of the (messages x columns) matrix X,
-the form vectors.npz stores.
+the form vectors.npz stores, and CSR holds those arrays after loading:
+every later stage reads X through its dense slices, never all of X at
+once (train alone densifies its training rows).
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ STRUCTURAL_FEATURE_NAMES = (
 )
 
 N_STRUCTURAL = len(STRUCTURAL_FEATURE_NAMES)
+
+# Rows and columns per dense block of a CSR matrix.  ROW_BLOCK is a
+# multiple of 16, so each row of a block sits where the BLAS matrix-vector
+# kernel puts it in the whole matrix and gets the same margin bits.
+ROW_BLOCK = 256
+COLUMN_BLOCK = 128
 
 _CURRENCY_CHARS = set("$£€¥₹¢")
 _PUNCT_CHARS = set(string.punctuation)
@@ -116,6 +124,85 @@ class FeatureSpace:
         return np.array(
             [FAMILY_WORD] * self.n_word + [FAMILY_PHRASE] * self.n_phrase
             + [FAMILY_STRUCTURAL] * N_STRUCTURAL)
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """An (n, d) float matrix as the CSR arrays vectorize emits: row i's
+    columns are indices[indptr[i]:indptr[i + 1]], ascending, and data
+    holds their values.  The arrays are never written to.  A dense slice
+    holds the stored values bit for bit, -0.0 included, and zeros
+    elsewhere, so it equals the same slice of the dense matrix."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, fields) -> CSR:
+        """The matrix of the ``shape, indptr, indices, data`` fields,
+        checked to describe one."""
+        n, d = (int(v) for v in fields["shape"])
+        indptr, indices, data = (np.asarray(fields[key]) for key in
+                                 ("indptr", "indices", "data"))
+        if (indptr.shape != (n + 1,) or indptr[0] != 0
+                or np.any(np.diff(indptr) < 0)
+                or indices.shape != (indptr[-1],)
+                or data.shape != indices.shape
+                or np.any(indices < 0) or np.any(indices >= d)):
+            raise ValueError(f"CSR arrays that do not describe a ({n}, {d}) "
+                             "matrix")
+        return cls((n, d), indptr, indices, data)
+
+    def take(self, rows) -> CSR:
+        """The matrix of the given rows (indices, a mask or a slice), in
+        that order."""
+        rows = np.arange(self.shape[0])[rows]
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return CSR((len(rows), self.shape[1]), indptr, self.indices[at],
+                   self.data[at])
+
+    def dense(self, rows=None, columns=None) -> np.ndarray:
+        """X[rows][:, columns] as a new C-contiguous array; None takes
+        every row or column, and a column may not be taken twice."""
+        M = self if rows is None else self.take(rows)
+        n, d = M.shape
+        columns = np.arange(d)[slice(None) if columns is None else columns]
+        position = np.full(d, -1)
+        position[columns] = np.arange(columns.size)
+        if np.count_nonzero(position >= 0) != columns.size:
+            raise ValueError("a column is taken twice")
+        at = position[M.indices]
+        kept = at >= 0
+        out = np.zeros((n, columns.size))
+        row_of = np.repeat(np.arange(n), np.diff(M.indptr))
+        out[row_of[kept], at[kept]] = M.data[kept]
+        return out
+
+
+def dense_rows(X: np.ndarray | CSR, rows) -> np.ndarray:
+    """X[rows] as a dense float array, for a dense matrix or a CSR."""
+    if isinstance(X, CSR):
+        return X.dense(rows)
+    return np.asarray(X, dtype=float)[rows]
+
+
+def blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices over range(n), each starting at a multiple of
+    size and size long, but the last, which also takes a remainder of one:
+    numpy multiplies a one-row block and sums a one-column block with
+    other kernels than a larger matrix gets, which would change the
+    bits."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts,
+                                                      starts[1:] + [n])]
 
 
 def _phrases(tokens: tuple[str, ...]) -> list[str]:

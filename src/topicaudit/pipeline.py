@@ -19,12 +19,18 @@ per-message .npz files hold an ``ids`` array that must equal the
 dataset ids in order; the (n, d) matrices X (vectors.npz, as
 features.vectorize emits it) and a kernel run's phi (shap.npz) are
 stored as CSR arrays ``shape, indptr, indices, data``, each row's
-columns ascending.  A linear run's phi = w * (t(X) - mu) is exact and elementwise, so its shap.npz
-holds only the background mean ``mu`` and _load_phi rebuilds phi from
-the model and X bit for bit.  A kernel run's phi comes from
-attribution.kernel_explain, one worker process per available core when
-numpy's BLAS runs one thread (the CLI sets that for every stage but
-train), and is the same bytes for any worker count.
+columns ascending, and are loaded as features.CSR.  No stage after
+prepare holds either matrix dense: each asks for the dense rows and
+columns it reads, which equal the same slice of the dense matrix bit
+for bit.  train densifies the training rows, explain blocks of the
+training rows and columns (a kernel run one message at a time), and
+profile and score each polarity's rows and selected columns of phi.  A
+linear run's phi = w * (t(X) - mu) is exact and elementwise, so its
+shap.npz holds only the background mean ``mu`` and _load_phi rebuilds
+any slice of phi from the same slice of X.  A kernel run's phi comes
+from attribution.kernel_explain, one worker process per available core
+when numpy's BLAS runs one thread (the CLI sets that for every stage
+but train), and is the same bytes for any worker count.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -186,25 +192,6 @@ def _load(cfg: PipelineConfig, name: str,
     return fields
 
 
-def _to_csr(M: np.ndarray) -> dict[str, np.ndarray]:
-    """CSR arrays of a dense matrix; every entry other than +0.0 is kept,
-    so _from_csr restores the matrix bit for bit.  The reference layout
-    that features.vectorize and attribution.kernel_explain emit."""
-    rows, cols = np.nonzero((M != 0.0) | np.signbit(M))
-    indptr = np.zeros(M.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
-    return {"shape": np.array(M.shape, dtype=np.int64), "indptr": indptr,
-            "indices": cols.astype(np.int64), "data": M[rows, cols]}
-
-
-def _from_csr(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    n, d = (int(v) for v in arrays["shape"])
-    M = np.zeros((n, d))
-    rows = np.repeat(np.arange(n), np.diff(arrays["indptr"]))
-    M[rows, arrays["indices"]] = arrays["data"]
-    return M
-
-
 def _load_as(build, cfg, name, ids=None):
     """build(fields) of the artifact _load reads; a missing or malformed
     key, nested ones included, names the file and its producer."""
@@ -216,13 +203,13 @@ def _load_as(build, cfg, name, ids=None):
         raise _rerun(name, f"{name} is malformed ({exc!r})") from exc
 
 
-def _csr_matrix(fields, n_rows, n_columns) -> np.ndarray:
-    """The dense matrix of CSR fields, which must be (n_rows, n_columns)."""
+def _csr(fields, n_rows, n_columns) -> features.CSR:
+    """The matrix of CSR fields, which must be (n_rows, n_columns)."""
     shape = tuple(fields["shape"].tolist())
     if shape != (n_rows, n_columns):
         raise ValueError(f"a {shape} matrix, expected "
                          f"({n_rows}, {n_columns})")
-    return _from_csr(fields)
+    return features.CSR.of(fields)
 
 
 # ---------------------------------------------------------------- loading
@@ -249,20 +236,26 @@ def _load_space(cfg) -> features.FeatureSpace:
         return features.FeatureSpace(idf=f["idf"], **vocabs)
     return _load_as(build, cfg, "space.npz")
 
-def _load_vectors(cfg, ids, space) -> np.ndarray:
-    return _load_as(lambda f: _csr_matrix(f, len(ids), space.n_columns),
+def _load_vectors(cfg, ids, space) -> features.CSR:
+    return _load_as(lambda f: _csr(f, len(ids), space.n_columns),
                     cfg, "vectors.npz", ids)
 
-def _load_phi(cfg, ids, space, model, X) -> np.ndarray:
-    """The (n, d) attributions explain computed: stored as CSR for a
-    probability (kernel) run, rebuilt from the stored background mean
-    for a margin (linear) run."""
+def _load_phi(cfg, ids, space, model, X):
+    """phi(rows=None, columns=None): the given rows and columns of the
+    (n, d) attributions explain computed, dense.  A probability (kernel)
+    run's phi is sliced from its stored CSR; a margin (linear) run's is
+    rebuilt from the stored background mean on the slice of X alone."""
     def build(f):
         if f["explained_output"] == "probability":
-            return _csr_matrix(f, len(ids), space.n_columns)
+            return _csr(f, len(ids), space.n_columns).dense
         if f["explained_output"] != "margin":
             raise ValueError(f"explained_output {f['explained_output']!r}")
-        return attribution.linear_shap(model, X, f["mu"])[0]
+        mu = f["mu"]
+        if mu.shape != (space.n_columns,):
+            raise ValueError(f"mu of shape {mu.shape}, expected "
+                             f"({space.n_columns},)")
+        return lambda rows=None, columns=None: attribution.linear_shap(
+            model, X.dense(rows, columns), mu, columns)[0]
     return _load_as(build, cfg, "shap.npz", ids)
 
 def _save_model(cfg, model) -> None:
@@ -337,7 +330,7 @@ def cmd_train(cfg: PipelineConfig) -> None:
     train = split == "train"
     if cfg.subsample_train:
         train[train] = corpus.subsample_majority(gold[train], cfg.seed)
-    X_train, y_train = X[train], gold[train]
+    X_train, y_train = X.dense(train), gold[train]
 
     if cfg.classifier == "logreg":
         model = classifiers.train_logreg(
@@ -361,34 +354,43 @@ def cmd_explain(cfg: PipelineConfig) -> None:
     X = _load_vectors(cfg, ids, space)
     model = _load_model(cfg)
     train = split == "train"
-    X_train, y_train = X[train], gold[train]
+    X_train = X.take(train)
     train_ids = ids[train].tolist()
 
     linear = cfg.classifier == "logreg" or (
         cfg.classifier == "nb" and cfg.nb_linear_attribution)
 
     if linear:
-        # Exact linear attributions against the training mean: phi is
-        # dense but elementwise in X, so only mu is stored and _load_phi
-        # rebuilds it.  The base value depends on mu alone.
-        background = attribution.Background(X_train, tuple(train_ids))
-        mu = background.mean
+        # Exact linear attributions against the mean of every training
+        # row: phi is dense but elementwise in X, so only mu is stored and
+        # _load_phi rebuilds it.  The base value depends on mu alone.  mu
+        # and the background digest come from dense blocks of X_train,
+        # the bits Background(X_train dense) would give.
+        mu = np.concatenate([
+            X_train.dense(columns=block).mean(axis=0)
+            for block in features.blocks(space.n_columns,
+                                         features.COLUMN_BLOCK)])
+        background_ids = train_ids
+        digest = attribution.rows_digest(train_ids, (
+            X_train.dense(rows)
+            for rows in features.blocks(len(train_ids), features.ROW_BLOCK)))
         base = attribution.linear_shap(model, mu, mu)[1]
         base_values = np.full(len(ids), base)
         explained, stored = "margin", {"mu": mu}
     else:
         background = attribution.make_background(
-            X_train, y_train, train_ids, size=cfg.background_size,
+            X_train, gold[train], train_ids, size=cfg.background_size,
             seed=cfg.seed)
         stored, base_values = attribution.kernel_explain(
             model, X, background, ids, n_coalitions=cfg.n_coalitions,
             seed=cfg.seed)
         explained = "probability"
+        background_ids, digest = background.ids, background.digest()
 
     _save(cfg, "shap.npz", ids=ids, base_values=base_values,
           explained_output=np.array(explained),
-          background_ids=np.array(background.ids, dtype=np.int64),
-          background_digest=np.array(background.digest()), **stored)
+          background_ids=np.array(background_ids, dtype=np.int64),
+          background_digest=np.array(digest), **stored)
 
 
 # ---------------------------------------------------------------- profile
@@ -411,19 +413,31 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     X = _load_vectors(cfg, ids, space)
     model = _load_model(cfg)
     tn, tp = _reliable_groups(gold, split, classifiers.predict_all(model, X))
-    reliable = tn | tp
-    if not reliable.any():
+    reliable = np.flatnonzero(tn | tp)
+    if not reliable.size:
         raise ValueError("no correctly classified training messages to "
                          "profile")
-    reliable_phi = _load_phi(cfg, ids, space, model, X)[reliable]
+    phi = _load_phi(cfg, ids, space, model, X)
+
+    # Each column's rank needs only its own column, so the ranks come
+    # from dense column blocks of the reliable rows' phi.  The NMF matrix
+    # is the reliable rows' supports of the selected columns alone,
+    # row-major like every dense slice: NMF's products round differently
+    # on a column-major array.
+    ranks = {polarity: [] for polarity in POLARITIES}
+    for block in features.blocks(space.n_columns, features.COLUMN_BLOCK):
+        part = phi(reliable, block)
+        for polarity in POLARITIES:
+            stats = profiling.feature_stats(
+                attribution.polarity_supports(part, polarity))
+            ranks[polarity].append(profiling.rank_score(stats, cfg.tau_p))
     families = space.families()
 
     for polarity in POLARITIES:
-        supports = attribution.polarity_supports(reliable_phi, polarity)
-        stats = profiling.feature_stats(supports)
-        r = profiling.rank_score(stats, cfg.tau_p)
-        columns = profiling.select_top(r, families, cfg.rho, cfg.k_top)
-        matrix = profiling.build_matrix(supports, columns)
+        columns = profiling.select_top(np.concatenate(ranks[polarity]),
+                                       families, cfg.rho, cfg.k_top)
+        matrix = attribution.polarity_supports(phi(reliable, columns),
+                                               polarity)
         _, H, trace = profiling.nmf(matrix, cfg.n_topics,
                                     max_iters=cfg.nmf_max_iters,
                                     tol=cfg.nmf_tol, seed=cfg.seed)
@@ -471,7 +485,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     X = _load_vectors(cfg, ids, space)
     model = _load_model(cfg)
     preds = classifiers.predict_all(model, X)
-    Phi = _load_phi(cfg, ids, space, model, X)
+    phi = _load_phi(cfg, ids, space, model, X)
     groups = _reliable_groups(gold, split, preds)
 
     # Each message is represented on the polarity its own prediction
@@ -485,7 +499,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     for label, polarity in enumerate(POLARITIES):
         rows = preds.label == label
         topic = _load_topics(cfg, polarity)
-        supports = attribution.polarity_supports(Phi[rows][:, topic.columns],
+        supports = attribution.polarity_supports(phi(rows, topic.columns),
                                                  polarity)
         tc = profiling.topic_contributions(supports, topic.assignment,
                                            cfg.n_topics)

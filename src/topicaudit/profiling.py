@@ -91,14 +91,6 @@ def select_top(r: np.ndarray, families: np.ndarray, quotas: dict[str, float],
     return np.array(sorted(chosen), dtype=int)
 
 
-def build_matrix(supports: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Dense message-by-selected-column slice of the supports.
-
-    Row-major, because NMF's matrix products round differently on the
-    column-major array that fancy indexing returns."""
-    return np.ascontiguousarray(supports[:, columns])
-
-
 def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
         tol: float = 1e-5, seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Multiplicative-update NMF minimizing the Frobenius objective.
@@ -111,7 +103,8 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
     W'X and W'W also feed the next H update, and HH' the W update.  The
     identity cancels when the objective is small against ||X||^2: it
     carries rounding noise of order 1e-15 ||X||^2, so near an exact fit
-    it can read slightly below zero or above the previous value.
+    it can read slightly above the previous value, or below zero, where
+    it is floored at 0.
 
     Stops when the relative objective decrease drops below tol or, with
     a warning naming the last decrease, at the iteration cap.  The
@@ -135,7 +128,8 @@ def nmf(X: np.ndarray, n_topics: int, max_iters: int = 500,
     norm_x = float(np.sum(X * X))
 
     def objective() -> float:
-        return float(norm_x - 2.0 * np.sum(WtX * H) + np.sum(WtW * HHt))
+        return max(0.0, float(norm_x - 2.0 * np.sum(WtX * H)
+                              + np.sum(WtW * HHt)))
 
     WtX, WtW, HHt = W.T @ X, W.T @ W, H @ H.T
     trace = [objective()]

@@ -129,9 +129,10 @@ def test_c02_local_accuracy(full_run, capsys):
 
     ids = ids.tolist()
     space = _load_space(full_run.cfg)
-    X = _load_vectors(full_run.cfg, ids, space)
+    X = _load_vectors(full_run.cfg, ids, space).dense()
     model = _load_model(full_run.cfg)
-    phi = _load_phi(full_run.cfg, ids, space, model, X)
+    phi = _load_phi(full_run.cfg, ids, space, model,
+                    _load_vectors(full_run.cfg, ids, space))()
     shap = _load(full_run.cfg, "shap.npz", ids)
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
     plus = attribution.polarity_supports(phi, "plus")

@@ -20,7 +20,8 @@ from topicaudit.attribution import (Background, _enumerate_coalitions,
                                     make_background, polarity_supports)
 from topicaudit.classifiers import (LinearModel, probability_function,
                                     train_nb)
-from topicaudit.pipeline import _to_csr
+
+from csr_layout import to_csr
 
 
 def brute_force_shapley(predict_fn, x, background_rows):
@@ -377,7 +378,7 @@ class TestKernelShapModels:
 
 class TestKernelExplain:
     """kernel_explain is kernel_shap row by row, stored as the CSR that
-    _to_csr makes of the dense matrix, in any number of processes."""
+    to_csr makes of the dense matrix, in any number of processes."""
 
     IDS = [10, 13, 16, 19, 22, 25, 28, 31, 34]
 
@@ -405,7 +406,7 @@ class TestKernelExplain:
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
         with pytest.warns(UserWarning) as caught:
             csr, base_values = kernel_explain(model, X, bg, self.IDS, seed=5)
-        expected = _to_csr(dense)
+        expected = to_csr(dense)
         assert csr.keys() == expected.keys()
         for key, array in expected.items():
             assert csr[key].dtype == array.dtype, key

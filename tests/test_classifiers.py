@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from topicaudit import classifiers as clf
+from topicaudit import features
 from topicaudit.classifiers import (LinearModel, NBModel, Prediction,
                                     predict_all, train_logreg, train_nb,
                                     train_svm)
 from topicaudit.config import PipelineConfig
+from topicaudit.features import CSR
 from topicaudit.pipeline import _load_model, _save_model
+
+from csr_layout import to_csr
 
 
 def _toy_separable():
@@ -179,6 +183,17 @@ class TestNB:
         np.testing.assert_allclose(Xt @ w + b,
                                    clf.decision_function(model, X), rtol=1e-12)
 
+    def test_transform_of_a_column_slice_is_the_slice_of_the_transform(self):
+        rng = np.random.default_rng(8)
+        X = rng.random((6, 8)) * 40.0
+        model = train_nb(X[:4], np.array([0, 1, 0, 1]), structural_start=5)
+        full = model.transform(X)
+        for columns in ([1, 5, 7], [6], [0, 2], slice(3, 8),
+                        np.array([7, 5]), []):
+            part = model.transform(X[:, columns], columns)
+            assert part.tobytes() == np.ascontiguousarray(
+                full[:, columns]).tobytes(), columns
+
 
 class TestPrediction:
     def test_label_threshold_enforced(self):
@@ -204,6 +219,34 @@ class TestPrediction:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(batch.margin[i], one.margin[0],
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm", "nb"])
+    @pytest.mark.parametrize("n, block", [(1, 16), (17, 16), (33, 16),
+                                          (50, 32), (300, 256), (513, 256)])
+    def test_row_blocks_give_the_full_product(self, kind, n, block,
+                                              monkeypatch):
+        # predict_all multiplies a CSR X in dense row blocks, each row's
+        # margin the bits of the whole dense matrix's product, also when
+        # n is not a multiple of 16 or leaves a last row of its own.
+        rng = np.random.default_rng(n)
+        d = 301
+        X = rng.random((n, d)) * (rng.random((n, d)) < 0.05)
+        X[:, -17:] = rng.integers(0, 40, (n, 17))
+        weights = rng.normal(size=d)
+        model = {
+            "logreg": lambda: LinearModel(kind="logreg", weights=weights,
+                                          bias=0.3),
+            "svm": lambda: LinearModel(kind="svm", weights=weights, bias=0.3,
+                                       calibration=(1.7, -0.2)),
+            "nb": lambda: train_nb(np.vstack([X, X + 1.0]),
+                                   np.repeat([0, 1], n),
+                                   structural_start=d - 17)}[kind]()
+        monkeypatch.setattr(features, "ROW_BLOCK", block)
+        pred = predict_all(model, CSR.of(to_csr(X)))
+        margin = clf.decision_function(model, X)
+        assert pred.margin.tobytes() == margin.tobytes()
+        assert pred.p_pos.tobytes() == clf._probability(
+            model, margin).tobytes()
 
     def test_dimension_mismatch_rejected(self):
         model = LinearModel(kind="logreg", weights=np.ones(3), bias=0.0)

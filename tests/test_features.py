@@ -11,8 +11,11 @@ from topicaudit import corpus
 from topicaudit import features
 from topicaudit import pipeline
 from topicaudit.config import PipelineConfig
-from topicaudit.features import (N_STRUCTURAL, STRUCTURAL_FEATURE_NAMES,
+from topicaudit.features import (CSR, N_STRUCTURAL,
+                                 STRUCTURAL_FEATURE_NAMES,
                                  structural_features)
+
+from csr_layout import to_csr
 
 IDX = {name: i for i, name in enumerate(STRUCTURAL_FEATURE_NAMES)}
 
@@ -133,7 +136,7 @@ class TestVectorize:
     def small_X(self, small_space, small_messages):
         space, kept = small_space
         csr = features.vectorize(kept, small_messages[0], space)
-        return space, csr, pipeline._from_csr(csr)
+        return space, csr, features.CSR.of(csr).dense()
 
     def test_matches_the_per_message_reference(self, small_space,
                                                small_messages):
@@ -149,10 +152,10 @@ class TestVectorize:
                 ref[col] for col in sorted(ref)]
 
     def test_layout_is_the_reference_csr(self, small_X):
-        # The rows _to_csr makes of the dense matrix, down to the dtypes.
+        # The rows to_csr makes of the dense matrix, down to the dtypes.
         space, csr, X = small_X
         assert X.shape == (10, space.n_columns)
-        expected = pipeline._to_csr(X)
+        expected = to_csr(X)
         assert csr.keys() == expected.keys()
         for key, array in expected.items():
             assert csr[key].dtype == array.dtype, key
@@ -188,8 +191,8 @@ class TestVectorize:
         texts = ["spam spam ham", "spam ham ham"]
         space = features.fit_space(_tokens(*texts), word_quota=5,
                                    phrase_quota=5)
-        X = pipeline._from_csr(features.vectorize(_tokens(*texts), texts,
-                                                  space))
+        X = features.CSR.of(features.vectorize(_tokens(*texts), texts,
+                                               space)).dense()
         c_spam = space.word_vocab["spam"]
         c_ham = space.word_vocab["ham"]
         # Same idf, counts 2 vs 1, so the normalized ratio is exactly 2.
@@ -206,6 +209,92 @@ class TestVectorize:
         space, kept = small_space
         with pytest.raises(ValueError):
             features.vectorize(kept, ["one text"], space)
+
+
+class TestCSR:
+    """Dense slices of a CSR matrix equal the dense matrix's, bit for
+    bit."""
+
+    def test_identity_slice(self):
+        supports = np.array([[1.0, 2.0], [0.0, 3.0]])
+        X = CSR.of(to_csr(supports)).dense(columns=np.array([0, 1]))
+        np.testing.assert_array_equal(X, [[1.0, 2.0], [0.0, 3.0]])
+
+    def test_zero_row_retained(self):
+        supports = np.zeros((2, 6))
+        supports[0, 5] = 1.0
+        X = CSR.of(to_csr(supports)).dense(columns=np.array([5]))
+        np.testing.assert_array_equal(X, [[1.0], [0.0]])
+
+    def test_unselected_columns_dropped(self):
+        supports = np.zeros((1, 10))
+        supports[0, [0, 9]] = [1.0, 4.0]
+        X = CSR.of(to_csr(supports)).dense(columns=np.array([9]))
+        np.testing.assert_array_equal(X, [[4.0]])
+
+    def test_row_major_layout(self):
+        # NMF's matrix products round differently on a column-major array.
+        M = CSR.of(to_csr(np.arange(12.0).reshape(3, 4)))
+        assert M.dense(columns=np.array([1, 3])).flags["C_CONTIGUOUS"]
+        assert M.dense([2, 0], slice(1, 3)).flags["C_CONTIGUOUS"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 9), d=st.integers(1, 9))
+    def test_slices_equal_the_dense_slices(self, data, n, d):
+        values = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.5, -2.25, 5e-324])
+        M = np.array(data.draw(st.lists(values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        rows = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(0, n - 1), max_size=12) if n else st.none(),
+            st.lists(st.booleans(), min_size=n, max_size=n).map(
+                lambda mask: np.array(mask, dtype=bool)),
+            st.builds(slice, st.integers(0, n), st.integers(0, n))))
+        columns = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(0, d - 1), unique=True).map(
+                lambda cols: np.array(cols, dtype=np.int64)),
+            st.builds(slice, st.integers(0, d), st.integers(0, d))))
+        X = CSR.of(to_csr(M))
+        expected = M[slice(None) if rows is None else rows]
+        expected = expected[:, slice(None) if columns is None else columns]
+        got = X.dense(rows, columns)
+        assert got.shape == expected.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+        taken = X.take(slice(None) if rows is None else rows)
+        assert taken.dense().tobytes() == M[
+            slice(None) if rows is None else rows].tobytes()
+
+    def test_a_column_taken_twice_is_refused(self):
+        with pytest.raises(ValueError, match="twice"):
+            CSR.of(to_csr(np.eye(3))).dense(columns=[1, 1])
+
+    @pytest.mark.parametrize("damage", ["indptr", "indices", "data",
+                                        "column", "order"])
+    def test_inconsistent_arrays_are_refused(self, damage):
+        fields = to_csr(np.eye(3))
+        if damage == "indptr":
+            fields["indptr"] = fields["indptr"][:-1]
+        elif damage == "indices":
+            fields["indices"] = fields["indices"][:-1]
+        elif damage == "data":
+            fields["data"] = np.append(fields["data"], 1.0)
+        elif damage == "column":
+            fields["indices"] = fields["indices"] + 1
+        else:
+            fields["indptr"] = np.array([0, 2, 1, 3])
+        with pytest.raises(ValueError, match=r"\(3, 3\) matrix"):
+            CSR.of(fields)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 200), size=st.integers(2, 40))
+    def test_blocks_cover_the_range_at_multiples_of_size(self, n, size):
+        blocks = features.blocks(n, size)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(b.start % size == 0 for b in blocks)
+        # Only the last block differs in length, and never by being one.
+        assert all(b.stop - b.start == size for b in blocks[:-1])
+        assert not blocks or n == 1 or blocks[-1].stop - blocks[-1].start > 1
 
 
 class TestSpaceIO:
@@ -226,8 +315,8 @@ class TestSpaceIO:
         cfg = PipelineConfig(out_dir=str(tmp_path))
         ids = np.arange(len(kept))
         pipeline._save(cfg, "vectors.npz", ids=ids, **csr)
-        back = pipeline._load_vectors(cfg, ids, space)
-        assert back.tobytes() == pipeline._from_csr(csr).tobytes()
+        back = pipeline._load_vectors(cfg, ids, space).dense()
+        assert back.tobytes() == features.CSR.of(csr).dense().tobytes()
         for row in range(len(kept)):
             start, stop = csr["indptr"][row:row + 2]
             assert np.flatnonzero(back[row]).tolist() == (
@@ -236,7 +325,7 @@ class TestSpaceIO:
     def test_vectors_skip_exact_zeros(self):
         X = np.zeros((2, 5))
         X[0, 3] = 0.5
-        csr = pipeline._to_csr(X)
+        csr = to_csr(X)
         assert csr["data"].tolist() == [0.5]
         assert csr["indices"].tolist() == [3]
         assert csr["indptr"].tolist() == [0, 1, 1]

@@ -25,14 +25,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from topicaudit import (BLAS_THREAD_VARS, atomic, attribution, classifiers,
-                        cli, demo, pipeline, profiling, report, scoring)
+                        cli, demo, features, pipeline, profiling, report,
+                        scoring)
 from topicaudit.config import PipelineConfig, load_config
-from topicaudit.pipeline import (ArtifactError, StageError, _from_csr,
-                                 _load, _load_dataset, _load_model,
-                                 _load_phi, _load_space, _load_topics,
-                                 _load_vectors, _reliable_profile, _save,
-                                 _to_csr)
+from topicaudit.features import CSR
+from topicaudit.pipeline import (ArtifactError, StageError, _load,
+                                 _load_dataset, _load_model, _load_phi,
+                                 _load_space, _load_topics, _load_vectors,
+                                 _reliable_profile, _save)
 from topicaudit.uncertainty import REPRESENTATIONS
+
+from csr_layout import to_csr
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -142,15 +145,37 @@ def _damage_shap(cfg: PipelineConfig, damage: str) -> None:
         elif damage == "missing_key":
             del arrays["mu"]
     else:
-        phi = _from_csr(arrays)
+        phi = CSR.of(arrays).dense()
         if damage == "missing_message":
             phi = phi[:-1]
         elif damage == "extra_column":
             phi = np.hstack([phi, np.ones((len(phi), 1))])
-        arrays.update(_to_csr(phi))
+        arrays.update(to_csr(phi))
         if damage == "missing_key":
             del arrays["indptr"]
     _save(cfg, "shap.npz", **arrays)
+
+
+def _assert_phi_slices(phi, full: np.ndarray, space) -> None:
+    """phi(rows, columns) is full[rows][:, columns] bit for bit, for
+    slices on either side of the structural block and across it."""
+    n, d = full.shape
+    start = space.structural_start
+    rng = np.random.default_rng(0)
+    for rows, columns in [
+            (None, None),
+            (np.arange(n) % 3 == 0, np.array([0, start - 1, start,
+                                              start + 5, d - 1])),
+            (np.flatnonzero(np.arange(n) % 2), slice(start - 3, d)),
+            (slice(5, 40), np.arange(start, d)),
+            (rng.permutation(n)[:10], np.sort(rng.choice(d, 20,
+                                                         replace=False))),
+            (None, slice(0, start))]:
+        expected = full[slice(None) if rows is None else rows]
+        expected = expected[:, slice(None) if columns is None else columns]
+        got = phi(rows, columns)
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), (
+            rows, columns)
 
 
 def _truncate(path: Path) -> None:
@@ -301,7 +326,7 @@ class TestStageOutputs:
         ids = scores["ids"].tolist()
         space = _load_space(cfg)
         X = _load_vectors(cfg, ids, space)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)
+        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)()
         profiles = _load(cfg, "profiles.npz")
         assert profiles["names"].tolist() == list(REPRESENTATIONS)
         assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
@@ -331,12 +356,12 @@ class TestStageOutputs:
         ids = scores["ids"].tolist()
         space = _load_space(cfg)
         X = _load_vectors(cfg, ids, space)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)
+        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)()
         reliable = (scores["split"] == "train") & scores["correct"]
         for polarity in pipeline.POLARITIES:
             topic = _load_topics(cfg, polarity)
-            matrix = profiling.build_matrix(attribution.polarity_supports(
-                phi[reliable], polarity), topic.columns)
+            matrix = np.ascontiguousarray(attribution.polarity_supports(
+                phi[reliable], polarity)[:, topic.columns])
             _, H, trace = assert_matches_direct(
                 matrix, cfg.n_topics, max_iters=cfg.nmf_max_iters,
                 tol=cfg.nmf_tol, seed=cfg.seed)
@@ -373,6 +398,33 @@ class TestDeterminism:
         assert cli.main(["repair", "--config", str(cfg_path)]) == 0
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob, name
+
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_later_stages_never_densify_a_whole_matrix(self, run, request,
+                                                       tmp_path,
+                                                       monkeypatch):
+        # Explain, profile and score ask X and a kernel run's phi only for
+        # slices, never all n rows by all d columns; with 16-row
+        # prediction blocks their artifacts are still the same bytes.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        whole = (len(_load_dataset(cfg)[0]), _load_space(cfg).n_columns)
+        before = {path.name: path.read_bytes() for path in copy.iterdir()}
+        real, shapes = CSR.dense, []
+
+        def spy(self, rows=None, columns=None):
+            out = real(self, rows, columns)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(CSR, "dense", spy)
+        monkeypatch.setattr(features, "ROW_BLOCK", 16)
+        for stage in ("explain", "profile", "score"):
+            shapes.clear()
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+            assert shapes and whole not in shapes, (stage, whole, shapes)
+        for name, blob in before.items():
+            assert (copy / name).read_bytes() == blob, name
 
 
 class TestGuards:
@@ -628,13 +680,14 @@ class TestLinearExplain:
         ids, labels, split = _load_dataset(cfg)
         train = split == "train"
         space = _load_space(cfg)
-        X = _load_vectors(cfg, ids, space)
+        vectors = _load_vectors(cfg, ids, space)
+        X = vectors.dense()
         model = _load_model(cfg)
         background = attribution.make_background(
             X[train], labels[train], ids[train].tolist(),
             size=int(train.sum()), seed=cfg.seed)
         expected, base = attribution.linear_shap(model, X, background.mean)
-        stored = _from_csr(_to_csr(expected))
+        stored = CSR.of(to_csr(expected)).dense()
 
         shap = _load(cfg, "shap.npz", ids)
         assert shap["explained_output"] == "margin"
@@ -642,9 +695,27 @@ class TestLinearExplain:
         assert shap["background_ids"].tolist() == list(background.ids)
         assert shap["background_digest"] == background.digest()
         assert shap["base_values"].tolist() == [base] * len(ids)
-        phi = _load_phi(cfg, ids, space, model, X)
+        phi = _load_phi(cfg, ids, space, model, vectors)()
         # tobytes compares the sign of zero too.
         assert phi.tobytes() == expected.tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("classifier", ["logreg", "nb"])
+    def test_phi_slices_are_the_full_phi_sliced(self, classifier, tmp_path):
+        # Built on the slice of X alone; for linear nb the structural
+        # columns inside a slice are scaled as in the whole matrix.
+        _, cfg_path = _small_run(tmp_path, STAGES[:3],
+                                 classifier=classifier,
+                                 nb_linear_attribution=True,
+                                 word_quota=60, phrase_quota=40)
+        cfg = load_config(cfg_path)
+        ids = _load_dataset(cfg)[0]
+        space = _load_space(cfg)
+        X = _load_vectors(cfg, ids, space)
+        model = _load_model(cfg)
+        full = attribution.linear_shap(model, X.dense(),
+                                       _load(cfg, "shap.npz", ids)["mu"])[0]
+        _assert_phi_slices(_load_phi(cfg, ids, space, model, X), full,
+                           space)
 
 
 class TestKernelExplain:
@@ -657,9 +728,9 @@ class TestKernelExplain:
         cfg = load_config(cfg_path)
         ids = _load_dataset(cfg)[0].tolist()
         space = _load_space(cfg)
-        X = _from_csr(_load(cfg, "vectors.npz", ids))
+        X = CSR.of(_load(cfg, "vectors.npz", ids)).dense()
         shap = _load(cfg, "shap.npz", ids)
-        phi = _from_csr(shap)
+        phi = CSR.of(shap).dense()
         assert phi.shape == (len(ids), space.n_columns)
         assert shap["explained_output"] == "probability"
         model = _load_model(cfg)
@@ -677,6 +748,19 @@ class TestKernelExplain:
             np.testing.assert_array_equal(phi[i] != 0, dense != 0)
             np.testing.assert_allclose(phi[i], dense, rtol=0, atol=1e-12)
 
+
+    def test_phi_slices_are_the_stored_phi_sliced(self, kernel_run):
+        cfg = load_config(kernel_run[3])
+        ids = _load_dataset(cfg)[0]
+        space = _load_space(cfg)
+        shap = _load(cfg, "shap.npz", ids)
+        full = np.zeros((len(ids), space.n_columns))
+        for i in range(len(ids)):
+            start, stop = shap["indptr"][i:i + 2]
+            full[i, shap["indices"][start:stop]] = shap["data"][start:stop]
+        phi = _load_phi(cfg, ids, space, _load_model(cfg),
+                        _load_vectors(cfg, ids, space))
+        _assert_phi_slices(phi, full, space)
 
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
     def test_shap_is_the_same_bytes_for_any_worker_count(
@@ -767,11 +851,11 @@ class TestArrayArtifacts:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "shap.npz", matrix=matrix, labels=labels,
                   ids=np.arange(len(matrix)), explained_output="probability",
-                  **_to_csr(matrix))
+                  **to_csr(matrix))
             back = _load(cfg, "shap.npz")
         assert back["matrix"].dtype == np.float64
         assert back["matrix"].tobytes() == matrix.tobytes()
-        assert _from_csr(back).tobytes() == matrix.tobytes()
+        assert CSR.of(back).dense().tobytes() == matrix.tobytes()
         assert back["labels"].dtype == labels.dtype
         assert np.array_equal(back["labels"], labels)
 

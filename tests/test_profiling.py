@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topicaudit import features
 from topicaudit import profiling as prof
 from topicaudit.config import PipelineConfig
 from topicaudit.pipeline import _load_topics, _reliable_profile, _save
@@ -65,6 +66,21 @@ class TestFeatureStats:
         expected = np.divide(total, active, out=np.zeros(25),
                              where=active > 0)
         assert np.array_equal(stats.cond_mean, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), d=st.integers(1, 50),
+           size=st.integers(2, 17), seed=st.integers(0, 2 ** 16))
+    def test_column_blocks_give_the_full_stats(self, n, d, size, seed):
+        # Profile ranks columns from stats over column blocks: their
+        # concatenation is the whole matrix's stats, bit for bit.
+        rng = np.random.default_rng(seed)
+        supports = np.maximum(rng.normal(size=(n, d)), 0.0)
+        full = prof.feature_stats(supports)
+        parts = [prof.feature_stats(np.ascontiguousarray(supports[:, block]))
+                 for block in features.blocks(d, size)]
+        for name in ("presence", "cond_mean"):
+            assert np.concatenate([getattr(part, name) for part in parts]
+                                  ).tobytes() == getattr(full, name).tobytes()
 
 
 class TestRankScore:
@@ -145,29 +161,6 @@ class TestSelectTop:
                             {"word": 0.9}, k=1)
 
 
-class TestBuildMatrix:
-    def test_identity_slice(self):
-        supports = np.array([[1.0, 2.0], [0.0, 3.0]])
-        X = prof.build_matrix(supports, np.array([0, 1]))
-        np.testing.assert_array_equal(X, [[1.0, 2.0], [0.0, 3.0]])
-
-    def test_zero_row_retained(self):
-        supports = np.zeros((2, 6))
-        supports[0, 5] = 1.0
-        X = prof.build_matrix(supports, np.array([5]))
-        np.testing.assert_array_equal(X, [[1.0], [0.0]])
-
-    def test_unselected_columns_dropped(self):
-        supports = np.zeros((1, 10))
-        supports[0, [0, 9]] = [1.0, 4.0]
-        X = prof.build_matrix(supports, np.array([9]))
-        np.testing.assert_array_equal(X, [[4.0]])
-
-    def test_row_major_layout(self):
-        X = prof.build_matrix(np.arange(12.0).reshape(3, 4), np.array([1, 3]))
-        assert X.flags["C_CONTIGUOUS"]
-
-
 def nmf_direct(X, n_topics, max_iters=500, tol=1e-5, seed=0):
     """The reference NMF: profiling.nmf's updates and stopping rule, with
     the objective formed directly as ||X - WH||^2."""
@@ -227,6 +220,9 @@ class TestNMF:
                                seed=0)
         assert np.linalg.norm(X - W @ H) / np.linalg.norm(X) <= 1e-6
         assert abs(trace[-1]) <= 1e-12 * np.vdot(X, X)
+        # Below zero it is noise, floored at 0, and the trace never rises.
+        assert min(trace) >= 0.0
+        assert np.all(np.diff(trace) <= 0.0)
 
     def test_rank_one_recovery(self):
         rng = np.random.default_rng(3)
