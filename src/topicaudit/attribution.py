@@ -15,13 +15,16 @@ coalition's margin against every background row is one small matrix
 product, and only the link function is applied per value.  Any other
 callable is evaluated on the synthetic rows themselves.  The regression
 is solved through its normal equations, with a ridge added only when
-the system is numerically singular.
+the system is numerically singular; sampled coalitions come in
+complementary pairs, so half the design rows give the whole Gram.
 
 kernel_explain runs kernel_shap over every message.  A message's
 attributions depend only on (seed, msg_id), so the messages are spread
 over a fork process pool, one worker per available core where the
 process may fork safely, and the result is the same bits for any number
-of workers.
+of workers.  It keeps only the values on each message's active set:
+the features and the background mean determine the columns, and
+kernel_phi puts the values back on them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
+from . import BLAS_THREAD_VARS, features
 from .classifiers import (LinearModel, NBModel, _probability,
                           decision_function, nb_log_odds,
                           probability_function)
@@ -48,18 +51,32 @@ from .features import CSR, dense_rows
 ACTIVE_TOL = 1e-12
 ENUMERATION_LIMIT = 12
 RIDGE = 1e-8
+# float32 holds every integer up to 2**24, so a Gram entry summed over
+# fewer pairs than this is exact in it.
+MAX_PAIRS = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapVector:
-    """Additive attribution: base_value + sum(phi) = explained output."""
+    """Additive attribution: base_value + sum(values) = explained output.
+
+    ``values`` holds the attribution of every active column, zeros
+    included, in the ascending order of ``columns``; every other column's
+    attribution is zero."""
 
     id: int
-    phi: dict[int, float]
+    columns: np.ndarray
+    values: np.ndarray
     base_value: float
 
+    @property
+    def phi(self) -> dict[int, float]:
+        """The nonzero attributions by column."""
+        return {int(col): float(val)
+                for col, val in zip(self.columns, self.values) if val != 0.0}
+
     def total(self) -> float:
-        return self.base_value + sum(self.phi.values())
+        return self.base_value + float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -165,6 +182,23 @@ def _sample_coalitions(m: int, n_coalitions: int,
     return masks, np.ones(n_coalitions)
 
 
+def _paired_gram(a: np.ndarray) -> np.ndarray:
+    """a.T @ a, bit for bit, for the design of paired sampled coalitions.
+
+    Row 2r + 1 is the complement of row 2r, so its design row is the
+    negation of row 2r's and both add the same outer product: the Gram
+    is twice the even rows' Gram, plus the last row's own if it is
+    unpaired.  Every entry is a sum of products of -1, 0 and 1, an
+    integer, exact in float32 below MAX_PAIRS pairs and in float64 after.
+    """
+    n = len(a)
+    even = a[0:n - 1:2].astype(np.float32)
+    gram = 2.0 * (even.T @ even).astype(float)
+    if n % 2:
+        gram += np.outer(a[-1], a[-1])
+    return gram
+
+
 def _coalition_values(predict_fn, x: np.ndarray, background: np.ndarray,
                       active: np.ndarray, masks: np.ndarray,
                       batch: int = 64) -> np.ndarray:
@@ -229,28 +263,30 @@ def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
     margin_model = isinstance(model, (LinearModel, NBModel))
     predict_fn = (functools.partial(probability_function, model)
                   if margin_model else model)
-    mu = background.mean
-    active = np.flatnonzero(np.abs(x - mu) > ACTIVE_TOL)
+    active = np.flatnonzero(active_mask(x, background.mean))
     m = len(active)
     base_value = float(np.asarray(predict_fn(
         _pinned_rows(x, background.rows, active))).mean())
     if m == 0:
         warnings.warn(f"message {msg_id}: no deviation from background; "
                       "all attributions zero", UserWarning, stacklevel=2)
-        return ShapVector(id=msg_id, phi={}, base_value=base_value)
+        return ShapVector(msg_id, active, np.zeros(0), base_value)
     full_value = float(np.asarray(predict_fn(x[None, :]))[0])
     delta = full_value - base_value
     if m == 1:
-        return ShapVector(id=msg_id, phi={int(active[0]): delta},
-                          base_value=base_value)
+        return ShapVector(msg_id, active, np.array([delta]), base_value)
 
-    if m <= ENUMERATION_LIMIT:
-        masks, weights = _enumerate_coalitions(m)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, msg_id + 1]))
+    sampled = m > ENUMERATION_LIMIT
+    if sampled:
         if n_coalitions is None:
             n_coalitions = 2 * m + 2048
+        if n_coalitions // 2 >= MAX_PAIRS:
+            raise ValueError(f"{n_coalitions} coalitions: the paired Gram "
+                             f"is exact below {MAX_PAIRS} pairs")
+        rng = np.random.default_rng(np.random.SeedSequence([seed, msg_id + 1]))
         masks, weights = _sample_coalitions(m, n_coalitions, rng)
+    else:
+        masks, weights = _enumerate_coalitions(m)
 
     if margin_model:
         values = _margin_coalition_values(model, x, background.rows, active,
@@ -266,7 +302,7 @@ def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
     sw = np.sqrt(weights)
     a = design * sw[:, None]
     b = target * sw
-    gram = a.T @ a
+    gram = _paired_gram(a) if sampled else a.T @ a
     eig = np.linalg.eigvalsh(gram)
     if eig[0] <= (m - 1) * np.finfo(float).eps * eig[-1]:
         warnings.warn(f"message {msg_id}: singular attribution system; "
@@ -274,10 +310,8 @@ def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
                       stacklevel=2)
         gram = gram + RIDGE * np.eye(m - 1)
     phi_head = np.linalg.solve(gram, a.T @ b)
-    phi_vals = np.append(phi_head, delta - phi_head.sum())
-    phi = {int(col): float(val) for col, val in zip(active, phi_vals)
-           if val != 0.0}
-    return ShapVector(id=msg_id, phi=phi, base_value=base_value)
+    return ShapVector(msg_id, active,
+                      np.append(phi_head, delta - phi_head.sum()), base_value)
 
 
 def _default_workers() -> int:
@@ -295,23 +329,19 @@ def _default_workers() -> int:
 
 
 def _explain_rows(job, rows) -> tuple:
-    """kernel_shap of the given rows as (counts, indices, data, base
-    values) of their CSR rows, plus the warnings raised on the way as
-    (message, filename, lineno)."""
+    """kernel_shap of the given rows as their values, row after row, and
+    their base values, plus the warnings raised on the way as (message,
+    filename, lineno)."""
     model, X, background, ids, n_coalitions, seed = job
-    counts, indices, data, bases = [], [], [], []
+    values, bases = [np.zeros(0)], []
     with warnings.catch_warnings(record=True) as caught:
         for i in rows:
             shap = kernel_shap(model, dense_rows(X, [i])[0], background,
                                n_coalitions=n_coalitions, seed=seed,
                                msg_id=ids[i])
-            counts.append(len(shap.phi))
-            indices.extend(shap.phi)
-            data.extend(shap.phi.values())
+            values.append(shap.values)
             bases.append(shap.base_value)
-    return (np.array(counts, dtype=np.int64),
-            np.array(indices, dtype=np.int64), np.array(data, dtype=float),
-            np.array(bases, dtype=float),
+    return (np.concatenate(values), np.array(bases, dtype=float),
             [(w.message, w.filename, w.lineno) for w in caught])
 
 
@@ -335,12 +365,13 @@ def kernel_explain(model: LinearModel | NBModel | Callable,
     """kernel_shap of every row of X, row i as message ids[i]; a CSR X
     is made dense one row at a time.
 
-    Returns the CSR fields (shape, indptr, indices, data) of the (n, d)
-    attributions, each row's active columns in ascending order with its
-    nonzero values, and the n base values.  The rows run in a fork
-    process pool of _default_workers() processes, at most one per
-    message, or in this process when that is one.  A worker's warnings
-    are raised again here in message order, and its exception propagates.
+    Returns the fields kernel_phi rebuilds the (n, d) attributions from,
+    the background mean ``mu`` and ``data``, each row's values on its
+    active columns (zeros included) in ascending column order, row after
+    row; and the n base values.  The rows run in a fork process pool of
+    _default_workers() processes, at most one per message, or in this
+    process when that is one.  A worker's warnings are raised again here
+    in message order, and its exception propagates.
     """
     ids = [int(i) for i in ids]
     n = len(ids)
@@ -362,15 +393,45 @@ def kernel_explain(model: LinearModel | NBModel | Callable,
             parts = list(pool.map(_explain_chunk, chunks))
     else:
         parts = [_explain_rows(job, range(n))]
-    *columns, warned = zip(*parts)
+    values, bases, warned = zip(*parts)
     for caught in warned:
         for message, filename, lineno in caught:
             warnings.warn_explicit(message, type(message), filename, lineno)
-    counts, indices, data, bases = map(np.concatenate, columns)
+    return ({"mu": background.mean, "data": np.concatenate(values)},
+            np.concatenate(bases))
+
+
+def active_mask(X: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Where rows of X deviate from the background mean mu: the columns
+    kernel_shap attributes.  Elementwise, so a block of rows gives the
+    same mask as each row on its own."""
+    return np.abs(X - mu) > ACTIVE_TOL
+
+
+def kernel_phi(X: CSR, mu: np.ndarray, data: np.ndarray) -> CSR:
+    """The (n, d) attributions of kernel_explain's ``mu`` (of length d)
+    and ``data``, as the CSR of their nonzero entries.
+
+    Each row's active columns are re-derived from dense row blocks of X
+    with active_mask, so data must hold exactly one value per active
+    entry (ValueError otherwise); exact zeros, -0.0 included, are left
+    out, as they are of a dense matrix's CSR, and their dense slices read
+    +0.0."""
+    n, d = X.shape
+    counts, indices = [], []
+    for rows in features.blocks(n, features.ROW_BLOCK):
+        mask = active_mask(X.dense(rows), mu)
+        counts.append(mask.sum(axis=1))
+        indices.append(np.nonzero(mask)[1])
+    counts, indices = np.concatenate(counts), np.concatenate(indices)
+    if data.shape != indices.shape:
+        raise ValueError(f"{data.size} values for {indices.size} active "
+                         "entries of X against mu")
+    kept = data != 0.0
+    row_of = np.repeat(np.arange(n), counts)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return {"shape": np.array((n, X.shape[1]), dtype=np.int64),
-            "indptr": indptr, "indices": indices, "data": data}, bases
+    np.cumsum(np.bincount(row_of[kept], minlength=n), out=indptr[1:])
+    return CSR((n, d), indptr, indices[kept], data[kept])
 
 
 def _pinned_rows(x: np.ndarray, background: np.ndarray,

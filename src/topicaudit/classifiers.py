@@ -259,7 +259,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
         if not hold.any():
             continue
         y_fit = y_pm[~hold]
-        if np.unique(y_fit).size < 2:
+        if (y_fit > 0).all() or (y_fit < 0).all():
             warnings.warn("single-class calibration fold; falling back to "
                           "A=1, B=0 sigmoid", UserWarning, stacklevel=2)
             calibration = (1.0, 0.0)

@@ -12,25 +12,31 @@ stale or lacks a listed key; _load_as also turns the fields into the
 stage's object.
 prepare keeps the corpus as arrays in file-row order, so a message's
 id is its row: dataset.npz holds each message's id, gold label and
-split, the columns every later stage keys on, plus the messages' UTF-8
-text concatenated in ``text`` and delimited by ``text_offsets`` (n + 1
-entries, like a CSR indptr); no stage reads the text back.  The other
-per-message .npz files hold an ``ids`` array that must equal the
-dataset ids in order; the (n, d) matrices X (vectors.npz, as
-features.vectorize emits it) and a kernel run's phi (shap.npz) are
-stored as CSR arrays ``shape, indptr, indices, data``, each row's
-columns ascending, and are loaded as features.CSR.  No stage after
-prepare holds either matrix dense: each asks for the dense rows and
-columns it reads, which equal the same slice of the dense matrix bit
-for bit.  train densifies the training rows, explain blocks of the
-training rows and columns (a kernel run one message at a time), and
-profile and score each polarity's rows and selected columns of phi.  A
-linear run's phi = w * (t(X) - mu) is exact and elementwise, so its
-shap.npz holds only the background mean ``mu`` and _load_phi rebuilds
+split, the columns every later stage keys on, plus the messages' text;
+no stage reads the text back.  Lists of strings, the text and
+space.npz's two vocabularies, are stored by _utf8 as their UTF-8 bytes
+concatenated plus offsets (one more entry than strings, like a CSR
+indptr).  The other per-message .npz files hold an ``ids`` array that
+must equal the dataset ids in order.  The (n, d) matrix X is stored in
+vectors.npz as the CSR arrays ``shape, indptr, indices, data`` that
+features.vectorize emits, each row's columns ascending, and is loaded as
+features.CSR.  No stage after prepare holds X or phi dense: each asks
+for the dense rows and columns it reads, which equal the same slice of
+the dense matrix bit for bit.  train densifies the training rows,
+explain blocks of the training rows and columns (a kernel run one
+message at a time), and profile and score each polarity's rows and
+selected columns of phi.
+
+shap.npz never stores a column index of phi: X and the background mean
+``mu`` it holds determine them.  A linear run's phi = w * (t(X) - mu) is
+exact and elementwise, so mu is all it stores, and _load_phi rebuilds
 any slice of phi from the same slice of X.  A kernel run's phi comes
 from attribution.kernel_explain, one worker process per available core
 when numpy's BLAS runs one thread (the CLI sets that for every stage
-but train), and is the same bytes for any worker count.
+but train), and is the same bytes for any worker count; shap.npz adds
+``data``, the values of each message's active columns, where X deviates
+from mu, row after row.  _load_phi re-derives those columns from X and
+refuses a count that does not match.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
@@ -63,11 +69,13 @@ SUBSETS = (("positive", 1), ("negative", 0))
 # every reader needs.
 ARTIFACTS = {
     "dataset.npz": ("prepare", ("ids", "gold", "split")),
-    "space.npz": ("prepare", ("word_vocab", "phrase_vocab", "idf")),
+    "space.npz": ("prepare", ("word_vocab", "word_vocab_offsets",
+                              "phrase_vocab", "phrase_vocab_offsets",
+                              "idf")),
     "vectors.npz": ("prepare", ("ids", "shape", "indptr", "indices",
                                 "data")),
     "model.npz": ("train", ("kind",)),
-    "shap.npz": ("explain", ("ids", "explained_output")),
+    "shap.npz": ("explain", ("ids", "explained_output", "mu")),
     **{f"topics_{polarity}.npz": ("profile", ("columns", "H", "assignment",
                                               "objective"))
        for polarity in ("plus", "minus")},
@@ -203,13 +211,30 @@ def _load_as(build, cfg, name, ids=None):
         raise _rerun(name, f"{name} is malformed ({exc!r})") from exc
 
 
-def _csr(fields, n_rows, n_columns) -> features.CSR:
-    """The matrix of CSR fields, which must be (n_rows, n_columns)."""
-    shape = tuple(fields["shape"].tolist())
-    if shape != (n_rows, n_columns):
-        raise ValueError(f"a {shape} matrix, expected "
-                         f"({n_rows}, {n_columns})")
-    return features.CSR.of(fields)
+def _utf8(name: str, strings) -> dict[str, np.ndarray]:
+    """The strings as two fields: ``name``, their UTF-8 bytes concatenated
+    (uint8), and ``name_offsets`` (one more entry than strings, like a
+    CSR indptr): string i is bytes offsets[i] to offsets[i + 1]."""
+    encoded = [string.encode("utf-8") for string in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in encoded], out=offsets[1:])
+    return {name: np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            f"{name}_offsets": offsets}
+
+
+def _strings(fields, name: str) -> list[str]:
+    """The strings _utf8 stored as ``name``; ValueError unless the fields
+    describe them."""
+    blob, offsets = fields[name], fields[f"{name}_offsets"]
+    if (blob.dtype != np.uint8 or blob.ndim != 1 or offsets.ndim != 1
+            or not offsets.size or offsets[0] != 0
+            or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0)):
+        raise ValueError(f"{name} and {name}_offsets do not describe "
+                         "UTF-8 strings")
+    blob = blob.tobytes()
+    return [blob[start:stop].decode("utf-8")
+            for start, stop in zip(offsets[:-1].tolist(),
+                                   offsets[1:].tolist())]
 
 
 # ---------------------------------------------------------------- loading
@@ -225,35 +250,41 @@ def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _load_as(build, cfg, "dataset.npz")
 
 def _save_space(cfg, space) -> None:
-    _save(cfg, "space.npz", word_vocab=np.array(list(space.word_vocab), str),
-          phrase_vocab=np.array(list(space.phrase_vocab), str),
-          idf=space.idf)
+    _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
+          **_utf8("phrase_vocab", space.phrase_vocab), idf=space.idf)
 
 def _load_space(cfg) -> features.FeatureSpace:
     def build(f):
-        vocabs = {name: {t: i for i, t in enumerate(f[name].tolist())}
+        vocabs = {name: {t: i for i, t in enumerate(_strings(f, name))}
                   for name in ("word_vocab", "phrase_vocab")}
         return features.FeatureSpace(idf=f["idf"], **vocabs)
     return _load_as(build, cfg, "space.npz")
 
 def _load_vectors(cfg, ids, space) -> features.CSR:
-    return _load_as(lambda f: _csr(f, len(ids), space.n_columns),
-                    cfg, "vectors.npz", ids)
+    def build(f):
+        shape = tuple(f["shape"].tolist())
+        if shape != (len(ids), space.n_columns):
+            raise ValueError(f"a {shape} matrix, expected "
+                             f"({len(ids)}, {space.n_columns})")
+        return features.CSR.of(f)
+    return _load_as(build, cfg, "vectors.npz", ids)
 
 def _load_phi(cfg, ids, space, model, X):
     """phi(rows=None, columns=None): the given rows and columns of the
     (n, d) attributions explain computed, dense.  A probability (kernel)
-    run's phi is sliced from its stored CSR; a margin (linear) run's is
-    rebuilt from the stored background mean on the slice of X alone."""
+    run's phi is sliced from the CSR that attribution.kernel_phi builds
+    of the stored values on the active sets of X against the background
+    mean; a margin (linear) run's is rebuilt from that mean on the slice
+    of X alone."""
     def build(f):
-        if f["explained_output"] == "probability":
-            return _csr(f, len(ids), space.n_columns).dense
-        if f["explained_output"] != "margin":
-            raise ValueError(f"explained_output {f['explained_output']!r}")
         mu = f["mu"]
         if mu.shape != (space.n_columns,):
             raise ValueError(f"mu of shape {mu.shape}, expected "
                              f"({space.n_columns},)")
+        if f["explained_output"] == "probability":
+            return attribution.kernel_phi(X, mu, f["data"]).dense
+        if f["explained_output"] != "margin":
+            raise ValueError(f"explained_output {f['explained_output']!r}")
         return lambda rows=None, columns=None: attribution.linear_shap(
             model, X.dense(rows, columns), mu, columns)[0]
     return _load_as(build, cfg, "shap.npz", ids)
@@ -308,13 +339,8 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
 
     ids = np.arange(len(texts))
-    encoded = [text.encode("utf-8") for text in texts]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(t) for t in encoded], out=offsets[1:])
     _save(cfg, "dataset.npz", ids=ids, gold=gold,
-          split=np.where(train, "train", "test"),
-          text=np.frombuffer(b"".join(encoded), dtype=np.uint8),
-          text_offsets=offsets)
+          split=np.where(train, "train", "test"), **_utf8("text", texts))
     _save_space(cfg, space)
     _save(cfg, "vectors.npz", ids=ids,
           **features.vectorize(kept, texts, space))

@@ -54,6 +54,23 @@ def _check_scale(s: float) -> None:
         raise ValueError(f"evidence scale must be positive, got {s}")
 
 
+def _median(values: np.ndarray) -> float:
+    """float(np.median(values)) of a nonempty 1-d float array, bit for
+    bit, without the numpy.ma import np.median brings.  The same
+    partition: a NaN among the values ends up last and is the median;
+    otherwise it is the mean of the middle value or two, summed from +0.0
+    as np.mean sums, so a -0.0 median reads +0.0."""
+    half = values.size // 2
+    middle = [half] if values.size % 2 else [half - 1, half]
+    part = np.partition(values, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    total = 0.0
+    for k in middle:
+        total += part[k]
+    return float(total / len(middle))
+
+
 def evidence_scale(tcs: np.ndarray) -> float:
     """Median total contribution of the calibration group (rows of tcs);
     the unit that turns topic contributions into dimensionless evidence.
@@ -61,7 +78,7 @@ def evidence_scale(tcs: np.ndarray) -> float:
     A median below the smallest normal float falls back to 1.0 like a
     non-positive one: dividing contributions by a subnormal overflows."""
     totals = np.asarray(tcs, dtype=float).sum(axis=-1)
-    s = float(np.median(totals)) if totals.size else 0.0
+    s = _median(totals.ravel()) if totals.size else 0.0
     if s < np.finfo(float).tiny:
         warnings.warn(f"evidence scale {s:g} is not a positive normal "
                       "number; falling back to 1.0", UserWarning,

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from topicaudit import BLAS_THREAD_VARS, attribution
 from topicaudit.attribution import (Background, _enumerate_coalitions,
-                                    _sample_coalitions, kernel_explain,
-                                    kernel_shap, linear_shap,
-                                    make_background, polarity_supports)
+                                    _paired_gram, _sample_coalitions,
+                                    kernel_explain, kernel_phi, kernel_shap,
+                                    linear_shap, make_background,
+                                    polarity_supports)
 from topicaudit.classifiers import (LinearModel, probability_function,
                                     train_nb)
+from topicaudit.features import CSR
 
 from csr_layout import to_csr
 
@@ -317,6 +319,67 @@ def _svm_model(d, seed):
                        bias=0.3, calibration=(1.7, -0.2)), rng.random((12, d))
 
 
+class TestPairedGram:
+    @pytest.mark.parametrize("m", [13, 57, 300])
+    @pytest.mark.parametrize("n_coalitions", [1, 2, 6, 7, 64, 513, 3264])
+    def test_equals_the_full_product(self, m, n_coalitions):
+        # The design kernel_shap builds from paired sampled masks.
+        rng = np.random.default_rng([m, n_coalitions])
+        masks, weights = _sample_coalitions(m, n_coalitions, rng)
+        z = masks.astype(float)
+        a = (z[:, :-1] - z[:, -1:]) * np.sqrt(weights)[:, None]
+        assert _paired_gram(a).tobytes() == (a.T @ a).tobytes()
+
+    def test_refuses_too_many_pairs(self, monkeypatch):
+        # Lowered from 2**24 pairs, where float32 stops being exact.
+        monkeypatch.setattr(attribution, "MAX_PAIRS", 8)
+        rng = np.random.default_rng(3)
+        bg = _bg(rng.random((4, 20)))
+        x = rng.random(20) + 1.0
+
+        def f(rows):
+            return np.tanh(rows.sum(axis=1))
+
+        kernel_shap(f, x, bg, n_coalitions=15, seed=1, msg_id=0)
+        for n_coalitions in (16, 17):
+            with pytest.raises(ValueError, match=f"{n_coalitions} coal"):
+                kernel_shap(f, x, bg, n_coalitions=n_coalitions, seed=1,
+                            msg_id=0)
+        # Enumerated active sets draw no coalitions.
+        kernel_shap(f, np.where(np.arange(20) < 5, x, bg.mean), bg,
+                    n_coalitions=16, seed=1, msg_id=0)
+
+
+class TestShapVectorValues:
+    def test_every_active_column_in_order(self):
+        rng = np.random.default_rng(12)
+        bg = _bg(rng.random((4, 30)))
+        x = bg.mean.copy()
+        x[[3, 7, 11, 20, 21, 29]] += 1.0
+
+        def f(rows):
+            return np.tanh(rows @ np.linspace(-1, 1, 30))
+
+        for cols in ([3], [3, 7, 11], [3, 7, 11, 20, 21, 29]):
+            x_cols = np.where(np.isin(np.arange(30), cols), x, bg.mean)
+            sv = kernel_shap(f, x_cols, bg, seed=2, msg_id=1)
+            assert sv.columns.tolist() == cols
+            assert sv.values.shape == (len(cols),)
+            assert sv.phi == {c: v for c, v in zip(cols, sv.values.tolist())
+                              if v != 0.0}
+
+    def test_zero_attributions_are_kept(self):
+        # A constant function gives each active column an exact zero: the
+        # values keep it, phi (the nonzero entries) leaves it out.
+        bg = _bg(np.array([[0.0, 1.0, 2.0]]))
+        x = np.array([5.0, 1.0, 2.0])
+        sv = kernel_shap(lambda rows: np.ones(len(rows)), x, bg, msg_id=2)
+        assert sv.columns.tolist() == [0]
+        assert sv.values.tolist() == [0.0]
+        assert sv.phi == {}
+        assert sv.total() == 1.0
+
+
 class TestKernelShapModels:
     """A LinearModel or NBModel is explained from coalition margins; the
     attributions equal those of its probability_function as a callable."""
@@ -377,8 +440,9 @@ class TestKernelShapModels:
 
 
 class TestKernelExplain:
-    """kernel_explain is kernel_shap row by row, stored as the CSR that
-    to_csr makes of the dense matrix, in any number of processes."""
+    """kernel_explain is kernel_shap row by row, in any number of
+    processes; kernel_phi turns its values into the CSR that to_csr makes
+    of the dense matrix of the nonzero attributions."""
 
     IDS = [10, 13, 16, 19, 22, 25, 28, 31, 34]
 
@@ -396,26 +460,52 @@ class TestKernelExplain:
     @pytest.mark.parametrize("kind", ["svm", "nb"])
     def test_equals_per_message_csr(self, kind, workers, monkeypatch):
         model, X, bg = self._rows(kind)
-        dense, bases = np.zeros(X.shape), []
+        dense, values, bases = np.zeros(X.shape), [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             for i, msg_id in enumerate(self.IDS):
                 sv = kernel_shap(model, X[i], bg, seed=5, msg_id=msg_id)
                 dense[i, list(sv.phi)] = list(sv.phi.values())
+                values.append(sv.values)
                 bases.append(sv.base_value)
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
         with pytest.warns(UserWarning) as caught:
-            csr, base_values = kernel_explain(model, X, bg, self.IDS, seed=5)
+            stored, base_values = kernel_explain(model, X, bg, self.IDS,
+                                                 seed=5)
+        assert stored.keys() == {"mu", "data"}
+        assert stored["mu"].tobytes() == bg.mean.tobytes()
+        assert stored["data"].tobytes() == np.concatenate(values).tobytes()
+        csr = kernel_phi(CSR.of(to_csr(X)), stored["mu"], stored["data"])
         expected = to_csr(dense)
-        assert csr.keys() == expected.keys()
-        for key, array in expected.items():
-            assert csr[key].dtype == array.dtype, key
-            assert csr[key].tobytes() == array.tobytes(), key
+        assert csr.shape == tuple(expected["shape"])
+        for key in ("indptr", "indices", "data"):
+            assert getattr(csr, key).dtype == expected[key].dtype, key
+            assert getattr(csr, key).tobytes() == expected[key].tobytes(), key
         assert base_values.tobytes() == np.array(bases).tobytes()
         # The workers' warnings are raised again here, in message order.
         assert [str(w.message).split(":")[0] for w in caught
                 if "no deviation" in str(w.message)] == [
             f"message {self.IDS[2]}", f"message {self.IDS[6]}"]
+
+    def test_kernel_phi_leaves_exact_zeros_out(self):
+        # Active entries: row 0 at columns 0 and 2, none in row 1, row 2
+        # at columns 0 and 1; the zero values of either sign are dropped,
+        # as a CSR of the nonzero attributions holds them.
+        X = np.array([[1.0, 0.0, 2.0, 0.5], [0.0, 0.0, 0.0, 0.5],
+                      [3.0, 1.0, 0.0, 0.5]])
+        mu = np.array([0.0, 0.0, 0.0, 0.5])
+        data = np.array([0.25, -0.0, 0.0, -1.5])
+        phi = kernel_phi(CSR.of(to_csr(X)), mu, data)
+        expected = np.zeros(X.shape)
+        expected[0, 0], expected[2, 1] = 0.25, -1.5
+        for key, array in to_csr(expected).items():
+            if key != "shape":
+                assert getattr(phi, key).tobytes() == array.tobytes(), key
+        assert phi.dense().tobytes() == expected.tobytes()
+        for values in (data[:-1], np.append(data, 1.0)):
+            with pytest.raises(ValueError, match=f"{values.size} values for "
+                                                 "4 active entries"):
+                kernel_phi(CSR.of(to_csr(X)), mu, values)
 
     def test_workers_default_to_available_cores(self, monkeypatch):
         for var in BLAS_THREAD_VARS:

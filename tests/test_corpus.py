@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import SMALL_TSV
 from topicaudit import corpus, demo
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import _load, _load_dataset, cmd_prepare
+from topicaudit.pipeline import _load, _load_dataset, _load_space, cmd_prepare
 
 
 class TestLoadDataset:
@@ -252,7 +252,7 @@ class TestPrepare:
             if is_train)
         everywhere = corpus.document_frequencies(map(corpus.tokenize, texts))
         stop = corpus.default_stoplist() if stoplist == "default" else set()
-        vocab = set(_load(cfg, "space.npz")["word_vocab"].tolist())
+        vocab = set(_load_space(cfg).word_vocab)
         assert vocab == {tok for tok, df in train_df.items()
                          if df >= min_df and tok not in stop}
         # Words seen only in test messages exist and stay out.

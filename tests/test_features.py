@@ -309,6 +309,49 @@ class TestSpaceIO:
         assert back.idf.dtype == space.idf.dtype
         assert back.idf.tobytes() == space.idf.tobytes()
 
+    @pytest.mark.parametrize("phrases", [{}, {"café au lait": 0,
+                                              "\U0001f389 party": 1}])
+    def test_unicode_and_empty_vocabularies_roundtrip(self, tmp_path,
+                                                      phrases):
+        words = {"café": 0, "\U0001f600": 1, "naïve": 2, "£500": 3, "": 4}
+        space = features.FeatureSpace(
+            word_vocab=words, phrase_vocab=phrases,
+            idf=np.linspace(1.0, 2.0, len(words) + len(phrases)
+                            + features.N_STRUCTURAL))
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        pipeline._save_space(cfg, space)
+        back = pipeline._load_space(cfg)
+        assert list(back.word_vocab.items()) == list(words.items())
+        assert list(back.phrase_vocab.items()) == list(phrases.items())
+        assert back.idf.tobytes() == space.idf.tobytes()
+        with np.load(tmp_path / "space.npz") as npz:
+            assert not [key for key in npz.files if npz[key].dtype.kind == "U"]
+            assert npz["phrase_vocab"].dtype == np.uint8
+            assert npz["phrase_vocab_offsets"].size == len(phrases) + 1
+
+    @pytest.mark.parametrize("damage", ["offsets_past_end", "offsets_down",
+                                        "bad_utf8", "no_offsets"])
+    def test_damaged_vocabulary_names_the_file(self, tmp_path, small_space,
+                                               damage):
+        space, _ = small_space
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        pipeline._save_space(cfg, space)
+        arrays = pipeline._load(cfg, "space.npz")
+        offsets = arrays["word_vocab_offsets"]
+        if damage == "offsets_past_end":
+            offsets[-1] += 1
+        elif damage == "offsets_down":
+            offsets[1], offsets[2] = offsets[2], offsets[1]
+        elif damage == "bad_utf8":
+            arrays["word_vocab"][0] = 0xFF
+        else:
+            del arrays["word_vocab_offsets"]
+        pipeline._save(cfg, "space.npz", **arrays)
+        with pytest.raises(pipeline.ArtifactError,
+                           match=r"^space.npz is malformed \(.*; rerun "
+                                 "prepare$"):
+            pipeline._load_space(cfg)
+
     def test_vectors_roundtrip(self, tmp_path, small_space, small_messages):
         space, kept = small_space
         csr = features.vectorize(kept, small_messages[0], space)

@@ -94,7 +94,7 @@ def mini_run(tmp_path_factory):
 
 
 # The settings of a small svm run, whose shap.npz holds kernel phi as
-# CSR.
+# the values of each message's active columns.
 KERNEL = {"classifier": "svm", "svm_epochs": 100, "background_size": 5,
           "n_coalitions": 400, "word_quota": 60, "phrase_quota": 40}
 
@@ -133,27 +133,45 @@ def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
 
 
 def _damage_shap(cfg: PipelineConfig, damage: str) -> None:
-    """Rewrite shap.npz with one message fewer, one column more or a
-    storage key missing: mu for a linear run, indptr for a kernel run."""
+    """Rewrite shap.npz with one message fewer, a mu one column longer,
+    mu missing or, for a kernel run, one value fewer or one more than
+    the active entries of X against mu."""
     arrays = _load(cfg, "shap.npz")
     if damage == "missing_message":
         arrays.update(ids=arrays["ids"][:-1],
                       base_values=arrays["base_values"][:-1])
-    if "mu" in arrays:
-        if damage == "extra_column":
-            arrays["mu"] = np.append(arrays["mu"], 1.0)
-        elif damage == "missing_key":
-            del arrays["mu"]
-    else:
-        phi = CSR.of(arrays).dense()
-        if damage == "missing_message":
-            phi = phi[:-1]
-        elif damage == "extra_column":
-            phi = np.hstack([phi, np.ones((len(phi), 1))])
-        arrays.update(to_csr(phi))
-        if damage == "missing_key":
-            del arrays["indptr"]
+    elif damage == "extra_column":
+        arrays["mu"] = np.append(arrays["mu"], 1.0)
+    elif damage == "missing_key":
+        del arrays["mu"]
+    elif damage == "short_data":
+        arrays["data"] = arrays["data"][:-1]
+    elif damage == "long_data":
+        arrays["data"] = np.append(arrays["data"], 1.0)
     _save(cfg, "shap.npz", **arrays)
+
+
+def _per_message_phi(cfg: PipelineConfig) -> np.ndarray:
+    """A kernel run's dense phi as a CSR of each message's nonzero
+    attributions holds it: kernel_shap again on every message, against
+    the stored background's rows of X, through to_csr."""
+    ids = _load_dataset(cfg)[0].tolist()
+    space = _load_space(cfg)
+    X = _load_vectors(cfg, ids, space).dense()
+    model = _load_model(cfg)
+    shap = _load(cfg, "shap.npz", ids)
+    background = attribution.Background(
+        rows=X[[ids.index(i) for i in shap["background_ids"]]],
+        ids=tuple(shap["background_ids"].tolist()))
+    full = np.zeros((len(ids), space.n_columns))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for i, msg_id in enumerate(ids):
+            sv = attribution.kernel_shap(model, X[i], background,
+                                         n_coalitions=cfg.n_coalitions,
+                                         seed=cfg.seed, msg_id=msg_id)
+            full[i, list(sv.phi)] = list(sv.phi.values())
+    return CSR.of(to_csr(full)).dense()
 
 
 def _assert_phi_slices(phi, full: np.ndarray, space) -> None:
@@ -186,6 +204,7 @@ def _score_refuses_shap(cfg_path: Path, capsys) -> None:
     assert cli.main(["score", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "[score]" in err and "shap.npz" in err
+    assert err.endswith("; rerun explain\n") and err.count("\n") == 1
 
 
 def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
@@ -570,7 +589,7 @@ class TestGuards:
         assert "run score first" in capsys.readouterr().err
 
     # mini_run is logreg, so these damage the linear layout (mu); the
-    # kernel_shap variants damage the CSR layout of an svm run.
+    # kernel_shap variants damage the values layout of an svm run.
     def test_truncated_shap_fails_score(self, mini_run, tmp_path, capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         _truncate(copy / "shap.npz")
@@ -591,12 +610,39 @@ class TestGuards:
         _score_refuses_shap(cfg_path, capsys)
 
     @pytest.mark.parametrize("damage", ["missing_message", "extra_column",
-                                        "missing_key"])
+                                        "missing_key", "short_data",
+                                        "long_data"])
     def test_incomplete_kernel_shap_fails_score(self, kernel_run, tmp_path,
                                                 capsys, damage):
         _, cfg_path = _copy_run(kernel_run, tmp_path)
         _damage_shap(load_config(cfg_path), damage)
         _score_refuses_shap(cfg_path, capsys)
+
+    def test_kernel_shap_of_other_vectors_fails_score(self, kernel_run,
+                                                      tmp_path, capsys):
+        # vectors.npz re-prepared from another corpus with the same ids
+        # and width (the demo corpus of seed 21 has as many columns as
+        # seed 3's): the stored values no longer fit X's active sets.
+        copy, cfg_path = _copy_run(kernel_run, tmp_path)
+        cfg = load_config(cfg_path)
+        before = _load_space(cfg).n_columns
+        other = tmp_path / "other.tsv"
+        demo.write_tsv(other, demo.generate(n_messages=80, seed=21))
+        settings = json.loads(cfg_path.read_text(encoding="utf-8"))
+        cfg_path.write_text(json.dumps({**settings,
+                                        "dataset_path": str(other)}),
+                            encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
+        ids = _load_dataset(cfg)[0]
+        assert ids.tolist() == list(range(80))
+        assert _load_space(cfg).n_columns == before
+        assert (copy / "vectors.npz").read_bytes() != (
+            kernel_run[2] / "vectors.npz").read_bytes()
+        assert cli.main(["score", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[score] shap.npz is malformed (ValueError(")
+        assert "active entries" in err
+        assert err.endswith("; rerun explain\n")
 
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
         # The damage above is what fails score, not the small run itself.
@@ -730,10 +776,11 @@ class TestKernelExplain:
         space = _load_space(cfg)
         X = CSR.of(_load(cfg, "vectors.npz", ids)).dense()
         shap = _load(cfg, "shap.npz", ids)
-        phi = CSR.of(shap).dense()
+        model = _load_model(cfg)
+        phi = _load_phi(cfg, ids, space, model,
+                        _load_vectors(cfg, ids, space))()
         assert phi.shape == (len(ids), space.n_columns)
         assert shap["explained_output"] == "probability"
-        model = _load_model(cfg)
         rows = [ids.index(i) for i in shap["background_ids"]]
         background = attribution.Background(
             rows=X[rows], ids=tuple(shap["background_ids"].tolist()))
@@ -748,19 +795,39 @@ class TestKernelExplain:
             np.testing.assert_array_equal(phi[i] != 0, dense != 0)
             np.testing.assert_allclose(phi[i], dense, rtol=0, atol=1e-12)
 
-
     def test_phi_slices_are_the_stored_phi_sliced(self, kernel_run):
         cfg = load_config(kernel_run[3])
         ids = _load_dataset(cfg)[0]
         space = _load_space(cfg)
-        shap = _load(cfg, "shap.npz", ids)
-        full = np.zeros((len(ids), space.n_columns))
-        for i in range(len(ids)):
-            start, stop = shap["indptr"][i:i + 2]
-            full[i, shap["indices"][start:stop]] = shap["data"][start:stop]
+        full = _per_message_phi(cfg)
         phi = _load_phi(cfg, ids, space, _load_model(cfg),
                         _load_vectors(cfg, ids, space))
         _assert_phi_slices(phi, full, space)
+
+    @pytest.mark.parametrize("classifier", ["svm", "nb"])
+    def test_stores_values_and_phi_is_the_csr_bitwise(self, classifier,
+                                                      tmp_path):
+        # shap.npz holds mu and the active columns' values, no column
+        # index; _load_phi rebuilds exactly the CSR of the nonzero
+        # attributions, the sign of every zero included.
+        out, cfg_path = _small_run(tmp_path, STAGES[:3],
+                                   **{**KERNEL, "classifier": classifier})
+        with np.load(out / "shap.npz") as npz:
+            assert set(npz.files) == {
+                "digest", "ids", "base_values", "explained_output",
+                "background_ids", "background_digest", "mu", "data"}
+        cfg = load_config(cfg_path)
+        ids = _load_dataset(cfg)[0]
+        space = _load_space(cfg)
+        X = _load_vectors(cfg, ids, space)
+        shap = _load(cfg, "shap.npz", ids)
+        rows = [ids.tolist().index(i) for i in shap["background_ids"]]
+        assert shap["mu"].tobytes() == X.dense(rows).mean(axis=0).tobytes()
+        active = attribution.active_mask(X.dense(), shap["mu"])
+        assert shap["data"].size == np.count_nonzero(active)
+        full = _per_message_phi(cfg)
+        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)()
+        assert phi.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
     def test_shap_is_the_same_bytes_for_any_worker_count(
@@ -834,6 +901,28 @@ class TestKernelExplain:
         assert (copy / "shap.npz").read_bytes() == before
 
 
+class TestStageImports:
+    def test_score_and_svm_train_leave_numpy_ma_unloaded(self, kernel_run,
+                                                         tmp_path):
+        # np.median and np.unique import numpy.ma, which costs a stage
+        # process 12-17 ms and 1 MiB.
+        _, cfg_path = _copy_run(kernel_run, tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys\n"
+            "from topicaudit import cli\n"
+            "for stage in ('score', 'train'):\n"
+            f"    assert cli.main([stage, '--config', {str(cfg_path)!r}]) "
+            "== 0, stage\n"
+            "    assert 'numpy.ma' not in sys.modules, stage\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert load_config(cfg_path).classifier == "svm"
+
+
 class TestArrayArtifacts:
 
     @settings(max_examples=60, deadline=None)
@@ -851,7 +940,7 @@ class TestArrayArtifacts:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "shap.npz", matrix=matrix, labels=labels,
                   ids=np.arange(len(matrix)), explained_output="probability",
-                  **to_csr(matrix))
+                  mu=np.zeros(0), **to_csr(matrix))
             back = _load(cfg, "shap.npz")
         assert back["matrix"].dtype == np.float64
         assert back["matrix"].tobytes() == matrix.tobytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,39 @@ class TestEvidenceScale:
     def test_empty_falls_back(self):
         with pytest.warns(UserWarning, match="scale"):
             assert evidence_scale(np.zeros((0, 2))) == 1.0
+
+    # Row totals of every kind np.median has to order: ties, signed
+    # zeros, subnormals, infinities and NaNs of either sign.
+    TOTALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308,
+                              1.0, 1.0, 3.5, -2.0, 1e308, np.inf, -np.inf,
+                              np.nan, -np.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(TOTALS, st.floats()), min_size=1,
+                           max_size=9))
+    def test_median_is_numpys_bitwise(self, values):
+        # Odd and even lengths alike, NaN payloads included.
+        values = np.array(values)
+        with np.errstate(all="ignore"):
+            expected = float(np.median(values))
+            got = unc._median(values)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(totals=st.lists(st.one_of(
+               TOTALS.filter(lambda v: abs(v) < 1e300),
+               st.floats(0, 1e300)), min_size=1, max_size=9))
+    def test_scale_is_the_numpy_median_of_the_totals(self, totals):
+        tcs = np.column_stack([np.zeros(len(totals)), totals])
+        expected = float(np.median(tcs.sum(axis=-1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = evidence_scale(tcs)
+        if expected < np.finfo(float).tiny:
+            assert got == 1.0 and caught
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            assert not caught
 
 
 class TestSimplexInvariant:
