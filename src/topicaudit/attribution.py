@@ -1,16 +1,17 @@
 """Per-message SHAP attributions and their polarity supports.
 
-Linear models get exact attributions in closed form.  Nonlinear
-probability outputs (calibrated SVM, NB) go through a kernel explainer:
-coalition values are Shapley-kernel weighted and regressed with the
-local-accuracy constraint eliminated into the system, so base plus
-attributions always reproduces the explained output.  Attributions are
-restricted to the active set, the columns where the message actually
-deviates from the background mean; pinned columns provably carry zero
-attribution under the independence assumption.
+Every model is a LinearModel, whose margin gets exact attributions in
+closed form.  Its probability output, explained for calibrated SVM and
+NB, is not linear and goes through a kernel explainer: coalition values
+are Shapley-kernel weighted and regressed with the local-accuracy
+constraint eliminated into the system, so base plus attributions always
+reproduces the explained output.  Attributions are restricted to the
+active set, the columns where the message actually deviates from the
+background mean; pinned columns provably carry zero attribution under
+the independence assumption.
 
 Given the model itself, the explainer scores coalitions in margin
-space: both models' margins are sums of per-column terms, so every
+space: a LinearModel's margin is a sum of per-column terms, so every
 coalition's margin against every background row is one small matrix
 product, and only the link function is applied per value.  Any other
 callable is evaluated on the synthetic rows themselves.  The regression
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import BLAS_THREAD_VARS, features
-from .classifiers import (LinearModel, NBModel, _probability,
-                          decision_function, nb_log_odds,
+from .classifiers import (LinearModel, _probability, decision_function,
                           probability_function)
 from .corpus import stratified_sample
 from .features import CSR, dense_rows
@@ -118,32 +118,27 @@ def make_background(X_train: np.ndarray | CSR, y_train: np.ndarray,
                       ids=tuple(int(ids[i]) for i in chosen))
 
 
-def linear_shap(model: LinearModel | NBModel, X: np.ndarray,
+def linear_shap(model: LinearModel, X: np.ndarray,
                 mu: np.ndarray, columns=None) -> tuple[np.ndarray, float]:
-    """Exact attributions for a model linear in its explained output.
+    """Exact attributions of the model's margin w.t(x) + b.
 
-    Returns (phi, base value): phi = w * (x - mu) for one vector x or for
-    each row of a matrix X, and base = w.mu + b, so base + sum(phi) is the
-    explained output.  For NB that output is the log-odds, linear in the
-    model's transformed feature space; X and mu are mapped through the
-    scaler before the closed form applies.  Given ``columns`` (indices or
-    a slice), X holds only those columns and phi is the same columns of
-    the full phi, bit for bit, since every step is elementwise; the base
-    value is still the full one.
+    Returns (phi, base value): phi = w * (t(x) - t(mu)) for one vector x
+    or for each row of a matrix X, and base = w.t(mu) + b, so base +
+    sum(phi) is the margin; t is the model's transform, the identity but
+    for NB.  Given ``columns`` (indices or a slice), X holds only those
+    columns and phi is the same columns of the full phi, bit for bit,
+    since every step is elementwise; the base value is still the full
+    one.
     """
     X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if isinstance(model, NBModel):
-        w, b = nb_log_odds(model)
-    else:
-        w, b = model.weights, model.bias
+    w = model.weights
     taken = slice(None) if columns is None else columns
     if mu.shape != w.shape or X.shape[-1:] != w[taken].shape:
         raise ValueError(f"expected vectors of length {w.size}, got "
                          f"{X.shape} and {mu.shape}")
-    if isinstance(model, NBModel):
-        X, mu = model.transform(X, columns), model.transform(mu)
-    return w[taken] * (X - mu[taken]), float(w @ mu + b)
+    X, mu = model.transform(X, columns), model.transform(mu)
+    return w[taken] * (X - mu[taken]), float(w @ mu + model.bias)
 
 
 def _shapley_kernel_weights(m: int, sizes: np.ndarray) -> np.ndarray:
@@ -222,36 +217,31 @@ def _coalition_values(predict_fn, x: np.ndarray, background: np.ndarray,
     return values
 
 
-def _margin_coalition_values(model: LinearModel | NBModel, x: np.ndarray,
+def _margin_coalition_values(model: LinearModel, x: np.ndarray,
                              background: np.ndarray, active: np.ndarray,
                              masks: np.ndarray) -> np.ndarray:
     """_coalition_values of probability_function(model, .), from margins.
 
-    Both models' margins are sums of per-column terms w_j * t_j(z_j) plus
-    a bias (t is NBModel.transform, which maps each column on its own,
-    and the identity for LinearModel), so pinning the coalition S to x
-    moves a background row's margin by the sum over S of
-    w_j * (t(x)_j - t(row)_j): one (n_coal, m) @ (m, n_bg) product
-    instead of n_coal * n_bg synthetic rows of full width.
+    The margin is a sum of per-column terms w_j * t_j(z_j) plus a bias
+    (t is LinearModel.transform, which maps each column on its own), so
+    pinning the coalition S to x moves a background row's margin by the
+    sum over S of w_j * (t(x)_j - t(row)_j): one (n_coal, m) @ (m, n_bg)
+    product instead of n_coal * n_bg synthetic rows of full width.
     """
-    if isinstance(model, NBModel):
-        w, _ = nb_log_odds(model)
-        tx, tbg = model.transform(x), model.transform(background)
-    else:
-        w, tx, tbg = model.weights, x, background
-    shift = w[active] * (tx[active] - tbg[:, active])
+    tx, tbg = model.transform(x), model.transform(background)
+    shift = model.weights[active] * (tx[active] - tbg[:, active])
     base_margin = decision_function(model, _pinned_rows(x, background, active))
     margins = base_margin[None, :] + masks.astype(float) @ shift.T
     return _probability(model, margins).mean(axis=1)
 
 
-def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
+def kernel_shap(model: LinearModel | Callable, x: np.ndarray,
                 background: Background,
                 n_coalitions: int | None = None, seed: int = 0,
                 msg_id: int = -1) -> ShapVector:
     """Constrained weighted least squares over feature coalitions.
 
-    ``model`` is a LinearModel or NBModel, whose probability_function is
+    ``model`` is a LinearModel, whose probability_function is
     explained, or any callable mapping an (n, d) array to n outputs.
     Full enumeration when the active set has at most 12 columns, paired
     kernel-distributed sampling above that (default 2*|active| + 2048
@@ -260,7 +250,7 @@ def kernel_shap(model: LinearModel | NBModel | Callable, x: np.ndarray,
     fixed (seed, msg_id) pair.
     """
     x = np.asarray(x, dtype=float)
-    margin_model = isinstance(model, (LinearModel, NBModel))
+    margin_model = isinstance(model, LinearModel)
     predict_fn = (functools.partial(probability_function, model)
                   if margin_model else model)
     active = np.flatnonzero(active_mask(x, background.mean))
@@ -357,7 +347,7 @@ def _explain_chunk(rows) -> tuple:
     return _explain_rows(_job, rows)
 
 
-def kernel_explain(model: LinearModel | NBModel | Callable,
+def kernel_explain(model: LinearModel | Callable,
                    X: np.ndarray | CSR,
                    background: Background, ids,
                    n_coalitions: int | None = None, seed: int = 0

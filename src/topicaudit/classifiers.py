@@ -5,12 +5,15 @@ descent with backtracking line search.  The SVM minimizes the hinge
 objective by deterministic averaged subgradient descent, then calibrates
 probabilities with sigmoid scaling fitted on 5-fold out-of-fold margins.
 NB is multinomial with additive smoothing, treating TF-IDF weights as
-fractional counts.  No trainer draws a random number, and all models
-expose (margin, p_pos) through one predict entry point.
+fractional counts, and is kept as its log-odds, linear in its scaled
+features.  Every trainer returns a LinearModel and draws no random
+number, and all models expose (margin, p_pos) through one predict entry
+point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -27,61 +30,57 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class LinearModel:
-    """Raw-space linear scorer: margin = w.x + b.
+    """Linear scorer: margin = w.t(x) + b.
 
-    For svm, ``calibration`` holds (A, B) of p = sigmoid(A*margin + B);
-    logreg has no calibration since its margin already is the log-odds.
+    t is the identity for logreg and svm.  For nb the structural columns
+    (the trailing block starting at structural_start) are min-max scaled
+    to [0,1] with train-split bounds, and test values are clipped into
+    the same range so likelihood mass stays nonnegative; the margin is
+    then NB's log-odds.  For svm, ``calibration`` holds (A, B) of
+    p = sigmoid(A*margin + B); logreg and nb have no calibration since
+    their margin already is the log-odds.
     """
 
     kind: str
     weights: np.ndarray
     bias: float
     calibration: tuple[float, float] | None = None
+    structural_start: int | None = None
+    struct_min: np.ndarray | None = None
+    struct_max: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("logreg", "svm"):
+        if self.kind not in ("logreg", "svm", "nb"):
             raise ValueError(f"unknown linear model kind {self.kind!r}")
         if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.bias):
             raise TrainingError("non-finite model parameters")
         if (self.calibration is not None) != (self.kind == "svm"):
             raise ValueError("calibration is present iff kind is svm")
-
-
-@dataclass
-class NBModel:
-    """Multinomial NB over nonnegative feature mass.
-
-    Structural columns (the trailing block starting at structural_start)
-    are min-max scaled to [0,1] with train-split bounds; test values are
-    clipped into the same range so likelihood mass stays nonnegative.
-    """
-
-    log_prior: np.ndarray
-    log_theta: np.ndarray
-    alpha: float
-    structural_start: int
-    struct_min: np.ndarray
-    struct_max: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.log_theta)):
-            raise TrainingError("non-finite NB likelihood table")
-        total = np.exp(self.log_prior).sum()
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"NB log_prior exponentiates to a total of "
-                             f"{total}, not 1")
+        bounds = (self.structural_start, self.struct_min, self.struct_max)
+        if [f is not None for f in bounds] != [self.kind == "nb"] * 3:
+            raise ValueError("structural_start, struct_min and struct_max "
+                             "are present iff kind is nb")
+        if self.kind == "nb":
+            shape = (self.weights.size - self.structural_start,)
+            if not self.struct_min.shape == self.struct_max.shape == shape:
+                raise ValueError(f"struct_min and struct_max of shapes "
+                                 f"{self.struct_min.shape} and "
+                                 f"{self.struct_max.shape}, expected {shape}")
 
     def transform(self, X: np.ndarray, columns=None) -> np.ndarray:
-        """X with its structural columns scaled; X may hold only the given
-        columns (indices or a slice), of which the structural ones are
-        scaled.  Each column is mapped on its own, so a column slice of
-        the result is the transform of the slice, bit for bit."""
+        """t(X): X itself for logreg and svm; for nb a copy of X with its
+        structural columns scaled.  X may hold only the given columns
+        (indices or a slice), of which the structural ones are scaled.
+        Each column is mapped on its own, so a column slice of the result
+        is the transform of the slice, bit for bit."""
+        if self.structural_start is None:
+            return X
         X = np.array(X, dtype=float, copy=True)
         lo, hi = self.struct_min, self.struct_max
         span = np.where(hi > lo, hi - lo, 1.0)
         at, own = slice(self.structural_start, None), slice(None)
         if columns is not None:
-            columns = np.arange(self.log_theta.shape[1])[columns]
+            columns = np.arange(self.weights.size)[columns]
             at = np.flatnonzero(columns >= self.structural_start)
             own = columns[at] - self.structural_start
         block = (X[..., at] - lo[own]) / span[own]
@@ -273,12 +272,15 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
 
 
 def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
-             structural_start: int | None = None) -> NBModel:
-    """Multinomial NB over TF-IDF mass with additive smoothing.
+             structural_start: int | None = None) -> LinearModel:
+    """Multinomial NB over TF-IDF mass with additive smoothing, as the
+    linear model of its log-odds.
 
     TF-IDF values act as fractional counts.  The structural block would
     otherwise dominate the per-class mass, so it is min-max scaled to
-    [0,1] using training bounds stored in the model.
+    [0,1] using training bounds stored in the model.  The weights are
+    log theta_1 - log theta_0 of the per-class word likelihoods, the bias
+    the log prior ratio.
     """
     if alpha <= 0:
         raise ValueError(f"smoothing alpha must be positive, got {alpha}")
@@ -286,13 +288,11 @@ def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
     y = np.asarray(y)
     if structural_start is None:
         structural_start = X.shape[1]
-    lo = X[:, structural_start:].min(axis=0)
-    hi = X[:, structural_start:].max(axis=0)
-    model = NBModel(log_prior=np.log(np.array([0.5, 0.5])),
-                    log_theta=np.zeros((2, X.shape[1])), alpha=alpha,
-                    structural_start=structural_start,
-                    struct_min=lo, struct_max=hi)
-    Xt = model.transform(X)
+    scaler = LinearModel(kind="nb", weights=np.zeros(X.shape[1]), bias=0.0,
+                         structural_start=structural_start,
+                         struct_min=X[:, structural_start:].min(axis=0),
+                         struct_max=X[:, structural_start:].max(axis=0))
+    Xt = scaler.transform(X)
     n = len(y)
     log_prior = np.empty(2)
     log_theta = np.empty((2, X.shape[1]))
@@ -303,19 +303,11 @@ def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
         log_prior[cls] = np.log(rows.shape[0] / n)
         mass = rows.sum(axis=0) + alpha
         log_theta[cls] = np.log(mass) - np.log(mass.sum())
-    model.log_prior = log_prior
-    model.log_theta = log_theta
-    return model
+    return dataclasses.replace(scaler, weights=log_theta[1] - log_theta[0],
+                               bias=float(log_prior[1] - log_prior[0]))
 
 
-def nb_log_odds(model: NBModel) -> tuple[np.ndarray, float]:
-    """Linear form of the NB log-odds in the transformed feature space."""
-    w = model.log_theta[1] - model.log_theta[0]
-    b = float(model.log_prior[1] - model.log_prior[0])
-    return w, b
-
-
-def predict_all(model: LinearModel | NBModel,
+def predict_all(model: LinearModel,
                 X: np.ndarray | features.CSR) -> Prediction:
     """Margin, calibrated positive-class probability and label of every
     row of X, a dense matrix or a CSR.  The margins come from dense
@@ -329,24 +321,19 @@ def predict_all(model: LinearModel | NBModel,
                       margin=margin)
 
 
-def decision_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndarray:
+def decision_function(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """Batch margins (log-odds for logreg/NB, raw hinge margin for svm)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(model, LinearModel):
-        return X @ model.weights + model.bias
-    w, b = nb_log_odds(model)
-    return model.transform(X) @ w + b
+    return model.transform(X) @ model.weights + model.bias
 
 
-def _probability(model: LinearModel | NBModel,
-                 margin: np.ndarray) -> np.ndarray:
-    if isinstance(model, LinearModel) and model.kind == "svm":
+def _probability(model: LinearModel, margin: np.ndarray) -> np.ndarray:
+    if model.calibration is not None:
         A, B = model.calibration
         margin = A * margin + B
     return np.asarray(_sigmoid(margin))
 
 
-def probability_function(model: LinearModel | NBModel, X: np.ndarray) -> np.ndarray:
+def probability_function(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """Batch p_pos; the function kernel attribution explains for svm/NB."""
     return _probability(model, decision_function(model, X))
-

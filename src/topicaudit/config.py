@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import DATASET_FORMATS
+from .features import FAMILY_PHRASE, FAMILY_STRUCTURAL, FAMILY_WORD
 from .uncertainty import OUTPUT_UQ_METHODS, REPRESENTATIONS
 
 
@@ -23,6 +24,7 @@ class ConfigError(ValueError):
 
 
 DIGEST_EXCLUDED = ("dataset_path", "out_dir")
+FAMILIES = (FAMILY_WORD, FAMILY_PHRASE, FAMILY_STRUCTURAL)
 
 
 @dataclass
@@ -103,6 +105,17 @@ class PipelineConfig:
                      "n_topics", "nmf_max_iters", "k_nn"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        for name in ("svm_c", "nb_alpha"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if not self.l2_strength >= 0.0:
+            raise ConfigError("l2_strength must not be negative")
+        if not (isinstance(self.rho, dict)
+                and set(self.rho) <= set(FAMILIES)
+                and all(0.0 <= share <= 1.0 for share in self.rho.values())
+                and abs(sum(self.rho.values()) - 1.0) <= 1e-9):
+            raise ConfigError(f"rho must map some of {', '.join(FAMILIES)} "
+                              "to shares in [0, 1] summing to 1")
         if self.n_coalitions is not None and self.n_coalitions < 1:
             raise ConfigError("n_coalitions must be null or at least 1")
         if not 0.0 < self.tau_p <= 1.0:

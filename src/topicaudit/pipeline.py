@@ -28,8 +28,8 @@ message at a time), and profile and score each polarity's rows and
 selected columns of phi.
 
 shap.npz never stores a column index of phi: X and the background mean
-``mu`` it holds determine them.  A linear run's phi = w * (t(X) - mu) is
-exact and elementwise, so mu is all it stores, and _load_phi rebuilds
+``mu`` it holds determine them.  A linear run's phi = w * (t(X) - t(mu))
+is exact and elementwise, so mu is all it stores, and _load_phi rebuilds
 any slice of phi from the same slice of X.  A kernel run's phi comes
 from attribution.kernel_explain, one worker process per available core
 when numpy's BLAS runs one thread (the CLI sets that for every stage
@@ -74,7 +74,7 @@ ARTIFACTS = {
                               "idf")),
     "vectors.npz": ("prepare", ("ids", "shape", "indptr", "indices",
                                 "data")),
-    "model.npz": ("train", ("kind",)),
+    "model.npz": ("train", ("kind", "weights", "bias")),
     "shap.npz": ("explain", ("ids", "explained_output", "mu")),
     **{f"topics_{polarity}.npz": ("profile", ("columns", "H", "assignment",
                                               "objective"))
@@ -290,20 +290,23 @@ def _load_phi(cfg, ids, space, model, X):
     return _load_as(build, cfg, "shap.npz", ids)
 
 def _save_model(cfg, model) -> None:
-    """kind plus every field the model sets; an NBModel has no kind
-    field, a logreg model no calibration."""
-    fields = {"kind": "nb", **vars(model)}
-    _save(cfg, "model.npz",
-          **{key: value for key, value in fields.items() if value is not None})
+    """Every field the model sets: only svm has a calibration, only nb
+    the structural bounds."""
+    _save(cfg, "model.npz", **{key: value for key, value in vars(model).items()
+                               if value is not None})
 
-def _load_model(cfg) -> classifiers.LinearModel | classifiers.NBModel:
+def _load_model(cfg, space) -> classifiers.LinearModel:
+    """The trained model, refused unless it weighs every column of
+    space."""
     def build(f):
-        kind = f.pop("kind")
-        if kind == "nb":
-            return classifiers.NBModel(**f)
         if "calibration" in f:
             f["calibration"] = tuple(f["calibration"].tolist())
-        return classifiers.LinearModel(kind=kind, **f)
+        model = classifiers.LinearModel(**f)
+        if model.weights.shape != (space.n_columns,):
+            raise _rerun("model.npz", f"model.npz holds weights of shape "
+                                      f"{model.weights.shape}, expected "
+                                      f"({space.n_columns},)")
+        return model
     return _load_as(build, cfg, "model.npz")
 
 def _load_topics(cfg, polarity) -> profiling.TopicModel:
@@ -378,7 +381,7 @@ def cmd_explain(cfg: PipelineConfig) -> None:
     ids, gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, ids, space)
-    model = _load_model(cfg)
+    model = _load_model(cfg, space)
     train = split == "train"
     X_train = X.take(train)
     train_ids = ids[train].tolist()
@@ -437,7 +440,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     ids, gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, ids, space)
-    model = _load_model(cfg)
+    model = _load_model(cfg, space)
     tn, tp = _reliable_groups(gold, split, classifiers.predict_all(model, X))
     reliable = np.flatnonzero(tn | tp)
     if not reliable.size:
@@ -509,7 +512,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     ids, gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, ids, space)
-    model = _load_model(cfg)
+    model = _load_model(cfg, space)
     preds = classifiers.predict_all(model, X)
     phi = _load_phi(cfg, ids, space, model, X)
     groups = _reliable_groups(gold, split, preds)

@@ -130,7 +130,7 @@ def test_c02_local_accuracy(full_run, capsys):
     ids = ids.tolist()
     space = _load_space(full_run.cfg)
     X = _load_vectors(full_run.cfg, ids, space).dense()
-    model = _load_model(full_run.cfg)
+    model = _load_model(full_run.cfg, space)
     phi = _load_phi(full_run.cfg, ids, space, model,
                     _load_vectors(full_run.cfg, ids, space))()
     shap = _load(full_run.cfg, "shap.npz", ids)

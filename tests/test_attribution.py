@@ -381,8 +381,9 @@ class TestShapVectorValues:
 
 
 class TestKernelShapModels:
-    """A LinearModel or NBModel is explained from coalition margins; the
-    attributions equal those of its probability_function as a callable."""
+    """A LinearModel, NB's included, is explained from coalition margins;
+    the attributions equal those of its probability_function as a
+    callable."""
 
     @staticmethod
     def _both_paths(model, x, bg, **kw):

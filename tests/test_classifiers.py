@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from topicaudit import classifiers as clf
 from topicaudit import features
-from topicaudit.classifiers import (LinearModel, NBModel, Prediction,
-                                    predict_all, train_logreg, train_nb,
-                                    train_svm)
+from topicaudit.classifiers import (LinearModel, Prediction, predict_all,
+                                    train_logreg, train_nb, train_svm)
 from topicaudit.config import PipelineConfig
 from topicaudit.features import CSR
 from topicaudit.pipeline import _load_model, _save_model
@@ -129,6 +130,10 @@ class TestSVM:
             LinearModel(kind="logreg", weights=np.ones(2), bias=0.0,
                         calibration=(1.0, 0.0))
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="kind"):
+            LinearModel(kind="forest", weights=np.ones(2), bias=0.0)
+
 
 class TestNB:
     def test_alpha_must_be_positive(self):
@@ -138,18 +143,69 @@ class TestNB:
             train_nb(X, y, alpha=0.0)
 
     def test_absent_feature_smoothing(self):
-        # Class 0 mass: feature totals [3, 0], alpha=1, V=2 columns.
+        # Class 0 mass: feature totals [3, 0], alpha=1, V=2 columns, so
+        # theta0 = [4/5, 1/5]; class 1: totals [0, 2] -> theta1 = [1/4, 3/4].
         X = np.array([[3.0, 0.0], [0.0, 2.0]])
         y = np.array([0, 1])
         model = train_nb(X, y, alpha=1.0)
-        np.testing.assert_allclose(np.exp(model.log_theta[0, 1]), 1.0 / 5.0)
-        np.testing.assert_allclose(np.exp(model.log_theta[0, 0]), 4.0 / 5.0)
+        np.testing.assert_allclose(
+            model.weights, [np.log((1.0 / 4.0) / (4.0 / 5.0)),
+                            np.log((3.0 / 4.0) / (1.0 / 5.0))], rtol=1e-12)
 
     def test_symmetric_classes_even_priors(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
         model = train_nb(X, y)
-        np.testing.assert_allclose(np.exp(model.log_prior), [0.5, 0.5])
+        assert model.bias == 0.0
+
+    def test_weights_are_the_log_likelihood_ratio_bitwise(self):
+        # The linear form keeps the bits of log theta_1 - log theta_0 and
+        # of the log prior ratio, computed from the scaled training mass.
+        rng = np.random.default_rng(4)
+        X = rng.random((30, 7)) * (rng.random((30, 7)) < 0.5)
+        X[:, 5:] = rng.integers(0, 40, (30, 2))
+        y = (rng.random(30) < 0.3).astype(int)
+        model = train_nb(X, y, alpha=0.7, structural_start=5)
+        Xt = model.transform(X)
+        log_prior, log_theta = np.empty(2), np.empty((2, 7))
+        for cls in (0, 1):
+            rows = Xt[y == cls]
+            log_prior[cls] = np.log(rows.shape[0] / len(y))
+            mass = rows.sum(axis=0) + 0.7
+            log_theta[cls] = np.log(mass) - np.log(mass.sum())
+        assert model.weights.tobytes() == (
+            log_theta[1] - log_theta[0]).tobytes()
+        assert model.bias == float(log_prior[1] - log_prior[0])
+        assert type(model.bias) is float
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"structural_start": 1}, "present iff kind is nb"),
+        ({"struct_min": np.zeros(1), "struct_max": np.ones(1)},
+         "present iff kind is nb"),
+        ({"structural_start": 1, "struct_min": np.zeros(1),
+          "struct_max": np.ones(1), "kind": "logreg"},
+         "present iff kind is nb"),
+        ({"structural_start": 1, "struct_min": np.zeros(1),
+          "struct_max": np.ones(2)}, "expected \\(2,\\)"),
+        ({"structural_start": 2, "struct_min": np.zeros(2),
+          "struct_max": np.ones(2)}, "expected \\(1,\\)"),
+        ({"structural_start": 4, "struct_min": np.zeros(0),
+          "struct_max": np.ones(0)}, "expected \\(-1,\\)")])
+    def test_structural_fields_validated(self, fields, match):
+        fields = {"kind": "nb", "weights": np.ones(3), "bias": 0.0,
+                  **fields}
+        with pytest.raises(ValueError, match=match):
+            LinearModel(**fields)
+
+    def test_transform_is_the_identity_but_for_nb(self):
+        X = np.arange(6.0).reshape(2, 3)
+        for model in (LinearModel(kind="logreg", weights=np.ones(3),
+                                  bias=0.0),
+                      LinearModel(kind="svm", weights=np.ones(3), bias=0.0,
+                                  calibration=(1.0, 0.0))):
+            assert model.transform(X) is X
+            part = X[:, [2]]
+            assert model.transform(part, [2]) is part
 
     def test_hand_computed_posterior(self):
         # 4 docs, 2 words; alpha=1. Class 1: totals [4,1]+1 -> theta1=[5/7,2/7]
@@ -178,7 +234,7 @@ class TestNB:
         X = rng.random((20, 6))
         y = (X[:, 0] > 0.5).astype(int)
         model = train_nb(X, y, structural_start=4)
-        w, b = clf.nb_log_odds(model)
+        w, b = model.weights, model.bias
         Xt = model.transform(X)
         np.testing.assert_allclose(Xt @ w + b,
                                    clf.decision_function(model, X), rtol=1e-12)
@@ -272,7 +328,8 @@ class TestModelIO:
         _save_model(cfg, model)
         with np.load(tmp_path / "model.npz") as npz:
             keys = set(npz.files)
-        return _load_model(cfg), keys
+        space = SimpleNamespace(n_columns=model.weights.size)
+        return _load_model(cfg, space), keys
 
     @staticmethod
     def _same_bits(a, b):
@@ -305,13 +362,14 @@ class TestModelIO:
         y = np.array([0, 1])
         model = train_nb(X, y, alpha=0.5, structural_start=2)
         back, keys = self._roundtrip(tmp_path, model)
-        assert isinstance(back, NBModel)
-        assert keys == {"digest", "kind", "log_prior", "log_theta", "alpha",
+        assert isinstance(back, LinearModel) and back.kind == "nb"
+        assert keys == {"digest", "kind", "weights", "bias",
                         "structural_start", "struct_min", "struct_max"}
-        for name in ("log_prior", "log_theta", "struct_min", "struct_max"):
+        for name in ("weights", "struct_min", "struct_max"):
             assert self._same_bits(getattr(back, name),
                                    getattr(model, name)), name
-        assert type(back.alpha) is float and back.alpha == 0.5
+        assert type(back.bias) is float and back.bias == model.bias
+        assert back.calibration is None
         assert type(back.structural_start) is int
         assert back.structural_start == 2
         x = np.array([[1.5, 1.5, 7.0]])

@@ -204,3 +204,38 @@ class TestLoadConfig:
         path.write_text('{"classifier": "forest"}', encoding="utf-8")
         with pytest.raises(ConfigError, match="classifier"):
             load_config(path)
+
+
+class TestModelSettings:
+    BAD = [("rho", {"word": 1.2, "phrase": -0.2, "structural": 0}),
+           ("rho", {"word": 0.65, "phrase": 0.3, "structual": 0.05}),
+           ("rho", {"word": 0.65, "phrase": 0.3}),
+           ("rho", {"word": float("nan"), "phrase": 0.3}),
+           ("svm_c", -1), ("svm_c", 0), ("svm_c", float("nan")),
+           ("nb_alpha", 0), ("nb_alpha", -0.5),
+           ("l2_strength", -1e-3), ("l2_strength", float("nan"))]
+
+    @pytest.mark.parametrize("name, value", BAD)
+    def test_bad_value_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must "):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("rho", {"word": 1.0}), ("rho", {"phrase": 0.5, "structural": 0.5}),
+        ("rho", {"word": 0.1, "phrase": 0.2, "structural": 0.7}),
+        ("svm_c", 1e-6), ("nb_alpha", 1e-6), ("l2_strength", 0.0)])
+    def test_edge_values_accepted(self, name, value):
+        PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", BAD)
+    def test_bad_value_exits_1_before_any_stage_writes(self, tmp_path,
+                                                       capsys, name, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dataset_path": "d.tsv", name: value}),
+                        encoding="utf-8")
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(path),
+                             "--out", str(tmp_path / "run")]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"usage error: {name} must ")
+        assert not (tmp_path / "run").exists()

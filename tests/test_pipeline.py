@@ -158,7 +158,7 @@ def _per_message_phi(cfg: PipelineConfig) -> np.ndarray:
     ids = _load_dataset(cfg)[0].tolist()
     space = _load_space(cfg)
     X = _load_vectors(cfg, ids, space).dense()
-    model = _load_model(cfg)
+    model = _load_model(cfg, space)
     shap = _load(cfg, "shap.npz", ids)
     background = attribution.Background(
         rows=X[[ids.index(i) for i in shap["background_ids"]]],
@@ -345,7 +345,7 @@ class TestStageOutputs:
         ids = scores["ids"].tolist()
         space = _load_space(cfg)
         X = _load_vectors(cfg, ids, space)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)()
+        phi = _load_phi(cfg, ids, space, _load_model(cfg, space), X)()
         profiles = _load(cfg, "profiles.npz")
         assert profiles["names"].tolist() == list(REPRESENTATIONS)
         assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
@@ -375,7 +375,7 @@ class TestStageOutputs:
         ids = scores["ids"].tolist()
         space = _load_space(cfg)
         X = _load_vectors(cfg, ids, space)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)()
+        phi = _load_phi(cfg, ids, space, _load_model(cfg, space), X)()
         reliable = (scores["split"] == "train") & scores["correct"]
         for polarity in pipeline.POLARITIES:
             topic = _load_topics(cfg, polarity)
@@ -649,20 +649,61 @@ class TestGuards:
         _, cfg_path = _copy_run(kernel_run, tmp_path)
         assert cli.main(["score", "--config", str(cfg_path)]) == 0
 
-    def test_unnormalized_nb_prior_fails_score(self, mini_run, tmp_path,
-                                               capsys):
+    @staticmethod
+    def _refuses_model(cfg_path, capsys, stage="score"):
+        assert cli.main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[{stage}] model.npz ")
+        assert err.endswith("; rerun train\n") and err.count("\n") == 1
+        return err
+
+    def test_old_layout_nb_model_fails_score(self, mini_run, tmp_path,
+                                             capsys):
+        # NB's log-likelihood tables, stored before NB became a linear
+        # model, no longer load: weights and bias are missing.
         _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        d = len(_load_model(cfg).weights)
-        prior = float(np.log(0.7))
+        space = _load_space(cfg)
+        d, start = space.n_columns, space.structural_start
         _save(cfg, "model.npz", kind="nb",
-              log_prior=np.array([prior, prior]), log_theta=np.zeros((2, d)),
-              alpha=1.0, structural_start=d, struct_min=np.zeros(0),
-              struct_max=np.zeros(0))
-        assert cli.main(["score", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("[score] ") and "log_prior" in err
-        assert err.count("\n") == 1
+              log_prior=np.log([0.5, 0.5]), log_theta=np.zeros((2, d)),
+              alpha=1.0, structural_start=start,
+              struct_min=np.zeros(d - start), struct_max=np.ones(d - start))
+        err = self._refuses_model(cfg_path, capsys)
+        assert "missing 'weights', 'bias'" in err
+
+    def test_short_struct_bounds_fail_score(self, mini_run, tmp_path,
+                                            capsys):
+        _, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        space = _load_space(cfg)
+        d, start = space.n_columns, space.structural_start
+        _save(cfg, "model.npz", kind="nb", weights=np.zeros(d), bias=0.0,
+              structural_start=start, struct_min=np.zeros(d - start - 1),
+              struct_max=np.ones(d - start - 1))
+        err = self._refuses_model(cfg_path, capsys)
+        assert "struct_min and struct_max" in err
+
+    @pytest.mark.parametrize("stage", ["explain", "score"])
+    def test_model_of_another_width_fails(self, mini_run, tmp_path, capsys,
+                                          stage):
+        # prepare rerun on a larger corpus with the same config leaves
+        # the trained model one width and the vectors another.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        trained = _load(cfg, "model.npz")["weights"].size
+        other = tmp_path / "other.tsv"
+        demo.write_tsv(other, demo.generate(n_messages=340, seed=12))
+        settings = json.loads(cfg_path.read_text(encoding="utf-8"))
+        cfg_path.write_text(json.dumps({**settings,
+                                        "dataset_path": str(other)}),
+                            encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
+        width = _load_space(cfg).n_columns
+        assert width != trained
+        err = self._refuses_model(cfg_path, capsys, stage)
+        assert err == (f"[{stage}] model.npz holds weights of shape "
+                       f"({trained},), expected ({width},); rerun train\n")
 
     def test_truncated_archive_leaves_no_open_file(self, mini_run,
                                                    tmp_path):
@@ -728,7 +769,7 @@ class TestLinearExplain:
         space = _load_space(cfg)
         vectors = _load_vectors(cfg, ids, space)
         X = vectors.dense()
-        model = _load_model(cfg)
+        model = _load_model(cfg, space)
         background = attribution.make_background(
             X[train], labels[train], ids[train].tolist(),
             size=int(train.sum()), seed=cfg.seed)
@@ -757,7 +798,7 @@ class TestLinearExplain:
         ids = _load_dataset(cfg)[0]
         space = _load_space(cfg)
         X = _load_vectors(cfg, ids, space)
-        model = _load_model(cfg)
+        model = _load_model(cfg, space)
         full = attribution.linear_shap(model, X.dense(),
                                        _load(cfg, "shap.npz", ids)["mu"])[0]
         _assert_phi_slices(_load_phi(cfg, ids, space, model, X), full,
@@ -776,7 +817,7 @@ class TestKernelExplain:
         space = _load_space(cfg)
         X = CSR.of(_load(cfg, "vectors.npz", ids)).dense()
         shap = _load(cfg, "shap.npz", ids)
-        model = _load_model(cfg)
+        model = _load_model(cfg, space)
         phi = _load_phi(cfg, ids, space, model,
                         _load_vectors(cfg, ids, space))()
         assert phi.shape == (len(ids), space.n_columns)
@@ -800,7 +841,7 @@ class TestKernelExplain:
         ids = _load_dataset(cfg)[0]
         space = _load_space(cfg)
         full = _per_message_phi(cfg)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg),
+        phi = _load_phi(cfg, ids, space, _load_model(cfg, space),
                         _load_vectors(cfg, ids, space))
         _assert_phi_slices(phi, full, space)
 
@@ -826,7 +867,7 @@ class TestKernelExplain:
         active = attribution.active_mask(X.dense(), shap["mu"])
         assert shap["data"].size == np.count_nonzero(active)
         full = _per_message_phi(cfg)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg), X)()
+        phi = _load_phi(cfg, ids, space, _load_model(cfg, space), X)()
         assert phi.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
