@@ -113,7 +113,7 @@ def make_background(X_train: np.ndarray | CSR, y_train: np.ndarray,
     y_train = np.asarray(y_train)
     exact = {lab: size * int((y_train == lab).sum()) / len(y_train)
              for lab in sorted(set(y_train.tolist()))}
-    chosen = stratified_sample(y_train, np.asarray(ids), exact, size, seed)
+    chosen = stratified_sample(y_train, exact, size, seed)
     return Background(rows=dense_rows(X_train, chosen),
                       ids=tuple(int(ids[i]) for i in chosen))
 
@@ -322,13 +322,13 @@ def _explain_rows(job, rows) -> tuple:
     """kernel_shap of the given rows as their values, row after row, and
     their base values, plus the warnings raised on the way as (message,
     filename, lineno)."""
-    model, X, background, ids, n_coalitions, seed = job
+    model, X, background, n_coalitions, seed = job
     values, bases = [np.zeros(0)], []
     with warnings.catch_warnings(record=True) as caught:
         for i in rows:
             shap = kernel_shap(model, dense_rows(X, [i])[0], background,
                                n_coalitions=n_coalitions, seed=seed,
-                               msg_id=ids[i])
+                               msg_id=int(i))
             values.append(shap.values)
             bases.append(shap.base_value)
     return (np.concatenate(values), np.array(bases, dtype=float),
@@ -349,11 +349,11 @@ def _explain_chunk(rows) -> tuple:
 
 def kernel_explain(model: LinearModel | Callable,
                    X: np.ndarray | CSR,
-                   background: Background, ids,
+                   background: Background,
                    n_coalitions: int | None = None, seed: int = 0
                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """kernel_shap of every row of X, row i as message ids[i]; a CSR X
-    is made dense one row at a time.
+    """kernel_shap of every row of X, row i as message i; a CSR X is
+    made dense one row at a time.
 
     Returns the fields kernel_phi rebuilds the (n, d) attributions from,
     the background mean ``mu`` and ``data``, each row's values on its
@@ -363,10 +363,9 @@ def kernel_explain(model: LinearModel | Callable,
     process when that is one.  A worker's warnings are raised again here
     in message order, and its exception propagates.
     """
-    ids = [int(i) for i in ids]
-    n = len(ids)
+    n = X.shape[0]
     workers = min(_default_workers(), n)
-    job = (model, X, background, ids, n_coalitions, seed)
+    job = (model, X, background, n_coalitions, seed)
     if workers > 1:
         # Imported here: at the top they would add 7 ms to every stage's
         # start.

@@ -25,6 +25,11 @@ class ConfigError(ValueError):
 
 DIGEST_EXCLUDED = ("dataset_path", "out_dir")
 FAMILIES = (FAMILY_WORD, FAMILY_PHRASE, FAMILY_STRUCTURAL)
+# Each integer setting's least value (None: any); n_coalitions may be null.
+INT_FIELDS = {"seed": 0, "min_df": None, "word_quota": 0, "phrase_quota": 0,
+              "k_related": 0, "epochs": 1, "svm_epochs": 1,
+              "background_size": 1, "n_coalitions": 1, "k_top": 1,
+              "n_topics": 1, "nmf_max_iters": 1, "k_nn": 1}
 
 
 @dataclass
@@ -73,6 +78,15 @@ class PipelineConfig:
     repair_representation: str = "original"
 
     def __post_init__(self):
+        for name, least in INT_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "n_coalitions":
+                continue
+            # type(), not isinstance: a bool is no count.
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer")
+            if least is not None and value < least:
+                raise ConfigError(f"{name} must be at least {least}")
         if self.dataset_format not in DATASET_FORMATS:
             raise ConfigError(f"unknown dataset_format "
                               f"{self.dataset_format!r}")
@@ -98,13 +112,6 @@ class PipelineConfig:
             raise ConfigError("split_ratio must be in (0, 1)")
         if not 0.0 < self.trr_fix <= 1.0:
             raise ConfigError("trr_fix must be in (0, 1]")
-        for name in ("word_quota", "phrase_quota", "k_related"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
-        for name in ("epochs", "svm_epochs", "background_size", "k_top",
-                     "n_topics", "nmf_max_iters", "k_nn"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
         for name in ("svm_c", "nb_alpha"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -116,8 +123,6 @@ class PipelineConfig:
                 and abs(sum(self.rho.values()) - 1.0) <= 1e-9):
             raise ConfigError(f"rho must map some of {', '.join(FAMILIES)} "
                               "to shares in [0, 1] summing to 1")
-        if self.n_coalitions is not None and self.n_coalitions < 1:
-            raise ConfigError("n_coalitions must be null or at least 1")
         if not 0.0 < self.tau_p <= 1.0:
             raise ConfigError("tau_p must be in (0, 1]")
         if not self.temperature > 0.0:

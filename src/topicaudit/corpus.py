@@ -154,21 +154,19 @@ def split(labels: np.ndarray, ratio: float, seed: int) -> np.ndarray:
                 f"cannot stratify: class {label} has {count} member(s)")
     train = np.zeros(len(labels), dtype=bool)
     train[stratified_sample(
-        labels, np.arange(len(labels)),
-        {lab: ratio * count for lab, count in counts.items()},
+        labels, {lab: ratio * count for lab, count in counts.items()},
         math.ceil(ratio * len(labels)), seed)] = True
     return train
 
 
-def stratified_sample(labels: np.ndarray, ids: np.ndarray,
-                      exact: dict[int, float], total: int,
-                      seed: int) -> np.ndarray:
-    """Rows of a stratified sample of ``total`` items, in id order.
+def stratified_sample(labels: np.ndarray, exact: dict[int, float],
+                      total: int, seed: int) -> np.ndarray:
+    """Rows of a stratified sample of ``total`` items, in row order.
 
     Label lab gets floor(exact[lab]) items, and the labels with the
     largest remainders one more each (ties to the lower label) until
     there are ``total``.  Then, label by label in ascending order, one
-    permutation of the label's members in id order picks its quota.
+    permutation of the label's members in row order picks its quota.
     """
     quota = {lab: math.floor(x) for lab, x in exact.items()}
     by_remainder = sorted(exact, key=lambda lab: (quota[lab] - exact[lab],
@@ -179,9 +177,8 @@ def stratified_sample(labels: np.ndarray, ids: np.ndarray,
     chosen = []
     for lab in sorted(exact):
         pool = np.flatnonzero(labels == lab)
-        pool = pool[np.argsort(ids[pool], kind="stable")]
         chosen.extend(pool[rng.permutation(len(pool))[:quota[lab]]].tolist())
-    return np.array(sorted(chosen, key=lambda row: ids[row]), dtype=np.int64)
+    return np.array(sorted(chosen), dtype=np.int64)
 
 
 def subsample_majority(labels: np.ndarray, seed: int) -> np.ndarray:

@@ -10,20 +10,20 @@ leaves the previous file in place.  _load reads both formats the same
 way and names the file and its producer when it is missing, damaged,
 stale or lacks a listed key; _load_as also turns the fields into the
 stage's object.
-prepare keeps the corpus as arrays in file-row order, so a message's
-id is its row: dataset.npz holds each message's id, gold label and
-split, the columns every later stage keys on, plus the messages' text;
-no stage reads the text back.  Lists of strings, the text and
-space.npz's two vocabularies, are stored by _utf8 as their UTF-8 bytes
-concatenated plus offsets (one more entry than strings, like a CSR
-indptr).  The other per-message .npz files hold an ``ids`` array that
-must equal the dataset ids in order.  The (n, d) matrix X is stored in
-vectors.npz as the CSR arrays ``shape, indptr, indices, data`` that
-features.vectorize emits, each row's columns ascending, and is loaded as
-features.CSR.  No stage after prepare holds X or phi dense: each asks
-for the dense rows and columns it reads, which equal the same slice of
-the dense matrix bit for bit.  train densifies the training rows,
-explain blocks of the training rows and columns (a kernel run one
+prepare keeps the corpus as arrays in file-row order, so a message's id
+is its row: dataset.npz holds each message's gold label and split, the
+columns every later stage keys on, plus the messages' text; no stage
+reads the text back.  Lists of strings, the text and space.npz's two
+vocabularies, are stored by _utf8 as their UTF-8 bytes concatenated plus
+offsets (one more entry than strings, like a CSR indptr).  Row i of
+every per-message array is message i, and a reader refuses an archive
+whose rows do not number dataset.npz's messages.  The (n, d) matrix X is
+stored in vectors.npz as the CSR arrays ``shape, indptr, indices, data``
+that features.vectorize emits, each row's columns ascending, and is
+loaded as features.CSR.  No stage after prepare holds X or phi dense:
+each asks for the dense rows and columns it reads, which equal the same
+slice of the dense matrix bit for bit.  train densifies the training
+rows, explain blocks of the training rows and columns (a kernel run one
 message at a time), and profile and score each polarity's rows and
 selected columns of phi.
 
@@ -36,12 +36,12 @@ when numpy's BLAS runs one thread (the CLI sets that for every stage
 but train), and is the same bytes for any worker count; shap.npz adds
 ``data``, the values of each message's active columns, where X deviates
 from mu, row after row.  _load_phi re-derives those columns from X and
-refuses a count that does not match.
+refuses a count of values or of base values that does not fit X.
 
 evaluate and repair work on the scores.npz columns as they are: each
 detector's rejections, and the recoveries and leakages of the repair
 gate, are boolean masks over the same rows, so outcomes.npz and the
-re-accepted ids are read straight off them.
+re-accepted ids, the rows of those masks, are read straight off them.
 """
 
 from __future__ import annotations
@@ -68,26 +68,24 @@ SUBSETS = (("positive", 1), ("negative", 0))
 # and the arrays of an .npz or the top-level keys of a JSON report that
 # every reader needs.
 ARTIFACTS = {
-    "dataset.npz": ("prepare", ("ids", "gold", "split")),
+    "dataset.npz": ("prepare", ("gold", "split")),
     "space.npz": ("prepare", ("word_vocab", "word_vocab_offsets",
                               "phrase_vocab", "phrase_vocab_offsets",
                               "idf")),
-    "vectors.npz": ("prepare", ("ids", "shape", "indptr", "indices",
-                                "data")),
+    "vectors.npz": ("prepare", ("shape", "indptr", "indices", "data")),
     "model.npz": ("train", ("kind", "weights", "bias")),
-    "shap.npz": ("explain", ("ids", "explained_output", "mu")),
+    "shap.npz": ("explain", ("base_values", "explained_output", "mu")),
     **{f"topics_{polarity}.npz": ("profile", ("columns", "H", "assignment",
                                               "objective"))
        for polarity in ("plus", "minus")},
     "profiles.npz": ("score", ("names", "vectors")),
-    "representations.npz": ("score", ("ids", "names", "vectors",
-                                      "degenerate")),
-    "scores.npz": ("score", ("ids", "split", "gold", "predicted", "correct",
+    "representations.npz": ("score", ("names", "vectors", "degenerate")),
+    "scores.npz": ("score", ("split", "gold", "predicted", "correct",
                              *BASE_METHODS, *XMAP_COLUMNS)),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
-    "outcomes.npz": ("repair", ("ids", "outcome")),
+    "outcomes.npz": ("repair", ("outcome",)),
     "report.md": ("report", ()),
 }
 
@@ -165,12 +163,11 @@ def _save(cfg: PipelineConfig, name: str, **fields) -> None:
                  **fields)
 
 
-def _load(cfg: PipelineConfig, name: str,
-          ids: np.ndarray | None = None) -> dict:
+def _load(cfg: PipelineConfig, name: str) -> dict:
     """The fields of an artifact written by _save, checked for presence,
-    readability, config digest, the keys ARTIFACTS lists and, given
-    ``ids``, id coverage.  An .npz gives its arrays, 0-d ones as Python
-    scalars; a JSON report gives its values."""
+    readability, config digest and the keys ARTIFACTS lists.  An .npz
+    gives its arrays, 0-d ones as Python scalars; a JSON report gives its
+    values."""
     path = _require(cfg, name)
     try:
         with open(path, "rb") as fh:
@@ -194,16 +191,13 @@ def _load(cfg: PipelineConfig, name: str,
                         if key not in fields)
     if missing:
         raise _rerun(name, f"{name} is malformed (missing {missing})")
-    if ids is not None and not np.array_equal(fields.get("ids"), ids):
-        raise _rerun(name, f"{name} does not cover the {len(ids)} "
-                           "messages of dataset.npz in order")
     return fields
 
 
-def _load_as(build, cfg, name, ids=None):
+def _load_as(build, cfg, name):
     """build(fields) of the artifact _load reads; a missing or malformed
     key, nested ones included, names the file and its producer."""
-    fields = _load(cfg, name, ids)
+    fields = _load(cfg, name)
     try:
         return build(fields)
     except (KeyError, TypeError, ValueError, IndexError,
@@ -239,15 +233,26 @@ def _strings(fields, name: str) -> list[str]:
 
 # ---------------------------------------------------------------- loading
 
-def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, gold labels, splits) of the prepared messages in id order,
+def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(gold labels, splits) of the prepared messages, row i message i:
     the row order of every per-message array."""
     def build(f):
-        columns = f["ids"], f["gold"], f["split"]
-        if len({len(c) for c in columns}) != 1:
-            raise ValueError("ids, gold and split differ in length")
-        return columns
+        if len(f["gold"]) != len(f["split"]):
+            raise ValueError("gold and split differ in length")
+        return f["gold"], f["split"]
     return _load_as(build, cfg, "dataset.npz")
+
+def _load_rows(cfg, name: str) -> dict:
+    """The fields of a per-message artifact, refused unless every key
+    ARTIFACTS lists for it is of shape (n,) for the n messages of
+    dataset.npz, read second so a missing artifact names its producer."""
+    fields = _load(cfg, name)
+    n = len(_load_dataset(cfg)[0])
+    for key in ARTIFACTS[name][1]:
+        if np.shape(fields[key]) != (n,):
+            raise _rerun(name, f"{name} is malformed ({key} of shape "
+                               f"{np.shape(fields[key])}, expected ({n},))")
+    return fields
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -260,24 +265,27 @@ def _load_space(cfg) -> features.FeatureSpace:
         return features.FeatureSpace(idf=f["idf"], **vocabs)
     return _load_as(build, cfg, "space.npz")
 
-def _load_vectors(cfg, ids, space) -> features.CSR:
+def _load_vectors(cfg, n, space) -> features.CSR:
     def build(f):
         shape = tuple(f["shape"].tolist())
-        if shape != (len(ids), space.n_columns):
+        if shape != (n, space.n_columns):
             raise ValueError(f"a {shape} matrix, expected "
-                             f"({len(ids)}, {space.n_columns})")
+                             f"({n}, {space.n_columns})")
         return features.CSR.of(f)
-    return _load_as(build, cfg, "vectors.npz", ids)
+    return _load_as(build, cfg, "vectors.npz")
 
-def _load_phi(cfg, ids, space, model, X):
+def _load_phi(cfg, space, model, X):
     """phi(rows=None, columns=None): the given rows and columns of the
     (n, d) attributions explain computed, dense.  A probability (kernel)
     run's phi is sliced from the CSR that attribution.kernel_phi builds
     of the stored values on the active sets of X against the background
     mean; a margin (linear) run's is rebuilt from that mean on the slice
-    of X alone."""
+    of X alone.  shap.npz must hold a base value per row of X."""
     def build(f):
-        mu = f["mu"]
+        mu, base_values = f["mu"], f["base_values"]
+        if np.shape(base_values) != (X.shape[0],):
+            raise ValueError(f"base_values of shape {np.shape(base_values)}"
+                             f", expected ({X.shape[0]},)")
         if mu.shape != (space.n_columns,):
             raise ValueError(f"mu of shape {mu.shape}, expected "
                              f"({space.n_columns},)")
@@ -287,7 +295,7 @@ def _load_phi(cfg, ids, space, model, X):
             raise ValueError(f"explained_output {f['explained_output']!r}")
         return lambda rows=None, columns=None: attribution.linear_shap(
             model, X.dense(rows, columns), mu, columns)[0]
-    return _load_as(build, cfg, "shap.npz", ids)
+    return _load_as(build, cfg, "shap.npz")
 
 def _save_model(cfg, model) -> None:
     """Every field the model sets: only svm has a calibration, only nb
@@ -341,21 +349,19 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         [toks for toks, is_train in zip(kept, train) if is_train],
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
 
-    ids = np.arange(len(texts))
-    _save(cfg, "dataset.npz", ids=ids, gold=gold,
+    _save(cfg, "dataset.npz", gold=gold,
           split=np.where(train, "train", "test"), **_utf8("text", texts))
     _save_space(cfg, space)
-    _save(cfg, "vectors.npz", ids=ids,
-          **features.vectorize(kept, texts, space))
+    _save(cfg, "vectors.npz", **features.vectorize(kept, texts, space))
 
 
 # ------------------------------------------------------------------ train
 
 @_stage("train")
 def cmd_train(cfg: PipelineConfig) -> None:
-    ids, gold, split = _load_dataset(cfg)
+    gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
-    X = _load_vectors(cfg, ids, space)
+    X = _load_vectors(cfg, len(gold), space)
     train = split == "train"
     if cfg.subsample_train:
         train[train] = corpus.subsample_majority(gold[train], cfg.seed)
@@ -378,13 +384,13 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 @_stage("explain")
 def cmd_explain(cfg: PipelineConfig) -> None:
-    ids, gold, split = _load_dataset(cfg)
+    gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
-    X = _load_vectors(cfg, ids, space)
+    X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
     train = split == "train"
     X_train = X.take(train)
-    train_ids = ids[train].tolist()
+    train_ids = np.flatnonzero(train).tolist()
 
     linear = cfg.classifier == "logreg" or (
         cfg.classifier == "nb" and cfg.nb_linear_attribution)
@@ -404,19 +410,18 @@ def cmd_explain(cfg: PipelineConfig) -> None:
             X_train.dense(rows)
             for rows in features.blocks(len(train_ids), features.ROW_BLOCK)))
         base = attribution.linear_shap(model, mu, mu)[1]
-        base_values = np.full(len(ids), base)
+        base_values = np.full(len(gold), base)
         explained, stored = "margin", {"mu": mu}
     else:
         background = attribution.make_background(
             X_train, gold[train], train_ids, size=cfg.background_size,
             seed=cfg.seed)
         stored, base_values = attribution.kernel_explain(
-            model, X, background, ids, n_coalitions=cfg.n_coalitions,
-            seed=cfg.seed)
+            model, X, background, n_coalitions=cfg.n_coalitions, seed=cfg.seed)
         explained = "probability"
         background_ids, digest = background.ids, background.digest()
 
-    _save(cfg, "shap.npz", ids=ids, base_values=base_values,
+    _save(cfg, "shap.npz", base_values=base_values,
           explained_output=np.array(explained),
           background_ids=np.array(background_ids, dtype=np.int64),
           background_digest=np.array(digest), **stored)
@@ -437,16 +442,16 @@ def _reliable_groups(gold, split, preds) -> tuple[np.ndarray, np.ndarray]:
 
 @_stage("profile")
 def cmd_profile(cfg: PipelineConfig) -> None:
-    ids, gold, split = _load_dataset(cfg)
+    gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
-    X = _load_vectors(cfg, ids, space)
+    X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
     tn, tp = _reliable_groups(gold, split, classifiers.predict_all(model, X))
     reliable = np.flatnonzero(tn | tp)
     if not reliable.size:
         raise ValueError("no correctly classified training messages to "
                          "profile")
-    phi = _load_phi(cfg, ids, space, model, X)
+    phi = _load_phi(cfg, space, model, X)
 
     # Each column's rank needs only its own column, so the ranks come
     # from dense column blocks of the reliable rows' phi.  The NMF matrix
@@ -499,29 +504,21 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
     return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
 
 
-def _read_scores(cfg) -> dict[str, np.ndarray]:
-    """scores.npz columns, one entry per dataset message in id order; an
-    NA xmap score is NaN."""
-    # A missing score stage is reported before a missing dataset.
-    _require(cfg, "scores.npz")
-    return _load(cfg, "scores.npz", _load_dataset(cfg)[0])
-
-
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
-    ids, gold, split = _load_dataset(cfg)
+    gold, split = _load_dataset(cfg)
     space = _load_space(cfg)
-    X = _load_vectors(cfg, ids, space)
+    X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
     preds = classifiers.predict_all(model, X)
-    phi = _load_phi(cfg, ids, space, model, X)
+    phi = _load_phi(cfg, space, model, X)
     groups = _reliable_groups(gold, split, preds)
 
     # Each message is represented on the polarity its own prediction
     # selects (positive -> spamward supports against the TP group,
     # negative -> hamward against TN); the reliable group's profile and
     # context come from the same topic contributions.
-    n = len(ids)
+    n = len(gold)
     vectors = np.empty((n, len(REPRESENTATIONS), cfg.n_topics))
     degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
     profiles = np.empty((len(POLARITIES), len(REPRESENTATIONS), cfg.n_topics))
@@ -545,9 +542,9 @@ def cmd_score(cfg: PipelineConfig) -> None:
 
     names = np.array(REPRESENTATIONS)
     _save(cfg, "profiles.npz", names=names, vectors=profiles)
-    _save(cfg, "representations.npz", ids=ids, names=names,
-          vectors=vectors, degenerate=degenerate)
-    _save(cfg, "scores.npz", ids=ids, split=split, gold=gold,
+    _save(cfg, "representations.npz", names=names, vectors=vectors,
+          degenerate=degenerate)
+    _save(cfg, "scores.npz", split=split, gold=gold,
           predicted=preds.label, p_pos=preds.p_pos,
           correct=preds.label == gold, **columns)
 
@@ -579,7 +576,7 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
 
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    scores = _read_scores(cfg)
+    scores = _load_rows(cfg, "scores.npz")
     test = scores["split"] == "test"
     subsets = {}
     for subset, label in SUBSETS:
@@ -604,7 +601,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 @_stage("repair")
 def cmd_repair(cfg: PipelineConfig) -> None:
-    scores = _read_scores(cfg)
+    scores = _load_rows(cfg, "scores.npz")
     test = scores["split"] == "test"
     train = scores["split"] == "train"
     predicted = scores["predicted"]
@@ -633,8 +630,8 @@ def cmd_repair(cfg: PipelineConfig) -> None:
             rejected, misclassified, xmap, predicted,
             tau_plus=tau[1], tau_minus=tau[0])
         re_accepted[rep] = recovered | leaked
-        per_rep[rep]["re_accepted_ids"] = (
-            scores["ids"][re_accepted[rep]].tolist())
+        per_rep[rep]["re_accepted_ids"] = np.flatnonzero(
+            re_accepted[rep]).tolist()
 
     _save(cfg, "repair_report.json", base_detector=cfg.base_detector,
           repair_representation=cfg.repair_representation,
@@ -643,4 +640,4 @@ def cmd_repair(cfg: PipelineConfig) -> None:
     # Per-message outcome under the configured representation.
     outcome = np.where(re_accepted[cfg.repair_representation], "repaired",
                        np.where(rejected, "rejected", "accepted"))
-    _save(cfg, "outcomes.npz", ids=scores["ids"], outcome=outcome)
+    _save(cfg, "outcomes.npz", outcome=outcome)

@@ -12,7 +12,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
-                       _load_as, _path, _read_scores, _stage)
+                       _load_as, _load_rows, _path, _stage)
 from .scoring import LN2
 
 # (column header, predicted label, gold label)
@@ -120,7 +120,7 @@ def _repair_section(report: dict) -> tuple[str, list[str]]:
 
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
-    scores = _read_scores(cfg)
+    scores = _load_rows(cfg, "scores.npz")
     # Each report goes through its table, so a missing key at any depth
     # names the file and its producer.
     detector = _load_as(_detector_table, cfg, "detector_report.json")

@@ -155,18 +155,14 @@ def aleatory_vector(p: np.ndarray, H: np.ndarray,
 
 
 def doctor_alpha_vector(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Topic-wise (1-g)/g on the binary split (p_m, 1-p_m)."""
-    p = np.asarray(p, dtype=float)
-    g = p ** 2 + (1.0 - p) ** 2
-    return _normalized((1.0 - g) / g)
+    """Topic-wise doctor_alpha score, (1-g)/g, of the splits (p_m, 1-p_m)."""
+    return _normalized(_split_score(np.asarray(p, dtype=float),
+                                    "doctor_alpha"))
 
 
 def doctor_beta_vector(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Topic-wise min/max odds of the binary split."""
-    p = np.asarray(p, dtype=float)
-    hi = np.maximum(p, 1.0 - p)
-    lo = np.minimum(p, 1.0 - p)
-    return _normalized(np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0))
+    """Topic-wise min/max odds (doctor_beta) of the splits (p_m, 1-p_m)."""
+    return _normalized(_split_score(np.asarray(p, dtype=float), "doctor_beta"))
 
 
 def odin_vector(p: np.ndarray,
@@ -244,14 +240,19 @@ def output_uq_score(p_pos: np.ndarray, method: str,
     p = np.asarray(p_pos, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p_pos outside [0,1]: {p_pos}")
-    lo = np.minimum(p, 1.0 - p)
+    return _split_score(p, method, temperature)[()]
+
+
+def _split_score(p: np.ndarray, method: str, temperature=2.0) -> np.ndarray:
+    """output_uq_score without its range check, for the doctor vectors."""
     if method == "entropy":
         out = -(_plogp(p) + _plogp(1.0 - p))
     elif method == "doctor_alpha":
         g = p ** 2 + (1.0 - p) ** 2
         out = (1.0 - g) / g
     elif method == "doctor_beta":
-        out = lo / np.maximum(p, 1.0 - p)
+        # max(p, 1-p) is at least 1/2 for any real p, so never 0.
+        out = np.minimum(p, 1.0 - p) / np.maximum(p, 1.0 - p)
     elif method == "odin":
         a = np.log(np.maximum(p, CLIP)) / temperature
         b = np.log(np.maximum(1.0 - p, CLIP)) / temperature
@@ -268,4 +269,4 @@ def output_uq_score(p_pos: np.ndarray, method: str,
         out = 0.5 * (1.0 - np.abs(2.0 * p - 1.0))
     else:
         raise ValueError(f"unknown uncertainty method {method!r}")
-    return out[()]
+    return out

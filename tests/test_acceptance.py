@@ -22,8 +22,8 @@ import pytest
 from topicaudit import attribution, classifiers, cli, demo, profiling, scoring
 from topicaudit.config import load_config
 from topicaudit.pipeline import (_load, _load_dataset, _load_model,
-                                 _load_phi, _load_space, _load_vectors,
-                                 _read_scores)
+                                 _load_phi, _load_rows, _load_space,
+                                 _load_vectors)
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -121,7 +121,8 @@ def test_c01_shapley_oracle(capsys):
 
 def test_c02_local_accuracy(full_run, capsys):
     start = time.monotonic()
-    ids, _, split = _load_dataset(full_run.cfg)
+    _, split = _load_dataset(full_run.cfg)
+    ids = np.arange(len(split))  # a message's id is its row
     test_ids = ids[split == "test"].tolist()
     rng = np.random.default_rng(0)
     sample = [test_ids[i] for i in
@@ -129,11 +130,11 @@ def test_c02_local_accuracy(full_run, capsys):
 
     ids = ids.tolist()
     space = _load_space(full_run.cfg)
-    X = _load_vectors(full_run.cfg, ids, space).dense()
+    X = _load_vectors(full_run.cfg, len(ids), space).dense()
     model = _load_model(full_run.cfg, space)
-    phi = _load_phi(full_run.cfg, ids, space, model,
-                    _load_vectors(full_run.cfg, ids, space))()
-    shap = _load(full_run.cfg, "shap.npz", ids)
+    phi = _load_phi(full_run.cfg, space, model,
+                    _load_vectors(full_run.cfg, len(ids), space))()
+    shap = _load(full_run.cfg, "shap.npz")
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
     plus = attribution.polarity_supports(phi, "plus")
     minus = attribution.polarity_supports(phi, "minus")
@@ -252,7 +253,7 @@ def _group_means(scores: dict[str, np.ndarray]) -> dict[str, float]:
 
 
 def test_c06_divergence_separation(full_run, capsys):
-    means = _group_means(_read_scores(full_run.cfg))
+    means = _group_means(_load_rows(full_run.cfg, "scores.npz"))
     fp_ratio = means["fp"] / means["tp"]
     fn_ratio = means["fn"] / means["tn"]
     ok = (fp_ratio >= 1.5 and fn_ratio >= 1.2
@@ -266,7 +267,7 @@ def test_c06_divergence_separation(full_run, capsys):
 # ------------------------------------------------------------- criterion 7
 
 def test_c07_detector_quality(full_run, capsys):
-    table = _read_scores(full_run.cfg)
+    table = _load_rows(full_run.cfg, "scores.npz")
     pos = ((table["split"] == "test") & (table["predicted"] == 1)
            & ~np.isnan(table["xmap_original"]))
     scores = table["xmap_original"][pos]

@@ -445,8 +445,6 @@ class TestKernelExplain:
     processes; kernel_phi turns its values into the CSR that to_csr makes
     of the dense matrix of the nonzero attributions."""
 
-    IDS = [10, 13, 16, 19, 22, 25, 28, 31, 34]
-
     @staticmethod
     def _rows(kind):
         d = 30
@@ -464,15 +462,14 @@ class TestKernelExplain:
         dense, values, bases = np.zeros(X.shape), [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            for i, msg_id in enumerate(self.IDS):
-                sv = kernel_shap(model, X[i], bg, seed=5, msg_id=msg_id)
+            for i in range(len(X)):
+                sv = kernel_shap(model, X[i], bg, seed=5, msg_id=i)
                 dense[i, list(sv.phi)] = list(sv.phi.values())
                 values.append(sv.values)
                 bases.append(sv.base_value)
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
         with pytest.warns(UserWarning) as caught:
-            stored, base_values = kernel_explain(model, X, bg, self.IDS,
-                                                 seed=5)
+            stored, base_values = kernel_explain(model, X, bg, seed=5)
         assert stored.keys() == {"mu", "data"}
         assert stored["mu"].tobytes() == bg.mean.tobytes()
         assert stored["data"].tobytes() == np.concatenate(values).tobytes()
@@ -483,10 +480,11 @@ class TestKernelExplain:
             assert getattr(csr, key).dtype == expected[key].dtype, key
             assert getattr(csr, key).tobytes() == expected[key].tobytes(), key
         assert base_values.tobytes() == np.array(bases).tobytes()
-        # The workers' warnings are raised again here, in message order.
+        # The workers' warnings are raised again here, in message order,
+        # row i as message i.
         assert [str(w.message).split(":")[0] for w in caught
                 if "no deviation" in str(w.message)] == [
-            f"message {self.IDS[2]}", f"message {self.IDS[6]}"]
+            "message 2", "message 6"]
 
     def test_kernel_phi_leaves_exact_zeros_out(self):
         # Active entries: row 0 at columns 0 and 2, none in row 1, row 2
@@ -598,8 +596,9 @@ class TestBackground:
     def test_small_corpus_takes_everything(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.array([0, 1, 0, 1, 0, 1])
-        bg = make_background(X, y, [5, 4, 3, 2, 1, 0], size=50, seed=1)
-        assert bg.ids == (0, 1, 2, 3, 4, 5)
+        bg = make_background(X, y, [10, 11, 12, 13, 14, 15], size=50, seed=1)
+        assert bg.ids == (10, 11, 12, 13, 14, 15)
+        assert bg.rows.tobytes() == X.tobytes()
 
     def test_deterministic_and_digest(self):
         rng = np.random.default_rng(10)

@@ -213,7 +213,13 @@ class TestModelSettings:
            ("rho", {"word": float("nan"), "phrase": 0.3}),
            ("svm_c", -1), ("svm_c", 0), ("svm_c", float("nan")),
            ("nb_alpha", 0), ("nb_alpha", -0.5),
-           ("l2_strength", -1e-3), ("l2_strength", float("nan"))]
+           ("l2_strength", -1e-3), ("l2_strength", float("nan")),
+           # Counts and the seed are integers, not floats, strings or
+           # bools, and the seed is not negative.
+           ("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", True),
+           ("word_quota", 50.5), ("k_top", 20.5), ("min_df", 1.5),
+           ("epochs", True), ("n_coalitions", 2.5), ("n_coalitions", False),
+           ("k_nn", "25")]
 
     @pytest.mark.parametrize("name, value", BAD)
     def test_bad_value_rejected(self, name, value):
@@ -223,7 +229,8 @@ class TestModelSettings:
     @pytest.mark.parametrize("name, value", [
         ("rho", {"word": 1.0}), ("rho", {"phrase": 0.5, "structural": 0.5}),
         ("rho", {"word": 0.1, "phrase": 0.2, "structural": 0.7}),
-        ("svm_c", 1e-6), ("nb_alpha", 1e-6), ("l2_strength", 0.0)])
+        ("svm_c", 1e-6), ("nb_alpha", 1e-6), ("l2_strength", 0.0),
+        ("seed", 0), ("n_coalitions", None)])
     def test_edge_values_accepted(self, name, value):
         PipelineConfig(**{name: value})
 

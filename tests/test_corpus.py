@@ -210,7 +210,8 @@ class TestDatasetIO:
         cfg, arrays = _prepare(tmp_path, SMALL_TSV)
         texts, labels = corpus.load_dataset(cfg.dataset_path)
         train = corpus.split(labels, cfg.split_ratio, cfg.seed)
-        assert arrays["ids"].tolist() == list(range(len(texts)))
+        # Row i is message i: no stored ids.
+        assert "ids" not in arrays
         assert arrays["gold"].tolist() == labels.tolist()
         assert arrays["split"].tolist() == [
             "train" if t else "test" for t in train]
@@ -218,7 +219,7 @@ class TestDatasetIO:
         with np.load(tmp_path / "out" / "dataset.npz") as npz:
             assert npz["digest"].tobytes() == cfg.digest().encode()
         assert [c.tolist() for c in _load_dataset(cfg)] == [
-            arrays[key].tolist() for key in ("ids", "gold", "split")]
+            arrays[key].tolist() for key in ("gold", "split")]
 
     def test_unicode_preserved(self, tmp_path):
         _, arrays = _prepare(tmp_path, "spam\twin £500 naïve\n"
@@ -226,7 +227,8 @@ class TestDatasetIO:
                                        "ham\tsee you at 5\n"
                                        "ham\tcafé later?\n")
         assert arrays["text"].dtype == np.uint8
-        assert arrays["ids"].tolist() == [0, 1, 2, 3]
+        # The blank line is no message.
+        assert len(arrays["gold"]) == len(arrays["split"]) == 4
         assert _texts(arrays) == ["win £500 naïve", "free prize call now",
                                   "see you at 5", "café later?"]
 
@@ -272,12 +274,12 @@ class TestPrepare:
         assert arrays["gold"].tolist() == [int(label == "spam")
                                            for label, _ in rows]
         assert _texts(arrays) == [text for _, text in rows]
-        vectors = _load(cfg, "vectors.npz", arrays["ids"])
+        vectors = _load(cfg, "vectors.npz")
         assert vectors["shape"][0] == len(rows)
 
     def test_vector_rows_ascending_without_zeros(self, tmp_path):
         cfg, arrays = _prepare(tmp_path, _demo_tsv(200))
-        v = _load(cfg, "vectors.npz", arrays["ids"])
+        v = _load(cfg, "vectors.npz")
         assert v["indptr"][0] == 0 and v["indptr"][-1] == len(v["data"])
         for start, stop in zip(v["indptr"][:-1], v["indptr"][1:]):
             assert np.all(np.diff(v["indices"][start:stop]) > 0)

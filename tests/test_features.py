@@ -356,9 +356,8 @@ class TestSpaceIO:
         space, kept = small_space
         csr = features.vectorize(kept, small_messages[0], space)
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        ids = np.arange(len(kept))
-        pipeline._save(cfg, "vectors.npz", ids=ids, **csr)
-        back = pipeline._load_vectors(cfg, ids, space).dense()
+        pipeline._save(cfg, "vectors.npz", **csr)
+        back = pipeline._load_vectors(cfg, len(kept), space).dense()
         assert back.tobytes() == features.CSR.of(csr).dense().tobytes()
         for row in range(len(kept)):
             start, stop = csr["indptr"][row:row + 2]

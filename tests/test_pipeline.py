@@ -133,13 +133,12 @@ def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
 
 
 def _damage_shap(cfg: PipelineConfig, damage: str) -> None:
-    """Rewrite shap.npz with one message fewer, a mu one column longer,
-    mu missing or, for a kernel run, one value fewer or one more than
-    the active entries of X against mu."""
+    """Rewrite shap.npz with one base value fewer than messages, a mu one
+    column longer, mu missing or, for a kernel run, one value fewer or
+    one more than the active entries of X against mu."""
     arrays = _load(cfg, "shap.npz")
     if damage == "missing_message":
-        arrays.update(ids=arrays["ids"][:-1],
-                      base_values=arrays["base_values"][:-1])
+        arrays["base_values"] = arrays["base_values"][:-1]
     elif damage == "extra_column":
         arrays["mu"] = np.append(arrays["mu"], 1.0)
     elif damage == "missing_key":
@@ -155,21 +154,21 @@ def _per_message_phi(cfg: PipelineConfig) -> np.ndarray:
     """A kernel run's dense phi as a CSR of each message's nonzero
     attributions holds it: kernel_shap again on every message, against
     the stored background's rows of X, through to_csr."""
-    ids = _load_dataset(cfg)[0].tolist()
+    n = len(_load_dataset(cfg)[0])
     space = _load_space(cfg)
-    X = _load_vectors(cfg, ids, space).dense()
+    X = _load_vectors(cfg, n, space).dense()
     model = _load_model(cfg, space)
-    shap = _load(cfg, "shap.npz", ids)
+    shap = _load(cfg, "shap.npz")
     background = attribution.Background(
-        rows=X[[ids.index(i) for i in shap["background_ids"]]],
+        rows=X[shap["background_ids"]],
         ids=tuple(shap["background_ids"].tolist()))
-    full = np.zeros((len(ids), space.n_columns))
+    full = np.zeros((n, space.n_columns))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        for i, msg_id in enumerate(ids):
+        for i in range(n):
             sv = attribution.kernel_shap(model, X[i], background,
                                          n_coalitions=cfg.n_coalitions,
-                                         seed=cfg.seed, msg_id=msg_id)
+                                         seed=cfg.seed, msg_id=i)
             full[i, list(sv.phi)] = list(sv.phi.values())
     return CSR.of(to_csr(full)).dense()
 
@@ -235,6 +234,14 @@ class TestStageOutputs:
                 found = set()
             assert set(keys) <= found, name
 
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_no_archive_stores_ids(self, run, request):
+        # Row i of every per-message archive is message i.
+        out = request.getfixturevalue(run)[2]
+        for path in sorted(out.glob("*.npz")):
+            with np.load(path) as npz:
+                assert "ids" not in npz.files, path.name
+
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         _, _, out, cfg_path = mini_run
         digest = load_config(cfg_path).digest()
@@ -246,7 +253,7 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         scores = _load(cfg, "scores.npz")
-        outcomes = _load(cfg, "outcomes.npz", scores["ids"].tolist())
+        outcomes = pipeline._load_rows(cfg, "outcomes.npz")
         assert set(outcomes["outcome"].tolist()) <= {
             "accepted", "rejected", "repaired"}
         # Only test messages can be rejected or repaired.
@@ -266,15 +273,15 @@ class TestStageOutputs:
                 assert body[key] == base[key], (subset, key)
 
         scores = _load(cfg, "scores.npz")
-        outcome = _load(cfg, "outcomes.npz", scores["ids"].tolist())["outcome"]
+        outcome = pipeline._load_rows(cfg, "outcomes.npz")["outcome"]
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
-        assert scores["ids"][outcome == "repaired"].tolist() == re_accepted
+        assert np.flatnonzero(outcome == "repaired").tolist() == re_accepted
         n_rejected = sum(body["n_rejected"]
                          for body in repair["subsets"].values())
         assert n_rejected > 0
         assert np.isin(outcome, ["rejected", "repaired"]).sum() == n_rejected
-        test_ids = set(scores["ids"][scores["split"] == "test"].tolist())
+        test_ids = set(np.flatnonzero(scores["split"] == "test").tolist())
         for body in repair["representations"].values():
             assert set(body["re_accepted_ids"]) <= test_ids
 
@@ -319,14 +326,14 @@ class TestStageOutputs:
             gate = np.where(predicted == 1, body["tau_plus"],
                             body["tau_minus"])
             assert body["re_accepted_ids"] == (
-                scores["ids"][rejected & (xmap <= gate)].tolist()), rep
+                np.flatnonzero(rejected & (xmap <= gate)).tolist()), rep
 
     def test_representations_cover_every_message(self, mini_run):
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         scores = _load(cfg, "scores.npz")
-        reps = _load(cfg, "representations.npz", scores["ids"].tolist())
-        n = len(scores["ids"])
+        reps = _load(cfg, "representations.npz")
+        n = len(scores["split"])
         assert reps["vectors"].shape == (n, 8, MINI["n_topics"])
         assert reps["degenerate"].shape == (n, 8)
         present = ~np.isnan(reps["vectors"]).any(axis=2)
@@ -342,10 +349,9 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         scores = _load(cfg, "scores.npz")
-        ids = scores["ids"].tolist()
         space = _load_space(cfg)
-        X = _load_vectors(cfg, ids, space)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg, space), X)()
+        X = _load_vectors(cfg, len(scores["split"]), space)
+        phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         profiles = _load(cfg, "profiles.npz")
         assert profiles["names"].tolist() == list(REPRESENTATIONS)
         assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
@@ -372,10 +378,9 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         scores = _load(cfg, "scores.npz")
-        ids = scores["ids"].tolist()
         space = _load_space(cfg)
-        X = _load_vectors(cfg, ids, space)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg, space), X)()
+        X = _load_vectors(cfg, len(scores["split"]), space)
+        phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         reliable = (scores["split"] == "train") & scores["correct"]
         for polarity in pipeline.POLARITIES:
             topic = _load_topics(cfg, polarity)
@@ -620,7 +625,7 @@ class TestGuards:
 
     def test_kernel_shap_of_other_vectors_fails_score(self, kernel_run,
                                                       tmp_path, capsys):
-        # vectors.npz re-prepared from another corpus with the same ids
+        # vectors.npz re-prepared from another corpus with as many rows
         # and width (the demo corpus of seed 21 has as many columns as
         # seed 3's): the stored values no longer fit X's active sets.
         copy, cfg_path = _copy_run(kernel_run, tmp_path)
@@ -633,8 +638,7 @@ class TestGuards:
                                         "dataset_path": str(other)}),
                             encoding="utf-8")
         assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
-        ids = _load_dataset(cfg)[0]
-        assert ids.tolist() == list(range(80))
+        assert len(_load_dataset(cfg)[0]) == 80
         assert _load_space(cfg).n_columns == before
         assert (copy / "vectors.npz").read_bytes() != (
             kernel_run[2] / "vectors.npz").read_bytes()
@@ -643,6 +647,24 @@ class TestGuards:
         assert err.startswith("[score] shap.npz is malformed (ValueError(")
         assert "active entries" in err
         assert err.endswith("; rerun explain\n")
+
+    @pytest.mark.parametrize("stage", ["evaluate", "repair", "report"])
+    def test_short_scores_column_fails(self, mini_run, tmp_path, capsys,
+                                       stage):
+        # One xmap column a message short: each reader of scores.npz
+        # names the file before it indexes a mask of another length.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "scores.npz")
+        n = len(arrays["xmap_odin"])
+        arrays["xmap_odin"] = arrays["xmap_odin"][:-1]
+        _save(cfg, "scores.npz", **arrays)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([stage, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"[{stage}] scores.npz is malformed (xmap_odin of shape "
+            f"({n - 1},), expected ({n},)); rerun score\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
         # The damage above is what fails score, not the small run itself.
@@ -761,28 +783,28 @@ class TestLinearExplain:
                                    word_quota=60, phrase_quota=40)
         with np.load(out / "shap.npz") as npz:
             assert set(npz.files) == {
-                "digest", "ids", "base_values", "explained_output",
+                "digest", "base_values", "explained_output",
                 "background_ids", "background_digest", "mu"}
         cfg = load_config(cfg_path)
-        ids, labels, split = _load_dataset(cfg)
+        labels, split = _load_dataset(cfg)
         train = split == "train"
         space = _load_space(cfg)
-        vectors = _load_vectors(cfg, ids, space)
+        vectors = _load_vectors(cfg, len(labels), space)
         X = vectors.dense()
         model = _load_model(cfg, space)
         background = attribution.make_background(
-            X[train], labels[train], ids[train].tolist(),
+            X[train], labels[train], np.flatnonzero(train).tolist(),
             size=int(train.sum()), seed=cfg.seed)
         expected, base = attribution.linear_shap(model, X, background.mean)
         stored = CSR.of(to_csr(expected)).dense()
 
-        shap = _load(cfg, "shap.npz", ids)
+        shap = _load(cfg, "shap.npz")
         assert shap["explained_output"] == "margin"
         assert shap["mu"].tobytes() == background.mean.tobytes()
         assert shap["background_ids"].tolist() == list(background.ids)
         assert shap["background_digest"] == background.digest()
-        assert shap["base_values"].tolist() == [base] * len(ids)
-        phi = _load_phi(cfg, ids, space, model, vectors)()
+        assert shap["base_values"].tolist() == [base] * len(labels)
+        phi = _load_phi(cfg, space, model, vectors)()
         # tobytes compares the sign of zero too.
         assert phi.tobytes() == expected.tobytes() == stored.tobytes()
 
@@ -795,13 +817,13 @@ class TestLinearExplain:
                                  nb_linear_attribution=True,
                                  word_quota=60, phrase_quota=40)
         cfg = load_config(cfg_path)
-        ids = _load_dataset(cfg)[0]
+        n = len(_load_dataset(cfg)[0])
         space = _load_space(cfg)
-        X = _load_vectors(cfg, ids, space)
+        X = _load_vectors(cfg, n, space)
         model = _load_model(cfg, space)
         full = attribution.linear_shap(model, X.dense(),
-                                       _load(cfg, "shap.npz", ids)["mu"])[0]
-        _assert_phi_slices(_load_phi(cfg, ids, space, model, X), full,
+                                       _load(cfg, "shap.npz")["mu"])[0]
+        _assert_phi_slices(_load_phi(cfg, space, model, X), full,
                            space)
 
 
@@ -813,23 +835,22 @@ class TestKernelExplain:
         _, cfg_path = _small_run(tmp_path, STAGES[:3],
                                  **{**KERNEL, "classifier": classifier})
         cfg = load_config(cfg_path)
-        ids = _load_dataset(cfg)[0].tolist()
+        n = len(_load_dataset(cfg)[0])
         space = _load_space(cfg)
-        X = CSR.of(_load(cfg, "vectors.npz", ids)).dense()
-        shap = _load(cfg, "shap.npz", ids)
+        X = CSR.of(_load(cfg, "vectors.npz")).dense()
+        shap = _load(cfg, "shap.npz")
         model = _load_model(cfg, space)
-        phi = _load_phi(cfg, ids, space, model,
-                        _load_vectors(cfg, ids, space))()
-        assert phi.shape == (len(ids), space.n_columns)
+        phi = _load_phi(cfg, space, model, _load_vectors(cfg, n, space))()
+        assert phi.shape == (n, space.n_columns)
         assert shap["explained_output"] == "probability"
-        rows = [ids.index(i) for i in shap["background_ids"]]
         background = attribution.Background(
-            rows=X[rows], ids=tuple(shap["background_ids"].tolist()))
-        for i in range(0, len(ids), 20):
+            rows=X[shap["background_ids"]],
+            ids=tuple(shap["background_ids"].tolist()))
+        for i in range(0, n, 20):
             ref = attribution.kernel_shap(
                 lambda Z: classifiers.probability_function(model, Z), X[i],
                 background, n_coalitions=cfg.n_coalitions, seed=cfg.seed,
-                msg_id=ids[i])
+                msg_id=i)
             assert shap["base_values"][i] == ref.base_value
             dense = np.zeros(space.n_columns)
             dense[list(ref.phi)] = list(ref.phi.values())
@@ -838,11 +859,11 @@ class TestKernelExplain:
 
     def test_phi_slices_are_the_stored_phi_sliced(self, kernel_run):
         cfg = load_config(kernel_run[3])
-        ids = _load_dataset(cfg)[0]
+        n = len(_load_dataset(cfg)[0])
         space = _load_space(cfg)
         full = _per_message_phi(cfg)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg, space),
-                        _load_vectors(cfg, ids, space))
+        phi = _load_phi(cfg, space, _load_model(cfg, space),
+                        _load_vectors(cfg, n, space))
         _assert_phi_slices(phi, full, space)
 
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
@@ -855,19 +876,18 @@ class TestKernelExplain:
                                    **{**KERNEL, "classifier": classifier})
         with np.load(out / "shap.npz") as npz:
             assert set(npz.files) == {
-                "digest", "ids", "base_values", "explained_output",
+                "digest", "base_values", "explained_output",
                 "background_ids", "background_digest", "mu", "data"}
         cfg = load_config(cfg_path)
-        ids = _load_dataset(cfg)[0]
         space = _load_space(cfg)
-        X = _load_vectors(cfg, ids, space)
-        shap = _load(cfg, "shap.npz", ids)
-        rows = [ids.tolist().index(i) for i in shap["background_ids"]]
+        X = _load_vectors(cfg, len(_load_dataset(cfg)[0]), space)
+        shap = _load(cfg, "shap.npz")
+        rows = shap["background_ids"]
         assert shap["mu"].tobytes() == X.dense(rows).mean(axis=0).tobytes()
         active = attribution.active_mask(X.dense(), shap["mu"])
         assert shap["data"].size == np.count_nonzero(active)
         full = _per_message_phi(cfg)
-        phi = _load_phi(cfg, ids, space, _load_model(cfg, space), X)()
+        phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         assert phi.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
@@ -980,7 +1000,8 @@ class TestArrayArtifacts:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "shap.npz", matrix=matrix, labels=labels,
-                  ids=np.arange(len(matrix)), explained_output="probability",
+                  base_values=np.zeros(len(matrix)),
+                  explained_output="probability",
                   mu=np.zeros(0), **to_csr(matrix))
             back = _load(cfg, "shap.npz")
         assert back["matrix"].dtype == np.float64
@@ -1007,14 +1028,21 @@ class TestArrayArtifacts:
         with pytest.raises(ArtifactError, match="scores.npz"):
             _load(cfg, "scores.npz")
 
-    def test_ids_must_match(self, tmp_path):
+    def test_rows_must_match(self, tmp_path):
+        # Row i is message i: outcomes.npz must hold one outcome per
+        # message of dataset.npz, three here.
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        _save(cfg, "outcomes.npz", ids=np.array([1, 2, 3]),
-              outcome=np.array(["accepted"] * 3))
-        assert _load(cfg, "outcomes.npz", [1, 2, 3])["ids"].size == 3
-        for ids in ([1, 2], [1, 3, 2], [1, 2, 3, 4]):
-            with pytest.raises(ArtifactError, match="outcomes.npz"):
-                _load(cfg, "outcomes.npz", ids)
+        _save(cfg, "dataset.npz", gold=np.array([0, 1, 0]),
+              split=np.array(["train", "test", "test"]))
+        _save(cfg, "outcomes.npz", outcome=np.array(["accepted"] * 3))
+        assert pipeline._load_rows(cfg, "outcomes.npz")["outcome"].size == 3
+        for outcome in (["accepted"] * 2, ["accepted"] * 4,
+                        [["accepted"]] * 3, "accepted"):
+            _save(cfg, "outcomes.npz", outcome=np.array(outcome))
+            with pytest.raises(ArtifactError,
+                               match=r"^outcomes.npz is malformed \(.*; "
+                                     "rerun repair$"):
+                pipeline._load_rows(cfg, "outcomes.npz")
 
     def test_only_artifact_names_resolve(self, tmp_path):
         with pytest.raises(KeyError, match="a.npz"):
