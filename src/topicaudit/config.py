@@ -129,6 +129,9 @@ class PipelineConfig:
             raise ConfigError("temperature must be positive")
         if self.k_related >= self.n_topics:
             raise ConfigError("k_related must be below n_topics")
+        if self.n_topics > self.k_top:
+            # NMF factors the k_top selected columns into n_topics.
+            raise ConfigError("n_topics must not exceed k_top")
         if self.base_detector not in OUTPUT_UQ_METHODS:
             raise ConfigError(f"unknown base_detector {self.base_detector!r}")
         if self.repair_representation not in REPRESENTATIONS:

@@ -11,8 +11,8 @@ way and names the file and its producer when it is missing, damaged,
 stale or lacks a listed key; _load_as also turns the fields into the
 stage's object.
 prepare keeps the corpus as arrays in file-row order, so a message's id
-is its row: dataset.npz holds each message's gold label and split, the
-columns every later stage keys on, plus the messages' text; no stage
+is its row: dataset.npz is the one record of each message's gold label
+and split, a boolean train mask, and holds the messages' text; no stage
 reads the text back.  Lists of strings, the text and space.npz's two
 vocabularies, are stored by _utf8 as their UTF-8 bytes concatenated plus
 offsets (one more entry than strings, like a CSR indptr).  Row i of
@@ -38,7 +38,8 @@ but train), and is the same bytes for any worker count; shap.npz adds
 from mu, row after row.  _load_phi re-derives those columns from X and
 refuses a count of values or of base values that does not fit X.
 
-evaluate and repair work on the scores.npz columns as they are: each
+evaluate, repair and report read scores.npz, which holds only what
+score computes, with dataset.npz's labels and train mask: each
 detector's rejections, and the recoveries and leakages of the repair
 gate, are boolean masks over the same rows, so outcomes.npz and the
 re-accepted ids, the rows of those masks, are read straight off them.
@@ -68,7 +69,7 @@ SUBSETS = (("positive", 1), ("negative", 0))
 # and the arrays of an .npz or the top-level keys of a JSON report that
 # every reader needs.
 ARTIFACTS = {
-    "dataset.npz": ("prepare", ("gold", "split")),
+    "dataset.npz": ("prepare", ("gold", "train")),
     "space.npz": ("prepare", ("word_vocab", "word_vocab_offsets",
                               "phrase_vocab", "phrase_vocab_offsets",
                               "idf")),
@@ -80,8 +81,7 @@ ARTIFACTS = {
        for polarity in ("plus", "minus")},
     "profiles.npz": ("score", ("names", "vectors")),
     "representations.npz": ("score", ("names", "vectors", "degenerate")),
-    "scores.npz": ("score", ("split", "gold", "predicted", "correct",
-                             *BASE_METHODS, *XMAP_COLUMNS)),
+    "scores.npz": ("score", ("predicted", *BASE_METHODS, *XMAP_COLUMNS)),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
@@ -234,25 +234,31 @@ def _strings(fields, name: str) -> list[str]:
 # ---------------------------------------------------------------- loading
 
 def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
-    """(gold labels, splits) of the prepared messages, row i message i:
-    the row order of every per-message array."""
+    """(gold labels in {0, 1}, boolean train mask) of the prepared
+    messages, row i message i; an integer mask, which indexing would read
+    as rows, is refused."""
     def build(f):
-        if len(f["gold"]) != len(f["split"]):
-            raise ValueError("gold and split differ in length")
-        return f["gold"], f["split"]
+        gold, train = f["gold"], f["train"]
+        if train.dtype != bool or train.ndim != 1 or train.shape != gold.shape:
+            raise ValueError("train is not a boolean mask of gold's length")
+        if gold.dtype.kind not in "iu" or np.any((gold != 0) & (gold != 1)):
+            raise ValueError("gold holds a label other than 0 or 1")
+        return gold, train
     return _load_as(build, cfg, "dataset.npz")
 
-def _load_rows(cfg, name: str) -> dict:
-    """The fields of a per-message artifact, refused unless every key
-    ARTIFACTS lists for it is of shape (n,) for the n messages of
-    dataset.npz, read second so a missing artifact names its producer."""
+def _load_rows(cfg, name: str) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(fields, gold, train): a per-message artifact's fields, refused
+    unless every key ARTIFACTS lists for it has one row per message, and
+    dataset.npz's columns, read second so a missing artifact names its
+    producer."""
     fields = _load(cfg, name)
-    n = len(_load_dataset(cfg)[0])
+    gold, train = _load_dataset(cfg)
     for key in ARTIFACTS[name][1]:
-        if np.shape(fields[key]) != (n,):
+        if np.shape(fields[key]) != gold.shape:
             raise _rerun(name, f"{name} is malformed ({key} of shape "
-                               f"{np.shape(fields[key])}, expected ({n},))")
-    return fields
+                               f"{np.shape(fields[key])}, expected "
+                               f"{gold.shape})")
+    return fields, gold, train
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -349,8 +355,7 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         [toks for toks, is_train in zip(kept, train) if is_train],
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
 
-    _save(cfg, "dataset.npz", gold=gold,
-          split=np.where(train, "train", "test"), **_utf8("text", texts))
+    _save(cfg, "dataset.npz", gold=gold, train=train, **_utf8("text", texts))
     _save_space(cfg, space)
     _save(cfg, "vectors.npz", **features.vectorize(kept, texts, space))
 
@@ -359,10 +364,9 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
 
 @_stage("train")
 def cmd_train(cfg: PipelineConfig) -> None:
-    gold, split = _load_dataset(cfg)
+    gold, train = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, len(gold), space)
-    train = split == "train"
     if cfg.subsample_train:
         train[train] = corpus.subsample_majority(gold[train], cfg.seed)
     X_train, y_train = X.dense(train), gold[train]
@@ -384,11 +388,10 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 @_stage("explain")
 def cmd_explain(cfg: PipelineConfig) -> None:
-    gold, split = _load_dataset(cfg)
+    gold, train = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
-    train = split == "train"
     X_train = X.take(train)
     train_ids = np.flatnonzero(train).tolist()
 
@@ -433,20 +436,20 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 POLARITIES = ("minus", "plus")
 
 
-def _reliable_groups(gold, split, preds) -> tuple[np.ndarray, np.ndarray]:
+def _reliable_groups(gold, train, preds) -> tuple[np.ndarray, np.ndarray]:
     """Row masks of the correctly classified train-split messages, TN and
     TP, indexed by label."""
-    reliable = (split == "train") & (preds.label == gold)
+    reliable = train & (preds.label == gold)
     return reliable & (gold == 0), reliable & (gold == 1)
 
 
 @_stage("profile")
 def cmd_profile(cfg: PipelineConfig) -> None:
-    gold, split = _load_dataset(cfg)
+    gold, train = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
-    tn, tp = _reliable_groups(gold, split, classifiers.predict_all(model, X))
+    tn, tp = _reliable_groups(gold, train, classifiers.predict_all(model, X))
     reliable = np.flatnonzero(tn | tp)
     if not reliable.size:
         raise ValueError("no correctly classified training messages to "
@@ -506,13 +509,13 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
 
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
-    gold, split = _load_dataset(cfg)
+    gold, train = _load_dataset(cfg)
     space = _load_space(cfg)
     X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
     preds = classifiers.predict_all(model, X)
     phi = _load_phi(cfg, space, model, X)
-    groups = _reliable_groups(gold, split, preds)
+    groups = _reliable_groups(gold, train, preds)
 
     # Each message is represented on the polarity its own prediction
     # selects (positive -> spamward supports against the TP group,
@@ -544,9 +547,8 @@ def cmd_score(cfg: PipelineConfig) -> None:
     _save(cfg, "profiles.npz", names=names, vectors=profiles)
     _save(cfg, "representations.npz", names=names, vectors=vectors,
           degenerate=degenerate)
-    _save(cfg, "scores.npz", split=split, gold=gold,
-          predicted=preds.label, p_pos=preds.p_pos,
-          correct=preds.label == gold, **columns)
+    _save(cfg, "scores.npz", predicted=preds.label, p_pos=preds.p_pos,
+          **columns)
 
 
 # --------------------------------------------------------------- evaluate
@@ -576,12 +578,12 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
 
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    scores = _load_rows(cfg, "scores.npz")
-    test = scores["split"] == "test"
+    scores, gold, train = _load_rows(cfg, "scores.npz")
+    misclassified = scores["predicted"] != gold
     subsets = {}
     for subset, label in SUBSETS:
-        part = test & (scores["predicted"] == label)
-        flags = ~scores["correct"][part]
+        part = ~train & (scores["predicted"] == label)
+        flags = misclassified[part]
         detectors = {}
         for method in BASE_METHODS:
             detectors[method] = dict(kind="output_uq", **_detector_metrics(
@@ -601,18 +603,16 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 @_stage("repair")
 def cmd_repair(cfg: PipelineConfig) -> None:
-    scores = _load_rows(cfg, "scores.npz")
-    test = scores["split"] == "test"
-    train = scores["split"] == "train"
+    scores, gold, train = _load_rows(cfg, "scores.npz")
     predicted = scores["predicted"]
-    misclassified = ~scores["correct"]
+    misclassified = predicted != gold
 
     # One mask over every row: the base detector's rejections in each
     # test subset at that subset's own cutoff.
-    rejected = np.zeros_like(test)
+    rejected = np.zeros_like(train)
     subset_info = {}
     for subset, label in SUBSETS:
-        part = test & (predicted == label)
+        part = ~train & (predicted == label)
         rejected[part], counts = _rejections(
             scores[cfg.base_detector][part], misclassified[part], cfg.trr_fix)
         subset_info[subset] = dict(counts,

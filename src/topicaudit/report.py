@@ -39,17 +39,17 @@ def _mean_std(values) -> str:
     return f"{arr.mean():.4f} +/- {arr.std():.4f}"
 
 
-def _divergence_table(scores: dict[str, np.ndarray]) -> list[str]:
-    test = scores["split"] == "test"
+def _divergence_table(scores: dict[str, np.ndarray], gold: np.ndarray,
+                      test: np.ndarray) -> list[str]:
     lines = ["| Representation | " + " | ".join(h for h, _, _ in GROUP_COLUMNS)
              + " |",
              "|---" * (1 + len(GROUP_COLUMNS)) + "|"]
     omitted = []
     for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
         cells = []
-        for _, predicted, gold in GROUP_COLUMNS:
+        for _, predicted, label in GROUP_COLUMNS:
             group = (test & (scores["predicted"] == predicted)
-                     & (scores["gold"] == gold) & ~np.isnan(scores[col]))
+                     & (gold == label) & ~np.isnan(scores[col]))
             cells.append(_mean_std(scores[col][group]))
         if all(c == "NA" for c in cells):
             omitted.append(rep)
@@ -120,16 +120,16 @@ def _repair_section(report: dict) -> tuple[str, list[str]]:
 
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
-    scores = _load_rows(cfg, "scores.npz")
+    scores, gold, train = _load_rows(cfg, "scores.npz")
     # Each report goes through its table, so a missing key at any depth
     # names the file and its producer.
     detector = _load_as(_detector_table, cfg, "detector_report.json")
     base_detector, repair = _load_as(_repair_section, cfg,
                                      "repair_report.json")
 
-    test = scores["split"] == "test"
+    test = ~train
     n_test = int(test.sum())
-    n_mis = int((test & ~scores["correct"]).sum())
+    n_mis = int((test & (scores["predicted"] != gold)).sum())
     lines = [
         "# Misclassification profile report",
         "",
@@ -144,7 +144,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
         "Mean +/- std of the Jensen-Shannon divergence between each test "
         "message and the profile of the group its prediction claims.",
         "",
-        *_divergence_table(scores),
+        *_divergence_table(scores, gold, test),
         "",
         "## Detector quality",
         "",

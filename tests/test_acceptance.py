@@ -121,9 +121,9 @@ def test_c01_shapley_oracle(capsys):
 
 def test_c02_local_accuracy(full_run, capsys):
     start = time.monotonic()
-    _, split = _load_dataset(full_run.cfg)
-    ids = np.arange(len(split))  # a message's id is its row
-    test_ids = ids[split == "test"].tolist()
+    _, train = _load_dataset(full_run.cfg)
+    ids = np.arange(len(train))  # a message's id is its row
+    test_ids = ids[~train].tolist()
     rng = np.random.default_rng(0)
     sample = [test_ids[i] for i in
               rng.choice(len(test_ids), size=100, replace=False)]
@@ -240,20 +240,21 @@ def test_c05_auroc_oracle(capsys):
 
 # ------------------------------------------------------------- criterion 6
 
-def _group_means(scores: dict[str, np.ndarray]) -> dict[str, float]:
+def _group_means(scores: dict[str, np.ndarray], gold: np.ndarray,
+                 train: np.ndarray) -> dict[str, float]:
     xmap = scores["xmap_original"]
-    test = (scores["split"] == "test") & ~np.isnan(xmap)
+    test = ~train & ~np.isnan(xmap)
     out = {}
-    for name, predicted, gold in (("tp", 1, 1), ("fp", 1, 0),
-                                  ("tn", 0, 0), ("fn", 0, 1)):
+    for name, predicted, label in (("tp", 1, 1), ("fp", 1, 0),
+                                   ("tn", 0, 0), ("fn", 0, 1)):
         vals = xmap[test & (scores["predicted"] == predicted)
-                    & (scores["gold"] == gold)]
+                    & (gold == label)]
         out[name] = float(np.mean(vals)) if vals.size else float("nan")
     return out
 
 
 def test_c06_divergence_separation(full_run, capsys):
-    means = _group_means(_load_rows(full_run.cfg, "scores.npz"))
+    means = _group_means(*_load_rows(full_run.cfg, "scores.npz"))
     fp_ratio = means["fp"] / means["tp"]
     fn_ratio = means["fn"] / means["tn"]
     ok = (fp_ratio >= 1.5 and fn_ratio >= 1.2
@@ -267,11 +268,11 @@ def test_c06_divergence_separation(full_run, capsys):
 # ------------------------------------------------------------- criterion 7
 
 def test_c07_detector_quality(full_run, capsys):
-    table = _load_rows(full_run.cfg, "scores.npz")
-    pos = ((table["split"] == "test") & (table["predicted"] == 1)
+    table, gold, train = _load_rows(full_run.cfg, "scores.npz")
+    pos = (~train & (table["predicted"] == 1)
            & ~np.isnan(table["xmap_original"]))
     scores = table["xmap_original"][pos]
-    flags = table["gold"][pos] != table["predicted"][pos]
+    flags = gold[pos] != table["predicted"][pos]
     point = scoring.auroc(scores, flags)
     assert point is not None
 

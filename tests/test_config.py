@@ -70,7 +70,7 @@ class TestValidation:
             PipelineConfig(**{name: -1})
 
     def test_k_top_at_least_one(self):
-        PipelineConfig(k_top=1)
+        PipelineConfig(k_top=1, n_topics=1, k_related=0)
         with pytest.raises(ConfigError, match="k_top"):
             PipelineConfig(k_top=0)
         with pytest.raises(ConfigError, match="k_top"):
@@ -219,7 +219,10 @@ class TestModelSettings:
            ("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", True),
            ("word_quota", 50.5), ("k_top", 20.5), ("min_df", 1.5),
            ("epochs", True), ("n_coalitions", 2.5), ("n_coalitions", False),
-           ("k_nn", "25")]
+           ("k_nn", "25"),
+           # NMF factors the k_top (200) selected columns into n_topics;
+           # refused at load, not by profile after three stages have run.
+           ("n_topics", 201)]
 
     @pytest.mark.parametrize("name, value", BAD)
     def test_bad_value_rejected(self, name, value):
@@ -230,7 +233,7 @@ class TestModelSettings:
         ("rho", {"word": 1.0}), ("rho", {"phrase": 0.5, "structural": 0.5}),
         ("rho", {"word": 0.1, "phrase": 0.2, "structural": 0.7}),
         ("svm_c", 1e-6), ("nb_alpha", 1e-6), ("l2_strength", 0.0),
-        ("seed", 0), ("n_coalitions", None)])
+        ("seed", 0), ("n_coalitions", None), ("n_topics", 200)])
     def test_edge_values_accepted(self, name, value):
         PipelineConfig(**{name: value})
 

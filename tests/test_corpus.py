@@ -213,13 +213,13 @@ class TestDatasetIO:
         # Row i is message i: no stored ids.
         assert "ids" not in arrays
         assert arrays["gold"].tolist() == labels.tolist()
-        assert arrays["split"].tolist() == [
-            "train" if t else "test" for t in train]
+        assert arrays["train"].dtype == bool
+        assert arrays["train"].tolist() == train.tolist()
         assert _texts(arrays) == texts
         with np.load(tmp_path / "out" / "dataset.npz") as npz:
             assert npz["digest"].tobytes() == cfg.digest().encode()
         assert [c.tolist() for c in _load_dataset(cfg)] == [
-            arrays[key].tolist() for key in ("gold", "split")]
+            arrays[key].tolist() for key in ("gold", "train")]
 
     def test_unicode_preserved(self, tmp_path):
         _, arrays = _prepare(tmp_path, "spam\twin £500 naïve\n"
@@ -228,7 +228,7 @@ class TestDatasetIO:
                                        "ham\tcafé later?\n")
         assert arrays["text"].dtype == np.uint8
         # The blank line is no message.
-        assert len(arrays["gold"]) == len(arrays["split"]) == 4
+        assert len(arrays["gold"]) == len(arrays["train"]) == 4
         assert _texts(arrays) == ["win £500 naïve", "free prize call now",
                                   "see you at 5", "café later?"]
 
@@ -247,7 +247,7 @@ class TestPrepare:
                                                       stoplist, min_df):
         cfg, arrays = _prepare(tmp_path, _demo_tsv(120), stoplist=stoplist,
                                min_df=min_df, word_quota=10_000)
-        train = arrays["split"] == "train"
+        train = arrays["train"]
         texts = _texts(arrays)
         train_df = corpus.document_frequencies(
             corpus.tokenize(t) for t, is_train in zip(texts, train)

@@ -242,6 +242,24 @@ class TestStageOutputs:
             with np.load(path) as npz:
                 assert "ids" not in npz.files, path.name
 
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_no_archive_repeats_dataset_columns(self, run, request):
+        # dataset.npz is the one record of each message's label and
+        # split, the split a boolean train mask; scores.npz (of the mini
+        # run) and every other archive hold neither, nor a correctness
+        # column derived from them.
+        out = request.getfixturevalue(run)[2]
+        with np.load(out / "dataset.npz") as npz:
+            assert sorted(npz.files) == ["digest", "gold", "text",
+                                         "text_offsets", "train"]
+            assert npz["train"].dtype == bool
+        archives = sorted(set(out.glob("*.npz")) - {out / "dataset.npz"})
+        assert (out / "scores.npz" in archives) == (run == "mini_run")
+        for path in archives:
+            with np.load(path) as npz:
+                assert not {"gold", "split", "train", "correct"} & set(
+                    npz.files), path.name
+
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         _, _, out, cfg_path = mini_run
         digest = load_config(cfg_path).digest()
@@ -252,12 +270,10 @@ class TestStageOutputs:
     def test_scores_outcomes_partition(self, mini_run):
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "scores.npz")
-        outcomes = pipeline._load_rows(cfg, "outcomes.npz")
+        outcomes, _, train = pipeline._load_rows(cfg, "outcomes.npz")
         assert set(outcomes["outcome"].tolist()) <= {
             "accepted", "rejected", "repaired"}
         # Only test messages can be rejected or repaired.
-        train = scores["split"] == "train"
         assert set(outcomes["outcome"][train].tolist()) <= {"accepted"}
 
     def test_repair_agrees_with_evaluate_and_outcomes(self, mini_run):
@@ -272,8 +288,8 @@ class TestStageOutputs:
                         "n_false_rejections"):
                 assert body[key] == base[key], (subset, key)
 
-        scores = _load(cfg, "scores.npz")
-        outcome = pipeline._load_rows(cfg, "outcomes.npz")["outcome"]
+        scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
+        outcome = pipeline._load_rows(cfg, "outcomes.npz")[0]["outcome"]
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
         assert np.flatnonzero(outcome == "repaired").tolist() == re_accepted
@@ -281,7 +297,7 @@ class TestStageOutputs:
                          for body in repair["subsets"].values())
         assert n_rejected > 0
         assert np.isin(outcome, ["rejected", "repaired"]).sum() == n_rejected
-        test_ids = set(np.flatnonzero(scores["split"] == "test").tolist())
+        test_ids = set(np.flatnonzero(~train).tolist())
         for body in repair["representations"].values():
             assert set(body["re_accepted_ids"]) <= test_ids
 
@@ -290,8 +306,8 @@ class TestStageOutputs:
         # accounting, whose repaired rows split into recoveries (correct)
         # and leakages.
         rejected = outcome != "accepted"
-        back, correct = outcome == "repaired", scores["correct"]
         predicted = scores["predicted"]
+        back, correct = outcome == "repaired", predicted == gold
         for subset, label in (("positive", 1), ("negative", 0)):
             part = rejected & (predicted == label)
             counts = repair["subsets"][subset]
@@ -313,7 +329,6 @@ class TestStageOutputs:
         # Every representation's gates are calibrated on the training rows
         # of their own polarity, and a rejection comes back iff its
         # divergence is at most the gate of its predicted polarity.
-        train = scores["split"] == "train"
         for rep, body in repair["representations"].items():
             xmap = scores[f"xmap_{rep}"]
             for key, label in (("tau_plus", 1), ("tau_minus", 0)):
@@ -331,9 +346,8 @@ class TestStageOutputs:
     def test_representations_cover_every_message(self, mini_run):
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "scores.npz")
+        n = len(_load_dataset(cfg)[0])
         reps = _load(cfg, "representations.npz")
-        n = len(scores["split"])
         assert reps["vectors"].shape == (n, 8, MINI["n_topics"])
         assert reps["degenerate"].shape == (n, 8)
         present = ~np.isnan(reps["vectors"]).any(axis=2)
@@ -348,17 +362,17 @@ class TestStageOutputs:
         # that label selects.
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "scores.npz")
+        scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
         space = _load_space(cfg)
-        X = _load_vectors(cfg, len(scores["split"]), space)
+        X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         profiles = _load(cfg, "profiles.npz")
         assert profiles["names"].tolist() == list(REPRESENTATIONS)
         assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
                                              cfg.n_topics)
-        reliable = (scores["split"] == "train") & scores["correct"]
+        reliable = train & (scores["predicted"] == gold)
         for label, polarity in ((0, "minus"), (1, "plus")):
-            group = reliable & (scores["gold"] == label)
+            group = reliable & (gold == label)
             assert group.any(), polarity
             topic = _load_topics(cfg, polarity)
             supports = attribution.polarity_supports(
@@ -377,11 +391,11 @@ class TestStageOutputs:
 
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores = _load(cfg, "scores.npz")
+        scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
         space = _load_space(cfg)
-        X = _load_vectors(cfg, len(scores["split"]), space)
+        X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
-        reliable = (scores["split"] == "train") & scores["correct"]
+        reliable = train & (scores["predicted"] == gold)
         for polarity in pipeline.POLARITIES:
             topic = _load_topics(cfg, polarity)
             matrix = np.ascontiguousarray(attribution.polarity_supports(
@@ -761,6 +775,34 @@ class TestGuards:
         _save(cfg, "dataset.npz", **arrays)
         _train_refuses_dataset(cfg_path, capsys)
 
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "report"])
+    @pytest.mark.parametrize("damage", ["split_strings", "integer_train",
+                                        "short_train", "gold_of_2"])
+    def test_damaged_dataset_columns_fail(self, mini_run, tmp_path, capsys,
+                                          stage, damage):
+        # The labels and train mask are read from dataset.npz alone, so
+        # every reader refuses an old-layout file, a train mask that is
+        # not boolean (integers would index rows) or not one per message,
+        # and a label other than 0 or 1.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "dataset.npz")
+        if damage == "split_strings":
+            arrays["split"] = np.where(arrays.pop("train"), "train", "test")
+        elif damage == "integer_train":
+            arrays["train"] = arrays["train"].astype(np.int64)
+        elif damage == "short_train":
+            arrays["train"] = arrays["train"][:-1]
+        else:
+            arrays["gold"][0] = 2
+        _save(cfg, "dataset.npz", **arrays)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[{stage}] dataset.npz is malformed (")
+        assert err.endswith("); rerun prepare\n") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, tmp_path / "absent.tsv",
                                  tmp_path / "out")
@@ -786,8 +828,7 @@ class TestLinearExplain:
                 "digest", "base_values", "explained_output",
                 "background_ids", "background_digest", "mu"}
         cfg = load_config(cfg_path)
-        labels, split = _load_dataset(cfg)
-        train = split == "train"
+        labels, train = _load_dataset(cfg)
         space = _load_space(cfg)
         vectors = _load_vectors(cfg, len(labels), space)
         X = vectors.dense()
@@ -1033,9 +1074,9 @@ class TestArrayArtifacts:
         # message of dataset.npz, three here.
         cfg = PipelineConfig(out_dir=str(tmp_path))
         _save(cfg, "dataset.npz", gold=np.array([0, 1, 0]),
-              split=np.array(["train", "test", "test"]))
+              train=np.array([True, False, False]))
         _save(cfg, "outcomes.npz", outcome=np.array(["accepted"] * 3))
-        assert pipeline._load_rows(cfg, "outcomes.npz")["outcome"].size == 3
+        assert pipeline._load_rows(cfg, "outcomes.npz")[0]["outcome"].size == 3
         for outcome in (["accepted"] * 2, ["accepted"] * 4,
                         [["accepted"]] * 3, "accepted"):
             _save(cfg, "outcomes.npz", outcome=np.array(outcome))
@@ -1194,15 +1235,16 @@ class TestCliContract:
 
 class TestReportHelpers:
     def test_all_na_representation_row_is_omitted_with_footnote(self):
-        scores = {"split": np.array(["test"]), "predicted": np.array([1]),
-                  "gold": np.array([1]), "xmap_original": np.array([0.2]),
+        scores = {"predicted": np.array([1]),
+                  "xmap_original": np.array([0.2]),
                   "xmap_vacuity": np.array([np.nan]),
                   "xmap_dissonance": np.array([0.1]),
                   "xmap_aleatory": np.array([0.1]),
                   "xmap_doctor_alpha": np.array([0.1]),
                   "xmap_doctor_beta": np.array([0.1]),
                   "xmap_odin": np.array([0.1]), "xmap_rel_u": np.array([0.1])}
-        lines = report._divergence_table(scores)
+        lines = report._divergence_table(scores, gold=np.array([1]),
+                                         test=np.array([True]))
         assert not any(line.startswith("| vacuity ") for line in lines)
         assert any("vacuity" in line and "Omitted" in line for line in lines)
 
