@@ -19,6 +19,10 @@ is solved through its normal equations, with a ridge added only when
 the system is numerically singular; sampled coalitions come in
 complementary pairs, so half the design rows give the whole Gram.
 
+The kernel background is the training rows background_rows picks, a
+stratified sample; the pipeline keeps only their mean, since the rows
+follow from the labels, the split and the config.
+
 kernel_explain runs kernel_shap over every message.  A message's
 attributions depend only on (seed, msg_id), so the messages are spread
 over a fork process pool, one worker per available core where the
@@ -31,8 +35,6 @@ kernel_phi puts the values back on them.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import os
 import threading
@@ -64,7 +66,6 @@ class ShapVector:
     included, in the ascending order of ``columns``; every other column's
     attribution is zero."""
 
-    id: int
     columns: np.ndarray
     values: np.ndarray
     base_value: float
@@ -81,41 +82,25 @@ class ShapVector:
 
 @dataclass(frozen=True)
 class Background:
-    """Training rows the explainer perturbs against."""
+    """kernel_shap's (k, d) training rows to perturb against; their
+    ``mean`` picks the active set (perfbench's traced run reads it too)."""
 
     rows: np.ndarray
-    ids: tuple[int, ...]
 
     @property
     def mean(self) -> np.ndarray:
         return self.rows.mean(axis=0)
 
-    def digest(self) -> str:
-        return rows_digest(self.ids, [self.rows])
 
-
-def rows_digest(ids, blocks) -> str:
-    """sha256 of the ids as a JSON list and then of the bytes of each
-    block of rows in turn: Background(rows, ids).digest() when the blocks
-    stack into rows."""
-    h = hashlib.sha256()
-    h.update(json.dumps(list(ids)).encode())
-    for block in blocks:
-        h.update(block.tobytes())
-    return h.hexdigest()
-
-
-def make_background(X_train: np.ndarray | CSR, y_train: np.ndarray,
-                    ids: list[int], size: int = 50, seed: int = 0) -> Background:
-    """Stratified sample of ``size`` training rows (every row when size is
-    at least their number), class counts by largest remainder; only the
-    chosen rows of X_train, dense or CSR, are made dense."""
+def background_rows(y_train: np.ndarray, size: int = 50,
+                    seed: int = 0) -> np.ndarray:
+    """The ascending indices of a stratified sample of ``size`` training
+    rows (every row when size is at least their number), class counts by
+    largest remainder."""
     y_train = np.asarray(y_train)
     exact = {lab: size * int((y_train == lab).sum()) / len(y_train)
              for lab in sorted(set(y_train.tolist()))}
-    chosen = stratified_sample(y_train, exact, size, seed)
-    return Background(rows=dense_rows(X_train, chosen),
-                      ids=tuple(int(ids[i]) for i in chosen))
+    return stratified_sample(y_train, exact, size, seed)
 
 
 def linear_shap(model: LinearModel, X: np.ndarray,
@@ -239,7 +224,9 @@ def kernel_shap(model: LinearModel | Callable, x: np.ndarray,
                 background: Background,
                 n_coalitions: int | None = None, seed: int = 0,
                 msg_id: int = -1) -> ShapVector:
-    """Constrained weighted least squares over feature coalitions.
+    """Constrained weighted least squares over feature coalitions: a
+    coalition's value is the mean output over the background rows with
+    the coalition's columns set to x's.
 
     ``model`` is a LinearModel, whose probability_function is
     explained, or any callable mapping an (n, d) array to n outputs.
@@ -260,11 +247,11 @@ def kernel_shap(model: LinearModel | Callable, x: np.ndarray,
     if m == 0:
         warnings.warn(f"message {msg_id}: no deviation from background; "
                       "all attributions zero", UserWarning, stacklevel=2)
-        return ShapVector(msg_id, active, np.zeros(0), base_value)
+        return ShapVector(active, np.zeros(0), base_value)
     full_value = float(np.asarray(predict_fn(x[None, :]))[0])
     delta = full_value - base_value
     if m == 1:
-        return ShapVector(msg_id, active, np.array([delta]), base_value)
+        return ShapVector(active, np.array([delta]), base_value)
 
     sampled = m > ENUMERATION_LIMIT
     if sampled:
@@ -300,7 +287,7 @@ def kernel_shap(model: LinearModel | Callable, x: np.ndarray,
                       stacklevel=2)
         gram = gram + RIDGE * np.eye(m - 1)
     phi_head = np.linalg.solve(gram, a.T @ b)
-    return ShapVector(msg_id, active,
+    return ShapVector(active,
                       np.append(phi_head, delta - phi_head.sum()), base_value)
 
 
@@ -349,11 +336,11 @@ def _explain_chunk(rows) -> tuple:
 
 def kernel_explain(model: LinearModel | Callable,
                    X: np.ndarray | CSR,
-                   background: Background,
+                   background: np.ndarray,
                    n_coalitions: int | None = None, seed: int = 0
                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """kernel_shap of every row of X, row i as message i; a CSR X is
-    made dense one row at a time.
+    """kernel_shap of every row of X, row i as message i, against the
+    (k, d) background rows; a CSR X is made dense one row at a time.
 
     Returns the fields kernel_phi rebuilds the (n, d) attributions from,
     the background mean ``mu`` and ``data``, each row's values on its
@@ -365,7 +352,7 @@ def kernel_explain(model: LinearModel | Callable,
     """
     n = X.shape[0]
     workers = min(_default_workers(), n)
-    job = (model, X, background, n_coalitions, seed)
+    job = (model, X, Background(background), n_coalitions, seed)
     if workers > 1:
         # Imported here: at the top they would add 7 ms to every stage's
         # start.
@@ -386,7 +373,7 @@ def kernel_explain(model: LinearModel | Callable,
     for caught in warned:
         for message, filename, lineno in caught:
             warnings.warn_explicit(message, type(message), filename, lineno)
-    return ({"mu": background.mean, "data": np.concatenate(values)},
+    return ({"mu": background.mean(axis=0), "data": np.concatenate(values)},
             np.concatenate(bases))
 
 

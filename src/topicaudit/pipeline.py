@@ -28,9 +28,13 @@ message at a time), and profile and score each polarity's rows and
 selected columns of phi.
 
 shap.npz never stores a column index of phi: X and the background mean
-``mu`` it holds determine them.  A linear run's phi = w * (t(X) - t(mu))
-is exact and elementwise, so mu is all it stores, and _load_phi rebuilds
-any slice of phi from the same slice of X.  A kernel run's phi comes
+``mu`` it holds determine them.  Nor does it store the background rows:
+every training row for a linear run, and for a kernel run the sample
+attribution.background_rows draws from dataset.npz's labels and train
+mask with the config's size and seed.  A linear run's
+phi = w * (t(X) - t(mu)) is exact and elementwise, so mu is all it
+stores, and _load_phi rebuilds any slice of phi from the same slice of
+X.  A kernel run's phi comes
 from attribution.kernel_explain, one worker process per available core
 when numpy's BLAS runs one thread (the CLI sets that for every stage
 but train), and is the same bytes for any worker count; shap.npz adds
@@ -323,9 +327,34 @@ def _load_model(cfg, space) -> classifiers.LinearModel:
         return model
     return _load_as(build, cfg, "model.npz")
 
-def _load_topics(cfg, polarity) -> profiling.TopicModel:
-    return _load_as(lambda f: profiling.TopicModel(**f), cfg,
-                    f"topics_{polarity}.npz")
+def _load_topics(cfg, space, polarity) -> profiling.TopicModel:
+    """One polarity's topics, refused unless the columns are strictly
+    ascending columns of space, H has a row per topic and a column per
+    selected column, and the assignment names a topic for each of
+    them."""
+    name = f"topics_{polarity}.npz"
+
+    def build(f):
+        topic = profiling.TopicModel(**f)
+        columns, k = topic.columns, len(topic.columns)
+        if (columns.dtype.kind not in "iu" or columns.ndim != 1
+                or np.any(np.diff(columns) <= 0) or np.any(columns < 0)
+                or np.any(columns >= space.n_columns)):
+            problem = (f"columns are not strictly ascending columns of "
+                       f"[0, {space.n_columns})")
+        elif topic.H.shape != (cfg.n_topics, k):
+            problem = (f"H of shape {topic.H.shape}, expected "
+                       f"({cfg.n_topics}, {k})")
+        elif (topic.assignment.shape != (k,)
+                or topic.assignment.dtype.kind not in "iu"
+                or np.any(topic.assignment < 0)
+                or np.any(topic.assignment >= cfg.n_topics)):
+            problem = (f"assignment is not {k} topics of "
+                       f"[0, {cfg.n_topics})")
+        else:
+            return topic
+        raise _rerun(name, f"{name} is malformed ({problem})")
+    return _load_as(build, cfg, name)
 
 
 # ---------------------------------------------------------------- prepare
@@ -355,7 +384,8 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         [toks for toks, is_train in zip(kept, train) if is_train],
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
 
-    _save(cfg, "dataset.npz", gold=gold, train=train, **_utf8("text", texts))
+    _save(cfg, "dataset.npz", gold=gold.astype(np.uint8), train=train,
+          **_utf8("text", texts))
     _save_space(cfg, space)
     _save(cfg, "vectors.npz", **features.vectorize(kept, texts, space))
 
@@ -393,7 +423,6 @@ def cmd_explain(cfg: PipelineConfig) -> None:
     X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
     X_train = X.take(train)
-    train_ids = np.flatnonzero(train).tolist()
 
     linear = cfg.classifier == "logreg" or (
         cfg.classifier == "nb" and cfg.nb_linear_attribution)
@@ -402,32 +431,24 @@ def cmd_explain(cfg: PipelineConfig) -> None:
         # Exact linear attributions against the mean of every training
         # row: phi is dense but elementwise in X, so only mu is stored and
         # _load_phi rebuilds it.  The base value depends on mu alone.  mu
-        # and the background digest come from dense blocks of X_train,
-        # the bits Background(X_train dense) would give.
+        # comes from dense column blocks of X_train, the bits of the mean
+        # of X_train dense.
         mu = np.concatenate([
             X_train.dense(columns=block).mean(axis=0)
             for block in features.blocks(space.n_columns,
                                          features.COLUMN_BLOCK)])
-        background_ids = train_ids
-        digest = attribution.rows_digest(train_ids, (
-            X_train.dense(rows)
-            for rows in features.blocks(len(train_ids), features.ROW_BLOCK)))
         base = attribution.linear_shap(model, mu, mu)[1]
         base_values = np.full(len(gold), base)
         explained, stored = "margin", {"mu": mu}
     else:
-        background = attribution.make_background(
-            X_train, gold[train], train_ids, size=cfg.background_size,
-            seed=cfg.seed)
+        background = X_train.dense(attribution.background_rows(
+            gold[train], cfg.background_size, cfg.seed))
         stored, base_values = attribution.kernel_explain(
             model, X, background, n_coalitions=cfg.n_coalitions, seed=cfg.seed)
         explained = "probability"
-        background_ids, digest = background.ids, background.digest()
 
     _save(cfg, "shap.npz", base_values=base_values,
-          explained_output=np.array(explained),
-          background_ids=np.array(background_ids, dtype=np.int64),
-          background_digest=np.array(digest), **stored)
+          explained_output=np.array(explained), **stored)
 
 
 # ---------------------------------------------------------------- profile
@@ -527,7 +548,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     profiles = np.empty((len(POLARITIES), len(REPRESENTATIONS), cfg.n_topics))
     for label, polarity in enumerate(POLARITIES):
         rows = preds.label == label
-        topic = _load_topics(cfg, polarity)
+        topic = _load_topics(cfg, space, polarity)
         supports = attribution.polarity_supports(phi(rows, topic.columns),
                                                  polarity)
         tc = profiling.topic_contributions(supports, topic.assignment,
@@ -547,8 +568,8 @@ def cmd_score(cfg: PipelineConfig) -> None:
     _save(cfg, "profiles.npz", names=names, vectors=profiles)
     _save(cfg, "representations.npz", names=names, vectors=vectors,
           degenerate=degenerate)
-    _save(cfg, "scores.npz", predicted=preds.label, p_pos=preds.p_pos,
-          **columns)
+    _save(cfg, "scores.npz", predicted=preds.label.astype(np.uint8),
+          p_pos=preds.p_pos, **columns)
 
 
 # --------------------------------------------------------------- evaluate

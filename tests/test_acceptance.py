@@ -92,7 +92,7 @@ def test_c01_shapley_oracle(capsys):
     def bent(Z):
         return np.tanh(Z @ a) + 0.5 * np.sin(Z @ b)
 
-    bg = attribution.Background(rows=rows, ids=tuple(range(6)))
+    bg = attribution.Background(rows)
     got = attribution.kernel_shap(bent, x, bg, seed=0)
     phi = np.array([got.phi.get(j, 0.0) for j in range(d)])
     expected = _brute_shapley(bent, x, rows)
@@ -103,7 +103,7 @@ def test_c01_shapley_oracle(capsys):
     bias = float(rng.normal())
     rows2 = rng.uniform(0.0, 1.0, (8, d2))
     x2 = rng.uniform(2.0, 3.0, d2)
-    bg2 = attribution.Background(rows=rows2, ids=tuple(range(8)))
+    bg2 = attribution.Background(rows2)
     model = classifiers.LinearModel(kind="logreg", weights=w, bias=bias)
     kern = attribution.kernel_shap(lambda Z: Z @ w + bias, x2, bg2, seed=0)
     lin_phi, _ = attribution.linear_shap(model, x2, bg2.mean)

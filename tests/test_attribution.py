@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from topicaudit import BLAS_THREAD_VARS, attribution
 from topicaudit.attribution import (Background, _enumerate_coalitions,
                                     _paired_gram, _sample_coalitions,
-                                    kernel_explain, kernel_phi, kernel_shap,
-                                    linear_shap, make_background,
+                                    background_rows, kernel_explain,
+                                    kernel_phi, kernel_shap, linear_shap,
                                     polarity_supports)
 from topicaudit.classifiers import (LinearModel, probability_function,
                                     train_nb)
@@ -49,8 +49,7 @@ def brute_force_shapley(predict_fn, x, background_rows):
 
 
 def _bg(rows):
-    rows = np.asarray(rows, dtype=float)
-    return Background(rows=rows, ids=tuple(range(len(rows))))
+    return Background(np.asarray(rows, dtype=float))
 
 
 class TestLinearShap:
@@ -469,7 +468,7 @@ class TestKernelExplain:
                 bases.append(sv.base_value)
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
         with pytest.warns(UserWarning) as caught:
-            stored, base_values = kernel_explain(model, X, bg, seed=5)
+            stored, base_values = kernel_explain(model, X, bg.rows, seed=5)
         assert stored.keys() == {"mu", "data"}
         assert stored["mu"].tobytes() == bg.mean.tobytes()
         assert stored["data"].tobytes() == np.concatenate(values).tobytes()
@@ -584,29 +583,20 @@ class TestSplitSupports:
 
 class TestBackground:
     def test_stratified_counts(self):
-        rng = np.random.default_rng(9)
-        X = rng.random((100, 4))
         y = np.array([1] * 20 + [0] * 80)
-        ids = list(range(100))
-        bg = make_background(X, y, ids, size=50, seed=1)
-        labels = [y[list(ids).index(i)] for i in bg.ids]
-        assert len(bg.ids) == 50
-        assert sum(labels) == 10
+        rows = background_rows(y, size=50, seed=1)
+        assert len(rows) == 50
+        assert y[rows].sum() == 10
 
     def test_small_corpus_takes_everything(self):
-        X = np.arange(12.0).reshape(6, 2)
         y = np.array([0, 1, 0, 1, 0, 1])
-        bg = make_background(X, y, [10, 11, 12, 13, 14, 15], size=50, seed=1)
-        assert bg.ids == (10, 11, 12, 13, 14, 15)
-        assert bg.rows.tobytes() == X.tobytes()
+        rows = background_rows(y, size=50, seed=1)
+        assert rows.tolist() == [0, 1, 2, 3, 4, 5]
 
-    def test_deterministic_and_digest(self):
-        rng = np.random.default_rng(10)
-        X = rng.random((40, 3))
+    def test_deterministic(self):
         y = np.array([0, 1] * 20)
-        a = make_background(X, y, list(range(40)), size=10, seed=2)
-        b = make_background(X, y, list(range(40)), size=10, seed=2)
-        assert a.ids == b.ids
-        assert a.digest() == b.digest()
-        c = make_background(X, y, list(range(40)), size=10, seed=3)
-        assert a.digest() != c.digest()
+        a = background_rows(y, size=10, seed=2)
+        b = background_rows(y, size=10, seed=2)
+        assert a.tolist() == b.tolist() == sorted(set(a.tolist()))
+        c = background_rows(y, size=10, seed=3)
+        assert a.tolist() != c.tolist()

@@ -150,18 +150,23 @@ def _damage_shap(cfg: PipelineConfig, damage: str) -> None:
     _save(cfg, "shap.npz", **arrays)
 
 
+def _background(cfg: PipelineConfig, X: np.ndarray, gold,
+                train) -> attribution.Background:
+    """The training rows of dense X that a kernel run's explain draws."""
+    return attribution.Background(X[train][attribution.background_rows(
+        gold[train], cfg.background_size, cfg.seed)])
+
+
 def _per_message_phi(cfg: PipelineConfig) -> np.ndarray:
     """A kernel run's dense phi as a CSR of each message's nonzero
     attributions holds it: kernel_shap again on every message, against
-    the stored background's rows of X, through to_csr."""
-    n = len(_load_dataset(cfg)[0])
+    explain's background rows of X, through to_csr."""
+    gold, train = _load_dataset(cfg)
+    n = len(gold)
     space = _load_space(cfg)
     X = _load_vectors(cfg, n, space).dense()
     model = _load_model(cfg, space)
-    shap = _load(cfg, "shap.npz")
-    background = attribution.Background(
-        rows=X[shap["background_ids"]],
-        ids=tuple(shap["background_ids"].tolist()))
+    background = _background(cfg, X, gold, train)
     full = np.zeros((n, space.n_columns))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -259,6 +264,13 @@ class TestStageOutputs:
             with np.load(path) as npz:
                 assert not {"gold", "split", "train", "correct"} & set(
                     npz.files), path.name
+
+    def test_label_columns_are_uint8(self, mini_run):
+        out = mini_run[2]
+        for name, key in (("dataset.npz", "gold"), ("scores.npz",
+                                                     "predicted")):
+            with np.load(out / name) as npz:
+                assert npz[key].dtype == np.uint8, name
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         _, _, out, cfg_path = mini_run
@@ -374,7 +386,7 @@ class TestStageOutputs:
         for label, polarity in ((0, "minus"), (1, "plus")):
             group = reliable & (gold == label)
             assert group.any(), polarity
-            topic = _load_topics(cfg, polarity)
+            topic = _load_topics(cfg, space, polarity)
             supports = attribution.polarity_supports(
                 phi[group][:, topic.columns], polarity)
             group_tc = profiling.topic_contributions(
@@ -397,7 +409,7 @@ class TestStageOutputs:
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         reliable = train & (scores["predicted"] == gold)
         for polarity in pipeline.POLARITIES:
-            topic = _load_topics(cfg, polarity)
+            topic = _load_topics(cfg, space, polarity)
             matrix = np.ascontiguousarray(attribution.polarity_supports(
                 phi[reliable], polarity)[:, topic.columns])
             _, H, trace = assert_matches_direct(
@@ -741,6 +753,36 @@ class TestGuards:
         assert err == (f"[{stage}] model.npz holds weights of shape "
                        f"({trained},), expected ({width},); rerun train\n")
 
+    @pytest.mark.parametrize("damage", [
+        "column_past_space", "descending_columns", "extra_topic_row",
+        "narrow_H", "short_assignment", "assignment_past_topics"])
+    def test_damaged_topics_fail_score(self, mini_run, tmp_path, capsys,
+                                       damage):
+        # Each damage either stopped score with a message that named
+        # neither the file nor profile, or scored the wrong columns.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "topics_plus.npz")
+        if damage == "column_past_space":
+            arrays["columns"][-1] = _load_space(cfg).n_columns
+        elif damage == "descending_columns":
+            arrays["columns"] = arrays["columns"][::-1]
+        elif damage == "extra_topic_row":
+            arrays["H"] = np.vstack([arrays["H"], arrays["H"][:1]])
+        elif damage == "narrow_H":
+            arrays["H"] = arrays["H"][:, :-1]
+        elif damage == "short_assignment":
+            arrays["assignment"] = arrays["assignment"][:-1]
+        else:
+            arrays["assignment"][0] = cfg.n_topics
+        _save(cfg, "topics_plus.npz", **arrays)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main(["score", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[score] topics_plus.npz is malformed (")
+        assert err.endswith("); rerun profile\n") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
     def test_truncated_archive_leaves_no_open_file(self, mini_run,
                                                    tmp_path):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
@@ -825,25 +867,21 @@ class TestLinearExplain:
                                    word_quota=60, phrase_quota=40)
         with np.load(out / "shap.npz") as npz:
             assert set(npz.files) == {
-                "digest", "base_values", "explained_output",
-                "background_ids", "background_digest", "mu"}
+                "digest", "base_values", "explained_output", "mu"}
         cfg = load_config(cfg_path)
         labels, train = _load_dataset(cfg)
         space = _load_space(cfg)
         vectors = _load_vectors(cfg, len(labels), space)
         X = vectors.dense()
         model = _load_model(cfg, space)
-        background = attribution.make_background(
-            X[train], labels[train], np.flatnonzero(train).tolist(),
-            size=int(train.sum()), seed=cfg.seed)
-        expected, base = attribution.linear_shap(model, X, background.mean)
+        mu = X[train][attribution.background_rows(
+            labels[train], int(train.sum()), cfg.seed)].mean(axis=0)
+        expected, base = attribution.linear_shap(model, X, mu)
         stored = CSR.of(to_csr(expected)).dense()
 
         shap = _load(cfg, "shap.npz")
         assert shap["explained_output"] == "margin"
-        assert shap["mu"].tobytes() == background.mean.tobytes()
-        assert shap["background_ids"].tolist() == list(background.ids)
-        assert shap["background_digest"] == background.digest()
+        assert shap["mu"].tobytes() == mu.tobytes()
         assert shap["base_values"].tolist() == [base] * len(labels)
         phi = _load_phi(cfg, space, model, vectors)()
         # tobytes compares the sign of zero too.
@@ -884,9 +922,7 @@ class TestKernelExplain:
         phi = _load_phi(cfg, space, model, _load_vectors(cfg, n, space))()
         assert phi.shape == (n, space.n_columns)
         assert shap["explained_output"] == "probability"
-        background = attribution.Background(
-            rows=X[shap["background_ids"]],
-            ids=tuple(shap["background_ids"].tolist()))
+        background = _background(cfg, X, *_load_dataset(cfg))
         for i in range(0, n, 20):
             ref = attribution.kernel_shap(
                 lambda Z: classifiers.probability_function(model, Z), X[i],
@@ -917,14 +953,14 @@ class TestKernelExplain:
                                    **{**KERNEL, "classifier": classifier})
         with np.load(out / "shap.npz") as npz:
             assert set(npz.files) == {
-                "digest", "base_values", "explained_output",
-                "background_ids", "background_digest", "mu", "data"}
+                "digest", "base_values", "explained_output", "mu", "data"}
         cfg = load_config(cfg_path)
         space = _load_space(cfg)
-        X = _load_vectors(cfg, len(_load_dataset(cfg)[0]), space)
+        gold, train = _load_dataset(cfg)
+        X = _load_vectors(cfg, len(gold), space)
         shap = _load(cfg, "shap.npz")
-        rows = shap["background_ids"]
-        assert shap["mu"].tobytes() == X.dense(rows).mean(axis=0).tobytes()
+        background = _background(cfg, X.dense(), gold, train)
+        assert shap["mu"].tobytes() == background.mean.tobytes()
         active = attribution.active_mask(X.dense(), shap["mu"])
         assert shap["data"].size == np.count_nonzero(active)
         full = _per_message_phi(cfg)

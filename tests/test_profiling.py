@@ -427,13 +427,16 @@ class TestProfilingIO:
     _load_topics."""
 
     def test_topics_roundtrip(self, tmp_path):
-        cfg = PipelineConfig(out_dir=str(tmp_path))
+        cfg = PipelineConfig(out_dir=str(tmp_path), n_topics=2, k_related=1)
+        space = features.FeatureSpace(
+            word_vocab={f"w{i}": i for i in range(21)}, phrase_vocab={},
+            idf=np.ones(21))
         model = prof.TopicModel(
             columns=np.array([3, 8, 20]),
             H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
             assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
         _save(cfg, "topics_plus.npz", **vars(model))
-        back = _load_topics(cfg, "plus")
+        back = _load_topics(cfg, space, "plus")
         for name in ("columns", "H", "assignment"):
             assert getattr(back, name).dtype == getattr(model, name).dtype
             assert getattr(back, name).tobytes() == getattr(model,
