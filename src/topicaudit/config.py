@@ -30,6 +30,13 @@ INT_FIELDS = {"seed": 0, "min_df": None, "word_quota": 0, "phrase_quota": 0,
               "k_related": 0, "epochs": 1, "svm_epochs": 1,
               "background_size": 1, "n_coalitions": 1, "k_top": 1,
               "n_topics": 1, "nmf_max_iters": 1, "k_nn": 1}
+# The types each flag and real-valued setting may have: a real is an int
+# or a float, and a bool is neither.
+FLAG, REAL = (bool,), (int, float)
+TYPED_FIELDS = {"subsample_train": FLAG, "nb_linear_attribution": FLAG,
+                **dict.fromkeys(("split_ratio", "l2_strength", "svm_c",
+                                 "nb_alpha", "tau_p", "nmf_tol",
+                                 "temperature", "trr_fix"), REAL)}
 
 
 @dataclass
@@ -87,6 +94,11 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be an integer")
             if least is not None and value < least:
                 raise ConfigError(f"{name} must be at least {least}")
+        for name, types in TYPED_FIELDS.items():
+            if type(getattr(self, name)) not in types:
+                raise ConfigError(f"{name} must be "
+                                  + ("true or false" if types is FLAG
+                                     else "a number"))
         if self.dataset_format not in DATASET_FORMATS:
             raise ConfigError(f"unknown dataset_format "
                               f"{self.dataset_format!r}")

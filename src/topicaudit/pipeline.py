@@ -2,51 +2,43 @@
 and upstream artifacts, so reruns are byte-identical.
 
 ARTIFACTS names every artifact under the output directory, the stage
-that writes it and the keys every reader needs, and _path(cfg, name) is
-its file.  Every artifact is written by _save, as an uncompressed .npz
-or, for the two reports, a JSON object, stamped with the config digest
-(a mismatch refuses to combine) and atomically, so a failed write
-leaves the previous file in place.  _load reads both formats the same
-way and names the file and its producer when it is missing, damaged,
-stale or lacks a listed key; _load_as also turns the fields into the
-stage's object.
+that writes it and its layout, the one statement of each archive's
+members, dtype kinds and shapes; _path(cfg, name) is its file.  _save
+writes each, an uncompressed .npz or, for the two reports, a JSON
+object, stamped with the config digest (a mismatch refuses to combine)
+and atomically, so a failed write leaves the previous file in place.
+_load reads both, decoding only the members a stage reads, and names
+the file and its producer when it is missing, damaged, stale or off its
+layout; a loader adds only the checks a shape cannot state.
 prepare keeps the corpus as arrays in file-row order, so a message's id
-is its row: dataset.npz is the one record of each message's gold label
-and split, a boolean train mask, and holds the messages' text; no stage
-reads the text back.  Lists of strings, the text and space.npz's two
-vocabularies, are stored by _utf8 as their UTF-8 bytes concatenated plus
-offsets (one more entry than strings, like a CSR indptr).  Row i of
-every per-message array is message i, and a reader refuses an archive
-whose rows do not number dataset.npz's messages.  The (n, d) matrix X is
-stored in vectors.npz as the CSR arrays ``shape, indptr, indices, data``
-that features.vectorize emits, each row's columns ascending, and is
-loaded as features.CSR.  No stage after prepare holds X or phi dense:
-each asks for the dense rows and columns it reads, which equal the same
-slice of the dense matrix bit for bit.  train densifies the training
-rows, explain blocks of the training rows and columns (a kernel run one
-message at a time), and profile and score each polarity's rows and
-selected columns of phi.
+is its row in every per-message array: dataset.npz is the one record of
+each message's gold label and split, a boolean train mask, and holds
+the messages' text, which no stage reads back.  Lists of strings are
+stored by _utf8.  The (n, d) matrix X is stored in vectors.npz as the
+CSR arrays features.vectorize emits and loaded as features.CSR.  No
+stage after prepare holds X or phi dense: each asks for the dense rows
+and columns it reads, which equal the same slice of the dense matrix
+bit for bit.  train densifies the training rows, explain blocks of the
+training rows and columns (a kernel run one message at a time), and
+profile and score each polarity's rows and selected columns of phi.
 
-shap.npz never stores a column index of phi: X and the background mean
-``mu`` it holds determine them.  Nor does it store the background rows:
-every training row for a linear run, and for a kernel run the sample
-attribution.background_rows draws from dataset.npz's labels and train
-mask with the config's size and seed.  A linear run's
-phi = w * (t(X) - t(mu)) is exact and elementwise, so mu is all it
-stores, and _load_phi rebuilds any slice of phi from the same slice of
-X.  A kernel run's phi comes
-from attribution.kernel_explain, one worker process per available core
-when numpy's BLAS runs one thread (the CLI sets that for every stage
-but train), and is the same bytes for any worker count; shap.npz adds
-``data``, the values of each message's active columns, where X deviates
-from mu, row after row.  _load_phi re-derives those columns from X and
-refuses a count of values or of base values that does not fit X.
+shap.npz stores neither a column index of phi nor the background rows
+(every training row for a linear run, the sample
+attribution.background_rows draws for a kernel run), only their mean
+``mu``.  A linear run's phi = w * (t(X) - t(mu)) is exact and
+elementwise, and _load_phi rebuilds any slice of it from the same slice
+of X.  A kernel run's phi comes from attribution.kernel_explain, one
+worker process per available core when numpy's BLAS runs one thread
+(the CLI sets that for every stage but train), and is the same bytes
+for any worker count; shap.npz adds ``data``, the values of each
+message's active columns, where X deviates from mu, row after row.
 
 evaluate, repair and report read scores.npz, which holds only what
 score computes, with dataset.npz's labels and train mask: each
 detector's rejections, and the recoveries and leakages of the repair
-gate, are boolean masks over the same rows, so outcomes.npz and the
-re-accepted ids, the rows of those masks, are read straight off them.
+gate, are boolean masks over the same rows, so outcomes.npz, a code
+into OUTCOMES per message, and the re-accepted ids are read straight
+off them.
 """
 
 from __future__ import annotations
@@ -68,28 +60,56 @@ BASE_METHODS = uncertainty.OUTPUT_UQ_METHODS
 REPRESENTATIONS = uncertainty.REPRESENTATIONS
 XMAP_COLUMNS = tuple(f"xmap_{rep}" for rep in REPRESENTATIONS)
 SUBSETS = (("positive", 1), ("negative", 0))
+# The polarity of each label's supports: hamward for 0, spamward for 1.
+POLARITIES = ("minus", "plus")
+OUTCOMES = ("accepted", "rejected", "repaired")
+
+OPTIONAL, _R = "optional", len(REPRESENTATIONS)
 
 # Every artifact under the output directory: the stage that writes it,
-# and the arrays of an .npz or the top-level keys of a JSON report that
-# every reader needs.
+# and its layout.  A JSON report's is the top-level keys its readers
+# need.  An .npz's maps every member but the digest to its dtype kind
+# and shape, an entry per axis: an int is that size; n, d and M are the
+# messages, columns and topics a reader passes to _load (M is n_topics);
+# any other name is one size throughout the archive, and None any size.
+# An OPTIONAL member is written by some runs only: svm's calibration,
+# nb's structural bounds, a kernel run's phi values.
 ARTIFACTS = {
-    "dataset.npz": ("prepare", ("gold", "train")),
-    "space.npz": ("prepare", ("word_vocab", "word_vocab_offsets",
-                              "phrase_vocab", "phrase_vocab_offsets",
-                              "idf")),
-    "vectors.npz": ("prepare", ("shape", "indptr", "indices", "data")),
-    "model.npz": ("train", ("kind", "weights", "bias")),
-    "shap.npz": ("explain", ("base_values", "explained_output", "mu")),
-    **{f"topics_{polarity}.npz": ("profile", ("columns", "H", "assignment",
-                                              "objective"))
-       for polarity in ("plus", "minus")},
-    "profiles.npz": ("score", ("names", "vectors")),
-    "representations.npz": ("score", ("names", "vectors", "degenerate")),
-    "scores.npz": ("score", ("predicted", *BASE_METHODS, *XMAP_COLUMNS)),
+    "dataset.npz": ("prepare", {
+        "gold": ("u", ("n",)), "train": ("b", ("n",)),
+        "text": ("u", (None,)), "text_offsets": ("i", (None,))}),
+    "space.npz": ("prepare", {
+        "word_vocab": ("u", (None,)), "word_vocab_offsets": ("i", (None,)),
+        "phrase_vocab": ("u", (None,)),
+        "phrase_vocab_offsets": ("i", (None,)), "idf": ("f", ("d",))}),
+    "vectors.npz": ("prepare", {
+        "shape": ("i", (2,)), "indptr": ("i", (None,)),
+        "indices": ("i", ("nnz",)), "data": ("f", ("nnz",))}),
+    "model.npz": ("train", {
+        "kind": ("U", ()), "weights": ("f", ("d",)), "bias": ("f", ()),
+        "calibration": ("f", (2,), OPTIONAL),
+        "structural_start": ("i", (), OPTIONAL),
+        **dict.fromkeys(("struct_min", "struct_max"),
+                        ("f", (None,), OPTIONAL))}),
+    "shap.npz": ("explain", {
+        "base_values": ("f", ("n",)), "explained_output": ("U", ()),
+        "mu": ("f", ("d",)), "data": ("f", (None,), OPTIONAL)}),
+    **{f"topics_{polarity}.npz": ("profile", {
+        "columns": ("i", ("k",)), "H": ("f", ("M", "k")),
+        "assignment": ("i", ("k",)), "objective": ("f", ())})
+       for polarity in POLARITIES},
+    "profiles.npz": ("score", {"names": ("U", (_R,)),
+                               "vectors": ("f", (len(POLARITIES), _R, "M"))}),
+    "representations.npz": ("score", {
+        "names": ("U", (_R,)), "vectors": ("f", ("n", _R, "M")),
+        "degenerate": ("b", ("n", _R))}),
+    "scores.npz": ("score", {"predicted": ("u", ("n",)), **dict.fromkeys(
+        ("p_pos", *BASE_METHODS, *XMAP_COLUMNS), ("f", ("n",)))}),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
-    "outcomes.npz": ("repair", ("outcome",)),
+    "outcomes.npz": ("repair", {"outcome": ("u", ("n",)),
+                                "names": ("U", (len(OUTCOMES),))}),
     "report.md": ("report", ()),
 }
 
@@ -138,10 +158,11 @@ def _match(found: str, cfg: PipelineConfig, name: str) -> None:
                             "upstream stages with this config")
 
 
-def _rerun(name: str, problem: str) -> ArtifactError:
+def _malformed(name: str, problem: str) -> ArtifactError:
     """The error for a damaged artifact, naming the stage that rewrites
     it."""
-    return ArtifactError(f"{problem}; rerun {ARTIFACTS[name][0]}")
+    return ArtifactError(f"{name} is malformed ({problem}); rerun "
+                         f"{ARTIFACTS[name][0]}")
 
 
 def _encode_threshold(value: float) -> float | str:
@@ -167,12 +188,15 @@ def _save(cfg: PipelineConfig, name: str, **fields) -> None:
                  **fields)
 
 
-def _load(cfg: PipelineConfig, name: str) -> dict:
-    """The fields of an artifact written by _save, checked for presence,
-    readability, config digest and the keys ARTIFACTS lists.  An .npz
-    gives its arrays, 0-d ones as Python scalars; a JSON report gives its
-    values."""
+def _load(cfg: PipelineConfig, name: str, keys=None, build=None, **dims):
+    """build(fields), or the fields, of an artifact _save wrote, checked
+    for presence, readability, config digest and its layout: a report
+    holds the listed keys, an .npz exactly its members (optional ones
+    aside), and those of ``keys`` (default: all), the only ones decoded,
+    their kinds and shapes, 0-d ones given as Python scalars.  A key
+    build misses or finds malformed names the file and its producer."""
     path = _require(cfg, name)
+    layout = ARTIFACTS[name][1]
     try:
         with open(path, "rb") as fh:
             if path.suffix == ".json":
@@ -180,33 +204,46 @@ def _load(cfg: PipelineConfig, name: str) -> dict:
                 if not isinstance(fields, dict):
                     raise ValueError(f"a JSON {type(fields).__name__}, "
                                      "not an object")
-                found = fields.pop("config_digest", "")
+                found, stored = fields.pop("config_digest", ""), set(fields)
             else:
                 with np.load(fh, allow_pickle=False) as npz:
-                    fields = {key: npz[key] for key in npz.files}
-                found = fields.pop("digest", np.bytes_(b"")).tobytes()
-                found = found.decode("ascii", "replace")
-                fields = {key: a.item() if a.ndim == 0 else a
-                          for key, a in fields.items()}
+                    stored = set(npz.files) - {"digest"}
+                    found = (npz["digest"].tobytes().decode("ascii", "replace")
+                             if "digest" in npz.files else "")
+                    fields = {key: npz[key] for key in layout if key in stored
+                              and (keys is None or key in keys)}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise _rerun(name, f"cannot read {name} ({exc})") from exc
+        raise ArtifactError(f"cannot read {name} ({exc}); rerun "
+                            f"{ARTIFACTS[name][0]}") from exc
     _match(str(found), cfg, name)
-    missing = ", ".join(repr(key) for key in ARTIFACTS[name][1]
-                        if key not in fields)
+    archive = isinstance(layout, dict)
+    missing = ", ".join(repr(key) for key in layout if key not in stored
+                        and not (archive and OPTIONAL in layout[key]))
     if missing:
-        raise _rerun(name, f"{name} is malformed (missing {missing})")
-    return fields
-
-
-def _load_as(build, cfg, name):
-    """build(fields) of the artifact _load reads; a missing or malformed
-    key, nested ones included, names the file and its producer."""
-    fields = _load(cfg, name)
+        raise _malformed(name, f"missing {missing}")
+    if archive and stored - set(layout):
+        raise _malformed(name, "unexpected " + ", ".join(
+            map(repr, sorted(stored - set(layout)))))
+    dims = {"M": cfg.n_topics, **dims}
+    for key, a in fields.items() if archive else ():
+        kind, shape = layout[key][:2]
+        if a.dtype.kind != kind:
+            raise _malformed(name, f"{key} of dtype {a.dtype}, expected "
+                                   f"kind {kind!r}")
+        # A name's first member binds it; on another ndim none is bound.
+        sizes = a.shape if a.ndim == len(shape) else (None,) * len(shape)
+        want = tuple(dims.setdefault(axis, size) if isinstance(axis, str)
+                     else size if axis is None else axis
+                     for axis, size in zip(shape, sizes))
+        if a.shape != want:
+            raise _malformed(name, f"{key} of shape {a.shape}, expected "
+                                   f"{want}")
+        fields[key] = a.item() if a.ndim == 0 else a
     try:
-        return build(fields)
+        return fields if build is None else build(fields)
     except (KeyError, TypeError, ValueError, IndexError,
             AttributeError) as exc:
-        raise _rerun(name, f"{name} is malformed ({exc!r})") from exc
+        raise _malformed(name, repr(exc)) from exc
 
 
 def _utf8(name: str, strings) -> dict[str, np.ndarray]:
@@ -221,12 +258,11 @@ def _utf8(name: str, strings) -> dict[str, np.ndarray]:
 
 
 def _strings(fields, name: str) -> list[str]:
-    """The strings _utf8 stored as ``name``; ValueError unless the fields
-    describe them."""
+    """The strings _utf8 stored as ``name``; ValueError unless the
+    offsets describe them."""
     blob, offsets = fields[name], fields[f"{name}_offsets"]
-    if (blob.dtype != np.uint8 or blob.ndim != 1 or offsets.ndim != 1
-            or not offsets.size or offsets[0] != 0
-            or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0)):
+    if (not offsets.size or offsets[0] != 0 or offsets[-1] != blob.size
+            or np.any(np.diff(offsets) < 0)):
         raise ValueError(f"{name} and {name}_offsets do not describe "
                          "UTF-8 strings")
     blob = blob.tobytes()
@@ -239,30 +275,20 @@ def _strings(fields, name: str) -> list[str]:
 
 def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
     """(gold labels in {0, 1}, boolean train mask) of the prepared
-    messages, row i message i; an integer mask, which indexing would read
-    as rows, is refused."""
-    def build(f):
-        gold, train = f["gold"], f["train"]
-        if train.dtype != bool or train.ndim != 1 or train.shape != gold.shape:
-            raise ValueError("train is not a boolean mask of gold's length")
-        if gold.dtype.kind not in "iu" or np.any((gold != 0) & (gold != 1)):
-            raise ValueError("gold holds a label other than 0 or 1")
-        return gold, train
-    return _load_as(build, cfg, "dataset.npz")
+    messages, row i message i; the text is not read."""
+    f = _load(cfg, "dataset.npz", ("gold", "train"))
+    if np.any(f["gold"] > 1):
+        raise _malformed("dataset.npz", "gold holds a label other than 0 "
+                                        "or 1")
+    return f["gold"], f["train"]
 
 def _load_rows(cfg, name: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    """(fields, gold, train): a per-message artifact's fields, refused
-    unless every key ARTIFACTS lists for it has one row per message, and
-    dataset.npz's columns, read second so a missing artifact names its
-    producer."""
-    fields = _load(cfg, name)
+    """(fields, gold, train): a per-message artifact's fields, one row
+    per message, and dataset.npz's columns, read after the artifact is
+    found so a missing one names its producer."""
+    _require(cfg, name)
     gold, train = _load_dataset(cfg)
-    for key in ARTIFACTS[name][1]:
-        if np.shape(fields[key]) != gold.shape:
-            raise _rerun(name, f"{name} is malformed ({key} of shape "
-                               f"{np.shape(fields[key])}, expected "
-                               f"{gold.shape})")
-    return fields, gold, train
+    return _load(cfg, name, n=len(gold)), gold, train
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -273,7 +299,11 @@ def _load_space(cfg) -> features.FeatureSpace:
         vocabs = {name: {t: i for i, t in enumerate(_strings(f, name))}
                   for name in ("word_vocab", "phrase_vocab")}
         return features.FeatureSpace(idf=f["idf"], **vocabs)
-    return _load_as(build, cfg, "space.npz")
+    space = _load(cfg, "space.npz", build=build)
+    if space.idf.shape != (space.n_columns,):
+        raise _malformed("space.npz", f"idf of shape {space.idf.shape}, "
+                                      f"expected ({space.n_columns},)")
+    return space
 
 def _load_vectors(cfg, n, space) -> features.CSR:
     def build(f):
@@ -282,7 +312,7 @@ def _load_vectors(cfg, n, space) -> features.CSR:
             raise ValueError(f"a {shape} matrix, expected "
                              f"({n}, {space.n_columns})")
         return features.CSR.of(f)
-    return _load_as(build, cfg, "vectors.npz")
+    return _load(cfg, "vectors.npz", build=build)
 
 def _load_phi(cfg, space, model, X):
     """phi(rows=None, columns=None): the given rows and columns of the
@@ -290,22 +320,17 @@ def _load_phi(cfg, space, model, X):
     run's phi is sliced from the CSR that attribution.kernel_phi builds
     of the stored values on the active sets of X against the background
     mean; a margin (linear) run's is rebuilt from that mean on the slice
-    of X alone.  shap.npz must hold a base value per row of X."""
+    of X alone."""
     def build(f):
-        mu, base_values = f["mu"], f["base_values"]
-        if np.shape(base_values) != (X.shape[0],):
-            raise ValueError(f"base_values of shape {np.shape(base_values)}"
-                             f", expected ({X.shape[0]},)")
-        if mu.shape != (space.n_columns,):
-            raise ValueError(f"mu of shape {mu.shape}, expected "
-                             f"({space.n_columns},)")
         if f["explained_output"] == "probability":
-            return attribution.kernel_phi(X, mu, f["data"]).dense
-        if f["explained_output"] != "margin":
-            raise ValueError(f"explained_output {f['explained_output']!r}")
+            return attribution.kernel_phi(X, f["mu"], f["data"]).dense
+        if f["explained_output"] != "margin" or "data" in f:
+            raise ValueError(f"a {f['explained_output']!r} explanation "
+                             f"of {', '.join(sorted(f))}")
         return lambda rows=None, columns=None: attribution.linear_shap(
-            model, X.dense(rows, columns), mu, columns)[0]
-    return _load_as(build, cfg, "shap.npz")
+            model, X.dense(rows, columns), f["mu"], columns)[0]
+    return _load(cfg, "shap.npz", build=build, n=X.shape[0],
+                 d=space.n_columns)
 
 def _save_model(cfg, model) -> None:
     """Every field the model sets: only svm has a calibration, only nb
@@ -314,47 +339,27 @@ def _save_model(cfg, model) -> None:
                                if value is not None})
 
 def _load_model(cfg, space) -> classifiers.LinearModel:
-    """The trained model, refused unless it weighs every column of
-    space."""
+    """The trained model; its weights weigh every column of space."""
     def build(f):
         if "calibration" in f:
             f["calibration"] = tuple(f["calibration"].tolist())
-        model = classifiers.LinearModel(**f)
-        if model.weights.shape != (space.n_columns,):
-            raise _rerun("model.npz", f"model.npz holds weights of shape "
-                                      f"{model.weights.shape}, expected "
-                                      f"({space.n_columns},)")
-        return model
-    return _load_as(build, cfg, "model.npz")
+        return classifiers.LinearModel(**f)
+    return _load(cfg, "model.npz", build=build, d=space.n_columns)
 
 def _load_topics(cfg, space, polarity) -> profiling.TopicModel:
     """One polarity's topics, refused unless the columns are strictly
-    ascending columns of space, H has a row per topic and a column per
-    selected column, and the assignment names a topic for each of
-    them."""
+    ascending columns of space and each is assigned a topic."""
     name = f"topics_{polarity}.npz"
-
-    def build(f):
-        topic = profiling.TopicModel(**f)
-        columns, k = topic.columns, len(topic.columns)
-        if (columns.dtype.kind not in "iu" or columns.ndim != 1
-                or np.any(np.diff(columns) <= 0) or np.any(columns < 0)
-                or np.any(columns >= space.n_columns)):
-            problem = (f"columns are not strictly ascending columns of "
-                       f"[0, {space.n_columns})")
-        elif topic.H.shape != (cfg.n_topics, k):
-            problem = (f"H of shape {topic.H.shape}, expected "
-                       f"({cfg.n_topics}, {k})")
-        elif (topic.assignment.shape != (k,)
-                or topic.assignment.dtype.kind not in "iu"
-                or np.any(topic.assignment < 0)
-                or np.any(topic.assignment >= cfg.n_topics)):
-            problem = (f"assignment is not {k} topics of "
-                       f"[0, {cfg.n_topics})")
-        else:
-            return topic
-        raise _rerun(name, f"{name} is malformed ({problem})")
-    return _load_as(build, cfg, name)
+    f = _load(cfg, name)
+    columns, assignment = f["columns"], f["assignment"]
+    if (np.any(np.diff(columns) <= 0) or np.any(columns < 0)
+            or np.any(columns >= space.n_columns)):
+        raise _malformed(name, f"columns are not strictly ascending "
+                               f"columns of [0, {space.n_columns})")
+    if np.any(assignment < 0) or np.any(assignment >= cfg.n_topics):
+        raise _malformed(name, f"assignment is not {columns.size} topics "
+                               f"of [0, {cfg.n_topics})")
+    return profiling.TopicModel(**f)
 
 
 # ---------------------------------------------------------------- prepare
@@ -452,10 +457,6 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
 
 # ---------------------------------------------------------------- profile
-
-# The polarity of each label's supports: hamward for 0, spamward for 1.
-POLARITIES = ("minus", "plus")
-
 
 def _reliable_groups(gold, train, preds) -> tuple[np.ndarray, np.ndarray]:
     """Row masks of the correctly classified train-split messages, TN and
@@ -659,6 +660,6 @@ def cmd_repair(cfg: PipelineConfig) -> None:
           trr_fix=cfg.trr_fix, subsets=subset_info, representations=per_rep)
 
     # Per-message outcome under the configured representation.
-    outcome = np.where(re_accepted[cfg.repair_representation], "repaired",
-                       np.where(rejected, "rejected", "accepted"))
-    _save(cfg, "outcomes.npz", outcome=outcome)
+    outcome = np.where(re_accepted[cfg.repair_representation], 2, rejected)
+    _save(cfg, "outcomes.npz", outcome=outcome.astype(np.uint8),
+          names=np.array(OUTCOMES))

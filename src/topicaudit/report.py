@@ -12,7 +12,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
-                       _load_as, _load_rows, _path, _stage)
+                       _load, _load_rows, _path, _stage)
 from .scoring import LN2
 
 # (column header, predicted label, gold label)
@@ -123,9 +123,9 @@ def cmd_report(cfg: PipelineConfig) -> None:
     scores, gold, train = _load_rows(cfg, "scores.npz")
     # Each report goes through its table, so a missing key at any depth
     # names the file and its producer.
-    detector = _load_as(_detector_table, cfg, "detector_report.json")
-    base_detector, repair = _load_as(_repair_section, cfg,
-                                     "repair_report.json")
+    detector = _load(cfg, "detector_report.json", build=_detector_table)
+    base_detector, repair = _load(cfg, "repair_report.json",
+                                  build=_repair_section)
 
     test = ~train
     n_test = int(test.sum())

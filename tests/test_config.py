@@ -220,6 +220,13 @@ class TestModelSettings:
            ("word_quota", 50.5), ("k_top", 20.5), ("min_df", 1.5),
            ("epochs", True), ("n_coalitions", 2.5), ("n_coalitions", False),
            ("k_nn", "25"),
+           # Flags are booleans; real settings are numbers, not strings,
+           # null or bools.
+           ("subsample_train", "false"), ("subsample_train", 1),
+           ("nb_linear_attribution", 0), ("split_ratio", "0.5"),
+           ("l2_strength", True), ("svm_c", True), ("nb_alpha", "1"),
+           ("tau_p", True), ("nmf_tol", "x"), ("nmf_tol", None),
+           ("temperature", True), ("trr_fix", True),
            # NMF factors the k_top (200) selected columns into n_topics;
            # refused at load, not by profile after three stages have run.
            ("n_topics", 201)]
@@ -233,7 +240,8 @@ class TestModelSettings:
         ("rho", {"word": 1.0}), ("rho", {"phrase": 0.5, "structural": 0.5}),
         ("rho", {"word": 0.1, "phrase": 0.2, "structural": 0.7}),
         ("svm_c", 1e-6), ("nb_alpha", 1e-6), ("l2_strength", 0.0),
-        ("seed", 0), ("n_coalitions", None), ("n_topics", 200)])
+        ("seed", 0), ("n_coalitions", None), ("n_topics", 200),
+        ("l2_strength", 0), ("trr_fix", 1), ("subsample_train", True)])
     def test_edge_values_accepted(self, name, value):
         PipelineConfig(**{name: value})
 

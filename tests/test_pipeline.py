@@ -225,19 +225,41 @@ class TestStageOutputs:
         assert set(pipeline.ARTIFACTS) == set(PRODUCER)
 
     def test_every_artifact_holds_the_keys_its_table_lists(self, mini_run):
-        # Read without _load, which checks the same table.
-        _, _, out, _ = mini_run
-        for name, (producer, keys) in pipeline.ARTIFACTS.items():
+        # Read without _load, which checks the same table: each .npz
+        # holds its required members and no member outside its layout,
+        # each of its dtype kind and shape, with n the messages, d the
+        # columns, M the topics and any other name one size per archive.
+        _, _, out, cfg_path = mini_run
+        with np.load(out / "dataset.npz") as npz:
+            n = npz["gold"].size
+        with np.load(out / "model.npz") as npz:
+            d = npz["weights"].size
+        dims = {"n": n, "d": d, "M": load_config(cfg_path).n_topics}
+        for name, (producer, layout) in pipeline.ARTIFACTS.items():
             assert producer == PRODUCER[name], name
             path = out / name
             if path.suffix == ".npz":
                 with np.load(path) as npz:
-                    found = set(npz.files)
+                    arrays = {key: npz[key] for key in npz.files}
+                assert arrays.pop("digest").dtype.kind == "S", name
+                required = {key for key, spec in layout.items()
+                            if pipeline.OPTIONAL not in spec}
+                assert required <= set(arrays) <= set(layout), name
+                bound = dict(dims)
+                for key, array in arrays.items():
+                    kind, shape = layout[key][:2]
+                    assert array.dtype.kind == kind, (name, key)
+                    assert array.ndim == len(shape), (name, key)
+                    for axis, size in zip(shape, array.shape):
+                        want = (axis if isinstance(axis, int) else size
+                                if axis is None else bound.setdefault(axis,
+                                                                      size))
+                        assert size == want, (name, key, axis)
             elif path.suffix == ".json":
                 found = set(json.loads(path.read_text(encoding="utf-8")))
+                assert set(layout) <= found, name
             else:
-                found = set()
-            assert set(keys) <= found, name
+                assert layout == (), name
 
     @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
     def test_no_archive_stores_ids(self, run, request):
@@ -283,10 +305,12 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         outcomes, _, train = pipeline._load_rows(cfg, "outcomes.npz")
-        assert set(outcomes["outcome"].tolist()) <= {
-            "accepted", "rejected", "repaired"}
+        assert outcomes["names"].tolist() == ["accepted", "rejected",
+                                              "repaired"]
+        outcome = outcomes["names"][outcomes["outcome"]]
+        assert set(outcome.tolist()) <= {"accepted", "rejected", "repaired"}
         # Only test messages can be rejected or repaired.
-        assert set(outcomes["outcome"][train].tolist()) <= {"accepted"}
+        assert set(outcome[train].tolist()) <= {"accepted"}
 
     def test_repair_agrees_with_evaluate_and_outcomes(self, mini_run):
         _, _, out, cfg_path = mini_run
@@ -301,7 +325,8 @@ class TestStageOutputs:
                 assert body[key] == base[key], (subset, key)
 
         scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
-        outcome = pipeline._load_rows(cfg, "outcomes.npz")[0]["outcome"]
+        outcomes = pipeline._load_rows(cfg, "outcomes.npz")[0]
+        outcome = outcomes["names"][outcomes["outcome"]]
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
         assert np.flatnonzero(outcome == "repaired").tolist() == re_accepted
@@ -750,8 +775,8 @@ class TestGuards:
         width = _load_space(cfg).n_columns
         assert width != trained
         err = self._refuses_model(cfg_path, capsys, stage)
-        assert err == (f"[{stage}] model.npz holds weights of shape "
-                       f"({trained},), expected ({width},); rerun train\n")
+        assert err == (f"[{stage}] model.npz is malformed (weights of shape "
+                       f"({trained},), expected ({width},)); rerun train\n")
 
     @pytest.mark.parametrize("damage", [
         "column_past_space", "descending_columns", "extra_topic_row",
@@ -843,6 +868,61 @@ class TestGuards:
         err = capsys.readouterr().err
         assert err.startswith(f"[{stage}] dataset.npz is malformed (")
         assert err.endswith("); rerun prepare\n") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    # A member of each archive stored as another dtype kind: floats as
+    # integers, anything else as floats.
+    WRONG_KIND = {"dataset.npz": "train", "space.npz": "idf",
+                  "vectors.npz": "indices", "model.npz": "weights",
+                  "shap.npz": "base_values", "topics_plus.npz": "columns",
+                  "topics_minus.npz": "assignment",
+                  "profiles.npz": "vectors", "representations.npz": "degenerate",
+                  "scores.npz": "predicted", "outcomes.npz": "outcome"}
+    # The archives of each run; the kernel run stops after profile.
+    ARCHIVES = {"mini_run": sorted(WRONG_KIND),
+                "kernel_run": ["dataset.npz", "model.npz", "shap.npz",
+                               "space.npz", "topics_minus.npz",
+                               "topics_plus.npz", "vectors.npz"]}
+    OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
+                    for name in names
+                    for damage in ("stray_member", "wrong_kind")),
+                  *((run, "space.npz", "short_idf") for run in ARCHIVES)]
+
+    @pytest.mark.parametrize("run, name, damage", OFF_LAYOUT)
+    def test_archive_off_its_layout_fails(self, run, name, damage, request,
+                                          tmp_path, capsys):
+        # Each archive must hold exactly its layout's members, each of
+        # its dtype kind and shape: its first reader refuses any other,
+        # and an archive no stage reads fails _load itself.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, name)
+        if damage == "stray_member":
+            arrays["stray"] = np.zeros(1)
+            problem = "unexpected 'stray'"
+        elif damage == "wrong_kind":
+            key = self.WRONG_KIND[name]
+            found = np.asarray(arrays[key])
+            arrays[key] = found.astype(np.int64 if found.dtype.kind == "f"
+                                       else np.float64)
+            problem = (f"{key} of dtype {arrays[key].dtype}, expected kind "
+                       f"{found.dtype.kind!r}")
+        else:
+            d = arrays["idf"].size
+            arrays["idf"] = arrays["idf"][:-1]
+            problem = f"idf of shape ({d - 1},), expected ({d},)"
+        _save(cfg, name, **arrays)
+        expected = f"{name} is malformed ({problem}); rerun {PRODUCER[name]}"
+        reader = self.FIRST_READER.get(name)
+        if reader is None:
+            n = len(_load_dataset(cfg)[0])
+            with pytest.raises(ArtifactError) as caught:
+                _load(cfg, name, n=n)
+            assert str(caught.value) == expected
+            return
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([reader, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"[{reader}] {expected}\n"
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
@@ -1073,19 +1153,41 @@ class TestArrayArtifacts:
                    st.floats(allow_nan=True, allow_infinity=True))),
            labels=st.lists(st.text(max_size=8), max_size=5))
     def test_roundtrip_is_bitwise(self, matrix, labels):
-        labels = np.array(labels, dtype=str)
+        # Through the members of two layouts: the matrix as vectors.npz's
+        # CSR, the strings as space.npz's UTF-8 lists.
+        csr = to_csr(matrix)
         with tempfile.TemporaryDirectory() as tmp:
             cfg = PipelineConfig(out_dir=tmp)
-            _save(cfg, "shap.npz", matrix=matrix, labels=labels,
-                  base_values=np.zeros(len(matrix)),
-                  explained_output="probability",
-                  mu=np.zeros(0), **to_csr(matrix))
-            back = _load(cfg, "shap.npz")
-        assert back["matrix"].dtype == np.float64
-        assert back["matrix"].tobytes() == matrix.tobytes()
+            _save(cfg, "vectors.npz", **csr)
+            _save(cfg, "space.npz", **pipeline._utf8("word_vocab", labels),
+                  **pipeline._utf8("phrase_vocab", labels[::-1]),
+                  idf=matrix.ravel())
+            back, space = _load(cfg, "vectors.npz"), _load(cfg, "space.npz")
+        for key, array in csr.items():
+            assert back[key].dtype == array.dtype, key
+            assert back[key].tobytes() == array.tobytes(), key
         assert CSR.of(back).dense().tobytes() == matrix.tobytes()
-        assert back["labels"].dtype == labels.dtype
-        assert np.array_equal(back["labels"], labels)
+        assert space["idf"].tobytes() == matrix.tobytes()
+        assert pipeline._strings(space, "word_vocab") == labels
+        assert pipeline._strings(space, "phrase_vocab") == labels[::-1]
+
+    def test_no_stage_after_prepare_reads_the_text(self, mini_run, tmp_path,
+                                                   monkeypatch):
+        # Each stage decodes only the members it reads, and none reads
+        # the messages' text back from dataset.npz.
+        _, cfg_path = _copy_run(mini_run, tmp_path)
+        real, read = np.lib.npyio.NpzFile.__getitem__, set()
+
+        def spy(self, key):
+            read.add((Path(self.zip.filename).name, key))
+            return real(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+        for stage in STAGES[1:]:
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+        assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= read
+        assert not {("dataset.npz", "text"),
+                    ("dataset.npz", "text_offsets")} & read
 
     def test_digest_mismatch_refused(self, tmp_path):
         other = PipelineConfig(out_dir=str(tmp_path), seed=1)
@@ -1109,13 +1211,18 @@ class TestArrayArtifacts:
         # Row i is message i: outcomes.npz must hold one outcome per
         # message of dataset.npz, three here.
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        _save(cfg, "dataset.npz", gold=np.array([0, 1, 0]),
-              train=np.array([True, False, False]))
-        _save(cfg, "outcomes.npz", outcome=np.array(["accepted"] * 3))
-        assert pipeline._load_rows(cfg, "outcomes.npz")[0]["outcome"].size == 3
-        for outcome in (["accepted"] * 2, ["accepted"] * 4,
-                        [["accepted"]] * 3, "accepted"):
-            _save(cfg, "outcomes.npz", outcome=np.array(outcome))
+        _save(cfg, "dataset.npz", gold=np.array([0, 1, 0], dtype=np.uint8),
+              train=np.array([True, False, False]),
+              **pipeline._utf8("text", ["a", "b", "c"]))
+        names = np.array(pipeline.OUTCOMES)
+        _save(cfg, "outcomes.npz", outcome=np.zeros(3, dtype=np.uint8),
+              names=names)
+        outcomes = pipeline._load_rows(cfg, "outcomes.npz")[0]
+        assert outcomes["names"][outcomes["outcome"]].tolist() == [
+            "accepted"] * 3
+        for outcome in ([0] * 2, [0] * 4, [[0]] * 3, 0):
+            _save(cfg, "outcomes.npz",
+                  outcome=np.array(outcome, dtype=np.uint8), names=names)
             with pytest.raises(ArtifactError,
                                match=r"^outcomes.npz is malformed \(.*; "
                                      "rerun repair$"):
