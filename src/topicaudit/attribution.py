@@ -70,15 +70,6 @@ class ShapVector:
     values: np.ndarray
     base_value: float
 
-    @property
-    def phi(self) -> dict[int, float]:
-        """The nonzero attributions by column."""
-        return {int(col): float(val)
-                for col, val in zip(self.columns, self.values) if val != 0.0}
-
-    def total(self) -> float:
-        return self.base_value + float(self.values.sum())
-
 
 @dataclass(frozen=True)
 class Background:

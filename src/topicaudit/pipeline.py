@@ -4,12 +4,13 @@ and upstream artifacts, so reruns are byte-identical.
 ARTIFACTS names every artifact under the output directory, the stage
 that writes it and its layout, the one statement of each archive's
 members, dtype kinds and shapes; _path(cfg, name) is its file.  _save
-writes each, an uncompressed .npz or, for the two reports, a JSON
-object, stamped with the config digest (a mismatch refuses to combine)
-and atomically, so a failed write leaves the previous file in place.
-_load reads both, decoding only the members a stage reads, and names
-the file and its producer when it is missing, damaged, stale or off its
-layout; a loader adds only the checks a shape cannot state.
+writes each, a deflated .npz or, for the two reports, a JSON object,
+stamped with the config digest (a mismatch refuses to combine) and
+atomically, so a failed write leaves the previous file in place.  _load
+reads both, and the undeflated archives of earlier runs, decoding only
+the members a stage reads, and names the file and its producer when it
+is missing, damaged, stale or off its layout; a loader adds only the
+checks a shape cannot state.
 prepare keeps the corpus as arrays in file-row order, so a message's id
 is its row in every per-message array: dataset.npz is the one record of
 each message's gold label and split, a boolean train mask, and holds
@@ -47,6 +48,7 @@ import functools
 import json
 import math
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +176,8 @@ def _encode_threshold(value: float) -> float | str:
 
 def _save(cfg: PipelineConfig, name: str, **fields) -> None:
     """Write fields plus the config digest atomically: a .json report as
-    one JSON object with sorted keys, anything else as one uncompressed
-    .npz."""
+    one JSON object with sorted keys, anything else as one .npz whose
+    members are each deflated (zipfile.ZIP_DEFLATED)."""
     path = _path(cfg, name)
     if path.suffix == ".json":
         with atomic_open(path) as fh:
@@ -183,9 +185,9 @@ def _save(cfg: PipelineConfig, name: str, **fields) -> None:
                       sort_keys=True)
             fh.write("\n")
         return
+    digest = np.bytes_(cfg.digest().encode("ascii"))
     with atomic_open(path, "wb") as fh:
-        np.savez(fh, digest=np.bytes_(cfg.digest().encode("ascii")),
-                 **fields)
+        np.savez_compressed(fh, digest=digest, **fields)
 
 
 def _load(cfg: PipelineConfig, name: str, keys=None, build=None, **dims):
@@ -212,7 +214,8 @@ def _load(cfg: PipelineConfig, name: str, keys=None, build=None, **dims):
                              if "digest" in npz.files else "")
                     fields = {key: npz[key] for key in layout if key in stored
                               and (keys is None or key in keys)}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
         raise ArtifactError(f"cannot read {name} ({exc}); rerun "
                             f"{ARTIFACTS[name][0]}") from exc
     _match(str(found), cfg, name)

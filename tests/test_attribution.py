@@ -24,6 +24,7 @@ from topicaudit.classifiers import (LinearModel, probability_function,
 from topicaudit.features import CSR
 
 from csr_layout import to_csr
+from shap_vector import phi_of, total_of
 
 
 def brute_force_shapley(predict_fn, x, background_rows):
@@ -111,7 +112,7 @@ class TestKernelShapEnumeration:
         sv = kernel_shap(f, x, bg, msg_id=0)
         expected = w * (x - bg.mean)
         dense = np.zeros(5)
-        for j, v in sv.phi.items():
+        for j, v in phi_of(sv).items():
             dense[j] = v
         np.testing.assert_allclose(dense, expected, atol=1e-6)
 
@@ -126,7 +127,7 @@ class TestKernelShapEnumeration:
         sv = kernel_shap(f, x, bg, msg_id=1)
         oracle = brute_force_shapley(f, x, bg.rows)
         dense = np.zeros(3)
-        for j, v in sv.phi.items():
+        for j, v in phi_of(sv).items():
             dense[j] = v
         np.testing.assert_allclose(dense, oracle, atol=1e-6)
 
@@ -139,14 +140,14 @@ class TestKernelShapEnumeration:
             return np.tanh(rows.sum(axis=1))
 
         sv = kernel_shap(f, x, bg, msg_id=2)
-        np.testing.assert_allclose(sv.total(), f(x[None, :])[0], atol=1e-9)
+        np.testing.assert_allclose(total_of(sv), f(x[None, :])[0], atol=1e-9)
 
     def test_x_equal_to_single_background_row(self):
         x = np.array([0.1, 0.2, 0.3])
         bg = _bg(x[None, :])
         with pytest.warns(UserWarning, match="no deviation"):
             sv = kernel_shap(lambda rows: rows.sum(axis=1), x, bg, msg_id=3)
-        assert sv.phi == {}
+        assert phi_of(sv) == {}
 
     def test_duplicate_columns_get_equal_phi(self):
         # Columns 0 and 1 are mirror images in x and every background row.
@@ -157,7 +158,7 @@ class TestKernelShapEnumeration:
             return (rows[:, 0] + rows[:, 1]) * rows[:, 2]
 
         sv = kernel_shap(f, x, bg, msg_id=4)
-        np.testing.assert_allclose(sv.phi[0], sv.phi[1], rtol=1e-9)
+        np.testing.assert_allclose(phi_of(sv)[0], phi_of(sv)[1], rtol=1e-9)
 
     def test_single_active_column(self):
         bg = _bg(np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -167,8 +168,8 @@ class TestKernelShapEnumeration:
             return rows[:, 0] ** 2 + rows[:, 1]
 
         sv = kernel_shap(f, x, bg, msg_id=5)
-        assert set(sv.phi) == {0}
-        np.testing.assert_allclose(sv.phi[0], 9.0, atol=1e-12)
+        assert set(phi_of(sv)) == {0}
+        np.testing.assert_allclose(phi_of(sv)[0], 9.0, atol=1e-12)
 
 
 class TestKernelShapSampling:
@@ -187,7 +188,7 @@ class TestKernelShapSampling:
         sv = kernel_shap(f, x, bg, seed=11, msg_id=6)
         expected = w * (x - bg.mean)
         dense = np.zeros(d)
-        for j, v in sv.phi.items():
+        for j, v in phi_of(sv).items():
             dense[j] = v
         np.testing.assert_allclose(dense, expected, atol=1e-8)
 
@@ -201,7 +202,7 @@ class TestKernelShapSampling:
             return np.tanh(rows @ np.linspace(-1, 1, d))
 
         sv = kernel_shap(f, x, bg, seed=9, msg_id=7)
-        np.testing.assert_allclose(sv.total(), f(x[None, :])[0], atol=1e-9)
+        np.testing.assert_allclose(total_of(sv), f(x[None, :])[0], atol=1e-9)
 
     def test_sampling_approximates_exact_values(self):
         rng = np.random.default_rng(6)
@@ -216,7 +217,7 @@ class TestKernelShapSampling:
         sv = kernel_shap(f, x, bg, seed=13, msg_id=8)
         oracle = brute_force_shapley(f, x, bg.rows)
         dense = np.zeros(d)
-        for j, v in sv.phi.items():
+        for j, v in phi_of(sv).items():
             dense[j] = v
         scale = np.abs(oracle).max()
         np.testing.assert_allclose(dense, oracle, atol=0.05 * scale)
@@ -233,8 +234,8 @@ class TestKernelShapSampling:
         a = kernel_shap(f, x, bg, seed=21, msg_id=9)
         b = kernel_shap(f, x, bg, seed=21, msg_id=9)
         other = kernel_shap(f, x, bg, seed=21, msg_id=10)
-        assert a.phi == b.phi
-        assert a.phi != other.phi
+        assert phi_of(a) == phi_of(b)
+        assert phi_of(a) != phi_of(other)
 
     def test_degenerate_system_ridge_warns(self):
         rng = np.random.default_rng(8)
@@ -247,7 +248,7 @@ class TestKernelShapSampling:
 
         with pytest.warns(UserWarning, match="ridge"):
             sv = kernel_shap(f, x, bg, n_coalitions=6, seed=3, msg_id=11)
-        np.testing.assert_allclose(sv.total(), f(x[None, :])[0], atol=1e-9)
+        np.testing.assert_allclose(total_of(sv), f(x[None, :])[0], atol=1e-9)
 
 
 def _loop_enumeration(m):
@@ -364,19 +365,16 @@ class TestShapVectorValues:
             sv = kernel_shap(f, x_cols, bg, seed=2, msg_id=1)
             assert sv.columns.tolist() == cols
             assert sv.values.shape == (len(cols),)
-            assert sv.phi == {c: v for c, v in zip(cols, sv.values.tolist())
-                              if v != 0.0}
 
     def test_zero_attributions_are_kept(self):
-        # A constant function gives each active column an exact zero: the
-        # values keep it, phi (the nonzero entries) leaves it out.
+        # A constant function gives each active column an exact zero,
+        # which the values keep.
         bg = _bg(np.array([[0.0, 1.0, 2.0]]))
         x = np.array([5.0, 1.0, 2.0])
         sv = kernel_shap(lambda rows: np.ones(len(rows)), x, bg, msg_id=2)
         assert sv.columns.tolist() == [0]
         assert sv.values.tolist() == [0.0]
-        assert sv.phi == {}
-        assert sv.total() == 1.0
+        assert total_of(sv) == 1.0
 
 
 class TestKernelShapModels:
@@ -389,10 +387,10 @@ class TestKernelShapModels:
         by_model = kernel_shap(model, x, bg, **kw)
         by_callable = kernel_shap(
             lambda rows: probability_function(model, rows), x, bg, **kw)
-        assert set(by_model.phi) == set(by_callable.phi)
+        assert set(phi_of(by_model)) == set(phi_of(by_callable))
         assert by_model.base_value == by_callable.base_value
-        for j, v in by_callable.phi.items():
-            assert abs(by_model.phi[j] - v) <= 1e-12
+        for j, v in phi_of(by_callable).items():
+            assert abs(phi_of(by_model)[j] - v) <= 1e-12
         return by_model
 
     @pytest.mark.parametrize("n_active", [2, 7, 12])
@@ -405,7 +403,7 @@ class TestKernelShapModels:
         cols = np.random.default_rng(2).choice(d, n_active, replace=False)
         x[cols] += 0.5
         sv = self._both_paths(model, x, bg, msg_id=3)
-        assert set(sv.phi) <= set(cols.tolist())
+        assert set(phi_of(sv)) <= set(cols.tolist())
 
     @pytest.mark.parametrize("n_coalitions", [None, 201])
     @pytest.mark.parametrize("kind", ["svm", "nb"])
@@ -427,7 +425,7 @@ class TestKernelShapModels:
         x[17:] = model.struct_min[3:] - 25.0
         sv = self._both_paths(model, x, bg, seed=1, msg_id=0)
         np.testing.assert_allclose(
-            sv.total(), probability_function(model, x[None, :])[0],
+            total_of(sv), probability_function(model, x[None, :])[0],
             rtol=0, atol=1e-12)
 
     def test_well_conditioned_system_does_not_ridge(self):
@@ -463,7 +461,8 @@ class TestKernelExplain:
             warnings.simplefilter("ignore", UserWarning)
             for i in range(len(X)):
                 sv = kernel_shap(model, X[i], bg, seed=5, msg_id=i)
-                dense[i, list(sv.phi)] = list(sv.phi.values())
+                nonzero = phi_of(sv)
+                dense[i, list(nonzero)] = list(nonzero.values())
                 values.append(sv.values)
                 bases.append(sv.base_value)
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)

@@ -12,10 +12,12 @@ import gc
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from topicaudit.pipeline import (ArtifactError, StageError, _load,
 from topicaudit.uncertainty import REPRESENTATIONS
 
 from csr_layout import to_csr
+from shap_vector import phi_of
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
@@ -174,7 +177,8 @@ def _per_message_phi(cfg: PipelineConfig) -> np.ndarray:
             sv = attribution.kernel_shap(model, X[i], background,
                                          n_coalitions=cfg.n_coalitions,
                                          seed=cfg.seed, msg_id=i)
-            full[i, list(sv.phi)] = list(sv.phi.values())
+            nonzero = phi_of(sv)
+            full[i, list(nonzero)] = list(nonzero.values())
     return CSR.of(to_csr(full)).dense()
 
 
@@ -202,6 +206,21 @@ def _assert_phi_slices(phi, full: np.ndarray, space) -> None:
 
 def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def _flip_deflated_byte(path: Path, member: str, at: float) -> None:
+    """Invert the byte a fraction ``at`` into one member's deflated data,
+    which starts past the member's local header (30 bytes, then its name
+    and extra field)."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    assert info.compress_type == zipfile.ZIP_DEFLATED
+    blob = bytearray(path.read_bytes())
+    header = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", blob[header + 26:header + 30])
+    blob[header + 30 + name_len + extra_len
+         + int(at * info.compress_size)] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 def _score_refuses_shap(cfg_path: Path, capsys) -> None:
@@ -295,11 +314,52 @@ class TestStageOutputs:
                 assert npz[key].dtype == np.uint8, name
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
+        # An archive's digest member is deflated, so it is read, not
+        # searched for in the file's bytes.
         _, _, out, cfg_path = mini_run
         digest = load_config(cfg_path).digest()
+        found = {}
         for path in sorted(out.iterdir()):
-            blob = path.read_bytes()
-            assert digest.encode() in blob, f"{path.name} lacks the config digest"
+            if path.suffix == ".npz":
+                with np.load(path) as npz:
+                    found[path.name] = npz["digest"].tobytes().decode()
+            elif path.suffix == ".json":
+                found[path.name] = json.loads(
+                    path.read_text(encoding="utf-8"))["config_digest"]
+            else:
+                found[path.name] = digest if digest in path.read_text(
+                    encoding="utf-8") else None
+        assert found == dict.fromkeys(PRODUCER, digest)
+
+    def test_archives_stored_undeflated_stay_readable(self, mini_run,
+                                                     tmp_path):
+        # A run directory written before archives were deflated holds the
+        # same members, stored: _load reads back the same fields, and
+        # evaluate, repair and report write the same reports from it.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg, out = load_config(cfg_path), mini_run[2]
+        archives = sorted(path.name for path in copy.glob("*.npz"))
+        for name in archives:
+            with np.load(copy / name) as npz:
+                members = {key: npz[key] for key in npz.files}
+            with open(copy / name, "wb") as fh:
+                np.savez(fh, **members)
+            with zipfile.ZipFile(copy / name) as archive:
+                assert {info.compress_type for info in archive.infolist()
+                        } == {zipfile.ZIP_STORED}, name
+        deflated = load_config(mini_run[3])
+        for name in archives:
+            stored, fresh = _load(cfg, name), _load(deflated, name)
+            assert stored.keys() == fresh.keys(), name
+            for key, value in fresh.items():
+                a, b = np.asarray(stored[key]), np.asarray(value)
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, key)
+                assert a.tobytes() == b.tobytes(), (name, key)
+        for stage in ("evaluate", "repair", "report"):
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0
+        for name in ("detector_report.json", "repair_report.json",
+                     "report.md"):
+            assert (copy / name).read_bytes() == (out / name).read_bytes()
 
     def test_scores_outcomes_partition(self, mini_run):
         _, _, _, cfg_path = mini_run
@@ -823,6 +883,35 @@ class TestGuards:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
+    @pytest.mark.parametrize("name, member, stage", [
+        ("shap.npz", "mu", "score"), ("scores.npz", "predicted", "evaluate")])
+    def test_flipped_deflated_byte_fails_its_reader(self, mini_run, tmp_path,
+                                                    capsys, name, member,
+                                                    stage):
+        # A flipped byte either breaks the member's deflate stream
+        # (zlib.error) or inflates to other bytes (zipfile's CRC check);
+        # the offsets cover both, and neither leaves a file open.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        path = copy / name
+        pristine = path.read_bytes()
+        errors = []
+        for at in (0.0, 0.2, 0.4, 0.6, 0.8):
+            path.write_bytes(pristine)
+            _flip_deflated_byte(path, f"{member}.npy", at)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert cli.main([stage, "--config", str(cfg_path)]) == 2
+                gc.collect()
+            assert not [w for w in caught
+                        if issubclass(w.category, ResourceWarning)]
+            err = capsys.readouterr().err
+            assert err.startswith(f"[{stage}] cannot read {name} (")
+            assert err.endswith(f"); rerun {PRODUCER[name]}\n")
+            assert err.count("\n") == 1
+            errors.append(err)
+        assert any("Error -3 while decompressing" in err for err in errors)
+        assert any("Bad CRC-32" in err for err in errors)
+
     def test_truncated_dataset_fails_train(self, mini_run, tmp_path,
                                            capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
@@ -1010,7 +1099,8 @@ class TestKernelExplain:
                 msg_id=i)
             assert shap["base_values"][i] == ref.base_value
             dense = np.zeros(space.n_columns)
-            dense[list(ref.phi)] = list(ref.phi.values())
+            nonzero = phi_of(ref)
+            dense[list(nonzero)] = list(nonzero.values())
             np.testing.assert_array_equal(phi[i] != 0, dense != 0)
             np.testing.assert_allclose(phi[i], dense, rtol=0, atol=1e-12)
 
