@@ -48,7 +48,7 @@ from . import BLAS_THREAD_VARS, features
 from .classifiers import (LinearModel, _probability, decision_function,
                           probability_function)
 from .corpus import stratified_sample
-from .features import CSR, dense_rows
+from .features import CSR
 
 ACTIVE_TOL = 1e-12
 ENUMERATION_LIMIT = 12
@@ -304,7 +304,7 @@ def _explain_rows(job, rows) -> tuple:
     values, bases = [np.zeros(0)], []
     with warnings.catch_warnings(record=True) as caught:
         for i in rows:
-            shap = kernel_shap(model, dense_rows(X, [i])[0], background,
+            shap = kernel_shap(model, X.dense([i])[0], background,
                                n_coalitions=n_coalitions, seed=seed,
                                msg_id=int(i))
             values.append(shap.values)
@@ -325,18 +325,17 @@ def _explain_chunk(rows) -> tuple:
     return _explain_rows(_job, rows)
 
 
-def kernel_explain(model: LinearModel | Callable,
-                   X: np.ndarray | CSR,
+def kernel_explain(model: LinearModel | Callable, X: CSR,
                    background: np.ndarray,
                    n_coalitions: int | None = None, seed: int = 0
-                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """kernel_shap of every row of X, row i as message i, against the
-    (k, d) background rows; a CSR X is made dense one row at a time.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_shap of every row of X, made dense one row at a time, row i
+    as message i, against the (k, d) background rows.
 
-    Returns the fields kernel_phi rebuilds the (n, d) attributions from,
-    the background mean ``mu`` and ``data``, each row's values on its
-    active columns (zeros included) in ascending column order, row after
-    row; and the n base values.  The rows run in a fork process pool of
+    Returns (values, base values): each row's values on its active
+    columns (zeros included) in ascending column order, row after row,
+    which kernel_phi puts back on the columns given the background mean;
+    and the n base values.  The rows run in a fork process pool of
     _default_workers() processes, at most one per message, or in this
     process when that is one.  A worker's warnings are raised again here
     in message order, and its exception propagates.
@@ -364,8 +363,7 @@ def kernel_explain(model: LinearModel | Callable,
     for caught in warned:
         for message, filename, lineno in caught:
             warnings.warn_explicit(message, type(message), filename, lineno)
-    return ({"mu": background.mean(axis=0), "data": np.concatenate(values)},
-            np.concatenate(bases))
+    return np.concatenate(values), np.concatenate(bases)
 
 
 def active_mask(X: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -376,8 +374,9 @@ def active_mask(X: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def kernel_phi(X: CSR, mu: np.ndarray, data: np.ndarray) -> CSR:
-    """The (n, d) attributions of kernel_explain's ``mu`` (of length d)
-    and ``data``, as the CSR of their nonzero entries.
+    """The (n, d) attributions of kernel_explain's values ``data`` on the
+    active sets of X against the background mean ``mu`` (of length d), as
+    the CSR of their nonzero entries.
 
     Each row's active columns are re-derived from dense row blocks of X
     with active_mask, so data must hold exactly one value per active

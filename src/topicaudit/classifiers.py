@@ -7,8 +7,8 @@ probabilities with sigmoid scaling fitted on 5-fold out-of-fold margins.
 NB is multinomial with additive smoothing, treating TF-IDF weights as
 fractional counts, and is kept as its log-odds, linear in its scaled
 features.  Every trainer returns a LinearModel and draws no random
-number, and all models expose (margin, p_pos) through one predict entry
-point.
+number.  predict_all gives every message's positive-class probability
+and label; decision_function the margins.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from . import features
 GRAD_TOL = 1e-5
 
 
-class TrainingError(RuntimeError):
-    """Non-finite loss or an impossible training configuration."""
+class TrainingError(ValueError):
+    """Non-finite loss or parameters, or an impossible training
+    configuration; a ValueError, so a stored model with non-finite
+    parameters reads as malformed."""
 
 
 @dataclass
@@ -52,7 +54,9 @@ class LinearModel:
     def __post_init__(self):
         if self.kind not in ("logreg", "svm", "nb"):
             raise ValueError(f"unknown linear model kind {self.kind!r}")
-        if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.bias):
+        if not all(np.all(np.isfinite(values)) for values in (
+                self.weights, self.bias, self.calibration, self.struct_min,
+                self.struct_max) if values is not None):
             raise TrainingError("non-finite model parameters")
         if (self.calibration is not None) != (self.kind == "svm"):
             raise ValueError("calibration is present iff kind is svm")
@@ -86,22 +90,6 @@ class LinearModel:
         block = (X[..., at] - lo[own]) / span[own]
         X[..., at] = np.clip(block, 0.0, 1.0)
         return X
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Margins, positive-class probabilities and labels of messages."""
-
-    p_pos: np.ndarray | float
-    label: np.ndarray | int
-    margin: np.ndarray | float
-
-    def __post_init__(self):
-        p = np.asarray(self.p_pos)
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError(f"p_pos outside [0,1]: {self.p_pos}")
-        if not np.array_equal(self.label, p >= 0.5):
-            raise ValueError("label inconsistent with p_pos threshold")
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -308,17 +296,16 @@ def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
 
 
 def predict_all(model: LinearModel,
-                X: np.ndarray | features.CSR) -> Prediction:
-    """Margin, calibrated positive-class probability and label of every
-    row of X, a dense matrix or a CSR.  The margins come from dense
-    blocks of features.ROW_BLOCK rows (features.blocks), which give every
-    row the bits the whole matrix would."""
+                X: features.CSR) -> tuple[np.ndarray, np.ndarray]:
+    """(p_pos, label): the calibrated positive-class probability of every
+    row of X and its label, 1 iff p_pos >= 0.5.  The margins come from
+    dense blocks of features.ROW_BLOCK rows (features.blocks), which give
+    every row the bits the whole matrix would."""
     margin = np.empty(X.shape[0])
     for rows in features.blocks(X.shape[0], features.ROW_BLOCK):
-        margin[rows] = decision_function(model, features.dense_rows(X, rows))
+        margin[rows] = decision_function(model, X.dense(rows))
     p_pos = _probability(model, margin)
-    return Prediction(p_pos=p_pos, label=(p_pos >= 0.5).astype(int),
-                      margin=margin)
+    return p_pos, (p_pos >= 0.5).astype(int)
 
 
 def decision_function(model: LinearModel, X: np.ndarray) -> np.ndarray:

@@ -30,13 +30,16 @@ INT_FIELDS = {"seed": 0, "min_df": None, "word_quota": 0, "phrase_quota": 0,
               "k_related": 0, "epochs": 1, "svm_epochs": 1,
               "background_size": 1, "n_coalitions": 1, "k_top": 1,
               "n_topics": 1, "nmf_max_iters": 1, "k_nn": 1}
-# The types each flag and real-valued setting may have: a real is an int
-# or a float, and a bool is neither.
-FLAG, REAL = (bool,), (int, float)
+# The types each flag, real-valued and text setting may have, and their
+# name: a real is an int or a float, and a bool is neither.
+FLAG, REAL, TEXT = (bool,), (int, float), (str,)
+TYPE_NAMES = {FLAG: "true or false", REAL: "a number", TEXT: "a string"}
 TYPED_FIELDS = {"subsample_train": FLAG, "nb_linear_attribution": FLAG,
                 **dict.fromkeys(("split_ratio", "l2_strength", "svm_c",
                                  "nb_alpha", "tau_p", "nmf_tol",
-                                 "temperature", "trr_fix"), REAL)}
+                                 "temperature", "trr_fix"), REAL),
+                **dict.fromkeys(("dataset_path", "out_dir", "label_column",
+                                 "text_column"), TEXT)}
 
 
 @dataclass
@@ -96,9 +99,7 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be at least {least}")
         for name, types in TYPED_FIELDS.items():
             if type(getattr(self, name)) not in types:
-                raise ConfigError(f"{name} must be "
-                                  + ("true or false" if types is FLAG
-                                     else "a number"))
+                raise ConfigError(f"{name} must be {TYPE_NAMES[types]}")
         if self.dataset_format not in DATASET_FORMATS:
             raise ConfigError(f"unknown dataset_format "
                               f"{self.dataset_format!r}")
@@ -131,7 +132,8 @@ class PipelineConfig:
             raise ConfigError("l2_strength must not be negative")
         if not (isinstance(self.rho, dict)
                 and set(self.rho) <= set(FAMILIES)
-                and all(0.0 <= share <= 1.0 for share in self.rho.values())
+                and all(type(share) in REAL and 0.0 <= share <= 1.0
+                        for share in self.rho.values())
                 and abs(sum(self.rho.values()) - 1.0) <= 1e-9):
             raise ConfigError(f"rho must map some of {', '.join(FAMILIES)} "
                               "to shares in [0, 1] summing to 1")

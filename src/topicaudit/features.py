@@ -185,13 +185,6 @@ class CSR:
         return out
 
 
-def dense_rows(X: np.ndarray | CSR, rows) -> np.ndarray:
-    """X[rows] as a dense float array, for a dense matrix or a CSR."""
-    if isinstance(X, CSR):
-        return X.dense(rows)
-    return np.asarray(X, dtype=float)[rows]
-
-
 def blocks(n: int, size: int) -> list[slice]:
     """Consecutive slices over range(n), each starting at a multiple of
     size and size long, but the last, which also takes a remainder of one:

@@ -314,6 +314,8 @@ def _load_vectors(cfg, n, space) -> features.CSR:
         if shape != (n, space.n_columns):
             raise ValueError(f"a {shape} matrix, expected "
                              f"({n}, {space.n_columns})")
+        if not np.all(np.isfinite(f["data"])):
+            raise ValueError("data holds a non-finite value")
         return features.CSR.of(f)
     return _load(cfg, "vectors.npz", build=build)
 
@@ -325,6 +327,9 @@ def _load_phi(cfg, space, model, X):
     mean; a margin (linear) run's is rebuilt from that mean on the slice
     of X alone."""
     def build(f):
+        for key in ("mu", "data", "base_values"):
+            if key in f and not np.all(np.isfinite(f[key])):
+                raise ValueError(f"{key} holds a non-finite value")
         if f["explained_output"] == "probability":
             return attribution.kernel_phi(X, f["mu"], f["data"]).dense
         if f["explained_output"] != "margin" or "data" in f:
@@ -349,9 +354,10 @@ def _load_model(cfg, space) -> classifiers.LinearModel:
         return classifiers.LinearModel(**f)
     return _load(cfg, "model.npz", build=build, d=space.n_columns)
 
-def _load_topics(cfg, space, polarity) -> profiling.TopicModel:
-    """One polarity's topics, refused unless the columns are strictly
-    ascending columns of space and each is assigned a topic."""
+def _load_topics(cfg, space, polarity) -> dict[str, np.ndarray]:
+    """One polarity's topics, its columns, H, assignment and objective,
+    refused unless the columns are strictly ascending columns of space
+    and each is assigned a topic."""
     name = f"topics_{polarity}.npz"
     f = _load(cfg, name)
     columns, assignment = f["columns"], f["assignment"]
@@ -362,7 +368,7 @@ def _load_topics(cfg, space, polarity) -> profiling.TopicModel:
     if np.any(assignment < 0) or np.any(assignment >= cfg.n_topics):
         raise _malformed(name, f"assignment is not {columns.size} topics "
                                f"of [0, {cfg.n_topics})")
-    return profiling.TopicModel(**f)
+    return f
 
 
 # ---------------------------------------------------------------- prepare
@@ -451,9 +457,10 @@ def cmd_explain(cfg: PipelineConfig) -> None:
     else:
         background = X_train.dense(attribution.background_rows(
             gold[train], cfg.background_size, cfg.seed))
-        stored, base_values = attribution.kernel_explain(
+        data, base_values = attribution.kernel_explain(
             model, X, background, n_coalitions=cfg.n_coalitions, seed=cfg.seed)
         explained = "probability"
+        stored = {"mu": background.mean(axis=0), "data": data}
 
     _save(cfg, "shap.npz", base_values=base_values,
           explained_output=np.array(explained), **stored)
@@ -461,10 +468,10 @@ def cmd_explain(cfg: PipelineConfig) -> None:
 
 # ---------------------------------------------------------------- profile
 
-def _reliable_groups(gold, train, preds) -> tuple[np.ndarray, np.ndarray]:
+def _reliable_groups(gold, train, label) -> tuple[np.ndarray, np.ndarray]:
     """Row masks of the correctly classified train-split messages, TN and
     TP, indexed by label."""
-    reliable = train & (preds.label == gold)
+    reliable = train & (label == gold)
     return reliable & (gold == 0), reliable & (gold == 1)
 
 
@@ -474,7 +481,8 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     space = _load_space(cfg)
     X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
-    tn, tp = _reliable_groups(gold, train, classifiers.predict_all(model, X))
+    tn, tp = _reliable_groups(gold, train,
+                              classifiers.predict_all(model, X)[1])
     reliable = np.flatnonzero(tn | tp)
     if not reliable.size:
         raise ValueError("no correctly classified training messages to "
@@ -490,9 +498,10 @@ def cmd_profile(cfg: PipelineConfig) -> None:
     for block in features.blocks(space.n_columns, features.COLUMN_BLOCK):
         part = phi(reliable, block)
         for polarity in POLARITIES:
-            stats = profiling.feature_stats(
+            presence, cond_mean = profiling.feature_stats(
                 attribution.polarity_supports(part, polarity))
-            ranks[polarity].append(profiling.rank_score(stats, cfg.tau_p))
+            ranks[polarity].append(profiling.rank_score(presence, cond_mean,
+                                                        cfg.tau_p))
     families = space.families()
 
     for polarity in POLARITIES:
@@ -538,9 +547,9 @@ def cmd_score(cfg: PipelineConfig) -> None:
     space = _load_space(cfg)
     X = _load_vectors(cfg, len(gold), space)
     model = _load_model(cfg, space)
-    preds = classifiers.predict_all(model, X)
+    p_pos, predicted = classifiers.predict_all(model, X)
     phi = _load_phi(cfg, space, model, X)
-    groups = _reliable_groups(gold, train, preds)
+    groups = _reliable_groups(gold, train, predicted)
 
     # Each message is represented on the polarity its own prediction
     # selects (positive -> spamward supports against the TP group,
@@ -551,19 +560,19 @@ def cmd_score(cfg: PipelineConfig) -> None:
     degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
     profiles = np.empty((len(POLARITIES), len(REPRESENTATIONS), cfg.n_topics))
     for label, polarity in enumerate(POLARITIES):
-        rows = preds.label == label
+        rows = predicted == label
         topic = _load_topics(cfg, space, polarity)
-        supports = attribution.polarity_supports(phi(rows, topic.columns),
+        supports = attribution.polarity_supports(phi(rows, topic["columns"]),
                                                  polarity)
-        tc = profiling.topic_contributions(supports, topic.assignment,
+        tc = profiling.topic_contributions(supports, topic["assignment"],
                                            cfg.n_topics)
         group_tc = tc[groups[label][rows]]
-        profiles[label] = _reliable_profile(group_tc, topic.H, cfg)
+        profiles[label] = _reliable_profile(group_tc, topic["H"], cfg)
         vectors[rows], degenerate[rows] = _representations(
-            tc, group_tc, topic.H, cfg)
+            tc, group_tc, topic["H"], cfg)
 
-    xmap = scoring.misclassification_score(vectors, profiles, preds.label)
-    columns = {method: uncertainty.output_uq_score(preds.p_pos, method,
+    xmap = scoring.misclassification_score(vectors, profiles, predicted)
+    columns = {method: uncertainty.output_uq_score(p_pos, method,
                                                    cfg.temperature)
                for method in BASE_METHODS}
     columns.update(zip(XMAP_COLUMNS, xmap.T))
@@ -572,8 +581,8 @@ def cmd_score(cfg: PipelineConfig) -> None:
     _save(cfg, "profiles.npz", names=names, vectors=profiles)
     _save(cfg, "representations.npz", names=names, vectors=vectors,
           degenerate=degenerate)
-    _save(cfg, "scores.npz", predicted=preds.label.astype(np.uint8),
-          p_pos=preds.p_pos, **columns)
+    _save(cfg, "scores.npz", predicted=predicted.astype(np.uint8),
+          p_pos=p_pos, **columns)
 
 
 # --------------------------------------------------------------- evaluate
@@ -591,13 +600,14 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
                       trr_fix: float) -> dict:
     kept = ~np.isnan(scores)
     arr, fl = scores[kept], flags[kept]
+    rejected, counts = _rejections(arr, fl, trr_fix)
     return {
         "n_scored": int(arr.size),
         "n_na": int(scores.size - arr.size),
         "n_misclassified": int(fl.sum()),
         "auroc": scoring.auroc(arr, fl),
-        "frr_at_trr": scoring.frr_at_trr(arr, fl, trr_fix),
-        **_rejections(arr, fl, trr_fix)[1],
+        "frr_at_trr": scoring.frr_at_trr(rejected, fl),
+        **counts,
     }
 
 

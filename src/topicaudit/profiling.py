@@ -5,13 +5,14 @@ often and how strongly features contribute, the top columns are selected
 under per-family quotas, the resulting nonnegative matrix is factorized
 with multiplicative-update NMF, and each selected column is assigned to
 one topic, so a message's supports sum into per-topic contributions.
+Every function takes and returns plain arrays: a polarity's topics are
+its selected columns, H and the assignment, which pipeline stores.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,26 +23,9 @@ class NMFError(RuntimeError):
     """The multiplicative updates broke their monotonicity guarantee."""
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-column activity summary of one polarity's supports."""
-
-    presence: np.ndarray
-    cond_mean: np.ndarray
-
-
-@dataclass
-class TopicModel:
-    """One polarity's NMF topics over its selected support columns."""
-
-    columns: np.ndarray
-    H: np.ndarray
-    assignment: np.ndarray
-    objective: float
-
-
-def feature_stats(supports: np.ndarray) -> FeatureStats:
-    """presence_j = share of messages (rows) with nonzero support;
+def feature_stats(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(presence, cond_mean) of each column of one polarity's supports:
+    presence_j = share of messages (rows) with nonzero support;
     cond_mean_j = mean support over exactly those messages (0 when never
     active)."""
     n, n_columns = supports.shape
@@ -49,13 +33,13 @@ def feature_stats(supports: np.ndarray) -> FeatureStats:
         raise ValueError("feature_stats needs at least one message")
     active = np.count_nonzero(supports, axis=0)
     total = supports.sum(axis=0)
-    presence = active / n
     cond_mean = np.divide(total, active, out=np.zeros(n_columns),
                           where=active > 0)
-    return FeatureStats(presence=presence, cond_mean=cond_mean)
+    return active / n, cond_mean
 
 
-def rank_score(stats: FeatureStats, tau_p: float) -> np.ndarray:
+def rank_score(presence: np.ndarray, cond_mean: np.ndarray,
+               tau_p: float) -> np.ndarray:
     """r_j = cond_mean_j * sqrt(max(presence_j, tau_p)).
 
     The floor keeps rare-but-strong features from being wiped out, while
@@ -63,7 +47,7 @@ def rank_score(stats: FeatureStats, tau_p: float) -> np.ndarray:
     """
     if not 0.0 < tau_p <= 1.0:
         raise ValueError(f"presence floor must be in (0,1], got {tau_p}")
-    return stats.cond_mean * np.sqrt(np.maximum(stats.presence, tau_p))
+    return cond_mean * np.sqrt(np.maximum(presence, tau_p))
 
 
 def select_top(r: np.ndarray, families: np.ndarray, quotas: dict[str, float],

@@ -156,13 +156,14 @@ def share(hits: np.ndarray, pool: np.ndarray) -> float | None:
     return int(np.sum(hits & pool)) / n if n else None
 
 
-def frr_at_trr(scores: np.ndarray, flags: np.ndarray,
-               trr_target: float = 0.95) -> float | None:
-    """Share of correct samples rejected at the TRR-target cutoff."""
+def frr_at_trr(rejected: np.ndarray, flags: np.ndarray) -> float | None:
+    """Share of correct samples rejected, given the rejected mask at the
+    TRR-target cutoff (rejected_at_trr); None unless both classes are
+    present."""
     flags = np.asarray(flags, dtype=bool)
     if flags.all() or not flags.any():
         return None
-    return share(rejected_at_trr(scores, flags, trr_target)[1], ~flags)
+    return share(rejected, ~flags)
 
 
 def calibrate_tau(train_xmap: np.ndarray, train_flags: np.ndarray,

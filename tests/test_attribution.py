@@ -467,11 +467,10 @@ class TestKernelExplain:
                 bases.append(sv.base_value)
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
         with pytest.warns(UserWarning) as caught:
-            stored, base_values = kernel_explain(model, X, bg.rows, seed=5)
-        assert stored.keys() == {"mu", "data"}
-        assert stored["mu"].tobytes() == bg.mean.tobytes()
-        assert stored["data"].tobytes() == np.concatenate(values).tobytes()
-        csr = kernel_phi(CSR.of(to_csr(X)), stored["mu"], stored["data"])
+            data, base_values = kernel_explain(model, CSR.of(to_csr(X)),
+                                               bg.rows, seed=5)
+        assert data.tobytes() == np.concatenate(values).tobytes()
+        csr = kernel_phi(CSR.of(to_csr(X)), bg.mean, data)
         expected = to_csr(dense)
         assert csr.shape == tuple(expected["shape"])
         for key in ("indptr", "indices", "data"):

@@ -12,13 +12,19 @@ from hypothesis.extra import numpy as hnp
 
 from topicaudit import classifiers as clf
 from topicaudit import features
-from topicaudit.classifiers import (LinearModel, Prediction, predict_all,
-                                    train_logreg, train_nb, train_svm)
+from topicaudit.classifiers import (LinearModel, predict_all, train_logreg,
+                                    train_nb, train_svm)
 from topicaudit.config import PipelineConfig
 from topicaudit.features import CSR
 from topicaudit.pipeline import _load_model, _save_model
 
 from csr_layout import to_csr
+
+
+def _predict(model, X):
+    """predict_all's (p_pos, label) of a dense matrix, through the CSR it
+    reads."""
+    return predict_all(model, CSR.of(to_csr(np.asarray(X, dtype=float))))
 
 
 def _toy_separable():
@@ -31,8 +37,7 @@ class TestLogReg:
     def test_separable_reaches_full_accuracy(self):
         X, y = _toy_separable()
         model = train_logreg(X, y, l2_strength=0.01, epochs=500)
-        preds = [predict_all(model, X[i:i + 1]).label[0]
-                 for i in range(len(X))]
+        preds = [_predict(model, X[i:i + 1])[1][0] for i in range(len(X))]
         assert preds == list(y)
 
     def test_identical_features_recover_class_rate(self):
@@ -40,7 +45,7 @@ class TestLogReg:
         X = np.ones((10, 3))
         y = np.array([1] * 7 + [0] * 3)
         model = train_logreg(X, y, epochs=2000)
-        p = predict_all(model, X[:1]).p_pos[0]
+        p = _predict(model, X[:1])[0][0]
         np.testing.assert_allclose(p, 0.7, atol=1e-3)
 
     def test_deterministic(self):
@@ -52,19 +57,19 @@ class TestLogReg:
 
     def test_margin_is_log_odds(self):
         model = LinearModel(kind="logreg", weights=np.array([1.0]), bias=0.0)
-        pred = predict_all(model, np.array([[np.log(3.0)]]))
-        np.testing.assert_allclose(pred.p_pos[0], 0.75, rtol=1e-12)
+        p_pos, _ = _predict(model, np.array([[np.log(3.0)]]))
+        np.testing.assert_allclose(p_pos[0], 0.75, rtol=1e-12)
 
     def test_zero_model_gives_half(self):
         model = LinearModel(kind="logreg", weights=np.zeros(4), bias=0.0)
-        assert predict_all(model, np.zeros((1, 4))).p_pos[0] == 0.5
+        assert _predict(model, np.zeros((1, 4)))[0][0] == 0.5
 
     def test_large_structural_scale_still_trains(self):
         rng = np.random.default_rng(0)
         X = np.hstack([rng.random((40, 3)), rng.integers(0, 500, (40, 1))])
         y = (X[:, 0] > 0.5).astype(int)
         model = train_logreg(X, y, epochs=800)
-        acc = np.mean([predict_all(model, X[i:i + 1]).label[0]
+        acc = np.mean([_predict(model, X[i:i + 1])[1][0]
                        for i in range(len(X))] == y)
         assert acc >= 0.9
 
@@ -213,12 +218,14 @@ class TestNB:
         X = np.array([[3.0, 1.0], [1.0, 0.0], [1.0, 2.0], [0.0, 1.0]])
         y = np.array([1, 1, 0, 0])
         model = train_nb(X, y, alpha=1.0)
-        pred = predict_all(model, np.array([[2.0, 0.0]]))
+        x = np.array([[2.0, 0.0]])
+        p_pos, _ = _predict(model, x)
         s1 = np.log(0.5) + 2 * np.log(5.0 / 7.0)
         s0 = np.log(0.5) + 2 * np.log(2.0 / 6.0)
         expect = np.exp(s1) / (np.exp(s1) + np.exp(s0))
-        np.testing.assert_allclose(pred.p_pos[0], expect, rtol=1e-12)
-        np.testing.assert_allclose(pred.margin[0], s1 - s0, rtol=1e-12)
+        np.testing.assert_allclose(p_pos[0], expect, rtol=1e-12)
+        np.testing.assert_allclose(clf.decision_function(model, x)[0],
+                                   s1 - s0, rtol=1e-12)
 
     def test_structural_block_scaled_and_clipped(self):
         X = np.array([[1.0, 0.0, 10.0], [0.0, 1.0, 30.0]])
@@ -252,13 +259,6 @@ class TestNB:
 
 
 class TestPrediction:
-    def test_label_threshold_enforced(self):
-        with pytest.raises(ValueError, match="label"):
-            Prediction(p_pos=0.7, label=0, margin=0.1)
-        with pytest.raises(ValueError, match="label"):
-            Prediction(p_pos=np.array([0.2, 0.7]), label=np.array([0, 0]),
-                       margin=np.array([-1.0, 1.0]))
-
     @pytest.mark.parametrize("kind", ["logreg", "svm", "nb"])
     def test_batch_matches_one_row_calls(self, kind):
         rng = np.random.default_rng(2)
@@ -267,14 +267,16 @@ class TestPrediction:
         model = {"logreg": lambda: train_logreg(X, y),
                  "svm": lambda: train_svm(X, y, epochs=200),
                  "nb": lambda: train_nb(X, y, structural_start=4)}[kind]()
-        batch = predict_all(model, X)
+        p_pos, label = _predict(model, X)
+        margin = clf.decision_function(model, X)
         for i in range(len(X)):
-            one = predict_all(model, X[i:i + 1])
-            assert batch.label[i] == one.label[0]
-            np.testing.assert_allclose(batch.p_pos[i], one.p_pos[0],
+            one_p_pos, one_label = _predict(model, X[i:i + 1])
+            assert label[i] == one_label[0]
+            np.testing.assert_allclose(p_pos[i], one_p_pos[0],
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batch.margin[i], one.margin[0],
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                margin[i], clf.decision_function(model, X[i:i + 1])[0],
+                rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["logreg", "svm", "nb"])
     @pytest.mark.parametrize("n, block", [(1, 16), (17, 16), (33, 16),
@@ -298,23 +300,22 @@ class TestPrediction:
                                    np.repeat([0, 1], n),
                                    structural_start=d - 17)}[kind]()
         monkeypatch.setattr(features, "ROW_BLOCK", block)
-        pred = predict_all(model, CSR.of(to_csr(X)))
+        p_pos, label = predict_all(model, CSR.of(to_csr(X)))
         margin = clf.decision_function(model, X)
-        assert pred.margin.tobytes() == margin.tobytes()
-        assert pred.p_pos.tobytes() == clf._probability(
-            model, margin).tobytes()
+        assert p_pos.tobytes() == clf._probability(model, margin).tobytes()
+        assert np.array_equal(label, p_pos >= 0.5)
 
     def test_dimension_mismatch_rejected(self):
         model = LinearModel(kind="logreg", weights=np.ones(3), bias=0.0)
         with pytest.raises(ValueError, match="size 3 is different from 4"):
-            predict_all(model, np.ones((1, 4)))
+            _predict(model, np.ones((1, 4)))
 
     @settings(max_examples=30, deadline=None)
     @given(margin=st.floats(-20, 20))
     def test_probability_strictly_monotone(self, margin):
         model = LinearModel(kind="logreg", weights=np.array([1.0]), bias=0.0)
-        lo = predict_all(model, np.array([[margin]])).p_pos[0]
-        hi = predict_all(model, np.array([[margin + 0.1]])).p_pos[0]
+        lo = _predict(model, np.array([[margin]]))[0][0]
+        hi = _predict(model, np.array([[margin + 0.1]]))[0][0]
         assert hi > lo
 
 
@@ -373,7 +374,7 @@ class TestModelIO:
         assert type(back.structural_start) is int
         assert back.structural_start == 2
         x = np.array([[1.5, 1.5, 7.0]])
-        ours, theirs = predict_all(back, x), predict_all(model, x)
-        for name in ("p_pos", "label", "margin"):
-            assert self._same_bits(getattr(ours, name),
-                                   getattr(theirs, name)), name
+        for ours, theirs in zip(_predict(back, x), _predict(model, x)):
+            assert self._same_bits(ours, theirs)
+        assert self._same_bits(clf.decision_function(back, x),
+                               clf.decision_function(model, x))

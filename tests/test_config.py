@@ -211,6 +211,8 @@ class TestModelSettings:
            ("rho", {"word": 0.65, "phrase": 0.3, "structual": 0.05}),
            ("rho", {"word": 0.65, "phrase": 0.3}),
            ("rho", {"word": float("nan"), "phrase": 0.3}),
+           # Shares are numbers, not strings or bools.
+           ("rho", {"word": "x", "phrase": 0.5}), ("rho", {"word": True}),
            ("svm_c", -1), ("svm_c", 0), ("svm_c", float("nan")),
            ("nb_alpha", 0), ("nb_alpha", -0.5),
            ("l2_strength", -1e-3), ("l2_strength", float("nan")),
@@ -227,6 +229,9 @@ class TestModelSettings:
            ("l2_strength", True), ("svm_c", True), ("nb_alpha", "1"),
            ("tau_p", True), ("nmf_tol", "x"), ("nmf_tol", None),
            ("temperature", True), ("trr_fix", True),
+           # Paths and column names are strings.
+           ("dataset_path", 5), ("out_dir", 5), ("label_column", 5),
+           ("text_column", None),
            # NMF factors the k_top (200) selected columns into n_topics;
            # refused at load, not by profile after three stages have run.
            ("n_topics", 201)]
@@ -251,9 +256,10 @@ class TestModelSettings:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"dataset_path": "d.tsv", name: value}),
                         encoding="utf-8")
+        # --out would replace a bad out_dir.
+        out = [] if name == "out_dir" else ["--out", str(tmp_path / "run")]
         for stage in ("prepare", "train"):
-            assert cli.main([stage, "--config", str(path),
-                             "--out", str(tmp_path / "run")]) == 1
+            assert cli.main([stage, "--config", str(path), *out]) == 1
             assert capsys.readouterr().err.startswith(
                 f"usage error: {name} must ")
         assert not (tmp_path / "run").exists()

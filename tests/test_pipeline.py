@@ -473,10 +473,10 @@ class TestStageOutputs:
             assert group.any(), polarity
             topic = _load_topics(cfg, space, polarity)
             supports = attribution.polarity_supports(
-                phi[group][:, topic.columns], polarity)
+                phi[group][:, topic["columns"]], polarity)
             group_tc = profiling.topic_contributions(
-                supports, topic.assignment, cfg.n_topics)
-            expected = _reliable_profile(group_tc, topic.H, cfg)
+                supports, topic["assignment"], cfg.n_topics)
+            expected = _reliable_profile(group_tc, topic["H"], cfg)
             assert not np.isnan(expected).all(), polarity
             assert profiles["vectors"][label].tobytes() == expected.tobytes()
 
@@ -496,12 +496,12 @@ class TestStageOutputs:
         for polarity in pipeline.POLARITIES:
             topic = _load_topics(cfg, space, polarity)
             matrix = np.ascontiguousarray(attribution.polarity_supports(
-                phi[reliable], polarity)[:, topic.columns])
+                phi[reliable], polarity)[:, topic["columns"]])
             _, H, trace = assert_matches_direct(
                 matrix, cfg.n_topics, max_iters=cfg.nmf_max_iters,
                 tol=cfg.nmf_tol, seed=cfg.seed)
-            assert topic.H.tobytes() == H.tobytes(), polarity
-            assert topic.objective == trace[-1], polarity
+            assert topic["H"].tobytes() == H.tobytes(), polarity
+            assert topic["objective"] == trace[-1], polarity
 
     def test_report_sections_render(self, mini_run):
         _, _, out, _ = mini_run
@@ -837,6 +837,52 @@ class TestGuards:
         err = self._refuses_model(cfg_path, capsys, stage)
         assert err == (f"[{stage}] model.npz is malformed (weights of shape "
                        f"({trained},), expected ({width},)); rerun train\n")
+
+    @pytest.mark.parametrize("run, key, stage", [
+        ("mini_run", "weights", "explain"), ("mini_run", "weights", "profile"),
+        ("mini_run", "weights", "score"),
+        ("kernel_run", "calibration", "profile")])
+    def test_non_finite_model_parameter_fails(self, run, key, stage, request,
+                                              tmp_path, capsys):
+        # One NaN parameter stopped each stage with a message that named
+        # neither model.npz nor train.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "model.npz")
+        arrays[key][0] = np.nan
+        _save(cfg, "model.npz", **arrays)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        err = self._refuses_model(cfg_path, capsys, stage)
+        assert err == (f"[{stage}] model.npz is malformed (TrainingError("
+                       "'non-finite model parameters')); rerun train\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    @pytest.mark.parametrize("run, name, key, value, stage", [
+        ("mini_run", "vectors.npz", "data", np.inf, "explain"),
+        ("mini_run", "vectors.npz", "data", np.nan, "profile"),
+        ("mini_run", "vectors.npz", "data", -np.inf, "score"),
+        ("mini_run", "shap.npz", "mu", np.nan, "profile"),
+        ("mini_run", "shap.npz", "mu", np.inf, "score"),
+        ("mini_run", "shap.npz", "base_values", np.nan, "profile"),
+        ("kernel_run", "shap.npz", "data", np.nan, "profile"),
+        ("kernel_run", "shap.npz", "data", np.inf, "score"),
+        ("kernel_run", "shap.npz", "mu", np.nan, "score"),
+        ("kernel_run", "shap.npz", "base_values", np.inf, "profile")])
+    def test_non_finite_stored_value_fails(self, run, name, key, value,
+                                           stage, request, tmp_path, capsys):
+        # Each passed its readers, or stopped one with a message naming
+        # neither the file nor its producer.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, name)
+        arrays[key][arrays[key].size // 2] = value
+        _save(cfg, name, **arrays)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([stage, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"[{stage}] {name} is malformed (ValueError('{key} holds a "
+            f"non-finite value')); rerun {PRODUCER[name]}\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("damage", [
         "column_past_space", "descending_columns", "extra_topic_row",

@@ -19,23 +19,24 @@ from topicaudit.uncertainty import REPRESENTATIONS
 class TestFeatureStats:
     def test_mixed_column(self):
         supports = np.array([[0.2, 0.0], [0.0, 0.0], [0.4, 0.0]])
-        stats = prof.feature_stats(supports)
-        np.testing.assert_allclose(stats.presence[0], 2.0 / 3.0)
-        np.testing.assert_allclose(stats.cond_mean[0], 0.3)
+        presence, cond_mean = prof.feature_stats(supports)
+        np.testing.assert_allclose(presence[0], 2.0 / 3.0)
+        np.testing.assert_allclose(cond_mean[0], 0.3)
 
     def test_never_active_column(self):
-        stats = prof.feature_stats(np.zeros((2, 3)))
-        np.testing.assert_array_equal(stats.presence, np.zeros(3))
-        np.testing.assert_array_equal(stats.cond_mean, np.zeros(3))
+        presence, cond_mean = prof.feature_stats(np.zeros((2, 3)))
+        np.testing.assert_array_equal(presence, np.zeros(3))
+        np.testing.assert_array_equal(cond_mean, np.zeros(3))
 
     def test_constant_column(self):
-        stats = prof.feature_stats(np.array([[0.0, 0.7], [0.0, 0.7]]))
-        assert stats.presence[1] == 1.0
-        np.testing.assert_allclose(stats.cond_mean[1], 0.7)
+        presence, cond_mean = prof.feature_stats(
+            np.array([[0.0, 0.7], [0.0, 0.7]]))
+        assert presence[1] == 1.0
+        np.testing.assert_allclose(cond_mean[1], 0.7)
 
     def test_explicit_zero_entries_do_not_count(self):
-        stats = prof.feature_stats(np.array([[0.0], [0.5]]))
-        np.testing.assert_allclose(stats.presence[0], 0.5)
+        presence, _ = prof.feature_stats(np.array([[0.0], [0.5]]))
+        np.testing.assert_allclose(presence[0], 0.5)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -46,11 +47,12 @@ class TestFeatureStats:
     def test_invariant_to_message_order(self, perm):
         supports = np.array([[0.1, 0.0], [0.3, 0.2], [0.0, 0.0],
                              [0.0, 0.4], [0.2, 0.0], [0.0, 0.0]])
-        base = prof.feature_stats(supports)
-        shuffled = prof.feature_stats(supports[perm])
-        np.testing.assert_array_equal(base.presence, shuffled.presence)
+        presence, cond_mean = prof.feature_stats(supports)
+        shuffled_presence, shuffled_cond_mean = prof.feature_stats(
+            supports[perm])
+        np.testing.assert_array_equal(presence, shuffled_presence)
         # Summation order shifts the last ulp; anything beyond that is a bug.
-        np.testing.assert_allclose(base.cond_mean, shuffled.cond_mean,
+        np.testing.assert_allclose(cond_mean, shuffled_cond_mean,
                                    rtol=1e-12)
 
     def test_matches_per_message_accumulation(self):
@@ -62,10 +64,10 @@ class TestFeatureStats:
         for row in supports:
             total += row
         active = (supports != 0).sum(axis=0)
-        stats = prof.feature_stats(supports)
+        _, cond_mean = prof.feature_stats(supports)
         expected = np.divide(total, active, out=np.zeros(25),
                              where=active > 0)
-        assert np.array_equal(stats.cond_mean, expected)
+        assert np.array_equal(cond_mean, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 50),
@@ -78,33 +80,28 @@ class TestFeatureStats:
         full = prof.feature_stats(supports)
         parts = [prof.feature_stats(np.ascontiguousarray(supports[:, block]))
                  for block in features.blocks(d, size)]
-        for name in ("presence", "cond_mean"):
-            assert np.concatenate([getattr(part, name) for part in parts]
-                                  ).tobytes() == getattr(full, name).tobytes()
+        for at, name in enumerate(("presence", "cond_mean")):
+            assert np.concatenate([part[at] for part in parts]
+                                  ).tobytes() == full[at].tobytes(), name
 
 
 class TestRankScore:
     def test_direct_evaluation(self):
-        stats = prof.FeatureStats(presence=np.array([2.0 / 3.0]),
-                                  cond_mean=np.array([0.3]))
-        r = prof.rank_score(stats, tau_p=0.05)
+        r = prof.rank_score(np.array([2.0 / 3.0]), np.array([0.3]),
+                            tau_p=0.05)
         np.testing.assert_allclose(r[0], 0.3 * np.sqrt(2.0 / 3.0))
 
     def test_floor_binds_below_tau(self):
-        stats = prof.FeatureStats(presence=np.array([0.01]),
-                                  cond_mean=np.array([0.8]))
-        r = prof.rank_score(stats, tau_p=0.05)
+        r = prof.rank_score(np.array([0.01]), np.array([0.8]), tau_p=0.05)
         np.testing.assert_allclose(r[0], 0.8 * np.sqrt(0.05))
 
     def test_zero_cond_mean_stays_zero(self):
-        stats = prof.FeatureStats(presence=np.array([0.0]),
-                                  cond_mean=np.array([0.0]))
-        assert prof.rank_score(stats, tau_p=0.05)[0] == 0.0
+        assert prof.rank_score(np.array([0.0]), np.array([0.0]),
+                               tau_p=0.05)[0] == 0.0
 
     def test_tau_validated(self):
-        stats = prof.FeatureStats(presence=np.zeros(1), cond_mean=np.zeros(1))
         with pytest.raises(ValueError, match="floor"):
-            prof.rank_score(stats, tau_p=0.0)
+            prof.rank_score(np.zeros(1), np.zeros(1), tau_p=0.0)
 
 
 class TestSelectTop:
@@ -431,15 +428,14 @@ class TestProfilingIO:
         space = features.FeatureSpace(
             word_vocab={f"w{i}": i for i in range(21)}, phrase_vocab={},
             idf=np.ones(21))
-        model = prof.TopicModel(
+        topics = dict(
             columns=np.array([3, 8, 20]),
             H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
             assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
-        _save(cfg, "topics_plus.npz", **vars(model))
+        _save(cfg, "topics_plus.npz", **topics)
         back = _load_topics(cfg, space, "plus")
         for name in ("columns", "H", "assignment"):
-            assert getattr(back, name).dtype == getattr(model, name).dtype
-            assert getattr(back, name).tobytes() == getattr(model,
-                                                            name).tobytes()
-        assert type(back.objective) is float
-        assert back.objective == model.objective
+            assert back[name].dtype == topics[name].dtype
+            assert back[name].tobytes() == topics[name].tobytes()
+        assert type(back["objective"]) is float
+        assert back["objective"] == topics["objective"]

@@ -139,16 +139,21 @@ class TestAuroc:
                                    rtol=1e-12)
 
 
+def _frr(scores, flags, target):
+    """frr_at_trr of the rows rejected at the target's cutoff."""
+    return frr_at_trr(rejected_at_trr(scores, flags, target)[1], flags)
+
+
 class TestFrrAtTrr:
     def test_separable_scores_zero_frr(self):
         scores = [0.9, 0.8, 0.2, 0.1, 0.15]
         flags = [1, 1, 0, 0, 0]
-        assert frr_at_trr(scores, flags, 0.95) == 0.0
+        assert _frr(scores, flags, 0.95) == 0.0
 
     def test_all_equal_rejects_everything(self):
         scores = [0.5] * 10
         flags = [1] * 3 + [0] * 7
-        assert frr_at_trr(scores, flags, 0.95) == 1.0
+        assert _frr(scores, flags, 0.95) == 1.0
 
     def test_counting_example(self):
         # 20 misclassified: 19 high scores and one straggler at 0.3.
@@ -156,16 +161,20 @@ class TestFrrAtTrr:
         # and no correct message at 0.5 is rejected.
         scores = [0.7 + 0.01 * i for i in range(19)] + [0.3] + [0.5] * 100
         flags = [1] * 20 + [0] * 100
-        assert frr_at_trr(scores, flags, 0.95) == 0.0
+        assert _frr(scores, flags, 0.95) == 0.0
         # Demanding full recall drags the cutoff to 0.3, rejecting all.
-        assert frr_at_trr(scores, flags, 1.0) == 1.0
+        assert _frr(scores, flags, 1.0) == 1.0
+
+    @pytest.mark.parametrize("flags", [[1, 1, 1], [0, 0, 0]])
+    def test_one_class_has_no_frr(self, flags):
+        assert _frr([0.2, 0.5, 0.9], flags, 0.95) is None
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(1)
         scores = rng.random(60)
         flags = rng.integers(0, 2, 60)
         flags[0], flags[1] = 1, 0
-        values = [frr_at_trr(scores, flags, t)
+        values = [_frr(scores, flags, t)
                   for t in (0.05, 0.25, 0.5, 0.75, 0.95, 1.0)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
@@ -186,7 +195,7 @@ class TestFrrAtTrr:
             frr = (scores[~flags] >= cutoff).sum() / n_cor
             if trr >= target and (best is None or frr < best):
                 best = frr
-        np.testing.assert_allclose(frr_at_trr(scores, flags, target), best,
+        np.testing.assert_allclose(_frr(scores, flags, target), best,
                                    rtol=1e-12)
 
 
