@@ -26,8 +26,8 @@ GRAD_TOL = 1e-5
 
 class TrainingError(ValueError):
     """Non-finite loss or parameters, or an impossible training
-    configuration; a ValueError, so a stored model with non-finite
-    parameters reads as malformed."""
+    configuration.  It stops a diverged run at train; pipeline's loader
+    refuses a stored non-finite parameter before a model is built."""
 
 
 @dataclass

@@ -3,18 +3,18 @@ and upstream artifacts, so reruns are byte-identical.
 
 ARTIFACTS names every artifact under the output directory, the stage
 that writes it and its layout, the one statement of each archive's
-members, dtype kinds and shapes; _path(cfg, name) is its file.  _save
-writes each, a deflated .npz or, for the two reports, a JSON object,
-stamped with the config digest (a mismatch refuses to combine) and
-atomically, so a failed write leaves the previous file in place.  _load
-reads both, and the undeflated archives of earlier runs, decoding only
-the members a stage reads, and names the file and its producer when it
-is missing, damaged, stale or off its layout; a loader adds only the
-checks a shape cannot state.
+members, dtype kinds, shapes and NA floats; _path(cfg, name) is its
+file.  _save writes each, a deflated .npz or, for the two reports, a
+JSON object, stamped with the config digest (a mismatch refuses to
+combine) and atomically, so a failed write leaves the previous file in
+place.  _load reads both, and undeflated archives of earlier runs,
+decoding only the members a stage reads, and names the file and its
+producer when it is missing, damaged, stale, off its layout or not
+finite outside NA; a loader adds only the checks a layout cannot state.
 prepare keeps the corpus as arrays in file-row order, so a message's id
 is its row in every per-message array: dataset.npz is the one record of
-each message's gold label and split, a boolean train mask, and holds
-the messages' text, which no stage reads back.  Lists of strings are
+each message's gold label and split, both boolean, and holds the
+messages' text, which no stage reads back.  Lists of strings are
 stored by _utf8.  The (n, d) matrix X is stored in vectors.npz as the
 CSR arrays features.vectorize emits and loaded as features.CSR.  No
 stage after prepare holds X or phi dense: each asks for the dense rows
@@ -66,7 +66,7 @@ SUBSETS = (("positive", 1), ("negative", 0))
 POLARITIES = ("minus", "plus")
 OUTCOMES = ("accepted", "rejected", "repaired")
 
-OPTIONAL, _R = "optional", len(REPRESENTATIONS)
+OPTIONAL, NA, _R = "optional", "na", len(REPRESENTATIONS)
 
 # Every artifact under the output directory: the stage that writes it,
 # and its layout.  A JSON report's is the top-level keys its readers
@@ -75,10 +75,11 @@ OPTIONAL, _R = "optional", len(REPRESENTATIONS)
 # messages, columns and topics a reader passes to _load (M is n_topics);
 # any other name is one size throughout the archive, and None any size.
 # An OPTIONAL member is written by some runs only: svm's calibration,
-# nb's structural bounds, a kernel run's phi values.
+# nb's structural bounds, a kernel run's phi values.  A float is finite
+# but in an NA member, where NaN means not available; labels are bool.
 ARTIFACTS = {
     "dataset.npz": ("prepare", {
-        "gold": ("u", ("n",)), "train": ("b", ("n",)),
+        "gold": ("b", ("n",)), "train": ("b", ("n",)),
         "text": ("u", (None,)), "text_offsets": ("i", (None,))}),
     "space.npz": ("prepare", {
         "word_vocab": ("u", (None,)), "word_vocab_offsets": ("i", (None,)),
@@ -100,13 +101,14 @@ ARTIFACTS = {
         "columns": ("i", ("k",)), "H": ("f", ("M", "k")),
         "assignment": ("i", ("k",)), "objective": ("f", ())})
        for polarity in POLARITIES},
-    "profiles.npz": ("score", {"names": ("U", (_R,)),
-                               "vectors": ("f", (len(POLARITIES), _R, "M"))}),
+    "profiles.npz": ("score", {"names": ("U", (_R,)), "vectors": (
+        "f", (len(POLARITIES), _R, "M"), NA)}),
     "representations.npz": ("score", {
-        "names": ("U", (_R,)), "vectors": ("f", ("n", _R, "M")),
+        "names": ("U", (_R,)), "vectors": ("f", ("n", _R, "M"), NA),
         "degenerate": ("b", ("n", _R))}),
-    "scores.npz": ("score", {"predicted": ("u", ("n",)), **dict.fromkeys(
-        ("p_pos", *BASE_METHODS, *XMAP_COLUMNS), ("f", ("n",)))}),
+    "scores.npz": ("score", {"predicted": ("b", ("n",)), **dict.fromkeys(
+        ("p_pos", *BASE_METHODS), ("f", ("n",))),
+        **dict.fromkeys(XMAP_COLUMNS, ("f", ("n",), NA))}),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
@@ -195,8 +197,8 @@ def _load(cfg: PipelineConfig, name: str, keys=None, build=None, **dims):
     for presence, readability, config digest and its layout: a report
     holds the listed keys, an .npz exactly its members (optional ones
     aside), and those of ``keys`` (default: all), the only ones decoded,
-    their kinds and shapes, 0-d ones given as Python scalars.  A key
-    build misses or finds malformed names the file and its producer."""
+    their kinds, shapes and finiteness, 0-d ones as Python scalars.  A
+    key build misses or finds malformed names the file and its producer."""
     path = _require(cfg, name)
     layout = ARTIFACTS[name][1]
     try:
@@ -241,6 +243,8 @@ def _load(cfg: PipelineConfig, name: str, keys=None, build=None, **dims):
         if a.shape != want:
             raise _malformed(name, f"{key} of shape {a.shape}, expected "
                                    f"{want}")
+        if kind == "f" and NA not in layout[key] and not np.isfinite(a).all():
+            raise _malformed(name, f"{key} holds a non-finite value")
         fields[key] = a.item() if a.ndim == 0 else a
     try:
         return fields if build is None else build(fields)
@@ -277,12 +281,9 @@ def _strings(fields, name: str) -> list[str]:
 # ---------------------------------------------------------------- loading
 
 def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
-    """(gold labels in {0, 1}, boolean train mask) of the prepared
+    """(boolean gold labels, boolean train mask) of the prepared
     messages, row i message i; the text is not read."""
     f = _load(cfg, "dataset.npz", ("gold", "train"))
-    if np.any(f["gold"] > 1):
-        raise _malformed("dataset.npz", "gold holds a label other than 0 "
-                                        "or 1")
     return f["gold"], f["train"]
 
 def _load_rows(cfg, name: str) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -314,8 +315,6 @@ def _load_vectors(cfg, n, space) -> features.CSR:
         if shape != (n, space.n_columns):
             raise ValueError(f"a {shape} matrix, expected "
                              f"({n}, {space.n_columns})")
-        if not np.all(np.isfinite(f["data"])):
-            raise ValueError("data holds a non-finite value")
         return features.CSR.of(f)
     return _load(cfg, "vectors.npz", build=build)
 
@@ -327,9 +326,6 @@ def _load_phi(cfg, space, model, X):
     mean; a margin (linear) run's is rebuilt from that mean on the slice
     of X alone."""
     def build(f):
-        for key in ("mu", "data", "base_values"):
-            if key in f and not np.all(np.isfinite(f[key])):
-                raise ValueError(f"{key} holds a non-finite value")
         if f["explained_output"] == "probability":
             return attribution.kernel_phi(X, f["mu"], f["data"]).dense
         if f["explained_output"] != "margin" or "data" in f:
@@ -398,7 +394,7 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         [toks for toks, is_train in zip(kept, train) if is_train],
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
 
-    _save(cfg, "dataset.npz", gold=gold.astype(np.uint8), train=train,
+    _save(cfg, "dataset.npz", gold=gold.astype(bool), train=train,
           **_utf8("text", texts))
     _save_space(cfg, space)
     _save(cfg, "vectors.npz", **features.vectorize(kept, texts, space))
@@ -581,7 +577,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
     _save(cfg, "profiles.npz", names=names, vectors=profiles)
     _save(cfg, "representations.npz", names=names, vectors=vectors,
           degenerate=degenerate)
-    _save(cfg, "scores.npz", predicted=predicted.astype(np.uint8),
+    _save(cfg, "scores.npz", predicted=predicted.astype(bool),
           p_pos=p_pos, **columns)
 
 

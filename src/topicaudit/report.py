@@ -25,11 +25,7 @@ GROUP_COLUMNS = (
 
 
 def _fmt(value, digits: int = 4) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, str):
-        return value
-    return f"{value:.{digits}f}"
+    return "NA" if value is None else f"{value:.{digits}f}"
 
 
 def _mean_std(values) -> str:
@@ -39,12 +35,17 @@ def _mean_std(values) -> str:
     return f"{arr.mean():.4f} +/- {arr.std():.4f}"
 
 
+def _table(header, rows) -> list[str]:
+    """A markdown table's lines: the header, its rule, a line per row."""
+    lines = ["| " + " | ".join(map(str, cells)) + " |"
+             for cells in (header, *rows)]
+    lines.insert(1, "|---" * len(header) + "|")
+    return lines
+
+
 def _divergence_table(scores: dict[str, np.ndarray], gold: np.ndarray,
                       test: np.ndarray) -> list[str]:
-    lines = ["| Representation | " + " | ".join(h for h, _, _ in GROUP_COLUMNS)
-             + " |",
-             "|---" * (1 + len(GROUP_COLUMNS)) + "|"]
-    omitted = []
+    rows, omitted = [], []
     for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
         cells = []
         for _, predicted, label in GROUP_COLUMNS:
@@ -54,7 +55,9 @@ def _divergence_table(scores: dict[str, np.ndarray], gold: np.ndarray,
         if all(c == "NA" for c in cells):
             omitted.append(rep)
             continue
-        lines.append(f"| {rep} | " + " | ".join(cells) + " |")
+        rows.append([rep, *cells])
+    lines = _table(["Representation", *(h for h, _, _ in GROUP_COLUMNS)],
+                   rows)
     if omitted:
         lines.append("")
         lines.append("Omitted (no scores in any group): "
@@ -65,39 +68,29 @@ def _divergence_table(scores: dict[str, np.ndarray], gold: np.ndarray,
 def _detector_table(report: dict) -> list[str]:
     subsets = report["subsets"]
     names = [name for name, _ in SUBSETS]
-    header = "| Detector |"
-    rule = "|---|"
-    for name in names:
-        header += f" {name} AUROC | {name} FRR@{report['trr_fix']:.0%} TRR |"
-        rule += "---|---|"
-    lines = [header, rule]
-    for det in list(BASE_METHODS) + list(XMAP_COLUMNS):
-        cells = []
-        for name in names:
-            entry = subsets[name]["detectors"][det]
-            cells.append(_fmt(entry["auroc"]))
-            cells.append(_fmt(entry["frr_at_trr"]))
-        lines.append(f"| {det} | " + " | ".join(cells) + " |")
-    return lines
+    header = ["Detector", *(cell for name in names for cell in (
+        f"{name} AUROC", f"{name} FRR@{report['trr_fix']:.0%} TRR"))]
+    return _table(header, [
+        [det, *(_fmt(subsets[name]["detectors"][det][key]) for name in names
+                for key in ("auroc", "frr_at_trr"))]
+        for det in (*BASE_METHODS, *XMAP_COLUMNS)])
 
 
 def _repair_table(report: dict) -> list[str]:
-    lines = ["| Representation | RecovR | LeakR | #Recovery | #Leakage "
-             "| #Correct Fix |",
-             "|---|---|---|---|---|---|"]
-    for rep in REPRESENTATIONS:
-        entry = report["representations"][rep]
-        lines.append(
-            f"| {rep} | {_fmt(entry['recov_r'])} | {_fmt(entry['leak_r'])} "
-            f"| {entry['n_recovery']} | {entry['n_leakage']} "
-            f"| {entry['n_correct_fix']} |")
+    entries = report["representations"]
+    lines = _table(
+        ["Representation", "RecovR", "LeakR", "#Recovery", "#Leakage",
+         "#Correct Fix"],
+        [[rep, _fmt(entries[rep]["recov_r"]), _fmt(entries[rep]["leak_r"]),
+          *(entries[rep][key]
+            for key in ("n_recovery", "n_leakage", "n_correct_fix"))]
+         for rep in REPRESENTATIONS])
     lines.append("")
     lines.append("#Correct Fix = #Recovery - #Leakage; every rejected "
                  "message is either re-accepted or stays rejected.")
     open_gates = []
     for subset, key in (("positive", "tau_plus"), ("negative", "tau_minus")):
-        reps = [rep for rep in REPRESENTATIONS
-                if report["representations"][rep][key] >= LN2]
+        reps = [rep for rep in REPRESENTATIONS if entries[rep][key] >= LN2]
         if reps:
             open_gates.append(f"{subset} ({', '.join(reps)})")
     if open_gates:

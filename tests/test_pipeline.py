@@ -122,6 +122,14 @@ def kernel_run(tmp_path_factory):
     return root, root / "small.tsv", out, cfg_path
 
 
+@pytest.fixture(scope="session")
+def nb_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("nb")
+    out, cfg_path = _small_run(root, STAGES[:STAGES.index("train") + 1],
+                               classifier="nb")
+    return root, root / "small.tsv", out, cfg_path
+
+
 def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
     """A private copy of a run's outputs and the run's config aimed at
     it."""
@@ -306,12 +314,12 @@ class TestStageOutputs:
                 assert not {"gold", "split", "train", "correct"} & set(
                     npz.files), path.name
 
-    def test_label_columns_are_uint8(self, mini_run):
+    def test_label_columns_are_bool(self, mini_run):
         out = mini_run[2]
         for name, key in (("dataset.npz", "gold"), ("scores.npz",
                                                      "predicted")):
             with np.load(out / name) as npz:
-                assert npz[key].dtype == np.uint8, name
+                assert npz[key].dtype == np.bool_, name
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         # An archive's digest member is deflated, so it is read, not
@@ -686,6 +694,34 @@ class TestGuards:
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
 
+    # A metric report prints as a number, replaced by a string.
+    STRING_METRIC = {
+        "detector_report.json": (("subsets", "negative", "detectors",
+                                  "rel_u", "auroc"), "0.99"),
+        "repair_report.json": (("representations", "original", "recov_r"),
+                               "all of them")}
+
+    @pytest.mark.parametrize("name", sorted(STRING_METRIC))
+    def test_report_string_metric_fails(self, mini_run, tmp_path, capsys,
+                                        name):
+        # Each was printed as it stood, with exit 0.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        path = copy / name
+        body = json.loads(path.read_text(encoding="utf-8"))
+        (*parents, key), value = self.STRING_METRIC[name]
+        entry = body
+        for parent in parents:
+            entry = entry[parent]
+        entry[key] = value
+        path.write_text(json.dumps(body), encoding="utf-8")
+        assert cli.main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[report] {name} is malformed (ValueError(")
+        assert err.endswith(f"); rerun {PRODUCER[name]}\n")
+        assert err.count("\n") == 1
+        assert (copy / "report.md").read_bytes() == (
+            mini_run[2] / "report.md").read_bytes()
+
     def test_missing_upstream_artifact_names_the_producer(self, tmp_path):
         tsv = _write_corpus(tmp_path)
         out = tmp_path / "empty"
@@ -845,7 +881,8 @@ class TestGuards:
     def test_non_finite_model_parameter_fails(self, run, key, stage, request,
                                               tmp_path, capsys):
         # One NaN parameter stopped each stage with a message that named
-        # neither model.npz nor train.
+        # neither model.npz nor train; _load refuses it before a model is
+        # built.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, "model.npz")
@@ -853,8 +890,8 @@ class TestGuards:
         _save(cfg, "model.npz", **arrays)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         err = self._refuses_model(cfg_path, capsys, stage)
-        assert err == (f"[{stage}] model.npz is malformed (TrainingError("
-                       "'non-finite model parameters')); rerun train\n")
+        assert err == (f"[{stage}] model.npz is malformed ({key} holds a "
+                       "non-finite value); rerun train\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("run, name, key, value, stage", [
@@ -880,8 +917,8 @@ class TestGuards:
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert cli.main([stage, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
-            f"[{stage}] {name} is malformed (ValueError('{key} holds a "
-            f"non-finite value')); rerun {PRODUCER[name]}\n")
+            f"[{stage}] {name} is malformed ({key} holds a non-finite "
+            f"value); rerun {PRODUCER[name]}\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("damage", [
@@ -985,7 +1022,7 @@ class TestGuards:
         # The labels and train mask are read from dataset.npz alone, so
         # every reader refuses an old-layout file, a train mask that is
         # not boolean (integers would index rows) or not one per message,
-        # and a label other than 0 or 1.
+        # and labels that are not boolean, such as a uint8 2.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, "dataset.npz")
@@ -996,6 +1033,7 @@ class TestGuards:
         elif damage == "short_train":
             arrays["train"] = arrays["train"][:-1]
         else:
+            arrays["gold"] = arrays["gold"].astype(np.uint8)
             arrays["gold"][0] = 2
         _save(cfg, "dataset.npz", **arrays)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
@@ -1006,7 +1044,8 @@ class TestGuards:
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     # A member of each archive stored as another dtype kind: floats as
-    # integers, anything else as floats.
+    # integers, booleans as uint8 (how labels were stored before they
+    # were booleans), anything else as floats.
     WRONG_KIND = {"dataset.npz": "train", "space.npz": "idf",
                   "vectors.npz": "indices", "model.npz": "weights",
                   "shap.npz": "base_values", "topics_plus.npz": "columns",
@@ -1018,37 +1057,75 @@ class TestGuards:
                 "kernel_run": ["dataset.npz", "model.npz", "shap.npz",
                                "space.npz", "topics_minus.npz",
                                "topics_plus.npz", "vectors.npz"]}
+    # The float members of each run's archives, and an nb run's
+    # structural bounds; NaN means NA in NA_MEMBERS alone.
+    PREPARED = (("space.npz", "idf"), ("vectors.npz", "data"),
+                ("model.npz", "weights"), ("model.npz", "bias"),
+                ("shap.npz", "base_values"), ("shap.npz", "mu"),
+                *((f"topics_{polarity}.npz", key)
+                  for polarity in pipeline.POLARITIES
+                  for key in ("H", "objective")))
+    FLOATS = {"mini_run": (*PREPARED, ("profiles.npz", "vectors"),
+                           ("representations.npz", "vectors"),
+                           *(("scores.npz", key) for key in (
+                               "p_pos", *pipeline.BASE_METHODS,
+                               *pipeline.XMAP_COLUMNS))),
+              "kernel_run": (*PREPARED, ("model.npz", "calibration"),
+                             ("shap.npz", "data")),
+              "nb_run": (("model.npz", "struct_min"),
+                         ("model.npz", "struct_max"))}
+    NA_MEMBERS = {("profiles.npz", "vectors"),
+                  ("representations.npz", "vectors"),
+                  *(("scores.npz", key) for key in pipeline.XMAP_COLUMNS)}
     OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
                     for name in names
                     for damage in ("stray_member", "wrong_kind")),
-                  *((run, "space.npz", "short_idf") for run in ARCHIVES)]
+                  *((run, "space.npz", "short_idf") for run in ARCHIVES),
+                  *((run, name, f"non_finite_{key}")
+                    for run, members in FLOATS.items()
+                    for name, key in members)]
 
     @pytest.mark.parametrize("run, name, damage", OFF_LAYOUT)
     def test_archive_off_its_layout_fails(self, run, name, damage, request,
                                           tmp_path, capsys):
         # Each archive must hold exactly its layout's members, each of
-        # its dtype kind and shape: its first reader refuses any other,
-        # and an archive no stage reads fails _load itself.
+        # its dtype kind and shape, and a float member NaN or inf only in
+        # an NA member: its first reader refuses any other, and an archive
+        # no stage reads fails _load itself.  A NaN in an NA member loads.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, name)
+        reader = self.FIRST_READER.get(name)
         if damage == "stray_member":
             arrays["stray"] = np.zeros(1)
             problem = "unexpected 'stray'"
         elif damage == "wrong_kind":
             key = self.WRONG_KIND[name]
             found = np.asarray(arrays[key])
-            arrays[key] = found.astype(np.int64 if found.dtype.kind == "f"
-                                       else np.float64)
+            arrays[key] = found.astype({"f": np.int64, "b": np.uint8}.get(
+                found.dtype.kind, np.float64))
             problem = (f"{key} of dtype {arrays[key].dtype}, expected kind "
                        f"{found.dtype.kind!r}")
-        else:
+        elif damage == "short_idf":
             d = arrays["idf"].size
             arrays["idf"] = arrays["idf"][:-1]
             problem = f"idf of shape ({d - 1},), expected ({d},)"
+        else:
+            key = damage.removeprefix("non_finite_")
+            arrays[key] = np.array(arrays[key], dtype=np.float64)
+            middle = arrays[key].size // 2
+            arrays[key].flat[middle] = np.nan
+            problem = (None if (name, key) in self.NA_MEMBERS
+                       else f"{key} holds a non-finite value")
         _save(cfg, name, **arrays)
+        if problem is None:
+            assert pipeline.NA in pipeline.ARTIFACTS[name][1][key]
+            n = len(_load_dataset(cfg)[0])
+            assert np.isnan(_load(cfg, name, n=n)[key].flat[middle])
+            assert reader is None or cli.main([reader, "--config",
+                                               str(cfg_path)]) == 0
+            return
         expected = f"{name} is malformed ({problem}); rerun {PRODUCER[name]}"
-        reader = self.FIRST_READER.get(name)
         if reader is None:
             n = len(_load_dataset(cfg)[0])
             with pytest.raises(ArtifactError) as caught:
@@ -1289,21 +1366,42 @@ class TestArrayArtifacts:
                    st.floats(allow_nan=True, allow_infinity=True))),
            labels=st.lists(st.text(max_size=8), max_size=5))
     def test_roundtrip_is_bitwise(self, matrix, labels):
-        # Through the members of two layouts: the matrix as vectors.npz's
-        # CSR, the strings as space.npz's UTF-8 lists.
-        csr = to_csr(matrix)
+        # Through the members of three layouts: the matrix as an NA column
+        # of scores.npz and, when finite, as vectors.npz's CSR and
+        # space.npz's idf, which refuse it otherwise; the strings as
+        # space.npz's UTF-8 lists.
+        csr, column, n = to_csr(matrix), matrix.ravel(), matrix.size
+        finite = bool(np.isfinite(matrix).all())
+        vocabs = {**pipeline._utf8("word_vocab", labels),
+                  **pipeline._utf8("phrase_vocab", labels[::-1])}
         with tempfile.TemporaryDirectory() as tmp:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "vectors.npz", **csr)
-            _save(cfg, "space.npz", **pipeline._utf8("word_vocab", labels),
-                  **pipeline._utf8("phrase_vocab", labels[::-1]),
-                  idf=matrix.ravel())
-            back, space = _load(cfg, "vectors.npz"), _load(cfg, "space.npz")
-        for key, array in csr.items():
-            assert back[key].dtype == array.dtype, key
-            assert back[key].tobytes() == array.tobytes(), key
-        assert CSR.of(back).dense().tobytes() == matrix.tobytes()
-        assert space["idf"].tobytes() == matrix.tobytes()
+            _save(cfg, "space.npz", **vocabs, idf=column)
+            _save(cfg, "scores.npz", predicted=np.zeros(n, dtype=bool),
+                  **dict.fromkeys(("p_pos", *pipeline.BASE_METHODS),
+                                  np.zeros(n)),
+                  **dict.fromkeys(pipeline.XMAP_COLUMNS, column))
+            scores = _load(cfg, "scores.npz")
+            if finite:
+                back = _load(cfg, "vectors.npz")
+                space = _load(cfg, "space.npz")
+            else:
+                for name, key in (("vectors.npz", "data"),
+                                  ("space.npz", "idf")):
+                    with pytest.raises(ArtifactError, match=(
+                            rf"^{name} is malformed \({key} holds a "
+                            r"non-finite value\); rerun prepare$")):
+                        _load(cfg, name)
+                space = _load(cfg, "space.npz", keys=list(vocabs))
+        for key in pipeline.XMAP_COLUMNS:
+            assert scores[key].tobytes() == matrix.tobytes(), key
+        if finite:
+            for key, array in csr.items():
+                assert back[key].dtype == array.dtype, key
+                assert back[key].tobytes() == array.tobytes(), key
+            assert CSR.of(back).dense().tobytes() == matrix.tobytes()
+            assert space["idf"].tobytes() == matrix.tobytes()
         assert pipeline._strings(space, "word_vocab") == labels
         assert pipeline._strings(space, "phrase_vocab") == labels[::-1]
 
@@ -1347,7 +1445,7 @@ class TestArrayArtifacts:
         # Row i is message i: outcomes.npz must hold one outcome per
         # message of dataset.npz, three here.
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        _save(cfg, "dataset.npz", gold=np.array([0, 1, 0], dtype=np.uint8),
+        _save(cfg, "dataset.npz", gold=np.array([False, True, False]),
               train=np.array([True, False, False]),
               **pipeline._utf8("text", ["a", "b", "c"]))
         names = np.array(pipeline.OUTCOMES)
@@ -1528,9 +1626,11 @@ class TestReportHelpers:
         assert any("vacuity" in line and "Omitted" in line for line in lines)
 
     def test_fmt_handles_none_and_strings(self):
+        # No metric of either report is a string, so _fmt refuses one.
         assert report._fmt(None) == "NA"
-        assert report._fmt("inf") == "inf"
         assert report._fmt(0.123456) == "0.1235"
+        with pytest.raises(ValueError):
+            report._fmt("0.99")
 
     def test_mean_std_empty_is_na(self):
         assert report._mean_std([]) == "NA"
