@@ -34,12 +34,16 @@ worker process per available core when numpy's BLAS runs one thread
 for any worker count; shap.npz adds ``data``, the values of each
 message's active columns, where X deviates from mu, row after row.
 
-evaluate, repair and report read scores.npz, which holds only what
-score computes, with dataset.npz's labels and train mask: each
-detector's rejections, and the recoveries and leakages of the repair
-gate, are boolean masks over the same rows, so outcomes.npz, a code
-into OUTCOMES per message, and the re-accepted ids are read straight
-off them.
+score stores each message's topic contributions, not the
+representations derived from them: _polarity_representations derives
+those and the group profiles, for score and for _load_representations,
+which rebuilds them from contributions.npz bit for bit.  evaluate,
+repair and report read scores.npz, which holds only what score
+computes, with dataset.npz's labels and train mask: each detector's
+rejections, and the recoveries and leakages of the repair gate, are
+boolean masks over the same rows, so outcomes.npz, a code into
+OUTCOMES per message, and the re-accepted ids are read straight off
+them.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ OPTIONAL, NA, _R = "optional", "na", len(REPRESENTATIONS)
 # An OPTIONAL member is written by some runs only: svm's calibration,
 # nb's structural bounds, a kernel run's phi values.  A float is finite
 # but in an NA member, where NaN means not available; labels are bool.
+# Per message, score keeps only the topic contributions, from which
+# _load_representations rebuilds the representations.
 ARTIFACTS = {
     "dataset.npz": ("prepare", {
         "gold": ("b", ("n",)), "train": ("b", ("n",)),
@@ -103,9 +109,7 @@ ARTIFACTS = {
        for polarity in POLARITIES},
     "profiles.npz": ("score", {"names": ("U", (_R,)), "vectors": (
         "f", (len(POLARITIES), _R, "M"), NA)}),
-    "representations.npz": ("score", {
-        "names": ("U", (_R,)), "vectors": ("f", ("n", _R, "M"), NA),
-        "degenerate": ("b", ("n", _R))}),
+    "contributions.npz": ("score", {"contributions": ("f", ("n", "M"))}),
     "scores.npz": ("score", {"predicted": ("b", ("n",)), **dict.fromkeys(
         ("p_pos", *BASE_METHODS), ("f", ("n",))),
         **dict.fromkeys(XMAP_COLUMNS, ("f", ("n",), NA))}),
@@ -286,13 +290,14 @@ def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
     f = _load(cfg, "dataset.npz", ("gold", "train"))
     return f["gold"], f["train"]
 
-def _load_rows(cfg, name: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    """(fields, gold, train): a per-message artifact's fields, one row
-    per message, and dataset.npz's columns, read after the artifact is
-    found so a missing one names its producer."""
+def _load_rows(cfg, name: str,
+               keys=None) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(fields, gold, train): a per-message artifact's fields of ``keys``
+    (default: all), one row per message, and dataset.npz's columns, read
+    after the artifact is found so a missing one names its producer."""
     _require(cfg, name)
     gold, train = _load_dataset(cfg)
-    return _load(cfg, name, n=len(gold)), gold, train
+    return _load(cfg, name, keys, n=len(gold)), gold, train
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -537,6 +542,38 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
     return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
 
 
+def _polarity_representations(contributions, predicted, groups, Hs, cfg):
+    """(profiles (2, R, M), vectors (n, R, M), degenerate (n, R)): each
+    label's reliable group profile, from groups[label] and Hs[label], and
+    each message's representations against its prediction's group, NaN
+    where NA, from contributions, row i message i's on that polarity."""
+    n, r = len(predicted), len(REPRESENTATIONS)
+    vectors = np.empty((n, r, cfg.n_topics))
+    degenerate = np.empty((n, r), dtype=bool)
+    profiles = np.empty((len(POLARITIES), r, cfg.n_topics))
+    for label, H in enumerate(Hs):
+        rows = predicted == label
+        tc = contributions[rows]
+        group_tc = tc[groups[label][rows]]
+        profiles[label] = _reliable_profile(group_tc, H, cfg)
+        vectors[rows], degenerate[rows] = _representations(tc, group_tc, H,
+                                                           cfg)
+    return profiles, vectors, degenerate
+
+
+def _load_representations(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, degenerate) of every message, (n, R, M) with NaN where
+    NA and (n, R), as score derived them, rebuilt from contributions.npz."""
+    f, gold, train = _load_rows(cfg, "contributions.npz")
+    predicted = _load(cfg, "scores.npz", ("predicted",),
+                      n=len(gold))["predicted"]
+    Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
+          for polarity in POLARITIES]
+    return _polarity_representations(
+        f["contributions"], predicted,
+        _reliable_groups(gold, train, predicted), Hs, cfg)[1:]
+
+
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
     gold, train = _load_dataset(cfg)
@@ -545,27 +582,23 @@ def cmd_score(cfg: PipelineConfig) -> None:
     model = _load_model(cfg, space)
     p_pos, predicted = classifiers.predict_all(model, X)
     phi = _load_phi(cfg, space, model, X)
-    groups = _reliable_groups(gold, train, predicted)
 
-    # Each message is represented on the polarity its own prediction
-    # selects (positive -> spamward supports against the TP group,
-    # negative -> hamward against TN); the reliable group's profile and
-    # context come from the same topic contributions.
-    n = len(gold)
-    vectors = np.empty((n, len(REPRESENTATIONS), cfg.n_topics))
-    degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
-    profiles = np.empty((len(POLARITIES), len(REPRESENTATIONS), cfg.n_topics))
+    # Each message's topic contributions are on the polarity its own
+    # prediction selects (positive -> spamward supports, negative ->
+    # hamward); its representations and the group profiles follow.
+    contributions = np.empty((len(gold), cfg.n_topics))
+    Hs = []
     for label, polarity in enumerate(POLARITIES):
         rows = predicted == label
         topic = _load_topics(cfg, space, polarity)
         supports = attribution.polarity_supports(phi(rows, topic["columns"]),
                                                  polarity)
-        tc = profiling.topic_contributions(supports, topic["assignment"],
-                                           cfg.n_topics)
-        group_tc = tc[groups[label][rows]]
-        profiles[label] = _reliable_profile(group_tc, topic["H"], cfg)
-        vectors[rows], degenerate[rows] = _representations(
-            tc, group_tc, topic["H"], cfg)
+        contributions[rows] = profiling.topic_contributions(
+            supports, topic["assignment"], cfg.n_topics)
+        Hs.append(topic["H"])
+    profiles, vectors, _ = _polarity_representations(
+        contributions, predicted, _reliable_groups(gold, train, predicted),
+        Hs, cfg)
 
     xmap = scoring.misclassification_score(vectors, profiles, predicted)
     columns = {method: uncertainty.output_uq_score(p_pos, method,
@@ -573,10 +606,9 @@ def cmd_score(cfg: PipelineConfig) -> None:
                for method in BASE_METHODS}
     columns.update(zip(XMAP_COLUMNS, xmap.T))
 
-    names = np.array(REPRESENTATIONS)
-    _save(cfg, "profiles.npz", names=names, vectors=profiles)
-    _save(cfg, "representations.npz", names=names, vectors=vectors,
-          degenerate=degenerate)
+    _save(cfg, "profiles.npz", names=np.array(REPRESENTATIONS),
+          vectors=profiles)
+    _save(cfg, "contributions.npz", contributions=contributions)
     _save(cfg, "scores.npz", predicted=predicted.astype(bool),
           p_pos=p_pos, **columns)
 
@@ -609,7 +641,8 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
 
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    scores, gold, train = _load_rows(cfg, "scores.npz")
+    scores, gold, train = _load_rows(cfg, "scores.npz", (
+        "predicted", *BASE_METHODS, *XMAP_COLUMNS))
     misclassified = scores["predicted"] != gold
     subsets = {}
     for subset, label in SUBSETS:
@@ -634,7 +667,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 @_stage("repair")
 def cmd_repair(cfg: PipelineConfig) -> None:
-    scores, gold, train = _load_rows(cfg, "scores.npz")
+    scores, gold, train = _load_rows(cfg, "scores.npz", (
+        "predicted", cfg.base_detector, *XMAP_COLUMNS))
     predicted = scores["predicted"]
     misclassified = predicted != gold
 

@@ -25,7 +25,18 @@ GROUP_COLUMNS = (
 
 
 def _fmt(value, digits: int = 4) -> str:
+    """A metric to ``digits`` places, or NA for None; ValueError for a
+    string or a bool, which no report holds as a metric."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a metric")
     return "NA" if value is None else f"{value:.{digits}f}"
+
+
+def _count(value) -> str:
+    """A count's digits; ValueError unless it is an int (not a bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not a count")
+    return str(value)
 
 
 def _mean_std(values) -> str:
@@ -82,7 +93,7 @@ def _repair_table(report: dict) -> list[str]:
         ["Representation", "RecovR", "LeakR", "#Recovery", "#Leakage",
          "#Correct Fix"],
         [[rep, _fmt(entries[rep]["recov_r"]), _fmt(entries[rep]["leak_r"]),
-          *(entries[rep][key]
+          *(_count(entries[rep][key])
             for key in ("n_recovery", "n_leakage", "n_correct_fix"))]
          for rep in REPRESENTATIONS])
     lines.append("")
@@ -106,14 +117,15 @@ def _repair_section(report: dict) -> tuple[str, list[str]]:
     """The base detector and the repair layer's lines."""
     subsets = report["subsets"]
     return report["base_detector"], [
-        f"Base rejections: {subsets['positive']['n_rejected']} positive / "
-        f"{subsets['negative']['n_rejected']} negative.",
+        f"Base rejections: {_count(subsets['positive']['n_rejected'])} "
+        f"positive / {_count(subsets['negative']['n_rejected'])} negative.",
         "", *_repair_table(report)]
 
 
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
-    scores, gold, train = _load_rows(cfg, "scores.npz")
+    scores, gold, train = _load_rows(cfg, "scores.npz",
+                                     ("predicted", *XMAP_COLUMNS))
     # Each report goes through its table, so a missing key at any depth
     # names the file and its producer.
     detector = _load(cfg, "detector_report.json", build=_detector_table)

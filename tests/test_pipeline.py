@@ -49,7 +49,7 @@ PRODUCER = {
     "vectors.npz": "prepare", "model.npz": "train",
     "shap.npz": "explain", "topics_plus.npz": "profile",
     "topics_minus.npz": "profile", "profiles.npz": "score",
-    "representations.npz": "score", "scores.npz": "score",
+    "contributions.npz": "score", "scores.npz": "score",
     "detector_report.json": "evaluate",
     "repair_report.json": "repair", "outcomes.npz": "repair",
     "report.md": "report",
@@ -452,12 +452,80 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         n = len(_load_dataset(cfg)[0])
-        reps = _load(cfg, "representations.npz")
-        assert reps["vectors"].shape == (n, 8, MINI["n_topics"])
-        assert reps["degenerate"].shape == (n, 8)
-        present = ~np.isnan(reps["vectors"]).any(axis=2)
-        sums = reps["vectors"][present].sum(axis=1)
+        vectors, degenerate = pipeline._load_representations(cfg)
+        assert vectors.shape == (n, 8, MINI["n_topics"])
+        assert degenerate.shape == (n, 8) and degenerate.dtype == bool
+        present = ~np.isnan(vectors).any(axis=2)
+        sums = vectors[present].sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+    def test_contributions_are_each_messages_topic_contributions(self,
+                                                                 mini_run):
+        # Rebuilt from the upstream artifacts: row i is message i's
+        # supports on the polarity its prediction selects, summed into
+        # that polarity's topics.
+        cfg = load_config(mini_run[3])
+        stored, gold, _ = pipeline._load_rows(cfg, "contributions.npz")
+        stored = stored["contributions"]
+        predicted = _load(cfg, "scores.npz", ("predicted",))["predicted"]
+        space = _load_space(cfg)
+        X = _load_vectors(cfg, len(gold), space)
+        phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
+        assert stored.shape == (len(gold), cfg.n_topics)
+        assert stored.dtype == np.float64
+        for label, polarity in enumerate(pipeline.POLARITIES):
+            rows = predicted == label
+            assert rows.any(), polarity
+            topic = _load_topics(cfg, space, polarity)
+            supports = attribution.polarity_supports(
+                phi[rows][:, topic["columns"]], polarity)
+            expected = profiling.topic_contributions(
+                supports, topic["assignment"], cfg.n_topics)
+            assert stored[rows].tobytes() == expected.tobytes(), polarity
+
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_loaded_representations_give_the_stored_scores(self, run,
+                                                           request, tmp_path):
+        # The vectors _load_representations rebuilds score, against
+        # profiles.npz, to every stored xmap column bit for bit, NaN
+        # included.  The kernel run's training split holds no correctly
+        # classified spam, so its TP group is empty: rel_u is NA for every
+        # positive prediction and the TP profile is NA throughout.
+        _, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        kernel = run == "kernel_run"
+        if kernel:
+            assert cli.main(["score", "--config", str(cfg_path)]) == 0
+        vectors, _ = pipeline._load_representations(cfg)
+        scores = _load(cfg, "scores.npz")
+        profiles = _load(cfg, "profiles.npz")["vectors"]
+        xmap = scoring.misclassification_score(vectors, profiles,
+                                               scores["predicted"])
+        for column, key in zip(xmap.T, pipeline.XMAP_COLUMNS):
+            assert column.tobytes() == scores[key].tobytes(), key
+        positive = scores["predicted"]
+        assert positive.any() and (~positive).any()
+        rel_u = np.isnan(vectors[:, REPRESENTATIONS.index("rel_u")])
+        assert rel_u.all(axis=1).tolist() == (positive & kernel).tolist()
+        assert rel_u.any(axis=1).tolist() == (positive & kernel).tolist()
+        assert np.isnan(profiles[1]).all() == kernel
+        assert np.isnan(xmap[positive]).all() == kernel
+        assert not np.isnan(xmap[~positive]).any()
+
+    def test_old_run_directory_needs_score_again(self, mini_run, tmp_path):
+        # A run directory written before contributions.npz holds
+        # representations.npz instead, which no stage reads.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        (copy / "contributions.npz").rename(copy / "representations.npz")
+        with pytest.raises(ArtifactError, match=(
+                r"^missing contributions.npz; run score first$")):
+            pipeline._load_representations(load_config(cfg_path))
+        for stage in ("evaluate", "repair", "report"):
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+        for name in ("detector_report.json", "repair_report.json",
+                     "report.md"):
+            assert (copy / name).read_bytes() == (
+                mini_run[2] / name).read_bytes()
 
     def test_profiles_are_the_reliable_groups_representations(self,
                                                                mini_run):
@@ -701,19 +769,18 @@ class TestGuards:
         "repair_report.json": (("representations", "original", "recov_r"),
                                "all of them")}
 
-    @pytest.mark.parametrize("name", sorted(STRING_METRIC))
-    def test_report_string_metric_fails(self, mini_run, tmp_path, capsys,
-                                        name):
-        # Each was printed as it stood, with exit 0.
-        copy, cfg_path = _copy_run(mini_run, tmp_path)
-        path = copy / name
+    @staticmethod
+    def _set_report_value(path: Path, keys, value) -> None:
+        """Set the value at ``keys`` of a JSON report, digest kept."""
         body = json.loads(path.read_text(encoding="utf-8"))
-        (*parents, key), value = self.STRING_METRIC[name]
+        *parents, key = keys
         entry = body
         for parent in parents:
             entry = entry[parent]
         entry[key] = value
         path.write_text(json.dumps(body), encoding="utf-8")
+
+    def _report_refuses(self, mini_run, copy, cfg_path, capsys, name):
         assert cli.main(["report", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"[report] {name} is malformed (ValueError(")
@@ -721,6 +788,34 @@ class TestGuards:
         assert err.count("\n") == 1
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(STRING_METRIC))
+    def test_report_string_metric_fails(self, mini_run, tmp_path, capsys,
+                                        name):
+        # Each was printed as it stood, with exit 0.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        self._set_report_value(copy / name, *self.STRING_METRIC[name])
+        self._report_refuses(mini_run, copy, cfg_path, capsys, name)
+
+    # A value report prints, replaced by one of another type that still
+    # formats: a bool metric (a bool is an int) and two string counts.
+    WRONG_TYPE = {
+        "bool_auroc": ("detector_report.json", ("subsets", "negative",
+                                                "detectors", "rel_u",
+                                                "auroc"), True),
+        "string_n_recovery": ("repair_report.json", (
+            "representations", "original", "n_recovery"), "many"),
+        "string_n_rejected": ("repair_report.json", (
+            "subsets", "negative", "n_rejected"), "lots")}
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPE))
+    def test_report_wrong_typed_value_fails(self, mini_run, tmp_path, capsys,
+                                            case):
+        # Each was printed, 1.0000 or the string, with exit 0.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        name, keys, value = self.WRONG_TYPE[case]
+        self._set_report_value(copy / name, keys, value)
+        self._report_refuses(mini_run, copy, cfg_path, capsys, name)
 
     def test_missing_upstream_artifact_names_the_producer(self, tmp_path):
         tsv = _write_corpus(tmp_path)
@@ -1049,8 +1144,8 @@ class TestGuards:
     WRONG_KIND = {"dataset.npz": "train", "space.npz": "idf",
                   "vectors.npz": "indices", "model.npz": "weights",
                   "shap.npz": "base_values", "topics_plus.npz": "columns",
-                  "topics_minus.npz": "assignment",
-                  "profiles.npz": "vectors", "representations.npz": "degenerate",
+                  "topics_minus.npz": "assignment", "profiles.npz": "vectors",
+                  "contributions.npz": "contributions",
                   "scores.npz": "predicted", "outcomes.npz": "outcome"}
     # The archives of each run; the kernel run stops after profile.
     ARCHIVES = {"mini_run": sorted(WRONG_KIND),
@@ -1066,7 +1161,7 @@ class TestGuards:
                   for polarity in pipeline.POLARITIES
                   for key in ("H", "objective")))
     FLOATS = {"mini_run": (*PREPARED, ("profiles.npz", "vectors"),
-                           ("representations.npz", "vectors"),
+                           ("contributions.npz", "contributions"),
                            *(("scores.npz", key) for key in (
                                "p_pos", *pipeline.BASE_METHODS,
                                *pipeline.XMAP_COLUMNS))),
@@ -1075,8 +1170,9 @@ class TestGuards:
               "nb_run": (("model.npz", "struct_min"),
                          ("model.npz", "struct_max"))}
     NA_MEMBERS = {("profiles.npz", "vectors"),
-                  ("representations.npz", "vectors"),
                   *(("scores.npz", key) for key in pipeline.XMAP_COLUMNS)}
+    # Members of a read archive that no stage decodes.
+    UNREAD = {("scores.npz", "p_pos")}
     OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
                     for name in names
                     for damage in ("stray_member", "wrong_kind")),
@@ -1091,7 +1187,8 @@ class TestGuards:
         # Each archive must hold exactly its layout's members, each of
         # its dtype kind and shape, and a float member NaN or inf only in
         # an NA member: its first reader refuses any other, and an archive
-        # no stage reads fails _load itself.  A NaN in an NA member loads.
+        # or member no stage reads fails _load itself.  A NaN in an NA
+        # member loads.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, name)
@@ -1112,6 +1209,8 @@ class TestGuards:
             problem = f"idf of shape ({d - 1},), expected ({d},)"
         else:
             key = damage.removeprefix("non_finite_")
+            if (name, key) in self.UNREAD:
+                reader = None
             arrays[key] = np.array(arrays[key], dtype=np.float64)
             middle = arrays[key].size // 2
             arrays[key].flat[middle] = np.nan
@@ -1417,11 +1516,24 @@ class TestArrayArtifacts:
             return real(self, key)
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+        decoded = {}
         for stage in STAGES[1:]:
             assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
-        assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= read
+            decoded[stage], read = read, set()
+        every = set().union(*decoded.values())
+        assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= every
         assert not {("dataset.npz", "text"),
-                    ("dataset.npz", "text_offsets")} & read
+                    ("dataset.npz", "text_offsets")} & every
+        # scores.npz's members: evaluate reads each detector's column,
+        # repair the base detector's and the xmap columns, report the
+        # xmap columns; none reads p_pos.
+        xmap = {"digest", "predicted", *pipeline.XMAP_COLUMNS}
+        base = load_config(cfg_path).base_detector
+        assert {stage: {key for name, key in keys if name == "scores.npz"}
+                for stage, keys in decoded.items()} == {
+            **dict.fromkeys(STAGES[1:5], set()),
+            "evaluate": {*xmap, *pipeline.BASE_METHODS},
+            "repair": {*xmap, base}, "report": xmap}
 
     def test_digest_mismatch_refused(self, tmp_path):
         other = PipelineConfig(out_dir=str(tmp_path), seed=1)
@@ -1629,8 +1741,16 @@ class TestReportHelpers:
         # No metric of either report is a string, so _fmt refuses one.
         assert report._fmt(None) == "NA"
         assert report._fmt(0.123456) == "0.1235"
-        with pytest.raises(ValueError):
-            report._fmt("0.99")
+        assert report._fmt(1) == "1.0000"
+        for value in ("0.99", True):
+            with pytest.raises(ValueError):
+                report._fmt(value)
+
+    def test_count_takes_an_int_alone(self):
+        assert report._count(0) == "0" and report._count(-3) == "-3"
+        for value in ("many", True, 2.0, None):
+            with pytest.raises(ValueError, match="is not a count"):
+                report._count(value)
 
     def test_mean_std_empty_is_na(self):
         assert report._mean_std([]) == "NA"
