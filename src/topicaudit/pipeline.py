@@ -37,13 +37,14 @@ message's active columns, where X deviates from mu, row after row.
 score stores each message's topic contributions, not the
 representations derived from them: _polarity_representations derives
 those and the group profiles, for score and for _load_representations,
-which rebuilds them from contributions.npz bit for bit.  evaluate,
-repair and report read scores.npz, which holds only what score
-computes, with dataset.npz's labels and train mask: each detector's
-rejections, and the recoveries and leakages of the repair gate, are
-boolean masks over the same rows, so outcomes.npz, a code into
-OUTCOMES per message, and the re-accepted ids are read straight off
-them.
+which rebuilds them from contributions.npz bit for bit.  scores.npz
+holds p_pos and the xmap columns, which need the topics; _load_scores
+adds the predicted label and the output-uncertainty columns, functions
+of p_pos alone, with dataset.npz's labels and train mask: each
+detector's rejections, and the recoveries and leakages of the repair
+gate, are boolean masks over the same rows, so outcomes.npz, a code
+into OUTCOMES per message, and the re-accepted ids are read straight
+off them.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ OPTIONAL, NA, _R = "optional", "na", len(REPRESENTATIONS)
 # nb's structural bounds, a kernel run's phi values.  A float is finite
 # but in an NA member, where NaN means not available; labels are bool.
 # Per message, score keeps only the topic contributions, from which
-# _load_representations rebuilds the representations.
+# _load_representations rebuilds the representations, and of the
+# detector columns only those that need the topics.
 ARTIFACTS = {
     "dataset.npz": ("prepare", {
         "gold": ("b", ("n",)), "train": ("b", ("n",)),
@@ -110,9 +112,8 @@ ARTIFACTS = {
     "profiles.npz": ("score", {"names": ("U", (_R,)), "vectors": (
         "f", (len(POLARITIES), _R, "M"), NA)}),
     "contributions.npz": ("score", {"contributions": ("f", ("n", "M"))}),
-    "scores.npz": ("score", {"predicted": ("b", ("n",)), **dict.fromkeys(
-        ("p_pos", *BASE_METHODS), ("f", ("n",))),
-        **dict.fromkeys(XMAP_COLUMNS, ("f", ("n",), NA))}),
+    "scores.npz": ("score", {"p_pos": ("f", ("n",)), **dict.fromkeys(
+        XMAP_COLUMNS, ("f", ("n",), NA))}),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
@@ -290,14 +291,31 @@ def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
     f = _load(cfg, "dataset.npz", ("gold", "train"))
     return f["gold"], f["train"]
 
-def _load_rows(cfg, name: str,
-               keys=None) -> tuple[dict, np.ndarray, np.ndarray]:
+def _load_rows(cfg, name: str, keys=None,
+               build=None) -> tuple[dict, np.ndarray, np.ndarray]:
     """(fields, gold, train): a per-message artifact's fields of ``keys``
-    (default: all), one row per message, and dataset.npz's columns, read
-    after the artifact is found so a missing one names its producer."""
+    (default: all), one row per message, through build if given, and
+    dataset.npz's columns, read after the artifact is found so a missing
+    one names its producer."""
     _require(cfg, name)
     gold, train = _load_dataset(cfg)
-    return _load(cfg, name, keys, n=len(gold)), gold, train
+    return _load(cfg, name, keys, build, n=len(gold)), gold, train
+
+def _output_columns(p_pos: np.ndarray,
+                    temperature: float) -> dict[str, np.ndarray]:
+    """The columns that are functions of p_pos alone: ``predicted``,
+    classifiers.predict_all's label as a bool, and each BASE_METHODS
+    score.  A reader slices them: log and exp on a slice may take
+    another SIMD path and round otherwise."""
+    return {"predicted": p_pos >= 0.5, **{
+        method: uncertainty.output_uq_score(p_pos, method, temperature)
+        for method in BASE_METHODS}}
+
+def _load_scores(cfg, keys=XMAP_COLUMNS):
+    """_load_rows of scores.npz's p_pos and ``keys`` with its
+    _output_columns, so a p_pos outside [0, 1] reads as malformed."""
+    return _load_rows(cfg, "scores.npz", ("p_pos", *keys), lambda f: {
+        **f, **_output_columns(f["p_pos"], cfg.temperature)})
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -564,13 +582,14 @@ def _polarity_representations(contributions, predicted, groups, Hs, cfg):
 def _load_representations(cfg) -> tuple[np.ndarray, np.ndarray]:
     """(vectors, degenerate) of every message, (n, R, M) with NaN where
     NA and (n, R), as score derived them, rebuilt from contributions.npz."""
-    f, gold, train = _load_rows(cfg, "contributions.npz")
-    predicted = _load(cfg, "scores.npz", ("predicted",),
-                      n=len(gold))["predicted"]
+    scores, gold, train = _load_scores(cfg, ())
+    predicted = scores["predicted"]
+    contributions = _load(cfg, "contributions.npz",
+                          n=len(gold))["contributions"]
     Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
           for polarity in POLARITIES]
     return _polarity_representations(
-        f["contributions"], predicted,
+        contributions, predicted,
         _reliable_groups(gold, train, predicted), Hs, cfg)[1:]
 
 
@@ -601,16 +620,11 @@ def cmd_score(cfg: PipelineConfig) -> None:
         Hs, cfg)
 
     xmap = scoring.misclassification_score(vectors, profiles, predicted)
-    columns = {method: uncertainty.output_uq_score(p_pos, method,
-                                                   cfg.temperature)
-               for method in BASE_METHODS}
-    columns.update(zip(XMAP_COLUMNS, xmap.T))
 
     _save(cfg, "profiles.npz", names=np.array(REPRESENTATIONS),
           vectors=profiles)
     _save(cfg, "contributions.npz", contributions=contributions)
-    _save(cfg, "scores.npz", predicted=predicted.astype(bool),
-          p_pos=p_pos, **columns)
+    _save(cfg, "scores.npz", p_pos=p_pos, **dict(zip(XMAP_COLUMNS, xmap.T)))
 
 
 # --------------------------------------------------------------- evaluate
@@ -641,8 +655,7 @@ def _detector_metrics(scores: np.ndarray, flags: np.ndarray,
 
 @_stage("evaluate")
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    scores, gold, train = _load_rows(cfg, "scores.npz", (
-        "predicted", *BASE_METHODS, *XMAP_COLUMNS))
+    scores, gold, train = _load_scores(cfg)
     misclassified = scores["predicted"] != gold
     subsets = {}
     for subset, label in SUBSETS:
@@ -667,8 +680,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 @_stage("repair")
 def cmd_repair(cfg: PipelineConfig) -> None:
-    scores, gold, train = _load_rows(cfg, "scores.npz", (
-        "predicted", cfg.base_detector, *XMAP_COLUMNS))
+    scores, gold, train = _load_scores(cfg)
     predicted = scores["predicted"]
     misclassified = predicted != gold
 

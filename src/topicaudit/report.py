@@ -12,7 +12,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .pipeline import (BASE_METHODS, REPRESENTATIONS, SUBSETS, XMAP_COLUMNS,
-                       _load, _load_rows, _path, _stage)
+                       _load, _load_scores, _path, _stage)
 from .scoring import LN2
 
 # (column header, predicted label, gold label)
@@ -124,8 +124,7 @@ def _repair_section(report: dict) -> tuple[str, list[str]]:
 
 @_stage("report")
 def cmd_report(cfg: PipelineConfig) -> None:
-    scores, gold, train = _load_rows(cfg, "scores.npz",
-                                     ("predicted", *XMAP_COLUMNS))
+    scores, gold, train = _load_scores(cfg)
     # Each report goes through its table, so a missing key at any depth
     # names the file and its producer.
     detector = _load(cfg, "detector_report.json", build=_detector_table)

@@ -238,8 +238,11 @@ def output_uq_score(p_pos: np.ndarray, method: str,
     All methods except vacuity are monotone in the distance from 0.5;
     probability-only evidence makes vacuity constant."""
     p = np.asarray(p_pos, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"p_pos outside [0,1]: {p_pos}")
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        raise ValueError(f"p_pos outside [0,1] at {bad.size} of {p.size} "
+                         f"entries, the first {float(p.flat[bad[0]])!r} at "
+                         f"{bad[0]}")
     return _split_score(p, method, temperature)[()]
 
 

@@ -22,7 +22,7 @@ import pytest
 from topicaudit import attribution, classifiers, cli, demo, profiling, scoring
 from topicaudit.config import load_config
 from topicaudit.pipeline import (_load, _load_dataset, _load_model,
-                                 _load_phi, _load_rows, _load_space,
+                                 _load_phi, _load_scores, _load_space,
                                  _load_vectors)
 
 from shap_vector import phi_of
@@ -257,7 +257,7 @@ def _group_means(scores: dict[str, np.ndarray], gold: np.ndarray,
 
 
 def test_c06_divergence_separation(full_run, capsys):
-    means = _group_means(*_load_rows(full_run.cfg, "scores.npz"))
+    means = _group_means(*_load_scores(full_run.cfg))
     fp_ratio = means["fp"] / means["tp"]
     fn_ratio = means["fn"] / means["tn"]
     ok = (fp_ratio >= 1.5 and fn_ratio >= 1.2
@@ -271,7 +271,7 @@ def test_c06_divergence_separation(full_run, capsys):
 # ------------------------------------------------------------- criterion 7
 
 def test_c07_detector_quality(full_run, capsys):
-    table, gold, train = _load_rows(full_run.cfg, "scores.npz")
+    table, gold, train = _load_scores(full_run.cfg)
     pos = (~train & (table["predicted"] == 1)
            & ~np.isnan(table["xmap_original"]))
     scores = table["xmap_original"][pos]

@@ -28,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 
 from topicaudit import (BLAS_THREAD_VARS, atomic, attribution, classifiers,
                         cli, demo, features, pipeline, profiling, report,
-                        scoring)
+                        scoring, uncertainty)
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.features import CSR
 from topicaudit.pipeline import (ArtifactError, StageError, _load,
@@ -315,11 +315,12 @@ class TestStageOutputs:
                     npz.files), path.name
 
     def test_label_columns_are_bool(self, mini_run):
-        out = mini_run[2]
-        for name, key in (("dataset.npz", "gold"), ("scores.npz",
-                                                     "predicted")):
-            with np.load(out / name) as npz:
-                assert npz[key].dtype == np.bool_, name
+        # gold is stored as a bool, and the predicted label derived from
+        # scores.npz's p_pos is one.
+        cfg = load_config(mini_run[3])
+        with np.load(mini_run[2] / "dataset.npz") as npz:
+            assert npz["gold"].dtype == np.bool_
+        assert pipeline._load_scores(cfg, ())[0]["predicted"].dtype == np.bool_
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         # An archive's digest member is deflated, so it is read, not
@@ -392,7 +393,7 @@ class TestStageOutputs:
                         "n_false_rejections"):
                 assert body[key] == base[key], (subset, key)
 
-        scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
+        scores, gold, train = pipeline._load_scores(cfg)
         outcomes = pipeline._load_rows(cfg, "outcomes.npz")[0]
         outcome = outcomes["names"][outcomes["outcome"]]
         re_accepted = repair["representations"][
@@ -448,6 +449,46 @@ class TestStageOutputs:
             assert body["re_accepted_ids"] == (
                 np.flatnonzero(rejected & (xmap <= gate)).tolist()), rep
 
+    def test_output_columns_are_functions_of_p_pos(self, mini_run):
+        # The predicted label is predict_all's, as a bool, and each
+        # derived column output_uq_score's over all rows, bit for bit,
+        # and so is every slice a reader takes of it.
+        cfg = load_config(mini_run[3])
+        scores, gold, train = pipeline._load_scores(cfg)
+        p_pos = scores["p_pos"]
+        space = _load_space(cfg)
+        label = classifiers.predict_all(
+            _load_model(cfg, space), _load_vectors(cfg, len(gold), space))[1]
+        assert scores["predicted"].dtype == np.bool_
+        assert scores["predicted"].tolist() == (label == 1).tolist()
+        assert scores["predicted"].tobytes() == (p_pos >= 0.5).tobytes()
+        slices = [~train & scores["predicted"], ~train & ~scores["predicted"],
+                  train, slice(1, None, 3)]
+        for method in pipeline.BASE_METHODS:
+            whole = uncertainty.output_uq_score(p_pos, method,
+                                                cfg.temperature)
+            assert scores[method].dtype == whole.dtype == np.float64
+            assert scores[method].tobytes() == whole.tobytes(), method
+            for part in slices:
+                assert scores[method][part].tobytes() == (
+                    whole[part].tobytes()), method
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_pos=hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+               st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1.0 - 2 ** -53,
+                                0.5 - 2 ** -54]),
+               st.floats(0.0, 1.0))),
+           temperature=st.floats(0.25, 8.0))
+    def test_output_columns_match_output_uq_score(self, p_pos, temperature):
+        columns = pipeline._output_columns(p_pos, temperature)
+        assert list(columns) == ["predicted", *pipeline.BASE_METHODS]
+        assert columns["predicted"].dtype == np.bool_
+        assert columns["predicted"].tolist() == (p_pos >= 0.5).tolist()
+        for method in pipeline.BASE_METHODS:
+            want = uncertainty.output_uq_score(p_pos, method, temperature)
+            assert columns[method].dtype == want.dtype, method
+            assert columns[method].tobytes() == want.tobytes(), method
+
     def test_representations_cover_every_message(self, mini_run):
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
@@ -467,7 +508,7 @@ class TestStageOutputs:
         cfg = load_config(mini_run[3])
         stored, gold, _ = pipeline._load_rows(cfg, "contributions.npz")
         stored = stored["contributions"]
-        predicted = _load(cfg, "scores.npz", ("predicted",))["predicted"]
+        predicted = pipeline._load_scores(cfg, ())[0]["predicted"]
         space = _load_space(cfg)
         X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
@@ -497,7 +538,7 @@ class TestStageOutputs:
         if kernel:
             assert cli.main(["score", "--config", str(cfg_path)]) == 0
         vectors, _ = pipeline._load_representations(cfg)
-        scores = _load(cfg, "scores.npz")
+        scores = pipeline._load_scores(cfg)[0]
         profiles = _load(cfg, "profiles.npz")["vectors"]
         xmap = scoring.misclassification_score(vectors, profiles,
                                                scores["predicted"])
@@ -535,7 +576,7 @@ class TestStageOutputs:
         # that label selects.
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
+        scores, gold, train = pipeline._load_scores(cfg, ())
         space = _load_space(cfg)
         X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
@@ -564,7 +605,7 @@ class TestStageOutputs:
 
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores, gold, train = pipeline._load_rows(cfg, "scores.npz")
+        scores, gold, train = pipeline._load_scores(cfg, ())
         space = _load_space(cfg)
         X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
@@ -908,6 +949,41 @@ class TestGuards:
             f"({n - 1},), expected ({n},)); rerun score\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
+    @pytest.mark.parametrize("stage", ["evaluate", "repair", "report"])
+    def test_p_pos_outside_the_unit_interval_fails(self, mini_run, tmp_path,
+                                                   capsys, stage):
+        # A finite p_pos above 1 or below 0 passes the layout, and each
+        # reader of scores.npz names the file when it derives the output
+        # columns from it, with the count and the first bad value.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "scores.npz")
+        n = arrays["p_pos"].size
+        arrays["p_pos"][[n // 2, n - 1]] = [1.5, -0.25]
+        _save(cfg, "scores.npz", **arrays)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([stage, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"[{stage}] scores.npz is malformed (ValueError('p_pos outside "
+            f"[0,1] at 2 of {n} entries, the first 1.5 at {n // 2}')); "
+            "rerun score\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    def test_scores_of_the_old_layout_need_score_again(self, mini_run,
+                                                       tmp_path, capsys):
+        # A scores.npz written before the predicted label and the output
+        # columns were derived from p_pos also stores them.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        arrays = _load(cfg, "scores.npz")
+        _save(cfg, "scores.npz", **arrays, **pipeline._output_columns(
+            arrays["p_pos"], cfg.temperature))
+        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
+        stored = sorted(("predicted", *pipeline.BASE_METHODS))
+        assert capsys.readouterr().err == (
+            "[evaluate] scores.npz is malformed (unexpected "
+            + ", ".join(map(repr, stored)) + "); rerun score\n")
+
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
         # The damage above is what fails score, not the small run itself.
         _, cfg_path = _copy_run(kernel_run, tmp_path)
@@ -1062,7 +1138,7 @@ class TestGuards:
                     if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("name, member, stage", [
-        ("shap.npz", "mu", "score"), ("scores.npz", "predicted", "evaluate")])
+        ("shap.npz", "mu", "score"), ("scores.npz", "p_pos", "evaluate")])
     def test_flipped_deflated_byte_fails_its_reader(self, mini_run, tmp_path,
                                                     capsys, name, member,
                                                     stage):
@@ -1146,7 +1222,7 @@ class TestGuards:
                   "shap.npz": "base_values", "topics_plus.npz": "columns",
                   "topics_minus.npz": "assignment", "profiles.npz": "vectors",
                   "contributions.npz": "contributions",
-                  "scores.npz": "predicted", "outcomes.npz": "outcome"}
+                  "scores.npz": "p_pos", "outcomes.npz": "outcome"}
     # The archives of each run; the kernel run stops after profile.
     ARCHIVES = {"mini_run": sorted(WRONG_KIND),
                 "kernel_run": ["dataset.npz", "model.npz", "shap.npz",
@@ -1163,16 +1239,13 @@ class TestGuards:
     FLOATS = {"mini_run": (*PREPARED, ("profiles.npz", "vectors"),
                            ("contributions.npz", "contributions"),
                            *(("scores.npz", key) for key in (
-                               "p_pos", *pipeline.BASE_METHODS,
-                               *pipeline.XMAP_COLUMNS))),
+                               "p_pos", *pipeline.XMAP_COLUMNS))),
               "kernel_run": (*PREPARED, ("model.npz", "calibration"),
                              ("shap.npz", "data")),
               "nb_run": (("model.npz", "struct_min"),
                          ("model.npz", "struct_max"))}
     NA_MEMBERS = {("profiles.npz", "vectors"),
                   *(("scores.npz", key) for key in pipeline.XMAP_COLUMNS)}
-    # Members of a read archive that no stage decodes.
-    UNREAD = {("scores.npz", "p_pos")}
     OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
                     for name in names
                     for damage in ("stray_member", "wrong_kind")),
@@ -1187,8 +1260,8 @@ class TestGuards:
         # Each archive must hold exactly its layout's members, each of
         # its dtype kind and shape, and a float member NaN or inf only in
         # an NA member: its first reader refuses any other, and an archive
-        # or member no stage reads fails _load itself.  A NaN in an NA
-        # member loads.
+        # no stage reads fails _load itself.  A NaN in an NA member
+        # loads.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, name)
@@ -1209,8 +1282,6 @@ class TestGuards:
             problem = f"idf of shape ({d - 1},), expected ({d},)"
         else:
             key = damage.removeprefix("non_finite_")
-            if (name, key) in self.UNREAD:
-                reader = None
             arrays[key] = np.array(arrays[key], dtype=np.float64)
             middle = arrays[key].size // 2
             arrays[key].flat[middle] = np.nan
@@ -1477,9 +1548,7 @@ class TestArrayArtifacts:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "vectors.npz", **csr)
             _save(cfg, "space.npz", **vocabs, idf=column)
-            _save(cfg, "scores.npz", predicted=np.zeros(n, dtype=bool),
-                  **dict.fromkeys(("p_pos", *pipeline.BASE_METHODS),
-                                  np.zeros(n)),
+            _save(cfg, "scores.npz", p_pos=np.zeros(n),
                   **dict.fromkeys(pipeline.XMAP_COLUMNS, column))
             scores = _load(cfg, "scores.npz")
             if finite:
@@ -1524,16 +1593,18 @@ class TestArrayArtifacts:
         assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= every
         assert not {("dataset.npz", "text"),
                     ("dataset.npz", "text_offsets")} & every
-        # scores.npz's members: evaluate reads each detector's column,
-        # repair the base detector's and the xmap columns, report the
-        # xmap columns; none reads p_pos.
-        xmap = {"digest", "predicted", *pipeline.XMAP_COLUMNS}
-        base = load_config(cfg_path).base_detector
+        # scores.npz's members: evaluate, repair and report read p_pos,
+        # from which the predicted label and the output-uncertainty
+        # columns are derived, and the xmap columns; the representations
+        # need p_pos alone.
+        xmap = {"digest", "p_pos", *pipeline.XMAP_COLUMNS}
         assert {stage: {key for name, key in keys if name == "scores.npz"}
                 for stage, keys in decoded.items()} == {
             **dict.fromkeys(STAGES[1:5], set()),
-            "evaluate": {*xmap, *pipeline.BASE_METHODS},
-            "repair": {*xmap, base}, "report": xmap}
+            **dict.fromkeys(STAGES[5:], xmap)}
+        pipeline._load_representations(load_config(cfg_path))
+        assert {key for name, key in read if name == "scores.npz"} == {
+            "digest", "p_pos"}
 
     def test_digest_mismatch_refused(self, tmp_path):
         other = PipelineConfig(out_dir=str(tmp_path), seed=1)

@@ -331,6 +331,19 @@ class TestOutputUQ:
         with pytest.raises(ValueError, match="p_pos"):
             output_uq_score(1.5, "entropy")
 
+    def test_out_of_range_message_is_bounded(self):
+        # The count and the first bad value, not the printed array, so
+        # the message stays one short line at any message count.
+        p = np.full(100_000, 0.25)
+        p[[7, 70_000]] = [1.5, -0.5]
+        with pytest.raises(ValueError) as caught:
+            output_uq_score(p, "odin")
+        assert str(caught.value) == ("p_pos outside [0,1] at 2 of 100000 "
+                                     "entries, the first 1.5 at 7")
+        with pytest.raises(ValueError, match=r"^p_pos outside \[0,1\] at 1 "
+                           r"of 1 entries, the first nan at 0$"):
+            output_uq_score(np.nan, "entropy")
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_binary_detectors_rank_identically(self, seed):
