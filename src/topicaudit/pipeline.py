@@ -35,13 +35,15 @@ for any worker count; shap.npz adds ``data``, the values of each
 message's active columns, where X deviates from mu, row after row.
 
 score stores each message's topic contributions, not the
-representations derived from them: _polarity_representations derives
-those and the group profiles, for score and for _load_representations,
-which rebuilds them from contributions.npz bit for bit.  scores.npz
-holds p_pos and the xmap columns, which need the topics; _load_scores
-adds the predicted label and the output-uncertainty columns, functions
-of p_pos alone, with dataset.npz's labels and train mask: each
-detector's rejections, and the recoveries and leakages of the repair
+representations derived from them, and of their xmap columns only
+xmap_rel_u: rel_u alone searches the reliable group's distributions for
+each message's neighbours.  _load_scores adds the other seven, which
+_topic_columns derives from contributions.npz, both topics' H and
+profiles.npz over every row of a polarity at once, and the predicted
+label and the output-uncertainty columns, functions of p_pos alone,
+with dataset.npz's labels and train mask; _load_representations
+rebuilds all eight representations, the same derivation plus rel_u.
+Each detector's rejections, and the recoveries and leakages of the repair
 gate, are boolean masks over the same rows, so outcomes.npz, a code
 into OUTCOMES per message, and the re-accepted ids are read straight
 off them.
@@ -66,6 +68,10 @@ from .config import PipelineConfig
 BASE_METHODS = uncertainty.OUTPUT_UQ_METHODS
 REPRESENTATIONS = uncertainty.REPRESENTATIONS
 XMAP_COLUMNS = tuple(f"xmap_{rep}" for rep in REPRESENTATIONS)
+# The xmap columns every reader of scores.npz derives; score stores the
+# rest, xmap_rel_u.
+TOPIC_COLUMNS = tuple(f"xmap_{rep}"
+                      for rep in uncertainty.TOPIC_REPRESENTATIONS)
 SUBSETS = (("positive", 1), ("negative", 0))
 # The polarity of each label's supports: hamward for 0, spamward for 1.
 POLARITIES = ("minus", "plus")
@@ -82,9 +88,9 @@ OPTIONAL, NA, _R = "optional", "na", len(REPRESENTATIONS)
 # An OPTIONAL member is written by some runs only: svm's calibration,
 # nb's structural bounds, a kernel run's phi values.  A float is finite
 # but in an NA member, where NaN means not available; labels are bool.
-# Per message, score keeps only the topic contributions, from which
-# _load_representations rebuilds the representations, and of the
-# detector columns only those that need the topics.
+# Per message, score keeps the topic contributions, from which the
+# readers derive every representation but rel_u, p_pos and xmap_rel_u,
+# the one detector column that needs score's neighbour search.
 ARTIFACTS = {
     "dataset.npz": ("prepare", {
         "gold": ("b", ("n",)), "train": ("b", ("n",)),
@@ -112,8 +118,8 @@ ARTIFACTS = {
     "profiles.npz": ("score", {"names": ("U", (_R,)), "vectors": (
         "f", (len(POLARITIES), _R, "M"), NA)}),
     "contributions.npz": ("score", {"contributions": ("f", ("n", "M"))}),
-    "scores.npz": ("score", {"p_pos": ("f", ("n",)), **dict.fromkeys(
-        XMAP_COLUMNS, ("f", ("n",), NA))}),
+    "scores.npz": ("score", {"p_pos": ("f", ("n",)),
+                             "xmap_rel_u": ("f", ("n",), NA)}),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
@@ -312,10 +318,18 @@ def _output_columns(p_pos: np.ndarray,
         for method in BASE_METHODS}}
 
 def _load_scores(cfg, keys=XMAP_COLUMNS):
-    """_load_rows of scores.npz's p_pos and ``keys`` with its
-    _output_columns, so a p_pos outside [0, 1] reads as malformed."""
-    return _load_rows(cfg, "scores.npz", ("p_pos", *keys), lambda f: {
-        **f, **_output_columns(f["p_pos"], cfg.temperature)})
+    """_load_rows of scores.npz's p_pos and the xmap columns of ``keys``:
+    its _output_columns, so a p_pos outside [0, 1] reads as malformed,
+    the stored xmap_rel_u and the TOPIC_COLUMNS _topic_columns derives."""
+    stored = [key for key in keys if key not in TOPIC_COLUMNS]
+    scores, gold, train = _load_rows(
+        cfg, "scores.npz", ("p_pos", *stored), lambda f: {
+            **f, **_output_columns(f["p_pos"], cfg.temperature)})
+    if len(stored) < len(keys):
+        derived = dict(zip(TOPIC_COLUMNS, _topic_columns(
+            cfg, scores["predicted"], gold, train).T.copy()))
+        scores.update((key, derived[key]) for key in keys if key in derived)
+    return scores, gold, train
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -538,12 +552,17 @@ def cmd_profile(cfg: PipelineConfig) -> None:
 
 # ------------------------------------------------------------------ score
 
+def _scale(group_tc) -> float:
+    """The evidence scale of a reliable group's topic contributions, 1.0
+    for an empty group."""
+    return uncertainty.evidence_scale(group_tc) if len(group_tc) else 1.0
+
+
 def _representations(tc, group_tc, H, cfg):
     """representations() of the rows of tc against a reliable group whose
     members have topic contributions group_tc."""
-    s = uncertainty.evidence_scale(group_tc) if len(group_tc) else 1.0
     return uncertainty.representations(
-        tc, s, H, cfg.k_related, cfg.temperature,
+        tc, _scale(group_tc), H, cfg.k_related, cfg.temperature,
         uncertainty.original(group_tc)[0], cfg.k_nn)
 
 
@@ -560,37 +579,64 @@ def _reliable_profile(tcs, H, cfg) -> np.ndarray:
     return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
 
 
-def _polarity_representations(contributions, predicted, groups, Hs, cfg):
-    """(profiles (2, R, M), vectors (n, R, M), degenerate (n, R)): each
-    label's reliable group profile, from groups[label] and Hs[label], and
-    each message's representations against its prediction's group, NaN
-    where NA, from contributions, row i message i's on that polarity."""
-    n, r = len(predicted), len(REPRESENTATIONS)
-    vectors = np.empty((n, r, cfg.n_topics))
-    degenerate = np.empty((n, r), dtype=bool)
-    profiles = np.empty((len(POLARITIES), r, cfg.n_topics))
+def _by_prediction(represent, contributions, predicted, groups, Hs):
+    """represent(tc, group_tc, H) of the rows tc predicted each label,
+    against the rows group_tc of that label's reliable group and the
+    topics H of its polarity, all rows of a label at once: one array per
+    output, row i message i's."""
+    out = []
     for label, H in enumerate(Hs):
         rows = predicted == label
-        tc = contributions[rows]
-        group_tc = tc[groups[label][rows]]
-        profiles[label] = _reliable_profile(group_tc, H, cfg)
-        vectors[rows], degenerate[rows] = _representations(tc, group_tc, H,
-                                                           cfg)
-    return profiles, vectors, degenerate
+        parts = represent(contributions[rows], contributions[groups[label]],
+                          H)
+        out = out or [np.empty((len(predicted), *part.shape[1:]), part.dtype)
+                      for part in parts]
+        for whole, part in zip(out, parts):
+            whole[rows] = part
+    return out
+
+
+def _derive(cfg, predicted, gold, train, represent):
+    """_by_prediction(represent) of contributions.npz, both topics' H and
+    the reliable groups of predicted; a negative contribution, which a
+    row's total can hide, or a failed derivation names
+    contributions.npz."""
+    Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
+          for polarity in POLARITIES]
+    groups = _reliable_groups(gold, train, predicted)
+
+    def build(f):
+        negative = np.flatnonzero((f["contributions"] < 0).any(axis=1))
+        if negative.size:
+            raise ValueError(f"a negative contribution in {negative.size} "
+                             f"of {len(predicted)} rows, the first "
+                             f"{negative[0]}")
+        return _by_prediction(represent, f["contributions"], predicted,
+                              groups, Hs)
+    return _load(cfg, "contributions.npz", build=build, n=len(gold))
+
+
+def _topic_columns(cfg, predicted, gold, train) -> np.ndarray:
+    """The (n, 7) xmap columns of TOPIC_COLUMNS: each message's
+    topic_representations against its prediction's reliable group,
+    scored against profiles.npz."""
+    vectors = _derive(cfg, predicted, gold, train, lambda tc, group_tc, H: (
+        uncertainty.topic_representations(tc, _scale(group_tc), H,
+                                          cfg.k_related, cfg.temperature)))[0]
+    return _load(cfg, "profiles.npz", ("vectors",), lambda f: (
+        scoring.misclassification_score(vectors, f["vectors"][:, :-1],
+                                        predicted)))
 
 
 def _load_representations(cfg) -> tuple[np.ndarray, np.ndarray]:
     """(vectors, degenerate) of every message, (n, R, M) with NaN where
-    NA and (n, R), as score derived them, rebuilt from contributions.npz."""
+    NA and (n, R): the readers' derivation from contributions.npz plus
+    rel_u, the representations score's profiles and xmap_rel_u come
+    from."""
     scores, gold, train = _load_scores(cfg, ())
-    predicted = scores["predicted"]
-    contributions = _load(cfg, "contributions.npz",
-                          n=len(gold))["contributions"]
-    Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
-          for polarity in POLARITIES]
-    return _polarity_representations(
-        contributions, predicted,
-        _reliable_groups(gold, train, predicted), Hs, cfg)[1:]
+    return _derive(cfg, scores["predicted"], gold, train,
+                   lambda tc, group_tc, H: _representations(tc, group_tc, H,
+                                                            cfg))
 
 
 @_stage("score")
@@ -604,7 +650,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
 
     # Each message's topic contributions are on the polarity its own
     # prediction selects (positive -> spamward supports, negative ->
-    # hamward); its representations and the group profiles follow.
+    # hamward); the group profiles and rel_u follow.
     contributions = np.empty((len(gold), cfg.n_topics))
     Hs = []
     for label, polarity in enumerate(POLARITIES):
@@ -615,16 +661,24 @@ def cmd_score(cfg: PipelineConfig) -> None:
         contributions[rows] = profiling.topic_contributions(
             supports, topic["assignment"], cfg.n_topics)
         Hs.append(topic["H"])
-    profiles, vectors, _ = _polarity_representations(
-        contributions, predicted, _reliable_groups(gold, train, predicted),
-        Hs, cfg)
-
-    xmap = scoring.misclassification_score(vectors, profiles, predicted)
+    # Of each message's representations only rel_u is scored here: its
+    # neighbour search needs the reliable group's distributions, and the
+    # other seven are derived where they are read (_topic_columns).
+    groups = _reliable_groups(gold, train, predicted)
+    profiles = np.stack([_reliable_profile(contributions[group], H, cfg)
+                         for group, H in zip(groups, Hs)])
+    rel_u = _by_prediction(
+        lambda tc, group_tc, _: uncertainty.rel_u_vector(
+            uncertainty.original(tc)[0], uncertainty.original(group_tc)[0],
+            cfg.k_nn),
+        contributions, predicted, groups, Hs)[0]
+    xmap_rel_u = scoring.misclassification_score(
+        rel_u[:, None], profiles[:, -1:], predicted)[:, 0]
 
     _save(cfg, "profiles.npz", names=np.array(REPRESENTATIONS),
           vectors=profiles)
     _save(cfg, "contributions.npz", contributions=contributions)
-    _save(cfg, "scores.npz", p_pos=p_pos, **dict(zip(XMAP_COLUMNS, xmap.T)))
+    _save(cfg, "scores.npz", p_pos=p_pos, xmap_rel_u=xmap_rel_u)
 
 
 # --------------------------------------------------------------- evaluate

@@ -26,8 +26,12 @@ CLIP = 1e-12
 # rel_u; bounds the memory it takes independently of the message count.
 ROW_BLOCK = 64
 
-REPRESENTATIONS = ("original", "vacuity", "dissonance", "aleatory",
-                   "doctor_alpha", "doctor_beta", "odin", "rel_u")
+# Every representation but rel_u is a function of a message's topic
+# contributions, the group's evidence scale, H and the config alone;
+# rel_u also searches the reliable group's distributions.
+TOPIC_REPRESENTATIONS = ("original", "vacuity", "dissonance", "aleatory",
+                         "doctor_alpha", "doctor_beta", "odin")
+REPRESENTATIONS = (*TOPIC_REPRESENTATIONS, "rel_u")
 
 OUTPUT_UQ_METHODS = ("entropy", "doctor_alpha", "doctor_beta", "odin",
                      "rel_u", "vacuity", "dissonance")
@@ -215,21 +219,36 @@ def _check_simplex(vectors: np.ndarray) -> None:
         raise ValueError(f"{name}: invalid representation vector")
 
 
-def representations(tc: np.ndarray, s: float, H: np.ndarray, k: int,
-                    temperature: float, references: np.ndarray,
-                    k_nn: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every representation of each row of topic contributions tc (n, M):
-    the (n, 8, M) vectors in REPRESENTATIONS order, NaN where one is NA,
-    and the (n, 8) degenerate flags.  ``references`` are the reliable
-    group's distributions rel_u compares against, one per row."""
+def topic_representations(tc: np.ndarray, s: float, H: np.ndarray, k: int,
+                          temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every representation but rel_u of each row of topic contributions
+    tc (n, M): the (n, 7, M) vectors in TOPIC_REPRESENTATIONS order and
+    the (n, 7) degenerate flags.  ValueError unless each is on the
+    simplex."""
     p, p_degenerate = original(tc)
     parts = [(p, p_degenerate), vacuity_vector(tc, s),
              dissonance_vector(tc, s), aleatory_vector(p, H, k),
              doctor_alpha_vector(p), doctor_beta_vector(p),
-             odin_vector(p, temperature), rel_u_vector(p, references, k_nn)]
+             odin_vector(p, temperature)]
     vectors = np.stack([vec for vec, _ in parts], axis=-2)
     _check_simplex(vectors)
     return vectors, np.stack([flag for _, flag in parts], axis=-1)
+
+
+def representations(tc: np.ndarray, s: float, H: np.ndarray, k: int,
+                    temperature: float, references: np.ndarray,
+                    k_nn: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every representation of each row of topic contributions tc (n, M):
+    topic_representations and rel_u, the (n, 8, M) vectors in
+    REPRESENTATIONS order, NaN where one is NA, and the (n, 8) degenerate
+    flags.  ``references`` are the reliable group's distributions rel_u
+    compares against, one per row."""
+    vectors, degenerate = topic_representations(tc, s, H, k, temperature)
+    rel_u, rel_u_degenerate = rel_u_vector(vectors[..., 0, :], references,
+                                           k_nn)
+    return (np.concatenate([vectors, rel_u[..., None, :]], axis=-2),
+            np.concatenate([degenerate, rel_u_degenerate[..., None]],
+                           axis=-1))
 
 
 def output_uq_score(p_pos: np.ndarray, method: str,

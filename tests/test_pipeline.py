@@ -524,25 +524,57 @@ class TestStageOutputs:
                 supports, topic["assignment"], cfg.n_topics)
             assert stored[rows].tobytes() == expected.tobytes(), polarity
 
+    def test_readers_search_no_neighbours(self, mini_run, tmp_path,
+                                          monkeypatch):
+        # Of the xmap columns evaluate, repair and report read, only rel_u
+        # needs the neighbour search, and score stores it: each writes
+        # the same output without it.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+
+        def search(*args, **kwargs):
+            raise AssertionError("rel_u_vector called")
+
+        monkeypatch.setattr(uncertainty, "rel_u_vector", search)
+        for stage in ("evaluate", "repair", "report"):
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+        for name in ("detector_report.json", "repair_report.json",
+                     "outcomes.npz", "report.md"):
+            assert (copy / name).read_bytes() == (
+                mini_run[2] / name).read_bytes(), name
+
     @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
-    def test_loaded_representations_give_the_stored_scores(self, run,
-                                                           request, tmp_path):
-        # The vectors _load_representations rebuilds score, against
-        # profiles.npz, to every stored xmap column bit for bit, NaN
-        # included.  The kernel run's training split holds no correctly
-        # classified spam, so its TP group is empty: rel_u is NA for every
-        # positive prediction and the TP profile is NA throughout.
+    def test_loaded_representations_give_the_stored_scores(
+            self, run, request, tmp_path, monkeypatch):
+        # score scores rel_u alone and stores that column.  The vectors
+        # _load_representations rebuilds score, against profiles.npz, to
+        # the (n, 8) columns of every representation of every message:
+        # their rel_u column is the one score computed, and the other
+        # seven are those _load_scores derives, bit for bit, NaN included.
+        # The kernel run's training split holds no correctly classified
+        # spam, so its TP group is empty: rel_u is NA for every positive
+        # prediction and the TP profile is NA throughout.
         _, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         kernel = run == "kernel_run"
-        if kernel:
-            assert cli.main(["score", "--config", str(cfg_path)]) == 0
+        real, calls = scoring.misclassification_score, []
+
+        def spy(vectors, profiles, predicted):
+            calls.append(real(vectors, profiles, predicted))
+            return calls[-1]
+
+        monkeypatch.setattr(scoring, "misclassification_score", spy)
+        assert cli.main(["score", "--config", str(cfg_path)]) == 0
+        monkeypatch.undo()
+        [computed] = calls
         vectors, _ = pipeline._load_representations(cfg)
         scores = pipeline._load_scores(cfg)[0]
         profiles = _load(cfg, "profiles.npz")["vectors"]
         xmap = scoring.misclassification_score(vectors, profiles,
                                                scores["predicted"])
+        assert computed.shape == (len(xmap), 1)
+        assert xmap[:, -1:].tobytes() == computed.tobytes()
         for column, key in zip(xmap.T, pipeline.XMAP_COLUMNS):
+            assert scores[key].dtype == np.float64, key
             assert column.tobytes() == scores[key].tobytes(), key
         positive = scores["predicted"]
         assert positive.any() and (~positive).any()
@@ -553,20 +585,22 @@ class TestStageOutputs:
         assert np.isnan(xmap[positive]).all() == kernel
         assert not np.isnan(xmap[~positive]).any()
 
-    def test_old_run_directory_needs_score_again(self, mini_run, tmp_path):
+    def test_old_run_directory_needs_score_again(self, mini_run, tmp_path,
+                                                 capsys):
         # A run directory written before contributions.npz holds
-        # representations.npz instead, which no stage reads.
+        # representations.npz instead, which no stage reads; every reader
+        # of the xmap columns derives them from contributions.npz.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         (copy / "contributions.npz").rename(copy / "representations.npz")
         with pytest.raises(ArtifactError, match=(
                 r"^missing contributions.npz; run score first$")):
             pipeline._load_representations(load_config(cfg_path))
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
         for stage in ("evaluate", "repair", "report"):
-            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
-        for name in ("detector_report.json", "repair_report.json",
-                     "report.md"):
-            assert (copy / name).read_bytes() == (
-                mini_run[2] / name).read_bytes()
+            assert cli.main([stage, "--config", str(cfg_path)]) == 2, stage
+            assert capsys.readouterr().err == (
+                f"[{stage}] missing contributions.npz; run score first\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_profiles_are_the_reliable_groups_representations(self,
                                                                mini_run):
@@ -720,6 +754,8 @@ class TestGuards:
                     "vectors.npz": "train", "model.npz": "explain",
                     "shap.npz": "profile", "topics_plus.npz": "score",
                     "topics_minus.npz": "score", "scores.npz": "evaluate",
+                    "contributions.npz": "evaluate",
+                    "profiles.npz": "evaluate",
                     "detector_report.json": "report",
                     "repair_report.json": "report"}
 
@@ -741,9 +777,9 @@ class TestGuards:
                    ("shap.npz", "explained_output", "profile"),
                    ("topics_plus.npz", "assignment", "score"),
                    ("topics_minus.npz", "H", "score"),
-                   ("scores.npz", "xmap_odin", "evaluate"),
-                   ("scores.npz", "xmap_odin", "repair"),
-                   ("scores.npz", "xmap_odin", "report")]
+                   ("scores.npz", "xmap_rel_u", "evaluate"),
+                   ("scores.npz", "xmap_rel_u", "repair"),
+                   ("scores.npz", "xmap_rel_u", "report")]
 
     @pytest.mark.parametrize("name, key, reader", MISSING_KEY)
     def test_missing_key_names_the_file(self, mini_run, tmp_path, capsys,
@@ -934,18 +970,19 @@ class TestGuards:
     @pytest.mark.parametrize("stage", ["evaluate", "repair", "report"])
     def test_short_scores_column_fails(self, mini_run, tmp_path, capsys,
                                        stage):
-        # One xmap column a message short: each reader of scores.npz
-        # names the file before it indexes a mask of another length.
+        # The stored xmap column a message short: each reader of
+        # scores.npz names the file before it indexes a mask of another
+        # length.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, "scores.npz")
-        n = len(arrays["xmap_odin"])
-        arrays["xmap_odin"] = arrays["xmap_odin"][:-1]
+        n = len(arrays["xmap_rel_u"])
+        arrays["xmap_rel_u"] = arrays["xmap_rel_u"][:-1]
         _save(cfg, "scores.npz", **arrays)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert cli.main([stage, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
-            f"[{stage}] scores.npz is malformed (xmap_odin of shape "
+            f"[{stage}] scores.npz is malformed (xmap_rel_u of shape "
             f"({n - 1},), expected ({n},)); rerun score\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
@@ -971,18 +1008,74 @@ class TestGuards:
 
     def test_scores_of_the_old_layout_need_score_again(self, mini_run,
                                                        tmp_path, capsys):
-        # A scores.npz written before the predicted label and the output
-        # columns were derived from p_pos also stores them.
+        # A scores.npz written before the xmap columns of TOPIC_COLUMNS
+        # were derived where they are read also stores them.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        arrays = _load(cfg, "scores.npz")
-        _save(cfg, "scores.npz", **arrays, **pipeline._output_columns(
-            arrays["p_pos"], cfg.temperature))
-        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
-        stored = sorted(("predicted", *pipeline.BASE_METHODS))
-        assert capsys.readouterr().err == (
-            "[evaluate] scores.npz is malformed (unexpected "
-            + ", ".join(map(repr, stored)) + "); rerun score\n")
+        scores = pipeline._load_scores(cfg)[0]
+        _save(cfg, "scores.npz", **{key: scores[key] for key in (
+            "p_pos", *pipeline.XMAP_COLUMNS)})
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        stored = sorted(pipeline.TOPIC_COLUMNS)
+        for stage in ("evaluate", "repair", "report"):
+            assert cli.main([stage, "--config", str(cfg_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"[{stage}] scores.npz is malformed (unexpected "
+                + ", ".join(map(repr, stored)) + "); rerun score\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    # Each damage of an input the readers of scores.npz derive the
+    # TOPIC_COLUMNS from, and the file it damages.
+    DERIVATION_INPUTS = {
+        "missing_contributions": "contributions.npz",
+        "truncated_contributions": "contributions.npz",
+        "negative_contribution": "contributions.npz",
+        "missing_profiles": "profiles.npz",
+        "truncated_profiles": "profiles.npz",
+        "narrow_profiles": "profiles.npz",
+        "missing_topics_minus": "topics_minus.npz",
+        "truncated_topics_minus": "topics_minus.npz"}
+
+    @pytest.mark.parametrize("stage", ["evaluate", "repair", "report"])
+    @pytest.mark.parametrize("damage", sorted(DERIVATION_INPUTS))
+    def test_damaged_derivation_input_fails(self, mini_run, tmp_path, capsys,
+                                            stage, damage):
+        # Each stops every reader with one line naming the file and the
+        # stage that rewrites it, and changes no file.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        name = self.DERIVATION_INPUTS[damage]
+        if damage.startswith("missing_"):
+            (copy / name).unlink()
+            expected = f"missing {name}; run {PRODUCER[name]} first"
+        elif damage.startswith("truncated_"):
+            _truncate(copy / name)
+            expected = f"cannot read {name} ("
+        elif damage == "negative_contribution":
+            # The row's total turns negative too, which the representations
+            # would take for a massless row.
+            arrays = _load(cfg, name)
+            n = len(arrays["contributions"])
+            row = arrays["contributions"][n // 2]
+            row[np.argmax(row)] *= -1.0
+            assert row.sum() < 0
+            _save(cfg, name, **arrays)
+            expected = (f"{name} is malformed (ValueError('a negative "
+                        f"contribution in 1 of {n} rows, the first "
+                        f"{n // 2}'))")
+        else:
+            arrays = _load(cfg, name)
+            arrays["vectors"] = arrays["vectors"][:, :, :-1]
+            _save(cfg, name, **arrays)
+            expected = f"{name} is malformed (vectors of shape "
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[{stage}] {expected}") and err.count("\n") == 1
+        assert err.endswith(f"; run {PRODUCER[name]} first\n"
+                            if damage.startswith("missing_")
+                            else f"; rerun {PRODUCER[name]}\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
         # The damage above is what fails score, not the small run itself.
@@ -1138,7 +1231,10 @@ class TestGuards:
                     if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("name, member, stage", [
-        ("shap.npz", "mu", "score"), ("scores.npz", "p_pos", "evaluate")])
+        ("shap.npz", "mu", "score"), ("scores.npz", "p_pos", "evaluate"),
+        ("contributions.npz", "contributions", "repair"),
+        ("profiles.npz", "vectors", "report"),
+        ("topics_minus.npz", "H", "evaluate")])
     def test_flipped_deflated_byte_fails_its_reader(self, mini_run, tmp_path,
                                                     capsys, name, member,
                                                     stage):
@@ -1238,14 +1334,13 @@ class TestGuards:
                   for key in ("H", "objective")))
     FLOATS = {"mini_run": (*PREPARED, ("profiles.npz", "vectors"),
                            ("contributions.npz", "contributions"),
-                           *(("scores.npz", key) for key in (
-                               "p_pos", *pipeline.XMAP_COLUMNS))),
+                           ("scores.npz", "p_pos"),
+                           ("scores.npz", "xmap_rel_u")),
               "kernel_run": (*PREPARED, ("model.npz", "calibration"),
                              ("shap.npz", "data")),
               "nb_run": (("model.npz", "struct_min"),
                          ("model.npz", "struct_max"))}
-    NA_MEMBERS = {("profiles.npz", "vectors"),
-                  *(("scores.npz", key) for key in pipeline.XMAP_COLUMNS)}
+    NA_MEMBERS = {("profiles.npz", "vectors"), ("scores.npz", "xmap_rel_u")}
     OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
                     for name in names
                     for damage in ("stray_member", "wrong_kind")),
@@ -1536,8 +1631,8 @@ class TestArrayArtifacts:
                    st.floats(allow_nan=True, allow_infinity=True))),
            labels=st.lists(st.text(max_size=8), max_size=5))
     def test_roundtrip_is_bitwise(self, matrix, labels):
-        # Through the members of three layouts: the matrix as an NA column
-        # of scores.npz and, when finite, as vectors.npz's CSR and
+        # Through the members of three layouts: the matrix as scores.npz's
+        # NA column and, when finite, as vectors.npz's CSR and
         # space.npz's idf, which refuse it otherwise; the strings as
         # space.npz's UTF-8 lists.
         csr, column, n = to_csr(matrix), matrix.ravel(), matrix.size
@@ -1548,8 +1643,7 @@ class TestArrayArtifacts:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "vectors.npz", **csr)
             _save(cfg, "space.npz", **vocabs, idf=column)
-            _save(cfg, "scores.npz", p_pos=np.zeros(n),
-                  **dict.fromkeys(pipeline.XMAP_COLUMNS, column))
+            _save(cfg, "scores.npz", p_pos=np.zeros(n), xmap_rel_u=column)
             scores = _load(cfg, "scores.npz")
             if finite:
                 back = _load(cfg, "vectors.npz")
@@ -1562,8 +1656,7 @@ class TestArrayArtifacts:
                             r"non-finite value\); rerun prepare$")):
                         _load(cfg, name)
                 space = _load(cfg, "space.npz", keys=list(vocabs))
-        for key in pipeline.XMAP_COLUMNS:
-            assert scores[key].tobytes() == matrix.tobytes(), key
+        assert scores["xmap_rel_u"].tobytes() == matrix.tobytes()
         if finite:
             for key, array in csr.items():
                 assert back[key].dtype == array.dtype, key
@@ -1593,18 +1686,29 @@ class TestArrayArtifacts:
         assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= every
         assert not {("dataset.npz", "text"),
                     ("dataset.npz", "text_offsets")} & every
-        # scores.npz's members: evaluate, repair and report read p_pos,
-        # from which the predicted label and the output-uncertainty
-        # columns are derived, and the xmap columns; the representations
-        # need p_pos alone.
-        xmap = {"digest", "p_pos", *pipeline.XMAP_COLUMNS}
-        assert {stage: {key for name, key in keys if name == "scores.npz"}
+        # What the readers of scores.npz decode of it and of the files
+        # they derive the TOPIC_COLUMNS from: p_pos, from which the
+        # predicted label and the output-uncertainty columns are derived,
+        # the stored xmap_rel_u, the topic contributions, both topics' H
+        # and the profiles.  score reads every member of the topics; the
+        # representations need neither xmap_rel_u nor the profiles.
+        topics = [f"topics_{polarity}.npz" for polarity in pipeline.POLARITIES]
+        inputs = {"scores.npz", "contributions.npz", "profiles.npz", *topics}
+        readers = {*((name, "digest") for name in inputs),
+                   ("scores.npz", "p_pos"), ("scores.npz", "xmap_rel_u"),
+                   ("contributions.npz", "contributions"),
+                   ("profiles.npz", "vectors"),
+                   *((name, "H") for name in topics)}
+        assert {stage: {(name, key) for name, key in keys if name in inputs}
                 for stage, keys in decoded.items()} == {
-            **dict.fromkeys(STAGES[1:5], set()),
-            **dict.fromkeys(STAGES[5:], xmap)}
+            **dict.fromkeys(STAGES[1:4], set()),
+            "score": {(name, key) for name in topics
+                      for key in ("digest", *pipeline.ARTIFACTS[name][1])},
+            **dict.fromkeys(STAGES[5:], readers)}
         pipeline._load_representations(load_config(cfg_path))
-        assert {key for name, key in read if name == "scores.npz"} == {
-            "digest", "p_pos"}
+        assert {(name, key) for name, key in read if name in inputs} == (
+            readers - {("scores.npz", "xmap_rel_u"), ("profiles.npz", "digest"),
+                       ("profiles.npz", "vectors")})
 
     def test_digest_mismatch_refused(self, tmp_path):
         other = PipelineConfig(out_dir=str(tmp_path), seed=1)
