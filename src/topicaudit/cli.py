@@ -34,8 +34,8 @@ COMMANDS = {
     "train": (pipeline.cmd_train, "fit the classifier"),
     "explain": (pipeline.cmd_explain, "per-message attributions"),
     "profile": (pipeline.cmd_profile, "per-polarity topic models"),
-    "score": (pipeline.cmd_score, "group profiles, divergence and "
-                                  "uncertainty scores"),
+    "score": (pipeline.cmd_score, "topic contributions and rel_u "
+                                  "divergence"),
     "evaluate": (pipeline.cmd_evaluate, "detector AUROC / FRR metrics"),
     "repair": (pipeline.cmd_repair, "reject and re-accept messages"),
     "report": (report.cmd_report, "markdown summary tables"),

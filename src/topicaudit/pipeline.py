@@ -34,15 +34,15 @@ worker process per available core when numpy's BLAS runs one thread
 for any worker count; shap.npz adds ``data``, the values of each
 message's active columns, where X deviates from mu, row after row.
 
-score stores each message's topic contributions, not the
-representations derived from them, and of their xmap columns only
-xmap_rel_u: rel_u alone searches the reliable group's distributions for
-each message's neighbours.  _load_scores adds the other seven, which
-_topic_columns derives from contributions.npz, both topics' H and
-profiles.npz over every row of a polarity at once, and the predicted
-label and the output-uncertainty columns, functions of p_pos alone,
-with dataset.npz's labels and train mask; _load_representations
-rebuilds all eight representations, the same derivation plus rel_u.
+score stores in scores.npz each message's p_pos and topic contributions,
+not the representations derived from them, and of their xmap columns
+only xmap_rel_u: rel_u alone searches the reliable group's
+distributions for each message's neighbours.  _xmap_columns is the one
+derivation of an xmap column and of the group profile it is scored
+against, over every row of a polarity at once; _load_scores adds the
+other seven through it from the contributions and both topics' H, and
+the predicted label and the output-uncertainty columns, functions of
+p_pos alone, with dataset.npz's labels and train mask.
 Each detector's rejections, and the recoveries and leakages of the repair
 gate, are boolean masks over the same rows, so outcomes.npz, a code
 into OUTCOMES per message, and the re-accepted ids are read straight
@@ -77,7 +77,7 @@ SUBSETS = (("positive", 1), ("negative", 0))
 POLARITIES = ("minus", "plus")
 OUTCOMES = ("accepted", "rejected", "repaired")
 
-OPTIONAL, NA, _R = "optional", "na", len(REPRESENTATIONS)
+OPTIONAL, NA = "optional", "na"
 
 # Every artifact under the output directory: the stage that writes it,
 # and its layout.  A JSON report's is the top-level keys its readers
@@ -88,9 +88,10 @@ OPTIONAL, NA, _R = "optional", "na", len(REPRESENTATIONS)
 # An OPTIONAL member is written by some runs only: svm's calibration,
 # nb's structural bounds, a kernel run's phi values.  A float is finite
 # but in an NA member, where NaN means not available; labels are bool.
-# Per message, score keeps the topic contributions, from which the
-# readers derive every representation but rel_u, p_pos and xmap_rel_u,
-# the one detector column that needs score's neighbour search.
+# Per message, score keeps p_pos, the topic contributions, from which
+# the readers derive every representation but rel_u and its group
+# profiles, and xmap_rel_u, the one detector column that needs score's
+# neighbour search.
 ARTIFACTS = {
     "dataset.npz": ("prepare", {
         "gold": ("b", ("n",)), "train": ("b", ("n",)),
@@ -115,10 +116,8 @@ ARTIFACTS = {
         "columns": ("i", ("k",)), "H": ("f", ("M", "k")),
         "assignment": ("i", ("k",)), "objective": ("f", ())})
        for polarity in POLARITIES},
-    "profiles.npz": ("score", {"names": ("U", (_R,)), "vectors": (
-        "f", (len(POLARITIES), _R, "M"), NA)}),
-    "contributions.npz": ("score", {"contributions": ("f", ("n", "M"))}),
     "scores.npz": ("score", {"p_pos": ("f", ("n",)),
+                             "contributions": ("f", ("n", "M")),
                              "xmap_rel_u": ("f", ("n",), NA)}),
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
@@ -297,16 +296,6 @@ def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
     f = _load(cfg, "dataset.npz", ("gold", "train"))
     return f["gold"], f["train"]
 
-def _load_rows(cfg, name: str, keys=None,
-               build=None) -> tuple[dict, np.ndarray, np.ndarray]:
-    """(fields, gold, train): a per-message artifact's fields of ``keys``
-    (default: all), one row per message, through build if given, and
-    dataset.npz's columns, read after the artifact is found so a missing
-    one names its producer."""
-    _require(cfg, name)
-    gold, train = _load_dataset(cfg)
-    return _load(cfg, name, keys, build, n=len(gold)), gold, train
-
 def _output_columns(p_pos: np.ndarray,
                     temperature: float) -> dict[str, np.ndarray]:
     """The columns that are functions of p_pos alone: ``predicted``,
@@ -318,18 +307,39 @@ def _output_columns(p_pos: np.ndarray,
         for method in BASE_METHODS}}
 
 def _load_scores(cfg, keys=XMAP_COLUMNS):
-    """_load_rows of scores.npz's p_pos and the xmap columns of ``keys``:
-    its _output_columns, so a p_pos outside [0, 1] reads as malformed,
-    the stored xmap_rel_u and the TOPIC_COLUMNS _topic_columns derives."""
-    stored = [key for key in keys if key not in TOPIC_COLUMNS]
-    scores, gold, train = _load_rows(
-        cfg, "scores.npz", ("p_pos", *stored), lambda f: {
-            **f, **_output_columns(f["p_pos"], cfg.temperature)})
-    if len(stored) < len(keys):
-        derived = dict(zip(TOPIC_COLUMNS, _topic_columns(
-            cfg, scores["predicted"], gold, train).T.copy()))
-        scores.update((key, derived[key]) for key in keys if key in derived)
-    return scores, gold, train
+    """(scores, gold, train): scores.npz's p_pos, its _output_columns, so
+    a p_pos outside [0, 1] reads as malformed, and the xmap columns of
+    ``keys``, the stored xmap_rel_u and the TOPIC_COLUMNS _xmap_columns
+    derives from the contributions and both topics' H; dataset.npz's
+    columns are read after scores.npz is found, so a missing one names
+    its producer.  A negative contribution, which a row's total can hide,
+    or a failed derivation names scores.npz."""
+    _require(cfg, "scores.npz")
+    gold, train = _load_dataset(cfg)
+    topic = [key for key in keys if key in TOPIC_COLUMNS]
+
+    def build(f):
+        f.update(_output_columns(f["p_pos"], cfg.temperature))
+        if not topic:
+            return f
+        contributions = f.pop("contributions")
+        negative = np.flatnonzero((contributions < 0).any(axis=1))
+        if negative.size:
+            raise ValueError(f"a negative contribution in {negative.size} "
+                             f"of {len(gold)} rows, the first {negative[0]}")
+        Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
+              for polarity in POLARITIES]
+        columns = _xmap_columns(
+            lambda tc, group_tc, H: uncertainty.topic_representations(
+                tc, _scale(group_tc), H, cfg.k_related, cfg.temperature)[0],
+            contributions, f["predicted"], gold, train, Hs)
+        f.update((key, column) for key, column
+                 in zip(TOPIC_COLUMNS, columns.T.copy()) if key in topic)
+        return f
+    stored = ["p_pos", *(key for key in keys if key not in TOPIC_COLUMNS)]
+    if topic:
+        stored.append("contributions")
+    return _load(cfg, "scores.npz", stored, build, n=len(gold)), gold, train
 
 def _save_space(cfg, space) -> None:
     _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
@@ -558,85 +568,32 @@ def _scale(group_tc) -> float:
     return uncertainty.evidence_scale(group_tc) if len(group_tc) else 1.0
 
 
-def _representations(tc, group_tc, H, cfg):
-    """representations() of the rows of tc against a reliable group whose
-    members have topic contributions group_tc."""
-    return uncertainty.representations(
-        tc, _scale(group_tc), H, cfg.k_related, cfg.temperature,
-        uncertainty.original(group_tc)[0], cfg.k_nn)
+def _xmap_columns(represent, contributions, predicted, gold, train,
+                  Hs) -> np.ndarray:
+    """The (n, R) xmap columns of represent(tc, group_tc, H), (rows, R, M)
+    representations of the rows tc against a reliable group whose members
+    have topic contributions group_tc and the topics H of its polarity:
+    the rows predicted each label at once, scored against that label's
+    group profile.
 
-
-def _reliable_profile(tcs, H, cfg) -> np.ndarray:
-    """All eight representation profiles of one reliable group, (R, M)
-    in REPRESENTATIONS order with an all-NaN row for NA.
-
-    The profile is each representation's transform applied to the group's
-    mean topic contribution; an empty or massless group has no reference
-    distribution, so every representation goes NA."""
-    mean_tc = tcs.mean(axis=0) if len(tcs) else np.zeros(tcs.shape[-1])
-    if mean_tc.sum() <= 0.0:
-        return np.full((len(REPRESENTATIONS), tcs.shape[-1]), np.nan)
-    return _representations(mean_tc[None, :], tcs, H, cfg)[0][0]
-
-
-def _by_prediction(represent, contributions, predicted, groups, Hs):
-    """represent(tc, group_tc, H) of the rows tc predicted each label,
-    against the rows group_tc of that label's reliable group and the
-    topics H of its polarity, all rows of a label at once: one array per
-    output, row i message i's."""
-    out = []
-    for label, H in enumerate(Hs):
-        rows = predicted == label
-        parts = represent(contributions[rows], contributions[groups[label]],
-                          H)
-        out = out or [np.empty((len(predicted), *part.shape[1:]), part.dtype)
-                      for part in parts]
-        for whole, part in zip(out, parts):
-            whole[rows] = part
-    return out
-
-
-def _derive(cfg, predicted, gold, train, represent):
-    """_by_prediction(represent) of contributions.npz, both topics' H and
-    the reliable groups of predicted; a negative contribution, which a
-    row's total can hide, or a failed derivation names
-    contributions.npz."""
-    Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
-          for polarity in POLARITIES]
-    groups = _reliable_groups(gold, train, predicted)
-
-    def build(f):
-        negative = np.flatnonzero((f["contributions"] < 0).any(axis=1))
-        if negative.size:
-            raise ValueError(f"a negative contribution in {negative.size} "
-                             f"of {len(predicted)} rows, the first "
-                             f"{negative[0]}")
-        return _by_prediction(represent, f["contributions"], predicted,
-                              groups, Hs)
-    return _load(cfg, "contributions.npz", build=build, n=len(gold))
-
-
-def _topic_columns(cfg, predicted, gold, train) -> np.ndarray:
-    """The (n, 7) xmap columns of TOPIC_COLUMNS: each message's
-    topic_representations against its prediction's reliable group,
-    scored against profiles.npz."""
-    vectors = _derive(cfg, predicted, gold, train, lambda tc, group_tc, H: (
-        uncertainty.topic_representations(tc, _scale(group_tc), H,
-                                          cfg.k_related, cfg.temperature)))[0]
-    return _load(cfg, "profiles.npz", ("vectors",), lambda f: (
-        scoring.misclassification_score(vectors, f["vectors"][:, :-1],
-                                        predicted)))
-
-
-def _load_representations(cfg) -> tuple[np.ndarray, np.ndarray]:
-    """(vectors, degenerate) of every message, (n, R, M) with NaN where
-    NA and (n, R): the readers' derivation from contributions.npz plus
-    rel_u, the representations score's profiles and xmap_rel_u come
-    from."""
-    scores, gold, train = _load_scores(cfg, ())
-    return _derive(cfg, scores["predicted"], gold, train,
-                   lambda tc, group_tc, H: _representations(tc, group_tc, H,
-                                                            cfg))
+    The profile is represent of the group's mean topic contribution; an
+    empty or massless group has no reference distribution, so every
+    representation goes NA."""
+    vectors, profiles = None, []
+    for label, (group, H) in enumerate(zip(
+            _reliable_groups(gold, train, predicted), Hs)):
+        rows, group_tc = predicted == label, contributions[group]
+        part = represent(contributions[rows], group_tc, H)
+        if vectors is None:
+            vectors = np.empty((len(predicted), *part.shape[1:]))
+        vectors[rows] = part
+        mean_tc = (group_tc.mean(axis=0) if len(group_tc)
+                   else np.zeros(contributions.shape[-1]))
+        profiles.append(represent(mean_tc[None, :], group_tc, H)[0]
+                        if mean_tc.sum() > 0.0
+                        else np.full(part.shape[1:], np.nan))
+    return scoring.misclassification_score(vectors, np.stack(profiles),
+                                           predicted)
 
 
 @_stage("score")
@@ -650,7 +607,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
 
     # Each message's topic contributions are on the polarity its own
     # prediction selects (positive -> spamward supports, negative ->
-    # hamward); the group profiles and rel_u follow.
+    # hamward); rel_u and its group profiles follow.
     contributions = np.empty((len(gold), cfg.n_topics))
     Hs = []
     for label, polarity in enumerate(POLARITIES):
@@ -663,22 +620,15 @@ def cmd_score(cfg: PipelineConfig) -> None:
         Hs.append(topic["H"])
     # Of each message's representations only rel_u is scored here: its
     # neighbour search needs the reliable group's distributions, and the
-    # other seven are derived where they are read (_topic_columns).
-    groups = _reliable_groups(gold, train, predicted)
-    profiles = np.stack([_reliable_profile(contributions[group], H, cfg)
-                         for group, H in zip(groups, Hs)])
-    rel_u = _by_prediction(
+    # other seven are derived where they are read (_load_scores).
+    xmap_rel_u = _xmap_columns(
         lambda tc, group_tc, _: uncertainty.rel_u_vector(
             uncertainty.original(tc)[0], uncertainty.original(group_tc)[0],
-            cfg.k_nn),
-        contributions, predicted, groups, Hs)[0]
-    xmap_rel_u = scoring.misclassification_score(
-        rel_u[:, None], profiles[:, -1:], predicted)[:, 0]
+            cfg.k_nn)[0][:, None],
+        contributions, predicted, gold, train, Hs)[:, 0]
 
-    _save(cfg, "profiles.npz", names=np.array(REPRESENTATIONS),
-          vectors=profiles)
-    _save(cfg, "contributions.npz", contributions=contributions)
-    _save(cfg, "scores.npz", p_pos=p_pos, xmap_rel_u=xmap_rel_u)
+    _save(cfg, "scores.npz", p_pos=p_pos, contributions=contributions,
+          xmap_rel_u=xmap_rel_u)
 
 
 # --------------------------------------------------------------- evaluate

@@ -235,22 +235,6 @@ def topic_representations(tc: np.ndarray, s: float, H: np.ndarray, k: int,
     return vectors, np.stack([flag for _, flag in parts], axis=-1)
 
 
-def representations(tc: np.ndarray, s: float, H: np.ndarray, k: int,
-                    temperature: float, references: np.ndarray,
-                    k_nn: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every representation of each row of topic contributions tc (n, M):
-    topic_representations and rel_u, the (n, 8, M) vectors in
-    REPRESENTATIONS order, NaN where one is NA, and the (n, 8) degenerate
-    flags.  ``references`` are the reliable group's distributions rel_u
-    compares against, one per row."""
-    vectors, degenerate = topic_representations(tc, s, H, k, temperature)
-    rel_u, rel_u_degenerate = rel_u_vector(vectors[..., 0, :], references,
-                                           k_nn)
-    return (np.concatenate([vectors, rel_u[..., None, :]], axis=-2),
-            np.concatenate([degenerate, rel_u_degenerate[..., None]],
-                           axis=-1))
-
-
 def output_uq_score(p_pos: np.ndarray, method: str,
                     temperature: float = 2.0) -> np.ndarray:
     """Uncertainty of each output probability; higher = more uncertain.

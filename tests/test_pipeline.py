@@ -34,10 +34,11 @@ from topicaudit.features import CSR
 from topicaudit.pipeline import (ArtifactError, StageError, _load,
                                  _load_dataset, _load_model, _load_phi,
                                  _load_space, _load_topics, _load_vectors,
-                                 _reliable_profile, _save)
+                                 _save)
 from topicaudit.uncertainty import REPRESENTATIONS
 
 from csr_layout import to_csr
+from every_representation import represent_all
 from shap_vector import phi_of
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
@@ -48,8 +49,7 @@ PRODUCER = {
     "dataset.npz": "prepare", "space.npz": "prepare",
     "vectors.npz": "prepare", "model.npz": "train",
     "shap.npz": "explain", "topics_plus.npz": "profile",
-    "topics_minus.npz": "profile", "profiles.npz": "score",
-    "contributions.npz": "score", "scores.npz": "score",
+    "topics_minus.npz": "profile", "scores.npz": "score",
     "detector_report.json": "evaluate",
     "repair_report.json": "repair", "outcomes.npz": "repair",
     "report.md": "report",
@@ -245,6 +245,45 @@ def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
     assert "dataset.npz" in err and "rerun prepare" in err
 
 
+def _load_outcomes(cfg: PipelineConfig) -> dict:
+    """outcomes.npz's fields, one outcome per message of dataset.npz."""
+    return _load(cfg, "outcomes.npz", n=len(_load_dataset(cfg)[0]))
+
+
+def _contributions(cfg: PipelineConfig) -> np.ndarray:
+    """scores.npz's (n, n_topics) topic contributions."""
+    return _load(cfg, "scores.npz", ("contributions",),
+                 n=len(_load_dataset(cfg)[0]))["contributions"]
+
+
+def _every_xmap(cfg: PipelineConfig):
+    """(vectors, degenerate, profiles, xmap) rebuilt from scores.npz's
+    contributions, both topics' H and the labels by represent_all, as
+    score and the readers of scores.npz derive them between them: the
+    rows predicted each label at once against that label's reliable
+    group, whose profile is the one-row representations of its mean
+    contribution, NaN for an empty or massless group, and every column
+    scored in one misclassification_score call."""
+    scores, gold, train = pipeline._load_scores(cfg, ())
+    predicted, tc = scores["predicted"], _contributions(cfg)
+    n, m = tc.shape
+    vectors = np.empty((n, len(REPRESENTATIONS), m))
+    degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
+    profiles = np.full((2, len(REPRESENTATIONS), m), np.nan)
+    reliable = train & (predicted == gold)
+    for label, polarity in enumerate(pipeline.POLARITIES):
+        H = _load(cfg, f"topics_{polarity}.npz")["H"]
+        group = tc[reliable & (gold == label)]
+        rows = predicted == label
+        vectors[rows], degenerate[rows] = represent_all(tc[rows], group, H,
+                                                        cfg)
+        if len(group) and group.mean(axis=0).sum() > 0.0:
+            profiles[label] = represent_all(group.mean(axis=0)[None, :],
+                                            group, H, cfg)[0][0]
+    return (vectors, degenerate, profiles,
+            scoring.misclassification_score(vectors, profiles, predicted))
+
+
 class TestStageOutputs:
     def test_all_artifacts_exist(self, mini_run):
         _, _, out, _ = mini_run
@@ -373,7 +412,7 @@ class TestStageOutputs:
     def test_scores_outcomes_partition(self, mini_run):
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        outcomes, _, train = pipeline._load_rows(cfg, "outcomes.npz")
+        outcomes, train = _load_outcomes(cfg), _load_dataset(cfg)[1]
         assert outcomes["names"].tolist() == ["accepted", "rejected",
                                               "repaired"]
         outcome = outcomes["names"][outcomes["outcome"]]
@@ -394,7 +433,7 @@ class TestStageOutputs:
                 assert body[key] == base[key], (subset, key)
 
         scores, gold, train = pipeline._load_scores(cfg)
-        outcomes = pipeline._load_rows(cfg, "outcomes.npz")[0]
+        outcomes = _load_outcomes(cfg)
         outcome = outcomes["names"][outcomes["outcome"]]
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
@@ -493,7 +532,7 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         n = len(_load_dataset(cfg)[0])
-        vectors, degenerate = pipeline._load_representations(cfg)
+        vectors, degenerate = _every_xmap(cfg)[:2]
         assert vectors.shape == (n, 8, MINI["n_topics"])
         assert degenerate.shape == (n, 8) and degenerate.dtype == bool
         present = ~np.isnan(vectors).any(axis=2)
@@ -506,9 +545,8 @@ class TestStageOutputs:
         # supports on the polarity its prediction selects, summed into
         # that polarity's topics.
         cfg = load_config(mini_run[3])
-        stored, gold, _ = pipeline._load_rows(cfg, "contributions.npz")
-        stored = stored["contributions"]
-        predicted = pipeline._load_scores(cfg, ())[0]["predicted"]
+        scores, gold, _ = pipeline._load_scores(cfg, ())
+        stored, predicted = _contributions(cfg), scores["predicted"]
         space = _load_space(cfg)
         X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
@@ -545,10 +583,11 @@ class TestStageOutputs:
     @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
     def test_loaded_representations_give_the_stored_scores(
             self, run, request, tmp_path, monkeypatch):
-        # score scores rel_u alone and stores that column.  The vectors
-        # _load_representations rebuilds score, against profiles.npz, to
-        # the (n, 8) columns of every representation of every message:
-        # their rel_u column is the one score computed, and the other
+        # score scores rel_u alone and stores that column.  Every
+        # representation of every message, rebuilt from scores.npz's
+        # contributions with the public uncertainty and scoring
+        # functions, scores to the (n, 8) xmap columns: their rel_u
+        # column is the one score computed and stored, and the other
         # seven are those _load_scores derives, bit for bit, NaN included.
         # The kernel run's training split holds no correctly classified
         # spam, so its TP group is empty: rel_u is NA for every positive
@@ -566,11 +605,8 @@ class TestStageOutputs:
         assert cli.main(["score", "--config", str(cfg_path)]) == 0
         monkeypatch.undo()
         [computed] = calls
-        vectors, _ = pipeline._load_representations(cfg)
+        vectors, _, profiles, xmap = _every_xmap(cfg)
         scores = pipeline._load_scores(cfg)[0]
-        profiles = _load(cfg, "profiles.npz")["vectors"]
-        xmap = scoring.misclassification_score(vectors, profiles,
-                                               scores["predicted"])
         assert computed.shape == (len(xmap), 1)
         assert xmap[:, -1:].tobytes() == computed.tobytes()
         for column, key in zip(xmap.T, pipeline.XMAP_COLUMNS):
@@ -582,42 +618,49 @@ class TestStageOutputs:
         assert rel_u.all(axis=1).tolist() == (positive & kernel).tolist()
         assert rel_u.any(axis=1).tolist() == (positive & kernel).tolist()
         assert np.isnan(profiles[1]).all() == kernel
+        assert not np.isnan(profiles[0]).any()
         assert np.isnan(xmap[positive]).all() == kernel
         assert not np.isnan(xmap[~positive]).any()
 
     def test_old_run_directory_needs_score_again(self, mini_run, tmp_path,
                                                  capsys):
-        # A run directory written before contributions.npz holds
-        # representations.npz instead, which no stage reads; every reader
-        # of the xmap columns derives them from contributions.npz.
+        # A run directory written before scores.npz held the topic
+        # contributions keeps them in contributions.npz and the group
+        # profiles in profiles.npz, which no stage reads; every reader of
+        # scores.npz needs its contributions.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
-        (copy / "contributions.npz").rename(copy / "representations.npz")
-        with pytest.raises(ArtifactError, match=(
-                r"^missing contributions.npz; run score first$")):
-            pipeline._load_representations(load_config(cfg_path))
+        cfg = load_config(cfg_path)
+        scores = _load(cfg, "scores.npz")
+        digest = np.bytes_(cfg.digest().encode("ascii"))
+        np.savez_compressed(copy / "contributions.npz", digest=digest,
+                            contributions=scores.pop("contributions"))
+        np.savez_compressed(copy / "profiles.npz", digest=digest,
+                            names=np.array(REPRESENTATIONS),
+                            vectors=np.zeros((2, len(REPRESENTATIONS),
+                                              cfg.n_topics)))
+        _save(cfg, "scores.npz", **scores)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         for stage in ("evaluate", "repair", "report"):
             assert cli.main([stage, "--config", str(cfg_path)]) == 2, stage
             assert capsys.readouterr().err == (
-                f"[{stage}] missing contributions.npz; run score first\n")
+                f"[{stage}] scores.npz is malformed (missing "
+                "'contributions'); rerun score\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
-    def test_profiles_are_the_reliable_groups_representations(self,
-                                                               mini_run):
-        # Rebuilt from the upstream artifacts: the label-l profile is the
-        # representations of the mean topic contribution of the correctly
-        # classified training messages of gold label l, on the polarity
-        # that label selects.
-        _, _, _, cfg_path = mini_run
+    def test_profiles_are_the_reliable_groups_representations(
+            self, mini_run, tmp_path, monkeypatch):
+        # Rebuilt from the upstream artifacts: the label-l profile that
+        # score scores rel_u against, and the readers of scores.npz the
+        # other seven representations, is the representations of the mean
+        # topic contribution of the correctly classified training
+        # messages of gold label l, on the polarity that label selects.
+        _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         scores, gold, train = pipeline._load_scores(cfg, ())
         space = _load_space(cfg)
         X = _load_vectors(cfg, len(gold), space)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
-        profiles = _load(cfg, "profiles.npz")
-        assert profiles["names"].tolist() == list(REPRESENTATIONS)
-        assert profiles["vectors"].shape == (2, len(REPRESENTATIONS),
-                                             cfg.n_topics)
+        expected = np.empty((2, len(REPRESENTATIONS), cfg.n_topics))
         reliable = train & (scores["predicted"] == gold)
         for label, polarity in ((0, "minus"), (1, "plus")):
             group = reliable & (gold == label)
@@ -627,9 +670,21 @@ class TestStageOutputs:
                 phi[group][:, topic["columns"]], polarity)
             group_tc = profiling.topic_contributions(
                 supports, topic["assignment"], cfg.n_topics)
-            expected = _reliable_profile(group_tc, topic["H"], cfg)
-            assert not np.isnan(expected).all(), polarity
-            assert profiles["vectors"][label].tobytes() == expected.tobytes()
+            expected[label] = represent_all(group_tc.mean(axis=0)[None, :],
+                                            group_tc, topic["H"], cfg)[0][0]
+        assert not np.isnan(expected).any()
+        real, stacks = scoring.misclassification_score, []
+
+        def spy(vectors, profiles, predicted):
+            stacks.append(profiles)
+            return real(vectors, profiles, predicted)
+
+        monkeypatch.setattr(scoring, "misclassification_score", spy)
+        assert cli.main(["score", "--config", str(cfg_path)]) == 0
+        pipeline._load_scores(cfg)
+        [rel_u, topic] = stacks
+        assert rel_u.tobytes() == expected[:, -1:].tobytes()
+        assert topic.tobytes() == expected[:, :-1].tobytes()
 
     def test_topics_match_the_direct_nmf_objective(self, mini_run):
         # Each polarity's support matrix, rebuilt as profile builds it and
@@ -754,8 +809,6 @@ class TestGuards:
                     "vectors.npz": "train", "model.npz": "explain",
                     "shap.npz": "profile", "topics_plus.npz": "score",
                     "topics_minus.npz": "score", "scores.npz": "evaluate",
-                    "contributions.npz": "evaluate",
-                    "profiles.npz": "evaluate",
                     "detector_report.json": "report",
                     "repair_report.json": "report"}
 
@@ -1009,30 +1062,27 @@ class TestGuards:
     def test_scores_of_the_old_layout_need_score_again(self, mini_run,
                                                        tmp_path, capsys):
         # A scores.npz written before the xmap columns of TOPIC_COLUMNS
-        # were derived where they are read also stores them.
+        # were derived where they are read stores them, and not the
+        # topic contributions they are derived from.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         scores = pipeline._load_scores(cfg)[0]
         _save(cfg, "scores.npz", **{key: scores[key] for key in (
             "p_pos", *pipeline.XMAP_COLUMNS)})
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        stored = sorted(pipeline.TOPIC_COLUMNS)
         for stage in ("evaluate", "repair", "report"):
             assert cli.main([stage, "--config", str(cfg_path)]) == 2
             assert capsys.readouterr().err == (
-                f"[{stage}] scores.npz is malformed (unexpected "
-                + ", ".join(map(repr, stored)) + "); rerun score\n")
+                f"[{stage}] scores.npz is malformed (missing "
+                "'contributions'); rerun score\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     # Each damage of an input the readers of scores.npz derive the
     # TOPIC_COLUMNS from, and the file it damages.
     DERIVATION_INPUTS = {
-        "missing_contributions": "contributions.npz",
-        "truncated_contributions": "contributions.npz",
-        "negative_contribution": "contributions.npz",
-        "missing_profiles": "profiles.npz",
-        "truncated_profiles": "profiles.npz",
-        "narrow_profiles": "profiles.npz",
+        "missing_contributions": "scores.npz",
+        "truncated_contributions": "scores.npz",
+        "negative_contribution": "scores.npz",
         "missing_topics_minus": "topics_minus.npz",
         "truncated_topics_minus": "topics_minus.npz"}
 
@@ -1041,40 +1091,46 @@ class TestGuards:
     def test_damaged_derivation_input_fails(self, mini_run, tmp_path, capsys,
                                             stage, damage):
         # Each stops every reader with one line naming the file and the
-        # stage that rewrites it, and changes no file.
+        # stage that rewrites it, and changes no file.  The contributions
+        # lose their member or their last row, and topics_minus.npz its
+        # file or its second half.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         name = self.DERIVATION_INPUTS[damage]
-        if damage.startswith("missing_"):
+        producer = PRODUCER[name]
+        if damage == "missing_topics_minus":
             (copy / name).unlink()
-            expected = f"missing {name}; run {PRODUCER[name]} first"
-        elif damage.startswith("truncated_"):
+            expected = f"missing {name}; run {producer} first"
+        elif damage == "truncated_topics_minus":
             _truncate(copy / name)
             expected = f"cannot read {name} ("
-        elif damage == "negative_contribution":
-            # The row's total turns negative too, which the representations
-            # would take for a massless row.
-            arrays = _load(cfg, name)
-            n = len(arrays["contributions"])
-            row = arrays["contributions"][n // 2]
-            row[np.argmax(row)] *= -1.0
-            assert row.sum() < 0
-            _save(cfg, name, **arrays)
-            expected = (f"{name} is malformed (ValueError('a negative "
-                        f"contribution in 1 of {n} rows, the first "
-                        f"{n // 2}'))")
         else:
             arrays = _load(cfg, name)
-            arrays["vectors"] = arrays["vectors"][:, :, :-1]
+            n, m = arrays["contributions"].shape
+            if damage == "missing_contributions":
+                del arrays["contributions"]
+                expected = f"{name} is malformed (missing 'contributions')"
+            elif damage == "truncated_contributions":
+                arrays["contributions"] = arrays["contributions"][:-1]
+                expected = (f"{name} is malformed (contributions of shape "
+                            f"({n - 1}, {m}), expected ({n}, {m}))")
+            else:
+                # The row's total turns negative too, which the
+                # representations would take for a massless row.
+                row = arrays["contributions"][n // 2]
+                row[np.argmax(row)] *= -1.0
+                assert row.sum() < 0
+                expected = (f"{name} is malformed (ValueError('a negative "
+                            f"contribution in 1 of {n} rows, the first "
+                            f"{n // 2}'))")
             _save(cfg, name, **arrays)
-            expected = f"{name} is malformed (vectors of shape "
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert cli.main([stage, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"[{stage}] {expected}") and err.count("\n") == 1
-        assert err.endswith(f"; run {PRODUCER[name]} first\n"
-                            if damage.startswith("missing_")
-                            else f"; rerun {PRODUCER[name]}\n")
+        assert err.endswith(f"; run {producer} first\n"
+                            if damage.startswith("missing_topics")
+                            else f"; rerun {producer}\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
@@ -1232,8 +1288,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("name, member, stage", [
         ("shap.npz", "mu", "score"), ("scores.npz", "p_pos", "evaluate"),
-        ("contributions.npz", "contributions", "repair"),
-        ("profiles.npz", "vectors", "report"),
+        ("scores.npz", "contributions", "repair"),
         ("topics_minus.npz", "H", "evaluate")])
     def test_flipped_deflated_byte_fails_its_reader(self, mini_run, tmp_path,
                                                     capsys, name, member,
@@ -1316,8 +1371,7 @@ class TestGuards:
     WRONG_KIND = {"dataset.npz": "train", "space.npz": "idf",
                   "vectors.npz": "indices", "model.npz": "weights",
                   "shap.npz": "base_values", "topics_plus.npz": "columns",
-                  "topics_minus.npz": "assignment", "profiles.npz": "vectors",
-                  "contributions.npz": "contributions",
+                  "topics_minus.npz": "assignment",
                   "scores.npz": "p_pos", "outcomes.npz": "outcome"}
     # The archives of each run; the kernel run stops after profile.
     ARCHIVES = {"mini_run": sorted(WRONG_KIND),
@@ -1332,15 +1386,14 @@ class TestGuards:
                 *((f"topics_{polarity}.npz", key)
                   for polarity in pipeline.POLARITIES
                   for key in ("H", "objective")))
-    FLOATS = {"mini_run": (*PREPARED, ("profiles.npz", "vectors"),
-                           ("contributions.npz", "contributions"),
-                           ("scores.npz", "p_pos"),
+    FLOATS = {"mini_run": (*PREPARED, ("scores.npz", "p_pos"),
+                           ("scores.npz", "contributions"),
                            ("scores.npz", "xmap_rel_u")),
               "kernel_run": (*PREPARED, ("model.npz", "calibration"),
                              ("shap.npz", "data")),
               "nb_run": (("model.npz", "struct_min"),
                          ("model.npz", "struct_max"))}
-    NA_MEMBERS = {("profiles.npz", "vectors"), ("scores.npz", "xmap_rel_u")}
+    NA_MEMBERS = {("scores.npz", "xmap_rel_u")}
     OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
                     for name in names
                     for damage in ("stray_member", "wrong_kind")),
@@ -1643,7 +1696,9 @@ class TestArrayArtifacts:
             cfg = PipelineConfig(out_dir=tmp)
             _save(cfg, "vectors.npz", **csr)
             _save(cfg, "space.npz", **vocabs, idf=column)
-            _save(cfg, "scores.npz", p_pos=np.zeros(n), xmap_rel_u=column)
+            _save(cfg, "scores.npz", p_pos=np.zeros(n),
+                  contributions=np.zeros((n, cfg.n_topics)),
+                  xmap_rel_u=column)
             scores = _load(cfg, "scores.npz")
             if finite:
                 back = _load(cfg, "vectors.npz")
@@ -1686,18 +1741,16 @@ class TestArrayArtifacts:
         assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= every
         assert not {("dataset.npz", "text"),
                     ("dataset.npz", "text_offsets")} & every
-        # What the readers of scores.npz decode of it and of the files
+        # What the readers of scores.npz decode of it and of the topics
         # they derive the TOPIC_COLUMNS from: p_pos, from which the
         # predicted label and the output-uncertainty columns are derived,
-        # the stored xmap_rel_u, the topic contributions, both topics' H
-        # and the profiles.  score reads every member of the topics; the
-        # representations need neither xmap_rel_u nor the profiles.
+        # the stored xmap_rel_u, the topic contributions and both topics'
+        # H.  score reads every member of the topics.
         topics = [f"topics_{polarity}.npz" for polarity in pipeline.POLARITIES]
-        inputs = {"scores.npz", "contributions.npz", "profiles.npz", *topics}
+        inputs = {"scores.npz", *topics}
         readers = {*((name, "digest") for name in inputs),
-                   ("scores.npz", "p_pos"), ("scores.npz", "xmap_rel_u"),
-                   ("contributions.npz", "contributions"),
-                   ("profiles.npz", "vectors"),
+                   *(("scores.npz", key)
+                     for key in ("p_pos", "contributions", "xmap_rel_u")),
                    *((name, "H") for name in topics)}
         assert {stage: {(name, key) for name, key in keys if name in inputs}
                 for stage, keys in decoded.items()} == {
@@ -1705,10 +1758,6 @@ class TestArrayArtifacts:
             "score": {(name, key) for name in topics
                       for key in ("digest", *pipeline.ARTIFACTS[name][1])},
             **dict.fromkeys(STAGES[5:], readers)}
-        pipeline._load_representations(load_config(cfg_path))
-        assert {(name, key) for name, key in read if name in inputs} == (
-            readers - {("scores.npz", "xmap_rel_u"), ("profiles.npz", "digest"),
-                       ("profiles.npz", "vectors")})
 
     def test_digest_mismatch_refused(self, tmp_path):
         other = PipelineConfig(out_dir=str(tmp_path), seed=1)
@@ -1738,7 +1787,7 @@ class TestArrayArtifacts:
         names = np.array(pipeline.OUTCOMES)
         _save(cfg, "outcomes.npz", outcome=np.zeros(3, dtype=np.uint8),
               names=names)
-        outcomes = pipeline._load_rows(cfg, "outcomes.npz")[0]
+        outcomes = _load_outcomes(cfg)
         assert outcomes["names"][outcomes["outcome"]].tolist() == [
             "accepted"] * 3
         for outcome in ([0] * 2, [0] * 4, [[0]] * 3, 0):
@@ -1747,7 +1796,7 @@ class TestArrayArtifacts:
             with pytest.raises(ArtifactError,
                                match=r"^outcomes.npz is malformed \(.*; "
                                      "rerun repair$"):
-                pipeline._load_rows(cfg, "outcomes.npz")
+                _load_outcomes(cfg)
 
     def test_only_artifact_names_resolve(self, tmp_path):
         with pytest.raises(KeyError, match="a.npz"):

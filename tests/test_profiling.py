@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicaudit import features
+from topicaudit import features, pipeline, scoring
 from topicaudit import profiling as prof
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import _load_topics, _reliable_profile, _save
+from topicaudit.pipeline import _load_topics, _save
 from topicaudit.uncertainty import REPRESENTATIONS
+
+from every_representation import represent_all
 
 
 class TestFeatureStats:
@@ -346,12 +348,30 @@ class TestTopicContributions:
 
 def _group_profile(tcs, n_topics):
     """Every representation profile of a group with topic contributions
-    tcs (rows), as the score stage computes it, by name; None for NA."""
+    tcs (rows), by name; None for NA: the TP profile that
+    pipeline._xmap_columns scores the positive predictions against, with
+    every representation for its represent."""
     H = np.random.default_rng(0).random((n_topics, 2 * n_topics)) + 0.01
-    rows = _reliable_profile(
-        np.array(tcs, dtype=float).reshape(-1, n_topics), H,
-        PipelineConfig(k_related=1, k_nn=5))
-    assert rows.shape == (len(REPRESENTATIONS), n_topics)
+    cfg = PipelineConfig(k_related=1, k_nn=5)
+    tcs = np.array(tcs, dtype=float).reshape(-1, n_topics)
+    # Every row a correctly classified positive training message.
+    label = np.ones(len(tcs), dtype=bool)
+    real, stacks = scoring.misclassification_score, []
+
+    def spy(vectors, profiles, predicted):
+        stacks.append(profiles)
+        return real(vectors, profiles, predicted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "misclassification_score", spy)
+        pipeline._xmap_columns(
+            lambda tc, group_tc, H: represent_all(tc, group_tc, H, cfg)[0],
+            tcs, label, label, label, [H, H])
+    [profiles] = stacks
+    assert profiles.shape == (2, len(REPRESENTATIONS), n_topics)
+    # The TN group is empty, so its profile is NA throughout.
+    assert np.isnan(profiles[0]).all()
+    rows = profiles[1]
     # A representation is NA as a whole or not at all.
     assert np.isnan(rows).all(axis=1).tolist() == np.isnan(rows).any(
         axis=1).tolist()

@@ -247,6 +247,16 @@ class TestEvidenceScale:
             assert not caught
 
 
+def _every_representation(tc, s, H, refs, k_nn):
+    """topic_representations of the rows tc and rel_u of their
+    distributions against refs, joined in REPRESENTATIONS order."""
+    vectors, degenerate = unc.topic_representations(tc, s, H, 1, 2.0)
+    rel_u, rel_u_degenerate = rel_u_vector(original(tc)[0], refs, k_nn)
+    return (np.concatenate([vectors, rel_u[..., None, :]], axis=-2),
+            np.concatenate([degenerate, rel_u_degenerate[..., None]],
+                           axis=-1))
+
+
 class TestSimplexInvariant:
     @settings(max_examples=40, deadline=None)
     @given(simplex_entries)
@@ -256,23 +266,27 @@ class TestSimplexInvariant:
         tc = rng.random(m) * 3.0
         H = rng.random((m, 2 * m)) + 0.01
         refs = [rng.dirichlet(np.ones(m)) for _ in range(4)]
-        vectors, degenerate = unc.representations(
-            tc, s=1.5, H=H, k=1, temperature=2.0, references=refs, k_nn=2)
+        vectors, degenerate = _every_representation(tc, 1.5, H, refs, 2)
         assert vectors.shape == (len(unc.REPRESENTATIONS), m)
         assert degenerate.shape == (len(unc.REPRESENTATIONS),)
         np.testing.assert_allclose(vectors.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(vectors >= 0)
 
     def test_invalid_vector_rejected(self):
+        # A negative contribution: topic_representations refuses the
+        # distribution it gives, and rel_u_vector its divergence from a
+        # reference.
+        tc = np.array([[-0.5, 2.0]])
         H = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="original: invalid"):
-            unc.representations(np.array([[-0.5, 2.0]]), s=1.0, H=H, k=1,
-                                temperature=2.0, references=[], k_nn=5)
+            unc.topic_representations(tc, s=1.0, H=H, k=1, temperature=2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rel_u_vector(original(tc)[0], [np.array([0.5, 0.5])], k_nn=5)
 
 
 class TestBatchEquivalence:
-    """representations() on n rows equals n one-row calls, bit for bit,
-    with n crossing rel_u's row-block boundary."""
+    """topic_representations and rel_u_vector on n rows equal n one-row
+    calls, bit for bit, with n crossing rel_u's row-block boundary."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 11),
@@ -287,15 +301,15 @@ class TestBatchEquivalence:
         refs = rng.dirichlet(np.ones(m), size=12)
         refs[5] = refs[2]
         for references in (refs, refs[:0]):
-            vectors, degenerate = unc.representations(
-                tc, 1.5, H, 1, 2.0, references, 4)
+            vectors, degenerate = _every_representation(tc, 1.5, H,
+                                                        references, 4)
             assert vectors.shape == (n, len(unc.REPRESENTATIONS), m)
             assert degenerate[::7, 0].all()
             assert np.isnan(vectors[:, -1]).all() == (len(references) == 0)
             for i in range(n):
-                one, one_flags = unc.representations(
-                    tc[i:i + 1], 1.5, H, 1, 2.0, references, 4)
-                np.testing.assert_array_equal(vectors[i], one[0])
+                one, one_flags = _every_representation(tc[i:i + 1], 1.5, H,
+                                                       references, 4)
+                assert vectors[i].tobytes() == one[0].tobytes()
                 np.testing.assert_array_equal(degenerate[i], one_flags[0])
 
 
