@@ -6,7 +6,7 @@ structural features computed on the raw text.  Vocabularies and idf are
 fitted on the training split only; each TF-IDF block is L2-normalized per
 view so the two text views are commensurable.  vectorize turns every
 message at once into the CSR arrays of the (messages x columns) matrix X,
-the form vectors.npz stores, and CSR holds those arrays after loading:
+the form dataset.npz stores, and CSR holds those arrays after loading:
 every later stage reads X through its dense slices, never all of X at
 once (train alone densifies its training rows).
 """

@@ -7,16 +7,20 @@ members, dtype kinds, shapes and NA floats; _path(cfg, name) is its
 file.  _save writes each, a deflated .npz or, for the two reports, a
 JSON object, stamped with the config digest (a mismatch refuses to
 combine) and atomically, so a failed write leaves the previous file in
-place.  _load reads both, and undeflated archives of earlier runs,
-decoding only the members a stage reads, and names the file and its
-producer when it is missing, damaged, stale, off its layout or not
-finite outside NA; a loader adds only the checks a layout cannot state.
+place.  Every stage but repair writes one file, so an interrupted rerun
+leaves its previous outputs whole.  _load reads both, and undeflated
+archives of earlier runs, decoding only the members a stage reads, and
+names the file and its producer when it is missing, damaged, stale, off
+its layout or not finite outside NA; a loader adds only the checks a
+layout cannot state.
 prepare keeps the corpus as arrays in file-row order, so a message's id
 is its row in every per-message array: dataset.npz is the one record of
 each message's gold label and split, both boolean, and holds the
-messages' text, which no stage reads back.  Lists of strings are
-stored by _utf8.  The (n, d) matrix X is stored in vectors.npz as the
-CSR arrays features.vectorize emits and loaded as features.CSR.  No
+messages' text, which no stage reads back, the feature space and the
+(n, d) matrix X, as the CSR arrays features.vectorize emits, which
+_load_features loads as features.CSR.  Lists of strings are stored by
+_utf8.  profile writes both polarities' topics to topics.npz, each
+member suffixed with its polarity.  No
 stage after prepare holds X or phi dense: each asks for the dense rows
 and columns it reads, which equal the same slice of the dense matrix
 bit for bit.  train densifies the training rows, explain blocks of the
@@ -84,7 +88,10 @@ OPTIONAL, NA = "optional", "na"
 # need.  An .npz's maps every member but the digest to its dtype kind
 # and shape, an entry per axis: an int is that size; n, d and M are the
 # messages, columns and topics a reader passes to _load (M is n_topics);
-# any other name is one size throughout the archive, and None any size.
+# any other name is one size throughout the archive, and None any size:
+# dataset.npz's d is its idf's width, and each polarity of topics.npz
+# has its own column axis, k_minus or k_plus, since the quotas can leave
+# the two at different widths.
 # An OPTIONAL member is written by some runs only: svm's calibration,
 # nb's structural bounds, a kernel run's phi values.  A float is finite
 # but in an NA member, where NaN means not available; labels are bool.
@@ -95,12 +102,10 @@ OPTIONAL, NA = "optional", "na"
 ARTIFACTS = {
     "dataset.npz": ("prepare", {
         "gold": ("b", ("n",)), "train": ("b", ("n",)),
-        "text": ("u", (None,)), "text_offsets": ("i", (None,))}),
-    "space.npz": ("prepare", {
+        "text": ("u", (None,)), "text_offsets": ("i", (None,)),
         "word_vocab": ("u", (None,)), "word_vocab_offsets": ("i", (None,)),
         "phrase_vocab": ("u", (None,)),
-        "phrase_vocab_offsets": ("i", (None,)), "idf": ("f", ("d",))}),
-    "vectors.npz": ("prepare", {
+        "phrase_vocab_offsets": ("i", (None,)), "idf": ("f", ("d",)),
         "shape": ("i", (2,)), "indptr": ("i", (None,)),
         "indices": ("i", ("nnz",)), "data": ("f", ("nnz",))}),
     "model.npz": ("train", {
@@ -112,10 +117,10 @@ ARTIFACTS = {
     "shap.npz": ("explain", {
         "base_values": ("f", ("n",)), "explained_output": ("U", ()),
         "mu": ("f", ("d",)), "data": ("f", (None,), OPTIONAL)}),
-    **{f"topics_{polarity}.npz": ("profile", {
-        "columns": ("i", ("k",)), "H": ("f", ("M", "k")),
-        "assignment": ("i", ("k",)), "objective": ("f", ())})
-       for polarity in POLARITIES},
+    "topics.npz": ("profile", {
+        f"{key}_{p}": spec for p in POLARITIES for key, spec in (
+            ("columns", ("i", (f"k_{p}",))), ("H", ("f", ("M", f"k_{p}"))),
+            ("assignment", ("i", (f"k_{p}",))), ("objective", ("f", ())))}),
     "scores.npz": ("score", {"p_pos": ("f", ("n",)),
                              "contributions": ("f", ("n", "M")),
                              "xmap_rel_u": ("f", ("n",), NA)}),
@@ -296,6 +301,25 @@ def _load_dataset(cfg) -> tuple[np.ndarray, np.ndarray]:
     f = _load(cfg, "dataset.npz", ("gold", "train"))
     return f["gold"], f["train"]
 
+def _load_features(cfg):
+    """(gold, train, space, X): _load_dataset's columns, the feature space
+    and the (n, d) CSR matrix X, refused unless idf and X are as wide as
+    the vocabularies and the structural columns and X has a row per
+    message; the text is not read."""
+    def build(f):
+        space = features.FeatureSpace(idf=f["idf"], **{
+            name: {t: i for i, t in enumerate(_strings(f, name))}
+            for name in ("word_vocab", "phrase_vocab")})
+        X, want = features.CSR.of(f), (len(f["gold"]), space.n_columns)
+        if X.shape != want or space.idf.shape != want[1:]:
+            raise ValueError(f"idf of shape {space.idf.shape} and a "
+                             f"{X.shape} matrix, expected {want[1:]} and "
+                             f"{want}")
+        return f["gold"], f["train"], space, X
+    return _load(cfg, "dataset.npz", [
+        key for key in ARTIFACTS["dataset.npz"][1]
+        if not key.startswith("text")], build)
+
 def _output_columns(p_pos: np.ndarray,
                     temperature: float) -> dict[str, np.ndarray]:
     """The columns that are functions of p_pos alone: ``predicted``,
@@ -327,8 +351,8 @@ def _load_scores(cfg, keys=XMAP_COLUMNS):
         if negative.size:
             raise ValueError(f"a negative contribution in {negative.size} "
                              f"of {len(gold)} rows, the first {negative[0]}")
-        Hs = [_load(cfg, f"topics_{polarity}.npz", ("H",))["H"]
-              for polarity in POLARITIES]
+        H = _load(cfg, "topics.npz", [f"H_{p}" for p in POLARITIES])
+        Hs = [H[f"H_{p}"] for p in POLARITIES]
         columns = _xmap_columns(
             lambda tc, group_tc, H: uncertainty.topic_representations(
                 tc, _scale(group_tc), H, cfg.k_related, cfg.temperature)[0],
@@ -340,30 +364,6 @@ def _load_scores(cfg, keys=XMAP_COLUMNS):
     if topic:
         stored.append("contributions")
     return _load(cfg, "scores.npz", stored, build, n=len(gold)), gold, train
-
-def _save_space(cfg, space) -> None:
-    _save(cfg, "space.npz", **_utf8("word_vocab", space.word_vocab),
-          **_utf8("phrase_vocab", space.phrase_vocab), idf=space.idf)
-
-def _load_space(cfg) -> features.FeatureSpace:
-    def build(f):
-        vocabs = {name: {t: i for i, t in enumerate(_strings(f, name))}
-                  for name in ("word_vocab", "phrase_vocab")}
-        return features.FeatureSpace(idf=f["idf"], **vocabs)
-    space = _load(cfg, "space.npz", build=build)
-    if space.idf.shape != (space.n_columns,):
-        raise _malformed("space.npz", f"idf of shape {space.idf.shape}, "
-                                      f"expected ({space.n_columns},)")
-    return space
-
-def _load_vectors(cfg, n, space) -> features.CSR:
-    def build(f):
-        shape = tuple(f["shape"].tolist())
-        if shape != (n, space.n_columns):
-            raise ValueError(f"a {shape} matrix, expected "
-                             f"({n}, {space.n_columns})")
-        return features.CSR.of(f)
-    return _load(cfg, "vectors.npz", build=build)
 
 def _load_phi(cfg, space, model, X):
     """phi(rows=None, columns=None): the given rows and columns of the
@@ -398,19 +398,22 @@ def _load_model(cfg, space) -> classifiers.LinearModel:
     return _load(cfg, "model.npz", build=build, d=space.n_columns)
 
 def _load_topics(cfg, space, polarity) -> dict[str, np.ndarray]:
-    """One polarity's topics, its columns, H, assignment and objective,
-    refused unless the columns are strictly ascending columns of space
-    and each is assigned a topic."""
-    name = f"topics_{polarity}.npz"
-    f = _load(cfg, name)
+    """One polarity's topics from its members of topics.npz, named
+    without the suffix: its columns, H, assignment and objective, refused
+    unless the columns are strictly ascending columns of space and each
+    is assigned a topic."""
+    suffix = f"_{polarity}"
+    f = {key.removesuffix(suffix): value for key, value in _load(
+        cfg, "topics.npz", [key for key in ARTIFACTS["topics.npz"][1]
+                            if key.endswith(suffix)]).items()}
     columns, assignment = f["columns"], f["assignment"]
     if (np.any(np.diff(columns) <= 0) or np.any(columns < 0)
             or np.any(columns >= space.n_columns)):
-        raise _malformed(name, f"columns are not strictly ascending "
-                               f"columns of [0, {space.n_columns})")
+        raise _malformed("topics.npz", f"columns{suffix} are not strictly "
+                         f"ascending columns of [0, {space.n_columns})")
     if np.any(assignment < 0) or np.any(assignment >= cfg.n_topics):
-        raise _malformed(name, f"assignment is not {columns.size} topics "
-                               f"of [0, {cfg.n_topics})")
+        raise _malformed("topics.npz", f"assignment{suffix} is not "
+                         f"{columns.size} topics of [0, {cfg.n_topics})")
     return f
 
 
@@ -442,18 +445,16 @@ def cmd_prepare(cfg: PipelineConfig) -> None:
         word_quota=cfg.word_quota, phrase_quota=cfg.phrase_quota)
 
     _save(cfg, "dataset.npz", gold=gold.astype(bool), train=train,
-          **_utf8("text", texts))
-    _save_space(cfg, space)
-    _save(cfg, "vectors.npz", **features.vectorize(kept, texts, space))
+          **_utf8("text", texts), **_utf8("word_vocab", space.word_vocab),
+          **_utf8("phrase_vocab", space.phrase_vocab), idf=space.idf,
+          **features.vectorize(kept, texts, space))
 
 
 # ------------------------------------------------------------------ train
 
 @_stage("train")
 def cmd_train(cfg: PipelineConfig) -> None:
-    gold, train = _load_dataset(cfg)
-    space = _load_space(cfg)
-    X = _load_vectors(cfg, len(gold), space)
+    gold, train, space, X = _load_features(cfg)
     if cfg.subsample_train:
         train[train] = corpus.subsample_majority(gold[train], cfg.seed)
     X_train, y_train = X.dense(train), gold[train]
@@ -475,9 +476,7 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 @_stage("explain")
 def cmd_explain(cfg: PipelineConfig) -> None:
-    gold, train = _load_dataset(cfg)
-    space = _load_space(cfg)
-    X = _load_vectors(cfg, len(gold), space)
+    gold, train, space, X = _load_features(cfg)
     model = _load_model(cfg, space)
     X_train = X.take(train)
 
@@ -520,9 +519,7 @@ def _reliable_groups(gold, train, label) -> tuple[np.ndarray, np.ndarray]:
 
 @_stage("profile")
 def cmd_profile(cfg: PipelineConfig) -> None:
-    gold, train = _load_dataset(cfg)
-    space = _load_space(cfg)
-    X = _load_vectors(cfg, len(gold), space)
+    gold, train, space, X = _load_features(cfg)
     model = _load_model(cfg, space)
     tn, tp = _reliable_groups(gold, train,
                               classifiers.predict_all(model, X)[1])
@@ -547,6 +544,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
                                                         cfg.tau_p))
     families = space.families()
 
+    topics = {}
     for polarity in POLARITIES:
         columns = profiling.select_top(np.concatenate(ranks[polarity]),
                                        families, cfg.rho, cfg.k_top)
@@ -556,8 +554,10 @@ def cmd_profile(cfg: PipelineConfig) -> None:
                                     max_iters=cfg.nmf_max_iters,
                                     tol=cfg.nmf_tol, seed=cfg.seed)
         assignment = profiling.assign_topics(H)
-        _save(cfg, f"topics_{polarity}.npz", columns=columns, H=H,
-              assignment=assignment, objective=trace[-1])
+        topics.update({f"columns_{polarity}": columns, f"H_{polarity}": H,
+                       f"assignment_{polarity}": assignment,
+                       f"objective_{polarity}": trace[-1]})
+    _save(cfg, "topics.npz", **topics)
 
 
 # ------------------------------------------------------------------ score
@@ -598,9 +598,7 @@ def _xmap_columns(represent, contributions, predicted, gold, train,
 
 @_stage("score")
 def cmd_score(cfg: PipelineConfig) -> None:
-    gold, train = _load_dataset(cfg)
-    space = _load_space(cfg)
-    X = _load_vectors(cfg, len(gold), space)
+    gold, train, space, X = _load_features(cfg)
     model = _load_model(cfg, space)
     p_pos, predicted = classifiers.predict_all(model, X)
     phi = _load_phi(cfg, space, model, X)

@@ -21,9 +21,8 @@ import pytest
 
 from topicaudit import attribution, classifiers, cli, demo, profiling, scoring
 from topicaudit.config import load_config
-from topicaudit.pipeline import (_load, _load_dataset, _load_model,
-                                 _load_phi, _load_scores, _load_space,
-                                 _load_vectors)
+from topicaudit.pipeline import (_load, _load_features, _load_model,
+                                 _load_phi, _load_scores)
 
 from shap_vector import phi_of
 
@@ -124,7 +123,7 @@ def test_c01_shapley_oracle(capsys):
 
 def test_c02_local_accuracy(full_run, capsys):
     start = time.monotonic()
-    _, train = _load_dataset(full_run.cfg)
+    _, train, space, vectors = _load_features(full_run.cfg)
     ids = np.arange(len(train))  # a message's id is its row
     test_ids = ids[~train].tolist()
     rng = np.random.default_rng(0)
@@ -132,11 +131,9 @@ def test_c02_local_accuracy(full_run, capsys):
               rng.choice(len(test_ids), size=100, replace=False)]
 
     ids = ids.tolist()
-    space = _load_space(full_run.cfg)
-    X = _load_vectors(full_run.cfg, len(ids), space).dense()
+    X = vectors.dense()
     model = _load_model(full_run.cfg, space)
-    phi = _load_phi(full_run.cfg, space, model,
-                    _load_vectors(full_run.cfg, len(ids), space))()
+    phi = _load_phi(full_run.cfg, space, model, vectors)()
     shap = _load(full_run.cfg, "shap.npz")
     row_of = {msg_id: i for i, msg_id in enumerate(ids)}
     plus = attribution.polarity_supports(phi, "plus")

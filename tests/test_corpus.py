@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import SMALL_TSV
 from topicaudit import corpus, demo
 from topicaudit.config import PipelineConfig
-from topicaudit.pipeline import _load, _load_dataset, _load_space, cmd_prepare
+from topicaudit.pipeline import (_load, _load_dataset, _load_features,
+                                 cmd_prepare)
 
 
 class TestLoadDataset:
@@ -254,7 +255,7 @@ class TestPrepare:
             if is_train)
         everywhere = corpus.document_frequencies(map(corpus.tokenize, texts))
         stop = corpus.default_stoplist() if stoplist == "default" else set()
-        vocab = set(_load_space(cfg).word_vocab)
+        vocab = set(_load_features(cfg)[2].word_vocab)
         assert vocab == {tok for tok, df in train_df.items()
                          if df >= min_df and tok not in stop}
         # Words seen only in test messages exist and stay out.
@@ -267,19 +268,17 @@ class TestPrepare:
         body = "verdict,body\n" + "".join(
             f"{'Bad' if label == 'spam' else 'OK'},\"{text}\"\n"
             for label, text in rows)
-        cfg, arrays = _prepare(tmp_path, body, name="corpus.csv",
-                               dataset_format="generic_csv",
-                               label_column="verdict", text_column="body",
-                               label_map={"ok": 0, "bad": 1})
+        _, arrays = _prepare(tmp_path, body, name="corpus.csv",
+                             dataset_format="generic_csv",
+                             label_column="verdict", text_column="body",
+                             label_map={"ok": 0, "bad": 1})
         assert arrays["gold"].tolist() == [int(label == "spam")
                                            for label, _ in rows]
         assert _texts(arrays) == [text for _, text in rows]
-        vectors = _load(cfg, "vectors.npz")
-        assert vectors["shape"][0] == len(rows)
+        assert arrays["shape"][0] == len(rows)
 
     def test_vector_rows_ascending_without_zeros(self, tmp_path):
-        cfg, arrays = _prepare(tmp_path, _demo_tsv(200))
-        v = _load(cfg, "vectors.npz")
+        _, v = _prepare(tmp_path, _demo_tsv(200))
         assert v["indptr"][0] == 0 and v["indptr"][-1] == len(v["data"])
         for start, stop in zip(v["indptr"][:-1], v["indptr"][1:]):
             assert np.all(np.diff(v["indices"][start:stop]) > 0)

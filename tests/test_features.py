@@ -297,12 +297,24 @@ class TestCSR:
         assert not blocks or n == 1 or blocks[-1].stop - blocks[-1].start > 1
 
 
+def _save_dataset(cfg, space, kept=(), texts=()) -> None:
+    """dataset.npz as prepare writes it, of the space and the messages'
+    kept tokens and texts (none by default), every one a test message of
+    gold label 0."""
+    labels = np.zeros(len(texts), dtype=bool)
+    pipeline._save(cfg, "dataset.npz", gold=labels, train=labels,
+                   **pipeline._utf8("text", texts),
+                   **pipeline._utf8("word_vocab", space.word_vocab),
+                   **pipeline._utf8("phrase_vocab", space.phrase_vocab),
+                   idf=space.idf, **features.vectorize(kept, texts, space))
+
+
 class TestSpaceIO:
     def test_space_roundtrip(self, tmp_path, small_space):
         space, _ = small_space
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        pipeline._save_space(cfg, space)
-        back = pipeline._load_space(cfg)
+        _save_dataset(cfg, space)
+        back = pipeline._load_features(cfg)[2]
         assert list(back.word_vocab.items()) == list(space.word_vocab.items())
         assert list(back.phrase_vocab.items()) == list(
             space.phrase_vocab.items())
@@ -319,12 +331,12 @@ class TestSpaceIO:
             idf=np.linspace(1.0, 2.0, len(words) + len(phrases)
                             + features.N_STRUCTURAL))
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        pipeline._save_space(cfg, space)
-        back = pipeline._load_space(cfg)
+        _save_dataset(cfg, space)
+        back = pipeline._load_features(cfg)[2]
         assert list(back.word_vocab.items()) == list(words.items())
         assert list(back.phrase_vocab.items()) == list(phrases.items())
         assert back.idf.tobytes() == space.idf.tobytes()
-        with np.load(tmp_path / "space.npz") as npz:
+        with np.load(tmp_path / "dataset.npz") as npz:
             assert not [key for key in npz.files if npz[key].dtype.kind == "U"]
             assert npz["phrase_vocab"].dtype == np.uint8
             assert npz["phrase_vocab_offsets"].size == len(phrases) + 1
@@ -335,8 +347,8 @@ class TestSpaceIO:
                                                damage):
         space, _ = small_space
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        pipeline._save_space(cfg, space)
-        arrays = pipeline._load(cfg, "space.npz")
+        _save_dataset(cfg, space)
+        arrays = pipeline._load(cfg, "dataset.npz")
         offsets = arrays["word_vocab_offsets"]
         if damage == "offsets_past_end":
             offsets[-1] += 1
@@ -346,18 +358,18 @@ class TestSpaceIO:
             arrays["word_vocab"][0] = 0xFF
         else:
             del arrays["word_vocab_offsets"]
-        pipeline._save(cfg, "space.npz", **arrays)
+        pipeline._save(cfg, "dataset.npz", **arrays)
         with pytest.raises(pipeline.ArtifactError,
-                           match=r"^space.npz is malformed \(.*; rerun "
+                           match=r"^dataset.npz is malformed \(.*; rerun "
                                  "prepare$"):
-            pipeline._load_space(cfg)
+            pipeline._load_features(cfg)
 
     def test_vectors_roundtrip(self, tmp_path, small_space, small_messages):
         space, kept = small_space
         csr = features.vectorize(kept, small_messages[0], space)
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        pipeline._save(cfg, "vectors.npz", **csr)
-        back = pipeline._load_vectors(cfg, len(kept), space).dense()
+        _save_dataset(cfg, space, kept, small_messages[0])
+        back = pipeline._load_features(cfg)[3].dense()
         assert back.tobytes() == features.CSR.of(csr).dense().tobytes()
         for row in range(len(kept)):
             start, stop = csr["indptr"][row:row + 2]

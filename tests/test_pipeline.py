@@ -32,9 +32,8 @@ from topicaudit import (BLAS_THREAD_VARS, atomic, attribution, classifiers,
 from topicaudit.config import PipelineConfig, load_config
 from topicaudit.features import CSR
 from topicaudit.pipeline import (ArtifactError, StageError, _load,
-                                 _load_dataset, _load_model, _load_phi,
-                                 _load_space, _load_topics, _load_vectors,
-                                 _save)
+                                 _load_dataset, _load_features, _load_model,
+                                 _load_phi, _load_topics, _save)
 from topicaudit.uncertainty import REPRESENTATIONS
 
 from csr_layout import to_csr
@@ -46,10 +45,8 @@ STAGES = ("prepare", "train", "explain", "profile", "score",
 
 # Every artifact of a full run, with the stage that writes it.
 PRODUCER = {
-    "dataset.npz": "prepare", "space.npz": "prepare",
-    "vectors.npz": "prepare", "model.npz": "train",
-    "shap.npz": "explain", "topics_plus.npz": "profile",
-    "topics_minus.npz": "profile", "scores.npz": "score",
+    "dataset.npz": "prepare", "model.npz": "train",
+    "shap.npz": "explain", "topics.npz": "profile", "scores.npz": "score",
     "detector_report.json": "evaluate",
     "repair_report.json": "repair", "outcomes.npz": "repair",
     "report.md": "report",
@@ -172,10 +169,8 @@ def _per_message_phi(cfg: PipelineConfig) -> np.ndarray:
     """A kernel run's dense phi as a CSR of each message's nonzero
     attributions holds it: kernel_shap again on every message, against
     explain's background rows of X, through to_csr."""
-    gold, train = _load_dataset(cfg)
-    n = len(gold)
-    space = _load_space(cfg)
-    X = _load_vectors(cfg, n, space).dense()
+    gold, train, space, X = _load_features(cfg)
+    n, X = len(gold), X.dense()
     model = _load_model(cfg, space)
     background = _background(cfg, X, gold, train)
     full = np.zeros((n, space.n_columns))
@@ -272,7 +267,7 @@ def _every_xmap(cfg: PipelineConfig):
     profiles = np.full((2, len(REPRESENTATIONS), m), np.nan)
     reliable = train & (predicted == gold)
     for label, polarity in enumerate(pipeline.POLARITIES):
-        H = _load(cfg, f"topics_{polarity}.npz")["H"]
+        H = _load(cfg, "topics.npz")[f"H_{polarity}"]
         group = tc[reliable & (gold == label)]
         rows = predicted == label
         vectors[rows], degenerate[rows] = represent_all(tc[rows], group, H,
@@ -338,13 +333,16 @@ class TestStageOutputs:
     @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
     def test_no_archive_repeats_dataset_columns(self, run, request):
         # dataset.npz is the one record of each message's label and
-        # split, the split a boolean train mask; scores.npz (of the mini
-        # run) and every other archive hold neither, nor a correctness
-        # column derived from them.
+        # split, the split a boolean train mask, beside the text, the
+        # feature space and X; scores.npz (of the mini run) and every
+        # other archive hold neither, nor a correctness column derived
+        # from them.
         out = request.getfixturevalue(run)[2]
         with np.load(out / "dataset.npz") as npz:
-            assert sorted(npz.files) == ["digest", "gold", "text",
-                                         "text_offsets", "train"]
+            assert sorted(npz.files) == [
+                "data", "digest", "gold", "idf", "indices", "indptr",
+                "phrase_vocab", "phrase_vocab_offsets", "shape", "text",
+                "text_offsets", "train", "word_vocab", "word_vocab_offsets"]
             assert npz["train"].dtype == bool
         archives = sorted(set(out.glob("*.npz")) - {out / "dataset.npz"})
         assert (out / "scores.npz" in archives) == (run == "mini_run")
@@ -495,9 +493,8 @@ class TestStageOutputs:
         cfg = load_config(mini_run[3])
         scores, gold, train = pipeline._load_scores(cfg)
         p_pos = scores["p_pos"]
-        space = _load_space(cfg)
-        label = classifiers.predict_all(
-            _load_model(cfg, space), _load_vectors(cfg, len(gold), space))[1]
+        _, _, space, X = _load_features(cfg)
+        label = classifiers.predict_all(_load_model(cfg, space), X)[1]
         assert scores["predicted"].dtype == np.bool_
         assert scores["predicted"].tolist() == (label == 1).tolist()
         assert scores["predicted"].tobytes() == (p_pos >= 0.5).tobytes()
@@ -547,8 +544,7 @@ class TestStageOutputs:
         cfg = load_config(mini_run[3])
         scores, gold, _ = pipeline._load_scores(cfg, ())
         stored, predicted = _contributions(cfg), scores["predicted"]
-        space = _load_space(cfg)
-        X = _load_vectors(cfg, len(gold), space)
+        _, _, space, X = _load_features(cfg)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         assert stored.shape == (len(gold), cfg.n_topics)
         assert stored.dtype == np.float64
@@ -647,6 +643,39 @@ class TestStageOutputs:
                 "'contributions'); rerun score\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
+    def test_old_run_directory_needs_prepare_again(self, mini_run, tmp_path,
+                                                   capsys):
+        # A run directory written before prepare and profile each wrote
+        # one archive keeps the feature space in space.npz, X in
+        # vectors.npz and each polarity's topics in topics_<polarity>.npz,
+        # which no stage reads; every reader of dataset.npz needs them.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        dataset, topics = _load(cfg, "dataset.npz"), _load(cfg, "topics.npz")
+        digest = np.bytes_(cfg.digest().encode("ascii"))
+        moved = {"space.npz": ("word_vocab", "word_vocab_offsets",
+                               "phrase_vocab", "phrase_vocab_offsets", "idf"),
+                 "vectors.npz": ("shape", "indptr", "indices", "data")}
+        for name, keys in moved.items():
+            np.savez_compressed(copy / name, digest=digest,
+                                **{key: dataset.pop(key) for key in keys})
+        for polarity in pipeline.POLARITIES:
+            np.savez_compressed(
+                copy / f"topics_{polarity}.npz", digest=digest,
+                **{key.removesuffix(f"_{polarity}"): value
+                   for key, value in topics.items()
+                   if key.endswith(f"_{polarity}")})
+        (copy / "topics.npz").unlink()
+        _save(cfg, "dataset.npz", **dataset)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        missing = ", ".join(map(repr, sum(moved.values(), ())))
+        for stage in STAGES[1:]:
+            assert cli.main([stage, "--config", str(cfg_path)]) == 2, stage
+            assert capsys.readouterr().err == (
+                f"[{stage}] dataset.npz is malformed (missing {missing}); "
+                "rerun prepare\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
     def test_profiles_are_the_reliable_groups_representations(
             self, mini_run, tmp_path, monkeypatch):
         # Rebuilt from the upstream artifacts: the label-l profile that
@@ -657,8 +686,7 @@ class TestStageOutputs:
         _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         scores, gold, train = pipeline._load_scores(cfg, ())
-        space = _load_space(cfg)
-        X = _load_vectors(cfg, len(gold), space)
+        _, _, space, X = _load_features(cfg)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         expected = np.empty((2, len(REPRESENTATIONS), cfg.n_topics))
         reliable = train & (scores["predicted"] == gold)
@@ -695,8 +723,7 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         scores, gold, train = pipeline._load_scores(cfg, ())
-        space = _load_space(cfg)
-        X = _load_vectors(cfg, len(gold), space)
+        _, _, space, X = _load_features(cfg)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         reliable = train & (scores["predicted"] == gold)
         for polarity in pipeline.POLARITIES:
@@ -749,7 +776,7 @@ class TestDeterminism:
         # prediction blocks their artifacts are still the same bytes.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
-        whole = (len(_load_dataset(cfg)[0]), _load_space(cfg).n_columns)
+        whole = _load_features(cfg)[3].shape
         before = {path.name: path.read_bytes() for path in copy.iterdir()}
         real, shapes = CSR.dense, []
 
@@ -805,10 +832,9 @@ class TestGuards:
             mini_run[2] / "report.md").read_bytes()
 
     # The first stage that reads each artifact a later stage needs.
-    FIRST_READER = {"dataset.npz": "train", "space.npz": "train",
-                    "vectors.npz": "train", "model.npz": "explain",
-                    "shap.npz": "profile", "topics_plus.npz": "score",
-                    "topics_minus.npz": "score", "scores.npz": "evaluate",
+    FIRST_READER = {"dataset.npz": "train", "model.npz": "explain",
+                    "shap.npz": "profile", "topics.npz": "score",
+                    "scores.npz": "evaluate",
                     "detector_report.json": "report",
                     "repair_report.json": "report"}
 
@@ -824,12 +850,12 @@ class TestGuards:
 
     # A key of each .npz a later stage reads, and a stage that reads it.
     MISSING_KEY = [("dataset.npz", "gold", "train"),
-                   ("space.npz", "idf", "train"),
-                   ("vectors.npz", "indptr", "train"),
+                   ("dataset.npz", "idf", "train"),
+                   ("dataset.npz", "indptr", "train"),
                    ("model.npz", "kind", "explain"),
                    ("shap.npz", "explained_output", "profile"),
-                   ("topics_plus.npz", "assignment", "score"),
-                   ("topics_minus.npz", "H", "score"),
+                   ("topics.npz", "assignment_plus", "score"),
+                   ("topics.npz", "H_minus", "score"),
                    ("scores.npz", "xmap_rel_u", "evaluate"),
                    ("scores.npz", "xmap_rel_u", "repair"),
                    ("scores.npz", "xmap_rel_u", "report")]
@@ -997,12 +1023,12 @@ class TestGuards:
 
     def test_kernel_shap_of_other_vectors_fails_score(self, kernel_run,
                                                       tmp_path, capsys):
-        # vectors.npz re-prepared from another corpus with as many rows
-        # and width (the demo corpus of seed 21 has as many columns as
-        # seed 3's): the stored values no longer fit X's active sets.
+        # X re-prepared from another corpus with as many rows and width
+        # (the demo corpus of seed 21 has as many columns as seed 3's):
+        # the stored values no longer fit X's active sets.
         copy, cfg_path = _copy_run(kernel_run, tmp_path)
         cfg = load_config(cfg_path)
-        before = _load_space(cfg).n_columns
+        before = _load_features(cfg)[3]
         other = tmp_path / "other.tsv"
         demo.write_tsv(other, demo.generate(n_messages=80, seed=21))
         settings = json.loads(cfg_path.read_text(encoding="utf-8"))
@@ -1010,10 +1036,9 @@ class TestGuards:
                                         "dataset_path": str(other)}),
                             encoding="utf-8")
         assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
-        assert len(_load_dataset(cfg)[0]) == 80
-        assert _load_space(cfg).n_columns == before
-        assert (copy / "vectors.npz").read_bytes() != (
-            kernel_run[2] / "vectors.npz").read_bytes()
+        after = _load_features(cfg)[3]
+        assert after.shape == before.shape == (80, after.shape[1])
+        assert after.dense().tobytes() != before.dense().tobytes()
         assert cli.main(["score", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("[score] shap.npz is malformed (ValueError(")
@@ -1083,8 +1108,8 @@ class TestGuards:
         "missing_contributions": "scores.npz",
         "truncated_contributions": "scores.npz",
         "negative_contribution": "scores.npz",
-        "missing_topics_minus": "topics_minus.npz",
-        "truncated_topics_minus": "topics_minus.npz"}
+        "missing_topics": "topics.npz",
+        "truncated_topics": "topics.npz"}
 
     @pytest.mark.parametrize("stage", ["evaluate", "repair", "report"])
     @pytest.mark.parametrize("damage", sorted(DERIVATION_INPUTS))
@@ -1092,16 +1117,16 @@ class TestGuards:
                                             stage, damage):
         # Each stops every reader with one line naming the file and the
         # stage that rewrites it, and changes no file.  The contributions
-        # lose their member or their last row, and topics_minus.npz its
-        # file or its second half.
+        # lose their member or their last row, and topics.npz its file or
+        # its second half.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         name = self.DERIVATION_INPUTS[damage]
         producer = PRODUCER[name]
-        if damage == "missing_topics_minus":
+        if damage == "missing_topics":
             (copy / name).unlink()
             expected = f"missing {name}; run {producer} first"
-        elif damage == "truncated_topics_minus":
+        elif damage == "truncated_topics":
             _truncate(copy / name)
             expected = f"cannot read {name} ("
         else:
@@ -1129,7 +1154,7 @@ class TestGuards:
         err = capsys.readouterr().err
         assert err.startswith(f"[{stage}] {expected}") and err.count("\n") == 1
         assert err.endswith(f"; run {producer} first\n"
-                            if damage.startswith("missing_topics")
+                            if damage == "missing_topics"
                             else f"; rerun {producer}\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
@@ -1152,7 +1177,7 @@ class TestGuards:
         # model, no longer load: weights and bias are missing.
         _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        space = _load_space(cfg)
+        space = _load_features(cfg)[2]
         d, start = space.n_columns, space.structural_start
         _save(cfg, "model.npz", kind="nb",
               log_prior=np.log([0.5, 0.5]), log_theta=np.zeros((2, d)),
@@ -1165,7 +1190,7 @@ class TestGuards:
                                             capsys):
         _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        space = _load_space(cfg)
+        space = _load_features(cfg)[2]
         d, start = space.n_columns, space.structural_start
         _save(cfg, "model.npz", kind="nb", weights=np.zeros(d), bias=0.0,
               structural_start=start, struct_min=np.zeros(d - start - 1),
@@ -1188,7 +1213,7 @@ class TestGuards:
                                         "dataset_path": str(other)}),
                             encoding="utf-8")
         assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
-        width = _load_space(cfg).n_columns
+        width = _load_features(cfg)[2].n_columns
         assert width != trained
         err = self._refuses_model(cfg_path, capsys, stage)
         assert err == (f"[{stage}] model.npz is malformed (weights of shape "
@@ -1215,9 +1240,9 @@ class TestGuards:
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("run, name, key, value, stage", [
-        ("mini_run", "vectors.npz", "data", np.inf, "explain"),
-        ("mini_run", "vectors.npz", "data", np.nan, "profile"),
-        ("mini_run", "vectors.npz", "data", -np.inf, "score"),
+        ("mini_run", "dataset.npz", "data", np.inf, "explain"),
+        ("mini_run", "dataset.npz", "data", np.nan, "profile"),
+        ("mini_run", "dataset.npz", "data", -np.inf, "score"),
         ("mini_run", "shap.npz", "mu", np.nan, "profile"),
         ("mini_run", "shap.npz", "mu", np.inf, "score"),
         ("mini_run", "shap.npz", "base_values", np.nan, "profile"),
@@ -1250,24 +1275,25 @@ class TestGuards:
         # neither the file nor profile, or scored the wrong columns.
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        arrays = _load(cfg, "topics_plus.npz")
+        arrays = _load(cfg, "topics.npz")
         if damage == "column_past_space":
-            arrays["columns"][-1] = _load_space(cfg).n_columns
+            arrays["columns_plus"][-1] = _load_features(cfg)[2].n_columns
         elif damage == "descending_columns":
-            arrays["columns"] = arrays["columns"][::-1]
+            arrays["columns_plus"] = arrays["columns_plus"][::-1]
         elif damage == "extra_topic_row":
-            arrays["H"] = np.vstack([arrays["H"], arrays["H"][:1]])
+            arrays["H_plus"] = np.vstack([arrays["H_plus"],
+                                          arrays["H_plus"][:1]])
         elif damage == "narrow_H":
-            arrays["H"] = arrays["H"][:, :-1]
+            arrays["H_plus"] = arrays["H_plus"][:, :-1]
         elif damage == "short_assignment":
-            arrays["assignment"] = arrays["assignment"][:-1]
+            arrays["assignment_plus"] = arrays["assignment_plus"][:-1]
         else:
-            arrays["assignment"][0] = cfg.n_topics
-        _save(cfg, "topics_plus.npz", **arrays)
+            arrays["assignment_plus"][0] = cfg.n_topics
+        _save(cfg, "topics.npz", **arrays)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert cli.main(["score", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("[score] topics_plus.npz is malformed (")
+        assert err.startswith("[score] topics.npz is malformed (")
         assert err.endswith("); rerun profile\n") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
@@ -1289,7 +1315,7 @@ class TestGuards:
     @pytest.mark.parametrize("name, member, stage", [
         ("shap.npz", "mu", "score"), ("scores.npz", "p_pos", "evaluate"),
         ("scores.npz", "contributions", "repair"),
-        ("topics_minus.npz", "H", "evaluate")])
+        ("topics.npz", "H_minus", "evaluate")])
     def test_flipped_deflated_byte_fails_its_reader(self, mini_run, tmp_path,
                                                     capsys, name, member,
                                                     stage):
@@ -1368,22 +1394,19 @@ class TestGuards:
     # A member of each archive stored as another dtype kind: floats as
     # integers, booleans as uint8 (how labels were stored before they
     # were booleans), anything else as floats.
-    WRONG_KIND = {"dataset.npz": "train", "space.npz": "idf",
-                  "vectors.npz": "indices", "model.npz": "weights",
-                  "shap.npz": "base_values", "topics_plus.npz": "columns",
-                  "topics_minus.npz": "assignment",
+    WRONG_KIND = {"dataset.npz": "train", "model.npz": "weights",
+                  "shap.npz": "base_values", "topics.npz": "columns_plus",
                   "scores.npz": "p_pos", "outcomes.npz": "outcome"}
     # The archives of each run; the kernel run stops after profile.
     ARCHIVES = {"mini_run": sorted(WRONG_KIND),
                 "kernel_run": ["dataset.npz", "model.npz", "shap.npz",
-                               "space.npz", "topics_minus.npz",
-                               "topics_plus.npz", "vectors.npz"]}
+                               "topics.npz"]}
     # The float members of each run's archives, and an nb run's
     # structural bounds; NaN means NA in NA_MEMBERS alone.
-    PREPARED = (("space.npz", "idf"), ("vectors.npz", "data"),
+    PREPARED = (("dataset.npz", "idf"), ("dataset.npz", "data"),
                 ("model.npz", "weights"), ("model.npz", "bias"),
                 ("shap.npz", "base_values"), ("shap.npz", "mu"),
-                *((f"topics_{polarity}.npz", key)
+                *(("topics.npz", f"{key}_{polarity}")
                   for polarity in pipeline.POLARITIES
                   for key in ("H", "objective")))
     FLOATS = {"mini_run": (*PREPARED, ("scores.npz", "p_pos"),
@@ -1397,7 +1420,7 @@ class TestGuards:
     OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
                     for name in names
                     for damage in ("stray_member", "wrong_kind")),
-                  *((run, "space.npz", "short_idf") for run in ARCHIVES),
+                  *((run, "dataset.npz", "short_idf") for run in ARCHIVES),
                   *((run, name, f"non_finite_{key}")
                     for run, members in FLOATS.items()
                     for name, key in members)]
@@ -1425,9 +1448,10 @@ class TestGuards:
             problem = (f"{key} of dtype {arrays[key].dtype}, expected kind "
                        f"{found.dtype.kind!r}")
         elif damage == "short_idf":
-            d = arrays["idf"].size
+            n, d = arrays["shape"].tolist()
             arrays["idf"] = arrays["idf"][:-1]
-            problem = f"idf of shape ({d - 1},), expected ({d},)"
+            problem = (f"ValueError('idf of shape ({d - 1},) and a ({n}, "
+                       f"{d}) matrix, expected ({d},) and ({n}, {d})')")
         else:
             key = damage.removeprefix("non_finite_")
             arrays[key] = np.array(arrays[key], dtype=np.float64)
@@ -1479,9 +1503,7 @@ class TestLinearExplain:
             assert set(npz.files) == {
                 "digest", "base_values", "explained_output", "mu"}
         cfg = load_config(cfg_path)
-        labels, train = _load_dataset(cfg)
-        space = _load_space(cfg)
-        vectors = _load_vectors(cfg, len(labels), space)
+        labels, train, space, vectors = _load_features(cfg)
         X = vectors.dense()
         model = _load_model(cfg, space)
         mu = X[train][attribution.background_rows(
@@ -1506,9 +1528,7 @@ class TestLinearExplain:
                                  nb_linear_attribution=True,
                                  word_quota=60, phrase_quota=40)
         cfg = load_config(cfg_path)
-        n = len(_load_dataset(cfg)[0])
-        space = _load_space(cfg)
-        X = _load_vectors(cfg, n, space)
+        _, _, space, X = _load_features(cfg)
         model = _load_model(cfg, space)
         full = attribution.linear_shap(model, X.dense(),
                                        _load(cfg, "shap.npz")["mu"])[0]
@@ -1524,15 +1544,14 @@ class TestKernelExplain:
         _, cfg_path = _small_run(tmp_path, STAGES[:3],
                                  **{**KERNEL, "classifier": classifier})
         cfg = load_config(cfg_path)
-        n = len(_load_dataset(cfg)[0])
-        space = _load_space(cfg)
-        X = CSR.of(_load(cfg, "vectors.npz")).dense()
+        gold, train, space, vectors = _load_features(cfg)
+        n, X = len(gold), vectors.dense()
         shap = _load(cfg, "shap.npz")
         model = _load_model(cfg, space)
-        phi = _load_phi(cfg, space, model, _load_vectors(cfg, n, space))()
+        phi = _load_phi(cfg, space, model, vectors)()
         assert phi.shape == (n, space.n_columns)
         assert shap["explained_output"] == "probability"
-        background = _background(cfg, X, *_load_dataset(cfg))
+        background = _background(cfg, X, gold, train)
         for i in range(0, n, 20):
             ref = attribution.kernel_shap(
                 lambda Z: classifiers.probability_function(model, Z), X[i],
@@ -1547,11 +1566,9 @@ class TestKernelExplain:
 
     def test_phi_slices_are_the_stored_phi_sliced(self, kernel_run):
         cfg = load_config(kernel_run[3])
-        n = len(_load_dataset(cfg)[0])
-        space = _load_space(cfg)
+        _, _, space, X = _load_features(cfg)
         full = _per_message_phi(cfg)
-        phi = _load_phi(cfg, space, _load_model(cfg, space),
-                        _load_vectors(cfg, n, space))
+        phi = _load_phi(cfg, space, _load_model(cfg, space), X)
         _assert_phi_slices(phi, full, space)
 
     @pytest.mark.parametrize("classifier", ["svm", "nb"])
@@ -1566,9 +1583,7 @@ class TestKernelExplain:
             assert set(npz.files) == {
                 "digest", "base_values", "explained_output", "mu", "data"}
         cfg = load_config(cfg_path)
-        space = _load_space(cfg)
-        gold, train = _load_dataset(cfg)
-        X = _load_vectors(cfg, len(gold), space)
+        gold, train, space, X = _load_features(cfg)
         shap = _load(cfg, "shap.npz")
         background = _background(cfg, X.dense(), gold, train)
         assert shap["mu"].tobytes() == background.mean.tobytes()
@@ -1684,42 +1699,41 @@ class TestArrayArtifacts:
                    st.floats(allow_nan=True, allow_infinity=True))),
            labels=st.lists(st.text(max_size=8), max_size=5))
     def test_roundtrip_is_bitwise(self, matrix, labels):
-        # Through the members of three layouts: the matrix as scores.npz's
-        # NA column and, when finite, as vectors.npz's CSR and
-        # space.npz's idf, which refuse it otherwise; the strings as
-        # space.npz's UTF-8 lists.
+        # Through the members of two layouts: the matrix as scores.npz's
+        # NA column and, when finite, as dataset.npz's CSR and idf, which
+        # refuse it otherwise; the strings as dataset.npz's UTF-8 lists.
         csr, column, n = to_csr(matrix), matrix.ravel(), matrix.size
         finite = bool(np.isfinite(matrix).all())
         vocabs = {**pipeline._utf8("word_vocab", labels),
                   **pipeline._utf8("phrase_vocab", labels[::-1])}
+        labels_of_rows = np.zeros(len(matrix), dtype=bool)
         with tempfile.TemporaryDirectory() as tmp:
             cfg = PipelineConfig(out_dir=tmp)
-            _save(cfg, "vectors.npz", **csr)
-            _save(cfg, "space.npz", **vocabs, idf=column)
+            _save(cfg, "dataset.npz", gold=labels_of_rows,
+                  train=labels_of_rows, **pipeline._utf8("text", labels),
+                  **vocabs, idf=column, **csr)
             _save(cfg, "scores.npz", p_pos=np.zeros(n),
                   contributions=np.zeros((n, cfg.n_topics)),
                   xmap_rel_u=column)
             scores = _load(cfg, "scores.npz")
             if finite:
-                back = _load(cfg, "vectors.npz")
-                space = _load(cfg, "space.npz")
+                back = _load(cfg, "dataset.npz")
             else:
-                for name, key in (("vectors.npz", "data"),
-                                  ("space.npz", "idf")):
+                for key in ("data", "idf"):
                     with pytest.raises(ArtifactError, match=(
-                            rf"^{name} is malformed \({key} holds a "
+                            rf"^dataset.npz is malformed \({key} holds a "
                             r"non-finite value\); rerun prepare$")):
-                        _load(cfg, name)
-                space = _load(cfg, "space.npz", keys=list(vocabs))
+                        _load(cfg, "dataset.npz", keys=(key,))
+                back = _load(cfg, "dataset.npz", keys=list(vocabs))
         assert scores["xmap_rel_u"].tobytes() == matrix.tobytes()
         if finite:
             for key, array in csr.items():
                 assert back[key].dtype == array.dtype, key
                 assert back[key].tobytes() == array.tobytes(), key
             assert CSR.of(back).dense().tobytes() == matrix.tobytes()
-            assert space["idf"].tobytes() == matrix.tobytes()
-        assert pipeline._strings(space, "word_vocab") == labels
-        assert pipeline._strings(space, "phrase_vocab") == labels[::-1]
+            assert back["idf"].tobytes() == matrix.tobytes()
+        assert pipeline._strings(back, "word_vocab") == labels
+        assert pipeline._strings(back, "phrase_vocab") == labels[::-1]
 
     def test_no_stage_after_prepare_reads_the_text(self, mini_run, tmp_path,
                                                    monkeypatch):
@@ -1737,26 +1751,27 @@ class TestArrayArtifacts:
         for stage in STAGES[1:]:
             assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
             decoded[stage], read = read, set()
-        every = set().union(*decoded.values())
-        assert {("dataset.npz", "gold"), ("dataset.npz", "train")} <= every
-        assert not {("dataset.npz", "text"),
-                    ("dataset.npz", "text_offsets")} & every
-        # What the readers of scores.npz decode of it and of the topics
-        # they derive the TOPIC_COLUMNS from: p_pos, from which the
-        # predicted label and the output-uncertainty columns are derived,
-        # the stored xmap_rel_u, the topic contributions and both topics'
-        # H.  score reads every member of the topics.
-        topics = [f"topics_{polarity}.npz" for polarity in pipeline.POLARITIES]
-        inputs = {"scores.npz", *topics}
-        readers = {*((name, "digest") for name in inputs),
-                   *(("scores.npz", key)
-                     for key in ("p_pos", "contributions", "xmap_rel_u")),
-                   *((name, "H") for name in topics)}
-        assert {stage: {(name, key) for name, key in keys if name in inputs}
+        # The readers of X, train to score, decode every other member of
+        # dataset.npz.  The readers of scores.npz decode its labels and
+        # split, and of scores.npz and the topics they derive the
+        # TOPIC_COLUMNS from: p_pos, from which the predicted label and
+        # the output-uncertainty columns are derived, the stored
+        # xmap_rel_u, the topic contributions and both polarities' H.
+        # score reads every member of the topics.
+        def members(name, keys=None):
+            return {(name, key) for key in ("digest", *(
+                keys or pipeline.ARTIFACTS[name][1]))}
+        X = {(name, key) for name, key in members("dataset.npz")
+             if not key.startswith("text")}
+        readers = (members("dataset.npz", ("gold", "train"))
+                   | members("scores.npz")
+                   | members("topics.npz", [f"H_{polarity}" for polarity
+                                            in pipeline.POLARITIES]))
+        assert {stage: {(name, key) for name, key in keys if name in {
+                    "dataset.npz", "scores.npz", "topics.npz"}}
                 for stage, keys in decoded.items()} == {
-            **dict.fromkeys(STAGES[1:4], set()),
-            "score": {(name, key) for name in topics
-                      for key in ("digest", *pipeline.ARTIFACTS[name][1])},
+            **dict.fromkeys(STAGES[1:4], X),
+            "score": X | members("topics.npz"),
             **dict.fromkeys(STAGES[5:], readers)}
 
     def test_digest_mismatch_refused(self, tmp_path):
@@ -1781,9 +1796,13 @@ class TestArrayArtifacts:
         # Row i is message i: outcomes.npz must hold one outcome per
         # message of dataset.npz, three here.
         cfg = PipelineConfig(out_dir=str(tmp_path))
+        d = features.N_STRUCTURAL
         _save(cfg, "dataset.npz", gold=np.array([False, True, False]),
               train=np.array([True, False, False]),
-              **pipeline._utf8("text", ["a", "b", "c"]))
+              **pipeline._utf8("text", ["a", "b", "c"]),
+              **pipeline._utf8("word_vocab", []),
+              **pipeline._utf8("phrase_vocab", []), idf=np.ones(d),
+              **to_csr(np.zeros((3, d))))
         names = np.array(pipeline.OUTCOMES)
         _save(cfg, "outcomes.npz", outcome=np.zeros(3, dtype=np.uint8),
               names=names)
@@ -1840,6 +1859,68 @@ class TestAtomicWrites:
         assert after.keys() == before.keys()
         for artifact, blob in before.items():
             assert after[artifact] == blob, artifact
+
+    @staticmethod
+    def _flipped(run, tmp_path: Path, stages) -> tuple[Path, Path]:
+        """A copy of a finished run and its config, which reads the run's
+        corpus with every label flipped, after the given stages reran on
+        it."""
+        copy, cfg_path = _copy_run(run, tmp_path)
+        flipped = tmp_path / "flipped.tsv"
+        demo.write_tsv(flipped, [
+            ("ham" if label == "spam" else "spam", text) for label, text in (
+                line.split("\t", 1) for line in
+                run[1].read_text(encoding="utf-8").splitlines())])
+        settings = json.loads(cfg_path.read_text(encoding="utf-8"))
+        cfg_path.write_text(json.dumps({**settings,
+                                        "dataset_path": str(flipped)}),
+                            encoding="utf-8")
+        for stage in stages:
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+        return copy, cfg_path
+
+    @pytest.mark.parametrize("stage", ["prepare", "profile"])
+    def test_failed_stage_keeps_every_previous_output(
+            self, stage, mini_run, tmp_path, monkeypatch, capsys):
+        # The stage reruns over the same messages with every label
+        # flipped, prepare on the finished run and profile on the
+        # upstream artifacts rebuilt from them, and its k-th archive
+        # write fails, for each k it makes: every file of the run
+        # directory keeps its previous bytes, so no new output sits
+        # beside an old one.
+        base, cfg_path = self._flipped(mini_run, tmp_path,
+                                       STAGES[:STAGES.index(stage)])
+        real = np.savez_compressed
+        k = 0
+        while True:
+            k += 1
+            copy = tmp_path / f"fail{k}"
+            shutil.copytree(base, copy)
+            before = {p.name: p.read_bytes() for p in copy.iterdir()}
+            calls = []
+
+            def failing(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == k:
+                    raise OSError(28, "No space left on device")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np, "savez_compressed", failing)
+            code = cli.main([stage, "--config", str(cfg_path),
+                             "--out", str(copy)])
+            monkeypatch.undo()
+            err = capsys.readouterr().err
+            if len(calls) < k:
+                # The stage makes fewer than k writes, and they succeed.
+                assert code == 0 and k > 1, (k, err)
+                break
+            assert code == 2 and "No space left" in err, k
+            assert {p.name: p.read_bytes() for p in copy.iterdir()} == (
+                before), k
+        after = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert [name for name in sorted(after) if after[name] != before[name]
+                ] == sorted(name for name, producer in PRODUCER.items()
+                            if producer == stage)
 
 
 class TestCliContract:

@@ -440,22 +440,30 @@ class TestGroupProfile:
 
 
 class TestProfilingIO:
-    """topics_*.npz round trips bit for bit through _save and
-    _load_topics."""
+    """Each polarity's members of topics.npz round trip bit for bit
+    through _save and _load_topics."""
 
     def test_topics_roundtrip(self, tmp_path):
         cfg = PipelineConfig(out_dir=str(tmp_path), n_topics=2, k_related=1)
         space = features.FeatureSpace(
             word_vocab={f"w{i}": i for i in range(21)}, phrase_vocab={},
             idf=np.ones(21))
-        topics = dict(
-            columns=np.array([3, 8, 20]),
-            H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
-            assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
-        _save(cfg, "topics_plus.npz", **topics)
-        back = _load_topics(cfg, space, "plus")
-        for name in ("columns", "H", "assignment"):
-            assert back[name].dtype == topics[name].dtype
-            assert back[name].tobytes() == topics[name].tobytes()
-        assert type(back["objective"]) is float
-        assert back["objective"] == topics["objective"]
+        # The two polarities at different widths, as the quotas can
+        # leave them.
+        plus = dict(columns=np.array([3, 8, 20]),
+                    H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
+                    assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
+        minus = dict(columns=np.array([0, 17]), H=np.eye(2),
+                     assignment=np.array([0, 1]), objective=0.0)
+        topics = {"plus": plus, "minus": minus}
+        _save(cfg, "topics.npz", **{f"{name}_{polarity}": value
+                                    for polarity, members in topics.items()
+                                    for name, value in members.items()})
+        for polarity, members in topics.items():
+            back = _load_topics(cfg, space, polarity)
+            assert back.keys() == members.keys()
+            for name in ("columns", "H", "assignment"):
+                assert back[name].dtype == members[name].dtype
+                assert back[name].tobytes() == members[name].tobytes()
+            assert type(back["objective"]) is float
+            assert back["objective"] == members["objective"]
