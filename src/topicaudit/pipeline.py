@@ -7,8 +7,8 @@ members, dtype kinds, shapes and NA floats; _path(cfg, name) is its
 file.  _save writes each, a deflated .npz or, for the two reports, a
 JSON object, stamped with the config digest (a mismatch refuses to
 combine) and atomically, so a failed write leaves the previous file in
-place.  Every stage but repair writes one file, so an interrupted rerun
-leaves its previous outputs whole.  _load reads both, and undeflated
+place.  Every stage writes one file, so an interrupted rerun leaves its
+previous outputs whole.  _load reads both, and undeflated
 archives of earlier runs, decoding only the members a stage reads, and
 names the file and its producer when it is missing, damaged, stale, off
 its layout or not finite outside NA; a loader adds only the checks a
@@ -48,9 +48,10 @@ other seven through it from the contributions and both topics' H, and
 the predicted label and the output-uncertainty columns, functions of
 p_pos alone, with dataset.npz's labels and train mask.
 Each detector's rejections, and the recoveries and leakages of the repair
-gate, are boolean masks over the same rows, so outcomes.npz, a code
-into OUTCOMES per message, and the re-accepted ids are read straight
-off them.
+gate, are boolean masks over the same rows, so the re-accepted ids are
+read straight off them; repair_report.json stores each subset's cutoff
+and those ids, from which a message's fate under any representation
+follows without another file.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ TOPIC_COLUMNS = tuple(f"xmap_{rep}"
 SUBSETS = (("positive", 1), ("negative", 0))
 # The polarity of each label's supports: hamward for 0, spamward for 1.
 POLARITIES = ("minus", "plus")
-OUTCOMES = ("accepted", "rejected", "repaired")
 
 OPTIONAL, NA = "optional", "na"
 
@@ -127,8 +127,6 @@ ARTIFACTS = {
     "detector_report.json": ("evaluate", ("subsets", "trr_fix")),
     "repair_report.json": ("repair", ("base_detector", "representations",
                                       "subsets")),
-    "outcomes.npz": ("repair", {"outcome": ("u", ("n",)),
-                                "names": ("U", (len(OUTCOMES),))}),
     "report.md": ("report", ()),
 }
 
@@ -697,7 +695,7 @@ def cmd_repair(cfg: PipelineConfig) -> None:
         subset_info[subset] = dict(counts,
                                    n_rejected=int(rejected[part].sum()))
 
-    per_rep, re_accepted = {}, {}
+    per_rep = {}
     for rep, col in zip(REPRESENTATIONS, XMAP_COLUMNS):
         xmap = scores[col]
         tau = {}
@@ -708,15 +706,9 @@ def cmd_repair(cfg: PipelineConfig) -> None:
         recovered, leaked, per_rep[rep] = scoring.repair(
             rejected, misclassified, xmap, predicted,
             tau_plus=tau[1], tau_minus=tau[0])
-        re_accepted[rep] = recovered | leaked
         per_rep[rep]["re_accepted_ids"] = np.flatnonzero(
-            re_accepted[rep]).tolist()
+            recovered | leaked).tolist()
 
     _save(cfg, "repair_report.json", base_detector=cfg.base_detector,
           repair_representation=cfg.repair_representation,
           trr_fix=cfg.trr_fix, subsets=subset_info, representations=per_rep)
-
-    # Per-message outcome under the configured representation.
-    outcome = np.where(re_accepted[cfg.repair_representation], 2, rejected)
-    _save(cfg, "outcomes.npz", outcome=outcome.astype(np.uint8),
-          names=np.array(OUTCOMES))

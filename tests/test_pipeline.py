@@ -48,8 +48,7 @@ PRODUCER = {
     "dataset.npz": "prepare", "model.npz": "train",
     "shap.npz": "explain", "topics.npz": "profile", "scores.npz": "score",
     "detector_report.json": "evaluate",
-    "repair_report.json": "repair", "outcomes.npz": "repair",
-    "report.md": "report",
+    "repair_report.json": "repair", "report.md": "report",
 }
 
 MINI = {
@@ -240,9 +239,37 @@ def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
     assert "dataset.npz" in err and "rerun prepare" in err
 
 
-def _load_outcomes(cfg: PipelineConfig) -> dict:
-    """outcomes.npz's fields, one outcome per message of dataset.npz."""
-    return _load(cfg, "outcomes.npz", n=len(_load_dataset(cfg)[0]))
+def _outcomes(cfg: PipelineConfig) -> np.ndarray:
+    """Each message's outcome under repair_representation, "accepted",
+    "rejected" or "repaired", spelt as README's recipe spells it: a test
+    message is rejected where its base-detector score reaches its
+    predicted subset's threshold in repair_report.json, and repaired
+    where its id is among that representation's re_accepted_ids."""
+    repair = _load(cfg, "repair_report.json")
+    scores, _, train = pipeline._load_scores(cfg, ())
+    cut = {subset: float(body["threshold"])
+           for subset, body in repair["subsets"].items()}
+    threshold = np.where(scores["predicted"], cut["positive"],
+                         cut["negative"])
+    rejected = ~train & (scores[repair["base_detector"]] >= threshold)
+    repaired = np.zeros_like(rejected)
+    repaired[repair["representations"][repair["repair_representation"]][
+        "re_accepted_ids"]] = True
+    return np.where(repaired, "repaired",
+                    np.where(rejected, "rejected", "accepted"))
+
+
+def _assert_subset_counts(repair: dict, rejected, predicted, gold) -> None:
+    """Each subset's n_rejected, n_true_rejections and n_false_rejections
+    in repair_report.json count the rejected rows predicted its label."""
+    for subset, label in pipeline.SUBSETS:
+        part = rejected & (predicted == label)
+        counts = repair["subsets"][subset]
+        assert counts["n_rejected"] == int(part.sum()), subset
+        assert counts["n_true_rejections"] == int(np.sum(
+            part & (predicted != gold))), subset
+        assert counts["n_false_rejections"] == int(np.sum(
+            part & (predicted == gold))), subset
 
 
 def _contributions(cfg: PipelineConfig) -> np.ndarray:
@@ -410,13 +437,16 @@ class TestStageOutputs:
     def test_scores_outcomes_partition(self, mini_run):
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        outcomes, train = _load_outcomes(cfg), _load_dataset(cfg)[1]
-        assert outcomes["names"].tolist() == ["accepted", "rejected",
-                                              "repaired"]
-        outcome = outcomes["names"][outcomes["outcome"]]
+        outcome = _outcomes(cfg)
+        scores, gold, train = pipeline._load_scores(cfg, ())
+        assert outcome.shape == gold.shape
         assert set(outcome.tolist()) <= {"accepted", "rejected", "repaired"}
-        # Only test messages can be rejected or repaired.
+        # Only test messages can be rejected or repaired, and the derived
+        # rejections give each subset's stored counts.
         assert set(outcome[train].tolist()) <= {"accepted"}
+        _assert_subset_counts(_load(cfg, "repair_report.json"),
+                              outcome != "accepted", scores["predicted"],
+                              gold)
 
     def test_repair_agrees_with_evaluate_and_outcomes(self, mini_run):
         _, _, out, cfg_path = mini_run
@@ -431,8 +461,7 @@ class TestStageOutputs:
                 assert body[key] == base[key], (subset, key)
 
         scores, gold, train = pipeline._load_scores(cfg)
-        outcomes = _load_outcomes(cfg)
-        outcome = outcomes["names"][outcomes["outcome"]]
+        outcome = _outcomes(cfg)
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
         assert np.flatnonzero(outcome == "repaired").tolist() == re_accepted
@@ -451,12 +480,7 @@ class TestStageOutputs:
         rejected = outcome != "accepted"
         predicted = scores["predicted"]
         back, correct = outcome == "repaired", predicted == gold
-        for subset, label in (("positive", 1), ("negative", 0)):
-            part = rejected & (predicted == label)
-            counts = repair["subsets"][subset]
-            assert counts["n_rejected"] == int(part.sum()), subset
-            assert counts["n_true_rejections"] == int(np.sum(part & ~correct))
-            assert counts["n_false_rejections"] == int(np.sum(part & correct))
+        _assert_subset_counts(repair, rejected, predicted, gold)
         n_rec = int(np.sum(back & correct))
         n_leak = int(np.sum(back & ~correct))
         n_false = int(np.sum(rejected & correct))
@@ -572,7 +596,7 @@ class TestStageOutputs:
         for stage in ("evaluate", "repair", "report"):
             assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
         for name in ("detector_report.json", "repair_report.json",
-                     "outcomes.npz", "report.md"):
+                     "report.md"):
             assert (copy / name).read_bytes() == (
                 mini_run[2] / name).read_bytes(), name
 
@@ -762,7 +786,7 @@ class TestDeterminism:
     def test_repair_stage_is_idempotent(self, mini_run):
         _, _, out, cfg_path = mini_run
         before = {name: (out / name).read_bytes()
-                  for name in ("outcomes.npz", "scores.npz")}
+                  for name in ("repair_report.json", "scores.npz")}
         assert cli.main(["repair", "--config", str(cfg_path)]) == 0
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob, name
@@ -1396,7 +1420,7 @@ class TestGuards:
     # were booleans), anything else as floats.
     WRONG_KIND = {"dataset.npz": "train", "model.npz": "weights",
                   "shap.npz": "base_values", "topics.npz": "columns_plus",
-                  "scores.npz": "p_pos", "outcomes.npz": "outcome"}
+                  "scores.npz": "p_pos"}
     # The archives of each run; the kernel run stops after profile.
     ARCHIVES = {"mini_run": sorted(WRONG_KIND),
                 "kernel_run": ["dataset.npz", "model.npz", "shap.npz",
@@ -1430,13 +1454,12 @@ class TestGuards:
                                           tmp_path, capsys):
         # Each archive must hold exactly its layout's members, each of
         # its dtype kind and shape, and a float member NaN or inf only in
-        # an NA member: its first reader refuses any other, and an archive
-        # no stage reads fails _load itself.  A NaN in an NA member
-        # loads.
+        # an NA member: its first reader refuses any other.  A NaN in an
+        # NA member loads.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, name)
-        reader = self.FIRST_READER.get(name)
+        reader = self.FIRST_READER[name]
         if damage == "stray_member":
             arrays["stray"] = np.zeros(1)
             problem = "unexpected 'stray'"
@@ -1464,16 +1487,9 @@ class TestGuards:
             assert pipeline.NA in pipeline.ARTIFACTS[name][1][key]
             n = len(_load_dataset(cfg)[0])
             assert np.isnan(_load(cfg, name, n=n)[key].flat[middle])
-            assert reader is None or cli.main([reader, "--config",
-                                               str(cfg_path)]) == 0
+            assert cli.main([reader, "--config", str(cfg_path)]) == 0
             return
         expected = f"{name} is malformed ({problem}); rerun {PRODUCER[name]}"
-        if reader is None:
-            n = len(_load_dataset(cfg)[0])
-            with pytest.raises(ArtifactError) as caught:
-                _load(cfg, name, n=n)
-            assert str(caught.value) == expected
-            return
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert cli.main([reader, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"[{reader}] {expected}\n"
@@ -1793,8 +1809,8 @@ class TestArrayArtifacts:
             _load(cfg, "scores.npz")
 
     def test_rows_must_match(self, tmp_path):
-        # Row i is message i: outcomes.npz must hold one outcome per
-        # message of dataset.npz, three here.
+        # Row i is message i: scores.npz must hold one p_pos per message
+        # of dataset.npz, three here.
         cfg = PipelineConfig(out_dir=str(tmp_path))
         d = features.N_STRUCTURAL
         _save(cfg, "dataset.npz", gold=np.array([False, True, False]),
@@ -1803,19 +1819,17 @@ class TestArrayArtifacts:
               **pipeline._utf8("word_vocab", []),
               **pipeline._utf8("phrase_vocab", []), idf=np.ones(d),
               **to_csr(np.zeros((3, d))))
-        names = np.array(pipeline.OUTCOMES)
-        _save(cfg, "outcomes.npz", outcome=np.zeros(3, dtype=np.uint8),
-              names=names)
-        outcomes = _load_outcomes(cfg)
-        assert outcomes["names"][outcomes["outcome"]].tolist() == [
-            "accepted"] * 3
-        for outcome in ([0] * 2, [0] * 4, [[0]] * 3, 0):
-            _save(cfg, "outcomes.npz",
-                  outcome=np.array(outcome, dtype=np.uint8), names=names)
+        rest = {"contributions": np.zeros((3, cfg.n_topics)),
+                "xmap_rel_u": np.zeros(3)}
+        _save(cfg, "scores.npz", p_pos=np.array([0.9, 0.2, 0.4]), **rest)
+        assert pipeline._load_scores(cfg, ())[0]["predicted"].tolist() == [
+            True, False, False]
+        for p_pos in ([0.5] * 2, [0.5] * 4, [[0.5]] * 3, 0.5):
+            _save(cfg, "scores.npz", p_pos=np.array(p_pos), **rest)
             with pytest.raises(ArtifactError,
-                               match=r"^outcomes.npz is malformed \(.*; "
-                                     "rerun repair$"):
-                _load_outcomes(cfg)
+                               match=r"^scores.npz is malformed \(.*; "
+                                     "rerun score$"):
+                pipeline._load_scores(cfg, ())
 
     def test_only_artifact_names_resolve(self, tmp_path):
         with pytest.raises(KeyError, match="a.npz"):
@@ -1879,18 +1893,26 @@ class TestAtomicWrites:
             assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
         return copy, cfg_path
 
-    @pytest.mark.parametrize("stage", ["prepare", "profile"])
+    @staticmethod
+    def _spy_writes(monkeypatch, spy) -> None:
+        """Route every atomic write of pipeline and report through
+        spy(real, path, *args, **kwargs), real being atomic_open."""
+        real = atomic.atomic_open
+        for module in (pipeline, report):
+            monkeypatch.setattr(module, "atomic_open",
+                                lambda *args, **kwargs: spy(real, *args,
+                                                            **kwargs))
+
+    @pytest.mark.parametrize("stage", ["prepare", "profile", "repair"])
     def test_failed_stage_keeps_every_previous_output(
             self, stage, mini_run, tmp_path, monkeypatch, capsys):
         # The stage reruns over the same messages with every label
-        # flipped, prepare on the finished run and profile on the
-        # upstream artifacts rebuilt from them, and its k-th archive
-        # write fails, for each k it makes: every file of the run
-        # directory keeps its previous bytes, so no new output sits
-        # beside an old one.
+        # flipped, on the upstream artifacts rebuilt from them, and its
+        # k-th atomic write, of an archive or a report, fails midway, for
+        # each k it makes: every file of the run directory keeps its
+        # previous bytes, so no new output sits beside an old one.
         base, cfg_path = self._flipped(mini_run, tmp_path,
                                        STAGES[:STAGES.index(stage)])
-        real = np.savez_compressed
         k = 0
         while True:
             k += 1
@@ -1899,13 +1921,15 @@ class TestAtomicWrites:
             before = {p.name: p.read_bytes() for p in copy.iterdir()}
             calls = []
 
-            def failing(*args, **kwargs):
+            @contextlib.contextmanager
+            def failing(real, *args, **kwargs):
                 calls.append(None)
-                if len(calls) == k:
-                    raise OSError(28, "No space left on device")
-                return real(*args, **kwargs)
+                with real(*args, **kwargs) as fh:
+                    yield fh
+                    if len(calls) == k:
+                        raise OSError(28, "No space left on device")
 
-            monkeypatch.setattr(np, "savez_compressed", failing)
+            self._spy_writes(monkeypatch, failing)
             code = cli.main([stage, "--config", str(cfg_path),
                              "--out", str(copy)])
             monkeypatch.undo()
@@ -1921,6 +1945,30 @@ class TestAtomicWrites:
         assert [name for name in sorted(after) if after[name] != before[name]
                 ] == sorted(name for name, producer in PRODUCER.items()
                             if producer == stage)
+
+    def test_every_stage_writes_one_file(self, mini_run, tmp_path,
+                                         monkeypatch):
+        # Each stage of a full run opens exactly one file for writing,
+        # the one ARTIFACTS gives it, so one atomic write replaces all
+        # of a stage's outputs.
+        out = tmp_path / "run"
+        out.mkdir()
+        cfg_path = _write_config(tmp_path, mini_run[1], out)
+        opened = []
+
+        def spy(real, path, *args, **kwargs):
+            opened.append(Path(path))
+            return real(path, *args, **kwargs)
+
+        self._spy_writes(monkeypatch, spy)
+        for stage in STAGES:
+            opened.clear()
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+            assert len(opened) == 1, (stage, opened)
+            assert opened[0].parent == out, stage
+            assert pipeline.ARTIFACTS[opened[0].name][0] == stage
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            pipeline.ARTIFACTS)
 
 
 class TestCliContract:
