@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,8 +99,12 @@ class PipelineConfig:
             if least is not None and value < least:
                 raise ConfigError(f"{name} must be at least {least}")
         for name, types in TYPED_FIELDS.items():
-            if type(getattr(self, name)) not in types:
+            value = getattr(self, name)
+            if type(value) not in types:
                 raise ConfigError(f"{name} must be {TYPE_NAMES[types]}")
+            # JSON's NaN and Infinity parse as floats; no real may be one.
+            if types is REAL and not -math.inf < value < math.inf:
+                raise ConfigError(f"{name} must be finite")
         if self.dataset_format not in DATASET_FORMATS:
             raise ConfigError(f"unknown dataset_format "
                               f"{self.dataset_format!r}")
@@ -137,6 +142,8 @@ class PipelineConfig:
                 and abs(sum(self.rho.values()) - 1.0) <= 1e-9):
             raise ConfigError(f"rho must map some of {', '.join(FAMILIES)} "
                               "to shares in [0, 1] summing to 1")
+        if self.nmf_tol < 0.0:
+            raise ConfigError("nmf_tol must not be negative")
         if not 0.0 < self.tau_p <= 1.0:
             raise ConfigError("tau_p must be in (0, 1]")
         if not self.temperature > 0.0:

@@ -328,22 +328,19 @@ def _output_columns(p_pos: np.ndarray,
         method: uncertainty.output_uq_score(p_pos, method, temperature)
         for method in BASE_METHODS}}
 
-def _load_scores(cfg, keys=XMAP_COLUMNS):
+def _load_scores(cfg):
     """(scores, gold, train): scores.npz's p_pos, its _output_columns, so
-    a p_pos outside [0, 1] reads as malformed, and the xmap columns of
-    ``keys``, the stored xmap_rel_u and the TOPIC_COLUMNS _xmap_columns
-    derives from the contributions and both topics' H; dataset.npz's
-    columns are read after scores.npz is found, so a missing one names
-    its producer.  A negative contribution, which a row's total can hide,
-    or a failed derivation names scores.npz."""
+    a p_pos outside [0, 1] reads as malformed, and every xmap column, the
+    stored xmap_rel_u and the TOPIC_COLUMNS _xmap_columns derives from
+    the contributions and both topics' H; dataset.npz's columns are read
+    after scores.npz is found, so a missing one names its producer.  A
+    negative contribution, which a row's total can hide, or a failed
+    derivation names scores.npz."""
     _require(cfg, "scores.npz")
     gold, train = _load_dataset(cfg)
-    topic = [key for key in keys if key in TOPIC_COLUMNS]
 
     def build(f):
         f.update(_output_columns(f["p_pos"], cfg.temperature))
-        if not topic:
-            return f
         contributions = f.pop("contributions")
         negative = np.flatnonzero((contributions < 0).any(axis=1))
         if negative.size:
@@ -355,13 +352,9 @@ def _load_scores(cfg, keys=XMAP_COLUMNS):
             lambda tc, group_tc, H: uncertainty.topic_representations(
                 tc, _scale(group_tc), H, cfg.k_related, cfg.temperature)[0],
             contributions, f["predicted"], gold, train, Hs)
-        f.update((key, column) for key, column
-                 in zip(TOPIC_COLUMNS, columns.T.copy()) if key in topic)
+        f.update(zip(TOPIC_COLUMNS, columns.T.copy()))
         return f
-    stored = ["p_pos", *(key for key in keys if key not in TOPIC_COLUMNS)]
-    if topic:
-        stored.append("contributions")
-    return _load(cfg, "scores.npz", stored, build, n=len(gold)), gold, train
+    return _load(cfg, "scores.npz", build=build, n=len(gold)), gold, train
 
 def _load_phi(cfg, space, model, X):
     """phi(rows=None, columns=None): the given rows and columns of the

@@ -18,6 +18,7 @@ from topicaudit.config import PipelineConfig
 from topicaudit.features import CSR
 from topicaudit.pipeline import _load_model, _save_model
 
+import layouts
 from csr_layout import to_csr
 
 
@@ -325,12 +326,14 @@ class TestModelIO:
 
     @staticmethod
     def _roundtrip(tmp_path, model):
+        """The model read back, after model.npz is found to hold the
+        members and dtypes tests/layouts.py records for its kind."""
         cfg = PipelineConfig(out_dir=str(tmp_path))
         _save_model(cfg, model)
-        with np.load(tmp_path / "model.npz") as npz:
-            keys = set(npz.files)
+        layouts.check_archive(tmp_path / "model.npz",
+                              layouts.MODEL[model.kind])
         space = SimpleNamespace(n_columns=model.weights.size)
-        return _load_model(cfg, space), keys
+        return _load_model(cfg, space)
 
     @staticmethod
     def _same_bits(a, b):
@@ -341,9 +344,8 @@ class TestModelIO:
         model = LinearModel(kind="svm",
                             weights=np.array([0.25, -1.5, -0.0, 5e-324]),
                             bias=0.1 + 0.2, calibration=(1.5, -0.25))
-        back, keys = self._roundtrip(tmp_path, model)
+        back = self._roundtrip(tmp_path, model)
         assert isinstance(back, LinearModel) and back.kind == "svm"
-        assert keys == {"digest", "kind", "weights", "bias", "calibration"}
         assert self._same_bits(back.weights, model.weights)
         assert type(back.bias) is float and back.bias == model.bias
         assert back.calibration == model.calibration
@@ -352,9 +354,8 @@ class TestModelIO:
     def test_logreg_roundtrip_has_no_calibration(self, tmp_path):
         X, y = _toy_separable()
         model = train_logreg(X, y, l2_strength=0.01, epochs=50)
-        back, keys = self._roundtrip(tmp_path, model)
+        back = self._roundtrip(tmp_path, model)
         assert back.kind == "logreg" and back.calibration is None
-        assert "calibration" not in keys
         assert self._same_bits(back.weights, model.weights)
         assert back.bias == model.bias
 
@@ -362,10 +363,8 @@ class TestModelIO:
         X = np.array([[1.0, 2.0, 5.0], [2.0, 1.0, 9.0]])
         y = np.array([0, 1])
         model = train_nb(X, y, alpha=0.5, structural_start=2)
-        back, keys = self._roundtrip(tmp_path, model)
+        back = self._roundtrip(tmp_path, model)
         assert isinstance(back, LinearModel) and back.kind == "nb"
-        assert keys == {"digest", "kind", "weights", "bias",
-                        "structural_start", "struct_min", "struct_max"}
         for name in ("weights", "struct_min", "struct_max"):
             assert self._same_bits(getattr(back, name),
                                    getattr(model, name)), name

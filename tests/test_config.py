@@ -199,6 +199,13 @@ class TestLoadConfig:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_literal_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"dataset_path": "d.tsv", "nmf_tol": NaN}',
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^nmf_tol must be finite$"):
+            load_config(path)
+
     def test_bad_value_surfaces_as_config_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"classifier": "forest"}', encoding="utf-8")
@@ -229,6 +236,11 @@ class TestModelSettings:
            ("l2_strength", True), ("svm_c", True), ("nb_alpha", "1"),
            ("tau_p", True), ("nmf_tol", "x"), ("nmf_tol", None),
            ("temperature", True), ("trr_fix", True),
+           # JSON's NaN and Infinity parse as floats, and no real setting
+           # may be one; a negative NMF tolerance is never met either.
+           ("nmf_tol", float("nan")), ("nmf_tol", -1),
+           ("temperature", float("inf")), ("l2_strength", float("inf")),
+           ("nb_alpha", float("-inf")),
            # Paths and column names are strings.
            ("dataset_path", 5), ("out_dir", 5), ("label_column", 5),
            ("text_column", None),

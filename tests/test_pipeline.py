@@ -11,6 +11,7 @@ import contextlib
 import gc
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -36,20 +37,13 @@ from topicaudit.pipeline import (ArtifactError, StageError, _load,
                                  _load_phi, _load_topics, _save)
 from topicaudit.uncertainty import REPRESENTATIONS
 
+import layouts
 from csr_layout import to_csr
 from every_representation import represent_all
 from shap_vector import phi_of
 
 STAGES = ("prepare", "train", "explain", "profile", "score",
           "evaluate", "repair", "report")
-
-# Every artifact of a full run, with the stage that writes it.
-PRODUCER = {
-    "dataset.npz": "prepare", "model.npz": "train",
-    "shap.npz": "explain", "topics.npz": "profile", "scores.npz": "score",
-    "detector_report.json": "evaluate",
-    "repair_report.json": "repair", "report.md": "report",
-}
 
 MINI = {
     "seed": 11,
@@ -75,21 +69,28 @@ def _write_config(dirpath: Path, tsv: Path, out: Path, **extra) -> Path:
     return cfg
 
 
-def _run_all(cfg_path: Path) -> None:
-    for stage in STAGES:
-        rc = cli.main([stage, "--config", str(cfg_path)])
-        assert rc == 0, f"stage {stage} failed"
+def _run_all(cfg_path: Path, stages=STAGES) -> dict[str, set]:
+    """Run the stages in process.  For each stage, the (artifact, member)
+    pairs it decodes, and (artifact, None) for each artifact it opens."""
+    real_getitem, real_require = (np.lib.npyio.NpzFile.__getitem__,
+                                  pipeline._require)
 
+    def getitem(self, key):
+        read.add((Path(self.zip.filename).name, key))
+        return real_getitem(self, key)
 
-@pytest.fixture(scope="session")
-def mini_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("mini")
-    tsv = _write_corpus(root)
-    out = root / "run"
-    out.mkdir()
-    cfg_path = _write_config(root, tsv, out)
-    _run_all(cfg_path)
-    return root, tsv, out, cfg_path
+    def require(cfg, name):
+        read.add((name, None))
+        return real_require(cfg, name)
+
+    decoded = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.lib.npyio.NpzFile, "__getitem__", getitem)
+        patch.setattr(pipeline, "_require", require)
+        for stage in stages:
+            read = decoded[stage] = set()
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+    return decoded
 
 
 # The settings of a small svm run, whose shap.npz holds kernel phi as
@@ -97,33 +98,111 @@ def mini_run(tmp_path_factory):
 KERNEL = {"classifier": "svm", "svm_epochs": 100, "background_size": 5,
           "n_coalitions": 400, "word_quota": 60, "phrase_quota": 40}
 
+# The stages each shared run makes, and its settings beside MINI's:
+# mini_run is logreg on 300 messages, kernel_run svm and nb_run linear nb
+# on 80.
+RUNS = {"mini_run": (STAGES, {}),
+        "kernel_run": (STAGES[:STAGES.index("profile") + 1], KERNEL),
+        "nb_run": (STAGES[:STAGES.index("explain") + 1],
+                   {"classifier": "nb", "nb_linear_attribution": True})}
 
-def _small_run(root: Path, stages, **extra) -> tuple[Path, Path]:
-    """(out dir, config) of the given stages on an 80-message corpus."""
+
+# No stage decodes the messages' text, and _load checks the kind and the
+# values of the members it decodes alone: another kind or a bad value in
+# these passes every stage (only their absence fails).
+UNDECODED = {("dataset.npz", "text"), ("dataset.npz", "text_offsets")}
+
+
+def _off_layout():
+    """(run, archive, damage, member) of each shared run's archives, from
+    tests/layouts.py: a stray member, an idf a column short, each member
+    missing, each one a stage decodes of another kind and each float one
+    not finite.  The digest aside: a damaged one reads as another
+    config's."""
+    for run, (stages, settings) in RUNS.items():
+        cfg = PipelineConfig(**{**MINI, **settings})
+        for name in layouts.LAYOUTS:
+            if pipeline.ARTIFACTS[name][0] not in stages:
+                continue
+            damages = [("stray_member", None)]
+            if name == "dataset.npz":
+                damages.append(("short_idf", None))
+            for key, dtype in layouts.layout(name, cfg).items():
+                if key == "digest":
+                    continue
+                damages.append(("missing", key))
+                if (name, key) not in UNDECODED:
+                    damages.append(("wrong_kind", key))
+                if dtype == "float64":
+                    damages.append(("non_finite", key))
+            for damage, key in damages:
+                case = damage if key is None else f"{damage}_{key}"
+                yield pytest.param(run, name, damage, key,
+                                   id=f"{run}-{name}-{case}")
+
+
+@pytest.fixture(scope="session")
+def decoded():
+    """What each stage of each shared run decoded (_run_all), keyed by
+    the run's fixture, filled in as the runs are made."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def first_stage(mini_run, kernel_run, nb_run, decoded):
+    """first_stage(name, key=None): the first stage that, in any shared
+    run, decodes the member key of the artifact name, or with no key
+    opens the artifact."""
+    def first(name, key=None):
+        return next(stage for stage in STAGES if any(
+            (name, key) in record.get(stage, ()) for record in
+            decoded.values()))
+    return first
+
+
+@pytest.fixture(scope="session")
+def mini_run(tmp_path_factory, decoded):
+    root = tmp_path_factory.mktemp("mini")
+    tsv = _write_corpus(root)
+    out = root / "run"
+    out.mkdir()
+    cfg_path = _write_config(root, tsv, out)
+    decoded["mini_run"] = _run_all(cfg_path)
+    return root, tsv, out, cfg_path
+
+
+def _small_config(root: Path, **extra) -> tuple[Path, Path]:
+    """(out dir, config) of a run on an 80-message corpus."""
     tsv = root / "small.tsv"
     demo.write_tsv(tsv, demo.generate(n_messages=80, seed=3))
     out = root / "run"
     out.mkdir()
-    cfg_path = _write_config(root, tsv, out, **extra)
-    for stage in stages:
-        assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+    return out, _write_config(root, tsv, out, **extra)
+
+
+def _small_run(root: Path, stages, **extra) -> tuple[Path, Path]:
+    """(out dir, config) of the given stages on an 80-message corpus."""
+    out, cfg_path = _small_config(root, **extra)
+    _run_all(cfg_path, stages)
     return out, cfg_path
 
 
-@pytest.fixture(scope="session")
-def kernel_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("kernel")
-    out, cfg_path = _small_run(root, STAGES[:STAGES.index("profile") + 1],
-                               **KERNEL)
+def _shared_small_run(run, tmp_path_factory, decoded):
+    stages, settings = RUNS[run]
+    root = tmp_path_factory.mktemp(run)
+    out, cfg_path = _small_config(root, **settings)
+    decoded[run] = _run_all(cfg_path, stages)
     return root, root / "small.tsv", out, cfg_path
 
 
 @pytest.fixture(scope="session")
-def nb_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("nb")
-    out, cfg_path = _small_run(root, STAGES[:STAGES.index("train") + 1],
-                               classifier="nb")
-    return root, root / "small.tsv", out, cfg_path
+def kernel_run(tmp_path_factory, decoded):
+    return _shared_small_run("kernel_run", tmp_path_factory, decoded)
+
+
+@pytest.fixture(scope="session")
+def nb_run(tmp_path_factory, decoded):
+    return _shared_small_run("nb_run", tmp_path_factory, decoded)
 
 
 def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
@@ -239,24 +318,19 @@ def _train_refuses_dataset(cfg_path: Path, capsys) -> None:
     assert "dataset.npz" in err and "rerun prepare" in err
 
 
-def _outcomes(cfg: PipelineConfig) -> np.ndarray:
+def _readme_outcome(run, tmp_path: Path, monkeypatch) -> np.ndarray:
     """Each message's outcome under repair_representation, "accepted",
-    "rejected" or "repaired", spelt as README's recipe spells it: a test
-    message is rejected where its base-detector score reaches its
-    predicted subset's threshold in repair_report.json, and repaired
-    where its id is among that representation's re_accepted_ids."""
-    repair = _load(cfg, "repair_report.json")
-    scores, _, train = pipeline._load_scores(cfg, ())
-    cut = {subset: float(body["threshold"])
-           for subset, body in repair["subsets"].items()}
-    threshold = np.where(scores["predicted"], cut["positive"],
-                         cut["negative"])
-    rejected = ~train & (scores[repair["base_detector"]] >= threshold)
-    repaired = np.zeros_like(rejected)
-    repaired[repair["representations"][repair["repair_representation"]][
-        "re_accepted_ids"]] = True
-    return np.where(repaired, "repaired",
-                    np.where(rejected, "rejected", "accepted"))
+    "rejected" or "repaired": the ``outcome`` of README's one python
+    block, run in a directory whose out/ and config.json are the run's."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"^```python\n(.*?)^```$",
+                         readme.read_text(encoding="utf-8"), re.M | re.S)
+    (tmp_path / "out").symlink_to(run[2])
+    shutil.copy(run[3], tmp_path / "config.json")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(block, namespace)
+    return namespace["outcome"]
 
 
 def _assert_subset_counts(repair: dict, rejected, predicted, gold) -> None:
@@ -286,7 +360,7 @@ def _every_xmap(cfg: PipelineConfig):
     group, whose profile is the one-row representations of its mean
     contribution, NaN for an empty or massless group, and every column
     scored in one misclassification_score call."""
-    scores, gold, train = pipeline._load_scores(cfg, ())
+    scores, gold, train = pipeline._load_scores(cfg)
     predicted, tc = scores["predicted"], _contributions(cfg)
     n, m = tc.shape
     vectors = np.empty((n, len(REPRESENTATIONS), m))
@@ -309,45 +383,62 @@ def _every_xmap(cfg: PipelineConfig):
 class TestStageOutputs:
     def test_all_artifacts_exist(self, mini_run):
         _, _, out, _ = mini_run
-        assert {p.name for p in out.iterdir()} == set(PRODUCER)
-        assert set(pipeline.ARTIFACTS) == set(PRODUCER)
+        assert {p.name for p in out.iterdir()} == set(layouts.FILES)
 
-    def test_every_artifact_holds_the_keys_its_table_lists(self, mini_run):
-        # Read without _load, which checks the same table: each .npz
-        # holds its required members and no member outside its layout,
-        # each of its dtype kind and shape, with n the messages, d the
-        # columns, M the topics and any other name one size per archive.
-        _, _, out, cfg_path = mini_run
-        with np.load(out / "dataset.npz") as npz:
-            n = npz["gold"].size
-        with np.load(out / "model.npz") as npz:
-            d = npz["weights"].size
-        dims = {"n": n, "d": d, "M": load_config(cfg_path).n_topics}
-        for name, (producer, layout) in pipeline.ARTIFACTS.items():
-            assert producer == PRODUCER[name], name
-            path = out / name
-            if path.suffix == ".npz":
+    def test_artifacts_agree_with_the_layout_record(self):
+        # ARTIFACTS states for the program what tests/layouts.py records
+        # by hand: every file, and each archive's members but the digest,
+        # each of the kind of its dtype in every variant, OPTIONAL iff
+        # some variant lacks it and NA iff the record says so.
+        assert set(pipeline.ARTIFACTS) == set(layouts.FILES)
+        for name, variants in layouts.LAYOUTS.items():
+            table = pipeline.ARTIFACTS[name][1]
+            assert set(table) == set().union(*variants.values()) - {
+                "digest"}, name
+            for key, spec in table.items():
+                dtypes = [layout[key] for layout in variants.values()
+                          if key in layout]
+                assert {dtype if len(dtype) == 1 else np.dtype(dtype).kind
+                        for dtype in dtypes} == {spec[0]}, (name, key)
+                assert (pipeline.OPTIONAL in spec) == (
+                    len(dtypes) < len(variants)), (name, key)
+                assert (pipeline.NA in spec) == (
+                    key in layouts.NA.get(name, ())), (name, key)
+
+    def test_every_artifact_holds_the_keys_its_table_lists(
+            self, mini_run, kernel_run, nb_run):
+        # Every archive of each shared run holds the members and dtypes
+        # tests/layouts.py records, deflated, and a finished run exactly
+        # its files.  Read without _load, which checks the same: each
+        # member is of the shape ARTIFACTS gives, with n the messages, d
+        # the columns, M the topics and any other name one size per
+        # archive, and each report holds the keys ARTIFACTS lists.
+        layouts.check_run(mini_run[2], load_config(mini_run[3]))
+        for _, _, out, cfg_path in (mini_run, kernel_run, nb_run):
+            cfg = load_config(cfg_path)
+            with np.load(out / "dataset.npz") as npz:
+                n = npz["gold"].size
+            with np.load(out / "model.npz") as npz:
+                d = npz["weights"].size
+            for path in sorted(out.glob("*.npz")):
+                layouts.check_archive(path, layouts.layout(path.name, cfg))
+                layout = pipeline.ARTIFACTS[path.name][1]
                 with np.load(path) as npz:
-                    arrays = {key: npz[key] for key in npz.files}
-                assert arrays.pop("digest").dtype.kind == "S", name
-                required = {key for key, spec in layout.items()
-                            if pipeline.OPTIONAL not in spec}
-                assert required <= set(arrays) <= set(layout), name
-                bound = dict(dims)
-                for key, array in arrays.items():
-                    kind, shape = layout[key][:2]
-                    assert array.dtype.kind == kind, (name, key)
-                    assert array.ndim == len(shape), (name, key)
-                    for axis, size in zip(shape, array.shape):
+                    shapes = {key: npz[key].shape for key in npz.files
+                              if key != "digest"}
+                bound = {"n": n, "d": d, "M": cfg.n_topics}
+                for key, shape in shapes.items():
+                    axes = layout[key][1]
+                    assert len(shape) == len(axes), (path.name, key)
+                    for axis, size in zip(axes, shape):
                         want = (axis if isinstance(axis, int) else size
                                 if axis is None else bound.setdefault(axis,
                                                                       size))
-                        assert size == want, (name, key, axis)
-            elif path.suffix == ".json":
-                found = set(json.loads(path.read_text(encoding="utf-8")))
-                assert set(layout) <= found, name
-            else:
-                assert layout == (), name
+                        assert size == want, (path.name, key, axis)
+        for name in ("detector_report.json", "repair_report.json"):
+            found = json.loads((mini_run[2] / name).read_text(
+                encoding="utf-8"))
+            assert set(pipeline.ARTIFACTS[name][1]) <= set(found), name
 
     @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
     def test_no_archive_stores_ids(self, run, request):
@@ -366,10 +457,7 @@ class TestStageOutputs:
         # from them.
         out = request.getfixturevalue(run)[2]
         with np.load(out / "dataset.npz") as npz:
-            assert sorted(npz.files) == [
-                "data", "digest", "gold", "idf", "indices", "indptr",
-                "phrase_vocab", "phrase_vocab_offsets", "shape", "text",
-                "text_offsets", "train", "word_vocab", "word_vocab_offsets"]
+            assert set(npz.files) == set(layouts.DATASET)
             assert npz["train"].dtype == bool
         archives = sorted(set(out.glob("*.npz")) - {out / "dataset.npz"})
         assert (out / "scores.npz" in archives) == (run == "mini_run")
@@ -384,7 +472,7 @@ class TestStageOutputs:
         cfg = load_config(mini_run[3])
         with np.load(mini_run[2] / "dataset.npz") as npz:
             assert npz["gold"].dtype == np.bool_
-        assert pipeline._load_scores(cfg, ())[0]["predicted"].dtype == np.bool_
+        assert pipeline._load_scores(cfg)[0]["predicted"].dtype == np.bool_
 
     def test_every_artifact_carries_the_config_digest(self, mini_run):
         # An archive's digest member is deflated, so it is read, not
@@ -402,7 +490,7 @@ class TestStageOutputs:
             else:
                 found[path.name] = digest if digest in path.read_text(
                     encoding="utf-8") else None
-        assert found == dict.fromkeys(PRODUCER, digest)
+        assert found == dict.fromkeys(pipeline.ARTIFACTS, digest)
 
     def test_archives_stored_undeflated_stay_readable(self, mini_run,
                                                      tmp_path):
@@ -434,11 +522,11 @@ class TestStageOutputs:
                      "report.md"):
             assert (copy / name).read_bytes() == (out / name).read_bytes()
 
-    def test_scores_outcomes_partition(self, mini_run):
-        _, _, _, cfg_path = mini_run
-        cfg = load_config(cfg_path)
-        outcome = _outcomes(cfg)
-        scores, gold, train = pipeline._load_scores(cfg, ())
+    def test_scores_outcomes_partition(self, mini_run, tmp_path,
+                                       monkeypatch):
+        cfg = load_config(mini_run[3])
+        outcome = _readme_outcome(mini_run, tmp_path, monkeypatch)
+        scores, gold, train = pipeline._load_scores(cfg)
         assert outcome.shape == gold.shape
         assert set(outcome.tolist()) <= {"accepted", "rejected", "repaired"}
         # Only test messages can be rejected or repaired, and the derived
@@ -448,7 +536,8 @@ class TestStageOutputs:
                               outcome != "accepted", scores["predicted"],
                               gold)
 
-    def test_repair_agrees_with_evaluate_and_outcomes(self, mini_run):
+    def test_repair_agrees_with_evaluate_and_outcomes(self, mini_run,
+                                                      tmp_path, monkeypatch):
         _, _, out, cfg_path = mini_run
         cfg = load_config(cfg_path)
         detector, repair = (
@@ -461,7 +550,7 @@ class TestStageOutputs:
                 assert body[key] == base[key], (subset, key)
 
         scores, gold, train = pipeline._load_scores(cfg)
-        outcome = _outcomes(cfg)
+        outcome = _readme_outcome(mini_run, tmp_path, monkeypatch)
         re_accepted = repair["representations"][
             cfg.repair_representation]["re_accepted_ids"]
         assert np.flatnonzero(outcome == "repaired").tolist() == re_accepted
@@ -566,7 +655,7 @@ class TestStageOutputs:
         # supports on the polarity its prediction selects, summed into
         # that polarity's topics.
         cfg = load_config(mini_run[3])
-        scores, gold, _ = pipeline._load_scores(cfg, ())
+        scores, gold, _ = pipeline._load_scores(cfg)
         stored, predicted = _contributions(cfg), scores["predicted"]
         _, _, space, X = _load_features(cfg)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
@@ -709,7 +798,7 @@ class TestStageOutputs:
         # messages of gold label l, on the polarity that label selects.
         _, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
-        scores, gold, train = pipeline._load_scores(cfg, ())
+        scores, gold, train = pipeline._load_scores(cfg)
         _, _, space, X = _load_features(cfg)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         expected = np.empty((2, len(REPRESENTATIONS), cfg.n_topics))
@@ -746,7 +835,7 @@ class TestStageOutputs:
 
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
-        scores, gold, train = pipeline._load_scores(cfg, ())
+        scores, gold, train = pipeline._load_scores(cfg)
         _, _, space, X = _load_features(cfg)
         phi = _load_phi(cfg, space, _load_model(cfg, space), X)()
         reliable = train & (scores["predicted"] == gold)
@@ -820,9 +909,10 @@ class TestDeterminism:
 
 
 class TestGuards:
-    def test_digest_mismatch_refuses_to_combine(self, mini_run, capsys):
-        root, tsv, out, _ = mini_run
-        other = _write_config(root / "run", tsv, out, seed=12)
+    def test_digest_mismatch_refuses_to_combine(self, mini_run, tmp_path,
+                                                capsys):
+        _, tsv, out, _ = mini_run
+        other = _write_config(tmp_path, tsv, out, seed=12)
         rc = cli.main(["score", "--config", str(other)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -851,58 +941,29 @@ class TestGuards:
             assert "digest" in err
         else:
             assert err.startswith(f"[report] cannot read {name} (")
-            assert err.endswith(f"); rerun {PRODUCER[name]}\n")
+            assert err.endswith(
+                f"); rerun {pipeline.ARTIFACTS[name][0]}\n")
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
 
-    # The first stage that reads each artifact a later stage needs.
-    FIRST_READER = {"dataset.npz": "train", "model.npz": "explain",
-                    "shap.npz": "profile", "topics.npz": "score",
-                    "scores.npz": "evaluate",
-                    "detector_report.json": "report",
-                    "repair_report.json": "report"}
-
-    @pytest.mark.parametrize("name", sorted(FIRST_READER))
+    # Every artifact but the last stage's is read by a later stage.
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (producer, _) in pipeline.ARTIFACTS.items()
+        if producer != STAGES[-1]))
     def test_missing_artifact_names_its_producer(self, mini_run, tmp_path,
-                                                 capsys, name):
+                                                 capsys, first_stage, name):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         (copy / name).unlink()
-        reader = self.FIRST_READER[name]
+        reader = first_stage(name)
         assert cli.main([reader, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
-            f"[{reader}] missing {name}; run {PRODUCER[name]} first\n")
+            f"[{reader}] missing {name}; run {pipeline.ARTIFACTS[name][0]} "
+            "first\n")
 
-    # A key of each .npz a later stage reads, and a stage that reads it.
-    MISSING_KEY = [("dataset.npz", "gold", "train"),
-                   ("dataset.npz", "idf", "train"),
-                   ("dataset.npz", "indptr", "train"),
-                   ("model.npz", "kind", "explain"),
-                   ("shap.npz", "explained_output", "profile"),
-                   ("topics.npz", "assignment_plus", "score"),
-                   ("topics.npz", "H_minus", "score"),
-                   ("scores.npz", "xmap_rel_u", "evaluate"),
-                   ("scores.npz", "xmap_rel_u", "repair"),
-                   ("scores.npz", "xmap_rel_u", "report")]
-
-    @pytest.mark.parametrize("name, key, reader", MISSING_KEY)
-    def test_missing_key_names_the_file(self, mini_run, tmp_path, capsys,
-                                        name, key, reader):
-        _, cfg_path = _copy_run(mini_run, tmp_path)
-        cfg = load_config(cfg_path)
-        arrays = _load(cfg, name)
-        del arrays[key]
-        _save(cfg, name, **arrays)
-        assert cli.main([reader, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"[{reader}] {name} is malformed (missing {key!r}); "
-            f"rerun {PRODUCER[name]}\n")
-
-    # The top-level keys report reads from each JSON report.
-    REPORT_KEYS = {"detector_report.json": ["subsets", "trr_fix"],
-                   "repair_report.json": ["base_detector", "representations",
-                                          "subsets"]}
-
-    @pytest.mark.parametrize("name", sorted(REPORT_KEYS))
+    # report reads from each JSON report the top-level keys ARTIFACTS
+    # lists.
+    @pytest.mark.parametrize("name", sorted(
+        name for name in pipeline.ARTIFACTS if name.endswith(".json")))
     def test_report_missing_keys_names_the_file(self, mini_run, tmp_path,
                                                 capsys, name):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
@@ -910,10 +971,11 @@ class TestGuards:
         (copy / name).write_text(json.dumps({"config_digest": digest}),
                                  encoding="utf-8")
         assert cli.main(["report", "--config", str(cfg_path)]) == 2
-        missing = ", ".join(repr(key) for key in self.REPORT_KEYS[name])
+        producer, keys = pipeline.ARTIFACTS[name]
+        missing = ", ".join(repr(key) for key in keys)
         assert capsys.readouterr().err == (
             f"[report] {name} is malformed (missing {missing}); "
-            f"rerun {PRODUCER[name]}\n")
+            f"rerun {producer}\n")
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
 
@@ -938,7 +1000,7 @@ class TestGuards:
         assert cli.main(["report", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
             f"[report] {name} is malformed (KeyError({key!r})); "
-            f"rerun {PRODUCER[name]}\n")
+            f"rerun {pipeline.ARTIFACTS[name][0]}\n")
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
 
@@ -964,7 +1026,7 @@ class TestGuards:
         assert cli.main(["report", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"[report] {name} is malformed (ValueError(")
-        assert err.endswith(f"); rerun {PRODUCER[name]}\n")
+        assert err.endswith(f"); rerun {pipeline.ARTIFACTS[name][0]}\n")
         assert err.count("\n") == 1
         assert (copy / "report.md").read_bytes() == (
             mini_run[2] / "report.md").read_bytes()
@@ -1146,7 +1208,7 @@ class TestGuards:
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         cfg = load_config(cfg_path)
         name = self.DERIVATION_INPUTS[damage]
-        producer = PRODUCER[name]
+        producer = pipeline.ARTIFACTS[name][0]
         if damage == "missing_topics":
             (copy / name).unlink()
             expected = f"missing {name}; run {producer} first"
@@ -1287,7 +1349,7 @@ class TestGuards:
         assert cli.main([stage, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
             f"[{stage}] {name} is malformed ({key} holds a non-finite "
-            f"value); rerun {PRODUCER[name]}\n")
+            f"value); rerun {pipeline.ARTIFACTS[name][0]}\n")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("damage", [
@@ -1361,7 +1423,7 @@ class TestGuards:
                         if issubclass(w.category, ResourceWarning)]
             err = capsys.readouterr().err
             assert err.startswith(f"[{stage}] cannot read {name} (")
-            assert err.endswith(f"); rerun {PRODUCER[name]}\n")
+            assert err.endswith(f"); rerun {pipeline.ARTIFACTS[name][0]}\n")
             assert err.count("\n") == 1
             errors.append(err)
         assert any("Error -3 while decompressing" in err for err in errors)
@@ -1415,84 +1477,64 @@ class TestGuards:
         assert err.endswith("); rerun prepare\n") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
-    # A member of each archive stored as another dtype kind: floats as
-    # integers, booleans as uint8 (how labels were stored before they
-    # were booleans), anything else as floats.
-    WRONG_KIND = {"dataset.npz": "train", "model.npz": "weights",
-                  "shap.npz": "base_values", "topics.npz": "columns_plus",
-                  "scores.npz": "p_pos"}
-    # The archives of each run; the kernel run stops after profile.
-    ARCHIVES = {"mini_run": sorted(WRONG_KIND),
-                "kernel_run": ["dataset.npz", "model.npz", "shap.npz",
-                               "topics.npz"]}
-    # The float members of each run's archives, and an nb run's
-    # structural bounds; NaN means NA in NA_MEMBERS alone.
-    PREPARED = (("dataset.npz", "idf"), ("dataset.npz", "data"),
-                ("model.npz", "weights"), ("model.npz", "bias"),
-                ("shap.npz", "base_values"), ("shap.npz", "mu"),
-                *(("topics.npz", f"{key}_{polarity}")
-                  for polarity in pipeline.POLARITIES
-                  for key in ("H", "objective")))
-    FLOATS = {"mini_run": (*PREPARED, ("scores.npz", "p_pos"),
-                           ("scores.npz", "contributions"),
-                           ("scores.npz", "xmap_rel_u")),
-              "kernel_run": (*PREPARED, ("model.npz", "calibration"),
-                             ("shap.npz", "data")),
-              "nb_run": (("model.npz", "struct_min"),
-                         ("model.npz", "struct_max"))}
-    NA_MEMBERS = {("scores.npz", "xmap_rel_u")}
-    OFF_LAYOUT = [*((run, name, damage) for run, names in ARCHIVES.items()
-                    for name in names
-                    for damage in ("stray_member", "wrong_kind")),
-                  *((run, "dataset.npz", "short_idf") for run in ARCHIVES),
-                  *((run, name, f"non_finite_{key}")
-                    for run, members in FLOATS.items()
-                    for name, key in members)]
-
-    @pytest.mark.parametrize("run, name, damage", OFF_LAYOUT)
-    def test_archive_off_its_layout_fails(self, run, name, damage, request,
-                                          tmp_path, capsys):
+    @pytest.mark.parametrize("run, name, damage, key", _off_layout())
+    def test_archive_off_its_layout_fails(self, run, name, damage, key,
+                                          request, tmp_path, capsys,
+                                          first_stage):
         # Each archive must hold exactly its layout's members, each of
         # its dtype kind and shape, and a float member NaN or inf only in
-        # an NA member: its first reader refuses any other.  A NaN in an
-        # NA member loads.
+        # an NA member.  The archive's first reader refuses a stray or a
+        # missing member, an optional one through the model or phi it
+        # builds, and the first stage that decodes a member refuses it of
+        # another kind (floats stored as integers, booleans as uint8, as
+        # labels were before they were booleans, anything else as floats)
+        # or not finite.  A NaN in an NA member loads.
         copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         arrays = _load(cfg, name)
-        reader = self.FIRST_READER[name]
+        producer, layout = pipeline.ARTIFACTS[name]
+        reader = first_stage(name)
         if damage == "stray_member":
             arrays["stray"] = np.zeros(1)
             problem = "unexpected 'stray'"
-        elif damage == "wrong_kind":
-            key = self.WRONG_KIND[name]
-            found = np.asarray(arrays[key])
-            arrays[key] = found.astype({"f": np.int64, "b": np.uint8}.get(
-                found.dtype.kind, np.float64))
-            problem = (f"{key} of dtype {arrays[key].dtype}, expected kind "
-                       f"{found.dtype.kind!r}")
         elif damage == "short_idf":
             n, d = arrays["shape"].tolist()
             arrays["idf"] = arrays["idf"][:-1]
             problem = (f"ValueError('idf of shape ({d - 1},) and a ({n}, "
                        f"{d}) matrix, expected ({d},) and ({n}, {d})')")
+        elif damage == "missing":
+            del arrays[key]
+            problem = (None if pipeline.OPTIONAL in layout[key]
+                       else f"missing {key!r}")
+        elif damage == "wrong_kind":
+            reader = first_stage(name, key)
+            found = np.asarray(arrays[key])
+            arrays[key] = np.zeros(found.shape, {
+                "f": np.int64, "b": np.uint8}.get(found.dtype.kind,
+                                                  np.float64))
+            problem = (f"{key} of dtype {arrays[key].dtype}, expected kind "
+                       f"{found.dtype.kind!r}")
         else:
-            key = damage.removeprefix("non_finite_")
+            reader = first_stage(name, key)
             arrays[key] = np.array(arrays[key], dtype=np.float64)
             middle = arrays[key].size // 2
             arrays[key].flat[middle] = np.nan
-            problem = (None if (name, key) in self.NA_MEMBERS
-                       else f"{key} holds a non-finite value")
+            problem = f"{key} holds a non-finite value"
+            if key in layouts.NA.get(name, ()):
+                _save(cfg, name, **arrays)
+                n = len(_load_dataset(cfg)[0])
+                assert np.isnan(_load(cfg, name, n=n)[key].flat[middle])
+                assert cli.main([reader, "--config", str(cfg_path)]) == 0
+                return
         _save(cfg, name, **arrays)
-        if problem is None:
-            assert pipeline.NA in pipeline.ARTIFACTS[name][1][key]
-            n = len(_load_dataset(cfg)[0])
-            assert np.isnan(_load(cfg, name, n=n)[key].flat[middle])
-            assert cli.main([reader, "--config", str(cfg_path)]) == 0
-            return
-        expected = f"{name} is malformed ({problem}); rerun {PRODUCER[name]}"
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert cli.main([reader, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == f"[{reader}] {expected}\n"
+        err = capsys.readouterr().err
+        head = f"[{reader}] {name} is malformed ("
+        tail = f"); rerun {producer}\n"
+        assert err.startswith(head) and err.endswith(tail), err
+        assert problem is None or err == head + problem + tail
+        assert err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
@@ -1515,9 +1557,7 @@ class TestLinearExplain:
                                    classifier=classifier,
                                    nb_linear_attribution=True,
                                    word_quota=60, phrase_quota=40)
-        with np.load(out / "shap.npz") as npz:
-            assert set(npz.files) == {
-                "digest", "base_values", "explained_output", "mu"}
+        layouts.check_archive(out / "shap.npz", layouts.SHAP["margin"])
         cfg = load_config(cfg_path)
         labels, train, space, vectors = _load_features(cfg)
         X = vectors.dense()
@@ -1595,9 +1635,7 @@ class TestKernelExplain:
         # attributions, the sign of every zero included.
         out, cfg_path = _small_run(tmp_path, STAGES[:3],
                                    **{**KERNEL, "classifier": classifier})
-        with np.load(out / "shap.npz") as npz:
-            assert set(npz.files) == {
-                "digest", "base_values", "explained_output", "mu", "data"}
+        layouts.check_archive(out / "shap.npz", layouts.SHAP["probability"])
         cfg = load_config(cfg_path)
         gold, train, space, X = _load_features(cfg)
         shap = _load(cfg, "shap.npz")
@@ -1751,22 +1789,11 @@ class TestArrayArtifacts:
         assert pipeline._strings(back, "word_vocab") == labels
         assert pipeline._strings(back, "phrase_vocab") == labels[::-1]
 
-    def test_no_stage_after_prepare_reads_the_text(self, mini_run, tmp_path,
-                                                   monkeypatch):
-        # Each stage decodes only the members it reads, and none reads
-        # the messages' text back from dataset.npz.
-        _, cfg_path = _copy_run(mini_run, tmp_path)
-        real, read = np.lib.npyio.NpzFile.__getitem__, set()
-
-        def spy(self, key):
-            read.add((Path(self.zip.filename).name, key))
-            return real(self, key)
-
-        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
-        decoded = {}
-        for stage in STAGES[1:]:
-            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
-            decoded[stage], read = read, set()
+    def test_no_stage_after_prepare_reads_the_text(self, mini_run,
+                                                   kernel_run, nb_run,
+                                                   decoded):
+        # Each stage decodes only the members it reads, and in no shared
+        # run does one read the messages' text back from dataset.npz.
         # The readers of X, train to score, decode every other member of
         # dataset.npz.  The readers of scores.npz decode its labels and
         # split, and of scores.npz and the topics they derive the
@@ -1774,18 +1801,20 @@ class TestArrayArtifacts:
         # the output-uncertainty columns are derived, the stored
         # xmap_rel_u, the topic contributions and both polarities' H.
         # score reads every member of the topics.
+        for record in decoded.values():
+            assert not any(UNDECODED & read for read in record.values())
+        cfg = load_config(mini_run[3])
+
         def members(name, keys=None):
-            return {(name, key) for key in ("digest", *(
-                keys or pipeline.ARTIFACTS[name][1]))}
-        X = {(name, key) for name, key in members("dataset.npz")
-             if not key.startswith("text")}
-        readers = (members("dataset.npz", ("gold", "train"))
+            return {(name, key) for key in keys or layouts.layout(name, cfg)}
+        X = members("dataset.npz") - UNDECODED
+        readers = (members("dataset.npz", ("digest", "gold", "train"))
                    | members("scores.npz")
-                   | members("topics.npz", [f"H_{polarity}" for polarity
-                                            in pipeline.POLARITIES]))
-        assert {stage: {(name, key) for name, key in keys if name in {
+                   | members("topics.npz", ("digest", "H_minus", "H_plus")))
+        assert {stage: {(name, key) for name, key in read if key and name in {
                     "dataset.npz", "scores.npz", "topics.npz"}}
-                for stage, keys in decoded.items()} == {
+                for stage, read in decoded["mini_run"].items()
+                if stage != STAGES[0]} == {
             **dict.fromkeys(STAGES[1:4], X),
             "score": X | members("topics.npz"),
             **dict.fromkeys(STAGES[5:], readers)}
@@ -1822,14 +1851,15 @@ class TestArrayArtifacts:
         rest = {"contributions": np.zeros((3, cfg.n_topics)),
                 "xmap_rel_u": np.zeros(3)}
         _save(cfg, "scores.npz", p_pos=np.array([0.9, 0.2, 0.4]), **rest)
-        assert pipeline._load_scores(cfg, ())[0]["predicted"].tolist() == [
-            True, False, False]
+        p_pos = _load(cfg, "scores.npz", ("p_pos",), n=3)["p_pos"]
+        assert pipeline._output_columns(p_pos, cfg.temperature)[
+            "predicted"].tolist() == [True, False, False]
         for p_pos in ([0.5] * 2, [0.5] * 4, [[0.5]] * 3, 0.5):
             _save(cfg, "scores.npz", p_pos=np.array(p_pos), **rest)
             with pytest.raises(ArtifactError,
                                match=r"^scores.npz is malformed \(.*; "
                                      "rerun score$"):
-                pipeline._load_scores(cfg, ())
+                pipeline._load_scores(cfg)
 
     def test_only_artifact_names_resolve(self, tmp_path):
         with pytest.raises(KeyError, match="a.npz"):
@@ -1839,12 +1869,12 @@ class TestArrayArtifacts:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("name", sorted(PRODUCER))
+    @pytest.mark.parametrize("name", sorted(pipeline.ARTIFACTS))
     def test_failed_write_keeps_previous_file(self, name, mini_run,
                                               tmp_path, monkeypatch, capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert set(PRODUCER) <= set(before)
+        assert set(pipeline.ARTIFACTS) <= set(before)
         real_open = open
 
         class HalfWriter:
@@ -1867,7 +1897,8 @@ class TestAtomicWrites:
                 yield HalfWriter(fh) if target else fh
 
         monkeypatch.setattr(atomic, "open", failing_open, raising=False)
-        assert cli.main([PRODUCER[name], "--config", str(cfg_path)]) == 2
+        producer = pipeline.ARTIFACTS[name][0]
+        assert cli.main([producer, "--config", str(cfg_path)]) == 2
         assert "No space left" in capsys.readouterr().err
         after = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert after.keys() == before.keys()
@@ -1943,8 +1974,8 @@ class TestAtomicWrites:
                 before), k
         after = {p.name: p.read_bytes() for p in copy.iterdir()}
         assert [name for name in sorted(after) if after[name] != before[name]
-                ] == sorted(name for name, producer in PRODUCER.items()
-                            if producer == stage)
+                ] == sorted(name for name, (producer, _)
+                            in pipeline.ARTIFACTS.items() if producer == stage)
 
     def test_every_stage_writes_one_file(self, mini_run, tmp_path,
                                          monkeypatch):
