@@ -95,16 +95,14 @@ def background_rows(y_train: np.ndarray, size: int = 50,
 
 
 def linear_shap(model: LinearModel, X: np.ndarray,
-                mu: np.ndarray, columns=None) -> tuple[np.ndarray, float]:
+                mu: np.ndarray, columns=None) -> np.ndarray:
     """Exact attributions of the model's margin w.t(x) + b.
 
-    Returns (phi, base value): phi = w * (t(x) - t(mu)) for one vector x
-    or for each row of a matrix X, and base = w.t(mu) + b, so base +
-    sum(phi) is the margin; t is the model's transform, the identity but
-    for NB.  Given ``columns`` (indices or a slice), X holds only those
-    columns and phi is the same columns of the full phi, bit for bit,
-    since every step is elementwise; the base value is still the full
-    one.
+    phi = w * (t(x) - t(mu)) for one vector x or for each row of a matrix
+    X, so w.t(mu) + b + sum(phi) is the margin; t is the model's
+    transform, the identity but for NB.  Given ``columns`` (indices or a
+    slice), X holds only those columns and phi is the same columns of the
+    full phi, bit for bit, since every step is elementwise.
     """
     X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -114,7 +112,7 @@ def linear_shap(model: LinearModel, X: np.ndarray,
         raise ValueError(f"expected vectors of length {w.size}, got "
                          f"{X.shape} and {mu.shape}")
     X, mu = model.transform(X, columns), model.transform(mu)
-    return w[taken] * (X - mu[taken]), float(w @ mu + model.bias)
+    return w[taken] * (X - mu[taken])
 
 
 def _shapley_kernel_weights(m: int, sizes: np.ndarray) -> np.ndarray:
@@ -297,19 +295,16 @@ def _default_workers() -> int:
 
 
 def _explain_rows(job, rows) -> tuple:
-    """kernel_shap of the given rows as their values, row after row, and
-    their base values, plus the warnings raised on the way as (message,
-    filename, lineno)."""
+    """kernel_shap of the given rows as their values, row after row, plus
+    the warnings raised on the way as (message, filename, lineno)."""
     model, X, background, n_coalitions, seed = job
-    values, bases = [np.zeros(0)], []
+    values = [np.zeros(0)]
     with warnings.catch_warnings(record=True) as caught:
         for i in rows:
-            shap = kernel_shap(model, X.dense([i])[0], background,
-                               n_coalitions=n_coalitions, seed=seed,
-                               msg_id=int(i))
-            values.append(shap.values)
-            bases.append(shap.base_value)
-    return (np.concatenate(values), np.array(bases, dtype=float),
+            values.append(kernel_shap(model, X.dense([i])[0], background,
+                                      n_coalitions=n_coalitions, seed=seed,
+                                      msg_id=int(i)).values)
+    return (np.concatenate(values),
             [(w.message, w.filename, w.lineno) for w in caught])
 
 
@@ -328,17 +323,17 @@ def _explain_chunk(rows) -> tuple:
 def kernel_explain(model: LinearModel | Callable, X: CSR,
                    background: np.ndarray,
                    n_coalitions: int | None = None, seed: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> np.ndarray:
     """kernel_shap of every row of X, made dense one row at a time, row i
     as message i, against the (k, d) background rows.
 
-    Returns (values, base values): each row's values on its active
-    columns (zeros included) in ascending column order, row after row,
-    which kernel_phi puts back on the columns given the background mean;
-    and the n base values.  The rows run in a fork process pool of
-    _default_workers() processes, at most one per message, or in this
-    process when that is one.  A worker's warnings are raised again here
-    in message order, and its exception propagates.
+    Returns each row's values on its active columns (zeros included) in
+    ascending column order, row after row, which kernel_phi puts back on
+    the columns given the background mean.  The rows run in a fork
+    process pool of _default_workers() processes, at most one per
+    message, or in this process when that is one.  A worker's warnings
+    are raised again here in message order, and its exception
+    propagates.
     """
     n = X.shape[0]
     workers = min(_default_workers(), n)
@@ -359,11 +354,11 @@ def kernel_explain(model: LinearModel | Callable, X: CSR,
             parts = list(pool.map(_explain_chunk, chunks))
     else:
         parts = [_explain_rows(job, range(n))]
-    values, bases, warned = zip(*parts)
+    values, warned = zip(*parts)
     for caught in warned:
         for message, filename, lineno in caught:
             warnings.warn_explicit(message, type(message), filename, lineno)
-    return np.concatenate(values), np.concatenate(bases)
+    return np.concatenate(values)
 
 
 def active_mask(X: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -27,10 +27,12 @@ bit for bit.  train densifies the training rows, explain blocks of the
 training rows and columns (a kernel run one message at a time), and
 profile and score each polarity's rows and selected columns of phi.
 
-shap.npz stores neither a column index of phi nor the background rows
-(every training row for a linear run, the sample
-attribution.background_rows draws for a kernel run), only their mean
-``mu``.  A linear run's phi = w * (t(X) - t(mu)) is exact and
+shap.npz stores only phi's inputs.  It holds neither a column index of
+phi nor the background rows (every training row for a linear run, the
+sample attribution.background_rows draws for a kernel run), only their
+mean ``mu``, and no base value or name of the explained output: _linear
+decides between the two from the config, for explain and _load_phi
+alike.  A linear run's phi = w * (t(X) - t(mu)) is exact and
 elementwise, and _load_phi rebuilds any slice of it from the same slice
 of X.  A kernel run's phi comes from attribution.kernel_explain, one
 worker process per available core when numpy's BLAS runs one thread
@@ -114,9 +116,8 @@ ARTIFACTS = {
         "structural_start": ("i", (), OPTIONAL),
         **dict.fromkeys(("struct_min", "struct_max"),
                         ("f", (None,), OPTIONAL))}),
-    "shap.npz": ("explain", {
-        "base_values": ("f", ("n",)), "explained_output": ("U", ()),
-        "mu": ("f", ("d",)), "data": ("f", (None,), OPTIONAL)}),
+    "shap.npz": ("explain", {"mu": ("f", ("d",)),
+                             "data": ("f", (None,), OPTIONAL)}),
     "topics.npz": ("profile", {
         f"{key}_{p}": spec for p in POLARITIES for key, spec in (
             ("columns", ("i", (f"k_{p}",))), ("H", ("f", ("M", f"k_{p}"))),
@@ -350,29 +351,34 @@ def _load_scores(cfg):
         Hs = [H[f"H_{p}"] for p in POLARITIES]
         columns = _xmap_columns(
             lambda tc, group_tc, H: uncertainty.topic_representations(
-                tc, _scale(group_tc), H, cfg.k_related, cfg.temperature)[0],
+                tc, _scale(group_tc), H, cfg.k_related, cfg.temperature),
             contributions, f["predicted"], gold, train, Hs)
         f.update(zip(TOPIC_COLUMNS, columns.T.copy()))
         return f
     return _load(cfg, "scores.npz", build=build, n=len(gold)), gold, train
 
+def _linear(cfg) -> bool:
+    """Whether explain attributes the model's margin in closed form
+    (logreg, and nb with nb_linear_attribution) rather than its
+    probability through kernel SHAP."""
+    return cfg.classifier == "logreg" or (
+        cfg.classifier == "nb" and cfg.nb_linear_attribution)
+
 def _load_phi(cfg, space, model, X):
     """phi(rows=None, columns=None): the given rows and columns of the
-    (n, d) attributions explain computed, dense.  A probability (kernel)
-    run's phi is sliced from the CSR that attribution.kernel_phi builds
-    of the stored values on the active sets of X against the background
-    mean; a margin (linear) run's is rebuilt from that mean on the slice
-    of X alone."""
+    (n, d) attributions explain computed, dense.  A linear run's is
+    rebuilt from the background mean on the slice of X alone, and its
+    shap.npz holds no ``data``; a kernel run's is sliced from the CSR
+    that attribution.kernel_phi builds of the stored values ``data`` on
+    the active sets of X against that mean."""
     def build(f):
-        if f["explained_output"] == "probability":
-            return attribution.kernel_phi(X, f["mu"], f["data"]).dense
-        if f["explained_output"] != "margin" or "data" in f:
-            raise ValueError(f"a {f['explained_output']!r} explanation "
-                             f"of {', '.join(sorted(f))}")
-        return lambda rows=None, columns=None: attribution.linear_shap(
-            model, X.dense(rows, columns), f["mu"], columns)[0]
-    return _load(cfg, "shap.npz", build=build, n=X.shape[0],
-                 d=space.n_columns)
+        if _linear(cfg):
+            if "data" in f:
+                raise ValueError("values stored for a linear explanation")
+            return lambda rows=None, columns=None: attribution.linear_shap(
+                model, X.dense(rows, columns), f["mu"], columns)
+        return attribution.kernel_phi(X, f["mu"], f["data"]).dense
+    return _load(cfg, "shap.npz", build=build, d=space.n_columns)
 
 def _save_model(cfg, model) -> None:
     """Every field the model sets: only svm has a calibration, only nb
@@ -471,32 +477,22 @@ def cmd_explain(cfg: PipelineConfig) -> None:
     model = _load_model(cfg, space)
     X_train = X.take(train)
 
-    linear = cfg.classifier == "logreg" or (
-        cfg.classifier == "nb" and cfg.nb_linear_attribution)
-
-    if linear:
+    if _linear(cfg):
         # Exact linear attributions against the mean of every training
         # row: phi is dense but elementwise in X, so only mu is stored and
-        # _load_phi rebuilds it.  The base value depends on mu alone.  mu
-        # comes from dense column blocks of X_train, the bits of the mean
-        # of X_train dense.
-        mu = np.concatenate([
+        # _load_phi rebuilds it.  mu comes from dense column blocks of
+        # X_train, the bits of the mean of X_train dense.
+        _save(cfg, "shap.npz", mu=np.concatenate([
             X_train.dense(columns=block).mean(axis=0)
             for block in features.blocks(space.n_columns,
-                                         features.COLUMN_BLOCK)])
-        base = attribution.linear_shap(model, mu, mu)[1]
-        base_values = np.full(len(gold), base)
-        explained, stored = "margin", {"mu": mu}
-    else:
-        background = X_train.dense(attribution.background_rows(
-            gold[train], cfg.background_size, cfg.seed))
-        data, base_values = attribution.kernel_explain(
-            model, X, background, n_coalitions=cfg.n_coalitions, seed=cfg.seed)
-        explained = "probability"
-        stored = {"mu": background.mean(axis=0), "data": data}
-
-    _save(cfg, "shap.npz", base_values=base_values,
-          explained_output=np.array(explained), **stored)
+                                         features.COLUMN_BLOCK)]))
+        return
+    background = X_train.dense(attribution.background_rows(
+        gold[train], cfg.background_size, cfg.seed))
+    _save(cfg, "shap.npz", mu=background.mean(axis=0),
+          data=attribution.kernel_explain(
+              model, X, background, n_coalitions=cfg.n_coalitions,
+              seed=cfg.seed))
 
 
 # ---------------------------------------------------------------- profile
@@ -612,8 +608,8 @@ def cmd_score(cfg: PipelineConfig) -> None:
     # other seven are derived where they are read (_load_scores).
     xmap_rel_u = _xmap_columns(
         lambda tc, group_tc, _: uncertainty.rel_u_vector(
-            uncertainty.original(tc)[0], uncertainty.original(group_tc)[0],
-            cfg.k_nn)[0][:, None],
+            uncertainty.original(tc), uncertainty.original(group_tc),
+            cfg.k_nn)[:, None],
         contributions, predicted, gold, train, Hs)[:, 0]
 
     _save(cfg, "scores.npz", p_pos=p_pos, contributions=contributions,

@@ -6,10 +6,9 @@ signature: raw topic mix, missing evidence, conflicting evidence,
 entropy among related topics, and topic-wise analogues of
 output-probability detectors.  Every function works on arrays whose last
 axis holds the M topics, so a whole message set is one call; each
-representation returns its vectors and a degenerate flag per vector
-(an all-zero raw vector replaced by the uniform one).  A parallel set of
-scores applies the same detector families directly to a classifier's
-output probabilities.
+representation returns its vectors alone, with an all-zero raw vector
+replaced by the uniform one.  A parallel set of scores applies the same
+detector families directly to a classifier's output probabilities.
 """
 
 from __future__ import annotations
@@ -37,14 +36,13 @@ OUTPUT_UQ_METHODS = ("entropy", "doctor_alpha", "doctor_beta", "odin",
                      "rel_u", "vacuity", "dissonance")
 
 
-def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(raw L1-normalized along the last axis, degenerate flags); a
-    vector without mass becomes uniform and is flagged."""
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    """raw L1-normalized along the last axis; a vector without mass
+    becomes uniform."""
     total = raw.sum(axis=-1, keepdims=True)
     massless = total <= 0.0
-    vectors = np.where(massless, 1.0 / raw.shape[-1],
-                       raw / np.where(massless, 1.0, total))
-    return vectors, massless[..., 0]
+    return np.where(massless, 1.0 / raw.shape[-1],
+                    raw / np.where(massless, 1.0, total))
 
 
 def _plogp(x: np.ndarray) -> np.ndarray:
@@ -91,12 +89,12 @@ def evidence_scale(tcs: np.ndarray) -> float:
     return s
 
 
-def original(tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def original(tc: np.ndarray) -> np.ndarray:
     """The topic mix itself, L1-normalized."""
     return _normalized(np.asarray(tc, dtype=float))
 
 
-def vacuity_vector(tc: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+def vacuity_vector(tc: np.ndarray, s: float) -> np.ndarray:
     """Per-topic lack of evidence: weak topics get the large entries.
 
     1 / (1 + tc/s), formed as s / (s + tc) so that no ratio overflows
@@ -105,7 +103,7 @@ def vacuity_vector(tc: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return _normalized(s / (s + np.asarray(tc, dtype=float)))
 
 
-def dissonance_vector(tc: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+def dissonance_vector(tc: np.ndarray, s: float) -> np.ndarray:
     """Conflict among comparably supported topics.
 
     Beliefs are evidence shares; each topic's dissonance weighs the other
@@ -144,8 +142,7 @@ def topic_neighborhoods(H: np.ndarray, k: int) -> np.ndarray:
     return order[order != np.arange(m)[:, None]].reshape(m, m - 1)[:, :k]
 
 
-def aleatory_vector(p: np.ndarray, H: np.ndarray,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
+def aleatory_vector(p: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
     """Entropy of the topic distribution restricted to each topic's
     neighborhood of related topics."""
     p = np.asarray(p, dtype=float)
@@ -158,19 +155,18 @@ def aleatory_vector(p: np.ndarray, H: np.ndarray,
     return _normalized(a)
 
 
-def doctor_alpha_vector(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def doctor_alpha_vector(p: np.ndarray) -> np.ndarray:
     """Topic-wise doctor_alpha score, (1-g)/g, of the splits (p_m, 1-p_m)."""
     return _normalized(_split_score(np.asarray(p, dtype=float),
                                     "doctor_alpha"))
 
 
-def doctor_beta_vector(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def doctor_beta_vector(p: np.ndarray) -> np.ndarray:
     """Topic-wise min/max odds (doctor_beta) of the splits (p_m, 1-p_m)."""
     return _normalized(_split_score(np.asarray(p, dtype=float), "doctor_beta"))
 
 
-def odin_vector(p: np.ndarray,
-                temperature: float) -> tuple[np.ndarray, np.ndarray]:
+def odin_vector(p: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled topic distribution, scored by binary margin."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -183,17 +179,17 @@ def odin_vector(p: np.ndarray,
 
 
 def rel_u_vector(p: np.ndarray, references: np.ndarray,
-                 k_nn: int) -> tuple[np.ndarray, np.ndarray]:
+                 k_nn: int) -> np.ndarray:
     """Per-topic disagreement with the nearest reliable references.
 
     Neighbors are the k_nn references (rows) closest in JS divergence,
     ties to the lower row; the per-topic value is the mean absolute
     probability gap.  No references means no representation: NaN
-    vectors (NA), not flagged degenerate.
+    vectors (NA).
     """
     p = np.asarray(p, dtype=float)
     if len(references) == 0:
-        return np.full(p.shape, np.nan), np.zeros(p.shape[:-1], dtype=bool)
+        return np.full(p.shape, np.nan)
     refs = np.asarray(references, dtype=float)
     k = min(k_nn, len(refs))
     rows = p.reshape(-1, p.shape[-1])
@@ -220,19 +216,17 @@ def _check_simplex(vectors: np.ndarray) -> None:
 
 
 def topic_representations(tc: np.ndarray, s: float, H: np.ndarray, k: int,
-                          temperature: float) -> tuple[np.ndarray, np.ndarray]:
+                          temperature: float) -> np.ndarray:
     """Every representation but rel_u of each row of topic contributions
-    tc (n, M): the (n, 7, M) vectors in TOPIC_REPRESENTATIONS order and
-    the (n, 7) degenerate flags.  ValueError unless each is on the
-    simplex."""
-    p, p_degenerate = original(tc)
-    parts = [(p, p_degenerate), vacuity_vector(tc, s),
-             dissonance_vector(tc, s), aleatory_vector(p, H, k),
-             doctor_alpha_vector(p), doctor_beta_vector(p),
-             odin_vector(p, temperature)]
-    vectors = np.stack([vec for vec, _ in parts], axis=-2)
+    tc (n, M): the (n, 7, M) vectors in TOPIC_REPRESENTATIONS order.
+    ValueError unless each is on the simplex."""
+    p = original(tc)
+    vectors = np.stack([p, vacuity_vector(tc, s), dissonance_vector(tc, s),
+                        aleatory_vector(p, H, k), doctor_alpha_vector(p),
+                        doctor_beta_vector(p), odin_vector(p, temperature)],
+                       axis=-2)
     _check_simplex(vectors)
-    return vectors, np.stack([flag for _, flag in parts], axis=-1)
+    return vectors
 
 
 def output_uq_score(p_pos: np.ndarray, method: str,

@@ -49,14 +49,11 @@ MODEL = {
            "struct_min": "float64", "struct_max": "float64"},
 }
 
-# shap.npz of each explained output: margin for a linear run, probability
-# for kernel SHAP.
+# shap.npz of a linear run (logreg, and nb with nb_linear_attribution)
+# and of a kernel SHAP run.
 SHAP = {
-    "margin": {"digest": "S64", "base_values": "float64",
-               "explained_output": "U", "mu": "float64"},
-    "probability": {"digest": "S64", "base_values": "float64",
-                    "explained_output": "U", "mu": "float64",
-                    "data": "float64"},
+    "linear": {"digest": "S64", "mu": "float64"},
+    "kernel": {"digest": "S64", "mu": "float64", "data": "float64"},
 }
 
 # The float members where NaN means not available (NA); every other float
@@ -77,7 +74,7 @@ def layout(name: str, cfg) -> dict[str, str]:
     if name == "shap.npz":
         linear = cfg.classifier == "logreg" or (
             cfg.classifier == "nb" and cfg.nb_linear_attribution)
-        return SHAP["margin" if linear else "probability"]
+        return SHAP["linear" if linear else "kernel"]
     return LAYOUTS[name][None]
 
 

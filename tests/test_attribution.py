@@ -57,18 +57,14 @@ class TestLinearShap:
     def test_two_feature_example(self):
         model = LinearModel(kind="logreg", weights=np.array([2.0, -1.0]),
                             bias=0.0)
-        phi, base = linear_shap(model, np.array([1.0, 1.0]),
-                                np.array([0.0, 0.0]))
+        phi = linear_shap(model, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         assert phi.tolist() == [2.0, -1.0]
-        assert base == 0.0
 
     def test_no_deviation_no_attribution(self):
         model = LinearModel(kind="logreg", weights=np.array([2.0, -1.0]),
                             bias=0.5)
         mu = np.array([0.3, 0.7])
-        phi, base = linear_shap(model, mu.copy(), mu)
-        assert not phi.any()
-        np.testing.assert_allclose(base, 2.0 * 0.3 - 0.7 + 0.5)
+        assert not linear_shap(model, mu.copy(), mu).any()
 
     def test_local_accuracy_exact(self):
         rng = np.random.default_rng(0)
@@ -76,8 +72,9 @@ class TestLinearShap:
                             bias=0.25)
         x = rng.normal(size=20)
         mu = rng.normal(size=20)
-        phi, base = linear_shap(model, x, mu)
-        np.testing.assert_allclose(base + phi.sum(),
+        # The base value is the margin at mu.
+        base = model.weights @ mu + model.bias
+        np.testing.assert_allclose(base + linear_shap(model, x, mu).sum(),
                                    model.weights @ x + model.bias,
                                    rtol=0, atol=1e-12)
 
@@ -86,12 +83,10 @@ class TestLinearShap:
         X = rng.random((6, 5))
         model = train_nb(X, np.array([0, 1] * 3), structural_start=3)
         mu = X.mean(axis=0)
-        phi, base = linear_shap(model, X, mu)
+        phi = linear_shap(model, X, mu)
         assert phi.shape == X.shape
         for i in range(len(X)):
-            row_phi, row_base = linear_shap(model, X[i], mu)
-            np.testing.assert_array_equal(phi[i], row_phi)
-            assert row_base == base
+            np.testing.assert_array_equal(phi[i], linear_shap(model, X[i], mu))
 
     def test_dimension_mismatch(self):
         model = LinearModel(kind="logreg", weights=np.ones(3), bias=0.0)
@@ -456,7 +451,7 @@ class TestKernelExplain:
     @pytest.mark.parametrize("kind", ["svm", "nb"])
     def test_equals_per_message_csr(self, kind, workers, monkeypatch):
         model, X, bg = self._rows(kind)
-        dense, values, bases = np.zeros(X.shape), [], []
+        dense, values = np.zeros(X.shape), []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             for i in range(len(X)):
@@ -464,11 +459,9 @@ class TestKernelExplain:
                 nonzero = phi_of(sv)
                 dense[i, list(nonzero)] = list(nonzero.values())
                 values.append(sv.values)
-                bases.append(sv.base_value)
         monkeypatch.setattr(attribution, "_default_workers", lambda: workers)
         with pytest.warns(UserWarning) as caught:
-            data, base_values = kernel_explain(model, CSR.of(to_csr(X)),
-                                               bg.rows, seed=5)
+            data = kernel_explain(model, CSR.of(to_csr(X)), bg.rows, seed=5)
         assert data.tobytes() == np.concatenate(values).tobytes()
         csr = kernel_phi(CSR.of(to_csr(X)), bg.mean, data)
         expected = to_csr(dense)
@@ -476,7 +469,6 @@ class TestKernelExplain:
         for key in ("indptr", "indices", "data"):
             assert getattr(csr, key).dtype == expected[key].dtype, key
             assert getattr(csr, key).tobytes() == expected[key].tobytes(), key
-        assert base_values.tobytes() == np.array(bases).tobytes()
         # The workers' warnings are raised again here, in message order,
         # row i as message i.
         assert [str(w.message).split(":")[0] for w in caught

@@ -219,12 +219,13 @@ def _copy_run(run, tmp_path: Path) -> tuple[Path, Path]:
 
 
 def _damage_shap(cfg: PipelineConfig, damage: str) -> None:
-    """Rewrite shap.npz with one base value fewer than messages, a mu one
-    column longer, mu missing or, for a kernel run, one value fewer or
-    one more than the active entries of X against mu."""
+    """Rewrite shap.npz with a mu one column longer, mu missing, for a
+    linear run values stored as a kernel run's ``data`` or, for a kernel
+    run, one value fewer or one more than the active entries of X against
+    mu."""
     arrays = _load(cfg, "shap.npz")
-    if damage == "missing_message":
-        arrays["base_values"] = arrays["base_values"][:-1]
+    if damage == "linear_data":
+        arrays["data"] = np.zeros(1)
     elif damage == "extra_column":
         arrays["mu"] = np.append(arrays["mu"], 1.0)
     elif damage == "missing_key":
@@ -304,10 +305,19 @@ def _flip_deflated_byte(path: Path, member: str, at: float) -> None:
     path.write_bytes(bytes(blob))
 
 
-def _score_refuses_shap(cfg_path: Path, capsys) -> None:
-    assert cli.main(["score", "--config", str(cfg_path)]) == 2
+def _refused(copy: Path, cfg_path: Path, capsys, stage: str) -> str:
+    """What the stage printed to stderr; it must exit 2 and leave every
+    file in the run directory copy as it was."""
+    before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    assert cli.main([stage, "--config", str(cfg_path)]) == 2, stage
+    assert {p.name: p.read_bytes() for p in copy.iterdir()} == before, stage
+    return capsys.readouterr().err
+
+
+def _refuses_shap(cfg_path: Path, capsys, stage="score") -> None:
+    assert cli.main([stage, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "[score]" in err and "shap.npz" in err
+    assert f"[{stage}]" in err and "shap.npz" in err
     assert err.endswith("; rerun explain\n") and err.count("\n") == 1
 
 
@@ -353,8 +363,8 @@ def _contributions(cfg: PipelineConfig) -> np.ndarray:
 
 
 def _every_xmap(cfg: PipelineConfig):
-    """(vectors, degenerate, profiles, xmap) rebuilt from scores.npz's
-    contributions, both topics' H and the labels by represent_all, as
+    """(vectors, profiles, xmap) rebuilt from scores.npz's contributions,
+    both topics' H and the labels by represent_all, as
     score and the readers of scores.npz derive them between them: the
     rows predicted each label at once against that label's reliable
     group, whose profile is the one-row representations of its mean
@@ -364,19 +374,17 @@ def _every_xmap(cfg: PipelineConfig):
     predicted, tc = scores["predicted"], _contributions(cfg)
     n, m = tc.shape
     vectors = np.empty((n, len(REPRESENTATIONS), m))
-    degenerate = np.empty((n, len(REPRESENTATIONS)), dtype=bool)
     profiles = np.full((2, len(REPRESENTATIONS), m), np.nan)
     reliable = train & (predicted == gold)
     for label, polarity in enumerate(pipeline.POLARITIES):
         H = _load(cfg, "topics.npz")[f"H_{polarity}"]
         group = tc[reliable & (gold == label)]
         rows = predicted == label
-        vectors[rows], degenerate[rows] = represent_all(tc[rows], group, H,
-                                                        cfg)
+        vectors[rows] = represent_all(tc[rows], group, H, cfg)
         if len(group) and group.mean(axis=0).sum() > 0.0:
             profiles[label] = represent_all(group.mean(axis=0)[None, :],
-                                            group, H, cfg)[0][0]
-    return (vectors, degenerate, profiles,
+                                            group, H, cfg)[0]
+    return (vectors, profiles,
             scoring.misclassification_score(vectors, profiles, predicted))
 
 
@@ -642,9 +650,8 @@ class TestStageOutputs:
         _, _, _, cfg_path = mini_run
         cfg = load_config(cfg_path)
         n = len(_load_dataset(cfg)[0])
-        vectors, degenerate = _every_xmap(cfg)[:2]
+        vectors = _every_xmap(cfg)[0]
         assert vectors.shape == (n, 8, MINI["n_topics"])
-        assert degenerate.shape == (n, 8) and degenerate.dtype == bool
         present = ~np.isnan(vectors).any(axis=2)
         sums = vectors[present].sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -714,7 +721,7 @@ class TestStageOutputs:
         assert cli.main(["score", "--config", str(cfg_path)]) == 0
         monkeypatch.undo()
         [computed] = calls
-        vectors, _, profiles, xmap = _every_xmap(cfg)
+        vectors, profiles, xmap = _every_xmap(cfg)
         scores = pipeline._load_scores(cfg)[0]
         assert computed.shape == (len(xmap), 1)
         assert xmap[:, -1:].tobytes() == computed.tobytes()
@@ -748,13 +755,10 @@ class TestStageOutputs:
                             vectors=np.zeros((2, len(REPRESENTATIONS),
                                               cfg.n_topics)))
         _save(cfg, "scores.npz", **scores)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
         for stage in ("evaluate", "repair", "report"):
-            assert cli.main([stage, "--config", str(cfg_path)]) == 2, stage
-            assert capsys.readouterr().err == (
+            assert _refused(copy, cfg_path, capsys, stage) == (
                 f"[{stage}] scores.npz is malformed (missing "
                 "'contributions'); rerun score\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_old_run_directory_needs_prepare_again(self, mini_run, tmp_path,
                                                    capsys):
@@ -780,14 +784,11 @@ class TestStageOutputs:
                    if key.endswith(f"_{polarity}")})
         (copy / "topics.npz").unlink()
         _save(cfg, "dataset.npz", **dataset)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
         missing = ", ".join(map(repr, sum(moved.values(), ())))
         for stage in STAGES[1:]:
-            assert cli.main([stage, "--config", str(cfg_path)]) == 2, stage
-            assert capsys.readouterr().err == (
+            assert _refused(copy, cfg_path, capsys, stage) == (
                 f"[{stage}] dataset.npz is malformed (missing {missing}); "
                 "rerun prepare\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_profiles_are_the_reliable_groups_representations(
             self, mini_run, tmp_path, monkeypatch):
@@ -812,7 +813,7 @@ class TestStageOutputs:
             group_tc = profiling.topic_contributions(
                 supports, topic["assignment"], cfg.n_topics)
             expected[label] = represent_all(group_tc.mean(axis=0)[None, :],
-                                            group_tc, topic["H"], cfg)[0][0]
+                                            group_tc, topic["H"], cfg)[0]
         assert not np.isnan(expected).any()
         real, stacks = scoring.misclassification_score, []
 
@@ -1082,30 +1083,37 @@ class TestGuards:
     def test_truncated_shap_fails_score(self, mini_run, tmp_path, capsys):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
         _truncate(copy / "shap.npz")
-        _score_refuses_shap(cfg_path, capsys)
+        _refuses_shap(cfg_path, capsys)
 
-    @pytest.mark.parametrize("damage", ["missing_message", "extra_column",
-                                        "missing_key"])
+    @pytest.mark.parametrize("damage", ["extra_column", "missing_key"])
     def test_incomplete_shap_fails_score(self, mini_run, tmp_path, capsys,
                                          damage):
         _, cfg_path = _copy_run(mini_run, tmp_path)
         _damage_shap(load_config(cfg_path), damage)
-        _score_refuses_shap(cfg_path, capsys)
+        _refuses_shap(cfg_path, capsys)
+
+    @pytest.mark.parametrize("stage", ["profile", "score"])
+    def test_values_in_a_linear_shap_fail(self, mini_run, tmp_path, capsys,
+                                          stage):
+        # The config alone says whether a run is linear: a logreg run's
+        # shap.npz that holds a kernel run's values is refused.
+        _, cfg_path = _copy_run(mini_run, tmp_path)
+        _damage_shap(load_config(cfg_path), "linear_data")
+        _refuses_shap(cfg_path, capsys, stage)
 
     def test_truncated_kernel_shap_fails_score(self, kernel_run, tmp_path,
                                                capsys):
         copy, cfg_path = _copy_run(kernel_run, tmp_path)
         _truncate(copy / "shap.npz")
-        _score_refuses_shap(cfg_path, capsys)
+        _refuses_shap(cfg_path, capsys)
 
-    @pytest.mark.parametrize("damage", ["missing_message", "extra_column",
-                                        "missing_key", "short_data",
-                                        "long_data"])
+    @pytest.mark.parametrize("damage", ["extra_column", "missing_key",
+                                        "short_data", "long_data"])
     def test_incomplete_kernel_shap_fails_score(self, kernel_run, tmp_path,
                                                 capsys, damage):
         _, cfg_path = _copy_run(kernel_run, tmp_path)
         _damage_shap(load_config(cfg_path), damage)
-        _score_refuses_shap(cfg_path, capsys)
+        _refuses_shap(cfg_path, capsys)
 
     def test_kernel_shap_of_other_vectors_fails_score(self, kernel_run,
                                                       tmp_path, capsys):
@@ -1143,12 +1151,9 @@ class TestGuards:
         n = len(arrays["xmap_rel_u"])
         arrays["xmap_rel_u"] = arrays["xmap_rel_u"][:-1]
         _save(cfg, "scores.npz", **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main([stage, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
+        assert _refused(copy, cfg_path, capsys, stage) == (
             f"[{stage}] scores.npz is malformed (xmap_rel_u of shape "
             f"({n - 1},), expected ({n},)); rerun score\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("stage", ["evaluate", "repair", "report"])
     def test_p_pos_outside_the_unit_interval_fails(self, mini_run, tmp_path,
@@ -1162,13 +1167,10 @@ class TestGuards:
         n = arrays["p_pos"].size
         arrays["p_pos"][[n // 2, n - 1]] = [1.5, -0.25]
         _save(cfg, "scores.npz", **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main([stage, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
+        assert _refused(copy, cfg_path, capsys, stage) == (
             f"[{stage}] scores.npz is malformed (ValueError('p_pos outside "
             f"[0,1] at 2 of {n} entries, the first 1.5 at {n // 2}')); "
             "rerun score\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_scores_of_the_old_layout_need_score_again(self, mini_run,
                                                        tmp_path, capsys):
@@ -1180,13 +1182,40 @@ class TestGuards:
         scores = pipeline._load_scores(cfg)[0]
         _save(cfg, "scores.npz", **{key: scores[key] for key in (
             "p_pos", *pipeline.XMAP_COLUMNS)})
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
         for stage in ("evaluate", "repair", "report"):
-            assert cli.main([stage, "--config", str(cfg_path)]) == 2
-            assert capsys.readouterr().err == (
+            assert _refused(copy, cfg_path, capsys, stage) == (
                 f"[{stage}] scores.npz is malformed (missing "
                 "'contributions'); rerun score\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_shap_of_the_old_layout_needs_explain_again(self, run, request,
+                                                        tmp_path, capsys):
+        # A shap.npz written before it held phi's inputs alone also
+        # stores each message's base value and the name of the explained
+        # output.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        n = len(_load_dataset(cfg)[0])
+        _save(cfg, "shap.npz", base_values=np.zeros(n),
+              explained_output=np.array("margin"), **_load(cfg, "shap.npz"))
+        assert _refused(copy, cfg_path, capsys, "profile") == (
+            "[profile] shap.npz is malformed (unexpected 'base_values', "
+            "'explained_output'); rerun explain\n")
+
+    def test_damaged_text_fails_only_its_reader(self, mini_run, tmp_path,
+                                                monkeypatch):
+        # No stage decodes the text, so offsets that do not describe it
+        # pass every stage; README's one reader of the text refuses them.
+        copy, cfg_path = _copy_run(mini_run, tmp_path / "run")
+        cfg = load_config(cfg_path)
+        dataset = _load(cfg, "dataset.npz")
+        dataset["text_offsets"] = np.array([0.5, np.nan])
+        _save(cfg, "dataset.npz", **dataset)
+        for stage in STAGES[1:]:
+            assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+        with pytest.raises(ValueError, match="^text and text_offsets do not"):
+            _readme_outcome((None, None, copy, cfg_path), tmp_path,
+                            monkeypatch)
 
     # Each damage of an input the readers of scores.npz derive the
     # TOPIC_COLUMNS from, and the file it damages.
@@ -1235,14 +1264,11 @@ class TestGuards:
                             f"contribution in 1 of {n} rows, the first "
                             f"{n // 2}'))")
             _save(cfg, name, **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main([stage, "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
+        err = _refused(copy, cfg_path, capsys, stage)
         assert err.startswith(f"[{stage}] {expected}") and err.count("\n") == 1
         assert err.endswith(f"; run {producer} first\n"
                             if damage == "missing_topics"
                             else f"; rerun {producer}\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_undamaged_kernel_run_scores(self, kernel_run, tmp_path):
         # The damage above is what fails score, not the small run itself.
@@ -1331,11 +1357,9 @@ class TestGuards:
         ("mini_run", "dataset.npz", "data", -np.inf, "score"),
         ("mini_run", "shap.npz", "mu", np.nan, "profile"),
         ("mini_run", "shap.npz", "mu", np.inf, "score"),
-        ("mini_run", "shap.npz", "base_values", np.nan, "profile"),
         ("kernel_run", "shap.npz", "data", np.nan, "profile"),
         ("kernel_run", "shap.npz", "data", np.inf, "score"),
-        ("kernel_run", "shap.npz", "mu", np.nan, "score"),
-        ("kernel_run", "shap.npz", "base_values", np.inf, "profile")])
+        ("kernel_run", "shap.npz", "mu", np.nan, "score")])
     def test_non_finite_stored_value_fails(self, run, name, key, value,
                                            stage, request, tmp_path, capsys):
         # Each passed its readers, or stopped one with a message naming
@@ -1345,12 +1369,9 @@ class TestGuards:
         arrays = _load(cfg, name)
         arrays[key][arrays[key].size // 2] = value
         _save(cfg, name, **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main([stage, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
+        assert _refused(copy, cfg_path, capsys, stage) == (
             f"[{stage}] {name} is malformed ({key} holds a non-finite "
             f"value); rerun {pipeline.ARTIFACTS[name][0]}\n")
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("damage", [
         "column_past_space", "descending_columns", "extra_topic_row",
@@ -1376,12 +1397,9 @@ class TestGuards:
         else:
             arrays["assignment_plus"][0] = cfg.n_topics
         _save(cfg, "topics.npz", **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main(["score", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
+        err = _refused(copy, cfg_path, capsys, "score")
         assert err.startswith("[score] topics.npz is malformed (")
         assert err.endswith("); rerun profile\n") and err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_truncated_archive_leaves_no_open_file(self, mini_run,
                                                    tmp_path):
@@ -1470,12 +1488,9 @@ class TestGuards:
             arrays["gold"] = arrays["gold"].astype(np.uint8)
             arrays["gold"][0] = 2
         _save(cfg, "dataset.npz", **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main([stage, "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
+        err = _refused(copy, cfg_path, capsys, stage)
         assert err.startswith(f"[{stage}] dataset.npz is malformed (")
         assert err.endswith("); rerun prepare\n") and err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     @pytest.mark.parametrize("run, name, damage, key", _off_layout())
     def test_archive_off_its_layout_fails(self, run, name, damage, key,
@@ -1527,15 +1542,12 @@ class TestGuards:
                 assert cli.main([reader, "--config", str(cfg_path)]) == 0
                 return
         _save(cfg, name, **arrays)
-        before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        assert cli.main([reader, "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
+        err = _refused(copy, cfg_path, capsys, reader)
         head = f"[{reader}] {name} is malformed ("
         tail = f"); rerun {producer}\n"
         assert err.startswith(head) and err.endswith(tail), err
         assert problem is None or err == head + problem + tail
         assert err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
     def test_prepare_errors_on_missing_dataset(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, tmp_path / "absent.tsv",
@@ -1557,20 +1569,17 @@ class TestLinearExplain:
                                    classifier=classifier,
                                    nb_linear_attribution=True,
                                    word_quota=60, phrase_quota=40)
-        layouts.check_archive(out / "shap.npz", layouts.SHAP["margin"])
+        layouts.check_archive(out / "shap.npz", layouts.SHAP["linear"])
         cfg = load_config(cfg_path)
         labels, train, space, vectors = _load_features(cfg)
         X = vectors.dense()
         model = _load_model(cfg, space)
         mu = X[train][attribution.background_rows(
             labels[train], int(train.sum()), cfg.seed)].mean(axis=0)
-        expected, base = attribution.linear_shap(model, X, mu)
+        expected = attribution.linear_shap(model, X, mu)
         stored = CSR.of(to_csr(expected)).dense()
 
-        shap = _load(cfg, "shap.npz")
-        assert shap["explained_output"] == "margin"
-        assert shap["mu"].tobytes() == mu.tobytes()
-        assert shap["base_values"].tolist() == [base] * len(labels)
+        assert _load(cfg, "shap.npz")["mu"].tobytes() == mu.tobytes()
         phi = _load_phi(cfg, space, model, vectors)()
         # tobytes compares the sign of zero too.
         assert phi.tobytes() == expected.tobytes() == stored.tobytes()
@@ -1587,7 +1596,7 @@ class TestLinearExplain:
         _, _, space, X = _load_features(cfg)
         model = _load_model(cfg, space)
         full = attribution.linear_shap(model, X.dense(),
-                                       _load(cfg, "shap.npz")["mu"])[0]
+                                       _load(cfg, "shap.npz")["mu"])
         _assert_phi_slices(_load_phi(cfg, space, model, X), full,
                            space)
 
@@ -1602,18 +1611,15 @@ class TestKernelExplain:
         cfg = load_config(cfg_path)
         gold, train, space, vectors = _load_features(cfg)
         n, X = len(gold), vectors.dense()
-        shap = _load(cfg, "shap.npz")
         model = _load_model(cfg, space)
         phi = _load_phi(cfg, space, model, vectors)()
         assert phi.shape == (n, space.n_columns)
-        assert shap["explained_output"] == "probability"
         background = _background(cfg, X, gold, train)
         for i in range(0, n, 20):
             ref = attribution.kernel_shap(
                 lambda Z: classifiers.probability_function(model, Z), X[i],
                 background, n_coalitions=cfg.n_coalitions, seed=cfg.seed,
                 msg_id=i)
-            assert shap["base_values"][i] == ref.base_value
             dense = np.zeros(space.n_columns)
             nonzero = phi_of(ref)
             dense[list(nonzero)] = list(nonzero.values())
@@ -1635,7 +1641,7 @@ class TestKernelExplain:
         # attributions, the sign of every zero included.
         out, cfg_path = _small_run(tmp_path, STAGES[:3],
                                    **{**KERNEL, "classifier": classifier})
-        layouts.check_archive(out / "shap.npz", layouts.SHAP["probability"])
+        layouts.check_archive(out / "shap.npz", layouts.SHAP["kernel"])
         cfg = load_config(cfg_path)
         gold, train, space, X = _load_features(cfg)
         shap = _load(cfg, "shap.npz")

@@ -365,7 +365,7 @@ def _group_profile(tcs, n_topics):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scoring, "misclassification_score", spy)
         pipeline._xmap_columns(
-            lambda tc, group_tc, H: represent_all(tc, group_tc, H, cfg)[0],
+            lambda tc, group_tc, H: represent_all(tc, group_tc, H, cfg),
             tcs, label, label, label, [H, H])
     [profiles] = stacks
     assert profiles.shape == (2, len(REPRESENTATIONS), n_topics)

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicaudit import uncertainty as unc
+from topicaudit.config import PipelineConfig
 from topicaudit.scoring import auroc
 from topicaudit.uncertainty import (aleatory_vector, dissonance_vector,
                                     doctor_alpha_vector, doctor_beta_vector,
                                     evidence_scale, odin_vector, original,
                                     output_uq_score, rel_u_vector,
                                     vacuity_vector)
+
+from every_representation import represent_all
 
 simplex_entries = st.integers(2, 8).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(0, 10 ** 6)))
@@ -28,32 +31,28 @@ def random_simplex(m, seed):
 
 class TestOriginal:
     def test_normalizes(self):
-        vec, degenerate = original(np.array([4.0, 2.0]))
-        np.testing.assert_allclose(vec, [2.0 / 3.0, 1.0 / 3.0])
-        assert not degenerate
+        np.testing.assert_allclose(original(np.array([4.0, 2.0])),
+                                   [2.0 / 3.0, 1.0 / 3.0])
 
-    def test_zero_mass_is_uniform_flagged(self):
-        vec, degenerate = original(np.zeros(4))
-        np.testing.assert_allclose(vec, np.full(4, 0.25))
-        assert degenerate
+    def test_zero_mass_is_uniform(self):
+        np.testing.assert_array_equal(original(np.zeros(4)), np.full(4, 0.25))
 
     def test_idempotent_on_simplex(self):
         p = np.array([0.3, 0.7])
-        np.testing.assert_allclose(original(p)[0], p, rtol=1e-15)
+        np.testing.assert_allclose(original(p), p, rtol=1e-15)
 
 
 class TestVacuity:
     def test_equal_evidence(self):
-        vec, _ = vacuity_vector(np.array([1.0, 1.0]), s=1.0)
+        vec = vacuity_vector(np.array([1.0, 1.0]), s=1.0)
         np.testing.assert_allclose(vec, [0.5, 0.5])
 
-    def test_zero_evidence_uniform_unflagged(self):
-        vec, degenerate = vacuity_vector(np.zeros(3), s=1.0)
+    def test_zero_evidence_is_uniform(self):
+        vec = vacuity_vector(np.zeros(3), s=1.0)
         np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0))
-        assert not degenerate
 
     def test_strong_topic_gets_least_vacuity(self):
-        vec, _ = vacuity_vector(np.array([100.0, 1.0, 1.0]), s=1.0)
+        vec = vacuity_vector(np.array([100.0, 1.0, 1.0]), s=1.0)
         assert vec[0] < vec[1]
         np.testing.assert_allclose(vec[1], vec[2])
 
@@ -64,19 +63,17 @@ class TestVacuity:
 
 class TestDissonance:
     def test_single_belief_has_no_conflict(self):
-        vec, degenerate = dissonance_vector(np.array([5.0, 0.0, 0.0]), s=1.0)
+        vec = dissonance_vector(np.array([5.0, 0.0, 0.0]), s=1.0)
         np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0))
-        assert degenerate
 
     def test_two_equal_beliefs(self):
-        vec, degenerate = dissonance_vector(np.array([1.0, 1.0]), s=1.0)
+        vec = dissonance_vector(np.array([1.0, 1.0]), s=1.0)
         np.testing.assert_allclose(vec, [0.5, 0.5])
-        assert not degenerate
 
     def test_hand_computed_three_topics(self):
         # r=[1,1,0]: beliefs [0.2,0.2,0]; the zero belief balances nothing,
         # the equal pair balances fully: d = [0.2, 0.2, 0].
-        vec, _ = dissonance_vector(np.array([1.0, 1.0, 0.0]), s=1.0)
+        vec = dissonance_vector(np.array([1.0, 1.0, 0.0]), s=1.0)
         np.testing.assert_allclose(vec, [0.5, 0.5, 0.0], atol=1e-15)
 
 
@@ -84,22 +81,22 @@ class TestAleatory:
     H = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
 
     def test_neighborhood_entropy(self):
-        vec, _ = aleatory_vector(np.array([0.5, 0.5, 0.0]), self.H, k=1)
+        vec = aleatory_vector(np.array([0.5, 0.5, 0.0]), self.H, k=1)
         # a = [ln2, ln2, 0] -> normalized [0.5, 0.5, 0].
         np.testing.assert_allclose(vec, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_concentrated_mass_zero_entropy(self):
         H = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
-        vec, degenerate = aleatory_vector(np.array([0.0, 0.0, 1.0]), H, k=1)
-        # Every neighborhood holds its mass in one topic: entropy 0 all over.
-        assert degenerate
+        vec = aleatory_vector(np.array([0.0, 0.0, 1.0]), H, k=1)
+        # Every neighborhood holds its mass in one topic: entropy 0 all
+        # over, and the massless vector becomes uniform.
         np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0))
 
     def test_uniform_with_full_neighborhood(self):
         m = 4
         rng = np.random.default_rng(0)
         H = rng.random((m, 6))
-        vec, _ = aleatory_vector(np.full(m, 0.25), H, k=m - 1)
+        vec = aleatory_vector(np.full(m, 0.25), H, k=m - 1)
         np.testing.assert_allclose(vec, np.full(m, 0.25))
 
     def test_k_bound(self):
@@ -115,18 +112,20 @@ class TestAleatory:
 
 class TestDoctor:
     def test_half_is_maximal_alpha(self):
-        vec, _ = doctor_alpha_vector(np.array([0.5, 0.5]))
+        vec = doctor_alpha_vector(np.array([0.5, 0.5]))
         np.testing.assert_allclose(vec, [0.5, 0.5])
 
-    def test_certain_topics_flagged_uniform(self):
-        _, degenerate_a = doctor_alpha_vector(np.array([1.0, 0.0]))
-        _, degenerate_b = doctor_beta_vector(np.array([1.0, 0.0]))
-        assert degenerate_a and degenerate_b
+    def test_certain_topics_are_uniform(self):
+        # Every split is certain, so both scores are 0 throughout and the
+        # massless vectors become uniform.
+        for vector in (doctor_alpha_vector, doctor_beta_vector):
+            np.testing.assert_array_equal(vector(np.array([1.0, 0.0])),
+                                          [0.5, 0.5])
 
     def test_symmetric_pair(self):
-        vec, _ = doctor_alpha_vector(np.array([0.9, 0.1]))
+        vec = doctor_alpha_vector(np.array([0.9, 0.1]))
         np.testing.assert_allclose(vec, [0.5, 0.5])
-        vec, _ = doctor_beta_vector(np.array([0.9, 0.1]))
+        vec = doctor_beta_vector(np.array([0.9, 0.1]))
         np.testing.assert_allclose(vec, [0.5, 0.5])
 
     @settings(max_examples=40, deadline=None)
@@ -134,31 +133,31 @@ class TestDoctor:
     def test_binary_symmetry(self, args):
         m, seed = args
         p = random_simplex(m, seed)
-        a1, _ = doctor_alpha_vector(p)
-        a2, _ = doctor_alpha_vector(1.0 - p)
+        a1 = doctor_alpha_vector(p)
+        a2 = doctor_alpha_vector(1.0 - p)
         np.testing.assert_allclose(a1, a2, rtol=1e-9)
-        b1, _ = doctor_beta_vector(p)
-        b2, _ = doctor_beta_vector(1.0 - p)
+        b1 = doctor_beta_vector(p)
+        b2 = doctor_beta_vector(1.0 - p)
         np.testing.assert_allclose(b1, b2, rtol=1e-9)
 
 
 class TestOdin:
     def test_temperature_one_is_identity_on_q(self):
         p = np.array([0.6, 0.3, 0.1])
-        vec, _ = odin_vector(p, temperature=1.0)
+        vec = odin_vector(p, temperature=1.0)
         expected = 1.0 - np.maximum(p, 1.0 - p)
         np.testing.assert_allclose(vec, expected / expected.sum(),
                                    rtol=1e-12)
 
     def test_high_temperature_flattens(self):
         p = np.array([0.8, 0.15, 0.05])
-        vec, _ = odin_vector(p, temperature=1e9)
+        vec = odin_vector(p, temperature=1e9)
         np.testing.assert_allclose(vec, np.full(3, 1.0 / 3.0),
                                    atol=1e-6)
 
     def test_binary_hand_computation(self):
         # sqrt weights: q = [2/3, 1/3], o = [1/3, 1/3] -> [0.5, 0.5].
-        vec, _ = odin_vector(np.array([0.8, 0.2]), temperature=2.0)
+        vec = odin_vector(np.array([0.8, 0.2]), temperature=2.0)
         np.testing.assert_allclose(vec, [0.5, 0.5], rtol=1e-12)
 
     def test_temperature_validated(self):
@@ -168,25 +167,25 @@ class TestOdin:
 
 class TestRelU:
     def test_empty_reference_is_na(self):
-        vec, degenerate = rel_u_vector(np.array([0.5, 0.5]), [], k_nn=5)
-        assert np.isnan(vec).all() and not degenerate
+        vec = rel_u_vector(np.array([0.5, 0.5]), [], k_nn=5)
+        assert np.isnan(vec).all()
 
-    def test_self_reference_degenerate(self):
+    def test_self_reference_is_uniform(self):
+        # The nearest reference is the vector itself: every gap is 0, and
+        # the massless vector becomes uniform.
         p = np.array([0.25, 0.75])
-        vec, degenerate = rel_u_vector(p, [p.copy(), np.array([0.9, 0.1])],
-                                       k_nn=1)
-        assert degenerate
-        np.testing.assert_allclose(vec, [0.5, 0.5])
+        vec = rel_u_vector(p, [p.copy(), np.array([0.9, 0.1])], k_nn=1)
+        np.testing.assert_array_equal(vec, [0.5, 0.5])
 
     def test_single_reference_gap(self):
-        vec, _ = rel_u_vector(np.array([1.0, 0.0]), [np.array([0.5, 0.5])],
+        vec = rel_u_vector(np.array([1.0, 0.0]), [np.array([0.5, 0.5])],
                               k_nn=1)
         np.testing.assert_allclose(vec, [0.5, 0.5])
 
     def test_k_clamped_to_reference_size(self):
         p = np.array([0.3, 0.7])
         refs = [np.array([0.4, 0.6]), np.array([0.2, 0.8])]
-        vec, _ = rel_u_vector(p, refs, k_nn=10)
+        vec = rel_u_vector(p, refs, k_nn=10)
         gaps = np.mean([np.abs(p - r) for r in refs], axis=0)
         np.testing.assert_allclose(vec, gaps / gaps.sum())
 
@@ -194,7 +193,7 @@ class TestRelU:
         p = np.array([0.5, 0.5])
         near = np.array([0.55, 0.45])
         far = np.array([0.95, 0.05])
-        vec, _ = rel_u_vector(p, [far, near], k_nn=1)
+        vec = rel_u_vector(p, [far, near], k_nn=1)
         gaps = np.abs(p - near)
         np.testing.assert_allclose(vec, gaps / gaps.sum())
 
@@ -247,16 +246,6 @@ class TestEvidenceScale:
             assert not caught
 
 
-def _every_representation(tc, s, H, refs, k_nn):
-    """topic_representations of the rows tc and rel_u of their
-    distributions against refs, joined in REPRESENTATIONS order."""
-    vectors, degenerate = unc.topic_representations(tc, s, H, 1, 2.0)
-    rel_u, rel_u_degenerate = rel_u_vector(original(tc)[0], refs, k_nn)
-    return (np.concatenate([vectors, rel_u[..., None, :]], axis=-2),
-            np.concatenate([degenerate, rel_u_degenerate[..., None]],
-                           axis=-1))
-
-
 class TestSimplexInvariant:
     @settings(max_examples=40, deadline=None)
     @given(simplex_entries)
@@ -265,10 +254,10 @@ class TestSimplexInvariant:
         rng = np.random.default_rng(seed)
         tc = rng.random(m) * 3.0
         H = rng.random((m, 2 * m)) + 0.01
-        refs = [rng.dirichlet(np.ones(m)) for _ in range(4)]
-        vectors, degenerate = _every_representation(tc, 1.5, H, refs, 2)
+        refs = rng.dirichlet(np.ones(m), size=4)
+        vectors = represent_all(tc, refs, H,
+                                PipelineConfig(k_related=1, k_nn=2))
         assert vectors.shape == (len(unc.REPRESENTATIONS), m)
-        assert degenerate.shape == (len(unc.REPRESENTATIONS),)
         np.testing.assert_allclose(vectors.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(vectors >= 0)
 
@@ -281,7 +270,7 @@ class TestSimplexInvariant:
         with pytest.raises(ValueError, match="original: invalid"):
             unc.topic_representations(tc, s=1.0, H=H, k=1, temperature=2.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            rel_u_vector(original(tc)[0], [np.array([0.5, 0.5])], k_nn=5)
+            rel_u_vector(original(tc), [np.array([0.5, 0.5])], k_nn=5)
 
 
 class TestBatchEquivalence:
@@ -300,17 +289,16 @@ class TestBatchEquivalence:
         H = rng.random((m, 2 * m))
         refs = rng.dirichlet(np.ones(m), size=12)
         refs[5] = refs[2]
+        cfg = PipelineConfig(k_related=1, k_nn=4)
         for references in (refs, refs[:0]):
-            vectors, degenerate = _every_representation(tc, 1.5, H,
-                                                        references, 4)
+            vectors = represent_all(tc, references, H, cfg)
             assert vectors.shape == (n, len(unc.REPRESENTATIONS), m)
-            assert degenerate[::7, 0].all()
+            # The massless rows' distributions are uniform.
+            assert (vectors[::7, 0] == 1.0 / m).all()
             assert np.isnan(vectors[:, -1]).all() == (len(references) == 0)
             for i in range(n):
-                one, one_flags = _every_representation(tc[i:i + 1], 1.5, H,
-                                                       references, 4)
+                one = represent_all(tc[i:i + 1], references, H, cfg)
                 assert vectors[i].tobytes() == one[0].tobytes()
-                np.testing.assert_array_equal(degenerate[i], one_flags[0])
 
 
 class TestOutputUQ:
