@@ -1202,6 +1202,23 @@ class TestGuards:
             "[profile] shap.npz is malformed (unexpected 'base_values', "
             "'explained_output'); rerun explain\n")
 
+    @pytest.mark.parametrize("member", ["base_values", "explained_output"])
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_each_old_shap_member_is_refused(self, run, member, request,
+                                             tmp_path, capsys):
+        # Either member of the old layout alone, stored beside phi's
+        # inputs, stops both readers of shap.npz, which name it.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        n = len(_load_dataset(cfg)[0])
+        old = {"base_values": np.zeros(n),
+               "explained_output": np.array("margin")}[member]
+        _save(cfg, "shap.npz", **{member: old}, **_load(cfg, "shap.npz"))
+        for stage in ("profile", "score"):
+            assert _refused(copy, cfg_path, capsys, stage) == (
+                f"[{stage}] shap.npz is malformed (unexpected {member!r}); "
+                "rerun explain\n")
+
     def test_damaged_text_fails_only_its_reader(self, mini_run, tmp_path,
                                                 monkeypatch):
         # No stage decodes the text, so offsets that do not describe it
@@ -1559,6 +1576,20 @@ class TestGuards:
 
 
 class TestLinearExplain:
+    @pytest.mark.parametrize("classifier, nb_linear, linear", [
+        ("logreg", False, True), ("logreg", True, True),
+        ("nb", True, True), ("nb", False, False),
+        ("svm", False, False), ("svm", True, False)])
+    def test_the_config_alone_decides_linear(self, classifier, nb_linear,
+                                             linear):
+        # nb_linear_attribution bears on nb alone; explain, the readers of
+        # shap.npz and the layout the tests hold all follow the one rule.
+        cfg = PipelineConfig(classifier=classifier,
+                             nb_linear_attribution=nb_linear)
+        assert pipeline._linear(cfg) is linear
+        assert layouts.layout("shap.npz", cfg) == layouts.SHAP[
+            "linear" if linear else "kernel"]
+
     @pytest.mark.parametrize("classifier", ["logreg", "nb"])
     def test_stores_mu_and_phi_is_rebuilt_bitwise(self, classifier,
                                                   tmp_path):

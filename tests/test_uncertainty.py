@@ -273,6 +273,48 @@ class TestSimplexInvariant:
             rel_u_vector(original(tc), [np.array([0.5, 0.5])], k_nn=5)
 
 
+# Each representation of three rows, topic contributions or their
+# distributions, and whether the last row gives it no mass: a single
+# topic's evidence leaves no conflict, all of it on one topic no
+# neighbourhood entropy and no uncertain split, and a row that is its own
+# nearest reference no gap.  Every topic keeps some vacuity and some ODIN
+# margin.
+_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+_TC = np.array([[4.0, 2.0, 0.0], [1.0, 1.0, 3.0]])
+_P = original(_TC)
+_CERTAIN = np.array([[1.0, 0.0, 0.0]])
+_BATCHES = {
+    "original": (original, np.vstack([_TC, np.zeros((1, 3))]), True),
+    "vacuity": (lambda tc: vacuity_vector(tc, s=1.0),
+                np.vstack([_TC, [0.0, 0.0, 2.0]]), False),
+    "dissonance": (lambda tc: dissonance_vector(tc, s=1.0),
+                   np.vstack([_TC, 5.0 * _CERTAIN]), True),
+    "aleatory": (lambda p: aleatory_vector(p, _H, 1),
+                 np.vstack([_P, _CERTAIN]), True),
+    "doctor_alpha": (doctor_alpha_vector, np.vstack([_P, _CERTAIN]), True),
+    "doctor_beta": (doctor_beta_vector, np.vstack([_P, _CERTAIN]), True),
+    "odin": (lambda p: odin_vector(p, temperature=2.0),
+             np.vstack([_P, _CERTAIN]), False),
+    "rel_u": (lambda p: rel_u_vector(p, [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]],
+                                     k_nn=1),
+              np.vstack([_P, [0.6, 0.3, 0.1]]), True)}
+
+
+class TestVectorsAlone:
+    @pytest.mark.parametrize("name", unc.REPRESENTATIONS)
+    def test_a_batch_gives_its_vectors(self, name):
+        # An array of the rows' shape on the simplex, each row the call on
+        # that row alone, and a massless row the uniform vector.
+        represent, rows, massless = _BATCHES[name]
+        vectors = represent(rows)
+        assert type(vectors) is np.ndarray and vectors.shape == rows.shape
+        np.testing.assert_allclose(vectors.sum(axis=-1), 1.0, atol=1e-12)
+        assert (vectors >= 0).all()
+        for row, vector in zip(rows, vectors):
+            assert represent(row).tobytes() == vector.tobytes()
+        assert (vectors[-1] == 1.0 / 3.0).all() == massless
+
+
 class TestBatchEquivalence:
     """topic_representations and rel_u_vector on n rows equal n one-row
     calls, bit for bit, with n crossing rel_u's row-block boundary."""
