@@ -20,7 +20,8 @@ messages' text, which no stage reads back, the feature space and the
 (n, d) matrix X, as the CSR arrays features.vectorize emits, which
 _load_features loads as features.CSR.  Lists of strings are stored by
 _utf8.  profile writes both polarities' topics to topics.npz, each
-member suffixed with its polarity.  No
+member suffixed with its polarity: the selected columns, H and the NMF
+objective, not each column's topic, which score derives from H.  No
 stage after prepare holds X or phi dense: each asks for the dense rows
 and columns it reads, which equal the same slice of the dense matrix
 bit for bit.  train densifies the training rows, explain blocks of the
@@ -45,10 +46,12 @@ not the representations derived from them, and of their xmap columns
 only xmap_rel_u: rel_u alone searches the reliable group's
 distributions for each message's neighbours.  _xmap_columns is the one
 derivation of an xmap column and of the group profile it is scored
-against, over every row of a polarity at once; _load_scores adds the
-other seven through it from the contributions and both topics' H, and
-the predicted label and the output-uncertainty columns, functions of
-p_pos alone, with dataset.npz's labels and train mask.
+against: the rows predicted each label are represented at once and
+scored against that label's profile in one broadcast js_divergence
+call, and the rows of a group without a profile stay NA; _load_scores
+adds the other seven through it from the contributions and both topics'
+H, and the predicted label and the output-uncertainty columns,
+functions of p_pos alone, with dataset.npz's labels and train mask.
 Each detector's rejections, and the recoveries and leakages of the repair
 gate, are boolean masks over the same rows, so the re-accepted ids are
 read straight off them; repair_report.json stores each subset's cutoff
@@ -121,7 +124,7 @@ ARTIFACTS = {
     "topics.npz": ("profile", {
         f"{key}_{p}": spec for p in POLARITIES for key, spec in (
             ("columns", ("i", (f"k_{p}",))), ("H", ("f", ("M", f"k_{p}"))),
-            ("assignment", ("i", (f"k_{p}",))), ("objective", ("f", ())))}),
+            ("objective", ("f", ())))}),
     "scores.npz": ("score", {"p_pos": ("f", ("n",)),
                              "contributions": ("f", ("n", "M")),
                              "xmap_rel_u": ("f", ("n",), NA)}),
@@ -396,21 +399,18 @@ def _load_model(cfg, space) -> classifiers.LinearModel:
 
 def _load_topics(cfg, space, polarity) -> dict[str, np.ndarray]:
     """One polarity's topics from its members of topics.npz, named
-    without the suffix: its columns, H, assignment and objective, refused
-    unless the columns are strictly ascending columns of space and each
-    is assigned a topic."""
+    without the suffix: its columns, H and objective, refused unless the
+    columns are strictly ascending columns of space.  Each column's topic
+    is not stored: profiling.assign_topics derives it from H."""
     suffix = f"_{polarity}"
     f = {key.removesuffix(suffix): value for key, value in _load(
         cfg, "topics.npz", [key for key in ARTIFACTS["topics.npz"][1]
                             if key.endswith(suffix)]).items()}
-    columns, assignment = f["columns"], f["assignment"]
+    columns = f["columns"]
     if (np.any(np.diff(columns) <= 0) or np.any(columns < 0)
             or np.any(columns >= space.n_columns)):
         raise _malformed("topics.npz", f"columns{suffix} are not strictly "
                          f"ascending columns of [0, {space.n_columns})")
-    if np.any(assignment < 0) or np.any(assignment >= cfg.n_topics):
-        raise _malformed("topics.npz", f"assignment{suffix} is not "
-                         f"{columns.size} topics of [0, {cfg.n_topics})")
     return f
 
 
@@ -540,9 +540,7 @@ def cmd_profile(cfg: PipelineConfig) -> None:
         _, H, trace = profiling.nmf(matrix, cfg.n_topics,
                                     max_iters=cfg.nmf_max_iters,
                                     tol=cfg.nmf_tol, seed=cfg.seed)
-        assignment = profiling.assign_topics(H)
         topics.update({f"columns_{polarity}": columns, f"H_{polarity}": H,
-                       f"assignment_{polarity}": assignment,
                        f"objective_{polarity}": trace[-1]})
     _save(cfg, "topics.npz", **topics)
 
@@ -560,27 +558,23 @@ def _xmap_columns(represent, contributions, predicted, gold, train,
     """The (n, R) xmap columns of represent(tc, group_tc, H), (rows, R, M)
     representations of the rows tc against a reliable group whose members
     have topic contributions group_tc and the topics H of its polarity:
-    the rows predicted each label at once, scored against that label's
-    group profile.
+    the rows predicted each label at once, scored in one broadcast
+    js_divergence call against that label's group profile.
 
     The profile is represent of the group's mean topic contribution; an
-    empty or massless group has no reference distribution, so every
-    representation goes NA."""
-    vectors, profiles = None, []
+    empty or massless group has no reference distribution, so its rows
+    stay NaN (NA) in every column."""
+    xmap = None
     for label, (group, H) in enumerate(zip(
             _reliable_groups(gold, train, predicted), Hs)):
         rows, group_tc = predicted == label, contributions[group]
         part = represent(contributions[rows], group_tc, H)
-        if vectors is None:
-            vectors = np.empty((len(predicted), *part.shape[1:]))
-        vectors[rows] = part
-        mean_tc = (group_tc.mean(axis=0) if len(group_tc)
-                   else np.zeros(contributions.shape[-1]))
-        profiles.append(represent(mean_tc[None, :], group_tc, H)[0]
-                        if mean_tc.sum() > 0.0
-                        else np.full(part.shape[1:], np.nan))
-    return scoring.misclassification_score(vectors, np.stack(profiles),
-                                           predicted)
+        if xmap is None:
+            xmap = np.full((len(predicted), part.shape[1]), np.nan)
+        if len(group_tc) and (mean_tc := group_tc.mean(axis=0)).sum() > 0.0:
+            xmap[rows] = scoring.js_divergence(
+                part, represent(mean_tc[None, :], group_tc, H)[0])
+    return xmap
 
 
 @_stage("score")
@@ -601,7 +595,7 @@ def cmd_score(cfg: PipelineConfig) -> None:
         supports = attribution.polarity_supports(phi(rows, topic["columns"]),
                                                  polarity)
         contributions[rows] = profiling.topic_contributions(
-            supports, topic["assignment"], cfg.n_topics)
+            supports, profiling.assign_topics(topic["H"]), cfg.n_topics)
         Hs.append(topic["H"])
     # Of each message's representations only rel_u is scored here: its
     # neighbour search needs the reliable group's distributions, and the

@@ -6,7 +6,9 @@ under per-family quotas, the resulting nonnegative matrix is factorized
 with multiplicative-update NMF, and each selected column is assigned to
 one topic, so a message's supports sum into per-topic contributions.
 Every function takes and returns plain arrays: a polarity's topics are
-its selected columns, H and the assignment, which pipeline stores.
+its selected columns and H, which pipeline stores; the assignment is
+derived from H (assign_topics) wherever contributions are summed, so no
+stored assignment can disagree with its H.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 The misclassification score is the Jensen-Shannon divergence between a
 message's topic representation and the reliable-group profile matching
-its predicted label.  Detectors are evaluated by AUROC and by the false
-rejection rate at a fixed true rejection rate (TRR).
+its predicted label; js_divergence broadcasts, so the rows predicted
+one label score against that label's profile in one call.  Detectors
+are evaluated by AUROC and by the false rejection rate at a fixed true
+rejection rate (TRR).
 
 Both rejection and repair are boolean masks over the score rows.  A
 detector rejects the rows scoring at or above its TRR cutoff; the repair
@@ -48,23 +50,6 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
 
     out = 0.5 * kl(p) + 0.5 * kl(q)
     return float(out) if out.ndim == 0 else out
-
-
-def misclassification_score(vectors: np.ndarray, profiles: np.ndarray,
-                            predicted: np.ndarray) -> np.ndarray:
-    """Per-representation JS distance to the predicted label's group.
-
-    vectors (n, R, M) holds each message's representations, profiles
-    (2, R, M) the TN profile at index 0 and the TP profile at index 1, so
-    positive predictions compare against TP and negative against TN.  A
-    NaN (NA) vector or profile yields NaN, excluding the message from
-    that representation's metrics.  Returns (n, R).
-    """
-    refs = profiles[np.asarray(predicted, dtype=int)]
-    valid = ~(np.isnan(vectors).any(axis=-1) | np.isnan(refs).any(axis=-1))
-    scores = np.full(valid.shape, np.nan)
-    scores[valid] = js_divergence(vectors[valid], refs[valid])
-    return scores
 
 
 def auroc(scores: np.ndarray, is_misclassified: np.ndarray) -> float | None:

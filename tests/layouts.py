@@ -31,9 +31,9 @@ DATASET = {"digest": "S64", "gold": "bool", "train": "bool",
 
 TOPICS = {"digest": "S64",
           "columns_minus": "int64", "H_minus": "float64",
-          "assignment_minus": "int64", "objective_minus": "float64",
+          "objective_minus": "float64",
           "columns_plus": "int64", "H_plus": "float64",
-          "assignment_plus": "int64", "objective_plus": "float64"}
+          "objective_plus": "float64"}
 
 SCORES = {"digest": "S64", "p_pos": "float64", "contributions": "float64",
           "xmap_rel_u": "float64"}

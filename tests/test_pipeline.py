@@ -368,13 +368,15 @@ def _every_xmap(cfg: PipelineConfig):
     score and the readers of scores.npz derive them between them: the
     rows predicted each label at once against that label's reliable
     group, whose profile is the one-row representations of its mean
-    contribution, NaN for an empty or massless group, and every column
-    scored in one misclassification_score call."""
+    contribution, NaN for an empty or massless group, and those rows
+    scored against it in one js_divergence call; the rows of a group
+    without a profile stay NaN."""
     scores, gold, train = pipeline._load_scores(cfg)
     predicted, tc = scores["predicted"], _contributions(cfg)
     n, m = tc.shape
     vectors = np.empty((n, len(REPRESENTATIONS), m))
     profiles = np.full((2, len(REPRESENTATIONS), m), np.nan)
+    xmap = np.full((n, len(REPRESENTATIONS)), np.nan)
     reliable = train & (predicted == gold)
     for label, polarity in enumerate(pipeline.POLARITIES):
         H = _load(cfg, "topics.npz")[f"H_{polarity}"]
@@ -384,8 +386,9 @@ def _every_xmap(cfg: PipelineConfig):
         if len(group) and group.mean(axis=0).sum() > 0.0:
             profiles[label] = represent_all(group.mean(axis=0)[None, :],
                                             group, H, cfg)[0]
-    return (vectors, profiles,
-            scoring.misclassification_score(vectors, profiles, predicted))
+            xmap[rows] = scoring.js_divergence(vectors[rows],
+                                               profiles[label])
+    return vectors, profiles, xmap
 
 
 class TestStageOutputs:
@@ -675,7 +678,7 @@ class TestStageOutputs:
             supports = attribution.polarity_supports(
                 phi[rows][:, topic["columns"]], polarity)
             expected = profiling.topic_contributions(
-                supports, topic["assignment"], cfg.n_topics)
+                supports, profiling.assign_topics(topic["H"]), cfg.n_topics)
             assert stored[rows].tobytes() == expected.tobytes(), polarity
 
     def test_readers_search_no_neighbours(self, mini_run, tmp_path,
@@ -705,26 +708,32 @@ class TestStageOutputs:
         # functions, scores to the (n, 8) xmap columns: their rel_u
         # column is the one score computed and stored, and the other
         # seven are those _load_scores derives, bit for bit, NaN included.
-        # The kernel run's training split holds no correctly classified
-        # spam, so its TP group is empty: rel_u is NA for every positive
-        # prediction and the TP profile is NA throughout.
+        # score makes one js_divergence call per label with a profile, in
+        # label order, on that label's rows.  The kernel run's training
+        # split holds no correctly classified spam, so its TP group is
+        # empty: rel_u is NA for every positive prediction, the TP
+        # profile is NA throughout and its rows make no call.
         _, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
         cfg = load_config(cfg_path)
         kernel = run == "kernel_run"
-        real, calls = scoring.misclassification_score, []
+        real, calls = scoring.js_divergence, []
 
-        def spy(vectors, profiles, predicted):
-            calls.append(real(vectors, profiles, predicted))
-            return calls[-1]
+        def spy(p, q):
+            calls.append((q, real(p, q)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(scoring, "misclassification_score", spy)
+        monkeypatch.setattr(scoring, "js_divergence", spy)
         assert cli.main(["score", "--config", str(cfg_path)]) == 0
         monkeypatch.undo()
-        [computed] = calls
         vectors, profiles, xmap = _every_xmap(cfg)
         scores = pipeline._load_scores(cfg)[0]
-        assert computed.shape == (len(xmap), 1)
-        assert xmap[:, -1:].tobytes() == computed.tobytes()
+        labels = [0] if kernel else [0, 1]
+        assert len(calls) == len(labels)
+        for label, (profile, computed) in zip(labels, calls):
+            rows = scores["predicted"] == label
+            assert profile.tobytes() == profiles[label, -1:].tobytes()
+            assert computed.shape == (rows.sum(), 1)
+            assert xmap[rows, -1:].tobytes() == computed.tobytes()
         for column, key in zip(xmap.T, pipeline.XMAP_COLUMNS):
             assert scores[key].dtype == np.float64, key
             assert column.tobytes() == scores[key].tobytes(), key
@@ -811,22 +820,27 @@ class TestStageOutputs:
             supports = attribution.polarity_supports(
                 phi[group][:, topic["columns"]], polarity)
             group_tc = profiling.topic_contributions(
-                supports, topic["assignment"], cfg.n_topics)
+                supports, profiling.assign_topics(topic["H"]), cfg.n_topics)
             expected[label] = represent_all(group_tc.mean(axis=0)[None, :],
                                             group_tc, topic["H"], cfg)[0]
         assert not np.isnan(expected).any()
-        real, stacks = scoring.misclassification_score, []
+        # One js_divergence call per label, in label order, against that
+        # label's profile: score's for rel_u, then the readers' for the
+        # other seven.
+        real, profiles = scoring.js_divergence, []
 
-        def spy(vectors, profiles, predicted):
-            stacks.append(profiles)
-            return real(vectors, profiles, predicted)
+        def spy(p, q):
+            profiles.append(q)
+            return real(p, q)
 
-        monkeypatch.setattr(scoring, "misclassification_score", spy)
+        monkeypatch.setattr(scoring, "js_divergence", spy)
         assert cli.main(["score", "--config", str(cfg_path)]) == 0
         pipeline._load_scores(cfg)
-        [rel_u, topic] = stacks
-        assert rel_u.tobytes() == expected[:, -1:].tobytes()
-        assert topic.tobytes() == expected[:, :-1].tobytes()
+        assert len(profiles) == 4
+        for label in (0, 1):
+            rel_u, topic = profiles[label], profiles[2 + label]
+            assert rel_u.tobytes() == expected[label, -1:].tobytes()
+            assert topic.tobytes() == expected[label, :-1].tobytes()
 
     def test_topics_match_the_direct_nmf_objective(self, mini_run):
         # Each polarity's support matrix, rebuilt as profile builds it and
@@ -856,6 +870,70 @@ class TestStageOutputs:
         for heading in ("## Divergence from the reliable-group profiles",
                         "## Detector quality", "## Repair layer"):
             assert heading in text
+
+
+class TestXmapColumns:
+    """pipeline._xmap_columns on hand-made rows, with the original
+    distribution as the one representation unless a test says otherwise:
+    the rows predicted each label score against that label's profile,
+    and the rows of a group without a profile stay NaN."""
+
+    @staticmethod
+    def _xmap(contributions, predicted, gold, train,
+              represent=lambda tc, group_tc, H: uncertainty.original(
+                  tc)[:, None, :]):
+        masks = [np.array(mask, dtype=bool)
+                 for mask in (predicted, gold, train)]
+        return pipeline._xmap_columns(
+            represent, np.array(contributions, dtype=float), *masks,
+            [None, None])
+
+    def test_profile_match_scores_zero(self):
+        # The TP group is row 0, whose profile [0.25, 0.75] row 1 matches.
+        xmap = self._xmap([[1.0, 3.0], [2.0, 6.0]], [1, 1], [1, 1],
+                          [1, 0])
+        assert xmap.shape == (2, 1)
+        assert xmap[1, 0] == 0.0
+
+    def test_group_selected_by_prediction(self):
+        # TN profile [0.75, 0.25] (row 0), TP profile [0.5, 0.5] (row 1);
+        # rows 2 and 3 are the same message predicted 1 and 0.
+        xmap = self._xmap([[3.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+                          [0, 1, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0])
+        assert xmap[2, 0] == 0.0
+        assert xmap[3, 0] == scoring.js_divergence([0.5, 0.5],
+                                                   [0.75, 0.25]) > 0.0
+
+    @pytest.mark.parametrize("tp_member", [None, [0.0, 0.0]],
+                             ids=["empty", "massless"])
+    def test_group_without_profile_gives_na(self, tp_member):
+        # The TP group is empty, or its one member has no mass: every
+        # positive prediction is NA, and the negative ones are scored.
+        rows = [[3.0, 1.0], [1.0, 2.0], [2.0, 1.0]]
+        predicted, gold, train = [0, 1, 0], [0, 0, 1], [1, 0, 0]
+        if tp_member is not None:
+            rows.append(tp_member)
+            predicted, gold, train = (predicted + [1], gold + [1],
+                                      train + [1])
+        xmap = self._xmap(rows, predicted, gold, train)
+        positive = np.array(predicted, dtype=bool)
+        assert np.isnan(xmap[positive]).all()
+        assert np.isfinite(xmap[~positive]).all()
+
+    def test_each_representation_scores_against_its_own_profile(self):
+        # Two representations, the original and its reverse: each column
+        # is the divergence to that representation's profile.
+        def represent(tc, group_tc, H):
+            p = uncertainty.original(tc)
+            return np.stack([p, p[:, ::-1]], axis=1)
+
+        tc = [[1.0, 3.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 4.0]]
+        xmap = self._xmap(tc, [1, 1, 1], [1, 1, 1], [1, 1, 0], represent)
+        profile = represent(np.mean(tc[:2], axis=0)[None, :], None, None)[0]
+        for i, row in enumerate(represent(np.array(tc), None, None)):
+            for r in range(2):
+                assert xmap[i, r] == scoring.js_divergence(row[r],
+                                                           profile[r])
 
 
 class TestDeterminism:
@@ -1392,7 +1470,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("damage", [
         "column_past_space", "descending_columns", "extra_topic_row",
-        "narrow_H", "short_assignment", "assignment_past_topics"])
+        "narrow_H"])
     def test_damaged_topics_fail_score(self, mini_run, tmp_path, capsys,
                                        damage):
         # Each damage either stopped score with a message that named
@@ -1407,16 +1485,28 @@ class TestGuards:
         elif damage == "extra_topic_row":
             arrays["H_plus"] = np.vstack([arrays["H_plus"],
                                           arrays["H_plus"][:1]])
-        elif damage == "narrow_H":
-            arrays["H_plus"] = arrays["H_plus"][:, :-1]
-        elif damage == "short_assignment":
-            arrays["assignment_plus"] = arrays["assignment_plus"][:-1]
         else:
-            arrays["assignment_plus"][0] = cfg.n_topics
+            arrays["H_plus"] = arrays["H_plus"][:, :-1]
         _save(cfg, "topics.npz", **arrays)
         err = _refused(copy, cfg_path, capsys, "score")
         assert err.startswith("[score] topics.npz is malformed (")
         assert err.endswith("); rerun profile\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_topics_of_the_old_layout_need_profile_again(self, run, request,
+                                                         tmp_path, capsys):
+        # A topics.npz written before score derived each column's topic
+        # from H also stores the assignments, which could disagree with
+        # it.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        topics = _load(cfg, "topics.npz")
+        _save(cfg, "topics.npz", **topics, **{
+            f"assignment_{polarity}": profiling.assign_topics(
+                topics[f"H_{polarity}"]) for polarity in pipeline.POLARITIES})
+        assert _refused(copy, cfg_path, capsys, "score") == (
+            "[score] topics.npz is malformed (unexpected 'assignment_minus', "
+            "'assignment_plus'); rerun profile\n")
 
     def test_truncated_archive_leaves_no_open_file(self, mini_run,
                                                    tmp_path):

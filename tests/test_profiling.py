@@ -350,28 +350,31 @@ def _group_profile(tcs, n_topics):
     """Every representation profile of a group with topic contributions
     tcs (rows), by name; None for NA: the TP profile that
     pipeline._xmap_columns scores the positive predictions against, with
-    every representation for its represent."""
+    every representation for its represent.  A group with a profile makes
+    one js_divergence call against it, and one without makes none; the
+    TN group is empty, so it makes none."""
     H = np.random.default_rng(0).random((n_topics, 2 * n_topics)) + 0.01
     cfg = PipelineConfig(k_related=1, k_nn=5)
     tcs = np.array(tcs, dtype=float).reshape(-1, n_topics)
     # Every row a correctly classified positive training message.
     label = np.ones(len(tcs), dtype=bool)
-    real, stacks = scoring.misclassification_score, []
+    real, profiles = scoring.js_divergence, []
 
-    def spy(vectors, profiles, predicted):
-        stacks.append(profiles)
-        return real(vectors, profiles, predicted)
+    def spy(p, q):
+        profiles.append(q)
+        return real(p, q)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scoring, "misclassification_score", spy)
-        pipeline._xmap_columns(
+        patch.setattr(scoring, "js_divergence", spy)
+        xmap = pipeline._xmap_columns(
             lambda tc, group_tc, H: represent_all(tc, group_tc, H, cfg),
             tcs, label, label, label, [H, H])
-    [profiles] = stacks
-    assert profiles.shape == (2, len(REPRESENTATIONS), n_topics)
-    # The TN group is empty, so its profile is NA throughout.
-    assert np.isnan(profiles[0]).all()
-    rows = profiles[1]
+    assert xmap.shape == (len(tcs), len(REPRESENTATIONS))
+    if not profiles:
+        assert np.isnan(xmap).all()
+        return dict.fromkeys(REPRESENTATIONS)
+    [rows] = profiles
+    assert rows.shape == (len(REPRESENTATIONS), n_topics)
     # A representation is NA as a whole or not at all.
     assert np.isnan(rows).all(axis=1).tolist() == np.isnan(rows).any(
         axis=1).tolist()
@@ -452,9 +455,8 @@ class TestProfilingIO:
         # leave them.
         plus = dict(columns=np.array([3, 8, 20]),
                     H=np.array([[0.5, 0.1, -0.0], [0.2, 5e-324, 1.0]]),
-                    assignment=np.array([0, 1, 1]), objective=0.1 + 0.2)
-        minus = dict(columns=np.array([0, 17]), H=np.eye(2),
-                     assignment=np.array([0, 1]), objective=0.0)
+                    objective=0.1 + 0.2)
+        minus = dict(columns=np.array([0, 17]), H=np.eye(2), objective=0.0)
         topics = {"plus": plus, "minus": minus}
         _save(cfg, "topics.npz", **{f"{name}_{polarity}": value
                                     for polarity, members in topics.items()
@@ -462,7 +464,7 @@ class TestProfilingIO:
         for polarity, members in topics.items():
             back = _load_topics(cfg, space, polarity)
             assert back.keys() == members.keys()
-            for name in ("columns", "H", "assignment"):
+            for name in ("columns", "H"):
                 assert back[name].dtype == members[name].dtype
                 assert back[name].tobytes() == members[name].tobytes()
             assert type(back["objective"]) is float

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from topicaudit import scoring
 from topicaudit.scoring import (LN2, auroc, calibrate_tau, frr_at_trr,
-                                js_divergence, misclassification_score,
-                                rejected_at_trr, repair, trr_cutoff)
+                                js_divergence, rejected_at_trr, repair,
+                                trr_cutoff)
 
 
 def brute_force_auroc(scores, flags):
@@ -71,6 +71,43 @@ class TestJSDivergence:
             for j in range(5):
                 assert got[i, j] == js_divergence(p[j], q[i, 0])
 
+    KINDS = ("zero", "one_hot", "uniform", "dirichlet")
+
+    @staticmethod
+    def _vector(kind, m, rng):
+        if kind == "zero":
+            return np.zeros(m)
+        if kind == "one_hot":
+            return np.eye(m)[rng.integers(m)]
+        if kind == "uniform":
+            return np.full(m, 1.0 / m)
+        return rng.dirichlet(np.ones(m))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 8), r=st.sampled_from([1, 7]),
+           n=st.one_of(st.just(0), st.just(1), st.integers(2, 24)))
+    def test_stacks_against_one_profile(self, data, m, r, n):
+        # The (n, R, M) representations of one prediction polarity scored
+        # against its (R, M) profile in one call: each (row, profile)
+        # pair has the bits it has alone, and the bits of one 2-D call
+        # over the pairs gathered row by row.
+        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+        kinds = data.draw(st.lists(st.sampled_from(self.KINDS),
+                                   min_size=(n + 1) * r,
+                                   max_size=(n + 1) * r))
+        vectors = np.array([self._vector(kind, m, rng) for kind in kinds])
+        stack = vectors[r:].reshape(n, r, m)
+        profile = vectors[:r]
+        got = js_divergence(stack, profile)
+        assert got.shape == (n, r) and got.dtype == np.float64
+        for i, j in itertools.product(range(n), range(r)):
+            alone = js_divergence(stack[i, j], profile[j])
+            assert np.float64(alone).tobytes() == got[i, j].tobytes()
+        gathered = js_divergence(
+            stack.reshape(-1, m),
+            np.broadcast_to(profile, stack.shape).reshape(-1, m))
+        assert gathered.tobytes() == got.tobytes()
+
     def test_smallest_subnormal_mass_stays_finite(self):
         # Halving p + q would underflow to 0 at the first entry.
         p = np.array([5e-324, 1.0])
@@ -81,35 +118,6 @@ class TestJSDivergence:
         p = rng.dirichlet(np.ones(5))
         q = p + np.array([0.01, -0.01, 0, 0, 0])
         assert js_divergence(p, q) > 1e-9
-
-
-class TestMisclassificationScore:
-    # Two representations (original, rel_u); TN profile at index 0, TP at 1.
-    NA = [np.nan, np.nan]
-    PROFILES = np.array([[[0.5, 0.5], [0.5, 0.5]],
-                         [[0.75, 0.25], NA]])
-
-    def test_profile_match_scores_zero(self):
-        vectors = np.array([[[0.75, 0.25], self.NA]])
-        out = misclassification_score(vectors, self.PROFILES, [1])
-        assert out.shape == (1, 2)
-        assert out[0, 0] == 0.0
-
-    def test_group_selected_by_prediction(self):
-        vectors = np.array([[[0.5, 0.5], self.NA]] * 2)
-        pos, neg = misclassification_score(vectors, self.PROFILES, [1, 0])
-        assert pos[0] > 0.0
-        assert neg[0] == 0.0
-
-    def test_na_profile_gives_na_score(self):
-        vectors = np.array([[[0.5, 0.5], [0.5, 0.5]]])
-        out = misclassification_score(vectors, self.PROFILES, [1])
-        assert np.isnan(out[0, 1])
-
-    def test_na_representation_gives_na_score(self):
-        vectors = np.array([[[0.5, 0.5], self.NA]])
-        out = misclassification_score(vectors, self.PROFILES, [0])
-        assert np.isnan(out[0, 1])
 
 
 class TestAuroc:
