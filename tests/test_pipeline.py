@@ -1508,6 +1508,50 @@ class TestGuards:
             "[score] topics.npz is malformed (unexpected 'assignment_minus', "
             "'assignment_plus'); rerun profile\n")
 
+    @pytest.mark.parametrize("polarity", ["minus", "plus"])
+    @pytest.mark.parametrize("run", ["mini_run", "kernel_run"])
+    def test_each_old_topics_member_is_refused(self, run, polarity, request,
+                                               tmp_path, capsys):
+        # Either assignment of the old layout alone, stored beside the
+        # topics, stops score and, in a run that went past score, every
+        # later reader of topics.npz, which names it.
+        copy, cfg_path = _copy_run(request.getfixturevalue(run), tmp_path)
+        cfg = load_config(cfg_path)
+        topics = _load(cfg, "topics.npz")
+        member = f"assignment_{polarity}"
+        _save(cfg, "topics.npz", **topics, **{
+            member: profiling.assign_topics(topics[f"H_{polarity}"])})
+        for stage in ("score", *(stage for stage in ("evaluate", "repair",
+                      "report") if stage in RUNS[run][0])):
+            assert _refused(copy, cfg_path, capsys, stage) == (
+                f"[{stage}] topics.npz is malformed (unexpected {member!r}); "
+                "rerun profile\n")
+
+    @pytest.mark.parametrize("label, polarity",
+                             list(enumerate(pipeline.POLARITIES)),
+                             ids=pipeline.POLARITIES)
+    def test_contributions_follow_the_stored_H(self, mini_run, tmp_path,
+                                               label, polarity):
+        # Each column's topic is H's: with one polarity's topics rolled by
+        # one, score moves every contribution of the rows predicted that
+        # label to the next topic, and leaves the other rows as they were.
+        copy, cfg_path = _copy_run(mini_run, tmp_path)
+        cfg = load_config(cfg_path)
+        before = _contributions(cfg)
+        predicted = pipeline._load_scores(cfg)[0]["predicted"]
+        topics = _load(cfg, "topics.npz")
+        top_two = np.sort(topics[f"H_{polarity}"], axis=0)[-2:]
+        assert (top_two[1] > top_two[0]).all(), "a tie would not roll"
+        topics[f"H_{polarity}"] = np.roll(topics[f"H_{polarity}"], 1, axis=0)
+        _save(cfg, "topics.npz", **topics)
+        assert cli.main(["score", "--config", str(cfg_path)]) == 0
+        after = _contributions(cfg)
+        rows = predicted == label
+        assert rows.any() and (before[rows] != 0.0).any()
+        assert after[rows].tobytes() == np.roll(
+            before[rows], 1, axis=1).tobytes()
+        assert after[~rows].tobytes() == before[~rows].tobytes()
+
     def test_truncated_archive_leaves_no_open_file(self, mini_run,
                                                    tmp_path):
         copy, cfg_path = _copy_run(mini_run, tmp_path)
