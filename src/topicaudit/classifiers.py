@@ -6,9 +6,10 @@ objective by deterministic averaged subgradient descent, then calibrates
 probabilities with sigmoid scaling fitted on 5-fold out-of-fold margins.
 NB is multinomial with additive smoothing, treating TF-IDF weights as
 fractional counts, and is kept as its log-odds, linear in its scaled
-features.  Every trainer returns a LinearModel and draws no random
-number.  predict_all gives every message's positive-class probability
-and label; decision_function the margins.
+features.  Every trainer multiplies the features.CSR of its training
+rows by vectors, returns a LinearModel and draws no random number.
+predict_all gives every message's positive-class probability and label;
+decision_function the margins.
 """
 
 from __future__ import annotations
@@ -93,46 +94,48 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _signs(y: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(y) > 0, 1.0, -1.0)
 
 
-def _column_scale(X: np.ndarray) -> np.ndarray:
+def _column_scale(X: features.CSR) -> np.ndarray:
     # Large-magnitude columns (structural counts) are shrunk to unit scale
     # for optimization only; weights are folded back to raw space on exit.
-    return np.maximum(X.std(axis=0), 1.0)
+    # The std comes from dense column blocks, the bits of the dense X's.
+    stds = [X.dense(columns=block).std(axis=0)
+            for block in features.blocks(X.shape[1], features.COLUMN_BLOCK)]
+    return np.maximum(np.concatenate(stds), 1.0)
 
 
-def _logistic_loss_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
+def _logistic_loss_grad(wb: np.ndarray, X: features.CSR, y_pm: np.ndarray,
                         l2: float) -> tuple[float, np.ndarray]:
     """Average logistic loss with L2 on weights (not bias), and gradient."""
     n = X.shape[0]
     w, b = wb[:-1], wb[-1]
-    z = y_pm * (X @ w + b)
+    z = y_pm * (X.matvec(w) + b)
     # log(1 + exp(-z)) evaluated stably for both signs of z.
     loss = float(np.mean(np.logaddexp(0.0, -z)) + 0.5 * l2 * np.dot(w, w) / n)
     coef = -y_pm * _sigmoid(-z) / n
     grad = np.empty_like(wb)
-    grad[:-1] = X.T @ coef + l2 * w / n
+    grad[:-1] = X.rmatvec(coef) + l2 * w / n
     grad[-1] = coef.sum()
     return loss, grad
 
 
-def train_logreg(X: np.ndarray, y: np.ndarray, l2_strength: float = 1.0,
+def train_logreg(X: features.CSR, y: np.ndarray, l2_strength: float = 1.0,
                  epochs: int = 500) -> LinearModel:
     """Full-batch gradient descent with backtracking line search.
 
     Stops when the gradient infinity-norm falls below 1e-5 or the epoch
     cap is hit.  The margin is the log-odds, so no calibration is stored.
     """
-    X = np.asarray(X, dtype=float)
     y_pm = _signs(y)
     scale = _column_scale(X)
-    Xs = X / scale
+    Xs = dataclasses.replace(X, data=X.data / scale[X.indices])
     wb = np.zeros(X.shape[1] + 1)
     loss, grad = _logistic_loss_grad(wb, Xs, y_pm, l2_strength)
     step = 1.0
@@ -160,14 +163,14 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2_strength: float = 1.0,
                        bias=float(wb[-1]))
 
 
-def _hinge_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray,
-                     lam: float) -> float:
-    margins = y_pm * (X @ w + b)
+def _hinge_objective(w: np.ndarray, b: float, X: features.CSR,
+                     y_pm: np.ndarray, lam: float) -> float:
+    margins = y_pm * (X.matvec(w) + b)
     return float(np.mean(np.maximum(0.0, 1.0 - margins))
                  + 0.5 * lam * np.dot(w, w))
 
 
-def _train_svm_raw(X: np.ndarray, y_pm: np.ndarray, C: float,
+def _train_svm_raw(X: features.CSR, y_pm: np.ndarray, C: float,
                    epochs: int) -> tuple[np.ndarray, float]:
     """Averaged full-batch subgradient descent on the hinge objective."""
     n, d = X.shape
@@ -177,9 +180,9 @@ def _train_svm_raw(X: np.ndarray, y_pm: np.ndarray, C: float,
     w_sum = np.zeros(d)
     b_sum = 0.0
     for t in range(1, epochs + 1):
-        margins = y_pm * (X @ w + b)
+        margins = y_pm * (X.matvec(w) + b)
         viol = margins < 1.0
-        g_w = lam * w - (X[viol].T @ y_pm[viol]) / n
+        g_w = lam * w - X.rmatvec(np.where(viol, y_pm, 0.0)) / n
         g_b = -float(y_pm[viol].sum()) / n
         eta = 1.0 / np.sqrt(t)
         w = w - eta * g_w
@@ -221,7 +224,7 @@ def _fit_sigmoid(margins: np.ndarray, y_pm: np.ndarray) -> tuple[float, float]:
     return float(A), float(B)
 
 
-def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
+def train_svm(X: features.CSR, y: np.ndarray, C: float = 1.0,
               epochs: int = 2000) -> LinearModel:
     """Hinge-loss linear SVM plus sigmoid probability calibration.
 
@@ -229,10 +232,9 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
     sees margins of its own training rows.  Any fold whose training part is
     single-class aborts calibration to the A=1, B=0 fallback with a warning.
     """
-    X = np.asarray(X, dtype=float)
     y_pm = _signs(y)
     scale = _column_scale(X)
-    Xs = X / scale
+    Xs = dataclasses.replace(X, data=X.data / scale[X.indices])
     w, b = _train_svm_raw(Xs, y_pm, C, epochs)
 
     fold_of = np.empty(len(y_pm), dtype=int)
@@ -251,15 +253,15 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
                           "A=1, B=0 sigmoid", UserWarning, stacklevel=2)
             calibration = (1.0, 0.0)
             break
-        w_f, b_f = _train_svm_raw(Xs[~hold], y_fit, C, epochs)
-        oof_margins[hold] = Xs[hold] @ w_f + b_f
+        w_f, b_f = _train_svm_raw(Xs.take(~hold), y_fit, C, epochs)
+        oof_margins[hold] = Xs.take(hold).matvec(w_f) + b_f
     if calibration is None:
         calibration = _fit_sigmoid(oof_margins, y_pm)
     return LinearModel(kind="svm", weights=w / scale, bias=float(b),
                        calibration=calibration)
 
 
-def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
+def train_nb(X: features.CSR, y: np.ndarray, alpha: float = 1.0,
              structural_start: int | None = None) -> LinearModel:
     """Multinomial NB over TF-IDF mass with additive smoothing, as the
     linear model of its log-odds.
@@ -268,28 +270,31 @@ def train_nb(X: np.ndarray, y: np.ndarray, alpha: float = 1.0,
     otherwise dominate the per-class mass, so it is min-max scaled to
     [0,1] using training bounds stored in the model.  The weights are
     log theta_1 - log theta_0 of the per-class word likelihoods, the bias
-    the log prior ratio.
+    the log prior ratio.  Only the structural block is made dense.
     """
     if alpha <= 0:
         raise ValueError(f"smoothing alpha must be positive, got {alpha}")
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    n, d = X.shape
     if structural_start is None:
-        structural_start = X.shape[1]
-    scaler = LinearModel(kind="nb", weights=np.zeros(X.shape[1]), bias=0.0,
+        structural_start = d
+    block = X.dense(columns=slice(structural_start, None))
+    scaler = LinearModel(kind="nb", weights=np.zeros(d), bias=0.0,
                          structural_start=structural_start,
-                         struct_min=X[:, structural_start:].min(axis=0),
-                         struct_max=X[:, structural_start:].max(axis=0))
-    Xt = scaler.transform(X)
-    n = len(y)
+                         struct_min=block.min(axis=0),
+                         struct_max=block.max(axis=0))
+    block = scaler.transform(block, slice(structural_start, None))
     log_prior = np.empty(2)
-    log_theta = np.empty((2, X.shape[1]))
+    log_theta = np.empty((2, d))
     for cls in (0, 1):
-        rows = Xt[y == cls]
-        if rows.shape[0] == 0:
+        of_cls = y == cls
+        if not of_cls.any():
             raise TrainingError(f"class {cls} absent from training labels")
-        log_prior[cls] = np.log(rows.shape[0] / n)
-        mass = rows.sum(axis=0) + alpha
+        log_prior[cls] = np.log(np.count_nonzero(of_cls) / n)
+        # The class's rows summed in row order; cumsum never sums pairwise.
+        mass = X.rmatvec(of_cls.astype(float))
+        mass[structural_start:] = np.cumsum(block[of_cls], axis=0)[-1]
+        mass += alpha
         log_theta[cls] = np.log(mass) - np.log(mass.sum())
     return dataclasses.replace(scaler, weights=log_theta[1] - log_theta[0],
                                bias=float(log_prior[1] - log_prior[0]))

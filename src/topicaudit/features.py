@@ -7,12 +7,13 @@ fitted on the training split only; each TF-IDF block is L2-normalized per
 view so the two text views are commensurable.  vectorize turns every
 message at once into the CSR arrays of the (messages x columns) matrix X,
 the form dataset.npz stores, and CSR holds those arrays after loading:
-every later stage reads X through its dense slices, never all of X at
-once (train alone densifies its training rows).
+every later stage reads X through its dense slices or its products with
+a vector, never all of X at once.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import string
 import warnings
@@ -167,6 +168,22 @@ class CSR:
         return CSR((len(rows), self.shape[1]), indptr, self.indices[at],
                    self.data[at])
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Each stored value's row."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    # astype: np.bincount gives integer zeros when nothing is stored.
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w, each row's products summed in column order."""
+        return np.bincount(self.rows, self.data * w[self.indices],
+                           minlength=self.shape[0]).astype(float, copy=False)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """X.T @ v, each column's products summed in row order."""
+        return np.bincount(self.indices, self.data * v[self.rows],
+                           minlength=self.shape[1]).astype(float, copy=False)
+
     def dense(self, rows=None, columns=None) -> np.ndarray:
         """X[rows][:, columns] as a new C-contiguous array; None takes
         every row or column, and a column may not be taken twice."""
@@ -180,8 +197,7 @@ class CSR:
         at = position[M.indices]
         kept = at >= 0
         out = np.zeros((n, columns.size))
-        row_of = np.repeat(np.arange(n), np.diff(M.indptr))
-        out[row_of[kept], at[kept]] = M.data[kept]
+        out[M.rows[kept], at[kept]] = M.data[kept]
         return out
 
 

@@ -24,9 +24,9 @@ member suffixed with its polarity: the selected columns, H and the NMF
 objective, not each column's topic, which score derives from H.  No
 stage after prepare holds X or phi dense: each asks for the dense rows
 and columns it reads, which equal the same slice of the dense matrix
-bit for bit.  train densifies the training rows, explain blocks of the
-training rows and columns (a kernel run one message at a time), and
-profile and score each polarity's rows and selected columns of phi.
+bit for bit.  train and explain densify column blocks of the training
+rows (a kernel explain one message at a time), and profile and score
+each polarity's rows and selected columns of phi.
 
 shap.npz stores only phi's inputs.  It holds neither a column index of
 phi nor the background rows (every training row for a linear run, the
@@ -37,9 +37,9 @@ alike.  A linear run's phi = w * (t(X) - t(mu)) is exact and
 elementwise, and _load_phi rebuilds any slice of it from the same slice
 of X.  A kernel run's phi comes from attribution.kernel_explain, one
 worker process per available core when numpy's BLAS runs one thread
-(the CLI sets that for every stage but train), and is the same bytes
-for any worker count; shap.npz adds ``data``, the values of each
-message's active columns, where X deviates from mu, row after row.
+(the CLI sets that for every stage), and is the same bytes for any
+worker count; shap.npz adds ``data``, the values of each message's
+active columns, where X deviates from mu, row after row.
 
 score stores in scores.npz each message's p_pos and topic contributions,
 not the representations derived from them, and of their xmap columns
@@ -454,7 +454,7 @@ def cmd_train(cfg: PipelineConfig) -> None:
     gold, train, space, X = _load_features(cfg)
     if cfg.subsample_train:
         train[train] = corpus.subsample_majority(gold[train], cfg.seed)
-    X_train, y_train = X.dense(train), gold[train]
+    X_train, y_train = X.take(train), gold[train]
 
     if cfg.classifier == "logreg":
         model = classifiers.train_logreg(

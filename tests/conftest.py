@@ -6,7 +6,7 @@ import os
 
 from topicaudit import BLAS_THREAD_VARS
 
-# The BLAS defaults topicaudit.cli sets for every stage but train, here
+# The BLAS defaults topicaudit.cli sets for every stage, here
 # for every test before anything imports numpy: in-process explain
 # stages then fork their worker pool as the CLI's do, and no result
 # depends on the number of cores the BLAS would otherwise use.

@@ -81,7 +81,8 @@ class TestLinearShap:
     def test_rows_match_one_row_calls(self):
         rng = np.random.default_rng(4)
         X = rng.random((6, 5))
-        model = train_nb(X, np.array([0, 1] * 3), structural_start=3)
+        model = train_nb(CSR.of(to_csr(X)), np.array([0, 1] * 3),
+                         structural_start=3)
         mu = X.mean(axis=0)
         phi = linear_shap(model, X, mu)
         assert phi.shape == X.shape
@@ -304,7 +305,7 @@ def _nb_model(d, structural_start, seed):
     rng = np.random.default_rng(seed)
     X = rng.random((12, d))
     X[:, structural_start:] *= 40.0
-    return train_nb(X, np.array([0, 1] * 6),
+    return train_nb(CSR.of(to_csr(X)), np.array([0, 1] * 6),
                     structural_start=structural_start), X
 
 

@@ -22,10 +22,48 @@ import layouts
 from csr_layout import to_csr
 
 
+def _csr(X):
+    """A dense matrix as the CSR the trainers and predict_all read."""
+    return CSR.of(to_csr(np.asarray(X, dtype=float)))
+
+
 def _predict(model, X):
     """predict_all's (p_pos, label) of a dense matrix, through the CSR it
     reads."""
-    return predict_all(model, CSR.of(to_csr(np.asarray(X, dtype=float))))
+    return predict_all(model, _csr(X))
+
+
+def _train_nb_dense(X, y, alpha=1.0, structural_start=None):
+    """train_nb's formula on a dense X: the reference it must match."""
+    if structural_start is None:
+        structural_start = X.shape[1]
+    scaler = LinearModel(kind="nb", weights=np.zeros(X.shape[1]), bias=0.0,
+                         structural_start=structural_start,
+                         struct_min=X[:, structural_start:].min(axis=0),
+                         struct_max=X[:, structural_start:].max(axis=0))
+    Xt = scaler.transform(X)
+    log_prior = np.empty(2)
+    log_theta = np.empty((2, X.shape[1]))
+    for cls in (0, 1):
+        rows = Xt[y == cls]
+        log_prior[cls] = np.log(rows.shape[0] / len(y))
+        mass = rows.sum(axis=0) + alpha
+        log_theta[cls] = np.log(mass) - np.log(mass.sum())
+    return LinearModel(kind="nb", weights=log_theta[1] - log_theta[0],
+                       bias=float(log_prior[1] - log_prior[0]),
+                       structural_start=structural_start,
+                       struct_min=scaler.struct_min,
+                       struct_max=scaler.struct_max)
+
+
+def _sparse_matrices(max_rows=12, max_columns=9):
+    """Matrices with empty rows and columns, -0.0 and one row or one
+    column among them."""
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.5, 40.0]),
+                       st.floats(1e-3, 1e6))
+    return st.tuples(st.integers(1, max_rows),
+                     st.integers(1, max_columns)).flatmap(
+        lambda shape: hnp.arrays(float, shape, elements=values))
 
 
 def _toy_separable():
@@ -37,7 +75,7 @@ def _toy_separable():
 class TestLogReg:
     def test_separable_reaches_full_accuracy(self):
         X, y = _toy_separable()
-        model = train_logreg(X, y, l2_strength=0.01, epochs=500)
+        model = train_logreg(_csr(X), y, l2_strength=0.01, epochs=500)
         preds = [_predict(model, X[i:i + 1])[1][0] for i in range(len(X))]
         assert preds == list(y)
 
@@ -45,14 +83,14 @@ class TestLogReg:
         # With every row equal, L2 forces w=0 and the bias fits the rate.
         X = np.ones((10, 3))
         y = np.array([1] * 7 + [0] * 3)
-        model = train_logreg(X, y, epochs=2000)
+        model = train_logreg(_csr(X), y, epochs=2000)
         p = _predict(model, X[:1])[0][0]
         np.testing.assert_allclose(p, 0.7, atol=1e-3)
 
     def test_deterministic(self):
         X, y = _toy_separable()
-        a = train_logreg(X, y)
-        b = train_logreg(X, y)
+        a = train_logreg(_csr(X), y)
+        b = train_logreg(_csr(X), y)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -69,7 +107,7 @@ class TestLogReg:
         rng = np.random.default_rng(0)
         X = np.hstack([rng.random((40, 3)), rng.integers(0, 500, (40, 1))])
         y = (X[:, 0] > 0.5).astype(int)
-        model = train_logreg(X, y, epochs=800)
+        model = train_logreg(_csr(X), y, epochs=800)
         acc = np.mean([_predict(model, X[i:i + 1])[1][0]
                        for i in range(len(X))] == y)
         assert acc >= 0.9
@@ -78,7 +116,7 @@ class TestLogReg:
     @given(seed=st.integers(0, 1000))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        X = rng.normal(size=(6, 4))
+        X = _csr(rng.normal(size=(6, 4)))
         y_pm = rng.choice([-1.0, 1.0], size=6)
         wb = rng.normal(size=5)
         _, grad = clf._logistic_loss_grad(wb, X, y_pm, l2=0.7)
@@ -92,10 +130,21 @@ class TestLogReg:
             np.testing.assert_allclose(grad[j], fd, rtol=1e-5, atol=1e-8)
 
 
+class TestColumnScale:
+    @settings(max_examples=60, deadline=None)
+    @given(M=_sparse_matrices(max_rows=40), wide=st.integers(0, 300))
+    def test_scale_is_the_dense_std_bitwise(self, M, wide):
+        # Column blocks of a CSR give the bits of the dense X's std, also
+        # past the first block of columns.
+        M = np.hstack([M, np.tile(M[:, :1], (1, wide)) * 0.5])
+        expected = np.maximum(M.std(axis=0), 1.0)
+        assert clf._column_scale(_csr(M)).tobytes() == expected.tobytes()
+
+
 class TestSVM:
     def test_separable_zero_hinge(self):
         X, y = _toy_separable()
-        model = train_svm(X, y, C=100.0, epochs=3000)
+        model = train_svm(_csr(X), y, C=100.0, epochs=3000)
         margins = clf.decision_function(model, X)
         y_pm = np.where(y > 0, 1.0, -1.0)
         hinge = np.maximum(0.0, 1.0 - y_pm * margins)
@@ -106,7 +155,7 @@ class TestSVM:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(60, 5))
         y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
-        model = train_svm(X, y, epochs=500)
+        model = train_svm(_csr(X), y, epochs=500)
         margins = clf.decision_function(model, X)
         probs = clf.probability_function(model, X)
         order = np.argsort(margins)
@@ -116,8 +165,8 @@ class TestSVM:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 4))
         y = (X[:, 1] > 0).astype(int)
-        a = train_svm(X, y, epochs=300)
-        b = train_svm(X, y, epochs=300)
+        a = train_svm(_csr(X), y, epochs=300)
+        b = train_svm(_csr(X), y, epochs=300)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.calibration == b.calibration
 
@@ -126,7 +175,7 @@ class TestSVM:
         X = np.vstack([np.ones((7, 2)), -np.ones((1, 2))])
         y = np.array([1] * 7 + [0] * 1)
         with pytest.warns(UserWarning, match="single-class"):
-            model = train_svm(X, y, epochs=100)
+            model = train_svm(_csr(X), y, epochs=100)
         assert model.calibration == (1.0, 0.0)
 
     def test_calibration_required_for_svm_only(self):
@@ -146,14 +195,14 @@ class TestNB:
         X = np.ones((4, 2))
         y = np.array([0, 0, 1, 1])
         with pytest.raises(ValueError, match="alpha"):
-            train_nb(X, y, alpha=0.0)
+            train_nb(_csr(X), y, alpha=0.0)
 
     def test_absent_feature_smoothing(self):
         # Class 0 mass: feature totals [3, 0], alpha=1, V=2 columns, so
         # theta0 = [4/5, 1/5]; class 1: totals [0, 2] -> theta1 = [1/4, 3/4].
         X = np.array([[3.0, 0.0], [0.0, 2.0]])
         y = np.array([0, 1])
-        model = train_nb(X, y, alpha=1.0)
+        model = train_nb(_csr(X), y, alpha=1.0)
         np.testing.assert_allclose(
             model.weights, [np.log((1.0 / 4.0) / (4.0 / 5.0)),
                             np.log((3.0 / 4.0) / (1.0 / 5.0))], rtol=1e-12)
@@ -161,7 +210,7 @@ class TestNB:
     def test_symmetric_classes_even_priors(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
-        model = train_nb(X, y)
+        model = train_nb(_csr(X), y)
         assert model.bias == 0.0
 
     def test_weights_are_the_log_likelihood_ratio_bitwise(self):
@@ -171,7 +220,7 @@ class TestNB:
         X = rng.random((30, 7)) * (rng.random((30, 7)) < 0.5)
         X[:, 5:] = rng.integers(0, 40, (30, 2))
         y = (rng.random(30) < 0.3).astype(int)
-        model = train_nb(X, y, alpha=0.7, structural_start=5)
+        model = train_nb(_csr(X), y, alpha=0.7, structural_start=5)
         Xt = model.transform(X)
         log_prior, log_theta = np.empty(2), np.empty((2, 7))
         for cls in (0, 1):
@@ -183,6 +232,46 @@ class TestNB:
             log_theta[1] - log_theta[0]).tobytes()
         assert model.bias == float(log_prior[1] - log_prior[0])
         assert type(model.bias) is float
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), M=_sparse_matrices(max_rows=40),
+           alpha=st.sampled_from([0.5, 1.0, 1.7]))
+    def test_equals_the_dense_formula_bitwise(self, data, M, alpha):
+        n, d = M.shape
+        structural_start = data.draw(st.one_of(st.none(),
+                                               st.integers(0, d)))
+        start = d if structural_start is None else structural_start
+        if data.draw(st.booleans()):
+            # A structural minimum above 0 maps the smallest value to 0.
+            M[:, start:] += data.draw(st.sampled_from([0.5, 12.0]))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        y[data.draw(st.integers(0, n - 1))] = 0
+        y = np.append(y, 1)
+        M = np.vstack([M, M[-1:]])
+        got = train_nb(_csr(M), y, alpha=alpha,
+                       structural_start=structural_start)
+        expected = _train_nb_dense(M, y, alpha=alpha,
+                                   structural_start=structural_start)
+        # Equal as numbers: of a column holding both zeros, numpy's min
+        # and max return either, by the column's memory layout.
+        for name in ("struct_min", "struct_max"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert got.bias == expected.bias
+        assert got.structural_start == expected.structural_start
+        assert got.weights.tobytes() == expected.weights.tobytes()
+
+    def test_one_structural_column_is_summed_in_row_order(self):
+        # numpy sums a one-column matrix pairwise but each column of a
+        # wider one in row order, as the dense formula sums the structural
+        # block with the text columns.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            M = rng.random((400, 6)) * (rng.random((400, 6)) < 0.5) * 1e3
+            y = (rng.random(400) < 0.5).astype(int)
+            got = train_nb(_csr(M), y, structural_start=5)
+            expected = _train_nb_dense(M, y, structural_start=5)
+            assert got.weights.tobytes() == expected.weights.tobytes(), seed
 
     @pytest.mark.parametrize("fields, match", [
         ({"structural_start": 1}, "present iff kind is nb"),
@@ -218,7 +307,7 @@ class TestNB:
         # class 0: totals [1,3]+1 -> theta0=[2/6,4/6]; priors 1/2 each.
         X = np.array([[3.0, 1.0], [1.0, 0.0], [1.0, 2.0], [0.0, 1.0]])
         y = np.array([1, 1, 0, 0])
-        model = train_nb(X, y, alpha=1.0)
+        model = train_nb(_csr(X), y, alpha=1.0)
         x = np.array([[2.0, 0.0]])
         p_pos, _ = _predict(model, x)
         s1 = np.log(0.5) + 2 * np.log(5.0 / 7.0)
@@ -231,7 +320,7 @@ class TestNB:
     def test_structural_block_scaled_and_clipped(self):
         X = np.array([[1.0, 0.0, 10.0], [0.0, 1.0, 30.0]])
         y = np.array([0, 1])
-        model = train_nb(X, y, structural_start=2)
+        model = train_nb(_csr(X), y, structural_start=2)
         Xt = model.transform(np.array([[0.5, 0.5, 50.0]]))
         assert Xt[0, 2] == 1.0
         Xt = model.transform(np.array([[0.5, 0.5, 20.0]]))
@@ -241,7 +330,7 @@ class TestNB:
         rng = np.random.default_rng(5)
         X = rng.random((20, 6))
         y = (X[:, 0] > 0.5).astype(int)
-        model = train_nb(X, y, structural_start=4)
+        model = train_nb(_csr(X), y, structural_start=4)
         w, b = model.weights, model.bias
         Xt = model.transform(X)
         np.testing.assert_allclose(Xt @ w + b,
@@ -250,7 +339,7 @@ class TestNB:
     def test_transform_of_a_column_slice_is_the_slice_of_the_transform(self):
         rng = np.random.default_rng(8)
         X = rng.random((6, 8)) * 40.0
-        model = train_nb(X[:4], np.array([0, 1, 0, 1]), structural_start=5)
+        model = train_nb(_csr(X[:4]), np.array([0, 1, 0, 1]), structural_start=5)
         full = model.transform(X)
         for columns in ([1, 5, 7], [6], [0, 2], slice(3, 8),
                         np.array([7, 5]), []):
@@ -265,9 +354,9 @@ class TestPrediction:
         rng = np.random.default_rng(2)
         X = rng.random((30, 5))
         y = (X[:, 0] > 0.5).astype(int)
-        model = {"logreg": lambda: train_logreg(X, y),
-                 "svm": lambda: train_svm(X, y, epochs=200),
-                 "nb": lambda: train_nb(X, y, structural_start=4)}[kind]()
+        model = {"logreg": lambda: train_logreg(_csr(X), y),
+                 "svm": lambda: train_svm(_csr(X), y, epochs=200),
+                 "nb": lambda: train_nb(_csr(X), y, structural_start=4)}[kind]()
         p_pos, label = _predict(model, X)
         margin = clf.decision_function(model, X)
         for i in range(len(X)):
@@ -297,7 +386,7 @@ class TestPrediction:
                                           bias=0.3),
             "svm": lambda: LinearModel(kind="svm", weights=weights, bias=0.3,
                                        calibration=(1.7, -0.2)),
-            "nb": lambda: train_nb(np.vstack([X, X + 1.0]),
+            "nb": lambda: train_nb(_csr(np.vstack([X, X + 1.0])),
                                    np.repeat([0, 1], n),
                                    structural_start=d - 17)}[kind]()
         monkeypatch.setattr(features, "ROW_BLOCK", block)
@@ -353,7 +442,7 @@ class TestModelIO:
 
     def test_logreg_roundtrip_has_no_calibration(self, tmp_path):
         X, y = _toy_separable()
-        model = train_logreg(X, y, l2_strength=0.01, epochs=50)
+        model = train_logreg(_csr(X), y, l2_strength=0.01, epochs=50)
         back = self._roundtrip(tmp_path, model)
         assert back.kind == "logreg" and back.calibration is None
         assert self._same_bits(back.weights, model.weights)
@@ -362,7 +451,7 @@ class TestModelIO:
     def test_nb_roundtrip(self, tmp_path):
         X = np.array([[1.0, 2.0, 5.0], [2.0, 1.0, 9.0]])
         y = np.array([0, 1])
-        model = train_nb(X, y, alpha=0.5, structural_start=2)
+        model = train_nb(_csr(X), y, alpha=0.5, structural_start=2)
         back = self._roundtrip(tmp_path, model)
         assert isinstance(back, LinearModel) and back.kind == "nb"
         for name in ("weights", "struct_min", "struct_max"):

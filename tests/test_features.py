@@ -265,6 +265,30 @@ class TestCSR:
         assert taken.dense().tobytes() == M[
             slice(None) if rows is None else rows].tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 9), d=st.integers(1, 9))
+    def test_products_are_the_dense_products(self, data, n, d):
+        # Summed in another order than the BLAS sums, each product is
+        # within a few ulps of the largest sum of its terms' magnitudes.
+        values = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.5, -2.25, 1e-3,
+                                  7e5])
+        M = np.array(data.draw(st.lists(values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        w = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d,
+                                        max_size=d)))
+        v = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n,
+                                        max_size=n)))
+        X = CSR.of(to_csr(M))
+        assert X.rows.tolist() == np.nonzero(
+            (M != 0.0) | np.signbit(M))[0].tolist()
+        eps = np.finfo(float).eps
+        for got, expected, bound in (
+                (X.matvec(w), M @ w, np.abs(M) @ np.abs(w)),
+                (X.rmatvec(v), M.T @ v, np.abs(M).T @ np.abs(v))):
+            assert got.shape == expected.shape and got.dtype == float
+            assert np.all(np.abs(got - expected)
+                          <= 4 * max(n, d) * eps * bound)
+
     def test_a_column_taken_twice_is_refused(self):
         with pytest.raises(ValueError, match="twice"):
             CSR.of(to_csr(np.eye(3))).dense(columns=[1, 1])

@@ -2241,15 +2241,11 @@ class TestCliContract:
         ("explain", {"OPENBLAS_NUM_THREADS": "2"}),
         ("profile", {"OPENBLAS_NUM_THREADS": "2"})],
         ids=[*STAGES, "explain-caller-sets-2", "profile-caller-sets-2"])
-    def test_one_blas_thread_in_every_stage_but_train(self, stage, preset):
+    def test_one_blas_thread_in_every_stage(self, stage, preset):
         # Importing the CLI sets each BLAS variable the caller left unset
-        # to 1, except for train, which lets kernel explain fork a worker
-        # per core.
+        # to 1, which lets kernel explain fork a worker per core.
         blas, workers = self._blas_after_cli_import([stage], preset)
-        if stage == "train":
-            expected = ["-"] * len(BLAS_THREAD_VARS)
-        else:
-            expected = [preset.get(var, "1") for var in BLAS_THREAD_VARS]
+        expected = [preset.get(var, "1") for var in BLAS_THREAD_VARS]
         assert blas == expected
         assert workers == (len(os.sched_getaffinity(0))
                            if expected == ["1"] * len(BLAS_THREAD_VARS)
